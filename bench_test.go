@@ -7,6 +7,7 @@ package repro_test
 // reports the headline metrics via b.ReportMetric.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -269,20 +270,19 @@ func BenchmarkQueryNR(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := repro.NewServer(repro.NR, g, repro.Params{Regions: 16})
+	d, err := repro.Deploy(g, repro.WithParams(repro.Params{Regions: 16}))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch, err := repro.NewChannel(srv, 0, 1)
+	ctx := context.Background()
+	sess, err := d.Session(ctx, repro.SessionOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := repro.QueryFor(g, 11, repro.NodeID(g.NumNodes()-11))
-	client := srv.NewClient()
+	dst := repro.NodeID(g.NumNodes() - 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tuner := repro.NewTuner(ch, i%srv.Cycle().Len())
-		if _, err := client.Query(tuner, q); err != nil {
+		if _, err := sess.Query(ctx, 11, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -362,17 +362,18 @@ func BenchmarkOnAirKNN(b *testing.B) {
 	for i := range poi {
 		poi[i] = i%17 == 0
 	}
-	srv, err := repro.NewSpatialServer(g, poi, repro.Params{Regions: 16})
+	d, err := repro.Deploy(g, repro.WithPOI(poi), repro.WithParams(repro.Params{Regions: 16}))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch, err := srv.NewChannel(0, 1)
+	ctx := context.Background()
+	sess, err := d.Session(ctx, repro.SessionOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := srv.KNNOnAir(ch, g, repro.NodeID(g.NumNodes()/3), 3, i%srv.Cycle().Len()); err != nil {
+		if _, _, err := sess.KNN(ctx, repro.NodeID(g.NumNodes()/3), 3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,11 +21,11 @@ func TestPackIndexMetaInEveryPacket(t *testing.T) {
 		if p.Kind != packet.KindIndex {
 			t.Fatalf("packet %d kind %v", seq, p.Kind)
 		}
-		rs := packet.Records(p.Payload)
-		if len(rs) == 0 || rs[0].Tag != packet.TagMeta {
+		first, ok := packet.First(p.Payload)
+		if !ok || first.Tag != packet.TagMeta {
 			t.Fatalf("packet %d does not start with meta", seq)
 		}
-		m, ok := DecodeMeta(rs[0].Data)
+		m, ok := DecodeMeta(first.Data)
 		if !ok {
 			t.Fatalf("packet %d meta undecodable", seq)
 		}
@@ -37,7 +37,8 @@ func TestPackIndexMetaInEveryPacket(t *testing.T) {
 
 func TestPackIndexLocalRegion(t *testing.T) {
 	pkts := PackIndex(nil, 10, 4, 3)
-	m, ok := DecodeMeta(packet.Records(pkts[0].Payload)[0].Data)
+	first, _ := packet.First(pkts[0].Payload)
+	m, ok := DecodeMeta(first.Data)
 	if !ok || m.Region != 3 {
 		t.Fatalf("meta %+v", m)
 	}

@@ -9,12 +9,10 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/conformance"
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/fleet"
-	"repro/internal/scheme"
 	"repro/internal/station"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // TestChaosSoak is the package's end-to-end drill: a fleet of wire clients
@@ -46,24 +44,18 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	g := conformance.Network(t, 250, 350, 7)
-	srv, err := core.NewNR(g, core.Options{Regions: 8, Segments: true, SquareCells: true})
+	build := []deploy.Option{deploy.WithParams(deploy.Params{Regions: 8}), deploy.WithCache("chaos-soak")}
+	srv, err := deploy.Deploy(g, append(build, deploy.WithLive(station.Config{}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := station.New(srv.Cycle(), station.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st.Stop)
+	t.Cleanup(srv.Close)
 
 	// A short janitor horizon: a zombie remote (its client gave up with
 	// every bye lost) parks its pump and, on a virtual clock, holds the
 	// station; the janitor must reap it well inside the soak window.
 	bopts := wire.BroadcasterOptions{IdleTimeout: 2 * time.Second}
-	b, err := wire.NewBroadcaster("127.0.0.1:0", st, bopts)
+	b, err := srv.ServeWire(context.Background(), "127.0.0.1:0", bopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +77,16 @@ func TestChaosSoak(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	w := workload.Generate(g, 30, st.Len(), 4)
+	// The fleet's deployment tunes to the proxy, not the broadcaster; its
+	// one probe crosses the same weather.
+	d, err := deploy.Deploy(g, append(build, deploy.WithRemote(proxy.Addr()))...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := fleet.Options{
 		Clients:  8,
 		Queries:  1 << 30, // effectively unbounded; Duration is the stop
+		PoolSize: 30,
 		Duration: soak,
 		Loss:     0.02,
 		Seed:     41,
@@ -107,8 +105,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := fleet.RunRemote(context.Background(), proxy.Addr(), scheme.Server(srv), w, opts)
-		done <- outcome{res, err}
+		rep, err := d.RunFleet(context.Background(), opts)
+		done <- outcome{rep.Result, err}
 	}()
 
 	// The kill schedule: deterministic from its seed, like every fault in
@@ -119,7 +117,7 @@ func TestChaosSoak(t *testing.T) {
 	time.Sleep(sched.At(0))
 	b.Close()
 	time.Sleep(outage)
-	b2, err := wire.NewBroadcaster(addr, st, bopts)
+	b2, err := wire.NewBroadcaster(addr, srv.Station(), bopts)
 	if err != nil {
 		t.Fatalf("restarting broadcaster on %s: %v", addr, err)
 	}
@@ -131,10 +129,10 @@ func TestChaosSoak(t *testing.T) {
 	select {
 	case out = <-done:
 	case <-time.After(soak + 30*time.Second):
-		t.Fatal("fleet hung: RunRemote did not return after the soak window")
+		t.Fatal("fleet hung: RunFleet did not return after the soak window")
 	}
 	if out.err != nil {
-		t.Fatalf("RunRemote: %v", out.err)
+		t.Fatalf("RunFleet: %v", out.err)
 	}
 	res := out.res
 

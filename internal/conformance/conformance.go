@@ -5,16 +5,16 @@
 package conformance
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/broadcast"
 	"repro/internal/graph"
 	"repro/internal/multichannel"
 	"repro/internal/netgen"
 	"repro/internal/scheme"
 	"repro/internal/spath"
+	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // Network generates a deterministic test road network.
@@ -47,34 +47,19 @@ type Config struct {
 // multi-channel) air and verifies them against the full-network reference.
 func Check(t *testing.T, g *graph.Graph, srv scheme.Server, cfg Config) {
 	t.Helper()
-	var air *multichannel.Air
-	var ch *broadcast.Channel
+	var air transport.Transport
+	var err error
 	if cfg.Channels > 1 {
-		plan, err := multichannel.Build(srv.Cycle(), cfg.Channels, multichannel.PlanOptions{})
-		if err != nil {
-			t.Fatalf("plan: %v", err)
+		plan, perr := multichannel.Build(srv.Cycle(), cfg.Channels, multichannel.PlanOptions{})
+		if perr != nil {
+			t.Fatalf("plan: %v", perr)
 		}
-		if air, err = multichannel.NewAir(plan, cfg.Loss, cfg.Seed); err != nil {
-			t.Fatalf("air: %v", err)
-		}
+		air, err = transport.NewOfflineAir(plan, cfg.Loss, cfg.Seed)
 	} else {
-		var err error
-		if ch, err = broadcast.NewChannel(srv.Cycle(), cfg.Loss, cfg.Seed); err != nil {
-			t.Fatalf("channel: %v", err)
-		}
+		air, err = transport.NewOffline(srv.Cycle(), cfg.Loss, cfg.Seed)
 	}
-	newTuner := func(rng *rand.Rand) *broadcast.Tuner {
-		t.Helper()
-		if air != nil {
-			tuner, _, err := air.Tuner(rng.Intn(2*srv.Cycle().Len()), multichannel.RxOptions{
-				Channel: rng.Intn(cfg.Channels), Cold: cfg.Cold,
-			})
-			if err != nil {
-				t.Fatalf("rx: %v", err)
-			}
-			return tuner
-		}
-		return broadcast.NewTuner(ch, rng.Intn(srv.Cycle().Len()))
+	if err != nil {
+		t.Fatalf("air: %v", err)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	client := srv.NewClient()
@@ -82,13 +67,26 @@ func Check(t *testing.T, g *graph.Graph, srv scheme.Server, cfg Config) {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
 		d := graph.NodeID(rng.Intn(g.NumNodes()))
 		q := scheme.QueryFor(g, s, d)
-		tuner := newTuner(rng)
+		// Tune in anywhere in the cycle; a sharded air additionally at any
+		// phase of the global clock, on any channel.
+		var tune transport.Tune
+		if cfg.Channels > 1 {
+			tune = transport.Tune{Cursor: rng.Intn(2 * srv.Cycle().Len()), Channel: rng.Intn(cfg.Channels), Cold: cfg.Cold}
+		} else {
+			tune.Cursor = rng.Intn(srv.Cycle().Len())
+		}
+		att, err := air.Attach(tune)
+		if err != nil {
+			t.Fatalf("attach: %v", err)
+		}
+		tuner := att.Tuner()
 		res, err := client.Query(tuner, q)
+		att.Release(tuner.Pos())
 		if err != nil {
 			t.Fatalf("%s query %d (%d->%d): %v", srv.Name(), i, s, d, err)
 		}
 		want, _, _ := spath.PointToPoint(g, s, d)
-		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+		if !workload.SameDist(res.Dist, want) {
 			t.Errorf("%s query %d (%d->%d): got dist %v, want %v", srv.Name(), i, s, d, res.Dist, want)
 		}
 		if res.Path == nil && !cfg.PathOptional && s != d {
@@ -100,7 +98,7 @@ func Check(t *testing.T, g *graph.Graph, srv scheme.Server, cfg Config) {
 					srv.Name(), i, res.Path[0], res.Path[len(res.Path)-1], s, d)
 			}
 			cost := spath.PathCost(g, res.Path)
-			if math.Abs(cost-res.Dist) > 1e-3*(1+res.Dist) {
+			if !workload.SameDist(cost, res.Dist) {
 				t.Errorf("%s query %d: path cost %v != reported dist %v", srv.Name(), i, cost, res.Dist)
 			}
 		}

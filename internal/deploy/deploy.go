@@ -1,30 +1,24 @@
 // Package deploy is the orchestration layer behind the repro facade's
-// unified Deployment/Session API. Four PRs of growth left the public
-// surface combinatorial — one constructor and one run function per
-// (scenario × transport) cell: NewChannel/NewStation/NewMultiStation/
-// NewUpdateManager paired with Ask/RunFleet/RunFleetMulti/RunFleetChurn,
-// and the spatial server a bespoke island. This package collapses the
-// matrix into two nouns:
+// Deployment/Session API: two nouns over every deployment shape.
 //
 //   - A Deployment is built once from a graph via functional options
-//     (method, channels, live station, loss, updates, POI) and internally
-//     composes server build, the shared servercache, channel/station/
-//     multichannel/update-manager wiring.
-//   - A Session is a client handle with one uniform query path — Query,
-//     plus Range/KNN when POI-enabled — that transparently picks the
-//     offline tuner, live subscription, hopping radio, or version-window
-//     re-entry for the deployment's shape and always returns the same
+//     (method, channels, live station, loss, updates, POI, remote) and
+//     composes the server build, the shared servercache, the update manager
+//     and exactly one transport (internal/transport) — the shape is chosen
+//     once, in Deploy, and everything after is a method call on it.
+//   - A Session is a client handle and the only owner of query semantics —
+//     budgets, context binding, swap re-entry, fresh-feed retry, degraded
+//     and refused classification — over whatever feed the transport hands
+//     it: Query, plus Range/KNN when POI-enabled, always returning the same
 //     Result and Metrics.
 //
-// Fleet and churn load runs become Deployment.RunFleet, dispatching on the
-// deployment's shape. The old facade free functions survive as deprecated
-// wrappers pinned bit-identical to this path by the facade equivalence
-// suite, so nothing in the paper reproduction moves.
+// Deployment.RunFleet points the one fleet runner (internal/fleet) at the
+// deployment: every worker drives a Session, so a fleet query is a session
+// query; a dynamic deployment adds the synthetic update feed.
 package deploy
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -38,6 +32,7 @@ import (
 	"repro/internal/scheme"
 	"repro/internal/servercache"
 	"repro/internal/station"
+	"repro/internal/transport"
 	"repro/internal/update"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -81,10 +76,6 @@ type config struct {
 	diskDir   string
 	diskBytes int64
 	remote    string
-
-	// prebuilt parts (the deprecated wrappers route through these).
-	srv scheme.Server
-	ch  *broadcast.Channel
 }
 
 // WithMethod picks the air-index scheme (default NR).
@@ -150,46 +141,28 @@ func WithDiskCache(dir string, maxBytes int64) Option {
 	return func(c *config) { c.diskDir = dir; c.diskBytes = maxBytes }
 }
 
-// withServer injects an already-built server: the deprecated facade
-// wrappers route existing components through the Deployment path with it.
-func withServer(srv scheme.Server) Option { return func(c *config) { c.srv = srv } }
-
-// withChannel injects an existing offline channel (same purpose).
-func withChannel(ch *broadcast.Channel) Option { return func(c *config) { c.ch = ch } }
-
 // Deployment is a built broadcast deployment: the graph, the scheme
 // server, and the transport for its shape — offline channel or K-channel
-// air, live station or station group, optionally versioned by an update
-// manager. Build one with Deploy, obtain client handles with Session, and
-// load-test with RunFleet. A Deployment is safe for concurrent sessions.
+// air, live station or station group, remote wire broadcaster — optionally
+// versioned by an update manager. Build one with Deploy, obtain client
+// handles with Session, and load-test with RunFleet. A Deployment is safe
+// for concurrent sessions.
 type Deployment struct {
 	g      *graph.Graph
 	method Method
-	params Params
 	srv    scheme.Server
 	eb     *core.EB // non-nil when POI-enabled (spatial sessions)
-	poi    []bool
 
 	channels int
 	loss     float64
 	lossSeed int64
+	live     bool
+	remote   string
 	upd      *UpdateConfig
+	mgr      *update.Manager // dynamic (WithUpdates)
 
-	// Exactly one transport family is wired, by shape:
-	ch   *broadcast.Channel    // offline, K == 1
-	air  *multichannel.Air     // offline, K > 1
-	plan *multichannel.Plan    // K > 1 (offline and live)
-	st   *station.Station      // live, K == 1
-	mst  *multichannel.Station // live, K > 1
-	mgr  *update.Manager       // dynamic (WithUpdates)
-
-	// Remote transport (WithRemote): sessions dial this wire broadcaster
-	// per query; remoteRate is the rate it welcomed the probe at.
-	remote     string
-	remoteRate int
-
-	live  bool
-	stCfg station.Config
+	// air is the one transport sessions attach through, chosen in Deploy.
+	air transport.Transport
 }
 
 // Deploy builds a deployment of g from the options: the scheme server
@@ -256,9 +229,8 @@ func Deploy(g *graph.Graph, opts ...Option) (*Deployment, error) {
 	}
 
 	d := &Deployment{
-		g: g, method: c.method, params: c.params, poi: c.poi,
-		channels: c.channels, loss: c.loss, lossSeed: c.lossSeed,
-		upd: c.upd, live: c.live, stCfg: c.stCfg, remote: c.remote,
+		g: g, method: c.method, channels: c.channels, loss: c.loss, lossSeed: c.lossSeed,
+		live: c.live, remote: c.remote, upd: c.upd,
 	}
 	if err := d.buildServer(&c); err != nil {
 		return nil, err
@@ -275,67 +247,50 @@ func Deploy(g *graph.Graph, opts ...Option) (*Deployment, error) {
 		d.mgr = mgr
 		cycle = mgr.Cycle() // version 0: the server's own cycle, bit-identical
 	}
+	var err error
+	if d.air, err = newTransport(&c, cycle); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
 
+// newTransport picks the deployment's one transport for its shape: the only
+// place the shape is switched on.
+func newTransport(c *config, cycle *broadcast.Cycle) (transport.Transport, error) {
 	switch {
 	case c.channels > 1:
 		plan, err := multichannel.Build(cycle, c.channels, multichannel.PlanOptions{})
 		if err != nil {
 			return nil, err
 		}
-		d.plan = plan
-		if c.live {
-			mst, err := multichannel.NewStation(plan, c.stCfg)
-			if err != nil {
-				return nil, err
-			}
-			d.mst = mst
-		} else {
-			air, err := multichannel.NewAir(plan, c.loss, c.lossSeed)
-			if err != nil {
-				return nil, err
-			}
-			d.air = air
+		if !c.live {
+			return transport.NewOfflineAir(plan, c.loss, c.lossSeed)
 		}
+		mst, err := multichannel.NewStation(plan, c.stCfg)
+		return transport.LiveGroup{Station: mst}, err
 	case c.live:
 		st, err := station.New(cycle, c.stCfg)
-		if err != nil {
-			return nil, err
-		}
-		d.st = st
+		return transport.Live{Station: st}, err
 	case c.remote != "":
-		// Probe the broadcaster once: fail fast when nobody is listening,
-		// and catch a build mismatch (different graph or parameters) before
-		// any session queries against the wrong cycle.
-		probe, err := wire.Dial(c.remote, wire.ReceiverOptions{})
+		// The probe fails fast when nobody is listening, and catches a build
+		// mismatch (different graph or parameters) before any session
+		// queries against the wrong cycle.
+		r, err := wire.NewRemote(c.remote)
 		if err != nil {
 			return nil, fmt.Errorf("repro: remote broadcast: %w", err)
 		}
-		remoteLen, remoteVer := probe.Len(), probe.Version()
-		d.remoteRate = probe.Rate()
-		probe.Close()
-		if remoteLen != cycle.Len() || remoteVer != cycle.Version {
+		if r.Len() != cycle.Len() || r.Version() != cycle.Version {
 			return nil, fmt.Errorf("repro: remote cycle is %d packets v%d, local %s build has %d v%d — different graph or build?",
-				remoteLen, remoteVer, d.srv.Name(), cycle.Len(), cycle.Version)
+				r.Len(), r.Version(), c.method, cycle.Len(), cycle.Version)
 		}
+		return r, nil
 	default:
-		if d.ch == nil {
-			ch, err := broadcast.NewChannel(cycle, c.loss, c.lossSeed)
-			if err != nil {
-				return nil, err
-			}
-			d.ch = ch
-		}
+		return transport.NewOffline(cycle, c.loss, c.lossSeed)
 	}
-	return d, nil
 }
 
-// buildServer resolves the scheme server: injected, cached, or built.
+// buildServer resolves the scheme server: cached or built.
 func (d *Deployment) buildServer(c *config) error {
-	if c.srv != nil {
-		d.srv = c.srv
-		d.ch = c.ch
-		return nil
-	}
 	build := func() (scheme.Server, error) {
 		if c.poi != nil {
 			opts := c.params.CoreOptions()
@@ -391,22 +346,6 @@ func poiSig(poi []bool) string {
 	return fmt.Sprintf(" poi=%016x", h)
 }
 
-// FromServer wraps an already-built server and offline channel in an
-// offline Deployment over g: the path the deprecated facade wrappers
-// (Ask, SpatialServer) route through, so old and new calls share one
-// implementation. The channel's loss pattern is whatever ch was built
-// with.
-func FromServer(g *graph.Graph, srv scheme.Server, ch *broadcast.Channel) (*Deployment, error) {
-	d, err := Deploy(g, withServer(srv), withChannel(ch))
-	if err != nil {
-		return nil, err
-	}
-	if eb, ok := srv.(*core.EB); ok {
-		d.eb = eb
-	}
-	return d, nil
-}
-
 // Graph returns the road network the deployment was built from. On a
 // dynamic deployment this is the version-0 network; the manager's graph
 // advances with applied updates.
@@ -436,42 +375,24 @@ func (d *Deployment) Manager() *update.Manager { return d.mgr }
 
 // Station returns the live single-channel station (nil unless the
 // deployment is live with one channel).
-func (d *Deployment) Station() *station.Station { return d.st }
+func (d *Deployment) Station() *station.Station {
+	l, _ := d.air.(transport.Live)
+	return l.Station
+}
 
 // MultiStation returns the live K-channel station (nil unless the
 // deployment is live and sharded).
-func (d *Deployment) MultiStation() *multichannel.Station { return d.mst }
+func (d *Deployment) MultiStation() *multichannel.Station {
+	l, _ := d.air.(transport.LiveGroup)
+	return l.Station
+}
 
 // Len returns the logical cycle length in packets, whatever the shape.
-func (d *Deployment) Len() int {
-	switch {
-	case d.mst != nil:
-		return d.mst.Len()
-	case d.st != nil:
-		return d.st.Len()
-	case d.air != nil:
-		return d.plan.LogicalLen()
-	case d.remote != "":
-		// Verified equal to the remote cycle at Deploy time.
-		return d.srv.Cycle().Len()
-	default:
-		return d.ch.Len()
-	}
-}
+func (d *Deployment) Len() int { return d.air.Len() }
 
-// Rate returns the bit rate per-query energy is costed at.
-func (d *Deployment) Rate() int {
-	switch {
-	case d.mst != nil:
-		return d.mst.Rate()
-	case d.st != nil:
-		return d.st.Rate()
-	case d.remote != "":
-		return d.remoteRate // the rate the broadcaster welcomed us at
-	default:
-		return d.stCfg.BitsPerSecond // offline: cost at the configured (or reference) rate
-	}
-}
+// Rate returns the bit rate per-query energy is costed at: the station's,
+// or the rate a remote broadcaster welcomed the probe at; zero offline.
+func (d *Deployment) Rate() int { return d.air.Rate() }
 
 // Start puts a live deployment on the air; offline deployments need no
 // start. ctx bounds the station's air time: cancelling it (or calling
@@ -480,31 +401,12 @@ func (d *Deployment) Rate() int {
 // Started again — the stations support restart, so the deployment does
 // too. Session and RunFleet call it lazily with their own context when
 // the caller did not.
-func (d *Deployment) Start(ctx context.Context) error {
-	var err error
-	switch {
-	case d.mst != nil:
-		err = d.mst.Start(ctx)
-	case d.st != nil:
-		err = d.st.Start(ctx)
-	}
-	if errors.Is(err, station.ErrStarted) {
-		return nil
-	}
-	return err
-}
+func (d *Deployment) Start(ctx context.Context) error { return d.air.Start(ctx) }
 
 // Close takes a live deployment off the air (subscribed sessions observe
 // the feed closing) and is a no-op offline. Safe to call more than once,
 // and a closed deployment may be Started again.
-func (d *Deployment) Close() {
-	switch {
-	case d.mst != nil:
-		d.mst.Stop()
-	case d.st != nil:
-		d.st.Stop()
-	}
-}
+func (d *Deployment) Close() { d.air.Stop() }
 
 // Observe snapshots the process-wide observability registry: the same
 // series a live airserve admin listener exports on /metrics, so an offline
@@ -530,26 +432,17 @@ type Status struct {
 // Status returns the deployment's operational snapshot: shape, the cycle
 // version on the air, and the live subscriber count (zero offline).
 func (d *Deployment) Status() Status {
-	s := Status{
-		Method:   string(d.method),
-		Channels: d.channels,
-		Live:     d.live,
-		Dynamic:  d.mgr != nil,
-		CycleLen: d.Len(),
-		Rate:     d.Rate(),
-		Remote:   d.remote,
+	return Status{
+		Method:      string(d.method),
+		Channels:    d.channels,
+		Live:        d.live,
+		Dynamic:     d.mgr != nil,
+		CycleLen:    d.air.Len(),
+		Version:     d.air.Version(),
+		Subscribers: d.air.Subscribers(),
+		Rate:        d.air.Rate(),
+		Remote:      d.remote,
 	}
-	switch {
-	case d.mst != nil:
-		s.Version = d.mst.Version()
-		s.Subscribers = d.mst.Subscribers()
-	case d.st != nil:
-		s.Version = d.st.Version()
-		s.Subscribers = d.st.Subscribers()
-	default:
-		s.Version = d.Cycle().Version
-	}
-	return s
 }
 
 // RunReport is the outcome of Deployment.RunFleet: the fleet aggregate,
@@ -562,11 +455,12 @@ type RunReport struct {
 	Churn *fleet.ChurnResult
 }
 
-// RunFleet load-tests a live deployment with opts.Clients concurrent
-// clients answering a generated, server-verified workload, dispatching on
-// the deployment's shape: plain fleet on one channel, channel-hopping
-// fleet across a sharded broadcast, churn fleet (with the synthetic
-// update feed of WithUpdates) on a dynamic one.
+// RunFleet load-tests a live or remote deployment with opts.Clients
+// concurrent clients answering a generated, server-verified workload. Every
+// client is a Session on this deployment — whatever its shape — driven by
+// the one fleet runner; a dynamic deployment additionally churns the
+// network with the synthetic update feed of WithUpdates while the fleet
+// answers.
 func (d *Deployment) RunFleet(ctx context.Context, opts fleet.Options) (RunReport, error) {
 	if !d.live && d.remote == "" {
 		return RunReport{}, fmt.Errorf("repro: RunFleet needs a live deployment (WithLive) or a remote one (WithRemote)")
@@ -575,30 +469,38 @@ func (d *Deployment) RunFleet(ctx context.Context, opts fleet.Options) (RunRepor
 		return RunReport{}, err
 	}
 	w := WorkloadFor(d.g, opts, d.Len())
-	switch {
-	case d.remote != "":
-		res, err := fleet.RunRemote(ctx, d.remote, d.srv, w, opts)
-		return RunReport{Result: res}, err
-	case d.mgr != nil:
-		cres, err := fleet.RunChurn(ctx, d.st, d.mgr, w, fleet.ChurnOptions{
-			Fleet:      opts,
-			Batches:    d.upd.Batches,
-			BatchSize:  d.upd.BatchSize,
-			Interval:   d.upd.Interval,
-			Mode:       d.upd.Mode,
-			UpdateSeed: d.upd.Seed,
-		})
-		if err != nil {
-			return RunReport{}, err
-		}
-		return RunReport{Result: cres.Result, Churn: &cres}, nil
-	case d.mst != nil:
-		res, err := fleet.RunMulti(ctx, d.mst, d.srv, w, opts)
-		return RunReport{Result: res}, err
-	default:
-		res, err := fleet.Run(ctx, d.st, d.srv, w, opts)
+	target := fleet.Target{
+		Method: d.srv.Name(), Rate: d.Rate(), Version: d.air.Version(),
+		Open: func(id int, seed int64) (fleet.Session, error) {
+			s, err := d.Session(ctx, SessionOptions{
+				Seed: seed, Channel: id % d.channels,
+				Deadline: opts.QueryDeadline, TuningBudget: opts.TuningBudget,
+			})
+			if err != nil {
+				return nil, err
+			}
+			// The run's own loss rate and wire dial options, not the
+			// deployment's defaults.
+			s.loss, s.dial = opts.Loss, &opts.Wire
+			return fleetSession{s}, nil
+		},
+	}
+	if d.mgr == nil {
+		res, err := fleet.Run(ctx, target, w, opts)
 		return RunReport{Result: res}, err
 	}
+	cres, err := fleet.RunChurn(ctx, target, d.Station(), d.mgr, w, fleet.ChurnOptions{
+		Fleet:      opts,
+		Batches:    d.upd.Batches,
+		BatchSize:  d.upd.BatchSize,
+		Interval:   d.upd.Interval,
+		Mode:       d.upd.Mode,
+		UpdateSeed: d.upd.Seed,
+	})
+	if err != nil {
+		return RunReport{}, err
+	}
+	return RunReport{Result: cres.Result, Churn: &cres}, nil
 }
 
 // ServeWire puts the deployment's live broadcast on a real UDP socket at
@@ -611,7 +513,8 @@ func (d *Deployment) RunFleet(ctx context.Context, opts fleet.Options) (RunRepor
 // An optional BroadcasterOptions tunes admission control (MaxRemotes) and
 // idle expiry; omitted, the zero-value production defaults apply.
 func (d *Deployment) ServeWire(ctx context.Context, addr string, opts ...wire.BroadcasterOptions) (*wire.Broadcaster, error) {
-	if !d.live || d.st == nil {
+	st := d.Station()
+	if st == nil {
 		return nil, fmt.Errorf("repro: ServeWire needs a live single-channel deployment (WithLive)")
 	}
 	if d.mgr != nil {
@@ -624,16 +527,14 @@ func (d *Deployment) ServeWire(ctx context.Context, addr string, opts ...wire.Br
 	if len(opts) > 0 {
 		bo = opts[0]
 	}
-	return wire.NewBroadcaster(addr, d.st, bo)
+	return wire.NewBroadcaster(addr, st, bo)
 }
 
 // WorkloadFor generates the verified query pool a fleet run answers.
 // Reference distances cost one Dijkstra each, so with PoolSize unset the
 // distinct pool is capped at fleet.DefaultPoolSize (the paper's 400-query
 // workload) and entries are reused round-robin for larger query counts —
-// logged when the cap engages, and reported in Result.Pool. Both the
-// Deployment path and the deprecated facade wrappers build their pools
-// here, which is what keeps them bit-identical.
+// logged when the cap engages, and reported in Result.Pool.
 func WorkloadFor(g *graph.Graph, opts fleet.Options, cycleLen int) *workload.Workload {
 	n := opts.Queries
 	if n <= 0 {

@@ -9,12 +9,13 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/multichannel"
 	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/station"
+	"repro/internal/transport"
 	"repro/internal/update"
 	"repro/internal/wire"
 )
@@ -107,11 +108,12 @@ type SessionOptions struct {
 // Session is one client's handle on a deployment: a simulated mobile
 // device that keeps its scheme client (and its position, offline) across
 // queries. Query — and Range/KNN on a POI-enabled deployment — is the one
-// query path for every deployment shape: under it the session picks the
-// offline tuner, the live subscription, the channel-hopping radio, or the
-// version-window re-entry loop the shape needs, and always returns the
-// same Result and Metrics. A Session is not safe for concurrent use; open
-// one per goroutine (Sessions of one Deployment share the air safely).
+// query path for every deployment shape: the session attaches through the
+// deployment's transport and owns everything above the feed — budgets,
+// context binding, swap re-entry, fresh-feed retry, outcome classification —
+// so it always returns the same Result and Metrics. A Session is not safe
+// for concurrent use; open one per goroutine (Sessions of one Deployment
+// share the air safely).
 type Session struct {
 	d      *Deployment
 	opts   SessionOptions
@@ -119,16 +121,21 @@ type Session struct {
 	cursor int // next offline tune-in: packet position (K=1) or global tick (K>1)
 	rng    *rand.Rand
 	reent  int
+	// loss and dial are what a live or remote attach is made with: the
+	// deployment's WithLoss rate and the transport's own dial options, unless
+	// a fleet run set its own.
+	loss float64
+	dial *transport.DialOptions
+	// last is the air accounting of the most recent Query.
+	last fleet.Air
 }
 
 // Session returns a client handle. On a live deployment that was not
 // explicitly started, the first session (lazily) puts it on the air with
 // ctx bounding the broadcast's lifetime.
 func (d *Deployment) Session(ctx context.Context, opts SessionOptions) (*Session, error) {
-	if d.live {
-		if err := d.Start(ctx); err != nil {
-			return nil, err
-		}
+	if err := d.Start(ctx); err != nil {
+		return nil, err
 	}
 	if opts.Channel < 0 || opts.Channel >= d.channels {
 		return nil, fmt.Errorf("repro: session start channel %d outside [0,%d)", opts.Channel, d.channels)
@@ -144,76 +151,64 @@ func (d *Deployment) Session(ctx context.Context, opts SessionOptions) (*Session
 		client: d.srv.NewClient(),
 		cursor: opts.TuneIn,
 		rng:    rand.New(rand.NewSource(seed)),
+		loss:   d.loss,
 	}, nil
 }
 
-// attach opens the shape-appropriate feed, positions a tuner on it, and
-// binds ctx so a cancelled context aborts even a lossy listen loop. The
-// returned finish func releases the feed and, offline, advances the
-// session's cursor to where the query left the air.
-func (s *Session) attach(ctx context.Context) (*broadcast.Tuner, func(), error) {
-	d := s.d
-	var t *broadcast.Tuner
-	finish := func() {}
-	switch {
-	case d.ch != nil: // offline, single channel
-		t = broadcast.NewTuner(d.ch, s.cursor)
-		tt := t
-		finish = func() { s.cursor = tt.Pos() }
-	case d.air != nil: // offline, sharded
-		rx, err := d.air.Rx(s.cursor, multichannel.RxOptions{Channel: s.opts.Channel, Cold: s.opts.Cold})
-		if err != nil {
-			return nil, nil, err
-		}
-		rx.SetTrace(s.opts.Trace)
-		t = broadcast.NewFeedTuner(rx, rx.StartPos())
-		finish = func() { s.cursor = rx.Clock(); rx.Close() }
-	case d.mst != nil: // live, sharded
-		rx, err := d.mst.Subscribe(d.loss, s.rng.Int63(), multichannel.RxOptions{Channel: s.opts.Channel, Cold: s.opts.Cold})
-		if err != nil {
-			return nil, nil, err
-		}
-		rx.SetTrace(s.opts.Trace)
-		t = broadcast.NewFeedTuner(rx, rx.StartPos())
-		finish = rx.Close
-	case d.st != nil: // live, single channel
-		sub, err := d.st.Subscribe(d.loss, s.rng.Int63())
-		if err != nil {
-			return nil, nil, err
-		}
-		t = broadcast.NewFeedTuner(sub, sub.Start())
-		finish = sub.Close
-	case d.remote != "": // remote wire broadcaster
-		rx, err := wire.Dial(d.remote, wire.ReceiverOptions{Loss: d.loss, Seed: s.rng.Int63(), Redial: sessionRedials})
-		if err != nil {
-			return nil, nil, err
-		}
-		if rx.Len() != d.Len() {
-			// The broadcaster answering this address no longer carries the
-			// cycle this deployment was verified against at Deploy time
-			// (restarted with a different build?). Answering against it
-			// would be silently wrong — fail loudly instead.
-			rx.Close()
-			return nil, nil, fmt.Errorf("repro: remote cycle is now %d packets, local build has %d: %w",
-				rx.Len(), d.Len(), wire.ErrRestarted)
-		}
-		t = broadcast.NewFeedTuner(rx, rx.Start())
-		finish = rx.Close
-	default:
-		return nil, nil, fmt.Errorf("repro: deployment has no transport")
+// attach tunes a radio in through the deployment's transport, positions a
+// tuner on the feed, and binds ctx so a cancelled context aborts even a
+// lossy listen loop. Every attach draws one loss-pattern seed from the
+// session's generator. The caller releases the attachment (see release).
+func (s *Session) attach(ctx context.Context) (*broadcast.Tuner, transport.Attachment, error) {
+	att, err := s.d.air.Attach(transport.Tune{
+		Cursor: s.cursor, Loss: s.loss, Seed: s.rng.Int63(),
+		Channel: s.opts.Channel, Cold: s.opts.Cold, Trace: s.opts.Trace, Dial: s.dial,
+	})
+	if err != nil {
+		return nil, att, err
 	}
+	t := att.Tuner()
 	t.SetTrace(s.opts.Trace) // nil-safe: detached recorder is one branch
 	if ctx != nil {
 		t.Bind(ctx)
 	}
-	return t, finish, nil
+	return t, att, nil
 }
 
-// sessionRedials is how many reconnection attempts a session's wire
-// receiver makes before declaring the broadcaster dead: enough to ride
-// through a restart window, few enough that a genuinely gone broadcaster
-// fails within a handful of dial timeouts.
-const sessionRedials = 2
+// release gives the feed back, advances the offline cursor to where the
+// query left the air, and folds what the air did to the feed into the
+// query's accounting. It returns the attempt's tuning packets.
+func (s *Session) release(t *broadcast.Tuner, att transport.Attachment) int {
+	s.cursor = att.Release(t.Pos())
+	a := &s.last
+	a.Lost += t.Lost()
+	a.Missed += att.Missed()
+	a.Hops += att.Hops()
+	if v, ok := t.Version(); ok {
+		a.Version = v
+	}
+	if per := att.PerChannel(); a.PerChannel == nil {
+		a.PerChannel = per
+	} else {
+		for c, n := range per {
+			a.PerChannel[c] += n
+		}
+	}
+	return t.Tuning()
+}
+
+// Air returns the air-level accounting of the session's most recent Query:
+// how it ended, lost and missed packets, per-channel reception and hops,
+// how many attempts swaps cost it, and the cycle version it answered on.
+func (s *Session) Air() fleet.Air { return s.last }
+
+// fleetSession is a Session behind the one method a fleet worker drives.
+type fleetSession struct{ s *Session }
+
+func (f fleetSession) Ask(ctx context.Context, q scheme.Query) (scheme.Result, fleet.Air) {
+	res, _ := f.s.ask(ctx, q)
+	return res, f.s.last
+}
 
 // Query answers one shortest-path query from src to dst on the air. It
 // honors ctx even where the underlying listen loop would spin (a lossy
@@ -229,7 +224,11 @@ const sessionRedials = 2
 // outruns its budget returns a *BudgetError — an explicitly degraded
 // answer, counted in air_deploy_degraded_total, never a hang.
 func (s *Session) Query(ctx context.Context, src, dst graph.NodeID) (scheme.Result, error) {
-	q := scheme.QueryFor(s.d.g, src, dst)
+	return s.ask(ctx, scheme.QueryFor(s.d.g, src, dst))
+}
+
+func (s *Session) ask(ctx context.Context, q scheme.Query) (scheme.Result, error) {
+	s.last = fleet.Air{}
 	obsSessionQueries.Inc()
 	obsSessionInflight.Inc()
 	defer obsSessionInflight.Dec()
@@ -251,29 +250,34 @@ func (s *Session) Query(ctx context.Context, src, dst graph.NodeID) (scheme.Resu
 		res, tuning, err := s.queryOnce(ctx, q, spent)
 		spent += tuning
 		if (errors.Is(err, update.ErrStaleFeed) || errors.Is(err, wire.ErrRestarted)) && attempt < maxFreshFeeds {
-			s.reent++
 			s.opts.Trace.Record(obs.EvReentry, 0, int64(attempt+1))
 			continue
 		}
+		s.reent += max(s.last.Attempts-1, 0)
 		return res, s.classify(err, spent, began)
 	}
 }
 
-// classify converts budget aborts into *BudgetError (degraded answer) and
-// counts admission refusals; every other error passes through untouched.
+// classify records how the query ended (Air().Outcome), converts budget
+// aborts into *BudgetError (degraded answer) and counts admission refusals;
+// every other error passes through untouched.
 func (s *Session) classify(err error, spent int, began time.Time) error {
-	if err == nil {
-		return nil
-	}
 	switch {
+	case err == nil:
+		s.last.Outcome = fleet.Answered
 	case errors.Is(err, broadcast.ErrTuningBudget):
+		s.last.Outcome = fleet.Degraded
 		obsDegraded.Inc()
 		return &BudgetError{Reason: "tuning", TuningPackets: spent, Elapsed: sinceIf(began), Err: err}
 	case s.opts.Deadline > 0 && errors.Is(err, context.DeadlineExceeded):
+		s.last.Outcome = fleet.Degraded
 		obsDegraded.Inc()
 		return &BudgetError{Reason: "deadline", TuningPackets: spent, Elapsed: sinceIf(began), Err: err}
 	case errors.Is(err, wire.ErrRefused), errors.Is(err, station.ErrFull):
+		s.last.Outcome = fleet.Refused
 		obsRefused.Inc()
+	default:
+		s.last.Outcome = fleet.Failed
 	}
 	return err
 }
@@ -287,25 +291,24 @@ func sinceIf(began time.Time) time.Duration {
 }
 
 // queryOnce runs the client once on a freshly attached feed, converting a
-// context abort into an error and counting swap re-entries. The feed is
-// released (and the offline cursor advanced) on every exit path, panics
-// included — a live subscription must not outlive its query attempt. The
-// returned tuning is the attempt's packet count even on an abort, so the
-// caller can charge budgets across attempts.
+// context abort into an error and counting the attempts swaps cost. The
+// feed is released (and the offline cursor advanced) on every exit path,
+// panics included — a live subscription must not outlive its query attempt.
+// The returned tuning is the attempt's packet count even on an abort, so
+// the caller can charge budgets across attempts.
 func (s *Session) queryOnce(ctx context.Context, q scheme.Query, spent int) (res scheme.Result, tuning int, err error) {
 	if b := s.opts.TuningBudget; b > 0 && spent >= b {
 		// A previous attempt burned the whole allowance; do not attach a
 		// fresh feed just to abort on its first listen.
 		return res, 0, fmt.Errorf("%w after %d packets", broadcast.ErrTuningBudget, spent)
 	}
-	t, finish, err := s.attach(ctx)
+	t, att, err := s.attach(ctx)
 	if err != nil {
 		return res, 0, err
 	}
-	defer finish()
 	// Runs after RecoverCancel (LIFO), so an aborted attempt still reports
 	// what it listened to.
-	defer func() { tuning = t.Tuning() }()
+	defer func() { tuning = s.release(t, att) }()
 	defer broadcast.RecoverCancel(&err)
 	if b := s.opts.TuningBudget; b > 0 {
 		t.SetBudget(b - spent)
@@ -313,9 +316,10 @@ func (s *Session) queryOnce(ctx context.Context, q scheme.Query, spent int) (res
 	if s.d.mgr != nil {
 		var attempts int
 		res, attempts, err = update.Query(s.client, t, q)
-		s.reent += attempts - 1
+		s.last.Attempts += attempts
 		return res, 0, err
 	}
+	s.last.Attempts++
 	res, err = s.client.Query(t, q)
 	return res, 0, err
 }
@@ -333,11 +337,11 @@ func (s *Session) Range(ctx context.Context, from graph.NodeID, radius float64) 
 	if err != nil {
 		return nil, m, err
 	}
-	t, finish, err := s.attach(ctx)
+	t, att, err := s.attach(ctx)
 	if err != nil {
 		return nil, m, err
 	}
-	defer finish()
+	defer s.release(t, att)
 	defer broadcast.RecoverCancel(&err)
 	return sc.RangeOnAir(t, scheme.QueryFor(s.d.g, from, from), radius)
 }
@@ -349,11 +353,11 @@ func (s *Session) KNN(ctx context.Context, from graph.NodeID, k int) (out []core
 	if err != nil {
 		return nil, m, err
 	}
-	t, finish, err := s.attach(ctx)
+	t, att, err := s.attach(ctx)
 	if err != nil {
 		return nil, m, err
 	}
-	defer finish()
+	defer s.release(t, att)
 	defer broadcast.RecoverCancel(&err)
 	return sc.KNNOnAir(t, scheme.QueryFor(s.d.g, from, from), k)
 }

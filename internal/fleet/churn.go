@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/broadcast"
@@ -12,9 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/precompute"
-	"repro/internal/scheme"
 	"repro/internal/spath"
-	"repro/internal/station"
 	"repro/internal/update"
 	"repro/internal/workload"
 )
@@ -80,31 +77,6 @@ type ChurnResult struct {
 	UpdateErr error
 }
 
-// refTable maps cycle versions to per-workload-query reference distances.
-// The updater publishes a version's references before swapping the station
-// to it, so a worker verifying against the version its tuner reports always
-// finds them.
-type refTable struct {
-	mu    sync.RWMutex
-	byVer map[uint32][]float64
-}
-
-func (r *refTable) publish(ver uint32, refs []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.byVer[ver] = refs
-}
-
-func (r *refTable) get(ver uint32, i int) (float64, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	refs, ok := r.byVer[ver]
-	if !ok {
-		return 0, false
-	}
-	return refs[i], true
-}
-
 // referenceDistances computes the workload's shortest-path references on
 // one network version, fanned across all cores: the updater runs this
 // between rebuilding and swapping, and a sequential loop here would
@@ -117,36 +89,23 @@ func referenceDistances(g *graph.Graph, w *workload.Workload) []float64 {
 	return out
 }
 
-// churnAgg collects the staleness accounting next to the usual Aggregator.
-type churnAgg struct {
-	mu           sync.Mutex
-	stale        int
-	reentries    int
-	cleanLatency metrics.Series
-	staleLatency metrics.Series
+// Swapper is the live station a churn run rolls cycle versions on
+// (station.Station): Swap schedules a cycle and reports when it reached the
+// air — closing the channel without a value if the station stopped first —
+// and Version is the cycle version on the air.
+type Swapper interface {
+	Swap(*broadcast.Cycle) (<-chan int, error)
+	Version() uint32
 }
 
-// RunChurn drives w's queries through a fleet of concurrent clients of
-// mgr's scheme while an updater goroutine applies opts.Batches weight
-// batches through mgr and swaps st to each new cycle version. The station
-// must already be on the air broadcasting mgr.Cycle(). Every answered
-// query is verified against the reference distance of the network version
-// its (version-clean, possibly re-entered) answer was computed on.
-func RunChurn(ctx context.Context, st *station.Station, mgr *update.Manager, w *workload.Workload, opts ChurnOptions) (ChurnResult, error) {
-	if len(w.Queries) == 0 {
-		return ChurnResult{}, fmt.Errorf("fleet: empty workload")
-	}
-	if opts.Fleet.Loss < 0 || opts.Fleet.Loss >= 1 {
-		return ChurnResult{}, fmt.Errorf("fleet: loss rate %v outside [0,1)", opts.Fleet.Loss)
-	}
-	clients := opts.Fleet.Clients
-	if clients <= 0 {
-		clients = 8
-	}
-	total := opts.Fleet.Queries
-	if total <= 0 {
-		total = len(w.Queries)
-	}
+// RunChurn is Run while the network churns: the same runner, plus an
+// updater goroutine that applies opts.Batches weight batches through mgr and
+// swaps st to each new cycle version, plus one reference table entry per
+// version. The target must already be on the air broadcasting mgr.Cycle().
+// Every answered query is verified against the reference distance of the
+// network version its (version-clean, possibly re-entered) answer was
+// computed on.
+func RunChurn(ctx context.Context, t Target, st Swapper, mgr *update.Manager, w *workload.Workload, opts ChurnOptions) (ChurnResult, error) {
 	batches := opts.Batches
 	if batches <= 0 {
 		batches = 4
@@ -163,38 +122,21 @@ func RunChurn(ctx context.Context, st *station.Station, mgr *update.Manager, w *
 	if updateSeed == 0 {
 		updateSeed = opts.Fleet.Seed + 1
 	}
-	shards := opts.Fleet.Shards
-	if shards <= 0 {
-		shards = min(clients, 64)
-	}
-	agg := NewAggregator(shards, st.Rate())
-	churn := &churnAgg{}
-	refs := &refTable{byVer: map[uint32][]float64{}}
 	// Base references come from the manager's current graph, not from the
 	// workload's RefDist: the manager may already be past version 0 (prior
 	// Applies), in which case the workload's references describe a network
 	// no longer on the air.
-	refs.publish(mgr.Version(), referenceDistances(mgr.Graph(), w))
-
-	if opts.Fleet.Duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Fleet.Duration)
-		defer cancel()
-	}
-	ctx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
+	refs := &refTable{byVer: map[uint32][]float64{mgr.Version(): referenceDistances(mgr.Graph(), w)}}
 
 	// The updater: mutate, rebuild, publish references, swap, wait for the
 	// swap to reach the air, pause. It stops after its batches, on the
 	// first failure (the old version stays on the air, so the run remains
-	// correct — the error is surfaced in the result), or when the fleet is
-	// done (cancelRun).
+	// correct — the error is surfaced in the result), or when the fleet
+	// stops issuing. run waits for it, so the two results below are settled
+	// when it returns.
 	swaps := 0
 	var updateErr error
-	var updaterWG sync.WaitGroup
-	updaterWG.Add(1)
-	go func() {
-		defer updaterWG.Done()
+	updater := func(ctx context.Context) {
 		rng := rand.New(rand.NewSource(updateSeed))
 		for b := 0; b < batches; b++ {
 			select {
@@ -223,51 +165,11 @@ func RunChurn(ctx context.Context, st *station.Station, mgr *update.Manager, w *
 				return
 			}
 		}
-	}()
-
-	// The work queue: workload indices round-robin.
-	work := make(chan int)
-	go func() {
-		defer close(work)
-		for i := 0; i < total; i++ {
-			select {
-			case work <- i % len(w.Queries):
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	started := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			client := mgr.Server().NewClient()
-			rng := rand.New(rand.NewSource(clientSeed(opts.Fleet.Seed, id)))
-			for qi := range work {
-				obsQueries.Inc()
-				obsInflight.Inc()
-				qStart := time.Now()
-				runOneChurn(st, client, id, qi, w.Queries[qi], opts.Fleet.Loss, rng.Int63(), agg, churn, refs)
-				obsQuerySecs.Observe(time.Since(qStart).Seconds())
-				obsInflight.Dec()
-			}
-		}(c)
 	}
-	wg.Wait()
-	elapsed := time.Since(started)
-	cancelRun()
-	updaterWG.Wait()
 
-	res := ChurnResult{Result: agg.Summarize()}
-	res.Method = mgr.Server().Name()
-	res.Clients = clients
-	res.Pool = len(w.Queries)
-	res.Elapsed = elapsed
-	if elapsed > 0 {
-		res.QPS = float64(res.Agg.N) / elapsed.Seconds()
+	res, err := run(ctx, t, w, opts.Fleet, refs, updater)
+	if err != nil {
+		return ChurnResult{}, err
 	}
 	// Versions reports the air, not the manager: a build that never swapped
 	// in (or versions applied before this run started) would otherwise
@@ -275,62 +177,5 @@ func RunChurn(ctx context.Context, st *station.Station, mgr *update.Manager, w *
 	res.Versions = int(st.Version())
 	res.Swaps = swaps
 	res.UpdateErr = updateErr
-	res.StaleQueries = churn.stale
-	res.Reentries = churn.reentries
-	res.CleanLatency = churn.cleanLatency.Quantiles()
-	res.StaleLatency = churn.staleLatency.Quantiles()
-	res.MeanCleanLatency = churn.cleanLatency.Mean()
-	res.MeanStaleLatency = churn.staleLatency.Mean()
 	return res, nil
-}
-
-// runOneChurn answers one query on the churning air. The scheme client's
-// own Query runs under update.Query, which re-enters on the same live
-// subscription whenever the attempt straddled a swap; the answer is then
-// verified against the reference of the version the clean pass ran on.
-func runOneChurn(st *station.Station, client scheme.Client, worker, qi int, q workload.Query,
-	loss float64, seed int64, agg *Aggregator, churn *churnAgg, refs *refTable) {
-	sub, err := st.Subscribe(loss, seed)
-	if err != nil {
-		agg.AddError(worker)
-		return
-	}
-	defer sub.Close()
-	tuner := broadcast.NewFeedTuner(sub, sub.Start())
-	defer func() { agg.AddAir(worker, int64(tuner.Lost()), int64(sub.Missed())) }()
-	res, attempts, err := update.Query(client, tuner, q.Query)
-	if err != nil {
-		agg.AddError(worker)
-		return
-	}
-	ver, known := tuner.Version()
-	if !known {
-		agg.AddError(worker)
-		return
-	}
-	ref, ok := refs.get(ver, qi)
-	if !ok {
-		// A version whose references were never published would be a swap
-		// that bypassed the updater: count it loudly as an error.
-		agg.AddError(worker)
-		return
-	}
-	if rel := (res.Dist - ref) / (1 + ref); rel > 1e-3 || rel < -1e-3 {
-		agg.AddError(worker)
-		return
-	}
-	agg.Add(worker, res.Metrics)
-	churn.mu.Lock()
-	churn.reentries += attempts - 1
-	if attempts > 1 {
-		churn.stale++
-		churn.staleLatency.Add(float64(res.Metrics.LatencyPackets))
-	} else {
-		churn.cleanLatency.Add(float64(res.Metrics.LatencyPackets))
-	}
-	churn.mu.Unlock()
-	if attempts > 1 {
-		obsStaleQueries.Inc()
-		obsReentries.Add(int64(attempts - 1))
-	}
 }

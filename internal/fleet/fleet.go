@@ -1,9 +1,12 @@
-// Package fleet drives a live broadcast station with a fleet of concurrent
-// clients: a worker pool of N simulated mobile devices that tune in at the
-// station's current position, answer shortest-path queries from a workload
-// mix with any of the seven air-index methods, and fold their per-query
-// measurements into a concurrency-safe sharded aggregator reporting means,
-// p50/p95/p99 tails, and end-to-end throughput.
+// Package fleet drives a broadcast with a fleet of concurrent clients: a
+// worker pool of N simulated mobile devices, each holding one Session on the
+// air (deploy.Session behind the one-method interface declared here — deploy
+// imports this package), that answer shortest-path queries from a workload
+// mix, verify every answer against the reference of the cycle version it
+// was computed on, and fold their per-query measurements into a
+// concurrency-safe sharded aggregator reporting means, p50/p95/p99 tails,
+// and end-to-end throughput. There is one runner for every deployment
+// shape; a churn run (RunChurn) is that runner plus an updater goroutine.
 //
 // This is the load-harness half of the live subsystem (internal/station is
 // the other): where the offline harness (internal/harness) replays queries
@@ -15,19 +18,14 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
-	"repro/internal/broadcast"
 	"repro/internal/metrics"
-	"repro/internal/multichannel"
 	"repro/internal/obs"
 	"repro/internal/scheme"
-	"repro/internal/station"
-	"repro/internal/wire"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -94,11 +92,11 @@ type Options struct {
 	// paper's energy knob. A query that exhausts it is counted as degraded.
 	// 0 = unlimited.
 	TuningBudget int
-	// Wire carries the base receiver options a remote fleet (RunRemote)
+	// Wire carries the base dial options a fleet on a remote deployment
 	// dials with — timeouts, retry/redial budgets, credit window. Loss and
 	// Seed are overridden per client from the run's own Loss/Seed, exactly
 	// like the in-process paths.
-	Wire wire.ReceiverOptions
+	Wire transport.DialOptions
 }
 
 // ChannelStats summarizes one channel of a multi-channel fleet run.
@@ -118,14 +116,13 @@ type ChannelStats struct {
 // ResultWireVersion is the version of Result's JSON wire format — the
 // worker→controller contract of cmd/airfleet. Version 2 added the
 // mergeable tail histograms (TuningHist, LatencyHist, EnergyHist) and their
-// layout; a Result with WireVersion 0 (an old worker) merges with an
-// N-weighted-mean downgrade, logged by MergeResults.
+// layout; MergeResults refuses a part stamped with any other version.
 const ResultWireVersion = 2
 
 // Result is the aggregate outcome of a fleet run.
 type Result struct {
 	// WireVersion stamps the JSON wire format this Result was produced
-	// under (see ResultWireVersion); zero means a pre-histogram producer.
+	// under (see ResultWireVersion).
 	WireVersion int `json:",omitempty"`
 
 	Method  string
@@ -157,7 +154,7 @@ type Result struct {
 	// samples as the quantile summaries above, but in the fixed-layout
 	// mergeable form (metrics.Hist): MergeResults adds them across parts
 	// and recomputes true global tails instead of averaging per-part
-	// quantiles. Nil on results from pre-WireVersion-2 producers.
+	// quantiles.
 	TuningHist  *metrics.Hist `json:",omitempty"`
 	LatencyHist *metrics.Hist `json:",omitempty"`
 	EnergyHist  *metrics.Hist `json:",omitempty"`
@@ -181,6 +178,61 @@ type Result struct {
 	MissedPackets int64
 }
 
+// Outcome classifies how one query ended on the air, before the runner has
+// verified its distance. The Session decides it — budgets, admission control
+// and transport errors are its business — so the runner needs no knowledge
+// of any transport's error values.
+type Outcome uint8
+
+const (
+	// Answered: the scheme client returned an answer.
+	Answered Outcome = iota
+	// Failed: a scheme failure, a dead wire, a station off the air — and,
+	// set by the runner, an answer whose distance is wrong.
+	Failed
+	// Degraded: the run's own answer budget fired (QueryDeadline or
+	// TuningBudget).
+	Degraded
+	// Refused: admission control shed the query (busy broadcaster, full
+	// station).
+	Refused
+)
+
+// Air is what one query did on the air beyond its scheme metrics, summed
+// over every feed the query attached (a swap can force a fresh one).
+type Air struct {
+	Outcome Outcome
+	// Lost counts receptions that arrived corrupted; Missed is the subset
+	// the air itself dropped (backpressure, wire gaps) — see Result.
+	Lost, Missed int
+	// PerChannel is packets received per channel and Hops the channel
+	// retunes of a hopping radio; nil and zero on a single channel.
+	PerChannel []int
+	Hops       int
+	// Attempts is how many times the client ran: 1 plus the attempts
+	// discarded because a cycle swap caught them.
+	Attempts int
+	// Version is the cycle version the answer was computed on.
+	Version uint32
+}
+
+// Session is one worker's handle on the air: ask a query, learn how it went.
+type Session interface {
+	Ask(ctx context.Context, q scheme.Query) (scheme.Result, Air)
+}
+
+// Target is the broadcast a run is pointed at.
+type Target struct {
+	// Method names the scheme, Rate is the bit rate energy is costed at, and
+	// Version is the cycle version on the air when the run starts.
+	Method  string
+	Rate    int
+	Version uint32
+	// Open returns worker id's session; seed derives its private loss
+	// pattern, one draw per query.
+	Open func(id int, seed int64) (Session, error)
+}
+
 // shard is one lock striped slice of the aggregator. Workers hash to
 // shards, so with Shards >= Clients the hot path is contention-free while
 // the result is still assembled with ordinary mutexes (safe under -race
@@ -189,7 +241,6 @@ type shard struct {
 	mu       sync.Mutex
 	agg      metrics.Agg
 	tuning   metrics.Series
-	latency  metrics.Series
 	energy   metrics.Series
 	queries  int
 	errors   int
@@ -198,7 +249,13 @@ type shard struct {
 	lost     int64
 	missed   int64
 
-	// Multi-channel accounting (sized on first AddMulti).
+	// Access latency, split by whether the query straddled a cycle swap and
+	// re-entered; the run's latency series is the two merged.
+	cleanLatency metrics.Series
+	staleLatency metrics.Series
+	reentries    int
+
+	// Multi-channel accounting (sized by the first hopping query).
 	chanPkts   []int64
 	chanTouch  []int
 	chanTuning []metrics.Series
@@ -220,38 +277,57 @@ func NewAggregator(n, rate int) *Aggregator {
 	return &Aggregator{shards: make([]shard, n), rate: rate}
 }
 
-// add folds the factors common to every answered query; the caller holds
-// the shard lock.
-func (s *shard) add(q metrics.Query, rate int) {
+// Add folds one query from the given worker into the bucket air.Outcome
+// names — so Agg.N + Errors + Degraded + Refused == Queries by construction
+// — together with its air-level loss accounting, which is recorded for
+// answered and failed queries alike: the packets were dropped either way.
+// q is read only for an Answered query.
+func (a *Aggregator) Add(worker int, q metrics.Query, air Air) {
+	s := &a.shards[worker%len(a.shards)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.queries++
+	if air.Lost != 0 || air.Missed != 0 {
+		s.lost += int64(air.Lost)
+		s.missed += int64(air.Missed)
+		obsLost.Add(int64(air.Lost))
+		obsMissed.Add(int64(air.Missed))
+	}
+	switch air.Outcome {
+	case Failed:
+		s.errors++
+		obsErrors.Inc()
+		return
+	case Degraded:
+		s.degraded++
+		obsDegraded.Inc()
+		return
+	case Refused:
+		s.refused++
+		obsRefused.Inc()
+		return
+	}
 	s.agg.Add(q)
 	s.tuning.Add(float64(q.TuningPackets))
-	s.latency.Add(float64(q.LatencyPackets))
-	s.energy.Add(q.EnergyJoules(rate))
-}
-
-// Add folds one answered query from the given worker.
-func (a *Aggregator) Add(worker int, q metrics.Query) {
-	s := &a.shards[worker%len(a.shards)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.add(q, a.rate)
-}
-
-// AddMulti folds one answered multi-channel query: the usual factors plus
-// packets received per channel and the channel retune count.
-func (a *Aggregator) AddMulti(worker int, q metrics.Query, perChannel []int, hops int) {
-	s := &a.shards[worker%len(a.shards)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.add(q, a.rate)
-	s.hops.Add(float64(hops))
-	for len(s.chanPkts) < len(perChannel) {
+	s.energy.Add(q.EnergyJoules(a.rate))
+	if air.Attempts > 1 {
+		s.staleLatency.Add(float64(q.LatencyPackets))
+		s.reentries += air.Attempts - 1
+		obsStaleQueries.Inc()
+		obsReentries.Add(int64(air.Attempts - 1))
+	} else {
+		s.cleanLatency.Add(float64(q.LatencyPackets))
+	}
+	if air.PerChannel == nil {
+		return
+	}
+	s.hops.Add(float64(air.Hops))
+	for len(s.chanPkts) < len(air.PerChannel) {
 		s.chanPkts = append(s.chanPkts, 0)
 		s.chanTouch = append(s.chanTouch, 0)
 		s.chanTuning = append(s.chanTuning, metrics.Series{})
 	}
-	for c, n := range perChannel {
+	for c, n := range air.PerChannel {
 		if n == 0 {
 			continue
 		}
@@ -261,78 +337,18 @@ func (a *Aggregator) AddMulti(worker int, q metrics.Query, perChannel []int, hop
 	}
 }
 
-// AddError counts a failed or wrong-answer query from the given worker.
-func (a *Aggregator) AddError(worker int) {
-	s := &a.shards[worker%len(a.shards)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-	s.errors++
-	obsErrors.Inc()
-}
-
-// AddDegraded counts a query aborted by its answer budget (tuning cap or
-// deadline) from the given worker: an explicit degraded answer, disjoint
-// from Errors.
-func (a *Aggregator) AddDegraded(worker int) {
-	s := &a.shards[worker%len(a.shards)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-	s.degraded++
-	obsDegraded.Inc()
-}
-
-// AddRefused counts a query shed by admission control (busy broadcaster,
-// full station) from the given worker.
-func (a *Aggregator) AddRefused(worker int) {
-	s := &a.shards[worker%len(a.shards)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-	s.refused++
-	obsRefused.Inc()
-}
-
-// classify folds one failed query into the right bucket: degraded (the
-// run's own budget fired), refused (admission control shed it), or error
-// (everything else — scheme failure, dead wire, wrong distance upstream).
-func classify(agg *Aggregator, worker int, err error) {
-	switch {
-	case errors.Is(err, broadcast.ErrTuningBudget), errors.Is(err, context.DeadlineExceeded):
-		agg.AddDegraded(worker)
-	case errors.Is(err, wire.ErrRefused), errors.Is(err, station.ErrFull):
-		agg.AddRefused(worker)
-	default:
-		agg.AddError(worker)
-	}
-}
-
-// AddAir folds one query's air-level loss accounting: lost is every
-// corrupted reception its tuner saw, missed the backpressure-dropped subset
-// its subscription reported. Recorded for answered and failed queries alike
-// — the packets were dropped either way.
-func (a *Aggregator) AddAir(worker int, lost, missed int64) {
-	if lost == 0 && missed == 0 {
-		return
-	}
-	s := &a.shards[worker%len(a.shards)]
-	s.mu.Lock()
-	s.lost += lost
-	s.missed += missed
-	s.mu.Unlock()
-	obsLost.Add(lost)
-	obsMissed.Add(missed)
-}
-
 // Summarize merges every shard into one Result (leaving run-level fields
 // for the caller to fill). Concurrent Adds must have finished. A run where
 // every query errored (Agg.N == 0) summarizes to all-zero quantiles and
 // means — metrics.Series and Agg guard their empty cases — so the caller
 // never divides by the completed-query count.
-func (a *Aggregator) Summarize() Result {
-	var r Result
-	var tuning, latency, energy, hops metrics.Series
+func (a *Aggregator) Summarize() Result { return a.summarize().Result }
+
+// summarize is Summarize plus the staleness split a churn run reports.
+func (a *Aggregator) summarize() ChurnResult {
+	var out ChurnResult
+	r := &out.Result
+	var tuning, clean, stale, energy, hops metrics.Series
 	channels := 0
 	for i := range a.shards {
 		channels = max(channels, len(a.shards[i].chanPkts))
@@ -353,8 +369,10 @@ func (a *Aggregator) Summarize() Result {
 		r.LostPackets += s.lost
 		r.MissedPackets += s.missed
 		r.Agg.Merge(s.agg)
+		out.Reentries += s.reentries
 		tuning.Merge(&s.tuning)
-		latency.Merge(&s.latency)
+		clean.Merge(&s.cleanLatency)
+		stale.Merge(&s.staleLatency)
 		energy.Merge(&s.energy)
 		hops.Merge(&s.hops)
 		for c := range s.chanPkts {
@@ -366,6 +384,12 @@ func (a *Aggregator) Summarize() Result {
 	for c := range chanTuning {
 		r.Channels[c].Tuning = chanTuning[c].Quantiles()
 	}
+	out.StaleQueries = stale.N()
+	out.CleanLatency, out.MeanCleanLatency = clean.Quantiles(), clean.Mean()
+	out.StaleLatency, out.MeanStaleLatency = stale.Quantiles(), stale.Mean()
+	var latency metrics.Series
+	latency.Merge(&clean)
+	latency.Merge(&stale)
 	r.Tuning = tuning.Quantiles()
 	r.Latency = latency.Quantiles()
 	r.Energy = energy.Quantiles()
@@ -376,30 +400,21 @@ func (a *Aggregator) Summarize() Result {
 	r.MeanHops = hops.Mean()
 	r.Rate = a.rate
 	r.WireVersion = ResultWireVersion
-	return r
+	return out
 }
 
 // Run drives w's queries through a fleet of opts.Clients concurrent clients
-// of srv, all tuned to st. The station must already be on the air. Each
-// query subscribes at the live position, answers through an ordinary
-// broadcast tuner over the subscription, verifies the distance against the
-// workload's reference, and unsubscribes.
-func Run(ctx context.Context, st *station.Station, srv scheme.Server, w *workload.Workload, opts Options) (Result, error) {
-	return drive(ctx, st.Rate(), srv, w, opts,
-		func(ctx context.Context, client scheme.Client, worker int, q workload.Query, seed int64, agg *Aggregator) {
-			runOne(ctx, st, client, worker, q, seed, opts, agg)
-		})
-}
-
-// RunMulti is Run over a live multi-channel station: every query tunes a
-// channel-hopping radio in on a seed-derived start channel, and the result
-// additionally reports per-channel packet counts, touched-query tails and
-// the mean hop count.
-func RunMulti(ctx context.Context, mst *multichannel.Station, srv scheme.Server, w *workload.Workload, opts Options) (Result, error) {
-	return drive(ctx, mst.Rate(), srv, w, opts,
-		func(ctx context.Context, client scheme.Client, worker int, q workload.Query, seed int64, agg *Aggregator) {
-			runOneMulti(ctx, mst, client, worker, q, seed, opts, agg)
-		})
+// of the target, which must already be on the air. Every query is answered
+// through the worker's session, verified against the workload's reference
+// distance, and folded into the result with its air-level accounting.
+func Run(ctx context.Context, t Target, w *workload.Workload, opts Options) (Result, error) {
+	base := make([]float64, len(w.Queries))
+	for i, q := range w.Queries {
+		base[i] = q.RefDist
+	}
+	refs := &refTable{byVer: map[uint32][]float64{t.Version: base}}
+	res, err := run(ctx, t, w, opts, refs, nil)
+	return res.Result, err
 }
 
 // clientSeed derives client id's private RNG seed from the run seed with a
@@ -415,15 +430,42 @@ func clientSeed(seed int64, id int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// drive is the shared fleet engine: the work queue, the worker pool, and
-// the run-level summary.
-func drive(ctx context.Context, rate int, srv scheme.Server, w *workload.Workload, opts Options,
-	one func(ctx context.Context, client scheme.Client, worker int, q workload.Query, seed int64, agg *Aggregator)) (Result, error) {
+// refTable maps cycle versions to per-workload-query reference distances. A
+// static run holds one entry; a churn run's updater publishes a version's
+// references before swapping the station to it, so a worker verifying
+// against the version its answer reports always finds them.
+type refTable struct {
+	mu    sync.RWMutex
+	byVer map[uint32][]float64
+}
+
+func (r *refTable) publish(ver uint32, refs []float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.byVer[ver] = refs
+}
+
+func (r *refTable) get(ver uint32, i int) (float64, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	refs, ok := r.byVer[ver]
+	if !ok {
+		return 0, false
+	}
+	return refs[i], true
+}
+
+// run is the fleet engine: the work queue, the worker pool, the per-query
+// verification and the run-level summary. updater, when set, runs beside
+// the fleet (a churn run's traffic feed) under a context that ends when the
+// fleet stops issuing; run waits for it.
+func run(ctx context.Context, t Target, w *workload.Workload, opts Options, refs *refTable,
+	updater func(context.Context)) (ChurnResult, error) {
 	if len(w.Queries) == 0 {
-		return Result{}, fmt.Errorf("fleet: empty workload")
+		return ChurnResult{}, fmt.Errorf("fleet: empty workload")
 	}
 	if opts.Loss < 0 || opts.Loss >= 1 {
-		return Result{}, fmt.Errorf("fleet: loss rate %v outside [0,1)", opts.Loss)
+		return ChurnResult{}, fmt.Errorf("fleet: loss rate %v outside [0,1)", opts.Loss)
 	}
 	clients := opts.Clients
 	if clients <= 0 {
@@ -437,23 +479,48 @@ func drive(ctx context.Context, rate int, srv scheme.Server, w *workload.Workloa
 	if shards <= 0 {
 		shards = min(clients, 64)
 	}
-	agg := NewAggregator(shards, rate)
+	agg := NewAggregator(shards, t.Rate)
 
-	if opts.Duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Duration)
-		defer cancel()
+	// Each client is one device: its own session (scheme client reused
+	// across its queries, like a phone keeps its app open) and its own
+	// deterministic loss seed.
+	sessions := make([]Session, clients)
+	for id := range sessions {
+		s, err := t.Open(id, clientSeed(opts.Seed, id))
+		if err != nil {
+			return ChurnResult{}, fmt.Errorf("fleet: client %d: %w", id, err)
+		}
+		sessions[id] = s
 	}
 
-	// The work queue: workload entries round-robin until total queries have
+	// issuing ends when the run should stop handing out work: the caller's
+	// context, the Duration limit, or the last worker returning. Queries
+	// already in flight run under ctx itself, so they finish.
+	issuing, stop := context.WithCancel(ctx)
+	defer stop()
+	if opts.Duration > 0 {
+		var cancel context.CancelFunc
+		issuing, cancel = context.WithTimeout(issuing, opts.Duration)
+		defer cancel()
+	}
+	var side sync.WaitGroup
+	if updater != nil {
+		side.Add(1)
+		go func() {
+			defer side.Done()
+			updater(issuing)
+		}()
+	}
+
+	// The work queue: workload indices round-robin until total queries have
 	// been issued or the clock/context stops the run.
-	work := make(chan workload.Query)
+	work := make(chan int)
 	go func() {
 		defer close(work)
 		for i := 0; i < total; i++ {
 			select {
-			case work <- w.Queries[i%len(w.Queries)]:
-			case <-ctx.Done():
+			case work <- i % len(w.Queries):
+			case <-issuing.Done():
 				return
 			}
 		}
@@ -461,30 +528,27 @@ func drive(ctx context.Context, rate int, srv scheme.Server, w *workload.Workloa
 
 	started := time.Now()
 	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	for id, s := range sessions {
 		wg.Add(1)
-		go func(id int) {
+		go func(id int, s Session) {
 			defer wg.Done()
-			// Each client is one device: its own scheme client (reused
-			// across its queries, like a phone keeps its app open) and its
-			// own deterministic loss seed.
-			client := srv.NewClient()
-			rng := rand.New(rand.NewSource(clientSeed(opts.Seed, id)))
-			for q := range work {
+			for qi := range work {
 				obsQueries.Inc()
 				obsInflight.Inc()
 				qStart := time.Now()
-				one(ctx, client, id, q, rng.Int63(), agg)
+				ask(ctx, s, id, qi, w.Queries[qi], refs, agg)
 				obsQuerySecs.Observe(time.Since(qStart).Seconds())
 				obsInflight.Dec()
 			}
-		}(c)
+		}(id, s)
 	}
 	wg.Wait()
 	elapsed := time.Since(started)
+	stop()
+	side.Wait()
 
-	res := agg.Summarize()
-	res.Method = srv.Name()
+	res := agg.summarize()
+	res.Method = t.Method
 	res.Clients = clients
 	res.Pool = len(w.Queries)
 	res.Elapsed = elapsed
@@ -499,66 +563,17 @@ func drive(ctx context.Context, rate int, srv scheme.Server, w *workload.Workloa
 	return res, nil
 }
 
-// runQuery runs one query on a tuner with the run's per-query answer
-// budgets armed, recovering any listen-loop abort (budget, cancellation, a
-// dead wire) into an ordinary error for classification. With no budgets
-// set it is exactly the historical direct call: no context bind, no cap.
-func runQuery(ctx context.Context, client scheme.Client, tuner *broadcast.Tuner, q scheme.Query, opts Options) (res scheme.Result, err error) {
-	defer broadcast.RecoverCancel(&err)
-	if opts.QueryDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.QueryDeadline)
-		defer cancel()
-		tuner.Bind(ctx)
+// ask answers workload query qi on the worker's session and folds the
+// outcome. The answer is verified against the reference of the cycle
+// version it was computed on; a version whose references were never
+// published would be a swap that bypassed the updater, counted loudly as an
+// error.
+func ask(ctx context.Context, s Session, worker, qi int, q workload.Query, refs *refTable, agg *Aggregator) {
+	res, air := s.Ask(ctx, q.Query)
+	if air.Outcome == Answered {
+		if ref, ok := refs.get(air.Version, qi); !ok || !workload.SameDist(res.Dist, ref) {
+			air.Outcome = Failed
+		}
 	}
-	if opts.TuningBudget > 0 {
-		tuner.SetBudget(opts.TuningBudget)
-	}
-	return client.Query(tuner, q)
-}
-
-// runOne answers one query over a live subscription.
-func runOne(ctx context.Context, st *station.Station, client scheme.Client, worker int, q workload.Query, seed int64, opts Options, agg *Aggregator) {
-	sub, err := st.Subscribe(opts.Loss, seed)
-	if err != nil {
-		// Station off the air (context cancelled mid-run) or full
-		// (admission control): the query got no feed.
-		classify(agg, worker, err)
-		return
-	}
-	defer sub.Close()
-	tuner := broadcast.NewFeedTuner(sub, sub.Start())
-	defer func() { agg.AddAir(worker, int64(tuner.Lost()), int64(sub.Missed())) }()
-	res, err := runQuery(ctx, client, tuner, q.Query, opts)
-	if err != nil {
-		classify(agg, worker, err)
-		return
-	}
-	if rel := (res.Dist - q.RefDist) / (1 + q.RefDist); rel > 1e-3 || rel < -1e-3 {
-		agg.AddError(worker)
-		return
-	}
-	agg.Add(worker, res.Metrics)
-}
-
-// runOneMulti answers one query over a live channel-hopping radio.
-func runOneMulti(ctx context.Context, mst *multichannel.Station, client scheme.Client, worker int, q workload.Query, seed int64, opts Options, agg *Aggregator) {
-	rx, err := mst.Subscribe(opts.Loss, seed, multichannel.RxOptions{Channel: int(uint64(seed) % uint64(mst.K()))})
-	if err != nil {
-		classify(agg, worker, err)
-		return
-	}
-	defer rx.Close()
-	tuner := broadcast.NewFeedTuner(rx, rx.StartPos())
-	defer func() { agg.AddAir(worker, int64(tuner.Lost()), int64(rx.Missed())) }()
-	res, err := runQuery(ctx, client, tuner, q.Query, opts)
-	if err != nil {
-		classify(agg, worker, err)
-		return
-	}
-	if rel := (res.Dist - q.RefDist) / (1 + q.RefDist); rel > 1e-3 || rel < -1e-3 {
-		agg.AddError(worker)
-		return
-	}
-	agg.AddMulti(worker, res.Metrics, rx.PerChannel(), rx.Hops())
+	agg.Add(worker, res.Metrics, air)
 }

@@ -1,15 +1,10 @@
 package fleet
 
 import (
-	"context"
 	"testing"
 	"time"
 
-	"repro/internal/conformance"
 	"repro/internal/metrics"
-	"repro/internal/station"
-	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // TestClientSeedDerivation is the regression test for the additive seed
@@ -34,76 +29,17 @@ func TestClientSeedDerivation(t *testing.T) {
 	}
 }
 
-// TestRunRemote drives a whole fleet over UDP loopback: every query dials
-// the wire broadcaster, answers correctly, and the lost/missed split holds
-// (wire gaps in MissedPackets, wire gaps + injected loss in LostPackets).
-func TestRunRemote(t *testing.T) {
-	g := conformance.Network(t, 250, 350, 7)
-	srv := nrServer(t, g)
-	st := startStation(t, srv, station.Config{})
-	b, err := wire.NewBroadcaster("127.0.0.1:0", st, wire.BroadcasterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(b.Close)
-	w := workload.Generate(g, 30, st.Len(), 4)
-
-	res, err := RunRemote(context.Background(), b.Addr().String(), srv, w, Options{
-		Clients: 12, Queries: 60, Loss: 0.03, Seed: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries != 60 || res.Errors != 0 {
-		t.Fatalf("remote fleet: %d queries, %d errors", res.Queries, res.Errors)
-	}
-	if res.Agg.N != 60 {
-		t.Fatalf("aggregate holds %d queries, want 60", res.Agg.N)
-	}
-	if res.Rate != st.Rate() {
-		t.Errorf("rate %d, want the broadcaster's %d", res.Rate, st.Rate())
-	}
-	// Loopback at a virtual clock loses nothing on the wire, so every lost
-	// packet is injected loss: MissedPackets (the wire-gap slot) stays 0
-	// while LostPackets reflects the 3% draw.
-	if res.MissedPackets != 0 {
-		t.Errorf("loopback run reports %d wire-lost packets", res.MissedPackets)
-	}
-	if res.LostPackets == 0 {
-		t.Errorf("3%% injected loss produced no lost packets over %d queries", res.Queries)
-	}
-	if res.Tuning.P50 <= 0 || res.Latency.P50 <= 0 {
-		t.Errorf("remote tails empty: tuning %+v latency %+v", res.Tuning, res.Latency)
-	}
-}
-
-// TestRunRemoteNobodyListening fails fast with an error, not a hang or 60
-// per-query timeouts.
-func TestRunRemoteNobodyListening(t *testing.T) {
-	g := conformance.Network(t, 200, 280, 3)
-	srv := nrServer(t, g)
-	w := workload.Generate(g, 4, srv.Cycle().Len(), 2)
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunRemote(context.Background(), "127.0.0.1:9", srv, w, Options{Clients: 2, Queries: 4})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("RunRemote against a dead port succeeded")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunRemote against a dead port hung")
-	}
-}
-
 // TestMergeResults checks the controller-side fold: exact fields merge
 // exactly, QPS is recomputed over the longest part, and mismatched parts
 // are refused.
 func TestMergeResults(t *testing.T) {
-	part := func(n int, elapsed time.Duration, p50 float64) Result {
+	part := func(n int, elapsed time.Duration, tuning float64) Result {
+		var s metrics.Series
+		for i := 0; i < n; i++ {
+			s.Add(tuning)
+		}
 		var r Result
+		r.WireVersion = ResultWireVersion
 		r.Method = "NR"
 		r.Rate = 2_000_000
 		r.Clients = 4
@@ -112,7 +48,9 @@ func TestMergeResults(t *testing.T) {
 		r.Agg = metrics.Agg{N: n, SumTuning: 100 * n, SumLatency: 900 * n}
 		r.Elapsed = elapsed
 		r.QPS = float64(n) / elapsed.Seconds()
-		r.Tuning = metrics.Quantiles{P50: p50, P95: p50 * 2, P99: p50 * 3}
+		r.Tuning, r.TuningHist = s.Quantiles(), s.Hist()
+		r.Latency, r.LatencyHist = s.Quantiles(), s.Hist()
+		r.Energy, r.EnergyHist = s.Quantiles(), s.Hist()
 		r.LostPackets = int64(n)
 		r.MissedPackets = int64(n / 2)
 		r.MeanEnergy = 0.5
@@ -136,9 +74,10 @@ func TestMergeResults(t *testing.T) {
 	if want := 90.0 / 3.0; out.QPS != want {
 		t.Errorf("merged QPS %v, want %v (total over longest window)", out.QPS, want)
 	}
-	// N-weighted quantile approximation: (30*100 + 60*130) / 90 = 120.
-	if out.Tuning.P50 != 120 {
-		t.Errorf("merged tuning p50 %v, want 120", out.Tuning.P50)
+	// Two thirds of the merged population tuned 130 packets: the global
+	// median is 130, not a mean of the parts' medians.
+	if !metrics.SameBucket(out.Tuning.P50, 130) {
+		t.Errorf("merged tuning p50 %v, want 130 to within a bucket", out.Tuning.P50)
 	}
 	if out.MeanEnergy != 0.5 {
 		t.Errorf("merged mean energy %v", out.MeanEnergy)
@@ -157,6 +96,18 @@ func TestMergeResults(t *testing.T) {
 	if _, err := MergeResults(nil); err == nil {
 		t.Error("merging nothing succeeded")
 	}
+	// A part from another wire version, or one stripped of its histograms,
+	// is not a worker's result: refused, never approximated.
+	bad = part(10, time.Second, 50)
+	bad.WireVersion = ResultWireVersion - 1
+	if _, err := MergeResults([]Result{a, bad}); err == nil {
+		t.Error("merging a part stamped with another wire version succeeded")
+	}
+	bad = part(10, time.Second, 50)
+	bad.LatencyHist = nil
+	if _, err := MergeResults([]Result{a, bad}); err == nil {
+		t.Error("merging a part without tail histograms succeeded")
+	}
 	// Pool is total concurrent capacity: parts of 30 each sum, not max.
 	out, err = MergeResults([]Result{a, b})
 	if err != nil {
@@ -171,8 +122,7 @@ func TestMergeResults(t *testing.T) {
 // tail bug: on deliberately skewed parts (one fast fleet, one slow fleet)
 // the merged p50/p95/p99 must match the exact whole-population percentiles
 // within one histogram bucket, where the old weighted mean was off without
-// bound. It also pins the downgrade: a part without histograms (an old
-// worker's wire format) falls back to the approximation instead of failing.
+// bound.
 func TestMergeResultsExactTails(t *testing.T) {
 	// Two parts with very different distributions: part A's queries all
 	// tune ~10 packets; part B is a minority of the population but all its
@@ -226,23 +176,5 @@ func TestMergeResultsExactTails(t *testing.T) {
 	}
 	if out.WireVersion != ResultWireVersion || out.TuningHist == nil {
 		t.Errorf("merged result dropped its histograms (wire v%d)", out.WireVersion)
-	}
-
-	// Downgrade: strip one part's histograms (old worker). The merge must
-	// succeed, mark the result pre-v2, and report the documented
-	// approximation.
-	old := b
-	old.WireVersion = 0
-	old.TuningHist, old.LatencyHist, old.EnergyHist = nil, nil, nil
-	down, err := MergeResults([]Result{a, old})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down.WireVersion != 0 || down.TuningHist != nil {
-		t.Errorf("downgraded merge claims exact tails: wire v%d, hist %v", down.WireVersion, down.TuningHist)
-	}
-	wantP99 := (float64(a.Agg.N)*a.Tuning.P99 + float64(old.Agg.N)*old.Tuning.P99) / float64(a.Agg.N+old.Agg.N)
-	if diff := down.Tuning.P99 - wantP99; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("downgraded p99 = %v, want the N-weighted mean %v", down.Tuning.P99, wantP99)
 	}
 }

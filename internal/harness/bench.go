@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/fleet"
+	"repro/internal/graph"
 	"repro/internal/multichannel"
 	"repro/internal/netgen"
 	"repro/internal/servercache"
@@ -19,48 +21,46 @@ import (
 // cmd/airbench's baseline emitter (testing.Benchmark), so the committed
 // BENCH_baseline.json measures exactly what the benchmarks measure.
 
-// benchSetup builds the standard bench fixture: the germany preset at a
-// bench-friendly scale with an NR server. The fixture goes through the
-// shared server cache — the three micro benches measure the serving path,
-// not the build, so they share one cycle like any other cache consumer.
-func benchSetup(scale float64, regions int) (*core.NR, *workload.Workload, error) {
-	type fixture struct {
-		srv *core.NR
-		w   *workload.Workload
-	}
-	f, err := servercache.Get(servercache.Key{
-		Network: fmt.Sprintf("germany@%g#2010", scale),
-		Scheme:  "bench-fixture",
-		Params:  fmt.Sprintf("r=%d", regions),
-	}, func() (fixture, error) {
+// benchSetup builds the standard bench fixture: a deployment of the germany
+// preset at a bench-friendly scale with an NR server, in the given shape
+// (default: the offline single channel), and a 40-query workload. Graph,
+// build and workload go through the shared server cache — the three micro
+// benches measure the serving path, not the build, so they share one cycle
+// like any other cache consumer.
+func benchSetup(scale float64, regions int, shape ...deploy.Option) (*deploy.Deployment, *workload.Workload, error) {
+	net := fmt.Sprintf("germany@%g#2010", scale)
+	g, err := servercache.Get(servercache.Key{Network: net, Scheme: "graph"}, func() (*graph.Graph, error) {
 		p, err := netgen.PresetByName("germany")
 		if err != nil {
-			return fixture{}, err
+			return nil, err
 		}
-		g, err := p.Scaled(scale).Generate(2010)
-		if err != nil {
-			return fixture{}, err
-		}
-		srv, err := core.NewNR(g, core.Options{Regions: regions, Segments: true, SquareCells: true})
-		if err != nil {
-			return fixture{}, err
-		}
-		return fixture{srv, workload.Generate(g, 40, srv.Cycle().Len(), 2010)}, nil
+		return p.Scaled(scale).Generate(2010)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return f.srv, f.w, nil
+	d, err := deploy.Deploy(g, append([]deploy.Option{
+		deploy.WithMethod(deploy.NR), deploy.WithParams(deploy.Params{Regions: regions}), deploy.WithCache(net),
+	}, shape...)...)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := servercache.Get(servercache.Key{Network: net, Scheme: "bench-workload", Params: fmt.Sprintf("r=%d", regions)},
+		func() (*workload.Workload, error) {
+			return workload.Generate(g, 40, d.Server().Cycle().Len(), 2010), nil
+		})
+	return d, w, err
 }
 
 // BenchTunerHop measures one channel-hopping query end to end on a
 // 4-channel offline air: directory lookups, hop arithmetic and the greedy
 // reception path.
 func BenchTunerHop(b *testing.B) {
-	srv, w, err := benchSetup(0.05, 32)
+	d, w, err := benchSetup(0.05, 32)
 	if err != nil {
 		b.Fatal(err)
 	}
+	srv := d.Server()
 	plan, err := multichannel.Build(srv.Cycle(), 4, multichannel.PlanOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -82,7 +82,7 @@ func BenchTunerHop(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if d := res.Dist - q.RefDist; d > 1e-3*(1+q.RefDist) || d < -1e-3*(1+q.RefDist) {
+		if !workload.SameDist(res.Dist, q.RefDist) {
 			b.Fatalf("wrong distance")
 		}
 		hops += rx.Hops()
@@ -93,11 +93,11 @@ func BenchTunerHop(b *testing.B) {
 // BenchStationBroadcast measures raw shared-clock transmission: how fast a
 // 4-shard station pushes global ticks to one subscribed radio.
 func BenchStationBroadcast(b *testing.B) {
-	srv, _, err := benchSetup(0.05, 32)
+	d, _, err := benchSetup(0.05, 32)
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := multichannel.Build(srv.Cycle(), 4, multichannel.PlanOptions{})
+	plan, err := multichannel.Build(d.Server().Cycle(), 4, multichannel.PlanOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,27 +124,22 @@ func BenchStationBroadcast(b *testing.B) {
 // BenchFleetQPS measures end-to-end fleet throughput over a live 4-channel
 // station: 32 concurrent clients, lossy air, every answer verified.
 func BenchFleetQPS(b *testing.B) {
-	srv, w, err := benchSetup(0.05, 32)
+	d, w, err := benchSetup(0.05, 32, deploy.WithChannels(4), deploy.WithLive(station.Config{}))
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := multichannel.Build(srv.Cycle(), 4, multichannel.PlanOptions{})
-	if err != nil {
+	if err := d.Start(context.Background()); err != nil {
 		b.Fatal(err)
 	}
-	mst, err := multichannel.NewStation(plan, station.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := mst.Start(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	defer mst.Stop()
+	defer d.Close()
 	qps := 0.0
 	var lost, missed int64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := fleet.RunMulti(context.Background(), mst, srv, w, fleet.Options{
-			Clients: 32, Queries: 64, Loss: 0.02, Seed: 2010,
+		// Same seed and pool size as the fixture workload, so the fleet
+		// answers the queries TunerHop does.
+		res, err := d.RunFleet(context.Background(), fleet.Options{
+			Clients: 32, Queries: 64, PoolSize: len(w.Queries), Loss: 0.02, Seed: 2010,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -219,7 +214,7 @@ func LatencyVsK(cfg Config) ([]LatencyVsKRow, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s K=%d query %d: %w", preset, k, qi, err)
 				}
-				if d := res.Dist - q.RefDist; d > 1e-3*(1+q.RefDist) || d < -1e-3*(1+q.RefDist) {
+				if !workload.SameDist(res.Dist, q.RefDist) {
 					return nil, fmt.Errorf("%s K=%d query %d: wrong distance", preset, k, qi)
 				}
 				sumLat += float64(res.Metrics.LatencyPackets)

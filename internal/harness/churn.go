@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/fleet"
 	"repro/internal/netgen"
 	"repro/internal/station"
-	"repro/internal/update"
-	"repro/internal/workload"
 )
 
 // ChurnRow is one cell of the update-churn sweep: a live fleet answering
@@ -60,37 +58,27 @@ func Churn(cfg Config) ([]ChurnRow, error) {
 	fmt.Fprintf(cfg.Out, "%-12s %8s %8s %8s %9s %10s %10s %10s %8s\n",
 		"interval", "queries", "swaps", "stale", "stale%", "clean p50", "stale p50", "overhead", "qps")
 
-	// One base server for the whole sweep: it is immutable (each interval
-	// gets its own manager and station on top of it), so rebuilding it per
-	// interval would only repeat the border pre-computation.
-	srv, err := core.NewNR(g, core.Options{Regions: regions, Segments: true, SquareCells: true})
-	if err != nil {
-		return nil, err
-	}
 	var rows []ChurnRow
 	for _, interval := range []time.Duration{50 * time.Millisecond, 20 * time.Millisecond, 5 * time.Millisecond} {
-		mgr, err := update.NewManager(g, srv, update.Config{})
+		// One base build for the whole sweep (WithCache): it is immutable —
+		// each interval gets its own manager and station on top of it — so
+		// rebuilding it per interval would only repeat the border
+		// pre-computation.
+		d, err := deploy.Deploy(g,
+			deploy.WithMethod(deploy.NR), deploy.WithParams(deploy.Params{Regions: regions}),
+			deploy.WithCache(cfg.netKey(cfg.Preset)), deploy.WithLive(station.Config{}),
+			deploy.WithUpdates(deploy.UpdateConfig{Batches: 6, BatchSize: 25, Interval: interval}))
 		if err != nil {
 			return nil, err
 		}
-		st, err := station.New(srv.Cycle(), station.Config{})
-		if err != nil {
-			return nil, err
-		}
-		if err := st.Start(context.Background()); err != nil {
-			return nil, err
-		}
-		w := workload.Generate(g, min(cfg.Queries, 100), srv.Cycle().Len(), cfg.Seed)
-		res, err := fleet.RunChurn(context.Background(), st, mgr, w, fleet.ChurnOptions{
-			Fleet:     fleet.Options{Clients: 16, Queries: cfg.Queries, Loss: 0.05, Seed: cfg.Seed},
-			Batches:   6,
-			BatchSize: 25,
-			Interval:  interval,
+		rep, err := d.RunFleet(context.Background(), fleet.Options{
+			Clients: 16, Queries: cfg.Queries, PoolSize: min(cfg.Queries, 100), Loss: 0.05, Seed: cfg.Seed,
 		})
-		st.Stop()
+		d.Close()
 		if err != nil {
 			return nil, err
 		}
+		res := rep.Churn
 		row := ChurnRow{
 			Network:    cfg.Preset,
 			Method:     res.Method,

@@ -23,7 +23,6 @@ import (
 	"repro/internal/baseline/hiti"
 	"repro/internal/baseline/landmark"
 	"repro/internal/baseline/spq"
-	"repro/internal/broadcast"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -32,6 +31,7 @@ import (
 	"repro/internal/precompute"
 	"repro/internal/scheme"
 	"repro/internal/servercache"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -187,19 +187,19 @@ type MethodResult struct {
 // the given loss rate.
 func runWorkload(srv scheme.Server, w *workload.Workload, loss float64, seed int64) (MethodResult, error) {
 	res := MethodResult{Name: srv.Name()}
-	ch, err := broadcast.NewChannel(srv.Cycle(), loss, seed)
+	air, err := transport.NewOffline(srv.Cycle(), loss, seed)
 	if err != nil {
 		return res, err
 	}
 	client := srv.NewClient()
 	for _, q := range w.Queries {
-		tuner := broadcast.NewTuner(ch, q.TuneIn%srv.Cycle().Len())
-		r, err := client.Query(tuner, q.Query)
+		att, err := air.Attach(transport.Tune{Cursor: q.TuneIn % air.Len()})
 		if err != nil {
-			res.Errors++
-			continue
+			return res, err
 		}
-		if rel := (r.Dist - q.RefDist) / (1 + q.RefDist); rel > 1e-3 || rel < -1e-3 {
+		r, err := client.Query(att.Tuner(), q.Query)
+		att.Release(0)
+		if err != nil || !workload.SameDist(r.Dist, q.RefDist) {
 			res.Errors++
 			continue
 		}

@@ -333,9 +333,9 @@ func TestLiveMatchesOffline(t *testing.T) {
 	}
 }
 
-// TestSharedClockLockstep verifies the barrier holds shard positions within
+// TestGroupLockstep verifies the station group holds shard positions within
 // one tick of each other while a subscriber drives the clock.
-func TestSharedClockLockstep(t *testing.T) {
+func TestGroupLockstep(t *testing.T) {
 	g := network(t, 220, 300, 5)
 	srv := servers(t, g)[1]
 	plan, err := Build(srv.Cycle(), 4, PlanOptions{})

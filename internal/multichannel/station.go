@@ -31,15 +31,11 @@ type Station struct {
 }
 
 // NewStation builds the K shard stations for the plan. cfg applies to every
-// shard; cfg.Clock must be unset (the group is the synchronizer) and
-// cfg.Start must be zero (the global clock starts at tick 0 on every
-// channel).
+// shard; cfg.Start must be zero (the global clock starts at tick 0 on
+// every channel).
 func NewStation(p *Plan, cfg station.Config) (*Station, error) {
 	if cfg.Start != 0 {
 		return nil, fmt.Errorf("multichannel: shard stations start at tick 0, got Start=%d", cfg.Start)
-	}
-	if cfg.Clock != nil {
-		return nil, fmt.Errorf("multichannel: shard stations are group-driven; Clock must be nil")
 	}
 	m := &Station{plan: p, cfg: cfg}
 	for c, cyc := range p.Channels {

@@ -293,15 +293,3 @@ func First(payload []byte) (Record, bool) {
 	})
 	return out, found
 }
-
-// Records decodes the records in a packet payload into a fresh slice. It
-// allocates and exists for tests and cold paths; hot loops use ForEachRecord
-// or All, which return views without allocating.
-func Records(payload []byte) []Record {
-	var out []Record
-	ForEachRecord(payload, func(tag uint8, data []byte) bool {
-		out = append(out, Record{Tag: tag, Data: data})
-		return true
-	})
-	return out
-}

@@ -14,12 +14,10 @@ import (
 // before any member transmits T+1.
 //
 // It is the cheap way to run a multi-channel broadcast's K shard stations
-// in lockstep: the observable guarantee is exactly a SharedClock barrier's —
-// no shard races another past a tick — but without K goroutines handing a
-// barrier around, which on a busy machine costs scheduler wakeups and a
-// channel allocation per tick. An exact subscription's clock hold (see
-// Station.deliver) blocks the group goroutine and therefore every member,
-// just as the barrier held every shard.
+// in lockstep: no shard races another past a tick, and one goroutine does
+// it without K transmit loops handing a barrier around. An exact
+// subscription's clock hold (see Station.deliver) blocks the group
+// goroutine and therefore every member.
 //
 // Member stations must not be Started individually; the group adopts them.
 type Group struct {
@@ -36,17 +34,13 @@ type Group struct {
 }
 
 // NewGroup returns a group over the given stations. All members must share
-// one pacing configuration; Config.Clock must be nil (the group itself is
-// the synchronizer).
+// one pacing configuration.
 func NewGroup(stations []*Station) (*Group, error) {
 	if len(stations) == 0 {
 		return nil, fmt.Errorf("station: empty group")
 	}
 	cfg := stations[0].cfg
 	for _, st := range stations {
-		if st.cfg.Clock != nil {
-			return nil, fmt.Errorf("station: grouped station must not have a shared clock")
-		}
 		if st.cfg.BitsPerSecond != cfg.BitsPerSecond || st.cfg.PacketBits != cfg.PacketBits {
 			return nil, fmt.Errorf("station: grouped stations disagree on pacing")
 		}

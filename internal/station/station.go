@@ -74,11 +74,6 @@ type Config struct {
 	Buffer int
 	// Start is the absolute position the station begins transmitting at.
 	Start int
-	// Clock, when set, keeps this station in lockstep with the other
-	// parties of a shared tick barrier: one multi-channel broadcast is K
-	// stations on one SharedClock, so every channel transmits global tick T
-	// before any channel transmits T+1 (internal/multichannel).
-	Clock *SharedClock
 	// MaxSubscribers caps concurrent subscriptions; Subscribe past the cap
 	// fails with ErrFull (admission control — a refused client costs one
 	// frame, an admitted one an indefinite broadcast feed). 0 = unlimited.
@@ -327,11 +322,6 @@ func (s *Station) run(ctx context.Context, done chan struct{}) {
 		case <-ctx.Done():
 			return
 		default:
-		}
-		if s.cfg.Clock != nil {
-			if err := s.cfg.Clock.Wait(ctx); err != nil {
-				return
-			}
 		}
 		if interval > 0 {
 			// Pace to the channel rate: sleep until the next packet is due.

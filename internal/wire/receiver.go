@@ -9,6 +9,7 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/transport"
 )
 
 // Receiver-side instruments (DESIGN.md §12).
@@ -40,45 +41,10 @@ var (
 	ErrRestarted = errors.New("wire: broadcaster restarted with a different cycle")
 )
 
-// ReceiverOptions tune one wire subscription. The zero value is a lossless
-// (no injected loss) receiver with a 256-packet credit window and a 2s
-// silence timeout.
-type ReceiverOptions struct {
-	// Loss is the injected deterministic packet-loss rate in [0,1), drawn
-	// with broadcast.Lost over (Seed, position) at serve time — the same
-	// draw as the simulator, on top of whatever the real wire loses.
-	Loss float64
-	// Seed derives the injected loss pattern (and the dial backoff jitter).
-	Seed int64
-	// Window is the credit window in packets: how far ahead of the current
-	// read position the broadcaster may stream. Default 256 — deep enough
-	// that an attentive receiver never stalls the stream, shallow enough
-	// that the in-flight bytes sit comfortably in a default socket buffer.
-	Window int
-	// Timeout bounds one silent wait for the next datagram; on expiry the
-	// receiver re-sends its credit (the previous want datagram may itself
-	// have been lost) and, after Retries consecutive expiries, declares the
-	// wire dead (or re-dials, with Redial). Default 2s.
-	Timeout time.Duration
-	// Retries is the number of consecutive timeouts tolerated before the
-	// feed gives up on the current socket. Default 4.
-	Retries int
-	// DialTimeout bounds the whole hello/welcome handshake. Within it the
-	// hello is re-sent with capped jittered exponential backoff (not a
-	// fixed interval: a cold-starting fleet must not synchronize into a
-	// hello storm against a booting broadcaster). Default Retries*Timeout,
-	// matching the old fixed-interval budget.
-	DialTimeout time.Duration
-	// Redial is how many reconnection attempts a mid-stream death (silence
-	// past Retries, or a bye) is allowed before the feed aborts with
-	// ErrDead. Each attempt is a fresh socket and handshake; a welcome with
-	// the same cycle geometry resumes the stream in place (the missed air
-	// is re-anchored a whole number of cycles ahead, so the partial answer
-	// stays valid), a different geometry aborts with ErrRestarted. Default
-	// 0: die on the first death, the right call for loopback tests and the
-	// historical behavior.
-	Redial int
-}
+// ReceiverOptions tune one wire subscription: the dial options of the
+// transport seam, defined there so that layers above the seam (the fleet's
+// Options.Wire) can carry them without importing this package.
+type ReceiverOptions = transport.DialOptions
 
 // Receiver is a remote subscription to a wire broadcast: a broadcast.Feed
 // (and Clocked, Prefetcher and Refreshable) over a connected UDP socket, so

@@ -5,6 +5,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -22,6 +23,15 @@ type Query struct {
 	Bucket int
 	// TuneIn is the cycle position at which the query is posed.
 	TuneIn int
+}
+
+// SameDist reports whether an answered distance matches its reference within
+// the verification tolerance every harness uses: 1e-3 relative to 1+want
+// (wire distances are float32-quantized). Written so that anything that is
+// not a number fails: NaN compares false, and infinities match only exactly
+// (both sides found the pair unreachable).
+func SameDist(got, want float64) bool {
+	return got == want || math.Abs(got-want)/(1+want) <= 1e-3
 }
 
 // Buckets is the number of path-length classes (Figure 10 uses four).

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/netgen"
@@ -47,5 +48,35 @@ func TestBucketLabelsSpanDiameter(t *testing.T) {
 	last := w.BucketLabel(Buckets - 1)
 	if last[1] < w.Diameter*0.99 {
 		t.Errorf("buckets end at %v, diameter %v", last[1], w.Diameter)
+	}
+}
+
+// TestSameDist pins the one answer check every harness shares: within 1e-3
+// of 1+want passes, and nothing that is not a number ever verifies — the
+// pasted `rel > 1e-3 || rel < -1e-3` forms it replaced accepted NaN.
+func TestSameDist(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+		ok        bool
+	}{
+		{"exact", 1234.5, 1234.5, true},
+		{"zero", 0, 0, true},
+		{"just inside above", 1000 + 1e-3*1001*0.999, 1000, true},
+		{"just inside below", 1000 - 1e-3*1001*0.999, 1000, true},
+		{"just outside above", 1000 + 1e-3*1001*1.001, 1000, false},
+		{"just outside below", 1000 - 1e-3*1001*1.001, 1000, false},
+		{"NaN answer", math.NaN(), 1000, false},
+		{"NaN reference", 1000, math.NaN(), false},
+		{"+Inf answer", inf, 1000, false},
+		{"-Inf answer", -inf, 1000, false},
+		{"+Inf reference", 1000, inf, false},
+		{"both unreachable", inf, inf, true},
+		{"opposite infinities", -inf, inf, false},
+	} {
+		if got := SameDist(c.got, c.want); got != c.ok {
+			t.Errorf("%s: SameDist(%v, %v) = %v, want %v", c.name, c.got, c.want, got, c.ok)
+		}
 	}
 }

@@ -23,23 +23,18 @@
 //	res, _ := s.Query(ctx, 17, 4242)
 //	fmt.Println(res.Dist, res.Metrics.TuningPackets)
 //
-// Live deployments (WithLive) additionally load-test with
-// Deployment.RunFleet, which dispatches plain, channel-hopping, or churn
-// fleets on the deployment's shape. The pre-PR-5 free functions
-// (NewServer/NewChannel/Ask, NewStation/RunFleet, NewMultiStation/
-// RunFleetMulti, NewUpdateManager/RunFleetChurn, SpatialServer) remain as
-// deprecated wrappers, pinned bit-identical to the Deployment/Session path
-// by the facade equivalence suite.
+// Live and remote deployments (WithLive, WithRemote) additionally
+// load-test with Deployment.RunFleet: one fleet runner whose every client
+// is a Session, with the synthetic update feed beside it on a dynamic
+// deployment.
 //
 // The paper's two contributions are the EB (Elliptic Boundary) and NR
 // (Next Region) methods; DJ, AF, LD, SPQ and HiTi are the adapted
 // competitors of its Section 3.2. See DESIGN.md for the system inventory
-// (§9 for this API and the migration table) and EXPERIMENTS.md for the
-// reproduced evaluation.
+// (§9 for this API) and EXPERIMENTS.md for the reproduced evaluation.
 package repro
 
 import (
-	"context"
 	"io"
 	"net/http"
 
@@ -153,23 +148,12 @@ type (
 	Result = scheme.Result
 	// Metrics aggregates the paper's per-query performance factors.
 	Metrics = metrics.Query
-	// Channel is a broadcast channel repeating a cycle, with optional
-	// deterministic packet loss.
-	Channel = broadcast.Channel
-	// Tuner is a client's position on a channel.
-	Tuner = broadcast.Tuner
-	// Feed is any packet source a Tuner can run on: an offline Channel or a
-	// live station Subscription.
-	Feed = broadcast.Feed
 	// Station is a live broadcast station streaming a cycle to concurrent
-	// subscribers.
+	// subscribers (Deployment.Station).
 	Station = station.Station
 	// StationConfig tunes a station's clock (virtual or paced to a bit
 	// rate) and per-subscriber buffering; WithLive takes one.
 	StationConfig = station.Config
-	// Subscription is one listener's live view of a station's air; it is a
-	// Feed, so NewFeedTuner(sub, sub.Start()) runs any client on it.
-	Subscription = station.Sub
 	// WireBroadcaster drains a live station onto a UDP socket, framing
 	// every packet (magic, length, CRC32-C) so remote receivers detect
 	// truncation and corruption. Serve one from a live deployment with
@@ -178,14 +162,9 @@ type (
 	// WireBroadcasterOptions tune a broadcaster (idle-remote expiry, and a
 	// test-only frame corruption hook).
 	WireBroadcasterOptions = wire.BroadcasterOptions
-	// WireReceiver is a UDP subscription to a WireBroadcaster: a Feed, so
-	// NewFeedTuner(rx, rx.Start()) runs any client on it. Datagrams the
-	// network drops or corrupts surface as lost packets (WireLost,
-	// Corrupted), never as wrong data.
-	WireReceiver = wire.Receiver
-	// WireReceiverOptions tune a receiver dial: injected loss on top of
-	// real network loss, credit window, timeouts, and the redial budget a
-	// receiver spends surviving a broadcaster restart.
+	// WireReceiverOptions tune how a remote session dials its UDP
+	// subscription (FleetOptions.Wire): credit window, timeouts, and the
+	// redial budget a receiver spends surviving a broadcaster restart.
 	WireReceiverOptions = wire.ReceiverOptions
 	// ChaosPlan is one direction's deterministic fault schedule — Gilbert-
 	// Elliott bursty loss, reordering, duplication, corruption, blackhole
@@ -210,34 +189,12 @@ type (
 	ChannelStats = fleet.ChannelStats
 	// Quantiles is a p50/p95/p99 summary of one metric.
 	Quantiles = metrics.Quantiles
-	// MultiStation is a live K-channel broadcast: the cycle sharded by
-	// region across K station shards on one global clock, with an on-air
-	// directory so radios hop to exactly the channels a query needs.
-	MultiStation = multichannel.Station
-	// MultiSub is a channel-hopping radio subscription: a Feed over the
-	// logical cycle whose latency runs on the global clock and whose tuning
-	// is charged per channel.
-	MultiSub = multichannel.Rx
-	// MultiSubOptions pick a radio's start channel and whether it
-	// bootstraps the channel directory from the air (cold) or holds a
-	// cached copy (warm, the default).
-	MultiSubOptions = multichannel.RxOptions
 	// WeightUpdate sets the weight of one directed arc: the mutation unit
-	// of the dynamic-network subsystem.
+	// of the dynamic-network subsystem (Deployment.Manager().Apply).
 	WeightUpdate = graph.WeightUpdate
-	// UpdateManager owns a versioned broadcast's server side: it accepts
-	// weight-update batches, rebuilds the scheme structures into new cycle
-	// versions (with KindDelta patch trailers), and hands the cycles to a
-	// live station's Swap.
-	UpdateManager = update.Manager
-	// UpdateBuild is one immutable cycle version an UpdateManager produced.
-	UpdateBuild = update.Build
-	// ChurnOptions tunes an update-churn load run: fleet parameters plus
-	// the synthetic traffic feed (batches, batch size, interval, mode).
-	ChurnOptions = fleet.ChurnOptions
-	// ChurnResult aggregates a churn run: the usual fleet result plus the
-	// staleness accounting (swaps, stale queries, re-entries, clean vs
-	// stale latency).
+	// ChurnResult aggregates a churn run (RunReport.Churn): the usual fleet
+	// result plus the staleness accounting (swaps, stale queries,
+	// re-entries, clean vs stale latency).
 	ChurnResult = fleet.ChurnResult
 	// UpdateMode picks the weight-change profile of the synthetic traffic
 	// feed (mixed, increase, decrease, no-op).
@@ -258,7 +215,7 @@ type (
 	DeployStatus = deploy.Status
 )
 
-// Weight-change profiles for UpdateConfig.Mode and ChurnOptions.Mode.
+// Weight-change profiles for UpdateConfig.Mode.
 const (
 	UpdateMixed    = update.ModeMixed
 	UpdateIncrease = update.ModeIncrease
@@ -266,7 +223,7 @@ const (
 	UpdateNoop     = update.ModeNoop
 )
 
-// --- The Deployment/Session API (PR 5): one constructor, one query path. ---
+// --- The Deployment/Session API: one constructor, one query path. ---
 
 // Deploy builds a Deployment of g from functional options: the scheme
 // server (WithMethod/WithParams, through the shared build cache when
@@ -332,10 +289,8 @@ func WithDiskCache(dir string, maxBytes int64) DeployOption {
 // aggregates and loss totals merge exactly; Elapsed is the longest part and
 // QPS is recomputed over it; the p50/p95/p99 tails are read from merged
 // latency histograms, so they are exact to one histogram bucket (~8%)
-// even when the parts are skewed. Parts predating the histogram wire
-// format degrade to N-weighted means of the parts' quantiles, with a
-// logged downgrade. Parts disagreeing on method, bit rate or channel
-// count are refused.
+// even when the parts are skewed. Parts disagreeing on method, bit rate,
+// channel count or result wire version are refused.
 func MergeFleetResults(parts []FleetResult) (FleetResult, error) { return fleet.MergeResults(parts) }
 
 // WithRemote tunes the deployment's sessions to a remote wire broadcaster
@@ -371,7 +326,7 @@ func MetricsHandler() http.Handler { return obs.Handler() }
 // change any query metric.
 func NewQueryTrace(capacity int) *QueryTrace { return obs.NewTrace(capacity) }
 
-// --- Server-side building blocks (shared by both API generations). ---
+// --- Server-side building blocks. ---
 
 // NewServer builds the named method's server for g.
 func NewServer(m Method, g *Graph, p Params) (Server, error) { return deploy.NewServer(m, g, p) }
@@ -446,194 +401,8 @@ const (
 	Rate384Kbps = metrics.RateSlow
 )
 
-// --- Deprecated pre-PR-5 facade: one constructor + one run function per
-// (scenario × transport) cell. Every wrapper below stays functional and is
-// pinned bit-identical to its Deployment/Session counterpart by the
-// equivalence suite (equivalence_test.go); new code should Deploy. ---
-
-// NewChannel wraps a server's cycle in a broadcast channel with the given
-// packet-loss rate in [0, 1) and seed.
-//
-// Deprecated: build a Deployment with Deploy(g, WithLoss(rate, seed))
-// instead; the channel is composed internally.
-func NewChannel(srv Server, lossRate float64, seed int64) (*Channel, error) {
-	return broadcast.NewChannel(srv.Cycle(), lossRate, seed)
-}
-
-// NewTuner tunes into ch at the given absolute packet position — the moment
-// the query is posed.
-//
-// Deprecated: Deployment.Session positions its own tuner
-// (SessionOptions.TuneIn). NewTuner remains for custom feeds.
-func NewTuner(ch *Channel, at int) *Tuner { return broadcast.NewTuner(ch, at) }
-
-// NewFeedTuner tunes into any Feed — typically a live station Subscription
-// at its Start position.
-//
-// Deprecated: Deployment.Session subscribes and positions its own tuner.
-// NewFeedTuner remains for custom feeds.
-func NewFeedTuner(f Feed, at int) *Tuner { return broadcast.NewFeedTuner(f, at) }
-
-// Ask runs one query end to end: tune in at position `at`, process with a
-// fresh client of srv, return the result.
-//
-// Deprecated: use Deploy + Session.Query. Ask routes through that exact
-// path (the equivalence suite pins it bit-identical).
-func Ask(ch *Channel, srv Server, g *Graph, s, t NodeID, at int) (Result, error) {
-	d, err := deploy.FromServer(g, srv, ch)
-	if err != nil {
-		return Result{}, err
-	}
-	sess, err := d.Session(context.Background(), SessionOptions{TuneIn: at})
-	if err != nil {
-		return Result{}, err
-	}
-	return sess.Query(context.Background(), s, t)
-}
-
-// NewStation puts srv's cycle behind a live broadcast station. Call
-// Start(ctx) to go on the air, Subscribe for each tuned-in client, and Stop
-// (or cancel the context) to shut down.
-//
-// Deprecated: use Deploy(g, WithLive(cfg)); the Deployment owns the
-// station's lifecycle (Start/Close) and Session subscribes to it.
-func NewStation(srv Server, cfg StationConfig) (*Station, error) {
-	return station.New(srv.Cycle(), cfg)
-}
-
-// RunFleet load-tests a live station with opts.Clients concurrent clients
-// of srv answering a generated query workload over g (reference answers are
-// pre-computed server-side for verification). The station must already be
-// on the air. See cmd/airserve for the CLI front end.
-//
-// Deprecated: use Deploy(g, WithLive(cfg)) + Deployment.RunFleet, which
-// runs the identical fleet engine on the identical workload pool.
-func RunFleet(ctx context.Context, st *Station, srv Server, g *Graph, opts FleetOptions) (FleetResult, error) {
-	return fleet.Run(ctx, st, srv, deploy.WorkloadFor(g, opts, st.Len()), opts)
-}
-
-// NewUpdateManager returns a versioned-cycle manager over srv (which must
-// have been built for g). Apply weight-update batches to produce new cycle
-// versions and hand each Build.Cycle to Station.Swap (or MultiStation.Swap
-// after re-planning); with no updates applied the manager serves srv's own
-// static cycle bit-identically. EB, NR and DJ rebuild natively.
-//
-// Deprecated: use Deploy(g, WithLive(cfg), WithUpdates(ucfg)); the
-// Deployment wires the manager to its station and Deployment.Manager
-// exposes it for explicit Apply/Swap control.
-func NewUpdateManager(g *Graph, srv Server) (*UpdateManager, error) {
-	return update.NewManager(g, srv, update.Config{})
-}
-
-// RunFleetChurn load-tests a live station while mgr's network churns: a
-// background updater applies opts.Batches weight batches and swaps the
-// station to each new cycle version, and opts.Fleet.Clients concurrent
-// clients keep answering queries throughout, re-entering whenever a swap
-// catches them mid-query. Every answer is verified against the Dijkstra
-// reference of the network version it was computed on. The station must
-// already be on the air broadcasting mgr's current cycle.
-//
-// Deprecated: use Deploy(g, WithLive(cfg), WithUpdates(ucfg)) +
-// Deployment.RunFleet; the churn feed parameters move into UpdateConfig
-// and the report's Churn field carries the staleness accounting.
-func RunFleetChurn(ctx context.Context, st *Station, mgr *UpdateManager, g *Graph, opts ChurnOptions) (ChurnResult, error) {
-	return fleet.RunChurn(ctx, st, mgr, deploy.WorkloadFor(g, opts.Fleet, st.Len()), opts)
-}
-
-// NewMultiStation shards srv's cycle across `channels` parallel broadcast
-// channels (regions in contiguous kd order, global index copies round-robin,
-// a directory segment on every channel) and puts one station shard per
-// channel on a shared global clock. channels == 1 degrades to the identity
-// plan: bit-for-bit the single Station substrate.
-//
-// Deprecated: use Deploy(g, WithChannels(k), WithLive(cfg)).
-func NewMultiStation(srv Server, channels int, cfg StationConfig) (*MultiStation, error) {
-	plan, err := multichannel.Build(srv.Cycle(), channels, multichannel.PlanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return multichannel.NewStation(plan, cfg)
-}
-
-// RunFleetMulti is RunFleet against a multi-channel station: the result
-// additionally carries per-channel packet counts, touched-query tails and
-// QPS, plus the mean channel-hop count.
-//
-// Deprecated: use Deploy(g, WithChannels(k), WithLive(cfg)) +
-// Deployment.RunFleet, which dispatches the identical channel-hopping
-// fleet on the deployment's shape.
-func RunFleetMulti(ctx context.Context, mst *MultiStation, srv Server, g *Graph, opts FleetOptions) (FleetResult, error) {
-	return fleet.RunMulti(ctx, mst, srv, deploy.WorkloadFor(g, opts, mst.Len()), opts)
-}
-
-// --- On-air spatial queries over the road network (the paper's Section 8
-// future work: "range and nearest neighbor retrieval"). ---
-
-// POIResult is a point of interest with its network distance.
+// POIResult is a point of interest with its network distance: what
+// Session.Range and Session.KNN return on a POI-enabled deployment
+// (WithPOI) — on-air spatial queries over the road network, the paper's
+// Section 8 future work.
 type POIResult = core.POIResult
-
-// SpatialServer is an EB server whose cycle carries POI-flagged nodes and
-// answers on-air range and kNN queries in network distance.
-//
-// Deprecated: use Deploy(g, WithPOI(poi)) + Session.Range / Session.KNN;
-// the spatial island folds into the uniform query path.
-type SpatialServer struct {
-	eb *core.EB
-}
-
-// NewSpatialServer builds an EB-based spatial broadcast for g; poi flags
-// the points of interest per node.
-//
-// Deprecated: use Deploy(g, WithPOI(poi)).
-func NewSpatialServer(g *Graph, poi []bool, p Params) (*SpatialServer, error) {
-	opts := p.CoreOptions()
-	opts.POI = poi
-	eb, err := core.NewEB(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &SpatialServer{eb: eb}, nil
-}
-
-// Cycle returns the broadcast cycle.
-func (s *SpatialServer) Cycle() *broadcast.Cycle { return s.eb.Cycle() }
-
-// NewChannel wraps the spatial cycle in a channel.
-func (s *SpatialServer) NewChannel(lossRate float64, seed int64) (*Channel, error) {
-	return broadcast.NewChannel(s.eb.Cycle(), lossRate, seed)
-}
-
-// session opens a one-shot Session over the spatial cycle on ch — the
-// wrappers below route through the exact Deployment/Session path. g is
-// the caller's graph, exactly as the pre-PR-5 implementations resolved
-// query coordinates from it.
-func (s *SpatialServer) session(ch *Channel, g *Graph, at int) (*Session, error) {
-	d, err := deploy.FromServer(g, s.eb, ch)
-	if err != nil {
-		return nil, err
-	}
-	return d.Session(context.Background(), SessionOptions{TuneIn: at})
-}
-
-// RangeOnAir returns every POI within network distance radius of node from,
-// sorted by distance, tuning in at position `at`.
-//
-// Deprecated: use Deploy(g, WithPOI(poi)) + Session.Range.
-func (s *SpatialServer) RangeOnAir(ch *Channel, g *Graph, from NodeID, radius float64, at int) ([]POIResult, Metrics, error) {
-	sess, err := s.session(ch, g, at)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return sess.Range(context.Background(), from, radius)
-}
-
-// KNNOnAir returns the k POIs nearest to node from in network distance.
-//
-// Deprecated: use Deploy(g, WithPOI(poi)) + Session.KNN.
-func (s *SpatialServer) KNNOnAir(ch *Channel, g *Graph, from NodeID, k int, at int) ([]POIResult, Metrics, error) {
-	sess, err := s.session(ch, g, at)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return sess.KNN(context.Background(), from, k)
-}

@@ -15,16 +15,17 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	for _, m := range []repro.Method{repro.NR, repro.EB, repro.DJ} {
-		srv, err := repro.NewServer(m, g, repro.Params{Regions: 8})
+		d, err := repro.Deploy(g, repro.WithMethod(m), repro.WithParams(repro.Params{Regions: 8}))
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		ch, err := repro.NewChannel(srv, 0, 1)
+		sess, err := d.Session(ctx, repro.SessionOptions{TuneIn: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := repro.Ask(ch, srv, g, 17, 342, 5)
+		res, err := sess.Query(ctx, 17, 342)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -109,16 +110,13 @@ func TestFacadeMultiStation(t *testing.T) {
 		t.Errorf("RegionCentroids for a region-less method: %v, want nil", cents)
 	}
 
-	mst, err := repro.NewMultiStation(srv, 4, repro.StationConfig{})
+	d, err := repro.Deploy(g, repro.WithParams(repro.Params{Regions: 8}),
+		repro.WithChannels(4), repro.WithLive(repro.StationConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := mst.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer mst.Stop()
-	res, err := repro.RunFleetMulti(ctx, mst, srv, g, repro.FleetOptions{
+	defer d.Close()
+	res, err := d.RunFleet(context.Background(), repro.FleetOptions{
 		Clients: 16, Queries: 48, Loss: 0.05, Seed: 3,
 	})
 	if err != nil {
@@ -132,30 +130,25 @@ func TestFacadeMultiStation(t *testing.T) {
 	}
 }
 
-// TestFacadeUpdateChurn exercises the dynamic-network facade: a versioned
-// update manager, explicit Apply + live Swap, and the churn load runner.
+// TestFacadeUpdateChurn exercises the dynamic-network facade: a dynamic
+// deployment's update manager, explicit Apply + live Swap, a session
+// answering on the new version, and the churn load run.
 func TestFacadeUpdateChurn(t *testing.T) {
 	g, err := repro.Generate(400, 550, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := repro.NewServer(repro.NR, g, repro.Params{Regions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := repro.NewUpdateManager(g, srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := repro.NewStation(srv, repro.StationConfig{})
+	d, err := repro.Deploy(g, repro.WithParams(repro.Params{Regions: 8}), repro.WithLive(repro.StationConfig{}),
+		repro.WithUpdates(repro.UpdateConfig{Batches: 2, Interval: 2 * time.Millisecond, Mode: repro.UpdateIncrease}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := st.Start(ctx); err != nil {
+	if err := d.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer st.Stop()
+	defer d.Close()
+	mgr, st := d.Manager(), d.Station()
 
 	// An explicit manual update: apply one weight change, swap the station,
 	// and answer a query on the new version.
@@ -172,13 +165,11 @@ func TestFacadeUpdateChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-swapped
-	sub, err := st.Subscribe(0, 1)
+	sess, err := d.Session(ctx, repro.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuner := repro.NewFeedTuner(sub, sub.Start())
-	res, err := srv.NewClient().Query(tuner, repro.QueryFor(b.Graph, 3, 77))
-	sub.Close()
+	res, err := sess.Query(ctx, 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,20 +178,15 @@ func TestFacadeUpdateChurn(t *testing.T) {
 		t.Fatalf("post-swap answer %v, want %v", res.Dist, want)
 	}
 
-	// The churn load runner on top of the same station and manager.
-	cres, err := repro.RunFleetChurn(ctx, st, mgr, g, repro.ChurnOptions{
-		Fleet:    repro.FleetOptions{Clients: 8, Queries: 64, Loss: 0.03, Seed: 8},
-		Batches:  2,
-		Interval: 2 * time.Millisecond,
-		Mode:     repro.UpdateIncrease,
-	})
+	// The churn load run on top of the same station and manager.
+	rep, err := d.RunFleet(ctx, repro.FleetOptions{Clients: 8, Queries: 64, Loss: 0.03, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cres.Errors != 0 || cres.Agg.N != 64 {
-		t.Fatalf("churn errors %d answered %d", cres.Errors, cres.Agg.N)
+	if rep.Errors != 0 || rep.Agg.N != 64 {
+		t.Fatalf("churn errors %d answered %d", rep.Errors, rep.Agg.N)
 	}
-	if cres.Versions < 1 {
-		t.Fatalf("versions %d after churn", cres.Versions)
+	if rep.Churn.Versions < 1 {
+		t.Fatalf("versions %d after churn", rep.Churn.Versions)
 	}
 }

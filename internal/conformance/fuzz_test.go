@@ -7,13 +7,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/baseline/arcflag"
-	"repro/internal/baseline/djair"
-	"repro/internal/baseline/hiti"
-	"repro/internal/baseline/landmark"
-	"repro/internal/baseline/spq"
 	"repro/internal/broadcast"
-	"repro/internal/core"
+	"repro/internal/build"
 	"repro/internal/graph"
 	"repro/internal/multichannel"
 	"repro/internal/netgen"
@@ -24,67 +19,44 @@ import (
 
 // fuzzSchemes enumerates every scheme kind the fuzzer drives; the index is
 // part of the fuzz input.
-var fuzzSchemes = []string{"DJ", "NR", "EB", "AF", "LD", "SPQ", "HiTi"}
-
-// buildFuzzServer constructs one scheme server over g; regionsPow picks the
-// partition granularity where applicable.
-func buildFuzzServer(name string, g *graph.Graph, regionsPow int) (scheme.Server, error) {
-	regions := 4 << (uint(regionsPow) % 3) // 4, 8, 16
-	switch name {
-	case "DJ":
-		return djair.New(g), nil
-	case "NR":
-		return core.NewNR(g, core.Options{Regions: regions, Segments: true, SquareCells: true})
-	case "EB":
-		return core.NewEB(g, core.Options{Regions: regions, Segments: true, SquareCells: true})
-	case "AF":
-		return arcflag.New(g, arcflag.Options{Regions: regions})
-	case "LD":
-		return landmark.New(g, landmark.Options{})
-	case "SPQ":
-		return spq.New(g)
-	case "HiTi":
-		return hiti.New(g, hiti.Options{Depth: 2})
-	}
-	return nil, fmt.Errorf("unknown scheme %q", name)
-}
+var fuzzSchemes = []build.Method{build.DJ, build.NR, build.EB, build.AF, build.LD, build.SPQ, build.HiTi}
 
 // errDisconnected marks generated networks the fuzzer must skip; the shared
 // cache remembers it per key, so revisits skip without regenerating.
 var errDisconnected = errors.New("generator produced a disconnected network")
 
-// fuzzServer memoizes built servers in the shared server/cycle cache
-// (internal/servercache): pre-computation dominates a fuzz execution, and
-// the fuzzer revisits (network, scheme) pairs constantly. Concurrent fuzz
-// workers building the same key block on one build instead of duplicating
-// it.
-func fuzzServer(name string, nodes, edges int, genSeed int64, regionsPow int) (scheme.Server, *graph.Graph, error) {
-	type built struct {
-		srv scheme.Server
-		g   *graph.Graph
-	}
-	b, err := servercache.Get(servercache.Key{
-		Network: fmt.Sprintf("fuzz-n%d-e%d-s%d", nodes, edges, genSeed),
-		Scheme:  name,
-		Params:  fmt.Sprintf("rp=%d", regionsPow),
-	}, func() (built, error) {
+// fuzzKey names the build of one scheme on one generated network;
+// regionsPow picks the partition granularity where applicable. The update
+// fuzzer hands the same key to its manager, so version builds file next to
+// the base build.
+func fuzzKey(m build.Method, nodes, edges int, genSeed int64, regionsPow int) (*servercache.Key, build.Params) {
+	p := build.Params{Regions: 4 << (uint(regionsPow) % 3), HiTiDepth: 2} // 4, 8, 16 regions
+	return build.Key(fmt.Sprintf("fuzz-n%d-e%d-s%d", nodes, edges, genSeed), m, p, nil), p
+}
+
+// fuzzServer builds through the one production build path (internal/build),
+// memoized in the shared server/cycle cache: pre-computation dominates a
+// fuzz execution, and the fuzzer revisits (network, scheme) pairs
+// constantly. Concurrent fuzz workers building the same key block on one
+// build instead of duplicating it, and EB and NR on one network share one
+// pre-computation.
+func fuzzServer(m build.Method, nodes, edges int, genSeed int64, regionsPow int) (scheme.Server, *graph.Graph, error) {
+	key, p := fuzzKey(m, nodes, edges, genSeed, regionsPow)
+	g, err := servercache.Get(servercache.Key{Network: key.Network, Scheme: "graph"}, func() (*graph.Graph, error) {
 		g, err := netgen.Generate(nodes, edges, genSeed)
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
 		if err := g.CheckStronglyConnected(); err != nil {
-			return built{}, errDisconnected
+			return nil, errDisconnected
 		}
-		srv, err := buildFuzzServer(name, g, regionsPow)
-		if err != nil {
-			return built{}, err
-		}
-		return built{srv, g}, nil
+		return g, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return b.srv, b.g, nil
+	srv, err := build.Server(build.Request{Graph: g, Method: m, Params: p, Key: key})
+	return srv, g, err
 }
 
 // FuzzConformance is the property test behind the whole scheme matrix:

@@ -8,17 +8,17 @@ import (
 	"testing"
 
 	"repro/internal/broadcast"
+	"repro/internal/build"
 	"repro/internal/graph"
 	"repro/internal/multichannel"
 	"repro/internal/scheme"
-	"repro/internal/servercache"
 	"repro/internal/spath"
 	"repro/internal/update"
 )
 
 // fuzzUpdateSchemes are the rebuild-capable schemes the update fuzzer
-// drives (update.RebuilderFor supports them natively).
-var fuzzUpdateSchemes = []string{"NR", "EB", "DJ"}
+// drives (the ones build.Reweighs reports).
+var fuzzUpdateSchemes = []build.Method{build.NR, build.EB, build.DJ}
 
 // FuzzUpdateConformance is the dynamic-network property test: ANY sequence
 // of random edge-weight mutations (increases, decreases, no-ops, mixed),
@@ -61,13 +61,8 @@ func FuzzUpdateConformance(f *testing.F) {
 		// The manager caches every version's rebuild under the update
 		// sequence's signature, so fuzz re-executions of a (network, scheme,
 		// sequence) triple share builds.
-		mgr, err := update.NewManager(g, srv, update.Config{
-			Cache: &servercache.Key{
-				Network: fmt.Sprintf("fuzz-n%d-e%d-s%d", nodes, edges, genSeed),
-				Scheme:  name,
-				Params:  fmt.Sprintf("rp=%d", regionsPow),
-			},
-		})
+		key, _ := fuzzKey(name, nodes, edges, genSeed, regionsPow)
+		mgr, err := update.NewManager(g, srv, update.Config{Cache: key})
 		if err != nil {
 			t.Fatalf("manager: %v", err)
 		}

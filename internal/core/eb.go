@@ -48,99 +48,32 @@ func DefaultOptions() Options {
 // network with a kd-tree, pre-computes the min/max inter-region distance
 // matrix over border-node shortest paths, and assembles a (1,m)-interleaved
 // broadcast cycle whose index copies sit between region data segments.
-type EB struct {
-	opts    Options
-	g       *graph.Graph
-	kd      *partition.KDTree
-	regions *precompute.Regions
-	border  *precompute.BorderData
-	cycle   *broadcast.Cycle
-	pre     time.Duration
-}
+type EB struct{ base }
 
 // NewEB builds the EB server for g.
 func NewEB(g *graph.Graph, opts Options) (*EB, error) {
-	kd, err := partition.NewKDTree(g, opts.Regions)
+	kd, regions, border, err := precomputeFor(g, opts.Regions)
 	if err != nil {
 		return nil, fmt.Errorf("core: EB: %w", err)
 	}
-	regions := precompute.BuildRegions(g, kd)
-	border := precompute.Compute(g, regions)
-	e := &EB{opts: opts, g: g, kd: kd, regions: regions, border: border, pre: border.Elapsed}
-	e.cycle = e.assemble(kd)
-	return e, nil
+	return NewEBShared(g, kd, regions, border, opts), nil
 }
 
 // NewEBShared builds an EB server reusing pre-computed border data, so
 // experiments comparing EB and NR (which share pre-computation per the
 // paper) pay for it once.
 func NewEBShared(g *graph.Graph, kd *partition.KDTree, regions *precompute.Regions, border *precompute.BorderData, opts Options) *EB {
-	e := &EB{opts: opts, g: g, kd: kd, regions: regions, border: border, pre: border.Elapsed}
-	e.cycle = e.assemble(kd)
+	return newEB(base{name: "EB", opts: opts, g: g, kd: kd, regions: regions, border: border})
+}
+
+// newEB finishes b into an EB server, assembling the cycle it lacks.
+func newEB(b base) *EB {
+	e := &EB{b}
+	if e.cycle == nil {
+		e.cycle = e.assemble()
+	}
 	return e
 }
-
-// NewEBFromCycle wraps an already-assembled cycle — typically decoded from
-// a disk-cache entry whose payload is mmap'd — as an EB server, skipping
-// assembly: the warm-restart path. The caller vouches that cycle was built
-// from exactly (g, kd, regions, border, opts); pre is charged from the
-// border data, which records the pre-computation the cycle embodies.
-func NewEBFromCycle(g *graph.Graph, kd *partition.KDTree, regions *precompute.Regions, border *precompute.BorderData, opts Options, cycle *broadcast.Cycle) *EB {
-	return &EB{opts: opts, g: g, kd: kd, regions: regions, border: border, pre: border.Elapsed, cycle: cycle}
-}
-
-// RebuildFromCycle is the warm variant of Rebuild: the border data and the
-// assembled cycle for the weight-mutated network g2 were already computed
-// (by a previous process run, loaded from the disk cache), so only the
-// topology check runs. The caller vouches border and cycle belong to g2
-// under this server's partition and options.
-func (e *EB) RebuildFromCycle(g2 *graph.Graph, border *precompute.BorderData, cycle *broadcast.Cycle) (*EB, error) {
-	if err := rebuildable(e.g, g2); err != nil {
-		return nil, fmt.Errorf("core: EB: %w", err)
-	}
-	return NewEBFromCycle(g2, e.kd, e.regions, border, e.opts, cycle), nil
-}
-
-// Rebuild builds a new EB server broadcasting the same road network with
-// mutated arc weights (internal/update's cycle rebuild entry point). The
-// kd-tree partition and the region/border structure are functions of
-// coordinates and topology only — both unchanged under a weight-only
-// mutation — so they are reused; the border shortest-path pre-computation
-// reruns on the new weights across all cores, and the cycle is assembled
-// exactly as a fresh build would: byte-identical to NewEB(g2, opts).
-func (e *EB) Rebuild(g2 *graph.Graph) (*EB, error) {
-	if err := rebuildable(e.g, g2); err != nil {
-		return nil, fmt.Errorf("core: EB: %w", err)
-	}
-	border := precompute.Compute(g2, e.regions)
-	return NewEBShared(g2, e.kd, e.regions, border, e.opts), nil
-}
-
-// rebuildable checks that g2 is a weight-only mutation of g: identical
-// nodes and arcs, possibly different weights. Anything else needs a full
-// server rebuild from scratch — the reused partition and region structure
-// would silently describe the wrong network.
-func rebuildable(g, g2 *graph.Graph) error {
-	if !g.SameTopology(g2) {
-		return fmt.Errorf("rebuild requires an identical topology (weight-only mutation, e.g. graph.WithWeights)")
-	}
-	return nil
-}
-
-// Name implements scheme.Server.
-func (e *EB) Name() string { return "EB" }
-
-// Cycle implements scheme.Server.
-func (e *EB) Cycle() *broadcast.Cycle { return e.cycle }
-
-// PrecomputeTime implements scheme.Server.
-func (e *EB) PrecomputeTime() time.Duration { return e.pre }
-
-// Regions exposes the region structure (examples and the harness use it).
-func (e *EB) Regions() *precompute.Regions { return e.regions }
-
-// Border exposes the pre-computed border data.
-func (e *EB) Border() *precompute.BorderData { return e.border }
 
 // regionSegments orders each region's nodes (cross-border first when
 // segmentation is on) and returns per-region (cross, local) packet slices.
@@ -256,7 +189,7 @@ func planEB(g *graph.Graph, kd *partition.KDTree, border *precompute.BorderData,
 	return &ebPlan{layout: layout, idx: idx, offs: offs, idxStarts: idxStarts, total: pos}
 }
 
-func (e *EB) assemble(kd *partition.KDTree) *broadcast.Cycle {
+func (e *EB) assemble() *broadcast.Cycle {
 	n := e.regions.N
 	cross, local := regionSegments(e.g, e.regions, e.border, e.opts.Segments, e.opts.POI)
 	crossN := make([]int, n)
@@ -264,7 +197,7 @@ func (e *EB) assemble(kd *partition.KDTree) *broadcast.Cycle {
 	for r := 0; r < n; r++ {
 		crossN[r], localN[r] = len(cross[r]), len(local[r])
 	}
-	plan := planEB(e.g, kd, e.border, e.opts, crossN, localN)
+	plan := planEB(e.g, e.kd, e.border, e.opts, crossN, localN)
 
 	asm := broadcast.NewAssembler()
 	for _, it := range plan.layout {

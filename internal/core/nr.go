@@ -23,87 +23,33 @@ import (
 // for a shortest path from region i to region j. The client follows these
 // pointers region to region and never receives indexing information it does
 // not need.
-type NR struct {
-	opts    Options
-	g       *graph.Graph
-	kd      *partition.KDTree
-	regions *precompute.Regions
-	border  *precompute.BorderData
-	cycle   *broadcast.Cycle
-	pre     time.Duration
-}
+type NR struct{ base }
 
 // NewNR builds the NR server for g.
 func NewNR(g *graph.Graph, opts Options) (*NR, error) {
-	kd, err := partition.NewKDTree(g, opts.Regions)
+	kd, regions, border, err := precomputeFor(g, opts.Regions)
 	if err != nil {
 		return nil, fmt.Errorf("core: NR: %w", err)
 	}
-	regions := precompute.BuildRegions(g, kd)
-	border := precompute.Compute(g, regions)
-	return newNRShared(g, kd, regions, border, opts)
+	return NewNRShared(g, kd, regions, border, opts)
 }
 
 // NewNRShared builds an NR server reusing pre-computed border data.
 func NewNRShared(g *graph.Graph, kd *partition.KDTree, regions *precompute.Regions, border *precompute.BorderData, opts Options) (*NR, error) {
-	return newNRShared(g, kd, regions, border, opts)
+	return newNR(base{name: "NR", opts: opts, g: g, kd: kd, regions: regions, border: border})
 }
 
-func newNRShared(g *graph.Graph, kd *partition.KDTree, regions *precompute.Regions, border *precompute.BorderData, opts Options) (*NR, error) {
-	if regions.N > 256 {
-		return nil, fmt.Errorf("core: NR local indexes encode next-region cells as one byte; %d regions exceed 256", regions.N)
+// newNR finishes b into an NR server, assembling the cycle it lacks.
+func newNR(b base) (*NR, error) {
+	if b.regions.N > 256 {
+		return nil, fmt.Errorf("core: NR local indexes encode next-region cells as one byte; %d regions exceed 256", b.regions.N)
 	}
-	s := &NR{opts: opts, g: g, kd: kd, regions: regions, border: border, pre: border.Elapsed}
-	s.cycle = s.assemble(kd)
+	s := &NR{b}
+	if s.cycle == nil {
+		s.cycle = s.assemble()
+	}
 	return s, nil
 }
-
-// NewNRFromCycle wraps an already-assembled cycle — typically decoded from
-// a disk-cache entry whose payload is mmap'd — as an NR server, skipping
-// assembly: the warm-restart path. The caller vouches that cycle was built
-// from exactly (g, kd, regions, border, opts).
-func NewNRFromCycle(g *graph.Graph, kd *partition.KDTree, regions *precompute.Regions, border *precompute.BorderData, opts Options, cycle *broadcast.Cycle) *NR {
-	return &NR{opts: opts, g: g, kd: kd, regions: regions, border: border, pre: border.Elapsed, cycle: cycle}
-}
-
-// RebuildFromCycle is the warm variant of Rebuild: border data and cycle
-// for the weight-mutated network g2 come from the disk cache instead of
-// recomputation. The caller vouches they belong to g2 under this server's
-// partition and options.
-func (s *NR) RebuildFromCycle(g2 *graph.Graph, border *precompute.BorderData, cycle *broadcast.Cycle) (*NR, error) {
-	if err := rebuildable(s.g, g2); err != nil {
-		return nil, fmt.Errorf("core: NR: %w", err)
-	}
-	return NewNRFromCycle(g2, s.kd, s.regions, border, s.opts, cycle), nil
-}
-
-// Rebuild builds a new NR server broadcasting the same road network with
-// mutated arc weights, reusing the kd partition and region structure (pure
-// functions of coordinates and topology) and re-running the parallel border
-// pre-computation on the new weights. The result is byte-identical to
-// NewNR(g2, opts) — internal/update's determinism tests pin it.
-func (s *NR) Rebuild(g2 *graph.Graph) (*NR, error) {
-	if err := rebuildable(s.g, g2); err != nil {
-		return nil, fmt.Errorf("core: NR: %w", err)
-	}
-	border := precompute.Compute(g2, s.regions)
-	return newNRShared(g2, s.kd, s.regions, border, s.opts)
-}
-
-// Name implements scheme.Server.
-func (s *NR) Name() string { return "NR" }
-
-// Cycle implements scheme.Server.
-func (s *NR) Cycle() *broadcast.Cycle { return s.cycle }
-
-// PrecomputeTime implements scheme.Server.
-func (s *NR) PrecomputeTime() time.Duration { return s.pre }
-
-// Regions exposes the region structure.
-func (s *NR) Regions() *precompute.Regions { return s.regions }
-
-// Border exposes the pre-computed border data.
-func (s *NR) Border() *precompute.BorderData { return s.border }
 
 // needSets materializes NEED(i,j) — the regions required for an i->j query —
 // for all pairs.
@@ -130,7 +76,7 @@ func nextNeeded(need precompute.RegionSet, m, n int) int {
 	return m // unreachable: NEED always contains i and j
 }
 
-func (s *NR) assemble(kd *partition.KDTree) *broadcast.Cycle {
+func (s *NR) assemble() *broadcast.Cycle {
 	n := s.regions.N
 	cross, local := regionSegments(s.g, s.regions, s.border, s.opts.Segments, s.opts.POI)
 	need := s.needSets()
@@ -144,7 +90,7 @@ func (s *NR) assemble(kd *partition.KDTree) *broadcast.Cycle {
 			}
 		}
 		var recs []airidx.Rec
-		recs = append(recs, airidx.KDSplitRecords(kd.Splits())...)
+		recs = append(recs, airidx.KDSplitRecords(s.kd.Splits())...)
 		recs = append(recs, airidx.OffsetRecords(offs, true)...)
 		recs = append(recs, airidx.NRRowRecords(next)...)
 		return airidx.PackIndex(recs, s.g.NumNodes(), n, uint16(m))

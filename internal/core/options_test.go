@@ -131,7 +131,7 @@ func TestNRNeverExceedsEBRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd := eb.Border()
+	bd := eb.border
 	reg := eb.Regions()
 	n := reg.N
 	for i := 0; i < n; i++ {

@@ -79,9 +79,9 @@ func TestStreamEBCycleBitIdentical(t *testing.T) {
 	}
 }
 
-// TestNewEBFromCycle: a server rebuilt around a decoded cycle answers
+// TestNewSharedWrapsCycle: a server rebuilt around a decoded cycle answers
 // queries exactly like the server that assembled it.
-func TestNewEBFromCycle(t *testing.T) {
+func TestNewSharedWrapsCycle(t *testing.T) {
 	g, err := netgen.Generate(400, 460, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,13 @@ func TestNewEBFromCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := NewEBFromCycle(g, kd, regions, border, opts, cyc)
+	warm, err := NewShared("EB", g, kd, regions, border, opts, cyc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Cycle() != cyc {
+		t.Fatal("the loaded cycle was re-assembled, not wrapped")
+	}
 	sameCycle(t, cold.Cycle(), warm.Cycle())
 	if warm.PrecomputeTime() != border.Elapsed {
 		t.Fatalf("warm server precompute time %v, want %v", warm.PrecomputeTime(), border.Elapsed)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/broadcast"
+	"repro/internal/build"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/graph"
@@ -44,10 +45,6 @@ import (
 // churn defaults of internal/fleet (4 batches of 25 updates, 10ms apart,
 // mixed mode, fleet seed + 1).
 type UpdateConfig struct {
-	// Rebuild overrides how the scheme server is rebuilt over a mutated
-	// network; nil derives the native rebuilder from the server's type
-	// (EB, NR and DJ rebuild natively).
-	Rebuild func(*graph.Graph) (scheme.Server, error)
 	// Batches, BatchSize, Interval, Mode and Seed parameterize the
 	// synthetic weight-update feed a RunFleet on this deployment applies.
 	Batches   int
@@ -158,6 +155,7 @@ type Deployment struct {
 	lossSeed int64
 	live     bool
 	remote   string
+	cacheNet string // WithCache network name; "" when unkeyed
 	upd      *UpdateConfig
 	mgr      *update.Manager // dynamic (WithUpdates)
 
@@ -230,9 +228,14 @@ func Deploy(g *graph.Graph, opts ...Option) (*Deployment, error) {
 
 	d := &Deployment{
 		g: g, method: c.method, channels: c.channels, loss: c.loss, lossSeed: c.lossSeed,
-		live: c.live, remote: c.remote, upd: c.upd,
+		live: c.live, remote: c.remote, cacheNet: c.cacheNet, upd: c.upd,
 	}
-	if err := d.buildServer(&c); err != nil {
+	req := build.Request{Graph: g, Method: c.method, Params: c.params, POI: c.poi}
+	if c.cacheNet != "" {
+		req.Key = build.Key(c.cacheNet, c.method, c.params, c.poi)
+	}
+	var err error
+	if d.srv, err = build.Server(req); err != nil {
 		return nil, err
 	}
 	if eb, ok := d.srv.(*core.EB); ok && c.poi != nil {
@@ -240,14 +243,13 @@ func Deploy(g *graph.Graph, opts ...Option) (*Deployment, error) {
 	}
 	cycle := d.srv.Cycle()
 	if c.upd != nil {
-		mgr, err := update.NewManager(g, d.srv, update.Config{Rebuild: c.upd.Rebuild})
+		mgr, err := update.NewManager(g, d.srv, update.Config{})
 		if err != nil {
 			return nil, err
 		}
 		d.mgr = mgr
 		cycle = mgr.Cycle() // version 0: the server's own cycle, bit-identical
 	}
-	var err error
 	if d.air, err = newTransport(&c, cycle); err != nil {
 		return nil, err
 	}
@@ -287,63 +289,6 @@ func newTransport(c *config, cycle *broadcast.Cycle) (transport.Transport, error
 	default:
 		return transport.NewOffline(cycle, c.loss, c.lossSeed)
 	}
-}
-
-// buildServer resolves the scheme server: cached or built.
-func (d *Deployment) buildServer(c *config) error {
-	build := func() (scheme.Server, error) {
-		if c.poi != nil {
-			opts := c.params.CoreOptions()
-			opts.POI = c.poi
-			return core.NewEB(d.g, opts)
-		}
-		return NewServer(c.method, d.g, c.params)
-	}
-	if c.cacheNet == "" {
-		srv, err := build()
-		d.srv = srv
-		return err
-	}
-	key := servercache.Key{
-		Network: c.cacheNet,
-		Scheme:  string(c.method),
-		Params:  c.params.sig() + poiSig(c.poi),
-	}
-	// With a disk tier attached, a keyed miss first tries the persisted
-	// artifacts (warm restart) and persists what a cold build produced.
-	coreOpts := c.params.CoreOptions()
-	coreOpts.POI = c.poi
-	tiered := func() (scheme.Server, error) {
-		if srv, ok := warmServer(key, c.method, d.g, coreOpts); ok {
-			return srv, nil
-		}
-		srv, err := build()
-		if err == nil {
-			persistServer(key, srv)
-		}
-		return srv, err
-	}
-	srv, err := servercache.Get(key, tiered)
-	d.srv = srv
-	return err
-}
-
-// poiSig folds the POI flags into a cache key component (FNV-1a over the
-// bits); two deployments caching under one network name but different POI
-// sets must not share a build.
-func poiSig(poi []bool) string {
-	if poi == nil {
-		return ""
-	}
-	h := uint64(1469598103934665603)
-	for _, b := range poi {
-		bit := uint64(0)
-		if b {
-			bit = 1
-		}
-		h = (h ^ bit) * 1099511628211
-	}
-	return fmt.Sprintf(" poi=%016x", h)
 }
 
 // Graph returns the road network the deployment was built from. On a
@@ -468,7 +413,7 @@ func (d *Deployment) RunFleet(ctx context.Context, opts fleet.Options) (RunRepor
 	if err := d.Start(ctx); err != nil {
 		return RunReport{}, err
 	}
-	w := WorkloadFor(d.g, opts, d.Len())
+	w := d.Workload(opts)
 	target := fleet.Target{
 		Method: d.srv.Name(), Rate: d.Rate(), Version: d.air.Version(),
 		Open: func(id int, seed int64) (fleet.Session, error) {
@@ -530,12 +475,15 @@ func (d *Deployment) ServeWire(ctx context.Context, addr string, opts ...wire.Br
 	return wire.NewBroadcaster(addr, st, bo)
 }
 
-// WorkloadFor generates the verified query pool a fleet run answers.
-// Reference distances cost one Dijkstra each, so with PoolSize unset the
-// distinct pool is capped at fleet.DefaultPoolSize (the paper's 400-query
-// workload) and entries are reused round-robin for larger query counts —
-// logged when the cap engages, and reported in Result.Pool.
-func WorkloadFor(g *graph.Graph, opts fleet.Options, cycleLen int) *workload.Workload {
+// Workload returns the verified query pool a fleet run with opts answers on
+// this deployment. Reference distances cost one Dijkstra each, so with
+// PoolSize unset the distinct pool is capped at fleet.DefaultPoolSize (the
+// paper's 400-query workload) and entries are reused round-robin for larger
+// query counts — logged when the cap engages, and reported in Result.Pool.
+// The pool is a build artifact like any other: a WithCache-keyed deployment
+// generates each (network, pool, cycle length, seed) once, however often
+// RunFleet is called; an unkeyed deployment generates it per call.
+func (d *Deployment) Workload(opts fleet.Options) *workload.Workload {
 	n := opts.Queries
 	if n <= 0 {
 		n = fleet.DefaultPoolSize
@@ -548,5 +496,18 @@ func WorkloadFor(g *graph.Graph, opts fleet.Options, cycleLen int) *workload.Wor
 				fleet.DefaultPoolSize, n)
 		}
 	}
-	return workload.Generate(g, pool, cycleLen, opts.Seed)
+	cycleLen := d.Len()
+	generate := func() (*workload.Workload, error) {
+		return workload.Generate(d.g, pool, cycleLen, opts.Seed), nil
+	}
+	if d.cacheNet == "" {
+		w, _ := generate()
+		return w
+	}
+	// generate cannot fail, so neither can the Get.
+	w, _ := servercache.Get(servercache.Key{
+		Network: d.cacheNet, Scheme: "workload",
+		Params: fmt.Sprintf("pool=%d len=%d seed=%d", pool, cycleLen, opts.Seed),
+	}, generate)
+	return w
 }

@@ -353,21 +353,46 @@ func TestWithCacheSharesBuilds(t *testing.T) {
 	}
 }
 
+// TestWorkloadForPool covers the fleet workload a deployment hands its
+// runs: how the pool is sized, and that it is a build artifact — a keyed
+// deployment generates a given (pool, cycle length, seed) once however
+// often RunFleet asks, an unkeyed one per call.
 func TestWorkloadForPool(t *testing.T) {
 	g := testGraph(t, 250, 330, 4)
+	d, err := deploy.Deploy(g, deploy.WithParams(deploy.Params{Regions: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Default: capped at the paper's workload size.
-	w := deploy.WorkloadFor(g, fleet.Options{Queries: 1000}, 500)
-	if len(w.Queries) != fleet.DefaultPoolSize {
+	if w := d.Workload(fleet.Options{Queries: 1000}); len(w.Queries) != fleet.DefaultPoolSize {
 		t.Errorf("default pool %d, want %d", len(w.Queries), fleet.DefaultPoolSize)
 	}
 	// Explicit PoolSize lifts the cap.
-	w = deploy.WorkloadFor(g, fleet.Options{Queries: 1000, PoolSize: 600}, 500)
-	if len(w.Queries) != 600 {
+	if w := d.Workload(fleet.Options{Queries: 1000, PoolSize: 600}); len(w.Queries) != 600 {
 		t.Errorf("explicit pool %d, want 600", len(w.Queries))
 	}
 	// Small runs stay small.
-	w = deploy.WorkloadFor(g, fleet.Options{Queries: 48}, 500)
+	opts := fleet.Options{Queries: 48, Seed: 3}
+	w := d.Workload(opts)
 	if len(w.Queries) != 48 {
 		t.Errorf("small-run pool %d, want 48", len(w.Queries))
+	}
+	if d.Workload(opts) == w {
+		t.Error("unkeyed deployment cached its workload")
+	}
+
+	keyed, err := deploy.Deploy(g, deploy.WithCache("test/250/4"), deploy.WithParams(deploy.Params{Regions: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kw := keyed.Workload(opts)
+	if keyed.Workload(opts) != kw {
+		t.Error("keyed deployment regenerated its workload")
+	}
+	if keyed.Workload(fleet.Options{Queries: 48, Seed: 4}) == kw {
+		t.Error("a different seed shared the cached workload")
+	}
+	if len(kw.Queries) != len(w.Queries) || kw.Queries[0] != w.Queries[0] || kw.Queries[47] != w.Queries[47] {
+		t.Error("keyed and unkeyed deployments generated different workloads for the same inputs")
 	}
 }

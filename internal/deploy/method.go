@@ -1,94 +1,24 @@
 package deploy
 
-import (
-	"fmt"
+import "repro/internal/build"
 
-	"repro/internal/baseline/arcflag"
-	"repro/internal/baseline/djair"
-	"repro/internal/baseline/hiti"
-	"repro/internal/baseline/landmark"
-	"repro/internal/baseline/spq"
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/scheme"
+// Method names an air-index scheme; Params tunes its server. Both live with
+// the one build path (internal/build) and are re-exported for the facade.
+type (
+	Method = build.Method
+	Params = build.Params
 )
-
-// Method names an air-index scheme.
-type Method string
 
 // The seven methods of the paper's evaluation.
 const (
-	EB   Method = "EB"   // Elliptic Boundary (Section 4, the paper's contribution)
-	NR   Method = "NR"   // Next Region (Section 5, the paper's contribution)
-	DJ   Method = "DJ"   // broadcast adaptation of Dijkstra's algorithm
-	AF   Method = "AF"   // broadcast adaptation of ArcFlag
-	LD   Method = "LD"   // broadcast adaptation of Landmark (ALT)
-	SPQ  Method = "SPQ"  // broadcast adaptation of the shortest-path quadtree
-	HiTi Method = "HiTi" // broadcast adaptation of HiTi
+	EB   = build.EB
+	NR   = build.NR
+	DJ   = build.DJ
+	AF   = build.AF
+	LD   = build.LD
+	SPQ  = build.SPQ
+	HiTi = build.HiTi
 )
 
 // Methods lists all implemented methods in the paper's presentation order.
-var Methods = []Method{DJ, NR, EB, LD, AF, SPQ, HiTi}
-
-// Params tunes a method's server. Zero values select the paper's defaults.
-type Params struct {
-	// Regions is the kd-tree partition count for EB, NR (paper: 32) and AF
-	// (paper: 16); power of two.
-	Regions int
-	// Landmarks is LD's anchor count (paper: 4).
-	Landmarks int
-	// HiTiDepth is HiTi's hierarchy depth (leaf grid 2^d x 2^d; default 3).
-	HiTiDepth int
-	// Segments toggles EB/NR's cross-border/local data segmentation
-	// (Section 4.1). Defaults to on.
-	DisableSegments bool
-	// MemoryBound enables EB/NR's client-side super-edge pre-computation
-	// (Section 6.1).
-	MemoryBound bool
-}
-
-// CoreOptions maps the facade parameters onto core's option set.
-func (p Params) CoreOptions() core.Options {
-	regions := p.Regions
-	if regions == 0 {
-		regions = 32
-	}
-	return core.Options{
-		Regions:     regions,
-		Segments:    !p.DisableSegments,
-		SquareCells: true,
-		MemoryBound: p.MemoryBound,
-	}
-}
-
-// sig renders the parameters canonically for a servercache key.
-func (p Params) sig() string {
-	return fmt.Sprintf("regions=%d landmarks=%d hiti=%d seg=%v mb=%v",
-		p.Regions, p.Landmarks, p.HiTiDepth, !p.DisableSegments, p.MemoryBound)
-}
-
-// NewServer builds the named method's server for g.
-func NewServer(m Method, g *graph.Graph, p Params) (scheme.Server, error) {
-	switch m {
-	case EB:
-		return core.NewEB(g, p.CoreOptions())
-	case NR:
-		return core.NewNR(g, p.CoreOptions())
-	case DJ:
-		return djair.New(g), nil
-	case AF:
-		regions := p.Regions
-		if regions == 0 {
-			regions = 16
-		}
-		return arcflag.New(g, arcflag.Options{Regions: regions})
-	case LD:
-		return landmark.New(g, landmark.Options{Landmarks: p.Landmarks})
-	case SPQ:
-		return spq.New(g)
-	case HiTi:
-		return hiti.New(g, hiti.Options{Depth: p.HiTiDepth})
-	default:
-		return nil, fmt.Errorf("repro: unknown method %q", m)
-	}
-}
+var Methods = build.Methods

@@ -6,13 +6,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/build"
 	"repro/internal/deploy"
 	"repro/internal/fleet"
-	"repro/internal/graph"
 	"repro/internal/multichannel"
 	"repro/internal/netgen"
-	"repro/internal/servercache"
 	"repro/internal/station"
 	"repro/internal/workload"
 )
@@ -23,33 +21,23 @@ import (
 
 // benchSetup builds the standard bench fixture: a deployment of the germany
 // preset at a bench-friendly scale with an NR server, in the given shape
-// (default: the offline single channel), and a 40-query workload. Graph,
+// (default: the offline single channel), and its 40-query workload. Graph,
 // build and workload go through the shared server cache — the three micro
 // benches measure the serving path, not the build, so they share one cycle
 // like any other cache consumer.
 func benchSetup(scale float64, regions int, shape ...deploy.Option) (*deploy.Deployment, *workload.Workload, error) {
-	net := fmt.Sprintf("germany@%g#2010", scale)
-	g, err := servercache.Get(servercache.Key{Network: net, Scheme: "graph"}, func() (*graph.Graph, error) {
-		p, err := netgen.PresetByName("germany")
-		if err != nil {
-			return nil, err
-		}
-		return p.Scaled(scale).Generate(2010)
-	})
+	cfg := Config{Preset: "germany", Scale: scale, Seed: 2010}
+	g, _, err := cfg.network(cfg.Preset)
 	if err != nil {
 		return nil, nil, err
 	}
 	d, err := deploy.Deploy(g, append([]deploy.Option{
-		deploy.WithMethod(deploy.NR), deploy.WithParams(deploy.Params{Regions: regions}), deploy.WithCache(net),
+		deploy.WithMethod(deploy.NR), deploy.WithParams(deploy.Params{Regions: regions}), deploy.WithCache(cfg.netKey(cfg.Preset)),
 	}, shape...)...)
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := servercache.Get(servercache.Key{Network: net, Scheme: "bench-workload", Params: fmt.Sprintf("r=%d", regions)},
-		func() (*workload.Workload, error) {
-			return workload.Generate(g, 40, d.Server().Cycle().Len(), 2010), nil
-		})
-	return d, w, err
+	return d, d.Workload(fleet.Options{Queries: 40, Seed: 2010}), nil
 }
 
 // BenchTunerHop measures one channel-hopping query end to end on a
@@ -179,15 +167,11 @@ func LatencyVsK(cfg Config) ([]LatencyVsKRow, error) {
 	const loss = 0.15
 	for _, p := range netgen.Presets {
 		preset := p.Name
-		g, err := p.Scaled(cfg.Scale).Generate(cfg.Seed)
+		g, _, err := cfg.network(preset)
 		if err != nil {
 			return nil, err
 		}
-		regions := cfg.Regions
-		if regions == 0 {
-			regions = autoRegions(g.NumNodes())
-		}
-		srv, err := core.NewNR(g, core.Options{Regions: regions, Segments: true, SquareCells: true})
+		srv, err := cfg.server(g, preset, build.NR, cfg.params(g, build.NR), nil)
 		if err != nil {
 			return nil, err
 		}

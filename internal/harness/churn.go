@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/deploy"
 	"repro/internal/fleet"
-	"repro/internal/netgen"
 	"repro/internal/station"
 )
 
@@ -41,17 +40,9 @@ type ChurnRow struct {
 // and their latency penalty against version-clean queries on the same air.
 func Churn(cfg Config) ([]ChurnRow, error) {
 	cfg = cfg.Defaults()
-	p, err := netgen.PresetByName(cfg.Preset)
+	g, _, err := cfg.network(cfg.Preset)
 	if err != nil {
 		return nil, err
-	}
-	g, err := p.Scaled(cfg.Scale).Generate(cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	regions := cfg.Regions
-	if regions == 0 {
-		regions = autoRegions(g.NumNodes())
 	}
 	fmt.Fprintf(cfg.Out, "Update churn — %s x%.2g (%d nodes), NR, %d clients, loss 5%%\n",
 		cfg.Preset, cfg.Scale, g.NumNodes(), 16)
@@ -65,7 +56,7 @@ func Churn(cfg Config) ([]ChurnRow, error) {
 		// rebuilding it per interval would only repeat the border
 		// pre-computation.
 		d, err := deploy.Deploy(g,
-			deploy.WithMethod(deploy.NR), deploy.WithParams(deploy.Params{Regions: regions}),
+			deploy.WithMethod(deploy.NR), deploy.WithParams(cfg.params(g, deploy.NR)),
 			deploy.WithCache(cfg.netKey(cfg.Preset)), deploy.WithLive(station.Config{}),
 			deploy.WithUpdates(deploy.UpdateConfig{Batches: 6, BatchSize: 25, Interval: interval}))
 		if err != nil {

@@ -1,9 +1,10 @@
 package harness
 
 import (
+	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/build"
 	"repro/internal/metrics"
 	"repro/internal/netgen"
 	"repro/internal/scheme"
@@ -78,7 +79,7 @@ func Figure10(cfg Config) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	servers, err := cfg.buildAll(g)
+	servers, err := cfg.servers(g, p.Name, ComparableOrder)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +91,7 @@ func Figure10(cfg Config) (*Figure, error) {
 	}
 	for b := 0; b < workload.Buckets; b++ {
 		r := w.BucketLabel(b)
-		fig.X = append(fig.X, fmtRange(r[0], r[1]))
+		fig.X = append(fig.X, fmt.Sprintf("%.1fk-%.1fk", r[0]/1000, r[1]/1000))
 	}
 	for _, name := range ComparableOrder {
 		mr, err := runWorkload(servers[name], w, 0, cfg.Seed)
@@ -122,50 +123,44 @@ func Figure11(cfg Config) (*Figure, error) {
 		X:      []string{"16/2", "32/4", "64/8", "128/16"},
 	}
 
-	dj := mustServers(cfg, g, "DJ")
-	w := workload.Generate(g, cfg.Queries, dj["DJ"].Cycle().Len(), cfg.Seed+2)
+	dj, err := cfg.server(g, p.Name, build.DJ, build.Params{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	w := workload.Generate(g, cfg.Queries, dj.Cycle().Len(), cfg.Seed+2)
 
 	var ebAggs, nrAggs, ldAggs, afAggs, djAggs []metrics.Agg
 	for i, regions := range regionSteps {
-		bundle, err := buildCore(cfg, g, regions, core.Options{Segments: true, SquareCells: true})
-		if err != nil {
-			return nil, err
-		}
-		for _, pair := range []struct {
-			srv  scheme.Server
+		var prev scheme.Server
+		for _, step := range []struct {
+			m    build.Method
+			p    build.Params
 			aggs *[]metrics.Agg
-		}{{bundle.EB, &ebAggs}, {bundle.NR, &nrAggs}} {
-			mr, err := runWorkload(pair.srv, w, 0, cfg.Seed)
+		}{
+			{build.EB, build.Params{Regions: regions}, &ebAggs},
+			{build.NR, build.Params{Regions: regions}, &nrAggs},
+			{build.LD, build.Params{Landmarks: markSteps[i]}, &ldAggs},
+			{build.AF, build.Params{Regions: regions}, &afAggs},
+		} {
+			if step.m == build.AF && regions != 16 {
+				continue
+			}
+			srv, err := cfg.server(g, p.Name, step.m, step.p, prev)
 			if err != nil {
 				return nil, err
 			}
-			*pair.aggs = append(*pair.aggs, mr.Agg)
-		}
-		ldSrv, err := buildLandmark(g, markSteps[i])
-		if err != nil {
-			return nil, err
-		}
-		mr, err := runWorkload(ldSrv, w, 0, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		ldAggs = append(ldAggs, mr.Agg)
-		if regions == 16 {
-			afSrv, err := buildArcFlag(g, regions)
+			prev = srv
+			mr, err := runWorkload(srv, w, 0, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			mr, err := runWorkload(afSrv, w, 0, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			afAggs = append(afAggs, mr.Agg)
+			*step.aggs = append(*step.aggs, mr.Agg)
 		}
-		mrDJ, err := runWorkload(dj["DJ"], w, 0, cfg.Seed)
+		mr, err := runWorkload(dj, w, 0, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		djAggs = append(djAggs, mrDJ.Agg)
+		djAggs = append(djAggs, mr.Agg)
 	}
 	fig.Series = append(fig.Series,
 		seriesFromAggs("NR", nrAggs),
@@ -193,7 +188,7 @@ func Figure12(cfg Config) (*Figure, error) {
 			return nil, err
 		}
 		fig.X = append(fig.X, p.Name)
-		servers, err := cfg.buildAll(g)
+		servers, err := cfg.servers(g, p.Name, ComparableOrder)
 		if err != nil {
 			return nil, err
 		}
@@ -243,27 +238,29 @@ func Figure13(cfg Config) (*Figure, error) {
 		XLabel: "variant",
 		X:      []string{"value"},
 	}
-	dj := mustServers(cfg, g, "DJ")
-	w := workload.Generate(g, min(cfg.Queries, 150), dj["DJ"].Cycle().Len(), cfg.Seed+4)
+	dj, err := cfg.server(g, p.Name, build.DJ, build.Params{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	w := workload.Generate(g, min(cfg.Queries, 150), dj.Cycle().Len(), cfg.Seed+4)
+	params := cfg.params(g, build.NR)
+	var srv scheme.Server
 	for _, variant := range []struct {
 		label string
+		m     build.Method
 		mb    bool
 	}{
-		{"NR (w/ precomp)", true},
-		{"NR (w/o precomp)", false},
-		{"EB (w/ precomp)", true},
-		{"EB (w/o precomp)", false},
+		{"NR (w/ precomp)", build.NR, true},
+		{"NR (w/o precomp)", build.NR, false},
+		{"EB (w/ precomp)", build.EB, true},
+		{"EB (w/o precomp)", build.EB, false},
 	} {
-		regions, _ := cfg.regionsFor(g)
-		bundle, err := buildCore(cfg, g, regions, core.Options{
-			Segments: true, SquareCells: true, MemoryBound: variant.mb,
-		})
+		// The four variants differ in assembly and client only: one
+		// pre-computation serves them all.
+		params.MemoryBound = variant.mb
+		srv, err = cfg.server(g, p.Name, variant.m, params, srv)
 		if err != nil {
 			return nil, err
-		}
-		srv := scheme.Server(bundle.NR)
-		if variant.label[:2] == "EB" {
-			srv = bundle.EB
 		}
 		mr, err := runWorkload(srv, w, 0, cfg.Seed)
 		if err != nil {
@@ -283,7 +280,7 @@ func Figure14(cfg Config) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	servers, err := cfg.buildAll(g)
+	servers, err := cfg.servers(g, p.Name, ComparableOrder)
 	if err != nil {
 		return nil, err
 	}

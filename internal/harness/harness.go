@@ -13,22 +13,13 @@ package harness
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
-	"time"
 
-	"repro/internal/baseline/arcflag"
-	"repro/internal/baseline/djair"
-	"repro/internal/baseline/hiti"
-	"repro/internal/baseline/landmark"
-	"repro/internal/baseline/spq"
-	"repro/internal/core"
+	"repro/internal/build"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/netgen"
-	"repro/internal/partition"
-	"repro/internal/precompute"
 	"repro/internal/scheme"
 	"repro/internal/servercache"
 	"repro/internal/transport"
@@ -46,13 +37,11 @@ type Config struct {
 	Queries int
 	// Seed drives network generation, workloads and channel loss.
 	Seed int64
-	// Regions for EB/NR (paper tuning: 32), ArcFlag (16), landmarks (4).
-	Regions     int
-	AFRegions   int
-	Landmarks   int
-	HiTiDepth   int
-	IncludeSlow bool // include SPQ and HiTi where optional
-	Out         io.Writer
+	// Regions is the EB/NR partition count (ArcFlag gets half); 0 fine-tunes
+	// it per network size (autoRegions), as the paper tunes per network. The
+	// other methods build at their paper defaults (4 landmarks, HiTi depth 3).
+	Regions int
+	Out     io.Writer
 	// NoCache disables the shared server/cycle cache (internal/servercache)
 	// for this run. Benchmarks that measure build cost set it; experiment
 	// sweeps leave it off so identical networks and servers build once.
@@ -70,14 +59,6 @@ func (c Config) Defaults() Config {
 	if c.Queries == 0 {
 		c.Queries = 400
 	}
-	// Regions and AFRegions stay 0 here: they are fine-tuned per network
-	// size at build time (autoRegions), as the paper tunes per network.
-	if c.Landmarks == 0 {
-		c.Landmarks = 4
-	}
-	if c.HiTiDepth == 0 {
-		c.HiTiDepth = 3
-	}
 	if c.Out == nil {
 		c.Out = io.Discard
 	}
@@ -86,15 +67,6 @@ func (c Config) Defaults() Config {
 
 func (c Config) printf(format string, args ...any) {
 	fmt.Fprintf(c.Out, format, args...)
-}
-
-// cached memoizes build under key in the shared server cache, or calls it
-// directly when the config opts out.
-func cached[T any](c Config, key servercache.Key, build func() (T, error)) (T, error) {
-	if c.NoCache {
-		return build()
-	}
-	return servercache.Get(key, build)
 }
 
 // netKey canonically names the (preset, scale, seed) network.
@@ -110,8 +82,12 @@ func (c Config) network(preset string) (*graph.Graph, netgen.Preset, error) {
 		return nil, p, err
 	}
 	p = p.Scaled(c.Scale)
-	g, err := cached(c, servercache.Key{Network: c.netKey(preset), Scheme: "graph"},
-		func() (*graph.Graph, error) { return p.Generate(c.Seed) })
+	generate := func() (*graph.Graph, error) { return p.Generate(c.Seed) }
+	if c.NoCache {
+		g, err := generate()
+		return g, p, err
+	}
+	g, err := servercache.Get(servercache.Key{Network: c.netKey(preset), Scheme: "graph"}, generate)
 	return g, p, err
 }
 
@@ -120,59 +96,18 @@ func (c Config) heapBudget() float64 {
 	return float64(metrics.HeapBudgetBytes) * c.Scale
 }
 
-// coreBundle builds EB and NR sharing one pre-computation, as the paper
-// does ("Note that EB and NR have the same cost as they need to pre-compute
-// the exact same shortest paths").
-type coreBundle struct {
-	EB  *core.EB
-	NR  *core.NR
-	Pre time.Duration
-}
-
-// poiKey canonically names a POI mask for cache keys: a content hash, so
-// two masks of equal length but different bits never collide.
-func poiKey(poi []bool) string {
-	if len(poi) == 0 {
-		return "-"
+// server builds one method's server on the preset network g through the
+// one build path, keyed by the network's name so every table, figure and
+// bench fixture naming the same (network, method, params) shares one build.
+// EB and NR share one pre-computation, as in the paper's Table 3: through
+// the cache, or — under NoCache, which keys nothing — by prev, the server
+// built just before on g, lending its own.
+func (c Config) server(g *graph.Graph, preset string, m build.Method, p build.Params, prev scheme.Server) (scheme.Server, error) {
+	r := build.Request{Graph: g, Method: m, Params: p, Prev: prev}
+	if !c.NoCache {
+		r.Key = build.Key(c.netKey(preset), m, p, nil)
 	}
-	h := fnv.New64a()
-	var b [1]byte
-	for _, p := range poi {
-		b[0] = 0
-		if p {
-			b[0] = 1
-		}
-		h.Write(b[:])
-	}
-	return fmt.Sprintf("%d:%x", len(poi), h.Sum64())
-}
-
-// graphKey canonically names a built network for downstream cache keys.
-// Graphs themselves are cached per (preset, scale, seed), so the pointer is
-// a stable identity; a NoCache run bypasses every cache layer anyway.
-func graphKey(g *graph.Graph) string { return fmt.Sprintf("%p", g) }
-
-func buildCore(c Config, g *graph.Graph, regions int, opts core.Options) (*coreBundle, error) {
-	key := servercache.Key{
-		Network: graphKey(g),
-		Scheme:  "core",
-		Params:  fmt.Sprintf("r=%d seg=%v sq=%v mb=%v poi=%s", regions, opts.Segments, opts.SquareCells, opts.MemoryBound, poiKey(opts.POI)),
-	}
-	return cached(c, key, func() (*coreBundle, error) {
-		kd, err := partition.NewKDTree(g, regions)
-		if err != nil {
-			return nil, err
-		}
-		reg := precompute.BuildRegions(g, kd)
-		bd := precompute.Compute(g, reg)
-		opts.Regions = regions
-		eb := core.NewEBShared(g, kd, reg, bd, opts)
-		nr, err := core.NewNRShared(g, kd, reg, bd, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &coreBundle{EB: eb, NR: nr, Pre: bd.Elapsed}, nil
-	})
+	return build.Server(r)
 }
 
 // MethodResult aggregates one method's measurements over a workload.
@@ -221,63 +156,36 @@ func autoRegions(n int) int {
 	return r
 }
 
-// regionsFor resolves the configured or auto-tuned region counts.
-func (c Config) regionsFor(g *graph.Graph) (ebnr, af int) {
-	ebnr, af = c.Regions, c.AFRegions
-	if ebnr == 0 {
-		ebnr = autoRegions(g.NumNodes())
+// params returns method m's paper-tuned build parameters on g.
+func (c Config) params(g *graph.Graph, m build.Method) build.Params {
+	regions := c.Regions
+	if regions == 0 {
+		regions = autoRegions(g.NumNodes())
 	}
-	if af == 0 {
-		af = max(ebnr/2, 8)
+	switch m {
+	case build.EB, build.NR:
+		return build.Params{Regions: regions}
+	case build.AF:
+		return build.Params{Regions: max(regions/2, 8)}
 	}
-	return ebnr, af
+	return build.Params{}
 }
 
-// buildAll constructs the five comparable methods (DJ, NR, EB, LD, AF) on
-// one network, sharing EB/NR pre-computation.
-func (c Config) buildAll(g *graph.Graph) (map[string]scheme.Server, error) {
-	ebnrRegions, afRegions := c.regionsFor(g)
-	bundle, err := buildCore(c, g, ebnrRegions, core.Options{Segments: true, SquareCells: true})
-	if err != nil {
-		return nil, err
+// servers builds the named methods on one network at their tuned parameters.
+// NR and EB are adjacent in both presentation orders, so under NoCache the
+// second borrows the first's pre-computation.
+func (c Config) servers(g *graph.Graph, preset string, names []string) (map[string]scheme.Server, error) {
+	out := map[string]scheme.Server{}
+	var prev scheme.Server
+	for _, name := range names {
+		m := build.Method(name)
+		srv, err := c.server(g, preset, m, c.params(g, m), prev)
+		if err != nil {
+			return nil, err
+		}
+		out[name], prev = srv, srv
 	}
-	af, err := cached(c, servercache.Key{Network: graphKey(g), Scheme: "AF", Params: fmt.Sprintf("r=%d", afRegions)},
-		func() (scheme.Server, error) { return arcflag.New(g, arcflag.Options{Regions: afRegions}) })
-	if err != nil {
-		return nil, err
-	}
-	ld, err := cached(c, servercache.Key{Network: graphKey(g), Scheme: "LD", Params: fmt.Sprintf("l=%d", c.Landmarks)},
-		func() (scheme.Server, error) { return landmark.New(g, landmark.Options{Landmarks: c.Landmarks}) })
-	if err != nil {
-		return nil, err
-	}
-	dj, err := cached(c, servercache.Key{Network: graphKey(g), Scheme: "DJ"},
-		func() (scheme.Server, error) { return djair.New(g), nil })
-	if err != nil {
-		return nil, err
-	}
-	return map[string]scheme.Server{
-		"DJ": dj,
-		"EB": bundle.EB,
-		"NR": bundle.NR,
-		"AF": af,
-		"LD": ld,
-	}, nil
-}
-
-// buildSlow constructs SPQ and HiTi (expensive pre-computation).
-func (c Config) buildSlow(g *graph.Graph) (map[string]scheme.Server, error) {
-	sp, err := cached(c, servercache.Key{Network: graphKey(g), Scheme: "SPQ"},
-		func() (scheme.Server, error) { return spq.New(g) })
-	if err != nil {
-		return nil, err
-	}
-	ht, err := cached(c, servercache.Key{Network: graphKey(g), Scheme: "HiTi", Params: fmt.Sprintf("d=%d", c.HiTiDepth)},
-		func() (scheme.Server, error) { return hiti.New(g, hiti.Options{Depth: c.HiTiDepth}) })
-	if err != nil {
-		return nil, err
-	}
-	return map[string]scheme.Server{"SPQ": sp, "HiTi": ht}, nil
+	return out, nil
 }
 
 // MethodOrder is the presentation order used across tables (paper order).

@@ -28,16 +28,9 @@ func Table1(cfg Config) ([]Table1Row, error) {
 	cfg.printf("Table 1 — broadcast cycle length (%s, %d nodes, %d edges, scale %.2f)\n",
 		p.Name, p.Nodes, p.Edges, cfg.Scale)
 
-	servers, err := cfg.buildAll(g)
+	servers, err := cfg.servers(g, p.Name, MethodOrder)
 	if err != nil {
 		return nil, err
-	}
-	slow, err := cfg.buildSlow(g)
-	if err != nil {
-		return nil, err
-	}
-	for k, v := range slow {
-		servers[k] = v
 	}
 
 	var rows []Table1Row
@@ -91,7 +84,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		servers, err := cfg.buildAll(g)
+		servers, err := cfg.servers(g, p.Name, ComparableOrder)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +138,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		servers, err := cfg.buildAll(g)
+		servers, err := cfg.servers(g, p.Name, ComparableOrder)
 		if err != nil {
 			return nil, err
 		}

@@ -37,9 +37,11 @@ func versionedPlans(t testing.TB, k, n int) []*Plan {
 			if g, err = g.WithWeights(ups); err != nil {
 				t.Fatal(err)
 			}
-			if srv, err = srv.Rebuild(g); err != nil {
+			next, err := srv.Rebuild(g)
+			if err != nil {
 				t.Fatal(err)
 			}
+			srv = next.(*core.NR)
 		}
 		// Stamp a copy: the server's canonical cycle stays untouched.
 		cyc := srv.Cycle()

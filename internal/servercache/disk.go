@@ -14,9 +14,9 @@ import (
 // The disk tier persists the two build artifacts worth surviving a process
 // restart — assembled broadcast cycles and the border pre-computation —
 // under the same version-keyed identity the in-memory cache uses. A warm
-// restart then skips the Dijkstra storm: the deploy layer loads the cycle
-// straight from an mmap'd cache entry (page-cache, not heap) and wraps it
-// in a server, instead of rebuilding.
+// restart then skips the Dijkstra storm: the build path (internal/build)
+// loads the cycle straight from an mmap'd cache entry (page-cache, not
+// heap) and wraps it in a server, instead of rebuilding.
 //
 // The tier is deliberately narrow: values cached in memory are arbitrary
 // Go objects, but only codec-backed artifacts cross the process boundary.
@@ -26,15 +26,17 @@ var (
 	disk   *diskcache.Cache
 	// pinned keeps the mmaps backing decoded cycles alive: a cycle returned
 	// by CachedCycle aliases its mapping for the process lifetime, exactly
-	// like in-memory cache entries live forever. DisableDisk unmaps them,
-	// so it must only run when those cycles are no longer in use (tests).
+	// like in-memory cache entries live forever — across a replaced tier
+	// too: a deployment built from the old directory may still be serving
+	// it. Only DisableDisk unmaps them, so it must only run when those
+	// cycles are no longer in use (tests).
 	pinned []*diskcache.Mapping
 )
 
 // EnableDisk attaches a persistent cache tier rooted at dir with an LRU
-// byte budget (0 = unbounded). Safe to call once at process start; calling
-// again replaces the tier (the previous one is closed, its mappings
-// released as in DisableDisk).
+// byte budget (0 = unbounded). Calling it again replaces the tier: the
+// previous directory's index is closed, but cycles already loaded from it
+// stay mapped and valid until DisableDisk.
 func EnableDisk(dir string, maxBytes int64) error {
 	c, err := diskcache.Open(dir, maxBytes)
 	if err != nil {
@@ -42,21 +44,19 @@ func EnableDisk(dir string, maxBytes int64) error {
 	}
 	diskMu.Lock()
 	defer diskMu.Unlock()
-	closeDiskLocked()
+	if disk != nil {
+		disk.Close()
+	}
 	disk = c
 	return nil
 }
 
 // DisableDisk detaches the disk tier and releases every mapping handed out
-// through CachedCycle. Cycles previously returned by CachedCycle become
-// invalid — only tests tear down the tier mid-process.
+// through CachedCycle, from whichever directory. Cycles CachedCycle returned
+// become invalid — only tests tear down the tier mid-process.
 func DisableDisk() {
 	diskMu.Lock()
 	defer diskMu.Unlock()
-	closeDiskLocked()
-}
-
-func closeDiskLocked() {
 	for _, m := range pinned {
 		m.Close()
 	}
@@ -81,35 +81,32 @@ func (k Key) id(part string) string {
 	return fmt.Sprintf("%s\x00%s\x00%s\x00v%d\x00%s", k.Network, k.Scheme, k.Params, k.Version, part)
 }
 
-// PutCycleStream persists a cycle under key by streaming it through write
-// (typically core.StreamEBCycle or broadcast.EncodeCycle curried over a
-// cycle), so the encoded form never materializes in memory. A nil disk
-// tier, or any failure, is non-fatal: the cache is an accelerator, and a
-// build that cannot persist still serves — the error is logged and the
-// partial entry discarded.
-func PutCycleStream(key Key, write func(io.Writer) error) {
+// put streams one artifact's encoding into the disk entry for (key, part),
+// so the encoded form never materializes in memory. A nil disk tier, or any
+// failure, is non-fatal: the cache is an accelerator, and a build that
+// cannot persist still serves — the error is logged and the partial entry
+// discarded.
+func put(key Key, part string, encode func(io.Writer) error) {
 	d := Disk()
 	if d == nil {
 		return
 	}
-	w, err := d.Create(key.id("cycle"))
+	w, err := d.Create(key.id(part))
+	if err == nil {
+		if err = encode(w); err != nil {
+			w.Abort()
+		} else {
+			err = w.Commit()
+		}
+	}
 	if err != nil {
-		log.Printf("servercache: persist cycle %s/%s v%d: %v", key.Network, key.Scheme, key.Version, err)
-		return
-	}
-	if err := write(w); err != nil {
-		w.Abort()
-		log.Printf("servercache: persist cycle %s/%s v%d: %v", key.Network, key.Scheme, key.Version, err)
-		return
-	}
-	if err := w.Commit(); err != nil {
-		log.Printf("servercache: persist cycle %s/%s v%d: %v", key.Network, key.Scheme, key.Version, err)
+		log.Printf("servercache: persist %s %s/%s v%d: %v", part, key.Network, key.Scheme, key.Version, err)
 	}
 }
 
-// PutCycle persists an in-memory cycle under key (nil tier: no-op).
+// PutCycle persists an assembled cycle under key.
 func PutCycle(key Key, c *broadcast.Cycle) {
-	PutCycleStream(key, func(w io.Writer) error { return broadcast.EncodeCycle(w, c) })
+	put(key, "cycle", func(w io.Writer) error { return broadcast.EncodeCycle(w, c) })
 }
 
 // CachedCycle loads the cycle persisted under key from the disk tier,
@@ -138,24 +135,9 @@ func CachedCycle(key Key) *broadcast.Cycle {
 	return c
 }
 
-// PutBorder persists the border pre-computation for n regions under key
-// (nil tier: no-op; failures logged, non-fatal).
+// PutBorder persists the border pre-computation for n regions under key.
 func PutBorder(key Key, b *precompute.BorderData, n int) {
-	d := Disk()
-	if d == nil {
-		return
-	}
-	w, err := d.Create(key.id("border"))
-	if err == nil {
-		if err = precompute.EncodeBorder(w, b, n); err != nil {
-			w.Abort()
-		} else {
-			err = w.Commit()
-		}
-	}
-	if err != nil {
-		log.Printf("servercache: persist border %s/%s v%d: %v", key.Network, key.Scheme, key.Version, err)
-	}
+	put(key, "border", func(w io.Writer) error { return precompute.EncodeBorder(w, b, n) })
 }
 
 // CachedBorder loads the border pre-computation persisted under key, with

@@ -48,14 +48,14 @@ var (
 // callers control exactly what "the same build" means.
 type Key struct {
 	// Network names the road network: preset/scale/seed or nodes/edges/seed.
+	// A versioned build also folds the identity of its update sequence in
+	// here (internal/update signs the applied updates): a re-weighed network
+	// is a different network, and a version number alone does not say which.
 	Network string
-	// Scheme names what was built on it ("NR", "EB", "graph", "core", ...).
+	// Scheme names what was built on it ("NR", "EB", "graph", "parts", ...).
 	Scheme string
 	// Params captures every build parameter that changes the output
-	// (regions, segmentation, landmarks, channel count, ...). A versioned
-	// build additionally folds the identity of its update sequence in here
-	// (internal/update signs the applied updates), because a version number
-	// alone does not identify what the network looks like.
+	// (regions, segmentation, landmarks, channel count, ...).
 	Params string
 	// Version is the broadcast-cycle version of a dynamic build
 	// (internal/update); static builds leave it zero. Every version of a

@@ -7,10 +7,10 @@
 // adds the server half a dynamic deployment needs on top of them:
 //
 //   - A Manager accepts a stream of edge-weight updates, rebuilds the
-//     scheme's EB/NR/DJ structures into a new cycle version (reusing the
-//     partition and the parallel border pre-computation — core's Rebuild
-//     entry points), and renders the changed-arc patch list as KindDelta
-//     packets trailing the new cycle.
+//     scheme's EB/NR/DJ structures into a new cycle version (the one build
+//     path's Reweigh: the previous version lends its partition, the
+//     parallel border pre-computation reruns), and renders the changed-arc
+//     patch list as KindDelta packets trailing the new cycle.
 //   - The live station (internal/station, internal/multichannel) swaps to
 //     the new cycle atomically — at a cycle boundary on one channel, at one
 //     global tick across a channel group — announcing the version in every
@@ -36,9 +36,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/baseline/djair"
 	"repro/internal/broadcast"
-	"repro/internal/core"
+	"repro/internal/build"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -62,15 +61,13 @@ var (
 
 // Config tunes a Manager.
 type Config struct {
-	// Rebuild builds the scheme server over a mutated network. When nil,
-	// NewManager derives it from the initial server's type (EB, NR and DJ
-	// rebuild natively; see RebuilderFor).
-	Rebuild func(*graph.Graph) (scheme.Server, error)
 	// Cache, when non-nil, keys every version's build in the shared
-	// servercache: Key.Version carries the cycle version and the applied
-	// update sequence's signature is folded into Key.Params, so identical
-	// update histories (a fuzzer revisiting a seed, a restarted experiment)
-	// share one build.
+	// servercache and on its disk tier: Key.Version carries the cycle
+	// version and the applied update sequence's signature is folded into
+	// Key.Network — a re-weighed network is a different network — so
+	// identical update histories (a fuzzer revisiting a seed, a restarted
+	// experiment) share one build. Nil, as in a Deploy-built manager,
+	// retains and persists nothing per version.
 	Cache *servercache.Key
 }
 
@@ -107,13 +104,11 @@ type Manager struct {
 }
 
 // NewManager returns a manager serving srv's static cycle as version 0.
-// srv must have been built over g.
+// srv must have been built over g, by a scheme that re-weighs natively (EB,
+// NR, DJ).
 func NewManager(g *graph.Graph, srv scheme.Server, cfg Config) (*Manager, error) {
-	if cfg.Rebuild == nil {
-		cfg.Rebuild = RebuilderFor(srv)
-		if cfg.Rebuild == nil {
-			return nil, fmt.Errorf("update: no rebuilder for scheme %s; set Config.Rebuild", srv.Name())
-		}
+	if !build.Reweighs(build.Method(srv.Name())) {
+		return nil, fmt.Errorf("update: no rebuilder for scheme %s", srv.Name())
 	}
 	return &Manager{cfg: cfg, g: g, srv: srv, cycle: srv.Cycle()}, nil
 }
@@ -177,30 +172,13 @@ func (m *Manager) Apply(ups []graph.WeightUpdate) (*Build, error) {
 	}
 	v2 := m.version + 1
 	sig2 := foldSig(m.sig, ups)
-	build := func() (scheme.Server, error) { return m.cfg.Rebuild(g2) }
-	var srv2 scheme.Server
+	var key *servercache.Key
 	if m.cfg.Cache != nil {
-		key := *m.cfg.Cache
-		key.Version = v2
-		key.Params = fmt.Sprintf("%s|updates=%016x", key.Params, sig2)
-		prev := m.srv
-		srv2, err = servercache.Get(key, func() (scheme.Server, error) {
-			// Disk tier: a restarted manager replaying the same update
-			// history warm-loads each version's cycle and border data
-			// instead of re-running the rebuild (warmRebuild is a no-op
-			// without servercache.EnableDisk).
-			if srv, ok := warmRebuild(key, g2, prev); ok {
-				return srv, nil
-			}
-			srv, err := build()
-			if err == nil {
-				persistRebuild(key, srv)
-			}
-			return srv, err
-		})
-	} else {
-		srv2, err = build()
+		k := *m.cfg.Cache
+		k.Version, k.Network = v2, fmt.Sprintf("%s|updates=%016x", k.Network, sig2)
+		key = &k
 	}
+	srv2, err := build.Reweigh(m.srv, g2, key)
 	if err != nil {
 		return nil, fmt.Errorf("update: rebuild v%d: %w", v2, err)
 	}
@@ -255,80 +233,4 @@ func toDeltaArcs(ups []graph.WeightUpdate) []packet.DeltaArc {
 		arcs[i] = packet.DeltaArc{From: uint32(u.From), To: uint32(u.To), Weight: u.Weight}
 	}
 	return arcs
-}
-
-// warmRebuild tries to reconstruct the version keyed by key from the
-// servercache disk tier: the persisted cycle (mmap-backed) plus, for EB
-// and NR, the persisted border data, grafted onto the previous version's
-// partition via RebuildFromCycle. False means "rebuild cold".
-func warmRebuild(key servercache.Key, g2 *graph.Graph, prev scheme.Server) (scheme.Server, bool) {
-	if servercache.Disk() == nil {
-		return nil, false
-	}
-	switch s := prev.(type) {
-	case *djair.Server:
-		cyc := servercache.CachedCycle(key)
-		if cyc == nil {
-			return nil, false
-		}
-		return djair.FromCycle(g2, cyc), true
-	case *core.EB:
-		border, n, ok := servercache.CachedBorder(key)
-		if !ok || n != s.Regions().N || len(border.CrossBorder) != g2.NumNodes() {
-			return nil, false
-		}
-		cyc := servercache.CachedCycle(key)
-		if cyc == nil {
-			return nil, false
-		}
-		srv, err := s.RebuildFromCycle(g2, border, cyc)
-		return srv, err == nil
-	case *core.NR:
-		border, n, ok := servercache.CachedBorder(key)
-		if !ok || n != s.Regions().N || len(border.CrossBorder) != g2.NumNodes() {
-			return nil, false
-		}
-		cyc := servercache.CachedCycle(key)
-		if cyc == nil {
-			return nil, false
-		}
-		srv, err := s.RebuildFromCycle(g2, border, cyc)
-		return srv, err == nil
-	}
-	return nil, false
-}
-
-// persistRebuild writes a freshly rebuilt version's artifacts to the disk
-// tier (no-op without one). The persisted cycle is the server's own —
-// unstamped, untrailered — because the delta trailer and version stamp
-// re-derive deterministically from the update batch on load.
-func persistRebuild(key servercache.Key, srv scheme.Server) {
-	if servercache.Disk() == nil {
-		return
-	}
-	switch s := srv.(type) {
-	case *core.EB:
-		servercache.PutBorder(key, s.Border(), s.Regions().N)
-		servercache.PutCycle(key, s.Cycle())
-	case *core.NR:
-		servercache.PutBorder(key, s.Border(), s.Regions().N)
-		servercache.PutCycle(key, s.Cycle())
-	case *djair.Server:
-		servercache.PutCycle(key, s.Cycle())
-	}
-}
-
-// RebuilderFor returns the native weight-only rebuild function for servers
-// that support it (EB and NR reuse their partition and rerun the parallel
-// border pre-computation; DJ re-encodes the adjacency data), or nil.
-func RebuilderFor(srv scheme.Server) func(*graph.Graph) (scheme.Server, error) {
-	switch s := srv.(type) {
-	case *core.EB:
-		return func(g *graph.Graph) (scheme.Server, error) { return s.Rebuild(g) }
-	case *core.NR:
-		return func(g *graph.Graph) (scheme.Server, error) { return s.Rebuild(g) }
-	case *djair.Server:
-		return func(g *graph.Graph) (scheme.Server, error) { return djair.New(g), nil }
-	}
-	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/multichannel"
 	"repro/internal/netdata"
 	"repro/internal/netgen"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/scheme"
 	"repro/internal/servercache"
@@ -25,6 +26,18 @@ func testNetwork(t testing.TB, nodes, edges int, seed int64) *graph.Graph {
 		t.Fatalf("netgen: %v", err)
 	}
 	return g
+}
+
+// cacheMisses reads the servercache miss counter (obs.GetCounter is an
+// idempotent registry lookup, so this observes the series servercache
+// increments): one miss per artifact actually built.
+func cacheMisses() int64 { return obs.GetCounter("air_servercache_misses_total", "").Value() }
+
+// diskCounters reads the disk tier's hit, miss and bytes-written counters.
+func diskCounters() (hits, misses, putBytes int64) {
+	return obs.GetCounter("air_diskcache_hits_total", "").Value(),
+		obs.GetCounter("air_diskcache_misses_total", "").Value(),
+		obs.GetCounter("air_diskcache_put_bytes_total", "").Value()
 }
 
 func newNR(t testing.TB, g *graph.Graph) *core.NR {
@@ -338,14 +351,12 @@ func TestCollectorPatchFromDelta(t *testing.T) {
 // through the version-keyed servercache share every build.
 func TestManagerCacheReuse(t *testing.T) {
 	g := testNetwork(t, 250, 375, 14)
-	builds := 0
+	// A rebuild that runs is two cache misses — the version's border parts
+	// and its server — so misses/2 counts the rebuilds.
+	misses0 := cacheMisses()
+	builds := func() int64 { return (cacheMisses() - misses0) / 2 }
 	mk := func() *Manager {
-		srv := newNR(t, g)
-		m, err := NewManager(g, srv, Config{
-			Rebuild: func(g2 *graph.Graph) (scheme.Server, error) {
-				builds++
-				return srv.Rebuild(g2)
-			},
+		m, err := NewManager(g, newNR(t, g), Config{
 			Cache: &servercache.Key{Network: "update-cache-test", Scheme: "NR", Params: "r=8"},
 		})
 		if err != nil {
@@ -367,13 +378,13 @@ func TestManagerCacheReuse(t *testing.T) {
 		return last
 	}
 	b1 := apply(mk())
-	after := builds
+	after := builds()
 	if after != 2 {
 		t.Fatalf("%d builds for two versions, want 2", after)
 	}
 	b2 := apply(mk())
-	if builds != after {
-		t.Fatalf("replaying the same sequence rebuilt (%d -> %d builds)", after, builds)
+	if builds() != after {
+		t.Fatalf("replaying the same sequence rebuilt (%d -> %d builds)", after, builds())
 	}
 	if b1.Server != b2.Server {
 		t.Fatal("cache returned distinct servers for the same sequence")
@@ -384,8 +395,8 @@ func TestManagerCacheReuse(t *testing.T) {
 	if _, err := m3.Apply(RandomUpdates(g, rng, 10, ModeMixed)); err != nil {
 		t.Fatal(err)
 	}
-	if builds != after+1 {
-		t.Fatalf("diverging sequence did not build (%d builds)", builds)
+	if builds() != after+1 {
+		t.Fatalf("diverging sequence did not build (%d builds)", builds())
 	}
 }
 
@@ -427,14 +438,8 @@ func TestManagerWarmRestartFromDisk(t *testing.T) {
 	}
 	defer func() { servercache.Flush(); servercache.DisableDisk() }()
 
-	builds := 0
 	mk := func() *Manager {
-		srv := newNR(t, g)
-		m, err := NewManager(g, srv, Config{
-			Rebuild: func(g2 *graph.Graph) (scheme.Server, error) {
-				builds++
-				return srv.Rebuild(g2)
-			},
+		m, err := NewManager(g, newNR(t, g), Config{
 			Cache: &servercache.Key{Network: "update-disk-test", Scheme: "NR", Params: "r=8"},
 		})
 		if err != nil {
@@ -455,10 +460,13 @@ func TestManagerWarmRestartFromDisk(t *testing.T) {
 		}
 		return last
 	}
+	// A rebuild that runs persists its border data and its cycle; a version
+	// warm-loaded from disk reads those two entries and writes nothing.
 	b1 := apply(mk())
-	if builds != 2 {
-		t.Fatalf("%d builds for two versions, want 2", builds)
+	if n := servercache.Disk().Len(); n != 4 {
+		t.Fatalf("two versions persisted %d entries, want 4 (border + cycle each)", n)
 	}
+	hits0, misses0, put0 := diskCounters()
 
 	// The restart: forget every in-memory server, re-open the tier.
 	servercache.Flush()
@@ -468,8 +476,9 @@ func TestManagerWarmRestartFromDisk(t *testing.T) {
 	}
 
 	b2 := apply(mk())
-	if builds != 2 {
-		t.Fatalf("restart re-ran the rebuild (%d builds, want 2)", builds)
+	if hits, misses, put := diskCounters(); hits-hits0 != 4 || misses != misses0 || put != put0 {
+		t.Fatalf("restart re-ran the rebuild (%d disk hits, %d misses, %d bytes written; want 4, 0, 0)",
+			hits-hits0, misses-misses0, put-put0)
 	}
 	if b1.Version != b2.Version || b1.Cycle.Len() != b2.Cycle.Len() {
 		t.Fatalf("warm replay diverged: v%d/%d packets vs v%d/%d",

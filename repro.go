@@ -39,6 +39,7 @@ import (
 	"net/http"
 
 	"repro/internal/broadcast"
+	"repro/internal/build"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/deploy"
@@ -329,7 +330,9 @@ func NewQueryTrace(capacity int) *QueryTrace { return obs.NewTrace(capacity) }
 // --- Server-side building blocks. ---
 
 // NewServer builds the named method's server for g.
-func NewServer(m Method, g *Graph, p Params) (Server, error) { return deploy.NewServer(m, g, p) }
+func NewServer(m Method, g *Graph, p Params) (Server, error) {
+	return build.Server(build.Request{Graph: g, Method: m, Params: p})
+}
 
 // GeneratePreset builds a synthetic stand-in for one of the paper's five
 // road networks ("milan", "germany", "argentina", "india", "sanfrancisco"),

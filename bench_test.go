@@ -165,6 +165,10 @@ func BenchmarkTunerHop(b *testing.B) { harness.BenchTunerHop(b) }
 // live 4-shard station into one radio.
 func BenchmarkStationBroadcast(b *testing.B) { harness.BenchStationBroadcast(b) }
 
+// BenchmarkLiveQuery measures one NR query of a live K=1 session, dozes
+// included, on a virtual-clock station.
+func BenchmarkLiveQuery(b *testing.B) { harness.BenchLiveQuery(b) }
+
 // BenchmarkFleetQPS measures verified end-to-end throughput of a 32-client
 // fleet over a live 4-channel station.
 func BenchmarkFleetQPS(b *testing.B) { harness.BenchFleetQPS(b) }

@@ -93,6 +93,7 @@ func benchSuite(cfg harness.Config) (benchBaseline, error) {
 	}{
 		{"TunerHop", harness.BenchTunerHop},
 		{"StationBroadcast", harness.BenchStationBroadcast},
+		{"LiveQuery", harness.BenchLiveQuery},
 		{"FleetQPS", harness.BenchFleetQPS},
 	}
 	for _, m := range micro {

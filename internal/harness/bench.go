@@ -109,6 +109,42 @@ func BenchStationBroadcast(b *testing.B) {
 	}
 }
 
+// BenchLiveQuery measures one live K=1 session query end to end: attach to
+// a virtual-clock station, an NR query with every doze the client takes
+// (≈ 9 of 10 positions it spans), release, answer verified. It is the
+// station's cost per query as a session pays it — clock holds, fast-forward
+// over the dozes and window delivery — beside StationBroadcast's raw tick
+// and FleetQPS's contended fleet.
+func BenchLiveQuery(b *testing.B) {
+	d, w, err := benchSetup(0.05, 32, deploy.WithLive(station.Config{}), deploy.WithLoss(0.05, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := d.Start(ctx); err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	sess, err := d.Session(ctx, deploy.SessionOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tuning := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := w.Queries[i%len(w.Queries)]
+		res, err := sess.Query(ctx, q.S, q.T)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !workload.SameDist(res.Dist, q.RefDist) {
+			b.Fatalf("wrong distance")
+		}
+		tuning += res.Metrics.TuningPackets
+	}
+	b.ReportMetric(float64(tuning)/float64(b.N), "tuning-packets/query")
+}
+
 // BenchFleetQPS measures end-to-end fleet throughput over a live 4-channel
 // station: 32 concurrent clients, lossy air, every answer verified.
 func BenchFleetQPS(b *testing.B) {

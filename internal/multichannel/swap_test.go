@@ -14,6 +14,22 @@ import (
 	"repro/internal/station"
 )
 
+// restamped returns a k-channel plan of cyc's content stamped with version.
+// It stamps a copy: the server's canonical cycle stays untouched.
+func restamped(t testing.TB, cyc *broadcast.Cycle, k int, version uint32) *Plan {
+	t.Helper()
+	c := &broadcast.Cycle{
+		Packets:  append([]packet.Packet(nil), cyc.Packets...),
+		Sections: cyc.Sections,
+	}
+	c.SetVersion(version)
+	p, err := Build(c, k, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // versionedPlans builds n plans of the same NR broadcast under
 // progressively mutated arc weights, stamped with versions 1..n: the
 // realistic swap input (same topology and section structure, new payload
@@ -43,18 +59,7 @@ func versionedPlans(t testing.TB, k, n int) []*Plan {
 			}
 			srv = next.(*core.NR)
 		}
-		// Stamp a copy: the server's canonical cycle stays untouched.
-		cyc := srv.Cycle()
-		c := &broadcast.Cycle{
-			Packets:  append([]packet.Packet(nil), cyc.Packets...),
-			Sections: cyc.Sections,
-		}
-		c.SetVersion(uint32(v))
-		p, err := Build(c, k, PlanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans[v-1] = p
+		plans[v-1] = restamped(t, srv.Cycle(), k, uint32(v))
 	}
 	return plans
 }

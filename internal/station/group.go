@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/broadcast"
@@ -17,11 +18,16 @@ import (
 // in lockstep: no shard races another past a tick, and one goroutine does
 // it without K transmit loops handing a barrier around. An exact
 // subscription's clock hold (see Station.deliver) blocks the group
-// goroutine and therefore every member.
+// goroutine and therefore every member. On a virtual clock the members
+// also fast-forward together: whenever every listener's want lies ahead,
+// all of them move by the same number of ticks at once (fastForward).
 //
 // Member stations must not be Started individually; the group adopts them.
 type Group struct {
 	stations []*Station
+	// wantGen is the members' shared want generation (Sub.setWant): a radio
+	// hops between members, so one counter has to cover all of them.
+	wantGen atomic.Uint64
 
 	mu      sync.Mutex
 	running bool
@@ -45,7 +51,11 @@ func NewGroup(stations []*Station) (*Group, error) {
 			return nil, fmt.Errorf("station: grouped stations disagree on pacing")
 		}
 	}
-	return &Group{stations: stations}, nil
+	g := &Group{stations: stations}
+	for _, st := range stations {
+		st.wantGen = &g.wantGen
+	}
+	return g, nil
 }
 
 // Start puts every member on the air under one transmit loop. Transmission
@@ -154,6 +164,55 @@ func (g *Group) Stop() {
 	<-done
 }
 
+// slack returns how many ticks every member can pass before the first one
+// reaches a position a listener wants, subs[i] being member i's listeners:
+// the minimum, over the members, of lowest want minus clock. Zero or less
+// means there is nothing to skip: some listener is due now, or nobody is
+// tuned in at all. Only the group goroutine moves the members' clocks, so
+// it reads them here without their locks.
+func (g *Group) slack(subs [][]*Sub) int {
+	n := parked
+	for i, st := range g.stations {
+		if low := lowestWant(subs[i]); low != parked {
+			n = min(n, low-int64(st.pos))
+		}
+	}
+	if n == parked {
+		return 0
+	}
+	return int(n)
+}
+
+// fastForward moves every member's virtual clock by the same number of
+// ticks, straight to the first tick any listener wants, so the lockstep
+// tick holds across the jump; it runs between ticks, after a pending swap
+// was applied, so the atomic group cut holds too. An unlocked look at the
+// listeners the last tick was delivered to (subs, which it refreshes)
+// decides whether a jump is worth the locks. The scan that counts then
+// runs over the current listeners with every member locked — no Subscribe
+// can tune in below the target on a member the scan already passed — and
+// is discarded if the want generation moved under it (a radio hopped
+// between two members mid-scan, see Sub.setWant); the group then simply
+// ticks.
+func (g *Group) fastForward(subs [][]*Sub) {
+	if g.slack(subs) <= 0 {
+		return
+	}
+	for i, st := range g.stations {
+		st.mu.Lock()
+		subs[i] = st.subList
+	}
+	gen := g.wantGen.Load()
+	if n := g.slack(subs); n > 0 && g.wantGen.Load() == gen {
+		for _, st := range g.stations {
+			st.skipLocked(n)
+		}
+	}
+	for _, st := range g.stations {
+		st.mu.Unlock()
+	}
+}
+
 // run is the group transmit loop: one global tick per iteration, delivered
 // member by member.
 func (g *Group) run(ctx context.Context, done chan struct{}) {
@@ -176,6 +235,7 @@ func (g *Group) run(ctx context.Context, done chan struct{}) {
 	interval := g.stations[0].cfg.interval()
 	started := time.Now()
 	transmitted := 0
+	subs := make([][]*Sub, len(g.stations)) // each member's listeners at its last tick
 	for {
 		select {
 		case <-ctx.Done():
@@ -193,9 +253,13 @@ func (g *Group) run(ctx context.Context, done chan struct{}) {
 			}
 		}
 		g.applyPendingSwap()
+		if interval == 0 {
+			g.fastForward(subs)
+		}
 		listeners := 0
-		for _, st := range g.stations {
-			listeners += st.step(ctx)
+		for i, st := range g.stations {
+			subs[i] = st.step(ctx, false)
+			listeners += len(subs[i])
 		}
 		transmitted++
 		if listeners == 0 && interval == 0 {

@@ -15,7 +15,10 @@
 // Clock model: with BitsPerSecond == 0 the clock is virtual — the station
 // transmits as fast as its listeners accept, applying backpressure when a
 // subscriber's buffer fills (no packet is ever dropped, so determinism is
-// exact). With BitsPerSecond > 0 the station paces transmissions to the
+// exact), and it does no work for positions nobody is tuned in for: the
+// clock jumps straight to the lowest position any listener still wants
+// (fastForwardLocked; DESIGN.md §3 says what it may skip and what it may
+// not). With BitsPerSecond > 0 the station paces transmissions to the
 // channel rate (PacketBits per packet, the paper's 128-byte packets); a
 // subscriber that falls behind the air misses packets, which its feed
 // reports as lost — a radio cannot pause the broadcast.
@@ -41,7 +44,9 @@ import (
 // per-station basis would be unbounded under churn tests.
 var (
 	obsPackets = obs.GetCounter("air_station_packets_total",
-		"packets transmitted (one per tick per station)")
+		"positions the clock passed (one per tick per station, fast-forwarded ones included)")
+	obsSkipped = obs.GetCounter("air_station_skipped_packets_total",
+		"positions a virtual clock fast-forwarded over because no listener wanted them")
 	obsDropped = obs.GetCounter("air_station_dropped_packets_total",
 		"packets dropped by a paced station because a subscriber buffer was full (backpressure)")
 	obsSubscribers = obs.GetGauge("air_station_subscribers",
@@ -150,8 +155,14 @@ type Station struct {
 	// subscribes, which Start-position guarantees rely on) instead of
 	// walking the map.
 	subList []*Sub
-	// pos is the next absolute position to transmit; guarded by mu.
+	// pos is the next absolute position to transmit; guarded by mu. Only the
+	// transmit goroutine writes it, so that goroutine may also read it
+	// without the lock.
 	pos int
+	// wantGen counts the want changes a fast-forward scan must not straddle
+	// (Sub.setWant): the station's own counter, or the group's once a Group
+	// adopts the station.
+	wantGen *atomic.Uint64
 	// pending is a cycle awaiting its swap-in at the next cycle boundary,
 	// and swapped reports the absolute swap position once it happens;
 	// guarded by mu.
@@ -177,9 +188,10 @@ func New(c *broadcast.Cycle, cfg Config) (*Station, error) {
 		return nil, fmt.Errorf("station: invalid config %+v", cfg)
 	}
 	s := &Station{
-		cfg:  cfg,
-		subs: make(map[*Sub]struct{}),
-		pos:  cfg.Start,
+		cfg:     cfg,
+		subs:    make(map[*Sub]struct{}),
+		pos:     cfg.Start,
+		wantGen: new(atomic.Uint64),
 	}
 	s.cur.Store(&epoch{cycle: c, origin: cfg.Start})
 	return s, nil
@@ -276,13 +288,55 @@ func (s *Station) forceSwap(c *broadcast.Cycle) int {
 // below the minimum want is ever served again; with no subscribers the
 // horizon is the transmit position itself. The caller holds mu.
 func (s *Station) minNeededLocked() int {
-	minN := s.pos
-	for _, sub := range s.subList {
-		if w := sub.want.Load(); w < int64(minN) {
-			minN = int(w)
+	return int(min(int64(s.pos), lowestWant(s.subList)))
+}
+
+// parked is the want of a parked subscription (Sub.Park): later than any
+// position the air will ever reach, so the station never delivers to it and
+// lowestWant never counts it.
+const parked = int64(1) << 62
+
+// lowestWant returns the lowest want among subs, parked subscriptions
+// excluded; parked itself when nobody is tuned in.
+func lowestWant(subs []*Sub) int64 {
+	low := parked
+	for _, sub := range subs {
+		if w := sub.want.Load(); w < low {
+			low = w
 		}
 	}
-	return minN
+	return low
+}
+
+// fastForwardLocked moves a virtual clock straight to the next position
+// anybody needs it at: the lowest want among the subscriptions, or — while
+// a Swap is pending — the next cycle boundary if that comes first, so the
+// swap still lands on the first p with p mod Len == 0 (an idle station
+// therefore jumps to its boundary instead of crawling there). Positions
+// below every want would be delivered to nobody, so skipping them changes
+// no listener's air. The caller holds mu, which orders the scan and the
+// move against Subscribe; the generation check discards a scan that
+// straddled a hop (see Sub.setWant), in which case the clock just ticks.
+func (s *Station) fastForwardLocked() {
+	gen := s.wantGen.Load()
+	target := lowestWant(s.subList)
+	if s.pending != nil {
+		l := s.cur.Load().cycle.Len()
+		target = min(target, int64(s.pos+(l-s.pos%l)%l))
+	}
+	if target == parked || target <= int64(s.pos) || s.wantGen.Load() != gen {
+		return
+	}
+	s.skipLocked(int(target) - s.pos)
+}
+
+// skipLocked passes n positions without a step. air_station_packets_total
+// keeps counting every position the clock passed; the skipped ones are
+// tallied on their own as well. The caller holds mu.
+func (s *Station) skipLocked(n int) {
+	s.pos += n
+	obsPackets.Add(int64(n))
+	obsSkipped.Add(int64(n))
 }
 
 // SwapPending reports whether a scheduled swap has not yet reached the
@@ -336,9 +390,9 @@ func (s *Station) run(ctx context.Context, done chan struct{}) {
 				}
 			}
 		}
-		listeners := s.step(ctx)
+		listeners := s.step(ctx, interval == 0)
 		transmitted++
-		if listeners == 0 && interval == 0 {
+		if len(listeners) == 0 && interval == 0 {
 			// Virtual clock with nobody tuned in: the air continues, but
 			// there is no need to burn a core advancing it at full speed.
 			time.Sleep(50 * time.Microsecond)
@@ -354,11 +408,17 @@ func (cfg Config) interval() time.Duration {
 	return time.Duration(float64(cfg.PacketBits) / float64(cfg.BitsPerSecond) * float64(time.Second))
 }
 
-// step transmits one tick to every current subscriber and returns the
-// subscriber count. It is called by the station's own transmit loop or, for
-// stations driven as a Group, by the group's.
-func (s *Station) step(ctx context.Context) int {
+// step transmits one tick to every current subscriber and returns them (the
+// copy-on-write snapshot: read it, never write it). It is called by the
+// station's own transmit loop or, for stations driven as a Group, by the
+// group's. With fastForward (a virtual clock ticking on its own) the tick
+// transmitted is the next one anybody wants; a group fast-forwards its
+// members together instead (Group.run).
+func (s *Station) step(ctx context.Context, fastForward bool) []*Sub {
 	s.mu.Lock()
+	if fastForward {
+		s.fastForwardLocked()
+	}
 	pos := s.pos
 	s.pos++
 	ep := s.cur.Load()
@@ -380,7 +440,7 @@ func (s *Station) step(ctx context.Context) int {
 	for _, sub := range subs {
 		s.deliver(ctx, sub, pos, ep)
 	}
-	return len(subs)
+	return subs
 }
 
 // Subscribers returns the number of currently open subscriptions.
@@ -408,11 +468,15 @@ func (s *Station) updateSubList() {
 //
 // An exact subscriber on a virtual clock additionally holds the clock: the
 // station will not transmit a position beyond the subscriber's want until
-// the subscriber advances it (WakeAt / the next At). A multi-channel radio
-// listens to one channel at a time, and the shared clock must not race past
-// the tick it will hop to — the stale want between two receptions is the
-// hold. On a paced clock exactness is moot: real time does not wait, and a
-// late radio misses packets like any other.
+// the subscriber advances it (WakeAt / Prefetch / the next At), so it is
+// delivered its wants and its declared windows and nothing else. Every
+// in-process listener on a virtual clock subscribes this way: a live K=1
+// session, which then never has dozed-over positions pushed at it, and each
+// shard of a multi-channel radio, which listens to one channel at a time
+// and must not find that the shared clock raced past the tick it will hop
+// to — the stale want between two receptions is the hold. On a paced clock
+// exactness is moot: real time does not wait, and a late radio misses
+// packets like any other.
 func (s *Station) deliver(ctx context.Context, sub *Sub, pos int, ep *epoch) {
 	if sub.exact && s.cfg.BitsPerSecond == 0 {
 		for {
@@ -512,22 +576,26 @@ func (s *Station) Subscribe(lossRate float64, seed int64) (*Sub, error) {
 	return s.subscribe(lossRate, seed, false)
 }
 
-// SubscribeExact is Subscribe for one shard of a multi-channel listener: on
-// a virtual clock the subscription holds the station (and, through a shared
-// clock, every sibling shard) at its current want until the listener
-// advances it, so a radio hopping between channels never finds that the air
-// raced past the tick it computed. Park the subscription whenever the radio
-// tunes to a sibling channel.
+// SubscribeExact is Subscribe for a listener that says what it wants — a
+// live session's tuner, one shard of a multi-channel radio: on a virtual
+// clock the station transmits to it only the position it wants and the
+// windows it declares (Prefetch), and holds the clock (and, through a
+// group, every sibling shard) at its current want until the listener
+// advances it. A dozing listener thus costs the station nothing, and a
+// radio hopping between channels never finds that the air raced past the
+// tick it computed. Park the subscription whenever the radio tunes to a
+// sibling channel. Subscribe remains for listeners that stream the air
+// without declaring anything (a wire pump).
 func (s *Station) SubscribeExact(lossRate float64, seed int64) (*Sub, error) {
 	return s.subscribe(lossRate, seed, true)
 }
 
-// exactBuffer is the channel depth of an exact virtual-clock subscription.
-// Outside a declared Prefetch window the station only transmits to such a
-// subscription at exactly the position it wants, so at most one
-// transmission is in flight; the buffer's job is to absorb window batches,
-// and anything deeper than a typical span is allocation churn on the
-// per-query subscribe path.
+// exactBuffer is the channel depth of an exact virtual-clock subscription
+// (a live session's, or one shard of a hopping radio's). Outside a declared
+// Prefetch window the station only transmits to such a subscription at
+// exactly the position it wants, so at most one transmission is in flight;
+// the buffer's job is to absorb window batches, and anything deeper than a
+// typical span is allocation churn on the per-query subscribe path.
 const exactBuffer = 64
 
 func (s *Station) subscribe(lossRate float64, seed int64, exact bool) (*Sub, error) {
@@ -580,8 +648,9 @@ type Sub struct {
 	ch     chan Transmission
 	closed chan struct{}
 
-	// want is the lowest absolute position the listener still needs; the
-	// station skips delivery below it, modelling a sleeping radio.
+	// want is the lowest absolute position the listener still needs (parked
+	// while it needs none); the station skips delivery below it, modelling a
+	// sleeping radio, and a virtual clock never fast-forwards past it.
 	want atomic.Int64
 	// overruns counts station-side drop events (paced clock, buffer full)
 	// whether or not the listener ever asks for the dropped position; it
@@ -687,10 +756,22 @@ func (s *Sub) replayAt(abs int) (packet.Packet, bool) {
 	return p, true
 }
 
-// setWant advances the listener's want and, for exact subscriptions, wakes
-// a delivery hold waiting on it.
+// setWant moves the listener's want and, for exact subscriptions, wakes a
+// delivery hold waiting on it.
+//
+// A want only ever rises, except when a parked subscription is re-armed —
+// and that is the one change a fast-forward scan must not straddle. A
+// hopping radio re-arms the channel it hops to before parking the one it
+// leaves; a scan that read the first while it was still parked and the
+// second once it already was would find the radio holding the clock
+// nowhere and could jump past the tick it hops to. Bumping the generation
+// between the two stores makes every such scan see the counter move and
+// discard itself. A rising want needs no bump: a scan that read the stale
+// value merely jumped less far.
 func (s *Sub) setWant(abs int64) {
-	s.want.Store(abs)
+	if old := s.want.Swap(abs); abs < old {
+		s.st.wantGen.Add(1)
+	}
 	if s.exact {
 		select {
 		case s.wake <- struct{}{}:
@@ -700,19 +781,16 @@ func (s *Sub) setWant(abs int64) {
 }
 
 // Prefetch declares that the listener will receive the n positions
-// [from, from+n) back to back: an exact subscription's clock hold relaxes
-// to from+n, so the station can deliver the whole span into the buffer in
-// one go. Delivery content is unchanged — positions below the listener's
-// want are still skipped — making this purely a batching hint
-// (broadcast.Prefetcher).
+// [from, from+n) back to back, and so nothing before from: its want rises
+// to from (the station neither delivers nor ticks through the doze that
+// ends there) and an exact subscription's clock hold relaxes to from+n, so
+// the station can deliver the whole span into the buffer in one go. What
+// the listener receives is unchanged, making this purely a batching hint
+// (broadcast.Prefetcher). A parked subscription stays parked: only WakeAt
+// or At re-arm it.
 func (s *Sub) Prefetch(from, n int) {
 	s.limit.Store(int64(from + n))
-	if s.exact {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
-	}
+	s.setWant(max(int64(from), s.want.Load()))
 }
 
 // WakeAt declares the next absolute position the listener needs without
@@ -724,7 +802,7 @@ func (s *Sub) WakeAt(abs int) { s.setWant(int64(abs)) }
 
 // Park puts the subscription to sleep indefinitely: the station delivers
 // nothing and an exact clock hold is released. WakeAt (or At) re-arms it.
-func (s *Sub) Park() { s.setWant(int64(1) << 62) }
+func (s *Sub) Park() { s.setWant(parked) }
 
 // Close tunes the listener out: the station stops delivering to it and
 // releases it. Safe to call more than once; never blocks on the station.

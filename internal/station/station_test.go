@@ -89,7 +89,9 @@ func TestMidCycleTuneIn(t *testing.T) {
 }
 
 // TestSleepSkipsDelivery checks that a tuner sleeping far ahead does not
-// have to drain the skipped positions packet by packet.
+// have to drain the skipped positions packet by packet — and that the
+// station does not step through them either: its clock lands on the
+// slept-to position in one jump.
 func TestSleepSkipsDelivery(t *testing.T) {
 	cycle := testCycle(50)
 	st := startStation(t, cycle, Config{Buffer: 4})
@@ -100,6 +102,7 @@ func TestSleepSkipsDelivery(t *testing.T) {
 	defer sub.Close()
 	tuner := broadcast.NewFeedTuner(sub, sub.Start())
 	tuner.Listen()
+	skipped := obsSkipped.Value()
 	// Sleep three cycles ahead — far beyond the 4-packet buffer. With the
 	// sleeping radio modelled (want position), this must not deadlock.
 	target := tuner.Pos() + 3*cycle.Len()
@@ -111,6 +114,16 @@ func TestSleepSkipsDelivery(t *testing.T) {
 	want := cycle.Packets[target%cycle.Len()]
 	if p.Kind != want.Kind || string(p.Payload) != string(want.Payload) {
 		t.Fatalf("after sleep got %v/%v, want %v/%v", p.Kind, p.Payload, want.Kind, want.Payload)
+	}
+	// Before the sleep the station ran at most the buffer (plus the packet
+	// in its hand) ahead of the listener, and it does so again after
+	// delivering the target; everything in between it passed without a step.
+	const ahead = 4 + 2
+	if pos := st.Pos(); pos <= target || pos > target+1+ahead {
+		t.Errorf("station at %d after the listener slept to %d, want just past it", pos, target)
+	}
+	if got := obsSkipped.Value() - skipped; got < int64(3*cycle.Len()-ahead) {
+		t.Errorf("station skipped %d positions of a %d-position sleep, stepped through the rest", got, 3*cycle.Len())
 	}
 }
 

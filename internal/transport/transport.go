@@ -219,14 +219,15 @@ type radioLink struct{ *multichannel.Rx }
 
 func (l radioLink) Release(int) int { l.Close(); return l.Clock() }
 
-// Live is a live single-channel station: every attach is a subscription at
-// whatever the station is transmitting.
+// Live is a live single-channel station: every attach is an exact
+// subscription (the station sends it what its tuner wants and the spans it
+// declares) at whatever the station is transmitting.
 type Live struct{ *station.Station }
 
 func (l Live) Start(ctx context.Context) error { return started(l.Station.Start(ctx)) }
 
 func (l Live) Attach(t Tune) (Attachment, error) {
-	sub, err := l.Subscribe(t.Loss, t.Seed)
+	sub, err := l.SubscribeExact(t.Loss, t.Seed)
 	if err != nil {
 		return Attachment{}, err
 	}

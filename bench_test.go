@@ -169,6 +169,10 @@ func BenchmarkStationBroadcast(b *testing.B) { harness.BenchStationBroadcast(b) 
 // included, on a virtual-clock station.
 func BenchmarkLiveQuery(b *testing.B) { harness.BenchLiveQuery(b) }
 
+// BenchmarkWireQuery measures the same query from a remote session: the
+// live station served over loopback UDP, one dial per query.
+func BenchmarkWireQuery(b *testing.B) { harness.BenchWireQuery(b) }
+
 // BenchmarkFleetQPS measures verified end-to-end throughput of a 32-client
 // fleet over a live 4-channel station.
 func BenchmarkFleetQPS(b *testing.B) { harness.BenchFleetQPS(b) }

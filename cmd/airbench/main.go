@@ -94,6 +94,7 @@ func benchSuite(cfg harness.Config) (benchBaseline, error) {
 		{"TunerHop", harness.BenchTunerHop},
 		{"StationBroadcast", harness.BenchStationBroadcast},
 		{"LiveQuery", harness.BenchLiveQuery},
+		{"WireQuery", harness.BenchWireQuery},
 		{"FleetQPS", harness.BenchFleetQPS},
 	}
 	for _, m := range micro {

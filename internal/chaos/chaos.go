@@ -314,6 +314,9 @@ func (in *Injector) Flush() [][]byte {
 // corruption without a UDP proxy in the path. The hook's signature can
 // drop (return nil) or mutate a frame but not duplicate or reorder, so
 // those plan fields are ignored here; use a Proxy for the full set. The
+// hook sees frames before the pump packs them into datagrams, so here the
+// plan's "datagram" is one frame — one position lost per drop — where a
+// Proxy faults whole datagrams, up to nine positions at a blow. The
 // returned func is safe for concurrent use (broadcaster pumps are one
 // goroutine per remote); the lock serializes the deterministic state.
 func (in *Injector) WireHook() func(pos uint64, frame []byte) []byte {

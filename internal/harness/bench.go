@@ -129,6 +129,13 @@ func BenchLiveQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchSessionQueries(b, sess, w)
+}
+
+// benchSessionQueries is the timed part of the session benches: b.N
+// verified queries of the fixture workload through one open session.
+func benchSessionQueries(b *testing.B, sess *deploy.Session, w *workload.Workload) {
+	ctx := context.Background()
 	tuning := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,6 +150,35 @@ func BenchLiveQuery(b *testing.B) {
 		tuning += res.Metrics.TuningPackets
 	}
 	b.ReportMetric(float64(tuning)/float64(b.N), "tuning-packets/query")
+}
+
+// BenchWireQuery measures BenchLiveQuery's query one transport further out:
+// the live K=1 deployment is served over loopback UDP (ServeWire) and the
+// session belongs to a WithRemote deployment, so on top of the station every
+// query pays a dial and the framed datagram stream with its CRCs — pump,
+// socket and receiver.
+func BenchWireQuery(b *testing.B) {
+	server, w, err := benchSetup(0.05, 32, deploy.WithLive(station.Config{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	defer server.Close()
+	bc, err := server.ServeWire(ctx, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer bc.Close()
+	d, _, err := benchSetup(0.05, 32, deploy.WithRemote(bc.Addr().String()), deploy.WithLoss(0.05, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	sess, err := d.Session(ctx, deploy.SessionOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSessionQueries(b, sess, w)
 }
 
 // BenchFleetQPS measures end-to-end fleet throughput over a live 4-channel

@@ -39,6 +39,10 @@ import (
 // The frame envelope is transport overhead, not airtime: it is not charged
 // against the 128-byte packet budget, exactly as the simulation's loss flag
 // and position bookkeeping never were (DESIGN.md §11).
+//
+// Envelopes are self-delimiting (magic + declared length), so a transport
+// may write several back to back into one datagram; SplitEnvelope walks such
+// a run, and every envelope still stands or falls by its own CRC.
 
 // FrameMagic marks every framed datagram ("AIRF", little endian).
 const FrameMagic uint32 = 0x46524941
@@ -50,8 +54,9 @@ const FrameData uint8 = 1
 // envelopeHeader is magic (4) + type (1) + bodyLen (2).
 const envelopeHeader = 7
 
-// envelopeOverhead is the envelope header plus the CRC trailer.
-const envelopeOverhead = envelopeHeader + 4
+// EnvelopeOverhead is what an envelope adds to its body: the header plus
+// the CRC trailer.
+const EnvelopeOverhead = envelopeHeader + 4
 
 // dataHeader is the fixed part of a data-frame body:
 // kind (1) + pos (8) + nextIndex (4) + version (4) + cycleLen (4).
@@ -59,7 +64,7 @@ const dataHeader = 21
 
 // MaxFrameSize is the largest framed datagram a broadcast packet produces:
 // every conforming frame fits in one unfragmented UDP datagram.
-const MaxFrameSize = envelopeOverhead + dataHeader + PayloadSize
+const MaxFrameSize = EnvelopeOverhead + dataHeader + PayloadSize
 
 // ErrCorruptFrame reports a frame that failed an integrity check — short
 // read, bad magic, length mismatch, or CRC failure. All frame decode errors
@@ -86,19 +91,40 @@ func AppendEnvelope(dst []byte, ftype uint8, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-// OpenEnvelope verifies one framed datagram — magic, declared length, CRC —
+// SplitEnvelope finds the boundary of the first envelope in b, a run of one
+// or more envelopes written back to back: it checks the magic and that the
+// declared length fits — not the CRC, which is OpenEnvelope's job — and
+// returns that envelope's bytes and whatever follows it. A failure (wrapping
+// ErrCorruptFrame) means b has no trustworthy boundary: nothing after this
+// point in the datagram can be located, so the caller drops the rest.
+func SplitEnvelope(b []byte) (env, rest []byte, err error) {
+	if len(b) < EnvelopeOverhead {
+		return nil, nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrCorruptFrame, len(b), EnvelopeOverhead)
+	}
+	if m := binary.LittleEndian.Uint32(b); m != FrameMagic {
+		return nil, nil, fmt.Errorf("%w: magic %08x", ErrCorruptFrame, m)
+	}
+	n := int(binary.LittleEndian.Uint16(b[5:]))
+	total := EnvelopeOverhead + n
+	if len(b) < total {
+		return nil, nil, fmt.Errorf("%w: %d bytes for a %d-byte body", ErrCorruptFrame, len(b), n)
+	}
+	return b[:total:total], b[total:], nil
+}
+
+// OpenEnvelope verifies exactly one envelope — magic, declared length, CRC —
 // and returns its type and body. The body aliases b. Any failure returns an
 // error wrapping ErrCorruptFrame; OpenEnvelope never panics on hostile
 // input (FuzzFrame pins this).
 func OpenEnvelope(b []byte) (ftype uint8, body []byte, err error) {
-	if len(b) < envelopeOverhead {
-		return 0, nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrCorruptFrame, len(b), envelopeOverhead)
+	if len(b) < EnvelopeOverhead {
+		return 0, nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrCorruptFrame, len(b), EnvelopeOverhead)
 	}
 	if m := binary.LittleEndian.Uint32(b); m != FrameMagic {
 		return 0, nil, fmt.Errorf("%w: magic %08x", ErrCorruptFrame, m)
 	}
 	n := int(binary.LittleEndian.Uint16(b[5:]))
-	total := envelopeOverhead + n
+	total := EnvelopeOverhead + n
 	if len(b) != total {
 		return 0, nil, fmt.Errorf("%w: %d bytes for a %d-byte body", ErrCorruptFrame, len(b), n)
 	}
@@ -143,12 +169,34 @@ func DecodeFrame(b []byte) (Frame, error) {
 	if ftype != FrameData {
 		return Frame{}, fmt.Errorf("%w: type %d, want data", ErrCorruptFrame, ftype)
 	}
+	return DecodeData(body)
+}
+
+// DecodeData decodes the body of a FrameData envelope OpenEnvelope already
+// verified — for a transport that opens every envelope itself to dispatch
+// on its type, and must not pay the checksum twice. The returned packet's
+// payload aliases body.
+func DecodeData(body []byte) (Frame, error) {
+	var f Frame
+	err := f.decode(body)
+	return f, err
+}
+
+// decode fills f from a data-frame body; f is left zero on error.
+func (f *Frame) decode(body []byte) error {
 	if len(body) < dataHeader {
-		return Frame{}, fmt.Errorf("%w: %d-byte data body", ErrCorruptFrame, len(body))
+		return fmt.Errorf("%w: %d-byte data body", ErrCorruptFrame, len(body))
 	}
-	f := Frame{
-		Pos:      binary.LittleEndian.Uint64(body[1:]),
-		CycleLen: binary.LittleEndian.Uint32(body[17:]),
+	pos, cycleLen := binary.LittleEndian.Uint64(body[1:]), binary.LittleEndian.Uint32(body[17:])
+	if cycleLen == 0 || pos > (1<<62) {
+		return fmt.Errorf("%w: cycleLen %d pos %d", ErrCorruptFrame, cycleLen, pos)
+	}
+	if n := len(body) - dataHeader; n > PayloadSize {
+		return fmt.Errorf("%w: %d-byte payload exceeds PayloadSize", ErrCorruptFrame, n)
+	}
+	*f = Frame{
+		Pos:      pos,
+		CycleLen: cycleLen,
 		Pkt: Packet{
 			Kind:      Kind(body[0]),
 			NextIndex: binary.LittleEndian.Uint32(body[9:]),
@@ -156,11 +204,5 @@ func DecodeFrame(b []byte) (Frame, error) {
 			Payload:   body[dataHeader:],
 		},
 	}
-	if f.CycleLen == 0 || f.Pos > (1<<62) {
-		return Frame{}, fmt.Errorf("%w: cycleLen %d pos %d", ErrCorruptFrame, f.CycleLen, f.Pos)
-	}
-	if len(f.Pkt.Payload) > PayloadSize {
-		return Frame{}, fmt.Errorf("%w: %d-byte payload exceeds PayloadSize", ErrCorruptFrame, len(f.Pkt.Payload))
-	}
-	return f, nil
+	return nil
 }

@@ -78,9 +78,76 @@ func TestEnvelopeTypes(t *testing.T) {
 	}
 }
 
+// batchOf returns n valid data frames written back to back, positions
+// first..first+n-1: the shape of one wire datagram.
+func batchOf(first uint64, n int) []byte {
+	var b []byte
+	for i := 0; i < n; i++ {
+		b = AppendFrame(b, first+uint64(i), 997, testPacket())
+	}
+	return b
+}
+
+func TestSplitEnvelopeWalksBatch(t *testing.T) {
+	rest := batchOf(40, 9)
+	for i := 0; i < 9; i++ {
+		env, tail, err := SplitEnvelope(rest)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		f, err := DecodeFrame(env)
+		if err != nil || f.Pos != 40+uint64(i) {
+			t.Fatalf("frame %d: pos %d err %v", i, f.Pos, err)
+		}
+		rest = tail
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after nine frames", len(rest))
+	}
+	if _, _, err := SplitEnvelope(rest); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("empty tail split without error: %v", err)
+	}
+}
+
+// walk splits b envelope by envelope the way a receiver does and checks the
+// boundary finder's contract on every step: an envelope it returns is a
+// prefix of the input, makes progress, and — when OpenEnvelope accepts it —
+// is accepted as the very same bytes; a failure wraps ErrCorruptFrame. It
+// returns how many envelopes opened cleanly.
+func walk(t *testing.T, b []byte) (opened int) {
+	for len(b) > 0 {
+		env, rest, err := SplitEnvelope(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptFrame) {
+				t.Fatalf("split error outside ErrCorruptFrame: %v", err)
+			}
+			return opened
+		}
+		if len(env) < EnvelopeOverhead || len(env)+len(rest) != len(b) || !bytes.Equal(env, b[:len(env)]) {
+			t.Fatalf("split %d bytes into %d + %d", len(b), len(env), len(rest))
+		}
+		if _, _, err := OpenEnvelope(env); err == nil {
+			opened++
+		} else if !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("open error outside ErrCorruptFrame: %v", err)
+		}
+		if fr, err := DecodeFrame(env); err == nil {
+			if re := AppendFrame(nil, fr.Pos, fr.CycleLen, fr.Pkt); !bytes.Equal(re, env) {
+				t.Fatalf("accepted frame does not round-trip: %x != %x", re, env)
+			}
+		}
+		b = rest
+	}
+	return opened
+}
+
 // FuzzFrame pins the frame decoder against hostile datagrams: it must never
 // panic, and any frame it accepts must re-encode to the exact input bytes
-// (so acceptance implies integrity). Seed corpus entries cover a valid
+// (so acceptance implies integrity). The same bytes are also walked as a run
+// of envelopes (SplitEnvelope), alone and as one mutated byte of a valid
+// nine-frame datagram: the boundary finder never panics, never hands out
+// bytes OpenEnvelope accepts differently, and a single damaged byte costs at
+// most the frames from its own onward. Seed corpus entries cover a valid
 // frame, truncations, and bit flips; crashers found by fuzzing are committed
 // under testdata/fuzz.
 func FuzzFrame(f *testing.F) {
@@ -115,17 +182,34 @@ func FuzzFrame(f *testing.F) {
 	})
 	f.Add(welcomeish)
 	f.Add(welcomeish[:len(welcomeish)-3])
+	// Batch shapes: a whole datagram, one cut mid-frame, and bytes whose
+	// first two select a length byte and a magic byte of an inner frame.
+	batch := batchOf(100, 9)
+	f.Add(batch)
+	f.Add(batch[:4*MaxFrameSize+30])
+	f.Add([]byte{byte((3*MaxFrameSize + 5) & 0xff), byte((3*MaxFrameSize + 5) >> 8), 0x80})
+	f.Add([]byte{byte((6 * MaxFrameSize) & 0xff), byte((6 * MaxFrameSize) >> 8), 0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeFrame(b)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("frame error outside ErrCorruptFrame: %v", err)
 			}
+		} else if re := AppendFrame(nil, fr.Pos, fr.CycleLen, fr.Pkt); !bytes.Equal(re, b) {
+			t.Fatalf("accepted frame does not round-trip: %x != %x", re, b)
+		}
+		walk(t, b)
+		if len(b) < 3 {
 			return
 		}
-		re := AppendFrame(nil, fr.Pos, fr.CycleLen, fr.Pkt)
-		if !bytes.Equal(re, b) {
-			t.Fatalf("accepted frame does not round-trip: %x != %x", re, b)
+		// One damaged byte in a valid nine-frame datagram: b picks the byte
+		// (first two bytes, modulo the length) and the damage (third, forced
+		// non-zero). Frames before the damaged one are untouched.
+		mut := append([]byte(nil), batch...)
+		at := (int(b[0]) | int(b[1])<<8) % len(mut)
+		mut[at] ^= b[2] | 1
+		if opened, intact := walk(t, mut), at/MaxFrameSize; opened < intact || opened > 8 {
+			t.Fatalf("byte %d damaged: %d of 9 frames opened, want >= %d and <= 8", at, opened, intact)
 		}
 	})
 }

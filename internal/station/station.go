@@ -732,6 +732,39 @@ func (s *Sub) At(abs int) (packet.Packet, bool) {
 	return s.replayAt(abs)
 }
 
+// Ready reports whether At(abs) would return without waiting for the
+// station: the transmission at abs (or a later one, proving abs was missed)
+// is already buffered, or the station has left the air. It never blocks and
+// does not move the want, so the station cannot tell it was asked; buffered
+// transmissions below abs — which At(abs) would discard as slept over — are
+// discarded here, which is why a non-empty buffer alone answers nothing.
+// Like At, it belongs to the subscriber's goroutine and takes non-decreasing
+// positions. A wire pump asks it before each At: a pump holding unsent
+// frames writes them out rather than wait for the air (wire.Broadcaster).
+func (s *Sub) Ready(abs int) bool {
+	if s.hasPending {
+		if s.pending.Pos >= abs {
+			return true
+		}
+		s.hasPending = false
+	}
+	for !s.offAir {
+		select {
+		case t, ok := <-s.ch:
+			switch {
+			case !ok:
+				s.offAir = true
+			case t.Pos >= abs:
+				s.pending, s.hasPending = t, true
+				return true
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // missedAt serves a packet the subscriber was tuned in for but never got
 // buffered (the station dropped it under backpressure): on the air it is
 // indistinguishable from a corrupted packet, and it is counted as a miss

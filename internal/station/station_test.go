@@ -313,6 +313,72 @@ func TestPacedClockRate(t *testing.T) {
 	}
 }
 
+// TestReadyAnswersForAt pins Sub.Ready, the question a wire pump asks before
+// every At: true exactly when At would not wait for the station. A buffer
+// holding only slept-over transmissions is not an answer — At would discard
+// all of it and then block — so Ready must look at positions, not at the
+// buffer's depth; and an off-air subscription replays, so it is always ready.
+func TestReadyAnswersForAt(t *testing.T) {
+	cycle := testCycle(63)
+	check := func(sub *Sub, abs int) {
+		t.Helper()
+		got, ok := sub.At(abs)
+		want := cycle.Packets[abs%cycle.Len()]
+		if !ok || string(got.Payload) != string(want.Payload) {
+			t.Fatalf("position %d after Ready: got %v ok=%v, want %v", abs, got.Payload, ok, want.Payload)
+		}
+	}
+	buffered := func(sub *Sub, n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); len(sub.ch) < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("station buffered %d transmissions, want %d", len(sub.ch), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	t.Run("virtual", func(t *testing.T) {
+		st := startStation(t, cycle, Config{Buffer: 8})
+		sub, err := st.Subscribe(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		start := sub.Start()
+		buffered(sub, 8) // the clock now waits on the full buffer
+		if !sub.Ready(start) || !sub.Ready(start+3) {
+			t.Fatal("Ready false for a buffered position")
+		}
+		check(sub, start+3) // Ready slept over start..start+2, like At would
+		st.Stop()
+		if !sub.Ready(start + 1000) {
+			t.Fatal("Ready false off the air, where At replays without waiting")
+		}
+		check(sub, start+1000)
+	})
+
+	t.Run("paced", func(t *testing.T) {
+		// 1 ms a packet: the far position below is 0.3 s of air away.
+		st := startStation(t, cycle, Config{BitsPerSecond: 1_024_000, Buffer: 64})
+		sub, err := st.Subscribe(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		far := sub.Start() + 300
+		buffered(sub, 3)
+		begin := time.Now()
+		if sub.Ready(far) {
+			t.Fatal("Ready true with nothing but slept-over transmissions buffered")
+		}
+		if took := time.Since(begin); took > 100*time.Millisecond {
+			t.Fatalf("Ready took %v: it waited for the air", took)
+		}
+		check(sub, far) // what Ready discarded At would have slept over too
+	})
+}
+
 // TestMissedSubsetOfLost pins the drop-accounting invariant the fleet
 // report subtracts on: Sub.Missed() counts exactly the backpressure drops
 // the listener experienced as corrupted receptions, never drops it slept

@@ -17,7 +17,9 @@ import (
 // Package-level instruments (DESIGN.md §10).
 var (
 	obsSent = obs.GetCounter("air_wire_datagrams_sent_total",
-		"framed broadcast packets written to the socket")
+		"data datagrams written to the socket, each carrying one or more framed broadcast packets")
+	obsFrames = obs.GetCounter("air_wire_frames_sent_total",
+		"framed broadcast packets written to the socket (frames per datagram = this over air_wire_datagrams_sent_total)")
 	obsHellos = obs.GetCounter("air_wire_hellos_total",
 		"handshakes accepted by wire broadcasters")
 	obsRemotes = obs.GetGauge("air_wire_remotes",
@@ -41,12 +43,13 @@ type BroadcasterOptions struct {
 	// receiver that vanished without a bye must not hold its subscription
 	// (and, through backpressure, the station) forever. Default 30s.
 	IdleTimeout time.Duration
-	// Corrupt, when set, intercepts every outgoing data frame: tests use it
-	// to flip bits (the receiver must reject the frame by CRC and account
-	// the position as lost) or return nil to drop the datagram outright.
-	// The callback may mutate and return frame in place. It must be safe
-	// for concurrent use — one pump goroutine per remote calls it.
-	// chaos.Injector.WireHook is the standard deterministic implementation.
+	// Corrupt, when set, intercepts every outgoing data frame before it
+	// joins its datagram: tests use it to flip bits (the receiver must reject
+	// the frame by CRC and account the position as lost) or return nil to
+	// drop the frame outright. The callback may mutate and return frame in
+	// place. It must be safe for concurrent use — one pump goroutine per
+	// remote calls it. chaos.Injector.WireHook is the standard deterministic
+	// implementation.
 	Corrupt func(pos uint64, frame []byte) []byte
 	// MaxRemotes caps concurrently subscribed remotes: a hello past the cap
 	// is answered with a busy frame (a typed refusal the receiver surfaces
@@ -58,10 +61,11 @@ type BroadcasterOptions struct {
 // Broadcaster drains a live station onto a UDP socket: every remote
 // receiver that completes the hello/welcome handshake gets its own station
 // subscription and a pump goroutine streaming framed packets from its
-// subscribe position, paced by the receiver's want/limit credit. One
-// Broadcaster serves any number of remotes; the station's own clock (and
-// its lossless virtual-clock backpressure or paced-clock drop semantics)
-// stays the single source of air truth.
+// subscribe position — every frame that is ready, up to maxDatagram, per
+// datagram — paced by the receiver's want/limit credit. One Broadcaster
+// serves any number of remotes; the station's own clock (and its lossless
+// virtual-clock backpressure or paced-clock drop semantics) stays the
+// single source of air truth.
 type Broadcaster struct {
 	st   *station.Station
 	opts BroadcasterOptions
@@ -196,7 +200,7 @@ func (b *Broadcaster) Close() {
 // (hello, want, bye) and mutates remote credit; pumps only read it.
 func (b *Broadcaster) readLoop() {
 	defer b.wg.Done()
-	buf := make([]byte, 2048)
+	buf := make([]byte, maxDatagram)
 	for {
 		n, raddr, err := b.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -353,19 +357,42 @@ func (r *remote) advance(pos, limit int64) {
 // shut releases the remote; the pump notices via done and unsubscribes.
 func (r *remote) shut() { r.closeOnce.Do(func() { close(r.done) }) }
 
-// pump streams the remote's subscription onto the socket: one framed
-// datagram per position, sequential from the subscribe position, skipping
-// ahead when the receiver's want jumps (the remote radio slept) and
-// pausing whenever credit runs out.
+// pump streams the remote's subscription onto the socket: one frame per
+// position, sequential from the subscribe position, skipping ahead when the
+// receiver's want jumps (the remote radio slept) and pausing whenever credit
+// runs out.
+//
+// Frames travel back to back in one datagram — the cost of a send is per
+// datagram, not per byte — under one rule: the pump never waits, for credit
+// or for the station, while it holds an unsent frame. A datagram therefore
+// leaves when (a) another full frame would not fit maxDatagram, (b) the
+// next position is not yet buffered on the subscription, or (c) credit is
+// exhausted. No timer is involved: on a virtual clock the station fills the
+// subscription buffer while the pump is inside the send, so datagrams fill;
+// on a paced clock a packet arrives once per airtime, so each is sent alone
+// the moment it airs.
 func (b *Broadcaster) pump(key string, r *remote) {
 	defer b.wg.Done()
 	defer b.forget(key, r)
 	defer r.sub.Close()
 
 	cycleLen := uint32(b.st.Len())
-	buf := make([]byte, 0, packet.MaxFrameSize)
+	batch := make([]byte, 0, maxDatagram)
+	frames := 0 // frames in batch
+	flush := func() {
+		if frames == 0 {
+			return
+		}
+		if _, err := b.conn.WriteToUDP(batch, r.addr); err == nil {
+			obsSent.Inc()
+			obsFrames.Add(int64(frames))
+		}
+		batch, frames = batch[:0], 0
+	}
 	pos := r.sub.Start()
 	for {
+		// A remote released with frames still batched loses them with the
+		// rest of its stream: nothing is written for a receiver that is gone.
 		select {
 		case <-r.done:
 			return
@@ -389,6 +416,7 @@ func (b *Broadcaster) pump(key string, r *remote) {
 			if int64(pos) < r.limit.Load() {
 				break
 			}
+			flush() // rule (c): everything below limit is out before parking
 			select {
 			case <-r.credit:
 			case <-r.done:
@@ -397,21 +425,26 @@ func (b *Broadcaster) pump(key string, r *remote) {
 				return
 			}
 		}
+		if frames > 0 && !r.sub.Ready(pos) {
+			flush() // rule (b): At is about to wait for the air
+		}
 		p, ok := r.sub.At(pos)
 		if ok {
-			frame := packet.AppendFrame(buf[:0], uint64(pos), cycleLen, p)
+			n := len(batch)
+			batch = packet.AppendFrame(batch, uint64(pos), cycleLen, p)
 			if b.opts.Corrupt != nil {
-				frame = b.opts.Corrupt(uint64(pos), frame)
+				batch = append(batch[:n], b.opts.Corrupt(uint64(pos), batch[n:])...)
 			}
-			if frame != nil {
-				if _, err := b.conn.WriteToUDP(frame, r.addr); err == nil {
-					obsSent.Inc()
-				}
+			if len(batch) > n {
+				frames++
+			}
+			if len(batch)+packet.MaxFrameSize > maxDatagram {
+				flush() // rule (a)
 			}
 		}
 		// A position the subscription itself lost (paced-clock backpressure
 		// drop) is not sent: the receiver sees the wire skip past it and
-		// serves it as a lost reception, same as any dropped datagram.
+		// serves it as a lost reception, same as any dropped frame.
 		pos++
 	}
 }

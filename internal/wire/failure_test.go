@@ -18,6 +18,9 @@ type rawClient struct {
 	t    *testing.T
 	conn *net.UDPConn
 	buf  []byte
+	rest []byte // unread frames of the last datagram (aliases buf)
+	// datagrams counts datagrams read; frames the envelopes walked in them.
+	datagrams, frames int
 }
 
 func rawDial(t *testing.T, b *Broadcaster) *rawClient {
@@ -41,15 +44,26 @@ func (c *rawClient) send(frame []byte) {
 	}
 }
 
-// read returns the next frame's type, or false on timeout.
+// read returns the next frame's type and body, walking the envelopes of a
+// datagram before reading the next one; false on timeout.
 func (c *rawClient) read(timeout time.Duration) (uint8, []byte, bool) {
 	c.t.Helper()
-	c.conn.SetReadDeadline(time.Now().Add(timeout))
-	n, err := c.conn.Read(c.buf)
-	if err != nil {
-		return 0, nil, false
+	if len(c.rest) == 0 {
+		c.conn.SetReadDeadline(time.Now().Add(timeout))
+		n, err := c.conn.Read(c.buf)
+		if err != nil {
+			return 0, nil, false
+		}
+		c.datagrams++
+		c.rest = c.buf[:n]
 	}
-	ftype, body, err := packet.OpenEnvelope(c.buf[:n])
+	env, rest, err := packet.SplitEnvelope(c.rest)
+	if err != nil {
+		c.t.Fatalf("bad frame boundary from broadcaster: %v", err)
+	}
+	c.rest = rest
+	c.frames++
+	ftype, body, err := packet.OpenEnvelope(env)
 	if err != nil {
 		c.t.Fatalf("bad envelope from broadcaster: %v", err)
 	}

@@ -1,23 +1,27 @@
 // Package wire puts the broadcast on a real wire: a UDP datagram transport
 // carrying the fixed-size packet encoding of internal/packet behind the
 // feed interfaces of internal/broadcast. A Broadcaster drains a live
-// station.Station onto a socket — one framed datagram per packet, one
-// per-remote subscription with receiver-driven credit — and a Receiver
-// presents the received datagrams as a broadcast.Feed, so the ordinary
-// Tuner (and therefore every scheme client, and deploy.Session unchanged)
-// runs on top of a remote broadcast exactly as it does in process.
+// station.Station onto a socket — one CRC frame per packet, as many frames
+// per datagram as are ready to go (maxDatagram), one per-remote subscription
+// with receiver-driven credit — and a Receiver presents the received frames
+// as a broadcast.Feed, so the ordinary Tuner (and therefore every scheme
+// client, and deploy.Session unchanged) runs on top of a remote broadcast
+// exactly as it does in process.
 //
 // Loss is now real: a datagram the network drops, truncates or corrupts
 // (every frame carries the CRC32-C envelope of internal/packet) surfaces to
-// the client as a corrupted reception counted in Tuner.Lost, never as a
-// wrong answer. On top of the physical loss the receiver applies the same
-// deterministic injected-loss draw as the simulator (broadcast.Lost over
-// (seed, position) at serve time), which is what keeps a loopback receiver
-// at zero injected loss bit-identical — answers and tuning/latency/lost
-// accounting — to an offline replay from the same tune-in position.
+// the client as corrupted receptions counted in Tuner.Lost — every position
+// of a dropped datagram, only the damaged frames of a corrupted one — never
+// as a wrong answer. On top of the physical loss the receiver applies the
+// same deterministic injected-loss draw as the simulator (broadcast.Lost
+// over (seed, position) at serve time), which is what keeps a loopback
+// receiver at zero injected loss bit-identical — answers and
+// tuning/latency/lost accounting — to an offline replay from the same
+// tune-in position.
 //
 // Control protocol (all frames ride the packet envelope; data frames use
-// packet.FrameData, control frames the 0x10+ range):
+// packet.FrameData, control frames the 0x10+ range; a control frame always
+// travels alone in its datagram):
 //
 //	hello    receiver -> broadcaster  window u32 (initial credit request)
 //	welcome  broadcaster -> receiver  start u64, cycleLen u32, version u32,
@@ -41,6 +45,14 @@ import (
 
 	"repro/internal/packet"
 )
+
+// maxDatagram is the most either end writes into one UDP datagram, and so
+// the size of every read buffer: under a 1500-byte MTU with room for the IP
+// and UDP headers and a tunnel's, it holds nine full data frames
+// (packet.MaxFrameSize each). The pump fills a datagram up to it; a welcome
+// whose kind schedule would not fit is refused when the broadcaster is set
+// up (appendWelcome).
+const maxDatagram = 1400
 
 // Control frame types, in the envelope range reserved for transports.
 const (
@@ -104,10 +116,11 @@ func appendWelcome(dst []byte, w welcome) ([]byte, error) {
 		runs++
 		i = j
 	}
-	if len(body) > 0xffff {
-		// AppendEnvelope would panic; a cycle alternating kinds every packet
-		// could get here, so refuse it as a broadcaster setup error instead.
-		return nil, fmt.Errorf("wire: kind schedule of %d runs does not fit a welcome frame", runs)
+	if packet.EnvelopeOverhead+len(body) > maxDatagram {
+		// No receiver reads a datagram this large; a cycle alternating kinds
+		// every few packets could get here, so refuse it as a broadcaster
+		// setup error instead.
+		return nil, fmt.Errorf("wire: kind schedule of %d runs does not fit a %d-byte welcome datagram", runs, maxDatagram)
 	}
 	return packet.AppendEnvelope(dst, frameWelcome, body), nil
 }

@@ -54,10 +54,11 @@ type ReceiverOptions = transport.DialOptions
 // while the broadcaster side is concurrency-safe.
 //
 // Loss accounting mirrors the in-process feeds: a position the wire
-// skipped past (datagram dropped by the network, rejected by CRC, or
-// overtaken by reordering) is served as a corrupted reception carrying the
-// correct packet kind from the welcome's kind schedule, counted in
-// WireLost and — through the tuner that listened for it — in Tuner.Lost.
+// skipped past (its datagram dropped by the network or overtaken by
+// reordering, its frame rejected by CRC or stranded behind a damaged frame
+// boundary) is served as a corrupted reception carrying the correct packet
+// kind from the welcome's kind schedule, counted in WireLost and — through
+// the tuner that listened for it — in Tuner.Lost.
 // Injected loss is applied at serve time on intact positions, keeping the
 // received frame's kind, so a loopback receiver is bit-identical to an
 // offline replay with equal (start, loss, seed).
@@ -95,6 +96,7 @@ type Receiver struct {
 
 	dialDraw uint64 // monotonic draw index for backoff jitter
 	readBuf  []byte
+	rest     []byte // frames of the current datagram not yet walked (aliases readBuf)
 	sendBuf  []byte
 	closed   bool
 }
@@ -131,7 +133,7 @@ func Dial(addr string, opts ReceiverOptions) (*Receiver, error) {
 	r := &Receiver{
 		raddr:   raddr,
 		opts:    opts,
-		readBuf: make([]byte, 2048),
+		readBuf: make([]byte, maxDatagram),
 	}
 	if err := r.connect(); err != nil {
 		return nil, err
@@ -160,23 +162,24 @@ func (r *Receiver) connect() error {
 	if err != nil {
 		return fmt.Errorf("wire: %w", err)
 	}
-	// Ask the kernel for room to hold a full credit window of datagrams.
-	// The default socket buffer fits the default window with no headroom
-	// (each ~155-byte frame is charged its skb truesize, ~832 bytes, and
-	// 256 of those exactly exhaust a 212992-byte rcvbuf), so a burst after
-	// a credit refill would tip it over and drop a datagram. Best effort:
-	// the kernel clamps the request to rmem_max, and any remaining shortfall
-	// surfaces honestly as wire loss, never as a wrong answer.
+	// Ask the kernel for room to hold a full credit window of datagrams
+	// whatever their fill (readBufferFor). Best effort: the kernel clamps
+	// the request to rmem_max, and any remaining shortfall surfaces honestly
+	// as wire loss, never as a wrong answer.
 	conn.SetReadBuffer(readBufferFor(r.opts.Window))
 	r.conn = conn
 	return nil
 }
 
 // readBufferFor sizes the socket receive buffer for a credit window of w
-// in-flight datagrams: the kernel accounts each frame at its skb truesize
-// (~832 bytes for our ~155-byte frames), and a refill burst arrives while
-// up to half the previous window is still queued, so size for 2x the
-// window at a conservative 4KB per datagram, with a 1MB floor.
+// positions in flight. The kernel charges a datagram its skb truesize, not
+// its length: ~832 bytes for a lone ~155-byte frame, ~2.3KB for a full
+// maxDatagram one. A 256-position window is ~29 full datagrams (~66KB) when
+// the pump finds every frame ready, and 256 single-frame ones (~213KB — by
+// itself the whole default rcvbuf) when it finds none, and a refill burst
+// arrives while up to half the previous window is still queued. Sizing for
+// 2x the window at a conservative 4KB per position covers both ends and
+// everything between, with a 1MB floor.
 func readBufferFor(w int) int {
 	n := 2 * w * 4096
 	if n < 1<<20 {
@@ -229,7 +232,14 @@ func (r *Receiver) exchangeHello(deadline time.Time) (welcome, error) {
 			if err != nil {
 				break // window over (or ICMP refusal): re-hello
 			}
-			ftype, body, err := packet.OpenEnvelope(r.readBuf[:n])
+			// Control frames travel alone; anything after the first envelope
+			// is a data datagram's tail, discarded with its head below.
+			var ftype uint8
+			var body []byte
+			env, _, err := packet.SplitEnvelope(r.readBuf[:n])
+			if err == nil {
+				ftype, body, err = packet.OpenEnvelope(env)
+			}
 			if err != nil {
 				r.corrupted++
 				obsCorrupt.Inc()
@@ -249,9 +259,9 @@ func (r *Receiver) exchangeHello(deadline time.Time) (welcome, error) {
 				}
 				return welcome{}, fmt.Errorf("%w (%d/%d remotes) at %v", ErrRefused, remotes, max, r.raddr)
 			default:
-				// A data frame that overtook the welcome on a reordering
-				// network; discarding it surfaces the position as an
-				// ordinary wire gap once the stream is up.
+				// A data datagram that overtook the welcome on a reordering
+				// network; discarding it surfaces its positions as ordinary
+				// wire gaps once the stream is up.
 				continue
 			}
 		}
@@ -292,8 +302,10 @@ func (r *Receiver) TuneIn() int { return r.start }
 // so it must not be re-entered — the session re-attaches a fresh one.
 func (r *Receiver) Stale() bool { return r.stale }
 
-// Corrupted returns how many received datagrams failed the frame
-// integrity check (bad magic, truncation, CRC mismatch) and were dropped.
+// Corrupted returns how many integrity failures this receiver dropped
+// frames over: a frame whose CRC did not match, or a datagram cut short at
+// a frame boundary that could not be found (bad magic, truncation) — one
+// count, however many frames were stranded behind it.
 func (r *Receiver) Corrupted() int { return r.corrupted }
 
 // Redials returns how many mid-stream reconnection attempts this receiver
@@ -321,12 +333,16 @@ func (r *Receiver) Prefetch(abs, n int) {
 }
 
 // At blocks until the wire has moved past absolute position abs and
-// returns its packet (broadcast.Feed). Frames below abs were slept over
+// returns its packet (broadcast.Feed). A datagram carries one or more
+// frames back to back; At walks them in order and reads the socket only
+// when the current datagram is used up. Frames below abs were slept over
 // and are discarded; a frame beyond abs means the wire lost abs, which is
-// served as a corrupted reception with the correct kind. If the
-// broadcaster says bye or falls silent past the retry budget, the receiver
-// re-dials up to Redial times (fresh socket, fresh handshake, stream
-// re-anchored); past that the feed aborts the query via
+// served as a corrupted reception with the correct kind. A frame failing
+// its CRC is dropped alone; a frame boundary that cannot be found takes the
+// rest of its datagram with it — either way the positions surface as gaps.
+// If the broadcaster says bye or falls silent past the retry budget, the
+// receiver re-dials up to Redial times (fresh socket, fresh handshake,
+// stream re-anchored); past that the feed aborts the query via
 // broadcast.AbortFeed with ErrDead — a dead wire, unlike a stopped
 // in-process station, has no cycle to degrade to.
 func (r *Receiver) At(abs int) (packet.Packet, bool) {
@@ -352,25 +368,38 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 	}
 	timeouts := 0
 	for {
-		r.conn.SetReadDeadline(time.Now().Add(r.opts.Timeout))
-		n, err := r.conn.Read(r.readBuf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				timeouts++
-				if timeouts < r.opts.Retries {
-					// The want (or the whole stream since it) may have been
-					// lost; re-assert the credit and listen again.
-					r.sendWant(abs, abs+r.opts.Window)
-					continue
+		if len(r.rest) == 0 {
+			r.conn.SetReadDeadline(time.Now().Add(r.opts.Timeout))
+			n, err := r.conn.Read(r.readBuf)
+			if err != nil {
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					timeouts++
+					if timeouts < r.opts.Retries {
+						// The want (or the whole stream since it) may have been
+						// lost; re-assert the credit and listen again.
+						r.sendWant(abs, abs+r.opts.Window)
+						continue
+					}
 				}
+				r.redial(abs, fmt.Errorf("wire: broadcast from %v went silent at position %d: %w",
+					r.raddr, abs, err))
+				timeouts = 0
+				continue
 			}
-			r.redial(abs, fmt.Errorf("wire: broadcast from %v went silent at position %d: %w",
-				r.raddr, abs, err))
-			timeouts = 0
+			obsRecv.Inc()
+			r.rest = r.readBuf[:n]
+		}
+		env, rest, err := packet.SplitEnvelope(r.rest)
+		if err != nil {
+			// No boundary to go by: whatever else the datagram carried cannot
+			// be located, and those positions surface as gaps.
+			r.rest = nil
+			r.corrupted++
+			obsCorrupt.Inc()
 			continue
 		}
-		obsRecv.Inc()
-		ftype, _, err := packet.OpenEnvelope(r.readBuf[:n])
+		r.rest = rest
+		ftype, body, err := packet.OpenEnvelope(env)
 		if err != nil {
 			r.corrupted++
 			obsCorrupt.Inc()
@@ -388,7 +417,7 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 		default:
 			continue
 		}
-		f, err := packet.DecodeFrame(r.readBuf[:n])
+		f, err := packet.DecodeData(body)
 		if err != nil {
 			r.corrupted++
 			obsCorrupt.Inc()
@@ -431,6 +460,7 @@ func (r *Receiver) abandon() {
 // with an endless welcome-timeout-welcome loop.
 func (r *Receiver) redial(abs int, cause error) {
 	r.abandon()
+	r.rest = nil // the handshake reuses readBuf; the old stream's tail is void
 	if r.opts.Redial <= 0 {
 		obsDead.Inc()
 		broadcast.AbortFeed(fmt.Errorf("%w: %v", ErrDead, cause))

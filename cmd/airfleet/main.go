@@ -168,26 +168,7 @@ func report(w io.Writer, r repro.FleetResult) {
 	if r.Errors > 0 {
 		fmt.Fprintf(w, " (%d errors)", r.Errors)
 	}
-	fmt.Fprintf(w, "\nthroughput  %.0f queries/sec\n\n", r.QPS)
-	fmt.Fprintf(w, "%-22s %10s %10s %10s %10s\n", "per-query metric", "mean", "p50", "p95", "p99")
-	row := func(name string, mean float64, q repro.Quantiles, format string) {
-		fmt.Fprintf(w, "%-22s %10s %10s %10s %10s\n", name,
-			fmt.Sprintf(format, mean), fmt.Sprintf(format, q.P50),
-			fmt.Sprintf(format, q.P95), fmt.Sprintf(format, q.P99))
-	}
-	row("tuning time (packets)", r.Agg.MeanTuning(), r.Tuning, "%.0f")
-	row("access latency (pkts)", r.Agg.MeanLatency(), r.Latency, "%.0f")
-	row("energy (joules)", r.MeanEnergy, r.Energy, "%.4f")
-	if r.Degraded > 0 || r.Refused > 0 {
-		fmt.Fprintf(w, "\nshed load   %d degraded answers (budget exceeded), %d refused (admission control)\n",
-			r.Degraded, r.Refused)
-	}
-	if r.LostPackets > 0 || r.MissedPackets > 0 {
-		fmt.Fprintf(w, "\nair loss    %d lost receptions (%d injected, %d dropped or corrupted on the wire)\n",
-			r.LostPackets, r.LostPackets-r.MissedPackets, r.MissedPackets)
-	}
-	fmt.Fprintf(w, "\nenergy costed at %.3g Mbps; peak client memory %.1f KB\n",
-		float64(r.Rate)/1e6, float64(r.Agg.MaxPeakMem)/1024)
+	r.WriteTable(w, "lost receptions (%d injected, %d dropped or corrupted on the wire)")
 }
 
 // run dispatches to the controller or the in-process worker and renders

@@ -44,9 +44,9 @@ annotation.`,
 	Run: run,
 }
 
-// registerFuncs maps the obs registration entry points to the index of
-// their name/help/label arguments. Matching is by function name within a
-// package whose path ends in "obs" (the real internal/obs, or a fixture).
+// registerFuncs names the obs registration entry points, all shaped (name,
+// help, labels...). Matching is by function name within a package whose
+// path ends in "obs" (the real internal/obs, or a fixture).
 var registerFuncs = map[string]bool{
 	"GetCounter": true, "GetGauge": true, "GetHistogram": true,
 	"Counter": true, "Gauge": true, "Histogram": true,
@@ -89,11 +89,11 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			name, hist, ok := registrationCall(pass.TypesInfo, call)
+			name, ok := registrationCall(pass.TypesInfo, call)
 			if !ok {
 				return true
 			}
-			checkRegistration(pass, call, name, hist, stack)
+			checkRegistration(pass, call, name, stack)
 			return true
 		})
 	}
@@ -101,36 +101,35 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 // registrationCall reports whether call registers an obs instrument,
-// returning the called function's name and whether it is a histogram
-// (whose bounds argument sits between help and labels).
-func registrationCall(info *types.Info, call *ast.CallExpr) (string, bool, bool) {
+// returning the called function's name.
+func registrationCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", false, false
+		return "", false
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || !registerFuncs[fn.Name()] {
-		return "", false, false
+		return "", false
 	}
 	path := fn.Pkg().Path()
 	if path != "obs" && !strings.HasSuffix(path, "/obs") {
-		return "", false, false
+		return "", false
 	}
-	// Package-level Get* or a method on Registry; both have (name, help,
-	// [bounds,] labels...) shapes. Anything else named Counter on an obs
-	// type would be a method with a different signature — filter by the
-	// first parameter being a string.
+	// Package-level Get* or a method on Registry; all have the (name, help,
+	// labels...) shape. Anything else named Counter on an obs type would be
+	// a method with a different signature — filter by the first parameter
+	// being a string.
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Params().Len() < 2 {
-		return "", false, false
+		return "", false
 	}
 	if b, ok := sig.Params().At(0).Type().Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
-		return "", false, false
+		return "", false
 	}
-	return fn.Name(), strings.Contains(fn.Name(), "Histogram"), true
+	return fn.Name(), true
 }
 
-func checkRegistration(pass *analysis.Pass, call *ast.CallExpr, fnName string, hist bool, stack []ast.Node) {
+func checkRegistration(pass *analysis.Pass, call *ast.CallExpr, fnName string, stack []ast.Node) {
 	info := pass.TypesInfo
 	reportf := func(n ast.Node, format string, args ...any) {
 		pass.Report(analysis.Diagnostic{
@@ -165,11 +164,8 @@ func checkRegistration(pass *analysis.Pass, call *ast.CallExpr, fnName string, h
 		reportf(call.Args[1], "metric help must not be empty")
 	}
 
-	// Label pairs.
-	labelStart := 2
-	if hist {
-		labelStart = 3 // bounds slice sits between help and labels
-	}
+	// Label pairs follow name and help.
+	const labelStart = 2
 	var keys []string
 	if len(call.Args) > labelStart {
 		if call.Ellipsis.IsValid() {

@@ -62,12 +62,14 @@ func loops(peers []string) {
 	}
 }
 
-func histograms(bounds []float64) {
-	_ = obs.GetHistogram("air_tune_seconds", "tuning latency", bounds, "scheme", "hiti")
+func histograms(clientAddr string) {
+	_ = obs.GetHistogram("air_tune_seconds", "tuning latency", "scheme", "hiti")
+	_ = obs.GetHistogram("air_dial_seconds", "dial latency", "peer",
+		clientAddr) // want `label value derives from "clientAddr"`
 	_ = obs.GetGauge(
 		"air_lag_seconds_total", // want `the _total suffix is reserved for counters`
 		"lag")
 	_ = obs.GetHistogram(
 		"air_wait_seconds_total", // want `the _total suffix is reserved for counters`
-		"wait", bounds)
+		"wait")
 }

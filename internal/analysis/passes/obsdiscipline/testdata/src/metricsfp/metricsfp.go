@@ -16,8 +16,7 @@ import (
 var (
 	framesTotal = obs.GetCounter("air_frames_total", "frames decoded off the wire")
 	lagSeconds  = obs.GetGauge("air_lag_seconds", "staleness of the freshest cycle")
-	tuneSeconds = obs.GetHistogram("air_tune_seconds", "tuning latency",
-		[]float64{0.001, 0.01, 0.1, 1})
+	tuneSeconds = obs.GetHistogram("air_tune_seconds", "tuning latency")
 )
 
 const schemeLabel = "scheme"

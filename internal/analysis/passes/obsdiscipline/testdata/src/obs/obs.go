@@ -21,6 +21,4 @@ func GetCounter(name, help string, labels ...string) *Counter { return &Counter{
 
 func GetGauge(name, help string, labels ...string) *Gauge { return &Gauge{} }
 
-func GetHistogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	return &Histogram{}
-}
+func GetHistogram(name, help string, labels ...string) *Histogram { return &Histogram{} }

@@ -280,18 +280,25 @@ func (ch *Channel) At(abs int) (packet.Packet, bool) {
 	return p, true
 }
 
+// SplitMix64 is the finalizer the whole repo draws determinism from: loss
+// patterns here, fleet client seeds, wire dial jitter, chaos fault streams.
+// A caller mixes its words into z (seed + n*0x9E3779B97F4A7C15 by
+// convention) and gets 64 well-scrambled bits back.
+func SplitMix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
 // Lost reports whether the transmission at absolute position abs is lost for
 // a listener with the given loss seed and rate. It hashes (seed, abs) with
-// splitmix64 into a uniform [0,1) draw, so the loss pattern depends only on
+// SplitMix64 into a uniform [0,1) draw, so the loss pattern depends only on
 // (seed, abs): a live station subscription (internal/station) and an offline
 // Channel with the same seed and rate observe the exact same air.
 func Lost(seed uint64, abs int, loss float64) bool {
 	if loss <= 0 {
 		return false
 	}
-	z := seed + uint64(abs)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+	z := SplitMix64(seed + uint64(abs)*0x9E3779B97F4A7C15)
 	return float64(z>>11)/float64(1<<53) < loss
 }

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/broadcast"
 	"repro/internal/obs"
 )
 
@@ -45,14 +46,6 @@ var (
 		"datagrams held back one slot by chaos injection (reordering)")
 )
 
-// splitmix64 is the finalizer the whole repo draws determinism from
-// (broadcast.Lost, fleet client seeds, wire dial jitter).
-func splitmix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // Draw-stream constants: each fault family reads its own uncorrelated
 // [0,1) sequence over the shared (seed, n) space.
 const (
@@ -67,7 +60,7 @@ const (
 // draw returns the deterministic uniform [0,1) draw for datagram n of the
 // given fault stream.
 func draw(seed uint64, n uint64, stream uint64) float64 {
-	z := splitmix64(seed + n*0x9E3779B97F4A7C15 + stream*0xD1B54A32D192ED03)
+	z := broadcast.SplitMix64(seed + n*0x9E3779B97F4A7C15 + stream*0xD1B54A32D192ED03)
 	return float64(z>>11) / float64(1<<53)
 }
 
@@ -75,7 +68,7 @@ func draw(seed uint64, n uint64, stream uint64) float64 {
 // same discipline fleet.clientSeed uses: nearby indexes land in unrelated
 // parts of the draw space, so per-flow fault patterns never alias.
 func DeriveSeed(seed int64, index int) int64 {
-	return int64(splitmix64(uint64(seed) + uint64(index)*0x9E3779B97F4A7C15))
+	return int64(broadcast.SplitMix64(uint64(seed) + uint64(index)*0x9E3779B97F4A7C15))
 }
 
 // Plan is one direction's deterministic fault schedule. The zero value

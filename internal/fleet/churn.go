@@ -56,14 +56,13 @@ type ChurnResult struct {
 	// Swaps counts cycle swaps that reached the air during the run.
 	Swaps int
 	// StaleQueries counts answered queries that straddled at least one swap
-	// (their version window widened and they re-entered).
+	// (their version window widened and they re-entered; Result.Reentries
+	// counts the attempts that cost).
 	StaleQueries int
-	// Reentries counts discarded query attempts across the fleet; the
-	// staleness window of a swap is the span of queries it forces through
-	// this path.
-	Reentries int
 	// CleanLatency and StaleLatency split access latency (packets) by
-	// whether the query straddled a swap; the gap is the staleness penalty.
+	// whether the query straddled a swap — the tails of the Result's
+	// CleanLatencyHist and StaleLatencyHist; the gap is the staleness
+	// penalty.
 	CleanLatency metrics.Quantiles
 	StaleLatency metrics.Quantiles
 	// MeanCleanLatency and MeanStaleLatency are the exact means of the same
@@ -174,8 +173,19 @@ func RunChurn(ctx context.Context, t Target, st Swapper, mgr *update.Manager, w 
 	// Versions reports the air, not the manager: a build that never swapped
 	// in (or versions applied before this run started) would otherwise
 	// inflate it.
-	res.Versions = int(st.Version())
-	res.Swaps = swaps
-	res.UpdateErr = updateErr
-	return res, nil
+	out := res.staleness()
+	out.Versions, out.Swaps, out.UpdateErr = int(st.Version()), swaps, updateErr
+	return out, nil
+}
+
+// staleness derives a churn run's clean/stale split from the result's two
+// latency histograms.
+func (r Result) staleness() ChurnResult {
+	clean, stale := &r.CleanLatencyHist, &r.StaleLatencyHist
+	return ChurnResult{
+		Result:       r,
+		StaleQueries: int(stale.N()),
+		CleanLatency: clean.Quantiles(), MeanCleanLatency: clean.Mean(),
+		StaleLatency: stale.Quantiles(), MeanStaleLatency: stale.Mean(),
+	}
 }

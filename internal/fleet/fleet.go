@@ -3,10 +3,12 @@
 // air (deploy.Session behind the one-method interface declared here — deploy
 // imports this package), that answer shortest-path queries from a workload
 // mix, verify every answer against the reference of the cycle version it
-// was computed on, and fold their per-query measurements into a
-// concurrency-safe sharded aggregator reporting means, p50/p95/p99 tails,
-// and end-to-end throughput. There is one runner for every deployment
-// shape; a churn run (RunChurn) is that runner plus an updater goroutine.
+// was computed on, and count their per-query measurements each into its own
+// Partial; one fold sums the partials — workers of a run and worker
+// processes of a fan-out alike — and derives means, p50/p95/p99 tails and
+// end-to-end throughput from the summed histograms. There is one runner for
+// every deployment shape; a churn run (RunChurn) is that runner plus an
+// updater goroutine.
 //
 // This is the load-harness half of the live subsystem (internal/station is
 // the other): where the offline harness (internal/harness) replays queries
@@ -22,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/broadcast"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scheme"
@@ -39,8 +42,7 @@ var (
 	obsInflight = obs.GetGauge("air_fleet_inflight_sessions",
 		"fleet queries currently in flight")
 	obsQuerySecs = obs.GetHistogram("air_fleet_query_seconds",
-		"wall time per fleet query",
-		obs.ExpBuckets(0.0001, 4, 10))
+		"wall time per fleet query")
 	obsLost = obs.GetCounter("air_fleet_lost_packets_total",
 		"corrupted receptions observed by fleet tuners (simulator loss + backpressure)")
 	obsMissed = obs.GetCounter("air_fleet_missed_packets_total",
@@ -81,9 +83,6 @@ type Options struct {
 	Loss float64
 	// Seed derives every client's private loss pattern.
 	Seed int64
-	// Shards is the aggregator shard count (default: one per client, capped
-	// at 64).
-	Shards int
 	// QueryDeadline bounds each query's wall-clock time; past it the query
 	// is aborted and counted as degraded (Result.Degraded), never left
 	// hanging. 0 = unlimited.
@@ -99,7 +98,8 @@ type Options struct {
 	Wire transport.DialOptions
 }
 
-// ChannelStats summarizes one channel of a multi-channel fleet run.
+// ChannelStats summarizes one channel of a multi-channel fleet run, derived
+// from the channel's Partial.ChannelTuning histogram.
 type ChannelStats struct {
 	Channel int
 	// Packets is the total packets the fleet received on this channel.
@@ -114,21 +114,18 @@ type ChannelStats struct {
 }
 
 // ResultWireVersion is the version of Result's JSON wire format — the
-// worker→controller contract of cmd/airfleet. Version 2 added the
-// mergeable tail histograms (TuningHist, LatencyHist, EnergyHist) and their
-// layout; MergeResults refuses a part stamped with any other version.
-const ResultWireVersion = 2
+// worker→controller contract of cmd/airfleet. Version 3 carries every
+// distribution a Result reports as a metrics.Hist with its exact sum (clean
+// and stale latency, hops and per-channel tuning joined tuning and energy);
+// MergeResults refuses a part stamped with any other version.
+const ResultWireVersion = 3
 
-// Result is the aggregate outcome of a fleet run.
-type Result struct {
-	// WireVersion stamps the JSON wire format this Result was produced
-	// under (see ResultWireVersion).
-	WireVersion int `json:",omitempty"`
-
-	Method  string
-	Clients int
+// Partial is the additive half of a Result — what one worker counts, and
+// all that crosses the wire in substance: outcome counts, the paper's mean
+// factors and one metrics.Hist per reported distribution. Partials sum
+// (fold); everything else a Result says is derived from the sum.
+type Partial struct {
 	Queries int // queries issued (Errors/Degraded/Refused count failed subsets)
-	Pool    int // distinct workload queries the run drew from
 	Errors  int // failed, wrong-distance, or never-subscribed queries
 	// Degraded counts queries aborted by the run's answer budgets
 	// (QueryDeadline or TuningBudget); Refused counts queries shed by
@@ -137,35 +134,6 @@ type Result struct {
 	// outcome is ever silently dropped.
 	Degraded int
 	Refused  int
-	Elapsed  time.Duration
-	QPS      float64 // correctly answered queries per wall-clock second
-
-	// Agg carries the paper's mean factors over the correctly answered
-	// queries (Agg.N of them).
-	Agg metrics.Agg
-	// Tuning, Latency (packets) and Energy (joules at the station rate)
-	// carry the tail summaries a load test reports; MeanEnergy is the exact
-	// mean of the same per-query energy samples.
-	Tuning     metrics.Quantiles
-	Latency    metrics.Quantiles
-	Energy     metrics.Quantiles
-	MeanEnergy float64
-	// TuningHist, LatencyHist and EnergyHist carry the same per-query
-	// samples as the quantile summaries above, but in the fixed-layout
-	// mergeable form (metrics.Hist): MergeResults adds them across parts
-	// and recomputes true global tails instead of averaging per-part
-	// quantiles.
-	TuningHist  *metrics.Hist `json:",omitempty"`
-	LatencyHist *metrics.Hist `json:",omitempty"`
-	EnergyHist  *metrics.Hist `json:",omitempty"`
-	// Rate is the bit rate energy was costed at.
-	Rate int
-
-	// Channels breaks reception down per broadcast channel (multi-channel
-	// runs only; nil for a single-channel fleet), and MeanHops is the mean
-	// channel retunes per answered query.
-	Channels []ChannelStats
-	MeanHops float64
 
 	// LostPackets counts receptions that arrived corrupted across every
 	// query's tuner — injected simulator loss plus live backpressure drops.
@@ -176,6 +144,60 @@ type Result struct {
 	// LostPackets - MissedPackets is pure simulator loss.
 	LostPackets   int64
 	MissedPackets int64
+	// Reentries counts query attempts discarded because a cycle swap caught
+	// them; the staleness window of a swap is the span of queries it forces
+	// through this path. Zero on a static broadcast.
+	Reentries int
+
+	// Agg carries the paper's mean factors over the correctly answered
+	// queries (Agg.N of them).
+	Agg metrics.Agg
+	// One sample per answered query: packets received, joules at the run's
+	// rate, and access latency in packets — split by whether the query
+	// straddled a cycle swap and re-entered (the run's latency distribution
+	// is the two merged).
+	TuningHist       metrics.Hist
+	EnergyHist       metrics.Hist
+	CleanLatencyHist metrics.Hist
+	StaleLatencyHist metrics.Hist
+	// Multi-channel runs only: channel retunes per answered query, and per
+	// channel the packets received by the queries that touched it (sized by
+	// the first hopping query).
+	HopsHist      metrics.Hist
+	ChannelTuning []metrics.Hist `json:",omitempty"`
+}
+
+// Result is the aggregate outcome of a fleet run: the run's labels, the
+// summed Partial, and the tails, means and rates fold derived from it.
+type Result struct {
+	// WireVersion stamps the JSON wire format this Result was produced
+	// under (see ResultWireVersion).
+	WireVersion int `json:",omitempty"`
+
+	Method  string
+	Clients int
+	Pool    int // distinct workload queries the run drew from
+	// Rate is the bit rate energy was costed at.
+	Rate    int
+	Elapsed time.Duration
+	QPS     float64 // correctly answered queries per wall-clock second
+
+	Partial
+
+	// Tuning, Latency (packets) and Energy (joules at Rate) are the tail
+	// summaries a load test reports, each within one histogram bucket (8%)
+	// of the exact sample percentile; MeanEnergy is the exact mean of the
+	// energy samples.
+	Tuning     metrics.Quantiles
+	Latency    metrics.Quantiles
+	Energy     metrics.Quantiles
+	MeanEnergy float64
+
+	// Channels breaks reception down per broadcast channel (multi-channel
+	// runs only; nil for a single-channel fleet), and MeanHops is the mean
+	// channel retunes per answered query.
+	Channels []ChannelStats
+	MeanHops float64
 }
 
 // Outcome classifies how one query ended on the air, before the runner has
@@ -233,174 +255,130 @@ type Target struct {
 	Open func(id int, seed int64) (Session, error)
 }
 
-// shard is one lock striped slice of the aggregator. Workers hash to
-// shards, so with Shards >= Clients the hot path is contention-free while
-// the result is still assembled with ordinary mutexes (safe under -race
-// whatever the worker count).
-type shard struct {
-	mu       sync.Mutex
-	agg      metrics.Agg
-	tuning   metrics.Series
-	energy   metrics.Series
-	queries  int
-	errors   int
-	degraded int
-	refused  int
-	lost     int64
-	missed   int64
-
-	// Access latency, split by whether the query straddled a cycle swap and
-	// re-entered; the run's latency series is the two merged.
-	cleanLatency metrics.Series
-	staleLatency metrics.Series
-	reentries    int
-
-	// Multi-channel accounting (sized by the first hopping query).
-	chanPkts   []int64
-	chanTouch  []int
-	chanTuning []metrics.Series
-	hops       metrics.Series
-}
-
-// Aggregator folds per-query measurements concurrently.
-type Aggregator struct {
-	shards []shard
-	rate   int
-}
-
-// NewAggregator returns an aggregator with n shards costing energy at the
-// given bit rate.
-func NewAggregator(n, rate int) *Aggregator {
-	if n < 1 {
-		n = 1
-	}
-	return &Aggregator{shards: make([]shard, n), rate: rate}
-}
-
-// Add folds one query from the given worker into the bucket air.Outcome
-// names — so Agg.N + Errors + Degraded + Refused == Queries by construction
-// — together with its air-level loss accounting, which is recorded for
-// answered and failed queries alike: the packets were dropped either way.
-// q is read only for an Answered query.
-func (a *Aggregator) Add(worker int, q metrics.Query, air Air) {
-	s := &a.shards[worker%len(a.shards)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
+// add counts one query into the bucket air.Outcome names — so Agg.N + Errors
+// + Degraded + Refused == Queries by construction — together with its
+// air-level loss accounting, which is recorded for answered and failed
+// queries alike: the packets were dropped either way. q is read only for an
+// Answered query; rate costs its energy.
+func (p *Partial) add(q metrics.Query, air Air, rate int) {
+	p.Queries++
 	if air.Lost != 0 || air.Missed != 0 {
-		s.lost += int64(air.Lost)
-		s.missed += int64(air.Missed)
+		p.LostPackets += int64(air.Lost)
+		p.MissedPackets += int64(air.Missed)
 		obsLost.Add(int64(air.Lost))
 		obsMissed.Add(int64(air.Missed))
 	}
 	switch air.Outcome {
 	case Failed:
-		s.errors++
+		p.Errors++
 		obsErrors.Inc()
 		return
 	case Degraded:
-		s.degraded++
+		p.Degraded++
 		obsDegraded.Inc()
 		return
 	case Refused:
-		s.refused++
+		p.Refused++
 		obsRefused.Inc()
 		return
 	}
-	s.agg.Add(q)
-	s.tuning.Add(float64(q.TuningPackets))
-	s.energy.Add(q.EnergyJoules(a.rate))
+	p.Agg.Add(q)
+	p.TuningHist.Add(float64(q.TuningPackets))
+	p.EnergyHist.Add(q.EnergyJoules(rate))
 	if air.Attempts > 1 {
-		s.staleLatency.Add(float64(q.LatencyPackets))
-		s.reentries += air.Attempts - 1
+		p.StaleLatencyHist.Add(float64(q.LatencyPackets))
+		p.Reentries += air.Attempts - 1
 		obsStaleQueries.Inc()
 		obsReentries.Add(int64(air.Attempts - 1))
 	} else {
-		s.cleanLatency.Add(float64(q.LatencyPackets))
+		p.CleanLatencyHist.Add(float64(q.LatencyPackets))
 	}
 	if air.PerChannel == nil {
 		return
 	}
-	s.hops.Add(float64(air.Hops))
-	for len(s.chanPkts) < len(air.PerChannel) {
-		s.chanPkts = append(s.chanPkts, 0)
-		s.chanTouch = append(s.chanTouch, 0)
-		s.chanTuning = append(s.chanTuning, metrics.Series{})
+	p.HopsHist.Add(float64(air.Hops))
+	for len(p.ChannelTuning) < len(air.PerChannel) {
+		p.ChannelTuning = append(p.ChannelTuning, metrics.Hist{})
 	}
 	for c, n := range air.PerChannel {
-		if n == 0 {
-			continue
+		if n != 0 {
+			p.ChannelTuning[c].Add(float64(n))
 		}
-		s.chanPkts[c] += int64(n)
-		s.chanTouch[c]++
-		s.chanTuning[c].Add(float64(n))
 	}
 }
 
-// Summarize merges every shard into one Result (leaving run-level fields
-// for the caller to fill). Concurrent Adds must have finished. A run where
-// every query errored (Agg.N == 0) summarizes to all-zero quantiles and
-// means — metrics.Series and Agg guard their empty cases — so the caller
-// never divides by the completed-query count.
-func (a *Aggregator) Summarize() Result { return a.summarize().Result }
-
-// summarize is Summarize plus the staleness split a churn run reports.
-func (a *Aggregator) summarize() ChurnResult {
-	var out ChurnResult
-	r := &out.Result
-	var tuning, clean, stale, energy, hops metrics.Series
-	channels := 0
-	for i := range a.shards {
-		channels = max(channels, len(a.shards[i].chanPkts))
+// hists lists the partial's histograms in a fixed order, the channels last.
+func (p *Partial) hists() []*metrics.Hist {
+	out := []*metrics.Hist{&p.TuningHist, &p.EnergyHist, &p.CleanLatencyHist, &p.StaleLatencyHist, &p.HopsHist}
+	for c := range p.ChannelTuning {
+		out = append(out, &p.ChannelTuning[c])
 	}
-	chanTuning := make([]metrics.Series, channels)
-	if channels > 0 {
-		r.Channels = make([]ChannelStats, channels)
-		for c := range r.Channels {
-			r.Channels[c].Channel = c
-		}
-	}
-	for i := range a.shards {
-		s := &a.shards[i]
-		r.Queries += s.queries
-		r.Errors += s.errors
-		r.Degraded += s.degraded
-		r.Refused += s.refused
-		r.LostPackets += s.lost
-		r.MissedPackets += s.missed
-		r.Agg.Merge(s.agg)
-		out.Reentries += s.reentries
-		tuning.Merge(&s.tuning)
-		clean.Merge(&s.cleanLatency)
-		stale.Merge(&s.staleLatency)
-		energy.Merge(&s.energy)
-		hops.Merge(&s.hops)
-		for c := range s.chanPkts {
-			r.Channels[c].Packets += s.chanPkts[c]
-			r.Channels[c].Queries += s.chanTouch[c]
-			chanTuning[c].Merge(&s.chanTuning[c])
-		}
-	}
-	for c := range chanTuning {
-		r.Channels[c].Tuning = chanTuning[c].Quantiles()
-	}
-	out.StaleQueries = stale.N()
-	out.CleanLatency, out.MeanCleanLatency = clean.Quantiles(), clean.Mean()
-	out.StaleLatency, out.MeanStaleLatency = stale.Quantiles(), stale.Mean()
-	var latency metrics.Series
-	latency.Merge(&clean)
-	latency.Merge(&stale)
-	r.Tuning = tuning.Quantiles()
-	r.Latency = latency.Quantiles()
-	r.Energy = energy.Quantiles()
-	r.TuningHist = tuning.Hist()
-	r.LatencyHist = latency.Hist()
-	r.EnergyHist = energy.Hist()
-	r.MeanEnergy = energy.Mean()
-	r.MeanHops = hops.Mean()
-	r.Rate = a.rate
-	r.WireVersion = ResultWireVersion
 	return out
+}
+
+// merge adds o into p. A malformed histogram in o is refused by
+// metrics.Hist.Merge; p is then half-merged and must be dropped.
+func (p *Partial) merge(o *Partial) error {
+	p.Queries += o.Queries
+	p.Errors += o.Errors
+	p.Degraded += o.Degraded
+	p.Refused += o.Refused
+	p.LostPackets += o.LostPackets
+	p.MissedPackets += o.MissedPackets
+	p.Reentries += o.Reentries
+	p.Agg.Merge(o.Agg)
+	for len(p.ChannelTuning) < len(o.ChannelTuning) {
+		p.ChannelTuning = append(p.ChannelTuning, metrics.Hist{})
+	}
+	dst := p.hists()
+	for i, h := range o.hists() {
+		if err := dst[i].Merge(h); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fold is the one merge: it sums parts and derives every tail, mean and rate
+// a Result reports from the summed histograms, over the given wall-clock
+// window. run folds its workers' partials with it and MergeResults the
+// worker processes', so one process and N report the same numbers for the
+// same samples. A run where every query errored (Agg.N == 0) folds to
+// all-zero quantiles and means — metrics.Hist and Agg guard their empty
+// cases. The caller fills the run's labels (Method, Clients, Pool, Rate).
+func fold(parts []*Partial, elapsed time.Duration) (Result, error) {
+	r := Result{WireVersion: ResultWireVersion, Elapsed: elapsed}
+	for i, p := range parts {
+		if err := r.Partial.merge(p); err != nil {
+			return Result{}, fmt.Errorf("fleet: part %d: %w", i, err)
+		}
+	}
+	var latency metrics.Hist
+	for _, h := range []*metrics.Hist{&r.CleanLatencyHist, &r.StaleLatencyHist} {
+		if err := latency.Merge(h); err != nil {
+			return Result{}, fmt.Errorf("fleet: latency: %w", err)
+		}
+	}
+	r.Tuning = r.TuningHist.Quantiles()
+	r.Latency = latency.Quantiles()
+	r.Energy, r.MeanEnergy = r.EnergyHist.Quantiles(), r.EnergyHist.Mean()
+	r.MeanHops = r.HopsHist.Mean()
+	// Rates count correct answers only, so a degraded run (loss, station
+	// going off the air) cannot overstate itself.
+	perSec := func(n int) float64 {
+		if elapsed <= 0 {
+			return 0
+		}
+		return float64(n) / elapsed.Seconds()
+	}
+	r.QPS = perSec(r.Agg.N)
+	for c := range r.ChannelTuning {
+		h := &r.ChannelTuning[c]
+		r.Channels = append(r.Channels, ChannelStats{
+			Channel: c, Packets: int64(h.Sum), Queries: int(h.N()), QPS: perSec(int(h.N())), Tuning: h.Quantiles(),
+		})
+	}
+	return r, nil
 }
 
 // Run drives w's queries through a fleet of opts.Clients concurrent clients
@@ -413,21 +391,17 @@ func Run(ctx context.Context, t Target, w *workload.Workload, opts Options) (Res
 		base[i] = q.RefDist
 	}
 	refs := &refTable{byVer: map[uint32][]float64{t.Version: base}}
-	res, err := run(ctx, t, w, opts, refs, nil)
-	return res.Result, err
+	return run(ctx, t, w, opts, refs, nil)
 }
 
-// clientSeed derives client id's private RNG seed from the run seed with a
-// splitmix64-style finalizer over both words. The obvious additive form
+// clientSeed derives client id's private RNG seed from the run seed with the
+// splitmix64 finalizer over both words. The obvious additive form
 // (seed + id*constant) aliases across runs — client 1 of run S draws the
 // same loss pattern as client 0 of run S+constant — so nearby run seeds
 // share device behavior instead of being independent; the mix makes every
 // (seed, id) pair land in an unrelated part of the sequence space.
 func clientSeed(seed int64, id int) int64 {
-	z := uint64(seed) + uint64(id)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
+	return int64(broadcast.SplitMix64(uint64(seed) + uint64(id)*0x9E3779B97F4A7C15))
 }
 
 // refTable maps cycle versions to per-workload-query reference distances. A
@@ -460,12 +434,12 @@ func (r *refTable) get(ver uint32, i int) (float64, bool) {
 // the fleet (a churn run's traffic feed) under a context that ends when the
 // fleet stops issuing; run waits for it.
 func run(ctx context.Context, t Target, w *workload.Workload, opts Options, refs *refTable,
-	updater func(context.Context)) (ChurnResult, error) {
+	updater func(context.Context)) (Result, error) {
 	if len(w.Queries) == 0 {
-		return ChurnResult{}, fmt.Errorf("fleet: empty workload")
+		return Result{}, fmt.Errorf("fleet: empty workload")
 	}
 	if opts.Loss < 0 || opts.Loss >= 1 {
-		return ChurnResult{}, fmt.Errorf("fleet: loss rate %v outside [0,1)", opts.Loss)
+		return Result{}, fmt.Errorf("fleet: loss rate %v outside [0,1)", opts.Loss)
 	}
 	clients := opts.Clients
 	if clients <= 0 {
@@ -475,11 +449,6 @@ func run(ctx context.Context, t Target, w *workload.Workload, opts Options, refs
 	if total <= 0 {
 		total = len(w.Queries)
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = min(clients, 64)
-	}
-	agg := NewAggregator(shards, t.Rate)
 
 	// Each client is one device: its own session (scheme client reused
 	// across its queries, like a phone keeps its app open) and its own
@@ -488,7 +457,7 @@ func run(ctx context.Context, t Target, w *workload.Workload, opts Options, refs
 	for id := range sessions {
 		s, err := t.Open(id, clientSeed(opts.Seed, id))
 		if err != nil {
-			return ChurnResult{}, fmt.Errorf("fleet: client %d: %w", id, err)
+			return Result{}, fmt.Errorf("fleet: client %d: %w", id, err)
 		}
 		sessions[id] = s
 	}
@@ -526,54 +495,54 @@ func run(ctx context.Context, t Target, w *workload.Workload, opts Options, refs
 		}
 	}()
 
+	// Every worker counts into its own partial: nothing is shared while
+	// queries run, and the fold below is the one a controller applies to
+	// worker processes.
+	parts := make([]*Partial, clients)
 	started := time.Now()
 	var wg sync.WaitGroup
 	for id, s := range sessions {
+		part := new(Partial)
+		parts[id] = part
 		wg.Add(1)
-		go func(id int, s Session) {
+		go func(s Session) {
 			defer wg.Done()
 			for qi := range work {
 				obsQueries.Inc()
 				obsInflight.Inc()
 				qStart := time.Now()
-				ask(ctx, s, id, qi, w.Queries[qi], refs, agg)
+				res, air := ask(ctx, s, qi, w.Queries[qi], refs)
+				part.add(res.Metrics, air, t.Rate)
 				obsQuerySecs.Observe(time.Since(qStart).Seconds())
 				obsInflight.Dec()
 			}
-		}(id, s)
+		}(s)
 	}
 	wg.Wait()
 	elapsed := time.Since(started)
 	stop()
 	side.Wait()
 
-	res := agg.summarize()
-	res.Method = t.Method
+	res, err := fold(parts, elapsed)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Method, res.Rate = t.Method, t.Rate
 	res.Clients = clients
 	res.Pool = len(w.Queries)
-	res.Elapsed = elapsed
-	if elapsed > 0 {
-		// Throughput counts correct answers only, so a degraded run (loss,
-		// station going off the air) cannot overstate itself.
-		res.QPS = float64(res.Agg.N) / elapsed.Seconds()
-		for c := range res.Channels {
-			res.Channels[c].QPS = float64(res.Channels[c].Queries) / elapsed.Seconds()
-		}
-	}
 	return res, nil
 }
 
-// ask answers workload query qi on the worker's session and folds the
-// outcome. The answer is verified against the reference of the cycle
-// version it was computed on; a version whose references were never
-// published would be a swap that bypassed the updater, counted loudly as an
-// error.
-func ask(ctx context.Context, s Session, worker, qi int, q workload.Query, refs *refTable, agg *Aggregator) {
+// ask answers workload query qi on the worker's session. The answer is
+// verified against the reference of the cycle version it was computed on; a
+// version whose references were never published would be a swap that
+// bypassed the updater, counted loudly as an error.
+func ask(ctx context.Context, s Session, qi int, q workload.Query, refs *refTable) (scheme.Result, Air) {
 	res, air := s.Ask(ctx, q.Query)
 	if air.Outcome == Answered {
 		if ref, ok := refs.get(air.Version, qi); !ok || !workload.SameDist(res.Dist, ref) {
 			air.Outcome = Failed
 		}
 	}
-	agg.Add(worker, res.Metrics, air)
+	return res, air
 }

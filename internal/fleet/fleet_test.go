@@ -2,9 +2,14 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
-	"sync"
+	"reflect"
+	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/baseline/djair"
 	"repro/internal/broadcast"
@@ -102,44 +107,196 @@ func TestLiveMatchesOfflineTuner(t *testing.T) {
 	}
 }
 
-// TestAggregatorMultiMergeEquivalence feeds identical multi-channel samples
-// into a 64-shard and a single-shard aggregator concurrently: the two must
-// summarize identically (shard merging loses nothing), including the
-// per-channel breakdown.
-func TestAggregatorMultiMergeEquivalence(t *testing.T) {
-	sharded := NewAggregator(64, 2_000_000)
-	single := NewAggregator(1, 2_000_000)
-	const workers, each = 200, 50
-	for _, agg := range []*Aggregator{sharded, single} {
-		var wg sync.WaitGroup
-		for wkr := 0; wkr < workers; wkr++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					per := []int{id % 7, i % 5, (id + i) % 3, 1}
-					agg.Add(id, sampleQuery(id*each+i), Air{PerChannel: per, Hops: i % 4})
-				}
-			}(wkr)
+// sample is one query's outcome as a worker hands it to Partial.add.
+type sample struct {
+	q   metrics.Query
+	air Air
+}
+
+// sampleStream is a deterministic multi-channel mix of every outcome: mostly
+// answered (one in nine of those stale, re-entered once to three times), the
+// rest failed, degraded or refused, with loss on all of them.
+func sampleStream(n int) []sample {
+	out := make([]sample, n)
+	for i := range out {
+		s := &out[i]
+		s.q = sampleQuery(i)
+		s.q.CPU = time.Duration(i%17) * 37 * time.Microsecond
+		s.air = Air{
+			Attempts: 1, Lost: i % 6, Missed: i % 6 / 2,
+			// Channel 3 is skipped by every other query.
+			PerChannel: []int{40 + i%7, 25 + i%5, 60 + i*3%11, i % 2 * (20 + i%6)}, Hops: i % 4,
 		}
-		wg.Wait()
+		switch {
+		case i%23 == 0:
+			s.air.Outcome = Failed
+		case i%31 == 0:
+			s.air.Outcome = Degraded
+		case i%37 == 0:
+			s.air.Outcome = Refused
+		case i%9 == 0:
+			s.air.Attempts = 2 + i%3
+		}
 	}
-	a, b := sharded.Summarize(), single.Summarize()
-	if a.Queries != b.Queries || a.Agg != b.Agg {
-		t.Errorf("aggregates diverge: %+v vs %+v", a.Agg, b.Agg)
+	return out
+}
+
+const testRate = 2_000_000
+
+// foldOne folds a single partial into a Result labelled like a one-client NR
+// run's, as run does.
+func foldOne(t *testing.T, p *Partial, elapsed time.Duration) Result {
+	t.Helper()
+	r, err := fold([]*Partial{p}, elapsed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Tuning != b.Tuning || a.Latency != b.Latency || a.Energy != b.Energy {
-		t.Errorf("quantiles diverge")
+	r.Method, r.Rate, r.Clients, r.Pool = "NR", testRate, 1, 10
+	return r
+}
+
+// TestOneMerge pins "one merge": the same sample stream counted into one
+// partial, or dealt round-robin over N partials that each travel as a
+// worker's JSON and are folded by MergeResults, gives the same Result —
+// counts, every tail, the per-channel stats and the packet-valued means
+// exactly, not to within a bucket. Only the energy sum, non-integer floats
+// added in another order, is compared to 1e-12.
+func TestOneMerge(t *testing.T) {
+	stream := sampleStream(10_000)
+	whole := new(Partial)
+	for _, s := range stream {
+		whole.add(s.q, s.air, testRate)
 	}
-	if a.MeanHops != b.MeanHops {
-		t.Errorf("mean hops %v vs %v", a.MeanHops, b.MeanHops)
+	for _, n := range []int{4, 64} {
+		want := foldOne(t, whole, time.Second)
+		want.Clients, want.Pool = n, 10*n // what n one-client parts sum to
+
+		parts := make([]Partial, n)
+		for i, s := range stream {
+			parts[i%n].add(s.q, s.air, testRate)
+		}
+		wire := make([]Result, n)
+		for i := range parts {
+			b, err := json.Marshal(foldOne(t, &parts[i], time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(b, &wire[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := MergeResults(wire)
+		if err != nil {
+			t.Fatalf("N=%d: %v", n, err)
+		}
+		if err := got.check(); err != nil {
+			t.Errorf("N=%d: merged result: %v", n, err)
+		}
+
+		for name, pair := range map[string][2]float64{
+			"MeanEnergy":     {got.MeanEnergy, want.MeanEnergy},
+			"EnergyHist.Sum": {got.EnergyHist.Sum, want.EnergyHist.Sum},
+		} {
+			if math.Abs(pair[0]-pair[1]) > 1e-12*pair[1] {
+				t.Errorf("N=%d: %s %v, one partial says %v", n, name, pair[0], pair[1])
+			}
+		}
+		got.MeanEnergy, got.EnergyHist.Sum = want.MeanEnergy, want.EnergyHist.Sum
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("N=%d: merged result differs from one partial's:\n got %+v\nwant %+v", n, got, want)
+		}
+		if g, w := got.staleness(), want.staleness(); !reflect.DeepEqual(g, w) {
+			t.Errorf("N=%d: staleness split differs:\n got %+v\nwant %+v", n, g, w)
+		}
 	}
-	if len(a.Channels) != len(b.Channels) {
-		t.Fatalf("channel counts %d vs %d", len(a.Channels), len(b.Channels))
+}
+
+// percentile is the sort-based reference the histogram tails are held to:
+// the p-th percentile of vals by linear interpolation between closest
+// ranks, what the fleet reported exactly while it still kept every sample.
+func percentile(vals []float64, p float64) float64 {
+	if len(vals) == 0 {
+		return 0
 	}
-	for c := range a.Channels {
-		if a.Channels[c] != b.Channels[c] {
-			t.Errorf("channel %d stats diverge: %+v vs %+v", c, a.Channels[c], b.Channels[c])
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	rank := p / 100 * float64(len(s)-1)
+	lo := int(rank)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[lo] + (rank-float64(lo))*(s[lo+1]-s[lo])
+}
+
+// TestTailsWithinOneBucketMeansExact holds every quantile a Result and a
+// ChurnResult report to the sort-based reference — within one layout bucket
+// — and every mean to the exact mean of the raw samples.
+func TestTailsWithinOneBucketMeansExact(t *testing.T) {
+	var tuning, latency, clean, stale, energy, hops []float64
+	perChan := make([][]float64, 4)
+	p := new(Partial)
+	for _, s := range sampleStream(10_000) {
+		p.add(s.q, s.air, testRate)
+		if s.air.Outcome != Answered {
+			continue
+		}
+		tuning = append(tuning, float64(s.q.TuningPackets))
+		energy = append(energy, s.q.EnergyJoules(testRate))
+		hops = append(hops, float64(s.air.Hops))
+		l := float64(s.q.LatencyPackets)
+		latency = append(latency, l)
+		if s.air.Attempts > 1 {
+			stale = append(stale, l)
+		} else {
+			clean = append(clean, l)
+		}
+		for c, n := range s.air.PerChannel {
+			if n != 0 {
+				perChan[c] = append(perChan[c], float64(n))
+			}
+		}
+	}
+	r := foldOne(t, p, time.Second)
+	churn := r.staleness()
+	tails := func(name string, got metrics.Quantiles, vals []float64) {
+		t.Helper()
+		for _, q := range []struct{ p, got float64 }{{50, got.P50}, {95, got.P95}, {99, got.P99}} {
+			if exact := percentile(vals, q.p); !metrics.SameBucket(q.got, exact) {
+				t.Errorf("%s p%v = %v, sorted samples say %v — more than one bucket apart", name, q.p, q.got, exact)
+			}
+		}
+	}
+	mean := func(vals []float64) float64 {
+		sum := 0.0
+		for _, v := range vals {
+			sum += v
+		}
+		return sum / float64(len(vals))
+	}
+	tails("tuning", r.Tuning, tuning)
+	tails("latency", r.Latency, latency)
+	tails("energy", r.Energy, energy)
+	tails("clean latency", churn.CleanLatency, clean)
+	tails("stale latency", churn.StaleLatency, stale)
+	for c, ch := range r.Channels {
+		tails(fmt.Sprintf("channel %d tuning", c), ch.Tuning, perChan[c])
+		if ch.Queries != len(perChan[c]) || float64(ch.Packets) != mean(perChan[c])*float64(len(perChan[c])) {
+			t.Errorf("channel %d: %d packets over %d queries, samples say %v over %d",
+				c, ch.Packets, ch.Queries, mean(perChan[c])*float64(len(perChan[c])), len(perChan[c]))
+		}
+	}
+	if len(r.Channels) != 4 || churn.StaleQueries != len(stale) || len(stale) == 0 {
+		t.Fatalf("%d channels, %d stale queries (stream has %d)", len(r.Channels), churn.StaleQueries, len(stale))
+	}
+	for name, pair := range map[string][2]float64{
+		"MeanEnergy":       {r.MeanEnergy, mean(energy)}, // same samples, same order: equal to the bit
+		"MeanHops":         {r.MeanHops, mean(hops)},
+		"MeanCleanLatency": {churn.MeanCleanLatency, mean(clean)},
+		"MeanStaleLatency": {churn.MeanStaleLatency, mean(stale)},
+		"mean tuning":      {r.TuningHist.Mean(), r.Agg.MeanTuning()},
+	} {
+		if pair[0] != pair[1] {
+			t.Errorf("%s = %v, raw samples say %v", name, pair[0], pair[1])
 		}
 	}
 }
@@ -149,18 +306,25 @@ func TestAggregatorMultiMergeEquivalence(t *testing.T) {
 // QPS — finite numbers everywhere, nothing NaN, no division by the
 // completed-query count.
 func TestSummarizeAllErrors(t *testing.T) {
-	agg := NewAggregator(8, 2_000_000)
-	for w := 0; w < 16; w++ {
-		agg.Add(w, metrics.Query{}, Air{Outcome: Failed})
+	parts := make([]*Partial, 8)
+	for w := range parts {
+		parts[w] = new(Partial)
+		parts[w].add(metrics.Query{}, Air{Outcome: Failed}, testRate)
+		parts[w].add(metrics.Query{}, Air{Outcome: Failed}, testRate)
 	}
-	res := agg.Summarize()
+	res, err := fold(parts, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Queries != 16 || res.Errors != 16 || res.Agg.N != 0 {
 		t.Fatalf("queries %d errors %d n %d", res.Queries, res.Errors, res.Agg.N)
 	}
+	churn := res.staleness()
 	for name, v := range map[string]float64{
 		"qps": res.QPS, "meanEnergy": res.MeanEnergy, "meanHops": res.MeanHops,
 		"tuning p50": res.Tuning.P50, "latency p99": res.Latency.P99, "energy p95": res.Energy.P95,
 		"mean tuning": res.Agg.MeanTuning(), "mean latency": res.Agg.MeanLatency(),
+		"clean p50": churn.CleanLatency.P50, "mean stale latency": churn.MeanStaleLatency,
 	} {
 		if v != 0 {
 			t.Errorf("%s = %v, want 0", name, v)
@@ -201,39 +365,54 @@ func (nanSession) Ask(context.Context, scheme.Query) (scheme.Result, Air) {
 	return scheme.Result{Dist: math.NaN(), Metrics: sampleQuery(1)}, Air{Outcome: Answered, Attempts: 1}
 }
 
-// TestAggregatorConcurrent hammers one aggregator from many goroutines; the
-// race detector checks the sharding, the totals check no sample is lost.
-func TestAggregatorConcurrent(t *testing.T) {
-	agg := NewAggregator(8, 2_000_000)
-	const workers, each = 32, 200
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if i%10 == 9 {
-					agg.Add(id, metrics.Query{}, Air{Outcome: Failed})
-				} else {
-					agg.Add(id, sampleQuery(i), Air{})
-				}
-			}
-		}(wkr)
+// TestRunWorkersLoseNoSample drives 32 workers, each counting into its own
+// partial, through 6 400 queries of which every tenth session answer is
+// wrong: the race detector checks nothing is shared while they run, the
+// totals check the fold loses no sample.
+func TestRunWorkersLoseNoSample(t *testing.T) {
+	g := conformance.Network(t, 200, 280, 3)
+	w := workload.Generate(g, 10, 100, 4)
+	fake := tenthWrongSession{asked: new(atomic.Int64), refs: map[[2]graph.NodeID]float64{}}
+	for _, q := range w.Queries {
+		fake.refs[[2]graph.NodeID{q.S, q.T}] = q.RefDist
 	}
-	wg.Wait()
-	res := agg.Summarize()
-	if res.Queries != workers*each {
-		t.Errorf("queries %d, want %d", res.Queries, workers*each)
+	target := Target{
+		Method: "fake", Rate: testRate,
+		Open: func(int, int64) (Session, error) { return fake, nil },
 	}
-	if res.Errors != workers*each/10 {
-		t.Errorf("errors %d, want %d", res.Errors, workers*each/10)
+	const workers, total = 32, 6400
+	res, err := Run(context.Background(), target, w, Options{Clients: workers, Queries: total, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Agg.N != workers*each*9/10 {
-		t.Errorf("agg n %d", res.Agg.N)
+	if res.Queries != total || res.Clients != workers {
+		t.Errorf("queries %d clients %d, want %d/%d", res.Queries, res.Clients, total, workers)
+	}
+	if res.Errors != total/10 {
+		t.Errorf("errors %d, want %d", res.Errors, total/10)
+	}
+	if res.Agg.N != total*9/10 || res.TuningHist.N() != int64(res.Agg.N) {
+		t.Errorf("agg n %d, tuning samples %d", res.Agg.N, res.TuningHist.N())
 	}
 	if res.Tuning.P50 <= 0 || res.Tuning.P99 < res.Tuning.P50 {
 		t.Errorf("tails %+v", res.Tuning)
 	}
+}
+
+// tenthWrongSession answers every query with its reference distance (the
+// workload's own, version 0) except every tenth asked, which it gets wrong.
+type tenthWrongSession struct {
+	asked *atomic.Int64
+	refs  map[[2]graph.NodeID]float64
+}
+
+func (s tenthWrongSession) Ask(_ context.Context, q scheme.Query) (scheme.Result, Air) {
+	n := s.asked.Add(1)
+	res := scheme.Result{Dist: math.NaN(), Metrics: sampleQuery(int(n))}
+	if n%10 != 0 {
+		res.Dist = s.refs[[2]graph.NodeID{q.S, q.T}]
+	}
+	return res, Air{Outcome: Answered, Attempts: 1}
 }
 
 func sampleQuery(i int) (q metrics.Query) {

@@ -3,100 +3,75 @@ package fleet
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // MergeResults folds the Results of N concurrently-run fleets — typically
 // one per OS process, all tuned to the same broadcaster — into one
-// controller-level Result.
+// controller-level Result, with the fold a run applies to its own workers:
+// the parts' Partials sum (counts, the deterministic Agg factors, loss
+// totals, every histogram) and every tail, mean and per-channel summary is
+// re-derived from the sum, so a quantile is the true global one to within a
+// histogram bucket and a mean is exact. Elapsed is the longest part (the
+// parts ran in parallel) and QPS is total correct answers over that window,
+// so a straggler process lowers throughput honestly; Clients and Pool (the
+// total distinct-query capacity across parts) sum.
 //
-// Counts, the deterministic Agg factors, loss totals, and Pool (the total
-// distinct-query capacity across parts) merge exactly. Elapsed is the
-// longest part (the parts ran in parallel) and QPS is recomputed as total
-// correct answers over that window, so a straggler process lowers
-// throughput honestly. The tail summaries (Tuning, Latency, Energy) merge
-// through the parts' fixed-layout histograms (metrics.Hist), so the merged
-// p50/p95/p99 are true global quantiles to within one histogram bucket.
-// MeanEnergy and MeanHops merge exactly (they are means).
-//
-// Per-channel stats are merged positionally; parts disagreeing on Method,
-// Rate, or channel count are a caller bug and return an error, and so is a
-// part not stamped ResultWireVersion or missing its histograms — the
-// controller re-executes its own binary, so a mixed-version merge means the
-// input is not a worker's result.
+// A part is bytes this process did not write. One stamped with another
+// ResultWireVersion, disagreeing on Method, Rate or channel count, whose
+// outcome counts do not add up to its queries, or whose histograms are
+// malformed or hold another number of samples than it answered queries is
+// refused with an error naming it — the controller re-executes its own
+// binary, so any of these means the input is not a worker's result.
 func MergeResults(parts []Result) (Result, error) {
 	if len(parts) == 0 {
 		return Result{}, fmt.Errorf("fleet: no results to merge")
 	}
-	out := Result{Method: parts[0].Method, Rate: parts[0].Rate}
-	var hTuning, hLatency, hEnergy metrics.Hist
-	var sumEnergy, sumHops float64
-	for i, p := range parts {
+	first := &parts[0]
+	partials := make([]*Partial, len(parts))
+	var clients, pool int
+	var elapsed time.Duration
+	for i := range parts {
+		p := &parts[i]
 		if p.WireVersion != ResultWireVersion {
 			return Result{}, fmt.Errorf("fleet: part %d has result wire version %d, want %d", i, p.WireVersion, ResultWireVersion)
 		}
-		if p.TuningHist == nil || p.LatencyHist == nil || p.EnergyHist == nil {
-			return Result{}, fmt.Errorf("fleet: part %d carries no tail histograms", i)
+		if p.Method != first.Method {
+			return Result{}, fmt.Errorf("fleet: part %d: merging %s result into %s run", i, p.Method, first.Method)
 		}
-		if p.Method != out.Method {
-			return Result{}, fmt.Errorf("fleet: merging %s result into %s run", p.Method, out.Method)
+		if p.Rate != first.Rate {
+			return Result{}, fmt.Errorf("fleet: part %d: merging results costed at %d and %d bits/s", i, p.Rate, first.Rate)
 		}
-		if p.Rate != out.Rate {
-			return Result{}, fmt.Errorf("fleet: merging results costed at %d and %d bits/s", p.Rate, out.Rate)
+		if len(p.ChannelTuning) != len(first.ChannelTuning) {
+			return Result{}, fmt.Errorf("fleet: part %d: merging %d-channel result into %d-channel run",
+				i, len(p.ChannelTuning), len(first.ChannelTuning))
 		}
-		if len(p.Channels) != len(parts[0].Channels) {
-			return Result{}, fmt.Errorf("fleet: merging %d-channel result into %d-channel run",
-				len(p.Channels), len(parts[0].Channels))
+		if err := p.check(); err != nil {
+			return Result{}, fmt.Errorf("fleet: part %d: %w", i, err)
 		}
-		out.Clients += p.Clients
-		out.Queries += p.Queries
-		out.Errors += p.Errors
-		out.Degraded += p.Degraded
-		out.Refused += p.Refused
-		out.LostPackets += p.LostPackets
-		out.MissedPackets += p.MissedPackets
-		// Pool sums: the controller-level report states total concurrent
-		// distinct-query capacity, not the largest single part's.
-		out.Pool += p.Pool
-		out.Elapsed = maxDuration(out.Elapsed, p.Elapsed)
-		out.Agg.Merge(p.Agg)
-		n := p.Agg.N
-		hTuning.Merge(p.TuningHist)
-		hLatency.Merge(p.LatencyHist)
-		hEnergy.Merge(p.EnergyHist)
-		sumEnergy += p.MeanEnergy * float64(n)
-		sumHops += p.MeanHops * float64(n)
-		for c, ch := range p.Channels {
-			if i == 0 {
-				out.Channels = append(out.Channels, ChannelStats{Channel: ch.Channel})
-			}
-			out.Channels[c].Packets += ch.Packets
-			out.Channels[c].Queries += ch.Queries
-		}
+		partials[i] = &p.Partial
+		clients += p.Clients
+		pool += p.Pool
+		elapsed = max(elapsed, p.Elapsed)
 	}
-	out.Tuning = hTuning.Quantiles()
-	out.Latency = hLatency.Quantiles()
-	out.Energy = hEnergy.Quantiles()
-	// Keep the merged histograms so a merge of merges stays exact.
-	out.TuningHist, out.LatencyHist, out.EnergyHist = &hTuning, &hLatency, &hEnergy
-	out.WireVersion = ResultWireVersion
-	if out.Agg.N > 0 {
-		out.MeanEnergy = sumEnergy / float64(out.Agg.N)
-		out.MeanHops = sumHops / float64(out.Agg.N)
+	out, err := fold(partials, elapsed)
+	if err != nil {
+		return Result{}, err
 	}
-	if out.Elapsed > 0 {
-		out.QPS = float64(out.Agg.N) / out.Elapsed.Seconds()
-		for c := range out.Channels {
-			out.Channels[c].QPS = float64(out.Channels[c].Queries) / out.Elapsed.Seconds()
-		}
-	}
+	out.Method, out.Rate = first.Method, first.Rate
+	out.Clients, out.Pool = clients, pool
 	return out, nil
 }
 
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
+// check verifies the accounting a partial built by add satisfies by
+// construction, on one that was decoded instead.
+func (p *Partial) check() error {
+	if p.Agg.N+p.Errors+p.Degraded+p.Refused != p.Queries {
+		return fmt.Errorf("%d answered + %d errors + %d degraded + %d refused != %d queries",
+			p.Agg.N, p.Errors, p.Degraded, p.Refused, p.Queries)
 	}
-	return b
+	n := int64(p.Agg.N)
+	if t, e, l := p.TuningHist.N(), p.EnergyHist.N(), p.CleanLatencyHist.N()+p.StaleLatencyHist.N(); t != n || e != n || l != n {
+		return fmt.Errorf("histograms hold %d tuning, %d energy, %d latency samples for %d answered queries", t, e, l, n)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -25,6 +26,11 @@ func TestHistQuantileWithinOneBucket(t *testing.T) {
 			v := draw()
 			s.Add(v)
 			h.Add(v)
+		}
+		// Same samples, same order: Sum is the reference's sum to the bit (asked
+		// before Percentile sorts the reference).
+		if h.Mean() != s.Mean() || h.N() != int64(s.N()) {
+			t.Errorf("%s: hist mean %v over %d, reference %v over %d", name, h.Mean(), h.N(), s.Mean(), s.N())
 		}
 		for _, p := range []float64{50, 95, 99} {
 			exact := s.Percentile(p)
@@ -52,7 +58,9 @@ func TestHistMergeEqualsWholePopulation(t *testing.T) {
 			whole.Add(v)
 			h.Add(v)
 		}
-		merged.Merge(&h)
+		if err := merged.Merge(&h); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if whole.N() != merged.N() {
 		t.Fatalf("merged N = %d, whole N = %d", merged.N(), whole.N())
@@ -73,14 +81,17 @@ func TestHistMergeEqualsWholePopulation(t *testing.T) {
 // reports 0.
 func TestHistEdges(t *testing.T) {
 	var h Hist
-	if h.Quantile(99) != 0 || h.N() != 0 {
+	if h.Quantile(99) != 0 || h.N() != 0 || h.Mean() != 0 || h.Quantiles() != (Quantiles{}) {
 		t.Fatal("empty histogram not zero")
+	}
+	if err := h.Merge(&Hist{}); err != nil || h.N() != 0 {
+		t.Fatalf("merging empty into empty: n %d, err %v", h.N(), err)
 	}
 	h.Add(0)
 	h.Add(-3)
 	h.Add(math.NaN())
-	if h.Zero != 3 || len(h.Counts) != 0 {
-		t.Fatalf("zero bucket %d, counts %v", h.Zero, h.Counts)
+	if h.Zero != 3 || len(h.Counts) != 0 || h.Sum != 0 {
+		t.Fatalf("zero bucket %d, counts %v, sum %v", h.Zero, h.Counts, h.Sum)
 	}
 	if h.Quantile(50) != 0 {
 		t.Fatalf("all-zero histogram p50 = %v", h.Quantile(50))
@@ -118,12 +129,58 @@ func TestHistJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != h.N() || back.Zero != h.Zero || back.Low != h.Low {
+	if back.N() != h.N() || back.Zero != h.Zero || back.Low != h.Low || back.Sum != h.Sum {
 		t.Fatalf("round trip: %+v vs %+v", back, h)
 	}
 	for _, p := range []float64{50, 95, 99} {
 		if back.Quantile(p) != h.Quantile(p) {
 			t.Fatalf("p%v drifted across JSON: %v vs %v", p, back.Quantile(p), h.Quantile(p))
 		}
+	}
+}
+
+// TestHistMergeRejectsMalformed: a decoded histogram is bytes this process
+// did not write. One whose window leaves the layout, or that carries a
+// negative count, is refused before anything is allocated or added — the
+// first input used to grow Counts to 50 000 008 entries, the second to
+// report N() == -5.
+func TestHistMergeRejectsMalformed(t *testing.T) {
+	for _, in := range []string{
+		`{"Low":50000000,"Counts":[1]}`,
+		`{"Low":-7,"Counts":[3,-9]}`,
+		`{"Low":638,"Counts":[1,1,1]}`,
+		`{"Low":10,"Counts":[3,-9]}`,
+		`{"Zero":-1}`,
+		`{"Zero":2,"Sum":-4}`,
+	} {
+		var bad Hist
+		if err := json.Unmarshal([]byte(in), &bad); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		var h Hist
+		for i := 0; i < 8; i++ {
+			h.Add(34)
+		}
+		before := h
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := h.Merge(&bad)
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Errorf("%s: merged", in)
+		} else if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%s: refusing it allocated %d bytes", in, grew)
+		}
+		if h.N() != 8 || h.Low != before.Low || len(h.Counts) != 1 || h.Sum != before.Sum {
+			t.Errorf("%s: a refused merge changed the receiver: %+v", in, h)
+		}
+	}
+	// The widest honest histogram still merges.
+	var wide, h Hist
+	wide.Add(2e-9)
+	wide.Add(math.Inf(1))
+	wide.Sum = 1 // +Inf does not survive JSON; the window is what is under test
+	if err := h.Merge(&wide); err != nil || h.N() != 2 || len(h.Counts) > NumBuckets {
+		t.Errorf("full-width merge: n %d, %d buckets, err %v", h.N(), len(h.Counts), err)
 	}
 }

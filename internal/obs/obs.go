@@ -1,5 +1,5 @@
 // Package obs is the repo's dependency-free observability core: atomic
-// counters, gauges and fixed-bucket histograms behind a registry with
+// counters, gauges and fixed-layout histograms behind a registry with
 // Prometheus text-format exposition, plus a ring-buffered per-query trace
 // recorder (trace.go) — the flight recorder for the broadcast path.
 //
@@ -33,6 +33,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // Kind is the instrument family of a registered metric.
@@ -93,34 +95,23 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a fixed-bucket distribution: cumulative bucket counts in
-// Prometheus convention, plus an exact sum and count. Bucket bounds are
-// fixed at registration; Observe is concurrency-safe and allocation-free
-// (linear scan over a handful of bounds, one atomic add, one CAS loop for
-// the float sum).
+// Histogram is the concurrent form of metrics.Hist: it counts into the same
+// global bucket layout, plus an exact sum and count, so a production series
+// and a fleet Result (a BENCH row) are the same quantity — Snapshot returns
+// the metrics.Hist, /metrics renders a fixed le view of it. Observe is
+// concurrency-safe and allocation-free (one logarithm, two atomic adds, one
+// CAS loop for the float sum).
 type Histogram struct {
-	bounds  []float64 // upper bounds, ascending; +Inf implied
-	counts  []atomic.Int64
+	counts  [1 + metrics.NumBuckets]atomic.Int64 // [0] is the Zero bucket, [1+i] layout bucket i
 	count   atomic.Int64
 	sumBits atomic.Uint64 // math.Float64bits of the running sum
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
 // Observe records one sample.
 //
 //air:noalloc
 func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
+	h.counts[1+metrics.Bucket(v)].Add(1)
 	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
@@ -136,17 +127,36 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// ExpBuckets returns n upper bounds starting at start, multiplying by
-// factor: the standard shape for latencies and sizes.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
+// Snapshot returns the distribution observed so far. Under concurrent
+// Observes the counts and the sum are each exact but may be a few samples
+// apart.
+func (h *Histogram) Snapshot() metrics.Hist {
+	out := metrics.Hist{Zero: h.counts[0].Load(), Sum: h.Sum()}
+	var dense [metrics.NumBuckets]int64
+	lo, hi := len(dense), 0 // the populated window [lo, hi)
+	for i := range dense {
+		if dense[i] = h.counts[1+i].Load(); dense[i] != 0 {
+			lo, hi = min(lo, i), i+1
+		}
+	}
+	if lo < hi {
+		out.Low, out.Counts = lo, append(out.Counts, dense[lo:hi]...)
 	}
 	return out
 }
+
+// The le view: /metrics renders every leStep-th bucket edge of the layout
+// from leFirst on — leEdges bounds a factor 1.08^18 ≈ 4 apart, from 6.0e-5
+// to 2.5e5, wide enough for every unit a histogram here is fed (seconds,
+// arcs, buffer slots); what lies beyond is in +Inf, _sum and _count. A
+// cumulative count at a layout edge is exact, which one at a round number
+// between two edges could not be; the le label prints the edge to four
+// digits.
+const (
+	leFirst = 143
+	leStep  = 18
+	leEdges = 17
+)
 
 // metric is one registered series: an instrument plus its identity.
 type metric struct {
@@ -204,7 +214,7 @@ func renderLabels(pairs []string) string {
 // the first registration of a series get the same instrument (not two, one
 // of which would silently swallow increments), and Snapshot/WriteProm can
 // never observe a metric in r.list whose instrument pointer is still nil.
-func (r *Registry) register(name, help string, kind Kind, bounds []float64, labels []string) *metric {
+func (r *Registry) register(name, help string, kind Kind, labels []string) *metric {
 	ls := renderLabels(labels)
 	key := name + "\x00" + ls
 	r.mu.Lock()
@@ -222,7 +232,7 @@ func (r *Registry) register(name, help string, kind Kind, bounds []float64, labe
 	case KindGauge:
 		m.gauge = &Gauge{}
 	case KindHistogram:
-		m.hist = newHistogram(bounds)
+		m.hist = &Histogram{}
 	}
 	r.by[key] = m
 	r.list = append(r.list, m)
@@ -232,19 +242,17 @@ func (r *Registry) register(name, help string, kind Kind, bounds []float64, labe
 // Counter registers (or returns the existing) counter under name with the
 // given label pairs ("k", "v", ...).
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	return r.register(name, help, KindCounter, nil, labels).ctr
+	return r.register(name, help, KindCounter, labels).ctr
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	return r.register(name, help, KindGauge, nil, labels).gauge
+	return r.register(name, help, KindGauge, labels).gauge
 }
 
-// Histogram registers (or returns the existing) histogram with the given
-// upper bounds (+Inf implied). Bounds of an already-registered histogram
-// are kept; the new ones are ignored.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	return r.register(name, help, KindHistogram, bounds, labels).hist
+// Histogram registers (or returns the existing) histogram.
+func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
+	return r.register(name, help, KindHistogram, labels).hist
 }
 
 // Point is one series' instantaneous value: the programmatic counterpart
@@ -339,10 +347,14 @@ func writeHistogram(w io.Writer, m *metric) error {
 	// it keeps a single exposition internally monotonic: every finite le
 	// bucket <= +Inf == _count.
 	total := h.Count()
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		if err := writeSeries(w, m.name+"_bucket", joinLabels(m.labels, `le="`+formatValue(b)+`"`), float64(min(cum, total))); err != nil {
+	cum, next := int64(0), 0
+	for e := 0; e < leEdges; e++ {
+		edge := leFirst + e*leStep
+		for ; next <= edge; next++ { // counts[next] is layout bucket next-1, wholly below the edge
+			cum += h.counts[next].Load()
+		}
+		le := `le="` + strconv.FormatFloat(metrics.BucketEdge(edge), 'g', 4, 64) + `"`
+		if err := writeSeries(w, m.name+"_bucket", joinLabels(m.labels, le), float64(min(cum, total))); err != nil {
 			return err
 		}
 	}
@@ -393,8 +405,8 @@ func GetGauge(name, help string, labels ...string) *Gauge {
 }
 
 // GetHistogram registers (or fetches) a histogram on the default registry.
-func GetHistogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	return defaultRegistry.Histogram(name, help, bounds, labels...)
+func GetHistogram(name, help string, labels ...string) *Histogram {
+	return defaultRegistry.Histogram(name, help, labels...)
 }
 
 // Snapshot returns the default registry's current series.

@@ -1,10 +1,15 @@
 package obs
 
 import (
+	"bufio"
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestCounterConcurrent hammers one counter from many goroutines and
@@ -56,7 +61,7 @@ func TestGaugeConcurrent(t *testing.T) {
 // under concurrent observation.
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h", "test histogram", []float64{1, 10, 100})
+	h := r.Histogram("h", "test histogram")
 	const workers, per = 8, 4000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -64,7 +69,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				h.Observe(float64(i % 200)) // spans all buckets incl. +Inf
+				h.Observe(float64(i % 200)) // the Zero bucket and 5 octaves of the layout
 			}
 		}(w)
 	}
@@ -102,13 +107,8 @@ func TestRegistrationIdempotent(t *testing.T) {
 	if a == c {
 		t.Fatal("different labels returned the same counter")
 	}
-	h1 := r.Histogram("hh", "h", []float64{1, 2})
-	h2 := r.Histogram("hh", "h", []float64{5, 6, 7}) // bounds of first registration win
-	if h1 != h2 {
+	if r.Histogram("hh", "h") != r.Histogram("hh", "h") {
 		t.Fatal("histogram re-registration returned a distinct instrument")
-	}
-	if len(h2.bounds) != 2 {
-		t.Fatalf("re-registration replaced bounds: %v", h2.bounds)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestConcurrentFirstRegistration(t *testing.T) {
 			for s := 0; s < series; s++ {
 				r.Counter("race_total", "first-registration race", "channel", string(rune('0'+s))).Inc()
 				r.Gauge("race_gauge", "gauge race", "channel", string(rune('0'+s))).Inc()
-				r.Histogram("race_hist", "hist race", []float64{1, 10}, "channel", string(rune('0'+s))).Observe(float64(w))
+				r.Histogram("race_hist", "hist race", "channel", string(rune('0'+s))).Observe(float64(w))
 			}
 		}(w)
 	}
@@ -153,7 +153,7 @@ func TestConcurrentFirstRegistration(t *testing.T) {
 		if got := r.Counter("race_total", "first-registration race", "channel", lbl).Value(); got != workers {
 			t.Errorf("series %d: counter = %d, want %d (increments lost to a duplicate instrument)", s, got, workers)
 		}
-		if got := r.Histogram("race_hist", "hist race", []float64{1, 10}, "channel", lbl).Count(); got != workers {
+		if got := r.Histogram("race_hist", "hist race", "channel", lbl).Count(); got != workers {
 			t.Errorf("series %d: histogram count = %d, want %d", s, got, workers)
 		}
 	}
@@ -174,18 +174,20 @@ func TestKindMismatchPanics(t *testing.T) {
 
 // TestExpositionGolden pins the exact Prometheus text rendering: families
 // sorted by name, HELP/TYPE once per family, labeled series sorted within
-// it, histograms with cumulative buckets, +Inf, _sum and _count.
+// it, histograms as the fixed le view of the metrics.Hist layout (17
+// cumulative edges a factor ≈ 4 apart), +Inf, _sum and _count.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz_last_total", "sorts last").Add(7)
 	r.Counter("aa_packets_total", "per-channel packets", "channel", "1").Add(3)
 	r.Counter("aa_packets_total", "per-channel packets", "channel", "0").Add(2)
 	r.Gauge("mm_subscribers", "current subscribers").Set(5)
-	h := r.Histogram("mm_depth", "buffer depth", []float64{1, 4})
+	h := r.Histogram("mm_depth", "buffer depth")
 	h.Observe(0)
 	h.Observe(3)
 	h.Observe(3)
 	h.Observe(100)
+	h.Observe(1e6) // past the last edge: only +Inf, _sum and _count see it
 	var sb strings.Builder
 	if err := r.WriteProm(&sb); err != nil {
 		t.Fatal(err)
@@ -196,11 +198,26 @@ aa_packets_total{channel="0"} 2
 aa_packets_total{channel="1"} 3
 # HELP mm_depth buffer depth
 # TYPE mm_depth histogram
-mm_depth_bucket{le="1"} 1
-mm_depth_bucket{le="4"} 3
-mm_depth_bucket{le="+Inf"} 4
-mm_depth_sum 106
-mm_depth_count 4
+mm_depth_bucket{le="6.02e-05"} 1
+mm_depth_bucket{le="0.0002406"} 1
+mm_depth_bucket{le="0.0009613"} 1
+mm_depth_bucket{le="0.003841"} 1
+mm_depth_bucket{le="0.01535"} 1
+mm_depth_bucket{le="0.06134"} 1
+mm_depth_bucket{le="0.2451"} 1
+mm_depth_bucket{le="0.9795"} 1
+mm_depth_bucket{le="3.914"} 3
+mm_depth_bucket{le="15.64"} 3
+mm_depth_bucket{le="62.5"} 3
+mm_depth_bucket{le="249.7"} 4
+mm_depth_bucket{le="998"} 4
+mm_depth_bucket{le="3988"} 4
+mm_depth_bucket{le="1.594e+04"} 4
+mm_depth_bucket{le="6.368e+04"} 4
+mm_depth_bucket{le="2.545e+05"} 4
+mm_depth_bucket{le="+Inf"} 5
+mm_depth_sum 1000106
+mm_depth_count 5
 # HELP mm_subscribers current subscribers
 # TYPE mm_subscribers gauge
 mm_subscribers 5
@@ -213,12 +230,127 @@ zz_last_total 7
 	}
 }
 
+// TestHistogramIsTheHistLayout pins "one layout": a Histogram and a
+// metrics.Hist fed the same samples are the same distribution — equal
+// counts, equal quantiles, equal sum — and every le bucket of the exposition
+// is the Hist's cumulative count below that layout edge.
+func TestHistogramIsTheHistLayout(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("q_seconds", "wall time")
+	var ref metrics.Hist
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 4000; i++ {
+		v := math.Exp(rng.NormFloat64()*3 - 2) // 1e-6 .. 1e3, most of the le view
+		if i%97 == 0 {
+			v = 0
+		}
+		h.Observe(v)
+		ref.Add(v)
+	}
+	got := h.Snapshot()
+	if got.N() != ref.N() || got.Zero != ref.Zero || got.Low != ref.Low || len(got.Counts) != len(ref.Counts) || got.Sum != ref.Sum {
+		t.Fatalf("snapshot %d samples (zero %d, low %d, %d buckets, sum %v), Hist %d (zero %d, low %d, %d buckets, sum %v)",
+			got.N(), got.Zero, got.Low, len(got.Counts), got.Sum, ref.N(), ref.Zero, ref.Low, len(ref.Counts), ref.Sum)
+	}
+	for _, p := range []float64{0, 50, 95, 99, 100} {
+		if got.Quantile(p) != ref.Quantile(p) {
+			t.Errorf("p%v: snapshot %v, Hist %v", p, got.Quantile(p), ref.Quantile(p))
+		}
+	}
+	if h.Count() != ref.N() || h.Sum() != ref.Sum {
+		t.Errorf("_count %d _sum %v, Hist %d / %v", h.Count(), h.Sum(), ref.N(), ref.Sum)
+	}
+	for e, cum := range scrapeBuckets(t, r, "q_seconds") {
+		if e == leEdges {
+			if cum != ref.N() {
+				t.Errorf("+Inf bucket %d, want %d", cum, ref.N())
+			}
+			continue
+		}
+		want := ref.Zero
+		for i, c := range ref.Counts {
+			if ref.Low+i < leFirst+e*leStep {
+				want += c
+			}
+		}
+		if cum != want {
+			t.Errorf("le edge %d: exposition %d, Hist cumulative %d", e, cum, want)
+		}
+	}
+}
+
+// scrapeBuckets renders r and returns name's cumulative bucket values in
+// exposition order, +Inf last.
+func scrapeBuckets(t *testing.T, r *Registry, name string) []int64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var out []int64
+	sc := bufio.NewScanner(strings.NewReader(sb.String()))
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.HasPrefix(line, name+"_bucket{") {
+			continue
+		}
+		v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) != leEdges+1 {
+		t.Fatalf("%s: %d bucket lines, want %d edges and +Inf", name, len(out), leEdges)
+	}
+	return out
+}
+
+// TestScrapeUnderObserveIsMonotonic scrapes while writers observe: within
+// one exposition the cumulative buckets never decrease and never exceed
+// +Inf, which equals _count (Observe bumps the bucket before the total, so
+// the writer clamps). Run under -race in CI.
+func TestScrapeUnderObserveIsMonotonic(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("busy", "observed while scraped")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(float64((i*7+w)%5000) / 10)
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 200; i++ {
+		b := scrapeBuckets(t, r, "busy")
+		for e := 1; e < len(b); e++ {
+			if b[e] < b[e-1] {
+				t.Fatalf("scrape %d: bucket %d holds %d after %d", i, e, b[e], b[e-1])
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	snap := h.Snapshot()
+	if b := scrapeBuckets(t, r, "busy"); b[leEdges] != h.Count() || snap.N() != h.Count() {
+		t.Errorf("settled: +Inf %d, snapshot %d, count %d", b[leEdges], snap.N(), h.Count())
+	}
+}
+
 // TestSnapshot checks the programmatic view agrees with the instruments.
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "c").Add(11)
 	r.Gauge("g", "g").Set(-2)
-	h := r.Histogram("h", "h", []float64{10})
+	h := r.Histogram("h", "h")
 	h.Observe(4)
 	h.Observe(8)
 	pts := r.Snapshot()
@@ -245,7 +377,7 @@ func TestInstrumentsZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")
 	g := r.Gauge("g", "g")
-	h := r.Histogram("h", "h", ExpBuckets(1, 4, 6))
+	h := r.Histogram("h", "h")
 	tr := NewTrace(64)
 	var nilTr *Trace
 	if n := testing.AllocsPerRun(200, func() {

@@ -38,8 +38,7 @@ var (
 	obsBytes = obs.GetCounter("air_servercache_cycle_bytes_total",
 		"on-air bytes of cached cycles (best effort: builds whose value exposes a cycle)")
 	obsBuildSecs = obs.GetHistogram("air_servercache_build_seconds",
-		"wall time of cache-miss builds",
-		obs.ExpBuckets(0.001, 4, 8))
+		"wall time of cache-miss builds")
 	obsTransient = obs.GetCounter("air_servercache_transient_errors_total",
 		"builds that failed transiently (entry dropped so the next Get retries)")
 )

@@ -54,8 +54,7 @@ var (
 	obsSwaps = obs.GetCounter("air_station_swaps_total",
 		"cycle swaps that reached the air")
 	obsBufDepth = obs.GetHistogram("air_station_sub_buffer_depth",
-		"sampled per-subscriber buffer occupancy in packets (every 256th delivery)",
-		obs.ExpBuckets(1, 4, 7))
+		"sampled per-subscriber buffer occupancy in packets (every 256th delivery)")
 	obsRefused = obs.GetCounter("air_station_refused_subscribers_total",
 		"subscriptions refused by the MaxSubscribers admission cap")
 )

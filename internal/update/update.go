@@ -50,11 +50,9 @@ var (
 	obsRebuilds = obs.GetCounter("air_update_rebuilds_total",
 		"cycle rebuilds committed (Apply calls that produced a new version)")
 	obsRebuildSecs = obs.GetHistogram("air_update_rebuild_seconds",
-		"wall time of one Apply (rebuild + delta encode + trailer)",
-		obs.ExpBuckets(0.001, 4, 8))
+		"wall time of one Apply (rebuild + delta encode + trailer)")
 	obsDeltaArcs = obs.GetHistogram("air_update_delta_arcs",
-		"arcs patched per committed delta",
-		obs.ExpBuckets(1, 4, 8))
+		"arcs patched per committed delta")
 	obsVersion = obs.GetGauge("air_update_version",
 		"cycle version most recently committed by any manager")
 )

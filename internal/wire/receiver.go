@@ -193,10 +193,7 @@ func readBufferFor(w int) int {
 // the repo's standard determinism discipline. Per-receiver seeds decorrelate
 // a fleet's backoff schedules — the whole point of jitter.
 func jitter(seed int64, n uint64) float64 {
-	z := uint64(seed) + n*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+	z := broadcast.SplitMix64(uint64(seed) + n*0x9E3779B97F4A7C15)
 	return 0.5 + float64(z>>11)/float64(1<<53)
 }
 

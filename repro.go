@@ -286,12 +286,15 @@ func WithDiskCache(dir string, maxBytes int64) DeployOption {
 
 // MergeFleetResults folds the results of N concurrently-run fleets —
 // typically one per OS process, all tuned to the same wire broadcaster
-// (cmd/airfleet) — into one controller-level result. Counts, deterministic
-// aggregates and loss totals merge exactly; Elapsed is the longest part and
-// QPS is recomputed over it; the p50/p95/p99 tails are read from merged
-// latency histograms, so they are exact to one histogram bucket (~8%)
-// even when the parts are skewed. Parts disagreeing on method, bit rate,
-// channel count or result wire version are refused.
+// (cmd/airfleet) — into one controller-level result, with the fold a run
+// applies to its own workers: counts, deterministic aggregates, loss totals
+// and means merge exactly; Elapsed is the longest part and QPS is
+// recomputed over it; every p50/p95/p99 tail, per-channel ones included, is
+// read from the summed histograms, so N parts report what one run over the
+// same samples would (within one histogram bucket, ~8%, of the exact
+// percentile, however skewed the parts). Parts disagreeing on method, bit
+// rate, channel count or result wire version, or carrying malformed
+// histograms, are refused by part number.
 func MergeFleetResults(parts []FleetResult) (FleetResult, error) { return fleet.MergeResults(parts) }
 
 // WithRemote tunes the deployment's sessions to a remote wire broadcaster

@@ -9,12 +9,13 @@
 //	airbench -exp bench -benchout BENCH_baseline.json
 //	airbench -exp compare -tolerance 0.25   # regression gate vs baseline
 //	airbench -exp churn                     # dynamic-network update scenario
+//	airbench -exp incremental -scale 1.0    # what a source-granular rebuild could skip
 //	airbench -exp all -cpuprofile cpu.prof -memprofile mem.prof
 //
 // Experiments: table1 table2 table3 fig10 fig11 fig12 fig13 fig14 bench
-// compare churn all. The -scale flag shrinks the synthetic networks (1.0 =
-// paper-sized); the heap budget of Table 2 scales along, so the feasibility
-// frontier keeps its shape. See EXPERIMENTS.md for recorded outputs and the
+// compare churn incremental all. The -scale flag shrinks the synthetic
+// networks (1.0 = paper-sized); the heap budget of Table 2 scales along, so
+// the feasibility frontier keeps its shape. See EXPERIMENTS.md for recorded outputs and the
 // comparison against the paper.
 //
 // `bench` runs the benchstat-able micro benchmarks (tuner hop, station
@@ -29,6 +30,11 @@
 // and the latency overhead versus version-clean queries, failing if any
 // answer missed the post-update Dijkstra reference. Like `bench` it is
 // explicit-only.
+//
+// `incremental` (explicit-only) sizes source-granular incremental
+// re-computation of the border pre-computation: per seeded 25-arc traffic
+// batch, how many border sources a weight-only rebuild could copy instead
+// of re-running (EXPERIMENTS.md records the negative result).
 //
 // `compare` reruns the bench suite at the committed baseline's parameters
 // and fails (exit 1) when a metric regresses beyond -tolerance.
@@ -252,7 +258,7 @@ func main() {
 // the process exits with a status code.
 func realMain() int {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|table2|table3|fig10|fig11|fig12|fig13|fig14|bench|compare|churn|all")
+		exp        = flag.String("exp", "all", "experiment: table1|table2|table3|fig10|fig11|fig12|fig13|fig14|bench|compare|churn|incremental|all")
 		preset     = flag.String("preset", "germany", "network preset (milan|germany|argentina|india|sanfrancisco|continent)")
 		scale      = flag.Float64("scale", 0.05, "network scale factor (1.0 = paper-sized)")
 		queries    = flag.Int("queries", 400, "queries per experiment")
@@ -307,17 +313,18 @@ func realMain() int {
 	}
 
 	runners := map[string]func(harness.Config) error{
-		"table1":  func(c harness.Config) error { _, err := harness.Table1(c); return err },
-		"table2":  func(c harness.Config) error { _, err := harness.Table2(c); return err },
-		"table3":  func(c harness.Config) error { _, err := harness.Table3(c); return err },
-		"fig10":   func(c harness.Config) error { _, err := harness.Figure10(c); return err },
-		"fig11":   func(c harness.Config) error { _, err := harness.Figure11(c); return err },
-		"fig12":   func(c harness.Config) error { _, err := harness.Figure12(c); return err },
-		"fig13":   func(c harness.Config) error { _, err := harness.Figure13(c); return err },
-		"fig14":   func(c harness.Config) error { _, err := harness.Figure14(c); return err },
-		"bench":   func(c harness.Config) error { return runBench(c, *benchout) },
-		"compare": func(c harness.Config) error { return runCompare(c, *baseline, *tolerance, *gateTiming) },
-		"churn":   func(c harness.Config) error { _, err := harness.Churn(c); return err },
+		"table1":      func(c harness.Config) error { _, err := harness.Table1(c); return err },
+		"table2":      func(c harness.Config) error { _, err := harness.Table2(c); return err },
+		"table3":      func(c harness.Config) error { _, err := harness.Table3(c); return err },
+		"fig10":       func(c harness.Config) error { _, err := harness.Figure10(c); return err },
+		"fig11":       func(c harness.Config) error { _, err := harness.Figure11(c); return err },
+		"fig12":       func(c harness.Config) error { _, err := harness.Figure12(c); return err },
+		"fig13":       func(c harness.Config) error { _, err := harness.Figure13(c); return err },
+		"fig14":       func(c harness.Config) error { _, err := harness.Figure14(c); return err },
+		"bench":       func(c harness.Config) error { return runBench(c, *benchout) },
+		"compare":     func(c harness.Config) error { return runCompare(c, *baseline, *tolerance, *gateTiming) },
+		"churn":       func(c harness.Config) error { _, err := harness.Churn(c); return err },
+		"incremental": func(c harness.Config) error { _, err := harness.Incremental(c); return err },
 	}
 	order := []string{"table1", "table2", "table3", "fig10", "fig11", "fig12", "fig13", "fig14"}
 

@@ -38,8 +38,7 @@ func (h *Min) Push(item int32, key float64) {
 	}
 	h.items = append(h.items, item)
 	h.keys = append(h.keys, key)
-	h.pos[item] = int32(len(h.items) - 1)
-	h.up(len(h.items) - 1)
+	h.up(len(h.items)-1, item, key)
 }
 
 // DecreaseKey lowers the key of a contained item. It panics if the item is
@@ -52,8 +51,7 @@ func (h *Min) DecreaseKey(item int32, key float64) {
 	if key >= h.keys[i] {
 		return
 	}
-	h.keys[i] = key
-	h.up(int(i))
+	h.up(int(i), item, key)
 }
 
 // PushOrDecrease inserts the item or lowers its key, whichever applies.
@@ -63,8 +61,7 @@ func (h *Min) PushOrDecrease(item int32, key float64) bool {
 		if key >= h.keys[i] {
 			return false
 		}
-		h.keys[i] = key
-		h.up(int(i))
+		h.up(int(i), item, key)
 		return true
 	}
 	h.Push(item, key)
@@ -79,12 +76,12 @@ func (h *Min) Pop() (int32, float64) {
 	}
 	item, key := h.items[0], h.keys[0]
 	last := len(h.items) - 1
-	h.swap(0, last)
+	moved, movedKey := h.items[last], h.keys[last]
 	h.items = h.items[:last]
 	h.keys = h.keys[:last]
 	h.pos[item] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(0, moved, movedKey)
 	}
 	return item, key
 }
@@ -108,39 +105,46 @@ func (h *Min) Reset(n int) {
 	}
 }
 
-func (h *Min) up(i int) {
+// up sifts (item, key) from the hole at i towards the root. Like down it
+// carries the moving element while the entries it passes shift into the
+// hole, and stores it once where it comes to rest. Both compare exactly
+// what a swap-per-level sift compares, in the same order, so pop order —
+// hence every tie-break downstream — is that of the textbook heap
+// (TestHoleSiftMatchesSwapSift).
+func (h *Min) up(i int, item int32, key float64) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.keys[parent] <= h.keys[i] {
+		if h.keys[parent] <= key {
 			break
 		}
-		h.swap(i, parent)
+		h.place(i, h.items[parent], h.keys[parent])
 		i = parent
 	}
+	h.place(i, item, key)
 }
 
-func (h *Min) down(i int) {
+// down sifts (item, key) from the hole at i towards the leaves.
+func (h *Min) down(i int, item int32, key float64) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.keys[l] < h.keys[smallest] {
-			smallest = l
+		smallest, smallestKey := i, key
+		if l < n && h.keys[l] < smallestKey {
+			smallest, smallestKey = l, h.keys[l]
 		}
-		if r < n && h.keys[r] < h.keys[smallest] {
-			smallest = r
+		if r < n && h.keys[r] < smallestKey {
+			smallest, smallestKey = r, h.keys[r]
 		}
 		if smallest == i {
-			return
+			break
 		}
-		h.swap(i, smallest)
+		h.place(i, h.items[smallest], smallestKey)
 		i = smallest
 	}
+	h.place(i, item, key)
 }
 
-func (h *Min) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.pos[h.items[i]] = int32(i)
-	h.pos[h.items[j]] = int32(j)
+func (h *Min) place(i int, item int32, key float64) {
+	h.items[i], h.keys[i] = item, key
+	h.pos[item] = int32(i)
 }

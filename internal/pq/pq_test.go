@@ -3,6 +3,7 @@ package pq
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -164,6 +165,113 @@ func TestDecreaseKeyProperty(t *testing.T) {
 		for i := range final {
 			if popped[i] != final[i] {
 				t.Fatalf("trial %d: pop %d = %v, want %v", trial, i, popped[i], final[i])
+			}
+		}
+	}
+}
+
+// swapMin is the textbook swap-per-level sift Min used before the hole-based
+// one, kept as the oracle for TestHoleSiftMatchesSwapSift: the heap's pop
+// order among equal keys decides Dijkstra's tie-breaks and so every byte of
+// a broadcast cycle.
+type swapMin struct{ Min }
+
+func (h *swapMin) push(item int32, key float64) {
+	h.items = append(h.items, item)
+	h.keys = append(h.keys, key)
+	h.pos[item] = int32(len(h.items) - 1)
+	h.swapUp(len(h.items) - 1)
+}
+
+func (h *swapMin) pushOrDecrease(item int32, key float64) bool {
+	if i := h.pos[item]; i >= 0 {
+		if key >= h.keys[i] {
+			return false
+		}
+		h.keys[i] = key
+		h.swapUp(int(i))
+		return true
+	}
+	h.push(item, key)
+	return true
+}
+
+func (h *swapMin) pop() (int32, float64) {
+	item, key := h.items[0], h.keys[0]
+	last := len(h.items) - 1
+	h.swap(0, last)
+	h.items = h.items[:last]
+	h.keys = h.keys[:last]
+	h.pos[item] = -1
+	if last > 0 {
+		h.swapDown(0)
+	}
+	return item, key
+}
+
+func (h *swapMin) swapUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.keys[parent] <= h.keys[i] {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *swapMin) swapDown(i int) {
+	n := len(h.items)
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h.keys[l] < h.keys[smallest] {
+			smallest = l
+		}
+		if r < n && h.keys[r] < h.keys[smallest] {
+			smallest = r
+		}
+		if smallest == i {
+			return
+		}
+		h.swap(i, smallest)
+		i = smallest
+	}
+}
+
+func (h *swapMin) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+	h.pos[h.items[i]] = int32(i)
+	h.pos[h.items[j]] = int32(j)
+}
+
+// TestHoleSiftMatchesSwapSift drives the hole-based heap and the swap-based
+// oracle through the same random push / decrease / pop sequences, keys drawn
+// from a handful of values so ties are the common case, and requires the
+// same array layout after every operation — which implies the same pop
+// order, ties included.
+func TestHoleSiftMatchesSwapSift(t *testing.T) {
+	const n = 64
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h, ref := New(n), &swapMin{*New(n)}
+		for op := 0; op < 400; op++ {
+			item, key := int32(rng.Intn(n)), float64(rng.Intn(8))
+			switch {
+			case rng.Intn(3) == 0 && h.Len() > 0:
+				gi, gk := h.Pop()
+				wi, wk := ref.pop()
+				if gi != wi || gk != wk {
+					t.Fatalf("seed %d op %d: Pop = (%d, %v), swap-based heap pops (%d, %v)", seed, op, gi, gk, wi, wk)
+				}
+			default:
+				if got, want := h.PushOrDecrease(item, key), ref.pushOrDecrease(item, key); got != want {
+					t.Fatalf("seed %d op %d: PushOrDecrease(%d, %v) = %v, swap-based heap says %v", seed, op, item, key, got, want)
+				}
+			}
+			if !reflect.DeepEqual(h.items, ref.items) || !reflect.DeepEqual(h.keys, ref.keys) || !reflect.DeepEqual(h.pos, ref.pos) {
+				t.Fatalf("seed %d op %d: layouts diverge\nhole: %v %v\nswap: %v %v", seed, op, h.items, h.keys, ref.items, ref.keys)
 			}
 		}
 	}

@@ -111,19 +111,19 @@ type BorderData struct {
 // Traversal returns the region-traversal set for the ordered pair (i, j).
 func (b *BorderData) Traversal(i, j, n int) RegionSet { return b.Traverse[i*n+j] }
 
-// Compute runs the full border-pair pre-computation: one Dijkstra per
-// border node, followed by two linear tree passes that aggregate, for every
-// target border node, the set of regions on its shortest path (a bitmask
-// propagated down the tree in pop order) and whether each node is an
-// ancestor of some border target (the cross-border classification).
+// Compute runs the full border-pair pre-computation: one single-source
+// search per border node (spath.ChainSearch), followed by parent walks from
+// the border targets that aggregate, for every target, the set of regions
+// on its shortest path and, for every node on such a path, the cross-border
+// classification.
 //
-// The per-border-node Dijkstras are independent, so they are fanned across
+// The per-border-node searches are independent, so they are fanned across
 // GOMAXPROCS workers; see ComputeWorkers for the contract.
 func Compute(g *graph.Graph, r *Regions) *BorderData {
 	return ComputeWorkers(g, r, 0)
 }
 
-// borderJob is one unit of pre-computation: the Dijkstra (and tree passes)
+// borderJob is one unit of pre-computation: the search (and tree walks)
 // rooted at border node b of region ri.
 type borderJob struct {
 	ri int
@@ -138,22 +138,33 @@ type borderAccum struct {
 	traverse    []RegionSet // flattened i*n+j
 	crossBorder []bool
 
-	// Dijkstra-tree scratch.
-	ros       []uint64 // regions-on-path bitmask per node
-	hasTarget []bool
-	words     int
+	// Per-source scratch, reused from job to job: the search's Dist/Parent
+	// and heap, and the tree walks' memo. Nothing is cleared between
+	// sources — a stamp equal to the current epoch marks an entry as
+	// belonging to this source's tree.
+	search  *spath.ChainSearch
+	epoch   uint32
+	masked  []uint32       // masked[v] == epoch: ros holds v's regions-on-path mask
+	marked  []uint32       // marked[v] == epoch: v and its ancestors are marked cross-border
+	ros     []uint64       // regions-on-path bitmask per node, words per node
+	pending []graph.NodeID // the unmasked run of a parent walk, target first
+	words   int
 }
 
-func newBorderAccum(n, nn int) *borderAccum {
+func newBorderAccum(g *graph.Graph, chain []bool, n int) *borderAccum {
+	nn := g.NumNodes()
 	a := &borderAccum{
 		minDist:     newMatrix(n, math.Inf(1)),
 		maxDist:     newMatrix(n, 0),
 		traverse:    make([]RegionSet, n*n),
 		crossBorder: make([]bool, nn),
+		search:      spath.NewChainSearch(g, chain),
+		masked:      make([]uint32, nn),
+		marked:      make([]uint32, nn),
+		pending:     make([]graph.NodeID, 0, nn),
 		words:       (n + 63) / 64,
 	}
 	a.ros = make([]uint64, nn*a.words)
-	a.hasTarget = make([]bool, nn)
 	for i := range a.traverse {
 		a.traverse[i] = NewRegionSet(n)
 	}
@@ -161,34 +172,25 @@ func newBorderAccum(n, nn int) *borderAccum {
 }
 
 // processBorder folds one border node's shortest-path tree into the accum.
-func (a *borderAccum) processBorder(g *graph.Graph, r *Regions, j borderJob) {
+// Only nodes on a path to some border target are visited after the search,
+// each once: a walk up the parents stops at the first node an earlier
+// target's walk already handled.
+//
+//air:noalloc
+func (a *borderAccum) processBorder(r *Regions, j borderJob) {
 	n := r.N
 	words := a.words
-	tree := spath.Dijkstra(g, j.b)
+	a.search.Run(j.b)
+	dist, parent := a.search.Dist, a.search.Parent
+	a.epoch++
 
-	// Pass 1 (pop order): regions on the path from b to v.
-	for _, v := range tree.PopOrder {
-		dst := a.ros[int(v)*words : int(v)*words+words]
-		if p := tree.Parent[v]; p != graph.Invalid {
-			src := a.ros[int(p)*words : int(p)*words+words]
-			copy(dst, src)
-		} else {
-			for k := range dst {
-				dst[k] = 0
-			}
-		}
-		reg := r.Assign[v]
-		dst[reg/64] |= 1 << (reg % 64)
-	}
-
-	// Aggregate distances and traversal sets per target region.
 	for rj := 0; rj < n; rj++ {
 		cell := a.traverse[j.ri*n+rj]
 		for _, bt := range r.Borders[rj] {
 			if bt == j.b {
 				continue
 			}
-			d := tree.Dist[bt]
+			d := dist[bt]
 			if math.IsInf(d, 1) {
 				continue
 			}
@@ -198,24 +200,41 @@ func (a *borderAccum) processBorder(g *graph.Graph, r *Regions, j borderJob) {
 			if d > a.maxDist[j.ri][rj] {
 				a.maxDist[j.ri][rj] = d
 			}
-			src := a.ros[int(bt)*words : int(bt)*words+words]
-			for k := range cell {
-				cell[k] |= src[k]
-			}
-		}
-	}
 
-	// Pass 2 (reverse pop order): mark ancestors of border targets in other
-	// regions — the cross-border nodes.
-	for _, v := range tree.PopOrder {
-		a.hasTarget[v] = r.IsBorder[v] && r.Assign[v] != j.ri
-	}
-	for k := len(tree.PopOrder) - 1; k >= 0; k-- {
-		v := tree.PopOrder[k]
-		if a.hasTarget[v] {
-			a.crossBorder[v] = true
-			if p := tree.Parent[v]; p != graph.Invalid {
-				a.hasTarget[p] = true
+			// Regions on the path from b to bt: climb to the nearest masked
+			// ancestor (or the source), then unwind top-down, each node's
+			// mask being its parent's plus its own region.
+			pending := a.pending[:0]
+			v := bt
+			for v != graph.Invalid && a.masked[v] != a.epoch {
+				pending = append(pending, v)
+				v = parent[v]
+			}
+			for k := len(pending) - 1; k >= 0; k-- {
+				u := pending[k]
+				mask := a.ros[int(u)*words : int(u)*words+words]
+				if v != graph.Invalid {
+					copy(mask, a.ros[int(v)*words:int(v)*words+words])
+				} else {
+					clear(mask)
+				}
+				reg := r.Assign[u]
+				mask[reg/64] |= 1 << (reg % 64)
+				a.masked[u] = a.epoch
+				v = u
+			}
+			mask := a.ros[int(bt)*words : int(bt)*words+words]
+			for k := range cell {
+				cell[k] |= mask[k]
+			}
+
+			// Ancestors of a border target in another region are the
+			// cross-border nodes; marks go bottom-up.
+			if rj != j.ri {
+				for v := bt; v != graph.Invalid && a.marked[v] != a.epoch; v = parent[v] {
+					a.marked[v] = a.epoch
+					a.crossBorder[v] = true
+				}
 			}
 		}
 	}
@@ -293,12 +312,13 @@ func ComputeWorkers(g *graph.Graph, r *Regions, workers int) *BorderData {
 		}
 	}
 	workers = clampWorkers(len(jobs), workers)
+	chain := spath.ChainNodes(g)
 	accums := make([]*borderAccum, workers)
 	for w := range accums {
-		accums[w] = newBorderAccum(n, nn)
+		accums[w] = newBorderAccum(g, chain, n)
 	}
 	ParallelWorkers(len(jobs), workers, func(w, i int) {
-		accums[w].processBorder(g, r, jobs[i])
+		accums[w].processBorder(r, jobs[i])
 	})
 
 	bd := &BorderData{

@@ -2,6 +2,7 @@ package precompute
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -199,13 +200,14 @@ func TestBorderCount(t *testing.T) {
 	}
 }
 
-// equalBorderData fails the test at the first field where a and b diverge.
+// equalBorderData fails the test at the first field where b diverges from
+// the expected a.
 func equalBorderData(t *testing.T, label string, n int, a, b *BorderData) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if a.MinDist[i][j] != b.MinDist[i][j] || a.MaxDist[i][j] != b.MaxDist[i][j] {
-				t.Fatalf("%s: dist cell (%d,%d): serial min/max %v/%v, parallel %v/%v",
+				t.Fatalf("%s: dist cell (%d,%d): want min/max %v/%v, got %v/%v",
 					label, i, j, a.MinDist[i][j], a.MaxDist[i][j], b.MinDist[i][j], b.MaxDist[i][j])
 			}
 			for w := range a.Traverse[i*n+j] {
@@ -217,7 +219,7 @@ func equalBorderData(t *testing.T, label string, n int, a, b *BorderData) {
 	}
 	for v := range a.CrossBorder {
 		if a.CrossBorder[v] != b.CrossBorder[v] {
-			t.Fatalf("%s: CrossBorder[%d]: serial %v, parallel %v", label, v, a.CrossBorder[v], b.CrossBorder[v])
+			t.Fatalf("%s: CrossBorder[%d]: want %v, got %v", label, v, a.CrossBorder[v], b.CrossBorder[v])
 		}
 	}
 }
@@ -246,9 +248,188 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// harnessCases generates the five harness networks at 1 % scale with an
+// 8-region kd partition, plus a germany whose weights have been made
+// asymmetric through graph.WithWeights (the graph an update rebuild sees).
+func harnessCases(t *testing.T) (cases []harnessCase) {
+	t.Helper()
+	add := func(name string, g *graph.Graph) {
+		kd, err := partition.NewKDTree(g, 8)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cases = append(cases, harnessCase{name, g, BuildRegions(g, kd)})
+	}
+	for _, p := range netgen.Presets {
+		g, err := p.Scaled(0.01).Generate(2010)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		add(p.Name, g)
+		if p.Name != "germany" {
+			continue
+		}
+		// Re-weigh one direction of every third arc, so d(u,v) != d(v,u).
+		rng := rand.New(rand.NewSource(7))
+		var ups []graph.WeightUpdate
+		for v := 0; v < g.NumNodes(); v++ {
+			dst, wgt := g.Out(graph.NodeID(v))
+			for i, u := range dst {
+				if rng.Intn(3) == 0 {
+					ups = append(ups, graph.WeightUpdate{From: graph.NodeID(v), To: u, Weight: wgt[i] * (0.5 + 2*rng.Float64())})
+				}
+			}
+		}
+		re, err := g.WithWeights(ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add("germany-reweighed", re)
+	}
+	return cases
+}
+
+type harnessCase struct {
+	name string
+	g    *graph.Graph
+	r    *Regions
+}
+
+// TestChainSearchMatchesDijkstraOnBorderSources: from every border source
+// of every harness network the kernel's Dist is bit-equal and its Parent
+// equal to spath.Dijkstra's — these networks have unique shortest paths, so
+// the tie rule (DESIGN.md §5) never comes into play.
+func TestChainSearchMatchesDijkstraOnBorderSources(t *testing.T) {
+	for _, c := range harnessCases(t) {
+		s := spath.NewChainSearch(c.g, spath.ChainNodes(c.g))
+		for _, bs := range c.r.Borders {
+			for _, b := range bs {
+				want := spath.Dijkstra(c.g, b)
+				s.Run(b)
+				for v := range want.Dist {
+					if s.Dist[v] != want.Dist[v] || s.Parent[v] != want.Parent[v] {
+						t.Fatalf("%s: source %d node %d: dist/parent %v/%d, Dijkstra %v/%d",
+							c.name, b, v, s.Dist[v], s.Parent[v], want.Dist[v], want.Parent[v])
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceCompute is the border pre-computation as it ran before
+// spath.ChainSearch — one spath.Dijkstra per border node and two passes
+// over its pop order — kept as the oracle for the production path.
+func referenceCompute(g *graph.Graph, r *Regions) *BorderData {
+	n, nn := r.N, g.NumNodes()
+	words := (n + 63) / 64
+	bd := &BorderData{
+		MinDist:     newMatrix(n, math.Inf(1)),
+		MaxDist:     newMatrix(n, 0),
+		Traverse:    make([]RegionSet, n*n),
+		CrossBorder: make([]bool, nn),
+	}
+	for i := range bd.Traverse {
+		bd.Traverse[i] = NewRegionSet(n)
+	}
+	ros := make([]uint64, nn*words)
+	hasTarget := make([]bool, nn)
+	for ri := 0; ri < n; ri++ {
+		for _, b := range r.Borders[ri] {
+			tree := spath.Dijkstra(g, b)
+
+			// Pass 1 (pop order): regions on the path from b to v.
+			for _, v := range tree.PopOrder {
+				dst := ros[int(v)*words : int(v)*words+words]
+				if p := tree.Parent[v]; p != graph.Invalid {
+					copy(dst, ros[int(p)*words:int(p)*words+words])
+				} else {
+					for k := range dst {
+						dst[k] = 0
+					}
+				}
+				reg := r.Assign[v]
+				dst[reg/64] |= 1 << (reg % 64)
+			}
+			for rj := 0; rj < n; rj++ {
+				cell := bd.Traverse[ri*n+rj]
+				for _, bt := range r.Borders[rj] {
+					d := tree.Dist[bt]
+					if bt == b || math.IsInf(d, 1) {
+						continue
+					}
+					bd.MinDist[ri][rj] = math.Min(bd.MinDist[ri][rj], d)
+					bd.MaxDist[ri][rj] = math.Max(bd.MaxDist[ri][rj], d)
+					cell.Or(ros[int(bt)*words : int(bt)*words+words])
+				}
+			}
+
+			// Pass 2 (reverse pop order): mark ancestors of border targets
+			// in other regions — the cross-border nodes.
+			for _, v := range tree.PopOrder {
+				hasTarget[v] = r.IsBorder[v] && r.Assign[v] != ri
+			}
+			for k := len(tree.PopOrder) - 1; k >= 0; k-- {
+				v := tree.PopOrder[k]
+				if hasTarget[v] {
+					bd.CrossBorder[v] = true
+					if p := tree.Parent[v]; p != graph.Invalid {
+						hasTarget[p] = true
+					}
+				}
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		bd.MinDist[i][i] = 0
+		bd.Traverse[i*n+i].Set(i)
+	}
+	for v, isB := range r.IsBorder {
+		if isB {
+			bd.CrossBorder[v] = true
+		}
+	}
+	return bd
+}
+
+// TestBorderDataMatchesReference: the production pre-computation emits the
+// BorderData the per-source Dijkstra loop emitted, at every worker count.
+func TestBorderDataMatchesReference(t *testing.T) {
+	for _, c := range harnessCases(t) {
+		want := referenceCompute(c.g, c.r)
+		for _, workers := range []int{1, 2, 0} {
+			equalBorderData(t, c.name, c.r.N, want, ComputeWorkers(c.g, c.r, workers))
+		}
+	}
+}
+
+// TestProcessBorderDoesNotAllocate: after the first source has sized the
+// heap, a source costs no allocation — search, walks and all.
+func TestProcessBorderDoesNotAllocate(t *testing.T) {
+	g, r, _ := setup(t, 500, 560, 8, 7)
+	a := newBorderAccum(g, spath.ChainNodes(g), r.N)
+	var jobs []borderJob
+	for ri, bs := range r.Borders {
+		for _, b := range bs {
+			jobs = append(jobs, borderJob{ri, b})
+		}
+	}
+	for _, j := range jobs {
+		a.processBorder(r, j)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(len(jobs), func() {
+		a.processBorder(r, jobs[i%len(jobs)])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("processBorder allocates %v times per source", allocs)
+	}
+}
+
 // BenchmarkPrecomputeParallel measures the border-pair pre-computation
 // serial versus fanned across all cores (`-benchmem` shows the per-worker
-// accumulator overhead).
+// accumulator overhead), beside the serial per-source Dijkstra loop it
+// replaced ("reference").
 func BenchmarkPrecomputeParallel(b *testing.B) {
 	g, err := netgen.PresetByName("germany")
 	if err != nil {
@@ -263,6 +444,12 @@ func BenchmarkPrecomputeParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := BuildRegions(gg, kd)
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			referenceCompute(gg, r)
+		}
+	})
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

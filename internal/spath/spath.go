@@ -7,6 +7,7 @@ package spath
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/pq"
@@ -135,15 +136,11 @@ func AStar(g *graph.Graph, s, t graph.NodeID, lb func(graph.NodeID) float64) (fl
 // (not necessarily consistent) bounds — which arise on lossy channels,
 // where Landmark treats nodes with lost distance vectors as bound 0.
 func AStarFiltered(g *graph.Graph, s, t graph.NodeID, lb func(graph.NodeID) float64, allowArc func(tail graph.NodeID, arcIdx int) bool) (float64, []graph.NodeID, int) {
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	parent := make([]graph.NodeID, n)
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = graph.Invalid
-	}
-	h := pq.New(n)
+	sc := acquireScratch(g.NumNodes())
+	defer sc.release()
+	dist, parent, h := sc.dist, sc.parent, sc.heap
 	dist[s] = 0
+	sc.touched = append(sc.touched, s)
 	key := 0.0
 	if lb != nil {
 		key = lb(s)
@@ -171,6 +168,9 @@ func AStarFiltered(g *graph.Graph, s, t graph.NodeID, lb func(graph.NodeID) floa
 			}
 			nd := d + wgt[i]
 			if nd < dist[u] {
+				if math.IsInf(dist[u], 1) {
+					sc.touched = append(sc.touched, u)
+				}
 				dist[u] = nd
 				parent[u] = v
 				k := nd
@@ -185,6 +185,46 @@ func AStarFiltered(g *graph.Graph, s, t graph.NodeID, lb func(graph.NodeID) floa
 		return Inf, nil, settled
 	}
 	return best, treePath(parent, s, t), settled
+}
+
+// p2pScratch is the per-call state of a point-to-point search. A search
+// settles a small part of a large graph, so allocating and initialising
+// three n-sized arrays per call (580 KB at germany scale) cost more than
+// the search; instead the arrays are pooled and a call puts back only the
+// entries it labelled. Between calls every dist is Inf, every parent
+// graph.Invalid and the heap is empty.
+type p2pScratch struct {
+	dist    []float64
+	parent  []graph.NodeID
+	heap    *pq.Min
+	touched []graph.NodeID // nodes whose dist/parent this call wrote
+}
+
+var p2pPool = sync.Pool{New: func() any { return &p2pScratch{heap: pq.New(0)} }}
+
+// acquireScratch returns a clean scratch able to hold n nodes.
+func acquireScratch(n int) *p2pScratch {
+	sc := p2pPool.Get().(*p2pScratch)
+	if len(sc.dist) < n {
+		sc.dist = make([]float64, n)
+		sc.parent = make([]graph.NodeID, n)
+		for i := range sc.dist {
+			sc.dist[i] = Inf
+			sc.parent[i] = graph.Invalid
+		}
+	}
+	sc.heap.Reset(n)
+	return sc
+}
+
+func (sc *p2pScratch) release() {
+	for _, v := range sc.touched {
+		sc.dist[v] = Inf
+		sc.parent[v] = graph.Invalid
+	}
+	sc.touched = sc.touched[:0]
+	sc.heap.Reset(0) // a search that met its bound leaves entries behind
+	p2pPool.Put(sc)
 }
 
 func treePath(parent []graph.NodeID, s, t graph.NodeID) []graph.NodeID {

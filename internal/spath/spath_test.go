@@ -3,6 +3,7 @@ package spath
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -124,6 +125,44 @@ func TestPointToPointEqualsFullSearch(t *testing.T) {
 			if v != s && (len(path) == 0 || path[len(path)-1] != graph.NodeID(v)) {
 				t.Fatalf("bad path to %d: %v", v, path)
 			}
+		}
+	}
+}
+
+// TestPointToPointPooledScratch: searches share pooled dist/parent/heap
+// arrays and reset only what they touched. Concurrent callers alternating
+// between a large and a small graph must each get the full search's answer
+// (a stale label from another call, or from the larger graph, would show as
+// a short distance or a wrong path), and a scratch taken afterwards must be
+// clean even though most searches stop with entries still on the heap.
+func TestPointToPointPooledScratch(t *testing.T) {
+	graphs := []*graph.Graph{randomGraph(90, 21), randomGraph(25, 22)}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for q := 0; q < 60; q++ {
+				g := graphs[q%2]
+				s, v := graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))
+				d, path, _ := PointToPoint(g, s, v)
+				if want := Dijkstra(g, s).Dist[v]; d != want || PathCost(g, path) != want {
+					t.Errorf("worker %d: p2p d(%d,%d) = %v over %v, want %v", w, s, v, d, path, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	sc := acquireScratch(graphs[0].NumNodes())
+	defer sc.release()
+	if sc.heap.Len() != 0 || len(sc.touched) != 0 {
+		t.Fatalf("pooled scratch not empty: %d heap entries, %d touched", sc.heap.Len(), len(sc.touched))
+	}
+	for v := range sc.dist {
+		if !math.IsInf(sc.dist[v], 1) || sc.parent[v] != graph.Invalid {
+			t.Fatalf("pooled scratch node %d: dist/parent %v/%d, want +Inf/%d", v, sc.dist[v], sc.parent[v], graph.Invalid)
 		}
 	}
 }

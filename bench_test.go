@@ -8,7 +8,6 @@ package repro_test
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/scheme"
-	"repro/internal/spatial"
 	"repro/internal/workload"
 )
 
@@ -154,29 +152,6 @@ func BenchmarkFigure14PacketLoss(b *testing.B) {
 	}
 }
 
-// --- Multi-channel broadcast benches (benchstat these against the
-// committed BENCH_baseline.json, regenerated by `airbench -exp bench`) ---
-
-// BenchmarkTunerHop measures one channel-hopping NR query over a 4-channel
-// lossy offline air.
-func BenchmarkTunerHop(b *testing.B) { harness.BenchTunerHop(b) }
-
-// BenchmarkStationBroadcast measures shared-clock tick throughput of a
-// live 4-shard station into one radio.
-func BenchmarkStationBroadcast(b *testing.B) { harness.BenchStationBroadcast(b) }
-
-// BenchmarkLiveQuery measures one NR query of a live K=1 session, dozes
-// included, on a virtual-clock station.
-func BenchmarkLiveQuery(b *testing.B) { harness.BenchLiveQuery(b) }
-
-// BenchmarkWireQuery measures the same query from a remote session: the
-// live station served over loopback UDP, one dial per query.
-func BenchmarkWireQuery(b *testing.B) { harness.BenchWireQuery(b) }
-
-// BenchmarkFleetQPS measures verified end-to-end throughput of a 32-client
-// fleet over a live 4-channel station.
-func BenchmarkFleetQPS(b *testing.B) { harness.BenchFleetQPS(b) }
-
 // --- Ablation benches (DESIGN.md Section 6) ---
 
 // ablationWorkload builds a fixed network + workload for the ablations.
@@ -308,54 +283,6 @@ func BenchmarkPrecomputeEBNR(b *testing.B) {
 		if _, err := core.NewEB(g, core.Options{Regions: 16, Segments: true, SquareCells: true}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Appendix A spatial air indexes ---
-
-// BenchmarkSpatialRange compares the three Appendix A schemes on window
-// queries, reporting mean tuning per query.
-func BenchmarkSpatialRange(b *testing.B) {
-	pts := make([]spatial.Point, 600)
-	rng := rand.New(rand.NewSource(3))
-	for i := range pts {
-		pts[i] = spatial.Point{ID: int32(i), X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-	}
-	hci, err := spatial.NewHCI(pts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dsi, err := spatial.NewDSI(pts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bgi, err := spatial.NewBGI(pts, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, srv := range []spatial.Server{hci, dsi, bgi} {
-		ch, err := broadcast.NewChannel(srv.Cycle(), 0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		client := srv.NewClient()
-		total := 0
-		queries := 0
-		b.Run(srv.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w := spatial.Window{MinX: 100, MinY: 100, MaxX: 300, MaxY: 300}
-				tuner := broadcast.NewTuner(ch, i%srv.Cycle().Len())
-				_, m, err := client.Range(tuner, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += m.TuningPackets
-				queries++
-			}
-			if queries > 0 {
-				b.ReportMetric(float64(total)/float64(queries), "tuning/query")
-			}
-		})
 	}
 }
 

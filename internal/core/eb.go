@@ -367,16 +367,14 @@ func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 		c.coll.Reset(idx.meta.NumNodes, &mem)
 	}
 	coll := c.coll
-	var ctr *contractor
 	var onComplete func(region int)
 	if c.opts.MemoryBound {
-		ctr = newContractor(kd, coll, q, rs, rt, &mem, &cpu)
-		onComplete = ctr.contract
+		onComplete = newContractor(kd, coll, q, rs, rt, &mem, &cpu).contract
 	}
 	receiveRegions(t, coll, idx.offs.Offs, needed, rs, rt, c.opts.Segments, onComplete, &c.recv)
 
 	// Step 4: Dijkstra over the union (line 16).
-	res := finishSearch(ctr, coll, q, &mem, &cpu, &c.search)
+	res := finishSearch(coll, q, &mem, &cpu, &c.search)
 	res.Metrics = metrics.Query{
 		TuningPackets:  t.Tuning(),
 		LatencyPackets: t.Latency(),
@@ -386,16 +384,14 @@ func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	return res, nil
 }
 
-// finishSearch runs the final shortest-path computation: over the contracted
-// super-edge graph G' when memory-bound processing is on, over the union of
-// received regions otherwise. search is the client's reusable Dijkstra
-// state.
-func finishSearch(ctr *contractor, coll *netdata.Collector, q scheme.Query, mem *metrics.Mem, cpu *time.Duration, search *spath.Search) scheme.Result {
+// finishSearch runs the final shortest-path computation over what the
+// collector retains: the union of received regions, or — when memory-bound
+// processing contracted them — the union of their skeletons, which contains
+// a true shortest path by the Section 6.1 argument, so the result is exact
+// and needs no expansion. search is the client's reusable Dijkstra state.
+func finishSearch(coll *netdata.Collector, q scheme.Query, mem *metrics.Mem, cpu *time.Duration, search *spath.Search) scheme.Result {
 	start := time.Now()                          //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 	defer func() { *cpu += time.Since(start) }() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-	if ctr != nil {
-		return ctr.finish()
-	}
 	mem.Alloc(metrics.DistEntryBytes * coll.Net.NumPresent())
 	r := search.Dijkstra(coll.Net, q.S, q.T)
 	return scheme.Result{Dist: r.Dist, Path: r.Path}

@@ -408,7 +408,7 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	c.lost = lost[:0]
 
 	// Step 4: Dijkstra over the collected regions (line 20).
-	res := finishSearch(ctr, coll, q, &mem, &cpu, &c.search)
+	res := finishSearch(coll, q, &mem, &cpu, &c.search)
 	res.Metrics = metrics.Query{
 		TuningPackets:  t.Tuning(),
 		LatencyPackets: t.Latency(),

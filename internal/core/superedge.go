@@ -105,18 +105,6 @@ func (c *contractor) contract(region int) {
 	}
 }
 
-// finish searches the union of retained skeletons (plus the fully retained
-// parts, if any): it contains a true shortest path by the Section 6.1
-// argument, so the result is exact and needs no expansion.
-func (c *contractor) finish() scheme.Result {
-	c.mem.Alloc(metrics.DistEntryBytes * c.coll.Net.NumPresent())
-	r := spath.DijkstraNetwork(c.coll.Net, c.q.S, c.q.T)
-	if math.IsInf(r.Dist, 1) {
-		return scheme.Result{Dist: r.Dist}
-	}
-	return scheme.Result{Dist: r.Dist, Path: r.Path}
-}
-
 // regionDijkstra runs Dijkstra from src over the received sub-network,
 // restricted to nodes of one region. It allocates proportionally to the
 // region size, not the network size — the device is memory-bound. It

@@ -22,6 +22,10 @@ import (
 const (
 	binaryMagic   = "AIRG"
 	binaryVersion = 1
+	// decodeSizeHint caps how many records Decode pre-sizes for: the header
+	// counts come from the file, so they are a hint, and the slices grow as
+	// records actually arrive.
+	decodeSizeHint = 256
 )
 
 // Encode writes g in the binary network format.
@@ -73,11 +77,11 @@ func Decode(r io.Reader) (*Graph, error) {
 	}
 	nNodes := int(binary.LittleEndian.Uint32(head[8:]))
 	nArcs := int(binary.LittleEndian.Uint32(head[12:]))
-	b := NewBuilder(nNodes, nArcs)
+	b := NewBuilder(min(nNodes, decodeSizeHint), min(nArcs, decodeSizeHint))
 	var buf [16]byte
 	for i := 0; i < nNodes; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("graph: reading node %d: %w", i, err)
+			return nil, fmt.Errorf("graph: reading node %d: %w", i, promised(err))
 		}
 		x := math.Float64frombits(binary.LittleEndian.Uint64(buf[0:]))
 		y := math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
@@ -85,7 +89,7 @@ func Decode(r io.Reader) (*Graph, error) {
 	}
 	for i := 0; i < nArcs; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("graph: reading arc %d: %w", i, err)
+			return nil, fmt.Errorf("graph: reading arc %d: %w", i, promised(err))
 		}
 		u := NodeID(binary.LittleEndian.Uint32(buf[0:]))
 		v := NodeID(binary.LittleEndian.Uint32(buf[4:]))
@@ -93,6 +97,15 @@ func Decode(r io.Reader) (*Graph, error) {
 		b.AddArc(u, v, w)
 	}
 	return b.Build()
+}
+
+// promised turns the clean io.EOF of a file that ends on a record boundary
+// into io.ErrUnexpectedEOF: the header promised a record there.
+func promised(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // EncodeText writes g in a line-oriented text format:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,6 +156,79 @@ func TestDecodeBadMagic(t *testing.T) {
 	if _, err := Decode(bytes.NewReader([]byte("NOPE            "))); err == nil {
 		t.Error("expected magic error")
 	}
+}
+
+// TestDecodeLyingHeader is the 16-byte file a fuzz run found: a valid header
+// that promises 0xF0000000 arcs and carries none. The header counts are a
+// size hint, so decoding ends at the first missing record with an error; a
+// builder sized from that header is a ≈ 64 GB request the runtime dies on.
+func TestDecodeLyingHeader(t *testing.T) {
+	file := []byte("AIRG\x01\x00\x00\x00" + "\x00\x00\x00\x00" + "\x00\x00\x00\xf0")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(file))
+	runtime.ReadMemStats(&after)
+	if err == nil || err.Error() != "graph: reading arc 0: unexpected EOF" {
+		t.Fatalf("Decode = %v, want graph: reading arc 0: unexpected EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("Decode of a 16-byte file allocated %d bytes", got)
+	}
+
+	// A truncated honest file ends the same way, mid-record or between two.
+	var buf bytes.Buffer
+	if err := Encode(&buf, triangle(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{16, 9} {
+		_, err := Decode(bytes.NewReader(buf.Bytes()[:buf.Len()-cut]))
+		if err == nil || err.Error() != "graph: reading arc 5: unexpected EOF" {
+			t.Errorf("cut %d: Decode = %v, want graph: reading arc 5: unexpected EOF", cut, err)
+		}
+	}
+}
+
+// FuzzGraphDecode pins the binary network codec against hostile files:
+// Decode returns an error or a graph whose encoding decodes back to the same
+// bytes — never a panic, never an allocation sized by the header alone.
+func FuzzGraphDecode(f *testing.F) {
+	b := NewBuilder(4, 8)
+	for i := 0; i < 4; i++ {
+		b.AddNode(float64(i), float64(i*i))
+	}
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 2.5)
+	b.AddEdge(2, 3, 0)
+	b.AddArc(3, 0, 7)
+	var valid bytes.Buffer
+	if err := Encode(&valid, b.MustBuild()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-7])
+	f.Add(valid.Bytes()[:16])
+	f.Add([]byte("AIRG\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf0"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, file []byte) {
+		g, err := Decode(bytes.NewReader(file))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := Encode(&once, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := Decode(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decoding an accepted graph: %v", err)
+		}
+		if err := Encode(&twice, g2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("accepted graph does not round-trip: %x != %x", once.Bytes(), twice.Bytes())
+		}
+	})
 }
 
 func assertSameGraph(t *testing.T, a, b *Graph) {

@@ -1,8 +1,9 @@
-// Package hilbert implements the Hilbert space-filling curve used by the
-// spatial air indexes of the paper's Appendix A (HCI [16] and DSI [17]):
-// encoding 2-D grid coordinates to curve positions and back, plus the
-// contiguous-interval property of quadrants that lets clients compute
-// exact curve ranges for query windows.
+// Package hilbert implements the Hilbert space-filling curve — the
+// locality-preserving order multichannel's Hilbert sharding plan sorts
+// region centroids by, and the curve the Euclidean air indexes of the
+// paper's Appendix A (HCI [16], DSI [17]) are built on: encoding 2-D grid
+// coordinates to curve positions and back, plus the contiguous-interval
+// property of quadrants that yields exact curve ranges for query windows.
 package hilbert
 
 // Encode maps grid cell (x, y) in a 2^order × 2^order grid to its position

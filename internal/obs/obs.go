@@ -14,9 +14,9 @@
 //
 //   - Observationally free on the answer path. Instruments never branch on
 //     query content, never allocate after registration, and never touch the
-//     deterministic accounting (tuning, latency, energy) — the bench gate
-//     (`airbench -exp compare`, deterministic metrics two-sided at 1.00x)
-//     and the AllocsPerRun=0 pins stay green with instrumentation on.
+//     deterministic accounting (tuning, latency, energy) — the exact packet
+//     counts of harness.TestLatencyVsKGolden and the AllocsPerRun=0 pins
+//     stay green with instrumentation on.
 //   - Bounded cardinality. Label values are small closed sets fixed at
 //     registration (a channel index, a method name) — never a subscriber,
 //     query or node ID. DESIGN.md §10 records the rules per metric.

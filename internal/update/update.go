@@ -27,7 +27,8 @@
 // With an empty update stream nothing happens at all: the Manager serves
 // the scheme server's own cycle object, unstamped and untrailered, so the
 // static path stays bit-identical to the paper's model — the committed
-// deterministic baselines (BENCH_baseline.json, TestK1BitForBit) pin this.
+// deterministic baselines (harness.TestLatencyVsKGolden, TestK1BitForBit)
+// pin this.
 package update
 
 import (

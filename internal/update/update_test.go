@@ -53,8 +53,8 @@ func newNR(t testing.TB, g *graph.Graph) *core.NR {
 // no updates applied, the manager serves the scheme server's own cycle
 // object — same pointer, version zero, every packet header unstamped — so
 // the static path is provably untouched by the version plumbing (the
-// committed BENCH_baseline.json metrics and TestK1BitForBit guard the rest
-// of that claim in CI).
+// committed rows of harness.TestLatencyVsKGolden and TestK1BitForBit guard
+// the rest of that claim in CI).
 func TestEmptyUpdateStreamBitIdentical(t *testing.T) {
 	g := testNetwork(t, 300, 450, 1)
 	srv := newNR(t, g)

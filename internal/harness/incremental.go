@@ -54,7 +54,6 @@ func Incremental(cfg Config) ([]IncrementalRow, error) {
 		cfg.Preset, cfg.Scale, g.NumNodes(), r.N, len(sources), incrementalBatch)
 	cfg.printf("%-6s %10s %12s %12s\n", "seed", "sources", "untouched", "unchanged")
 
-	chain := spath.ChainNodes(g)
 	var rows []IncrementalRow
 	for seed := int64(1); seed <= 4; seed++ {
 		ups := update.RandomUpdates(g, rand.New(rand.NewSource(seed)), incrementalBatch, update.ModeMixed)
@@ -75,7 +74,7 @@ func Incremental(cfg Config) ([]IncrementalRow, error) {
 		tallies := make([]tally, min(runtime.GOMAXPROCS(0), len(sources)))
 		for w := range tallies {
 			tallies[w] = tally{
-				old: spath.NewChainSearch(g, chain), new: spath.NewChainSearch(after, chain),
+				old: spath.NewChainSearch(g), new: spath.NewChainSearch(after),
 				seen: make([]graph.NodeID, g.NumNodes()),
 			}
 			for v := range tallies[w].seen {

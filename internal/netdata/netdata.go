@@ -174,9 +174,9 @@ type Collector struct {
 	// query's flight recorder (obs.EvPatchApply). Nil costs one branch.
 	Trace *obs.Trace
 
-	border []bool // indexed by node ID, grown alongside Net
-	poi    []bool
-	seen   []bool // indexed by cycle position, grown on demand
+	border flagSet // by node ID
+	poi    flagSet // by node ID
+	seen   flagSet // by cycle position
 
 	arcScratch [maxArcsPerRecord]graph.Arc // batch decode buffer
 }
@@ -196,45 +196,53 @@ func NewCollector(n int, mem *metrics.Mem) *Collector {
 func (c *Collector) Reset(n int, mem *metrics.Mem) {
 	c.Net.Reset(n)
 	c.Mem = mem
-	clear(c.border)
-	clear(c.poi)
-	clear(c.seen)
+	c.border.reset()
+	c.poi.reset()
+	c.seen.reset()
 }
 
 // Processed reports whether the packet at the given cycle position has
 // already been folded in.
-func (c *Collector) Processed(cyclePos int) bool {
-	return cyclePos < len(c.seen) && c.seen[cyclePos]
-}
+func (c *Collector) Processed(cyclePos int) bool { return c.seen.has(cyclePos) }
 
 // IsBorder reports whether v arrived flagged as a region border node.
-func (c *Collector) IsBorder(v graph.NodeID) bool {
-	return int(v) < len(c.border) && c.border[v]
-}
+func (c *Collector) IsBorder(v graph.NodeID) bool { return c.border.has(int(v)) }
 
 // IsPOI reports whether v arrived flagged as a point of interest.
-func (c *Collector) IsPOI(v graph.NodeID) bool {
-	return int(v) < len(c.poi) && c.poi[v]
+func (c *Collector) IsPOI(v graph.NodeID) bool { return c.poi.has(int(v)) }
+
+// flagSet is a set of small non-negative integers that remembers which it
+// holds, so a reset costs what one query set, not the table's size.
+type flagSet struct {
+	on  []bool // grown on demand
+	set []int32
 }
 
-// markSeen records cyclePos as processed, growing the position table.
-func (c *Collector) markSeen(cyclePos int) {
-	if cyclePos >= len(c.seen) {
-		grown := make([]bool, max(cyclePos+1, 2*len(c.seen)))
-		copy(grown, c.seen)
-		c.seen = grown
+func (f *flagSet) has(i int) bool { return i < len(f.on) && f.on[i] }
+
+func (f *flagSet) add(i int) {
+	if i >= len(f.on) {
+		grown := make([]bool, max(i+1, 2*len(f.on)))
+		copy(grown, f.on)
+		f.on = grown
 	}
-	c.seen[cyclePos] = true
+	if !f.on[i] {
+		f.on[i] = true
+		f.set = append(f.set, int32(i))
+	}
 }
 
-// mark sets v in the set backing one of the node-flag tables.
-func mark(set *[]bool, v graph.NodeID) {
-	if int(v) >= len(*set) {
-		grown := make([]bool, max(int(v)+1, 2*len(*set)))
-		copy(grown, *set)
-		*set = grown
+func (f *flagSet) remove(i int) {
+	if i < len(f.on) {
+		f.on[i] = false
 	}
-	(*set)[v] = true
+}
+
+func (f *flagSet) reset() {
+	for _, i := range f.set {
+		f.on[i] = false
+	}
+	f.set = f.set[:0]
 }
 
 // Process decodes the TagNode records of a data packet received at the
@@ -244,7 +252,7 @@ func (c *Collector) Process(cyclePos int, p packet.Packet) {
 	if c.Processed(cyclePos) {
 		return
 	}
-	c.markSeen(cyclePos)
+	c.seen.add(cyclePos)
 	packet.ForEachRecord(p.Payload, func(tag uint8, data []byte) bool {
 		if tag != packet.TagNode {
 			return true
@@ -270,10 +278,10 @@ func (c *Collector) Process(cyclePos int, p packet.Packet) {
 			}
 		}
 		if flags&flagBorder != 0 {
-			mark(&c.border, id)
+			c.border.add(int(id))
 		}
 		if flags&flagPOI != 0 {
-			mark(&c.poi, id)
+			c.poi.add(int(id))
 		}
 		for i := 0; i < cnt; i++ {
 			b := data[nodeRecHeader+8*i:]
@@ -325,7 +333,5 @@ func (c *Collector) Release(v graph.NodeID) {
 		c.Mem.Free(metrics.NodeRecBytes + metrics.ArcRecBytes*len(c.Net.Arcs(v)))
 	}
 	c.Net.Remove(v)
-	if int(v) < len(c.border) {
-		c.border[v] = false
-	}
+	c.border.remove(int(v))
 }

@@ -151,14 +151,14 @@ type borderAccum struct {
 	words   int
 }
 
-func newBorderAccum(g *graph.Graph, chain []bool, n int) *borderAccum {
+func newBorderAccum(g *graph.Graph, n int) *borderAccum {
 	nn := g.NumNodes()
 	a := &borderAccum{
 		minDist:     newMatrix(n, math.Inf(1)),
 		maxDist:     newMatrix(n, 0),
 		traverse:    make([]RegionSet, n*n),
 		crossBorder: make([]bool, nn),
-		search:      spath.NewChainSearch(g, chain),
+		search:      spath.NewChainSearch(g),
 		masked:      make([]uint32, nn),
 		marked:      make([]uint32, nn),
 		pending:     make([]graph.NodeID, 0, nn),
@@ -312,10 +312,9 @@ func ComputeWorkers(g *graph.Graph, r *Regions, workers int) *BorderData {
 		}
 	}
 	workers = clampWorkers(len(jobs), workers)
-	chain := spath.ChainNodes(g)
 	accums := make([]*borderAccum, workers)
 	for w := range accums {
-		accums[w] = newBorderAccum(g, chain, n)
+		accums[w] = newBorderAccum(g, n)
 	}
 	ParallelWorkers(len(jobs), workers, func(w, i int) {
 		accums[w].processBorder(r, jobs[i])

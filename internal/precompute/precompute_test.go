@@ -301,7 +301,7 @@ type harnessCase struct {
 // the tie rule (DESIGN.md §5) never comes into play.
 func TestChainSearchMatchesDijkstraOnBorderSources(t *testing.T) {
 	for _, c := range harnessCases(t) {
-		s := spath.NewChainSearch(c.g, spath.ChainNodes(c.g))
+		s := spath.NewChainSearch(c.g)
 		for _, bs := range c.r.Borders {
 			for _, b := range bs {
 				want := spath.Dijkstra(c.g, b)
@@ -407,7 +407,7 @@ func TestBorderDataMatchesReference(t *testing.T) {
 // heap, a source costs no allocation — search, walks and all.
 func TestProcessBorderDoesNotAllocate(t *testing.T) {
 	g, r, _ := setup(t, 500, 560, 8, 7)
-	a := newBorderAccum(g, spath.ChainNodes(g), r.N)
+	a := newBorderAccum(g, r.N)
 	var jobs []borderJob
 	for ri, bs := range r.Borders {
 		for _, b := range bs {

@@ -35,7 +35,7 @@ func buildRoads(n int, edges []edge) *graph.Graph {
 // shortest paths are unique, so Parent has one right answer.
 func matchesDijkstra(t *testing.T, g *graph.Graph) {
 	t.Helper()
-	s := NewChainSearch(g, ChainNodes(g))
+	s := NewChainSearch(g)
 	for src := 0; src < g.NumNodes(); src++ {
 		want := Dijkstra(g, graph.NodeID(src))
 		s.Run(graph.NodeID(src))
@@ -53,7 +53,6 @@ func TestChainSearchHandBuilt(t *testing.T) {
 		name  string
 		n     int
 		edges []edge
-		chain []bool
 	}{
 		{
 			// Two junctions (0, 4) joined by a three-node chain and by a
@@ -68,7 +67,6 @@ func TestChainSearchHandBuilt(t *testing.T) {
 				{u: 0, v: 5, w: 4.5}, {u: 5, v: 4, w: 6.0625},
 				{u: 0, v: 6, w: 0.5}, {u: 4, v: 7, w: 0.375},
 			},
-			chain: []bool{false, true, true, true, false, true, true, true},
 		},
 		{
 			// A dead-end spur (3), a dead-end chain of two (4-5) and a
@@ -79,7 +77,6 @@ func TestChainSearchHandBuilt(t *testing.T) {
 				{u: 0, v: 1, w: 1.5}, {u: 1, v: 2, w: 2.25}, {u: 1, v: 3, w: 0.125},
 				{u: 1, v: 4, w: 3.5}, {u: 4, v: 5, w: 1.0625},
 			},
-			chain: []bool{true, false, true, true, true, true},
 		},
 		{
 			// Nodes 3-4 form their own component and 5 is isolated: from 0
@@ -87,7 +84,6 @@ func TestChainSearchHandBuilt(t *testing.T) {
 			name:  "unreachable component",
 			n:     6,
 			edges: []edge{{u: 0, v: 1, w: 1.5}, {u: 1, v: 2, w: 2.5}, {u: 3, v: 4, w: 0.5}},
-			chain: []bool{true, true, true, true, true, true},
 		},
 		{
 			// Zero-weight segments inside a chain and out of a junction: a
@@ -99,55 +95,47 @@ func TestChainSearchHandBuilt(t *testing.T) {
 				{u: 0, v: 1, w: 0}, {u: 1, v: 2, w: 1.5}, {u: 2, v: 3, w: 0}, {u: 3, v: 4, w: 2.5},
 				{u: 2, v: 5, w: 0}, {u: 5, v: 6, w: 0.25},
 			},
-			chain: []bool{true, true, false, true, true, true, true},
 		},
 		{
 			// 1 is entered only from 0 and left only to 2 (in-set ≠ out-set);
-			// 4 has two out-neighbours but one in-neighbour. Both look like
-			// degree-2 nodes and must classify as junctions: "leave by the
-			// arc you did not come in on" has no meaning there.
+			// 4 has two out-neighbours but one in-neighbour. Reached from 3,
+			// 4 walks on to 5; 1 has one arc, and reached from 0 walks on to
+			// 2; 2, reached from 1, has a choice and goes on the heap.
 			name: "one-way arcs",
 			n:    6,
 			edges: []edge{
 				{u: 0, v: 1, w: 1.5, oneWay: true}, {u: 1, v: 2, w: 2.5, oneWay: true}, {u: 2, v: 0, w: 0.75},
 				{u: 2, v: 3, w: 1.25}, {u: 3, v: 4, w: 0.5}, {u: 4, v: 5, w: 4.5, oneWay: true}, {u: 5, v: 0, w: 8.5},
 			},
-			chain: []bool{false, false, false, true, false, false},
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			g := buildRoads(c.n, c.edges)
-			for v, got := range ChainNodes(g) {
-				if got != c.chain[v] {
-					t.Errorf("ChainNodes[%d] = %v, want %v", v, got, c.chain[v])
-				}
-			}
-			matchesDijkstra(t, g)
+			matchesDijkstra(t, buildRoads(c.n, c.edges))
 		})
 	}
 }
 
 // TestChainSearchParallelArcsAreJunctions: two arcs to the same neighbour
-// make "the other arc" ambiguous, so the node goes through the heap.
+// make "the other arc" ambiguous, so the node goes through the heap — and a
+// walk that offers the heavier parallel arc first must still end on the
+// lighter one.
 func TestChainSearchParallelArcsAreJunctions(t *testing.T) {
-	b := graph.NewBuilder(3, 6)
-	for i := 0; i < 3; i++ {
+	b := graph.NewBuilder(4, 8)
+	for i := 0; i < 4; i++ {
 		b.AddNode(float64(i), 0)
 	}
 	b.AddEdge(0, 1, 2.5)
 	b.AddEdge(0, 1, 1.5)
 	b.AddEdge(1, 2, 0.75)
-	g := b.MustBuild()
-	if chain := ChainNodes(g); chain[0] || chain[1] || !chain[2] {
-		t.Fatalf("ChainNodes = %v, want [false false true]", chain)
-	}
-	matchesDijkstra(t, g)
+	b.AddEdge(2, 3, 4.25)
+	b.AddEdge(2, 3, 0.125)
+	matchesDijkstra(t, b.MustBuild())
 }
 
 func TestChainSearchRunDoesNotAllocate(t *testing.T) {
 	g := randomRoads(400, 1)
-	s := NewChainSearch(g, ChainNodes(g))
+	s := NewChainSearch(g)
 	for src := 0; src < g.NumNodes(); src++ {
 		s.Run(graph.NodeID(src)) // warm-up: the heap grows to its high-water mark
 	}

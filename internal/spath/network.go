@@ -7,94 +7,82 @@ import (
 	"repro/internal/pq"
 )
 
-// Network abstracts the adjacency access Dijkstra needs, so the same search
-// runs over the server's full *graph.Graph and over the partial sub-networks
-// a broadcast client assembles from the regions it received.
-type Network interface {
-	// NumNodes returns the size of the ID space (node IDs are < NumNodes
-	// even if only a subset of nodes is present).
-	NumNodes() int
-	// Out returns the outgoing arcs of v; both slices may be nil when v is
-	// not present in the (partial) network.
-	Out(v graph.NodeID) ([]graph.NodeID, []float64)
-}
-
-var _ Network = (*graph.Graph)(nil)
-
-// Result is the outcome of a point-to-point search over a Network.
+// Result is the outcome of a point-to-point search over a SubNetwork.
 type Result struct {
-	Dist    float64        // Inf when unreachable in the network
-	Path    []graph.NodeID // nil when unreachable
-	Settled int            // nodes popped; a proxy for client CPU work
+	Dist float64        // Inf when unreachable in the network
+	Path []graph.NodeID // nil when unreachable
 }
 
-// DijkstraNetwork runs Dijkstra from s over net, stopping when t is settled
-// (pass graph.Invalid to settle the whole reachable component; Path is then
-// nil and Dist is 0).
-//
-// This is the "search in the union of received regions" step every client
-// scheme ends with (paper Sections 4.2, 5.2).
-func DijkstraNetwork(net Network, s, t graph.NodeID) Result {
+// DijkstraNetwork runs the point-to-point search from s to t over net: the
+// "search in the union of received regions" step every client scheme ends
+// with (paper Sections 4.2, 5.2).
+func DijkstraNetwork(net *SubNetwork, s, t graph.NodeID) Result {
 	return new(Search).Dijkstra(net, s, t)
 }
 
-// Search is reusable Dijkstra state (distance and parent arrays plus the
-// heap) over an ID space. A client that answers a stream of queries holds
-// one Search and calls Dijkstra per query, reusing the arrays instead of
-// reallocating them; the zero value is ready to use.
-type Search struct {
-	dist   []float64
-	parent []graph.NodeID
-	h      *pq.Min
-}
-
-// prepare sizes and re-initializes the state for an ID space of n nodes.
-func (sc *Search) prepare(n int) {
-	if cap(sc.dist) < n {
-		sc.dist = make([]float64, n)
-		sc.parent = make([]graph.NodeID, n)
-	}
-	sc.dist = sc.dist[:n]
-	sc.parent = sc.parent[:n]
-	for i := range sc.dist {
-		sc.dist[i] = Inf
-		sc.parent[i] = graph.Invalid
-	}
-	if sc.h == nil {
-		sc.h = pq.New(n)
-	} else {
-		sc.h.Reset(n)
-	}
-}
-
-// Dijkstra is DijkstraNetwork over this Search's reusable state.
-func (sc *Search) Dijkstra(net Network, s, t graph.NodeID) Result {
+// Dijkstra is DijkstraNetwork over this Search's reusable state. It computes
+// what the textbook heap loop computes — Dist bit for bit, Path whenever the
+// shortest path is unique — but only junctions go through the heap, under
+// the chain rule it shares with ChainSearch (DESIGN.md §5): a node u reached
+// from p whose arcs lead nowhere but back to p and to at most one other node
+// relaxes that onward arc at once, adding one arc weight to its own label
+// exactly as Dijkstra would, and the walk carries on until a label stops
+// improving or reaches a node with a real choice, which is pushed.
+//
+// The invariant that keeps the stop rule sound: every labelled node either
+// has relaxed its arcs with its current label, or is on the heap keyed by
+// it. (The arc back to p needs no relaxing: a non-negative weight cannot
+// improve p through u.) So once the heap minimum reaches dist[t], no
+// unfinished node can lead to t more cheaply, and the search stops without
+// ever popping t, which a walk may have labelled in passing.
+//
+// On an exact tie between two shortest paths the parent is decided by walk
+// order where the heap loop decides it by pop order; both are valid
+// shortest-path trees and both are deterministic functions of the network.
+func (sc *Search) Dijkstra(net *SubNetwork, s, t graph.NodeID) Result {
 	sc.prepare(net.NumNodes())
-	dist, parent, h := sc.dist, sc.parent, sc.h
+	dist, parent, adj, present := sc.dist, sc.parent, net.adj, net.present
 	dist[s] = 0
-	h.Push(int32(s), 0)
-	settled := 0
-	for h.Len() > 0 {
-		item, d := h.Pop()
-		v := graph.NodeID(item)
-		settled++
-		if v == t {
-			return Result{Dist: d, Path: treePath(parent, s, t), Settled: settled}
-		}
-		dst, wgt := net.Out(v)
-		for i, u := range dst {
-			nd := d + wgt[i]
-			if nd < dist[u] {
-				dist[u] = nd
-				parent[u] = v
-				h.PushOrDecrease(int32(u), nd)
+	sc.touched = append(sc.touched, s)
+	// The source relaxes every arc, whatever its degree: it has no arc it
+	// came in on.
+	for v, d := s, 0.0; d < dist[t]; {
+		for _, a := range net.Arcs(v) {
+			p, u, nd := v, a.To, d+a.Weight
+			for nd < dist[u] {
+				if dist[u] == Inf {
+					sc.touched = append(sc.touched, u)
+				}
+				dist[u], parent[u] = nd, p
+				if !present[u] {
+					break // not received
+				}
+				arcs := adj[u]
+				if len(arcs) > 2 || len(arcs) == 2 && arcs[0].To != p && arcs[1].To != p {
+					sc.heap.PushOrDecrease(int32(u), nd)
+					break
+				}
+				if len(arcs) == 0 {
+					break
+				}
+				on := 0
+				if len(arcs) == 2 && arcs[0].To == p {
+					on = 1
+				}
+				// A dead end's onward arc leads back to p and fails the test.
+				p, u, nd = u, arcs[on].To, nd+arcs[on].Weight
 			}
 		}
+		if sc.heap.Len() == 0 {
+			break
+		}
+		item, key := sc.heap.Pop()
+		v, d = graph.NodeID(item), key
 	}
-	if t == graph.Invalid {
-		return Result{Dist: 0, Settled: settled}
+	if dist[t] == Inf {
+		return Result{Dist: Inf}
 	}
-	return Result{Dist: Inf, Settled: settled}
+	return Result{Dist: dist[t], Path: treePath(parent, s, t)}
 }
 
 // SubNetwork is a partial road network keyed by global node IDs: exactly the
@@ -103,17 +91,17 @@ func (sc *Search) Dijkstra(net Network, s, t graph.NodeID) Result {
 //
 // Storage is slice-indexed by node ID (the ID space is dense and known up
 // front for every indexed scheme), so the reception hot loop does no map
-// hashing and a Reset reuses the backing arrays across queries.
+// hashing and a Reset reuses the backing arrays across queries. A node's
+// adjacency and coordinates mean something only while it is present: Reset
+// clears the presence flags alone, and a node's old arcs and coordinates are
+// dropped when it is next added. Coordinates are kept at float32, the
+// precision they travel at on air.
 type SubNetwork struct {
 	n        int
-	adj      [][]graph.Arc
+	adj      [][]graph.Arc // adj[v] is stale unless present[v]
 	present  []bool
-	pos      [][2]float64
+	pos      [][2]float32 // stale unless present[v]
 	nPresent int
-
-	// scratch buffers reused by Out to avoid per-call allocations.
-	dstBuf []graph.NodeID
-	wgtBuf []float64
 
 	// arena backs the per-node arc slices built by AddArcs: fresh adjacency
 	// is carved out of one chunk instead of one heap allocation per node.
@@ -150,17 +138,12 @@ func NewSubNetwork(n int) *SubNetwork {
 // Reset empties the network for an ID space of size n, retaining the
 // backing arrays — including per-node arc capacity — so a client reusing
 // one SubNetwork across queries stops paying adjacency growth after its
-// first few queries.
+// first few queries. It writes one presence byte per ID and nothing else.
 func (s *SubNetwork) Reset(n int) {
+	clear(s.present)
 	s.n = n
 	s.nPresent = 0
 	s.ensure(n)
-	adj := s.adj[:cap(s.adj)]
-	for i := range adj {
-		adj[i] = adj[i][:0]
-	}
-	clear(s.present[:cap(s.present)])
-	clear(s.pos[:cap(s.pos)])
 }
 
 // NumNodes returns the ID-space size. It grows automatically when nodes
@@ -185,7 +168,7 @@ func (s *SubNetwork) ensure(n int) {
 	present := make([]bool, n)
 	copy(present, s.present)
 	s.present = present
-	pos := make([][2]float64, n)
+	pos := make([][2]float32, n)
 	copy(pos, s.pos)
 	s.pos = pos
 }
@@ -213,15 +196,10 @@ func (s *SubNetwork) AddNode(v graph.NodeID, x, y float64, arcs []graph.Arc) {
 	for _, a := range arcs {
 		s.grow(a.To)
 	}
-	if !s.present[v] {
-		s.present[v] = true
-		s.nPresent++
-	}
-	s.pos[v] = [2]float64{x, y}
+	s.markPresent(v)
+	s.pos[v] = [2]float32{float32(x), float32(y)}
 	if arcs == nil {
-		// Empty adjacency: keep the node's retained arc capacity (Reset
-		// preserves it across queries) instead of dropping it.
-		s.adj[v] = s.adj[v][:0]
+		s.adj[v] = s.adj[v][:0] // keep the retained arc capacity
 	} else {
 		s.adj[v] = arcs
 	}
@@ -231,11 +209,8 @@ func (s *SubNetwork) AddNode(v graph.NodeID, x, y float64, arcs []graph.Arc) {
 func (s *SubNetwork) AddArc(v, to graph.NodeID, w float64) {
 	s.grow(v)
 	s.grow(to)
+	s.markPresent(v)
 	s.adj[v] = append(s.adj[v], graph.Arc{To: to, Weight: w})
-	if !s.present[v] {
-		s.present[v] = true
-		s.nPresent++
-	}
 }
 
 // AddArcs appends a batch of outgoing arcs to v — the reception path's
@@ -249,51 +224,38 @@ func (s *SubNetwork) AddArcs(v graph.NodeID, arcs []graph.Arc) {
 	for _, a := range arcs {
 		s.grow(a.To)
 	}
+	s.markPresent(v)
 	cur := s.adj[v]
 	if len(cur)+len(arcs) > cap(cur) {
 		grown := s.allocArcs(len(cur) + len(arcs))
 		cur = append(grown, cur...)
 	}
 	s.adj[v] = append(cur, arcs...)
+}
+
+// markPresent makes v present, dropping what an earlier query left in its
+// slots; the adjacency keeps its capacity.
+func (s *SubNetwork) markPresent(v graph.NodeID) {
 	if !s.present[v] {
 		s.present[v] = true
 		s.nPresent++
+		s.adj[v] = s.adj[v][:0]
+		s.pos[v] = [2]float32{}
 	}
 }
 
 // Remove drops node v and its adjacency (memory-bound processing discards
 // region data after contraction into super-edges).
 func (s *SubNetwork) Remove(v graph.NodeID) {
-	if !s.Has(v) {
-		s.adj[v] = nil
-		return
+	if s.Has(v) {
+		s.present[v] = false
+		s.nPresent--
 	}
-	s.adj[v] = nil
-	s.present[v] = false
-	s.nPresent--
 }
 
-// Out implements Network.
-func (s *SubNetwork) Out(v graph.NodeID) ([]graph.NodeID, []float64) {
-	if int(v) >= len(s.adj) {
-		return nil, nil
-	}
-	arcs := s.adj[v]
-	if len(arcs) == 0 {
-		return nil, nil
-	}
-	s.dstBuf = s.dstBuf[:0]
-	s.wgtBuf = s.wgtBuf[:0]
-	for _, a := range arcs {
-		s.dstBuf = append(s.dstBuf, a.To)
-		s.wgtBuf = append(s.wgtBuf, a.Weight)
-	}
-	return s.dstBuf, s.wgtBuf
-}
-
-// Arcs returns the raw arc slice of v (no copy).
+// Arcs returns the raw arc slice of v (no copy); nil when v is not present.
 func (s *SubNetwork) Arcs(v graph.NodeID) []graph.Arc {
-	if int(v) >= len(s.adj) {
+	if !s.Has(v) {
 		return nil
 	}
 	return s.adj[v]
@@ -304,7 +266,7 @@ func (s *SubNetwork) Pos(v graph.NodeID) (x, y float64, ok bool) {
 	if !s.Has(v) {
 		return 0, 0, false
 	}
-	return s.pos[v][0], s.pos[v][1], true
+	return float64(s.pos[v][0]), float64(s.pos[v][1]), true
 }
 
 // ForEach calls fn for every present node, in ascending ID order.
@@ -335,8 +297,8 @@ func (s *SubNetwork) ApproxBytes() int {
 // bit vectors) with adjacency lists by ordinal call this after reception,
 // because packet-loss recovery can deliver arc chunks out of order.
 func (s *SubNetwork) SortAllArcs() {
-	for _, arcs := range s.adj {
-		if len(arcs) < 2 {
+	for v, arcs := range s.adj {
+		if len(arcs) < 2 || !s.present[v] {
 			continue
 		}
 		sort.Slice(arcs, func(i, j int) bool {
@@ -362,13 +324,11 @@ func DijkstraNetworkFiltered(net *SubNetwork, s, t graph.NodeID, allow func(tail
 	h := pq.New(n)
 	dist[s] = 0
 	h.Push(int32(s), 0)
-	settled := 0
 	for h.Len() > 0 {
 		item, d := h.Pop()
 		v := graph.NodeID(item)
-		settled++
 		if v == t {
-			return Result{Dist: d, Path: treePath(parent, s, t), Settled: settled}
+			return Result{Dist: d, Path: treePath(parent, s, t)}
 		}
 		for i, a := range net.Arcs(v) {
 			if !allow(v, i) {
@@ -382,10 +342,7 @@ func DijkstraNetworkFiltered(net *SubNetwork, s, t graph.NodeID, allow func(tail
 			}
 		}
 	}
-	if t == graph.Invalid {
-		return Result{Dist: 0, Settled: settled}
-	}
-	return Result{Dist: Inf, Settled: settled}
+	return Result{Dist: Inf}
 }
 
 // AStarSubNetwork runs A* from s to t over a client sub-network using the
@@ -408,7 +365,6 @@ func AStarSubNetwork(net *SubNetwork, s, t graph.NodeID, lb func(graph.NodeID) f
 		key = lb(s)
 	}
 	h.Push(int32(s), key)
-	settled := 0
 	best := Inf
 	for h.Len() > 0 {
 		item, fkey := h.Pop()
@@ -416,7 +372,6 @@ func AStarSubNetwork(net *SubNetwork, s, t graph.NodeID, lb func(graph.NodeID) f
 		if fkey >= best {
 			break
 		}
-		settled++
 		d := dist[v]
 		if v == t {
 			best = d
@@ -436,7 +391,7 @@ func AStarSubNetwork(net *SubNetwork, s, t graph.NodeID, lb func(graph.NodeID) f
 		}
 	}
 	if best == Inf {
-		return Result{Dist: Inf, Settled: settled}
+		return Result{Dist: Inf}
 	}
-	return Result{Dist: best, Path: treePath(parent, s, t), Settled: settled}
+	return Result{Dist: best, Path: treePath(parent, s, t)}
 }

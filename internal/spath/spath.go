@@ -187,45 +187,51 @@ func AStarFiltered(g *graph.Graph, s, t graph.NodeID, lb func(graph.NodeID) floa
 	return best, treePath(parent, s, t), settled
 }
 
-// p2pScratch is the per-call state of a point-to-point search. A search
-// settles a small part of a large graph, so allocating and initialising
-// three n-sized arrays per call (580 KB at germany scale) cost more than
-// the search; instead the arrays are pooled and a call puts back only the
-// entries it labelled. Between calls every dist is Inf, every parent
-// graph.Invalid and the heap is empty.
-type p2pScratch struct {
+// Search is reusable point-to-point search state over an ID space: the
+// distance and parent arrays plus the heap. A search explores a small part
+// of a large network, so initialising n-sized arrays per query (580 KB at
+// germany scale) would cost more than the search; instead a search puts back
+// only the entries the previous one labelled. A client that answers a
+// stream of queries holds one Search; the zero value is ready to use.
+type Search struct {
 	dist    []float64
 	parent  []graph.NodeID
 	heap    *pq.Min
-	touched []graph.NodeID // nodes whose dist/parent this call wrote
+	touched []graph.NodeID // nodes whose dist/parent the last search wrote
 }
 
-var p2pPool = sync.Pool{New: func() any { return &p2pScratch{heap: pq.New(0)} }}
-
-// acquireScratch returns a clean scratch able to hold n nodes.
-func acquireScratch(n int) *p2pScratch {
-	sc := p2pPool.Get().(*p2pScratch)
+// prepare puts back what the last search labelled — afterwards every dist
+// is Inf, every parent graph.Invalid and the heap empty — and sizes the
+// state for an ID space of n nodes.
+func (sc *Search) prepare(n int) {
+	for _, v := range sc.touched {
+		sc.dist[v], sc.parent[v] = Inf, graph.Invalid
+	}
+	sc.touched = sc.touched[:0]
 	if len(sc.dist) < n {
 		sc.dist = make([]float64, n)
 		sc.parent = make([]graph.NodeID, n)
+		sc.touched = make([]graph.NodeID, 0, n) // a node is noted once, when first labelled
 		for i := range sc.dist {
-			sc.dist[i] = Inf
-			sc.parent[i] = graph.Invalid
+			sc.dist[i], sc.parent[i] = Inf, graph.Invalid
 		}
 	}
-	sc.heap.Reset(n)
+	if sc.heap == nil {
+		sc.heap = pq.New(n)
+	}
+	sc.heap.Reset(n) // a search that met its bound leaves entries behind
+}
+
+var p2pPool = sync.Pool{New: func() any { return new(Search) }}
+
+// acquireScratch returns a clean pooled Search able to hold n nodes.
+func acquireScratch(n int) *Search {
+	sc := p2pPool.Get().(*Search)
+	sc.prepare(n)
 	return sc
 }
 
-func (sc *p2pScratch) release() {
-	for _, v := range sc.touched {
-		sc.dist[v] = Inf
-		sc.parent[v] = graph.Invalid
-	}
-	sc.touched = sc.touched[:0]
-	sc.heap.Reset(0) // a search that met its bound leaves entries behind
-	p2pPool.Put(sc)
-}
+func (sc *Search) release() { p2pPool.Put(sc) }
 
 func treePath(parent []graph.NodeID, s, t graph.NodeID) []graph.NodeID {
 	var rev []graph.NodeID

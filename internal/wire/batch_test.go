@@ -508,6 +508,68 @@ seeds:
 	}
 }
 
+// TestLostCreditTailServedAsGaps: the datagrams carrying the last positions
+// below the granted credit limit are lost, and nothing follows them — the
+// pump has parked on the limit. A receiver only sees a gap when a later
+// frame arrives, so its silence timeout must grant credit past the old
+// limit: the stream then moves on and the lost tail is served as gaps, with
+// no redial (and, with no redial budget, no ErrDead).
+func TestLostCreditTailServedAsGaps(t *testing.T) {
+	g := conformance.Network(t, 200, 300, 19)
+	srv := testServers(t, g)[1]
+	cyc := srv.Cycle()
+	st := startStation(t, srv)
+	b := serve(t, st, BroadcasterOptions{})
+	var lo, hi atomic.Int64 // wire positions in [lo, hi) never arrive
+	hi.Store(-1)
+	addr := mangle(t, b, func(d []byte) []byte {
+		_, poss := frameOffsets(d)
+		for _, pos := range poss {
+			if int64(pos) >= lo.Load() && int64(pos) < hi.Load() {
+				return nil
+			}
+		}
+		return d
+	})
+	const window, span = 64, 200
+	rx, err := Dial(addr, ReceiverOptions{Window: window, Timeout: 100 * time.Millisecond, Retries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	// Credit for a long read up front, then lose its last window and a bit:
+	// the receiver reaches the loss more than half a window before the
+	// limit, so neither its read-ahead nor a re-sent want(abs, abs+Window)
+	// reaches past what the pump already has.
+	limit := rx.Start() + span + window/2
+	lo.Store(int64(limit - window - 5))
+	hi.Store(int64(limit))
+	rx.Prefetch(rx.Start(), span)
+
+	read := func() (err error) {
+		defer broadcast.RecoverCancel(&err)
+		for abs := rx.Start(); abs < limit+window/4; abs++ {
+			p, ok := rx.At(abs)
+			if want := cyc.Packets[abs%cyc.Len()].Kind; p.Kind != want {
+				t.Fatalf("position %d: kind %v, want %v", abs, p.Kind, want)
+			}
+			if ok && int64(abs) >= lo.Load() && int64(abs) < hi.Load() {
+				t.Fatalf("position %d received, yet the relay dropped it", abs)
+			}
+		}
+		return nil
+	}
+	if err := read(); err != nil {
+		t.Fatalf("lost credit tail: %v (redials %d)", err, rx.Redials())
+	}
+	if rx.Redials() != 0 {
+		t.Fatalf("a lost credit tail cost %d redials", rx.Redials())
+	}
+	if got, want := rx.WireLost(), int(hi.Load()-lo.Load()); got < want {
+		t.Fatalf("WireLost %d, want at least the %d dropped positions", got, want)
+	}
+}
+
 // TestWelcomeMustFitADatagram: one constant bounds everything either end
 // writes, so a cycle whose kind schedule would need a larger welcome is
 // refused when the broadcaster is set up, not discovered by silent dials.

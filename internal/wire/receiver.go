@@ -372,9 +372,11 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					timeouts++
 					if timeouts < r.opts.Retries {
-						// The want (or the whole stream since it) may have been
-						// lost; re-assert the credit and listen again.
-						r.sendWant(abs, abs+r.opts.Window)
+						// The want may have been lost, or the stream since it —
+						// up to the limit, where the pump now waits. A gap only
+						// shows when a later frame arrives, so grant credit past
+						// the old limit and listen again.
+						r.sendWant(abs, max(r.limit, abs+r.opts.Window)+r.opts.Window/2)
 						continue
 					}
 				}

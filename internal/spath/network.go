@@ -162,13 +162,16 @@ func (s *SubNetwork) ensure(n int) {
 		s.pos = s.pos[:n]
 		return
 	}
-	adj := make([][]graph.Arc, n)
+	// Doubling: a collector that learns the ID space one arriving ID at a
+	// time (Dijkstra's index-less cycle) must not copy it once per ID.
+	c := max(n, 2*cap(s.adj))
+	adj := make([][]graph.Arc, n, c)
 	copy(adj, s.adj)
 	s.adj = adj
-	present := make([]bool, n)
+	present := make([]bool, n, c)
 	copy(present, s.present)
 	s.present = present
-	pos := make([][2]float32, n)
+	pos := make([][2]float32, n, c)
 	copy(pos, s.pos)
 	s.pos = pos
 }

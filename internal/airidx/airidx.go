@@ -288,7 +288,7 @@ func (a *OffsetsAccum) Add(data []byte) {
 func (a *OffsetsAccum) Complete() bool { return a.n == len(a.Offs) }
 
 // EBCellRecords packs the min/max matrix into w×w squares (edge blocks may
-// be smaller).
+// be smaller), each min rounded down and each max rounded up to float32.
 func EBCellRecords(minD, maxD [][]float64, w int) []Rec {
 	n := len(minD)
 	var out []Rec
@@ -303,14 +303,29 @@ func EBCellRecords(minD, maxD [][]float64, w int) []Rec {
 			e.U8(uint8(wd))
 			for di := 0; di < h; di++ {
 				for dj := 0; dj < wd; dj++ {
-					e.F32(ClampF32(minD[i0+di][j0+dj]))
-					e.F32(ClampF32(maxD[i0+di][j0+dj]))
+					e.F32(RoundF32(minD[i0+di][j0+dj], false))
+					e.F32(RoundF32(maxD[i0+di][j0+dj], true))
 				}
 			}
 			out = append(out, Rec{packet.TagEBCells, e.Bytes()})
 		}
 	}
 	return out
+}
+
+// RoundF32 narrows a bound to float32 after ClampF32, rounding up or down
+// rather than to nearest: a min stored above its value, or a max below it,
+// lets a client prune a region the shortest path runs through.
+func RoundF32(v float64, up bool) float64 {
+	v = ClampF32(v)
+	f := float32(v)
+	switch {
+	case up && float64(f) < v:
+		f = math.Nextafter32(f, math.MaxFloat32)
+	case !up && float64(f) > v:
+		f = math.Nextafter32(f, -math.MaxFloat32)
+	}
+	return float64(f)
 }
 
 // ClampF32 maps +Inf (unreachable Region pairs; impossible on strongly

@@ -118,11 +118,11 @@ func TestEBCellsRoundTrip(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if acc.MinAt(i, j) != float64(float32(minD[i][j])) {
-					t.Fatalf("w=%d min[%d][%d] wrong", w, i, j)
+				if acc.MinAt(i, j) != RoundF32(minD[i][j], false) || acc.MinAt(i, j) > minD[i][j] {
+					t.Fatalf("w=%d min[%d][%d] = %v, want %v rounded down", w, i, j, acc.MinAt(i, j), minD[i][j])
 				}
-				if acc.MaxAt(i, j) != float64(float32(maxD[i][j])) {
-					t.Fatalf("w=%d max[%d][%d] wrong", w, i, j)
+				if acc.MaxAt(i, j) != RoundF32(maxD[i][j], true) || acc.MaxAt(i, j) < maxD[i][j] {
+					t.Fatalf("w=%d max[%d][%d] = %v, want %v rounded up", w, i, j, acc.MaxAt(i, j), maxD[i][j])
 				}
 			}
 		}
@@ -174,6 +174,29 @@ func TestClampF32(t *testing.T) {
 	}
 	if ClampF32(1.5) != 1.5 {
 		t.Error("finite value modified")
+	}
+}
+
+// TestRoundF32Directed: a bound lands on the float32 at or beyond it on
+// its side and at most one float32 step away; a float32 value and the
+// +Inf clamp come through unchanged.
+func TestRoundF32Directed(t *testing.T) {
+	for _, v := range []float64{0.1, 1.0 / 3, 2788.4544361314624, 1e7 + 0.5} {
+		down, up := RoundF32(v, false), RoundF32(v, true)
+		if down > v || up < v || down == up {
+			t.Errorf("%v: down %v up %v", v, down, up)
+		}
+		if float32(down) != math.Nextafter32(float32(up), 0) {
+			t.Errorf("%v: %v and %v are not adjacent float32s", v, down, up)
+		}
+	}
+	for _, v := range []float64{1.5, 0, math.MaxFloat32} {
+		if RoundF32(v, false) != v || RoundF32(v, true) != v {
+			t.Errorf("float32-exact %v moved", v)
+		}
+	}
+	if RoundF32(math.Inf(1), false) != math.MaxFloat32 || RoundF32(math.Inf(1), true) != math.MaxFloat32 {
+		t.Error("+Inf not clamped to MaxFloat32")
 	}
 }
 

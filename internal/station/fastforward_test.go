@@ -269,42 +269,3 @@ func TestHopNeverMissesUnderJump(t *testing.T) {
 		t.Fatal("radios still waiting after 30s: the clock passed a tick somebody wanted")
 	}
 }
-
-// TestRearmBumpsWantGeneration pins the mechanism the stress above relies
-// on: re-arming a parked subscription — the only time a want falls — moves
-// the want generation a fast-forward scan checks, on the group's counter
-// for a member station; a rising want leaves it alone.
-func TestRearmBumpsWantGeneration(t *testing.T) {
-	st, err := New(testCycle(10), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGroup([]*Station{st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
-	sub, err := st.SubscribeExact(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	gen := g.wantGen.Load()
-	sub.Prefetch(sub.Start()+3, 2)
-	sub.WakeAt(sub.Start() + 5)
-	sub.Park()
-	if got := g.wantGen.Load(); got != gen {
-		t.Fatalf("rising wants moved the generation %d -> %d", gen, got)
-	}
-	sub.Prefetch(sub.Start()+8, 2)
-	if w := sub.want.Load(); w != parked {
-		t.Fatalf("Prefetch re-armed a parked subscription: want %d", w)
-	}
-	sub.WakeAt(sub.Start() + 9)
-	if got := g.wantGen.Load(); got != gen+1 {
-		t.Fatalf("re-arming a parked subscription: generation %d, want %d", got, gen+1)
-	}
-}

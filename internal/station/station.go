@@ -1,27 +1,28 @@
-// Package station runs a live broadcast station: a goroutine that streams a
-// server's cycle on a virtual clock and fans every transmission out to any
-// number of concurrently subscribed listeners.
+// Package station runs a live broadcast station: a clock that streams a
+// server's cycle and fans every transmission out to any number of
+// concurrently subscribed listeners.
 //
 // The offline substrate (internal/broadcast) replays the cycle pull-style:
 // one tuner asks for position p and receives cycle[p mod L]. The station is
-// the push-style counterpart a deployed system needs — clients tune in
-// mid-cycle at whatever the station is transmitting *right now*, receive
-// packets over buffered per-subscriber channels, and unsubscribe when their
-// query is answered. Each subscriber has its own deterministic Bernoulli
-// loss pattern (the same splitmix64 draw as broadcast.Channel), so a live
-// client and an offline replay with equal tune-in position, loss rate and
-// seed observe bit-identical air — the invariant internal/fleet's tests pin.
+// what a deployed system needs on top — clients tune in mid-cycle at
+// whatever the station is transmitting *right now*, and unsubscribe when
+// their query is answered. Each subscriber has its own deterministic
+// Bernoulli loss pattern (the same splitmix64 draw as broadcast.Channel), so
+// a live client and an offline replay with equal tune-in position, loss rate
+// and seed observe bit-identical air — the invariant internal/fleet's tests
+// pin.
 //
-// Clock model: with BitsPerSecond == 0 the clock is virtual — the station
-// transmits as fast as its listeners accept, applying backpressure when a
-// subscriber's buffer fills (no packet is ever dropped, so determinism is
-// exact), and it does no work for positions nobody is tuned in for: the
-// clock jumps straight to the lowest position any listener still wants
-// (fastForwardLocked; DESIGN.md §3 says what it may skip and what it may
-// not). With BitsPerSecond > 0 the station paces transmissions to the
-// channel rate (PacketBits per packet, the paper's 128-byte packets); a
-// subscriber that falls behind the air misses packets, which its feed
-// reports as lost — a radio cannot pause the broadcast.
+// Clock model (DESIGN.md §3): with BitsPerSecond == 0 the clock is virtual
+// and moves when its listeners pull. A reception computes its own
+// transmission from the epoch chain once the clock has passed its position,
+// and the clock passes a position only if every subscription allows it, so
+// tune-in and swap positions are those of a station that transmitted as
+// fast as its listeners accepted. No goroutine and no buffer is involved.
+// With BitsPerSecond > 0 a transmit goroutine paces the station to the
+// channel rate (PacketBits per packet, the paper's 128-byte packets) and
+// pushes packets into per-subscriber buffers; a subscriber that falls behind
+// the air misses packets, which its feed reports as lost — a radio cannot
+// pause the broadcast.
 package station
 
 import (
@@ -29,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,9 +46,9 @@ import (
 // per-station basis would be unbounded under churn tests.
 var (
 	obsPackets = obs.GetCounter("air_station_packets_total",
-		"positions the clock passed (one per tick per station, fast-forwarded ones included)")
+		"positions the clock passed (one per position per station)")
 	obsSkipped = obs.GetCounter("air_station_skipped_packets_total",
-		"positions a virtual clock fast-forwarded over because no listener wanted them")
+		"positions a virtual clock passed below every listener's want")
 	obsDropped = obs.GetCounter("air_station_dropped_packets_total",
 		"packets dropped by a paced station because a subscriber buffer was full (backpressure)")
 	obsSubscribers = obs.GetGauge("air_station_subscribers",
@@ -54,7 +56,7 @@ var (
 	obsSwaps = obs.GetCounter("air_station_swaps_total",
 		"cycle swaps that reached the air")
 	obsBufDepth = obs.GetHistogram("air_station_sub_buffer_depth",
-		"sampled per-subscriber buffer occupancy in packets (every 256th delivery)")
+		"sampled per-subscriber buffer occupancy in packets on paced clocks (every 256th delivery)")
 	obsRefused = obs.GetCounter("air_station_refused_subscribers_total",
 		"subscriptions refused by the MaxSubscribers admission cap")
 )
@@ -69,12 +71,13 @@ var ErrFull = errors.New("station: subscriber limit reached")
 // paper-sized packets and a generous per-subscriber buffer.
 type Config struct {
 	// BitsPerSecond paces the broadcast in real time (e.g. metrics.RateFast);
-	// 0 selects the virtual clock (as fast as listeners allow, lossless
-	// backpressure).
+	// 0 selects the virtual clock (as fast as listeners allow, lossless).
 	BitsPerSecond int
 	// PacketBits is the airtime of one packet; default metrics.PacketBits.
 	PacketBits int
-	// Buffer is the per-subscriber channel depth in packets; default 1024.
+	// Buffer is the per-subscriber depth in packets, default 1024: a paced
+	// subscription's channel, and on a virtual clock how far a plain
+	// subscription lets the clock run past its want.
 	Buffer int
 	// Start is the absolute position the station begins transmitting at.
 	Start int
@@ -84,7 +87,7 @@ type Config struct {
 	MaxSubscribers int
 }
 
-// Transmission is one packet as it crossed the air for one subscriber:
+// Transmission is one packet as it crossed a paced air for one subscriber:
 // absolute position, payload, and whether it survived that subscriber's
 // loss pattern.
 type Transmission struct {
@@ -95,14 +98,14 @@ type Transmission struct {
 
 // epoch is one cycle's tenure on the air. A static station has exactly one;
 // every Swap pushes a new one whose origin records the absolute position it
-// took over at. The chain stays reachable so degraded paths (buffer-overrun
-// skeletons, off-air replay) can still serve any historic position
-// deterministically — but only as far back as some current subscriber can
-// still ask (newEpoch prunes the rest, so a long-churning station does not
-// pin every cycle it ever broadcast). Positions map into an epoch's cycle
-// as pos mod Len — a swapped-in cycle enters the rotation at whatever
-// phase the absolute position dictates, so client-side cyclic arithmetic
-// (which runs on pos mod Len) needs no adjustment.
+// took over at. The chain stays reachable so any position a current
+// subscriber can still ask for is served by the version that was on the air
+// there — but only that far back (newEpoch prunes the rest, so a
+// long-churning station does not pin every cycle it ever broadcast).
+// Positions map into an epoch's cycle as pos mod Len — a swapped-in cycle
+// enters the rotation at whatever phase the absolute position dictates, so
+// client-side cyclic arithmetic (which runs on pos mod Len) needs no
+// adjustment.
 type epoch struct {
 	cycle  *broadcast.Cycle
 	origin int // absolute position this cycle went on the air
@@ -137,39 +140,375 @@ func newEpoch(c *broadcast.Cycle, origin int, prev *epoch, minNeeded int) *epoch
 	return &epoch{cycle: c, origin: origin, prev: chain}
 }
 
+// clock is the position counter a lone station, or every member of a
+// Group, transmits on. Its mutex also orders subscriptions, wants and
+// swaps against every move of the clock.
+type clock struct {
+	interval time.Duration // per-packet airtime; 0 = virtual
+	stations []*Station    // in member order
+
+	mu      sync.Mutex
+	pos     int          // the next position to pass
+	reached atomic.Int64 // pos, for reading without mu
+	running bool
+	cancel  context.CancelFunc
+	done    chan struct{} // closed once the air is off (halt)
+
+	// A virtual clock's unparked subscriptions: byAllow orders them all by
+	// how far they let the clock go (Sub.allows), ahead orders by want
+	// those whose want the clock has not passed, and served counts the
+	// rest. waiters counts those blocked in At.
+	byAllow, ahead  subHeap
+	served, waiters int
+
+	// pending holds one cycle per station awaiting a swap: at the first
+	// cycle boundary for a lone station (aligned), at the next position for
+	// a group; swapped reports the position once the swap is on the air.
+	pending []*broadcast.Cycle
+	aligned bool
+	swapped chan int
+}
+
+// noSlots marks a subscription as in none of the clock's heaps.
+var noSlots = [2]int{-1, -1}
+
+// newClock returns the clock for stations, which share one configuration.
+func newClock(stations []*Station) *clock {
+	return &clock{
+		interval: stations[0].cfg.interval(),
+		stations: stations,
+		pos:      stations[0].cfg.Start,
+		byAllow:  subHeap{id: 0},
+		ahead:    subHeap{id: 1},
+	}
+}
+
+// start puts the clock on the air. A paced clock runs its transmit loop; a
+// virtual one only arranges for ctx's cancellation to take it off again.
+func (c *clock) start(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.running {
+		return ErrStarted
+	}
+	ctx, c.cancel = context.WithCancel(ctx)
+	done := make(chan struct{})
+	c.done, c.running = done, true
+	if c.interval == 0 {
+		context.AfterFunc(ctx, func() { c.halt(done) })
+	} else {
+		go c.run(ctx, done)
+	}
+	return nil
+}
+
+// stop takes the clock off the air and waits until it is. It is safe to
+// call multiple times and after context cancellation.
+func (c *clock) stop() {
+	c.mu.Lock()
+	cancel, done := c.cancel, c.done
+	c.mu.Unlock()
+	if cancel == nil {
+		return
+	}
+	cancel()
+	<-done
+}
+
+// halt ends the run whose done channel it is given. Every open
+// subscription leaves the air — its feed then degrades to deterministic
+// replay, so in-flight queries still terminate — and a swap still pending
+// is abandoned: its channel closes without a value, so waiters unblock.
+func (c *clock) halt(done chan struct{}) {
+	c.mu.Lock()
+	for _, st := range c.stations {
+		for _, sub := range st.subs {
+			if sub.ch != nil {
+				close(sub.ch) // the transmit loop has exited: no send races this
+			} else {
+				if sub.waiting {
+					sub.passed <- struct{}{}
+				}
+				sub.offAir, sub.slots, sub.waiting = true, noSlots, false
+			}
+		}
+		obsSubscribers.Add(-int64(len(st.subs)))
+		st.subs = nil
+	}
+	c.byAllow.at, c.ahead.at, c.served, c.waiters = nil, nil, 0, 0
+	if c.pending != nil {
+		close(c.swapped)
+		c.pending, c.swapped = nil, nil
+	}
+	c.running = false // the clock may be started again
+	c.mu.Unlock()
+	close(done)
+}
+
+// swap schedules one cycle per station (see Station.Swap, Group.Swap). On a
+// virtual clock a group swap goes on the air at once, and a lone station's
+// clock moves to the boundary as far as its subscriptions allow.
+func (c *clock) swap(cycles []*broadcast.Cycle, aligned bool) (<-chan int, error) {
+	c.mu.Lock()
+	if !c.running || c.pending != nil {
+		err := fmt.Errorf("station: not on the air")
+		if c.running {
+			err = fmt.Errorf("station: swap already pending")
+		}
+		c.mu.Unlock()
+		return nil, err
+	}
+	swapped := make(chan int, 1)
+	c.pending, c.aligned, c.swapped = cycles, aligned, swapped
+	woken := make([]*Sub, 0, 4)
+	if c.interval == 0 && !aligned {
+		c.swapLocked(c.pos)
+	} else if c.interval == 0 {
+		// Every want lies beyond the boundary: jump there at once, as a
+		// clock ticking on its own would have skipped to it. Otherwise the
+		// first pull that reaches the boundary makes the swap.
+		b := c.nextBoundaryLocked()
+		if c.served == 0 && c.ahead.min() > int64(b) {
+			woken = c.pullLocked(int64(b), woken)
+		}
+	}
+	c.unlock(woken)
+	return swapped, nil
+}
+
+// nextBoundaryLocked returns the first position p >= pos with p mod Len == 0
+// on a lone station.
+func (c *clock) nextBoundaryLocked() int {
+	l := c.stations[0].Len()
+	return c.pos + (l-c.pos%l)%l
+}
+
+// swapLocked puts the pending cycles on the air from position at. The new
+// epochs are visible before the pending slot clears, so anyone who observes
+// no pending swap (SwapPending) also observes the new version.
+func (c *clock) swapLocked(at int) {
+	for i, st := range c.stations {
+		st.cur.Store(newEpoch(c.pending[i], at, st.cur.Load(), st.minNeededLocked()))
+	}
+	obsSwaps.Add(int64(len(c.stations)))
+	c.swapped <- at // cap 1, one pending swap: never blocks
+	close(c.swapped)
+	c.pending, c.swapped = nil, nil
+}
+
+// pullLocked moves a virtual clock toward target — as far as it may go
+// while a listener waits — as far as every subscription allows
+// (Sub.allows). A lone station's pending swap goes on the air at the first
+// boundary the clock reaches, and every waiter whose want the clock passed
+// is woken, only those: pullLocked appends them to woken for unlock. The
+// caller holds mu.
+func (c *clock) pullLocked(target int64, woken []*Sub) []*Sub {
+	if c.waiters > 0 {
+		target = parked
+	}
+	to := int(max(int64(c.pos), min(target, c.byAllow.min())))
+	low := c.ahead.min() // the lowest want, or one the clock passed
+	if c.served > 0 {
+		low = int64(c.pos)
+	}
+	if c.pending != nil && c.aligned {
+		if b := c.nextBoundaryLocked(); b <= to {
+			c.passLocked(b, low)
+			c.swapLocked(b)
+		}
+	}
+	c.passLocked(to, low)
+	for c.ahead.min() < int64(c.pos) {
+		sub := c.ahead.at[0].sub
+		c.ahead.set(sub, parked)
+		c.served++
+		if sub.waiting {
+			sub.waiting = false
+			c.waiters--
+			woken = append(woken, sub)
+		}
+	}
+	return woken
+}
+
+// unlock releases mu, and only then wakes the waiters a pull passed, so a
+// woken goroutine does not queue on mu behind its waker.
+func (c *clock) unlock(woken []*Sub) {
+	c.mu.Unlock()
+	for _, sub := range woken {
+		sub.passed <- struct{}{} // cap 1, one wait at a time
+	}
+}
+
+// setWantLocked moves sub's want and window end, and its place in the
+// heaps; a parked subscription leaves them. The caller holds mu.
+func (c *clock) setWantLocked(sub *Sub, want, limit int64) {
+	if sub.want.Load() != parked && sub.slots[c.ahead.id] < 0 {
+		c.served--
+	}
+	sub.want.Store(want)
+	sub.limit = limit
+	ahead, allow := want, parked
+	if want != parked {
+		allow = sub.allows()
+	}
+	if want < int64(c.pos) {
+		ahead = parked
+		c.served++
+	}
+	c.ahead.set(sub, ahead)
+	c.byAllow.set(sub, allow)
+}
+
+// subHeap is a min-heap of subscriptions by key. Each subscription keeps
+// its index in every heap (Sub.slots[id]), so a moved key re-sifts in
+// O(log n).
+type subHeap struct {
+	id int
+	at []heapAt
+}
+
+type heapAt struct {
+	key int64
+	sub *Sub
+}
+
+// set moves sub to key, putting it in the heap if it is not, or takes it
+// out when key is parked.
+func (h *subHeap) set(sub *Sub, key int64) {
+	i := sub.slots[h.id]
+	switch {
+	case i < 0 && key == parked, i >= 0 && h.at[i].key == key:
+		return
+	case i < 0:
+		i = len(h.at)
+		h.at = append(h.at, heapAt{})
+	case key == parked:
+		sub.slots[h.id] = -1
+		last := h.at[len(h.at)-1]
+		if h.at = h.at[:len(h.at)-1]; i == len(h.at) {
+			return
+		}
+		sub, key = last.sub, last.key // the last entry fills the hole
+	}
+	// Sift the hole at i up, then down, to where key belongs.
+	for i > 0 && key < h.at[(i-1)/2].key {
+		h.put(i, h.at[(i-1)/2])
+		i = (i - 1) / 2
+	}
+	for c := 2*i + 1; c < len(h.at); c = 2*i + 1 {
+		if c+1 < len(h.at) && h.at[c+1].key < h.at[c].key {
+			c++
+		}
+		if key <= h.at[c].key {
+			break
+		}
+		h.put(i, h.at[c])
+		i = c
+	}
+	h.put(i, heapAt{key, sub})
+}
+
+func (h *subHeap) put(i int, e heapAt) {
+	h.at[i] = e
+	e.sub.slots[h.id] = i
+}
+
+// min returns the least key, parked for an empty heap.
+func (h *subHeap) min() int64 { return h.minBut(nil) }
+
+// minBut returns the least key of any subscription but skip: the root's,
+// or if that is skip, the lesser of its children's.
+func (h *subHeap) minBut(skip *Sub) int64 {
+	m := parked
+	for _, e := range h.at[:min(3, len(h.at))] {
+		if e.sub != skip {
+			m = min(m, e.key)
+		}
+	}
+	return m
+}
+
+// passLocked moves the clock to position to. air_station_packets_total
+// counts every position passed on every station; those below every want
+// (low) are tallied as skipped as well. The caller holds mu.
+func (c *clock) passLocked(to int, low int64) {
+	if to <= c.pos {
+		return
+	}
+	k := int64(len(c.stations))
+	obsPackets.Add(int64(to-c.pos) * k)
+	if n := min(int64(to), low) - int64(c.pos); n > 0 {
+		obsSkipped.Add(n * k)
+	}
+	c.pos = to
+	c.reached.Store(int64(to))
+}
+
+// run is a paced clock's transmit loop: one position per packet airtime,
+// fanned out to the current subscribers of every station in member order,
+// so position T crosses every member before T+1 crosses any.
+func (c *clock) run(ctx context.Context, done chan struct{}) {
+	defer c.halt(done)
+	started := time.Now()
+	subs := make([][]*Sub, len(c.stations)) // each member's listeners at this tick
+	for transmitted := 0; ; transmitted++ {
+		// Pace to the channel rate: sleep until the next packet is due.
+		// Short oversleeps are repaid by transmitting every due packet
+		// before sleeping again, so long cycles keep the configured rate.
+		select {
+		case <-ctx.Done():
+			return
+		default:
+		}
+		due := started.Add(time.Duration(transmitted) * c.interval)
+		if wait := time.Until(due); wait > 0 {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(wait):
+			}
+		}
+		c.mu.Lock()
+		pos := c.pos
+		c.pos++
+		if c.pending != nil && (!c.aligned || pos%c.stations[0].Len() == 0) {
+			c.swapLocked(pos)
+		}
+		for i, st := range c.stations {
+			subs[i] = st.subs
+		}
+		c.mu.Unlock()
+		obsPackets.Add(int64(len(c.stations)))
+		for i, st := range c.stations {
+			ep := st.cur.Load()
+			for _, sub := range subs[i] {
+				sub.deliver(pos, ep)
+			}
+		}
+	}
+}
+
+// interval returns the per-packet airtime of a paced clock (0 = virtual).
+func (cfg Config) interval() time.Duration {
+	if cfg.BitsPerSecond <= 0 {
+		return 0
+	}
+	return time.Duration(float64(cfg.PacketBits) / float64(cfg.BitsPerSecond) * float64(time.Second))
+}
+
 // Station streams a broadcast cycle to its subscribers.
 type Station struct {
 	cfg Config
+	clk *clock // its own, or its group's
 
-	// cur is the epoch on the air: swapped under mu by the transmit paths,
-	// loaded lock-free by subscriber-goroutine reads (Len, replay).
+	// cur is the epoch on the air: swapped under the clock's mutex, loaded
+	// lock-free by subscriber-goroutine reads (Len, receptions).
 	cur atomic.Pointer[epoch]
-
-	mu      sync.Mutex
-	subs    map[*Sub]struct{}
-	running bool
-	// subList is a copy-on-write snapshot of subs, rebuilt under mu on every
-	// subscribe/unsubscribe and never mutated afterwards: the transmit loop
-	// picks it up with one brief lock per tick (to order ticks against
-	// subscribes, which Start-position guarantees rely on) instead of
-	// walking the map.
-	subList []*Sub
-	// pos is the next absolute position to transmit; guarded by mu. Only the
-	// transmit goroutine writes it, so that goroutine may also read it
-	// without the lock.
-	pos int
-	// wantGen counts the want changes a fast-forward scan must not straddle
-	// (Sub.setWant): the station's own counter, or the group's once a Group
-	// adopts the station.
-	wantGen *atomic.Uint64
-	// pending is a cycle awaiting its swap-in at the next cycle boundary,
-	// and swapped reports the absolute swap position once it happens;
-	// guarded by mu.
-	pending *broadcast.Cycle
-	swapped chan int
-
-	cancel context.CancelFunc
-	done   chan struct{}
+	// subs is the open subscriptions, guarded by the clock's mutex. It is
+	// copy-on-write — replaced on every subscribe and close, never mutated
+	// — so a paced transmit loop delivers to a snapshot outside the lock.
+	subs []*Sub
 }
 
 // New returns a station for the cycle. Call Start to put it on the air.
@@ -186,12 +525,8 @@ func New(c *broadcast.Cycle, cfg Config) (*Station, error) {
 	if cfg.BitsPerSecond < 0 || cfg.PacketBits <= 0 || cfg.Buffer < 1 || cfg.Start < 0 {
 		return nil, fmt.Errorf("station: invalid config %+v", cfg)
 	}
-	s := &Station{
-		cfg:     cfg,
-		subs:    make(map[*Sub]struct{}),
-		pos:     cfg.Start,
-		wantGen: new(atomic.Uint64),
-	}
+	s := &Station{cfg: cfg}
+	s.clk = newClock([]*Station{s})
 	s.cur.Store(&epoch{cycle: c, origin: cfg.Start})
 	return s, nil
 }
@@ -216,9 +551,9 @@ func (s *Station) Rate() int {
 
 // Pos returns the absolute position of the next packet to be transmitted.
 func (s *Station) Pos() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pos
+	s.clk.mu.Lock()
+	defer s.clk.mu.Unlock()
+	return s.clk.pos
 }
 
 // ErrStarted reports that a Start found the station (or group) already on
@@ -227,430 +562,149 @@ func (s *Station) Pos() int {
 var ErrStarted = errors.New("station: already started")
 
 // Start puts the station on the air. Transmission stops when ctx is
-// cancelled or Stop is called; either way every open subscription's channel
-// is closed (its feed then degrades to deterministic replay, so in-flight
+// cancelled or Stop is called; either way every open subscription leaves
+// the air (its feed then degrades to deterministic replay, so in-flight
 // queries still terminate). A stopped station may be Started again.
-func (s *Station) Start(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.running {
-		return ErrStarted
-	}
-	ctx, s.cancel = context.WithCancel(ctx)
-	s.done = make(chan struct{})
-	s.running = true
-	go s.run(ctx, s.done)
-	return nil
-}
+func (s *Station) Start(ctx context.Context) error { return s.clk.start(ctx) }
 
 // Swap schedules c to replace the cycle on the air at the next cycle
-// boundary: the first position p with p mod Len == 0, so the outgoing
-// version always completes its final cycle and no cycle ever mixes two
-// versions. The returned channel delivers the absolute swap position once
-// the swap happens; if the station leaves the air first the swap is
-// abandoned and the channel is closed without a value (receive with
+// boundary: the first position p with p mod Len == 0 the clock reaches, so
+// the outgoing version always completes its final cycle and no cycle ever
+// mixes two versions. The returned channel delivers the absolute swap
+// position once the swap happens; if the station leaves the air first the
+// swap is abandoned and the channel is closed without a value (receive with
 // comma-ok to tell the two apart). One swap may be pending at a time;
-// stations driven by a Group swap through Group.Swap instead, which
-// trades boundary alignment for cross-member atomicity.
+// stations driven by a Group swap through Group.Swap instead, which trades
+// boundary alignment for cross-member atomicity.
 func (s *Station) Swap(c *broadcast.Cycle) (<-chan int, error) {
 	if c.Len() == 0 {
 		return nil, fmt.Errorf("station: swap to empty cycle")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.running {
-		return nil, fmt.Errorf("station: not on the air")
+	if len(s.clk.stations) > 1 {
+		return nil, fmt.Errorf("station: a group member swaps through Group.Swap")
 	}
-	if s.pending != nil {
-		return nil, fmt.Errorf("station: swap already pending")
-	}
-	s.pending = c
-	s.swapped = make(chan int, 1)
-	return s.swapped, nil
-}
-
-// forceSwap installs c on the air from the station's current position,
-// regardless of cycle boundaries, and returns that position. The group
-// transmit loop uses it to swap every member at one global tick; the caller
-// must not hold mu.
-func (s *Station) forceSwap(c *broadcast.Cycle) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cur.Store(newEpoch(c, s.pos, s.cur.Load(), s.minNeededLocked()))
-	obsSwaps.Inc()
-	return s.pos
+	return s.clk.swap([]*broadcast.Cycle{c}, true)
 }
 
 // minNeededLocked returns the oldest absolute position any current
 // subscriber can still request — the epoch-history pruning horizon. Want
 // positions are non-decreasing (a broadcast cannot be rewound), so nothing
 // below the minimum want is ever served again; with no subscribers the
-// horizon is the transmit position itself. The caller holds mu.
+// horizon is the clock itself. The caller holds the clock's mutex.
 func (s *Station) minNeededLocked() int {
-	return int(min(int64(s.pos), lowestWant(s.subList)))
+	low := int64(s.clk.pos)
+	for _, sub := range s.subs {
+		low = min(low, sub.want.Load())
+	}
+	return int(low)
 }
 
 // parked is the want of a parked subscription (Sub.Park): later than any
-// position the air will ever reach, so the station never delivers to it and
-// lowestWant never counts it.
+// position the air will ever reach, so nothing is delivered to it and it
+// never holds the clock.
 const parked = int64(1) << 62
-
-// lowestWant returns the lowest want among subs, parked subscriptions
-// excluded; parked itself when nobody is tuned in.
-func lowestWant(subs []*Sub) int64 {
-	low := parked
-	for _, sub := range subs {
-		if w := sub.want.Load(); w < low {
-			low = w
-		}
-	}
-	return low
-}
-
-// fastForwardLocked moves a virtual clock straight to the next position
-// anybody needs it at: the lowest want among the subscriptions, or — while
-// a Swap is pending — the next cycle boundary if that comes first, so the
-// swap still lands on the first p with p mod Len == 0 (an idle station
-// therefore jumps to its boundary instead of crawling there). Positions
-// below every want would be delivered to nobody, so skipping them changes
-// no listener's air. The caller holds mu, which orders the scan and the
-// move against Subscribe; the generation check discards a scan that
-// straddled a hop (see Sub.setWant), in which case the clock just ticks.
-func (s *Station) fastForwardLocked() {
-	gen := s.wantGen.Load()
-	target := lowestWant(s.subList)
-	if s.pending != nil {
-		l := s.cur.Load().cycle.Len()
-		target = min(target, int64(s.pos+(l-s.pos%l)%l))
-	}
-	if target == parked || target <= int64(s.pos) || s.wantGen.Load() != gen {
-		return
-	}
-	s.skipLocked(int(target) - s.pos)
-}
-
-// skipLocked passes n positions without a step. air_station_packets_total
-// keeps counting every position the clock passed; the skipped ones are
-// tallied on their own as well. The caller holds mu.
-func (s *Station) skipLocked(n int) {
-	s.pos += n
-	obsPackets.Add(int64(n))
-	obsSkipped.Add(int64(n))
-}
 
 // SwapPending reports whether a scheduled swap has not yet reached the
 // air. Because a swap clears only after the new epoch is visible (and an
 // abandoned one only on shutdown), "no pending swap and still the old
 // version" means the swap will never happen.
 func (s *Station) SwapPending() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pending != nil
+	s.clk.mu.Lock()
+	defer s.clk.mu.Unlock()
+	return s.clk.pending != nil
 }
 
-// Stop takes the station off the air and waits for the transmit loop to
-// exit. It is safe to call multiple times and after context cancellation.
-func (s *Station) Stop() {
-	s.mu.Lock()
-	cancel, done := s.cancel, s.done
-	s.mu.Unlock()
-	if cancel == nil {
-		return
-	}
-	cancel()
-	<-done
-}
-
-// run is the transmit loop: one packet per tick of the (virtual or paced)
-// clock, fanned out to the current subscribers.
-func (s *Station) run(ctx context.Context, done chan struct{}) {
-	defer close(done)
-	defer s.closeSubs()
-
-	interval := s.cfg.interval()
-	started := time.Now()
-	transmitted := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		if interval > 0 {
-			// Pace to the channel rate: sleep until the next packet is due.
-			// Short oversleeps are repaid by transmitting every due packet
-			// before sleeping again, so long cycles keep the configured rate.
-			due := started.Add(time.Duration(transmitted) * interval)
-			if wait := time.Until(due); wait > 0 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(wait):
-				}
-			}
-		}
-		listeners := s.step(ctx, interval == 0)
-		transmitted++
-		if len(listeners) == 0 && interval == 0 {
-			// Virtual clock with nobody tuned in: the air continues, but
-			// there is no need to burn a core advancing it at full speed.
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-}
-
-// interval returns the per-packet airtime of a paced clock (0 = virtual).
-func (cfg Config) interval() time.Duration {
-	if cfg.BitsPerSecond <= 0 {
-		return 0
-	}
-	return time.Duration(float64(cfg.PacketBits) / float64(cfg.BitsPerSecond) * float64(time.Second))
-}
-
-// step transmits one tick to every current subscriber and returns them (the
-// copy-on-write snapshot: read it, never write it). It is called by the
-// station's own transmit loop or, for stations driven as a Group, by the
-// group's. With fastForward (a virtual clock ticking on its own) the tick
-// transmitted is the next one anybody wants; a group fast-forwards its
-// members together instead (Group.run).
-func (s *Station) step(ctx context.Context, fastForward bool) []*Sub {
-	s.mu.Lock()
-	if fastForward {
-		s.fastForwardLocked()
-	}
-	pos := s.pos
-	s.pos++
-	ep := s.cur.Load()
-	if s.pending != nil && pos%ep.cycle.Len() == 0 {
-		// Cycle boundary: the outgoing version completed its last cycle, the
-		// pending one takes over from this very position. The new epoch is
-		// visible before the pending slot clears, so anyone who observes no
-		// pending swap (SwapPending) also observes the new version.
-		ep = newEpoch(s.pending, pos, ep, s.minNeededLocked())
-		s.cur.Store(ep)
-		s.pending = nil
-		s.swapped <- pos // cap 1, one pending swap: never blocks
-		close(s.swapped)
-		obsSwaps.Inc()
-	}
-	subs := s.subList
-	s.mu.Unlock()
-	obsPackets.Inc()
-	for _, sub := range subs {
-		s.deliver(ctx, sub, pos, ep)
-	}
-	return subs
-}
+// Stop takes the station off the air and waits until it is. It is safe to
+// call multiple times and after context cancellation.
+func (s *Station) Stop() { s.clk.stop() }
 
 // Subscribers returns the number of currently open subscriptions.
 func (s *Station) Subscribers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subList)
-}
-
-// updateSubList rebuilds the copy-on-write subscriber snapshot; the caller
-// holds mu.
-func (s *Station) updateSubList() {
-	list := make([]*Sub, 0, len(s.subs))
-	for sub := range s.subs {
-		list = append(list, sub)
-	}
-	s.subList = list
-}
-
-// deliver transmits position pos to one subscriber, applying its private
-// loss pattern. A sleeping subscriber (its tuner slept past pos) receives
-// nothing: its radio is off. On a virtual clock a full buffer blocks the
-// station (backpressure); on a paced clock it drops the packet, which the
-// subscriber's feed later reports as lost.
-//
-// An exact subscriber on a virtual clock additionally holds the clock: the
-// station will not transmit a position beyond the subscriber's want until
-// the subscriber advances it (WakeAt / Prefetch / the next At), so it is
-// delivered its wants and its declared windows and nothing else. Every
-// in-process listener on a virtual clock subscribes this way: a live K=1
-// session, which then never has dozed-over positions pushed at it, and each
-// shard of a multi-channel radio, which listens to one channel at a time
-// and must not find that the shared clock raced past the tick it will hop
-// to — the stale want between two receptions is the hold. On a paced clock
-// exactness is moot: real time does not wait, and a late radio misses
-// packets like any other.
-func (s *Station) deliver(ctx context.Context, sub *Sub, pos int, ep *epoch) {
-	if sub.exact && s.cfg.BitsPerSecond == 0 {
-		for {
-			w := sub.want.Load()
-			if int64(pos) < w {
-				return
-			}
-			if int64(pos) == w || int64(pos) < sub.limit.Load() {
-				break // transmit below (wanted now, or inside a declared window)
-			}
-			// pos > want: hold the clock until the subscriber advances.
-			select {
-			case <-sub.wake:
-			case <-sub.closed:
-				return
-			case <-ctx.Done():
-				return
-			}
-		}
-	} else if int64(pos) < sub.want.Load() {
-		return
-	}
-	t := Transmission{Pos: pos, OK: !broadcast.Lost(sub.seed, pos, sub.loss)}
-	p := ep.cycle.Packets[pos%ep.cycle.Len()]
-	if t.OK {
-		t.Pkt = p
-	} else {
-		t.Pkt = packet.Packet{Kind: p.Kind}
-	}
-	if pos&0xff == 0 {
-		obsBufDepth.Observe(float64(len(sub.ch)))
-	}
-	if s.cfg.BitsPerSecond > 0 {
-		select {
-		case sub.ch <- t:
-		default:
-			// Backpressure on a paced clock: real time does not wait, the
-			// packet is gone. Count the drop event and announce the first
-			// overrun per subscriber — a persistent one means the buffer or
-			// the client is undersized. Sub.missed is NOT bumped here: the
-			// tuner may sleep over this position and never ask for it, and
-			// Missed() promises the listened-for subset (missedAt), so the
-			// drop only becomes a miss if the feed has to serve it as a
-			// corrupted reception.
-			obsDropped.Inc()
-			if sub.overruns.Add(1) == 1 {
-				log.Printf("station: subscriber buffer full at pos %d (depth %d); dropping (backpressure)",
-					pos, cap(sub.ch))
-			}
-		}
-		return
-	}
-	// Fast path: a non-blocking send avoids the multi-case select machinery
-	// on every tick; the blocking select only runs under backpressure.
-	select {
-	case sub.ch <- t:
-		return
-	default:
-	}
-	select {
-	case sub.ch <- t:
-	case <-sub.closed:
-	case <-ctx.Done():
-	}
-}
-
-// closeSubs closes every open subscription's channel once the transmit loop
-// has exited (so no send can race the close). A swap still pending at that
-// point is abandoned: its channel closes without a value, so waiters
-// unblock instead of hanging on a station that will never tick again.
-func (s *Station) closeSubs() {
-	s.mu.Lock()
-	subs := make([]*Sub, 0, len(s.subs))
-	for sub := range s.subs {
-		subs = append(subs, sub)
-		delete(s.subs, sub)
-		obsSubscribers.Dec()
-	}
-	s.updateSubList()
-	if s.pending != nil {
-		close(s.swapped)
-		s.pending, s.swapped = nil, nil
-	}
-	s.running = false // the station may be Started again
-	s.mu.Unlock()
-	for _, sub := range subs {
-		close(sub.ch)
-	}
+	s.clk.mu.Lock()
+	defer s.clk.mu.Unlock()
+	return len(s.subs)
 }
 
 // Subscribe tunes a new listener in at the station's current position, with
 // a private deterministic loss pattern (rate in [0,1), seeded like
 // broadcast.NewChannel). The subscription is a broadcast.Feed; wrap it in a
 // tuner with broadcast.NewFeedTuner(sub, sub.Start()). Close it when the
-// query is done.
+// query is done. On a virtual clock it lets the clock run up to Buffer
+// positions past its want, so a listener that streams the air without
+// declaring anything (a wire pump) rarely waits.
 func (s *Station) Subscribe(lossRate float64, seed int64) (*Sub, error) {
 	return s.subscribe(lossRate, seed, false)
 }
 
 // SubscribeExact is Subscribe for a listener that says what it wants — a
 // live session's tuner, one shard of a multi-channel radio: on a virtual
-// clock the station transmits to it only the position it wants and the
-// windows it declares (Prefetch), and holds the clock (and, through a
-// group, every sibling shard) at its current want until the listener
-// advances it. A dozing listener thus costs the station nothing, and a
-// radio hopping between channels never finds that the air raced past the
-// tick it computed. Park the subscription whenever the radio tunes to a
-// sibling channel. Subscribe remains for listeners that stream the air
-// without declaring anything (a wire pump).
+// clock it lets the clock pass only its want and the windows it declares
+// (Prefetch), so a dozing listener costs the station nothing and tune-in
+// positions are those of an air that waited for it. Park the subscription
+// whenever the radio tunes to a sibling channel.
 func (s *Station) SubscribeExact(lossRate float64, seed int64) (*Sub, error) {
 	return s.subscribe(lossRate, seed, true)
 }
-
-// exactBuffer is the channel depth of an exact virtual-clock subscription
-// (a live session's, or one shard of a hopping radio's). Outside a declared
-// Prefetch window the station only transmits to such a subscription at
-// exactly the position it wants, so at most one transmission is in flight;
-// the buffer's job is to absorb window batches, and anything deeper than a
-// typical span is allocation churn on the per-query subscribe path.
-const exactBuffer = 64
 
 func (s *Station) subscribe(lossRate float64, seed int64, exact bool) (*Sub, error) {
 	if lossRate < 0 || lossRate >= 1 {
 		return nil, fmt.Errorf("station: loss rate %v outside [0,1)", lossRate)
 	}
-	buffer := s.cfg.Buffer
-	if exact && s.cfg.BitsPerSecond == 0 && buffer > exactBuffer {
-		buffer = exactBuffer
+	c := s.clk
+	sub := &Sub{st: s, loss: lossRate, seed: uint64(seed), exact: exact, slots: noSlots}
+	sub.want.Store(parked)
+	if c.interval > 0 {
+		sub.ch = make(chan Transmission, s.cfg.Buffer)
+	} else {
+		sub.passed = make(chan struct{}, 1)
 	}
-	sub := &Sub{
-		st:     s,
-		loss:   lossRate,
-		seed:   uint64(seed),
-		exact:  exact,
-		wake:   make(chan struct{}, 1),
-		ch:     make(chan Transmission, buffer),
-		closed: make(chan struct{}),
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.running {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.running {
 		return nil, fmt.Errorf("station: not on the air")
 	}
 	if s.cfg.MaxSubscribers > 0 && len(s.subs) >= s.cfg.MaxSubscribers {
 		obsRefused.Inc()
 		return nil, fmt.Errorf("%w (%d subscribers)", ErrFull, len(s.subs))
 	}
-	sub.start = s.pos
-	sub.want.Store(int64(sub.start))
-	s.subs[sub] = struct{}{}
-	s.updateSubList()
+	sub.start = c.pos
+	if c.interval == 0 {
+		c.setWantLocked(sub, int64(sub.start), 0)
+	} else {
+		sub.want.Store(int64(sub.start))
+	}
+	s.subs = append(slices.Clip(s.subs), sub)
 	obsSubscribers.Inc()
 	return sub, nil
 }
 
-// Sub is one listener's subscription: a buffered view of the air from its
-// tune-in position onward. It implements broadcast.Feed, so the ordinary
-// Tuner — and therefore every scheme client — runs unchanged on top of it.
+// Sub is one listener's subscription: its view of the air from its tune-in
+// position onward. It implements broadcast.Feed, so the ordinary Tuner — and
+// therefore every scheme client — runs unchanged on top of it.
 //
-// At, Start and Close must be called from the subscriber's own goroutine;
-// the station side is concurrency-safe.
+// At, Ready, Start and Close must be called from the subscriber's own
+// goroutine; the station side is concurrency-safe.
 type Sub struct {
-	st     *Station
-	loss   float64
-	seed   uint64
-	start  int
-	exact  bool
-	wake   chan struct{} // want-advanced signal for exact delivery holds
-	ch     chan Transmission
-	closed chan struct{}
+	st    *Station
+	loss  float64
+	seed  uint64
+	start int
+	exact bool
+	ch    chan Transmission // a paced clock's pushes; nil on a virtual clock
 
 	// want is the lowest absolute position the listener still needs (parked
-	// while it needs none); the station skips delivery below it, modelling a
-	// sleeping radio, and a virtual clock never fast-forwards past it.
-	want atomic.Int64
+	// while it needs none): nothing below it is delivered, modelling a
+	// sleeping radio. limit is the end (exclusive) of a declared contiguous
+	// listen window (Prefetch), guarded by the clock's mutex.
+	want  atomic.Int64
+	limit int64
+	// slots is the subscription's index in each of the clock's heaps (-1
+	// outside it), and waiting marks an At blocked until the clock passes
+	// its want, guarded by the clock's mutex; passed wakes it then, or when
+	// the station leaves the air (virtual clock only).
+	slots   [2]int
+	waiting bool
+	passed  chan struct{}
 	// overruns counts station-side drop events (paced clock, buffer full)
 	// whether or not the listener ever asks for the dropped position; it
 	// gates the once-per-subscriber backpressure log line. missed counts the
@@ -659,19 +713,24 @@ type Sub struct {
 	// Lost() count.
 	overruns atomic.Int64
 	missed   atomic.Int64
-	// limit is the end (exclusive) of a declared contiguous listen window:
-	// an exact subscription's clock hold relaxes to it, letting the station
-	// buffer a whole span ahead instead of handing the clock back and forth
-	// once per packet. Positions below want are still skipped, so the window
-	// never changes which packets are received.
-	limit atomic.Int64
 
-	// Subscriber-goroutine state: a transmission read ahead of the position
-	// the tuner asked for, and whether the station has left the air.
+	// pending is a paced transmission read ahead of the position the tuner
+	// asked for. offAir reports that the station left the air: set by the
+	// subscriber's goroutine on a paced clock, under the clock's mutex on a
+	// virtual one.
 	pending    Transmission
 	hasPending bool
 	offAir     bool
-	closeOnce  sync.Once
+}
+
+// allows returns the position below which this unparked subscription lets
+// the clock pass: its want and declared window if exact, Buffer positions
+// past its want otherwise. The caller holds the clock's mutex.
+func (s *Sub) allows() int64 {
+	if s.exact {
+		return max(s.want.Load()+1, s.limit)
+	}
+	return s.want.Load() + int64(s.st.cfg.Buffer)
 }
 
 // Start returns the tune-in position: the first absolute position this
@@ -692,14 +751,38 @@ func (s *Sub) Len() int { return s.st.cur.Load().cycle.Len() }
 func (s *Sub) Missed() int { return int(s.missed.Load()) }
 
 // At blocks until the transmission at absolute position abs has crossed the
-// air and returns it (broadcast.Feed). Positions the tuner slept over are
-// discarded; a packet missed through buffer overrun is reported as lost,
-// exactly like a corrupted packet, and recovered by the client in a later
-// cycle. If the station leaves the air mid-query the feed degrades to
-// deterministic replay of the cycle under the same loss pattern, so the
-// query still terminates with the same answer.
+// air and returns it (broadcast.Feed). On a virtual clock it pulls the clock
+// past abs itself, waiting only while another subscription holds it. On a
+// paced clock positions the tuner slept over are discarded, and a packet
+// missed through buffer overrun is reported as lost, exactly like a
+// corrupted packet, and recovered by the client in a later cycle. If the
+// station leaves the air mid-query the feed degrades to deterministic
+// replay of the cycle under the same loss pattern, so the query still
+// terminates with the same answer.
 func (s *Sub) At(abs int) (packet.Packet, bool) {
-	s.setWant(int64(abs))
+	if s.ch == nil {
+		c := s.st.clk
+		if int64(abs) < c.reached.Load() {
+			return s.replayAt(abs) // passed already: abs is fixed
+		}
+		woken := make([]*Sub, 0, 4)
+		c.mu.Lock()
+		if !s.offAir {
+			c.setWantLocked(s, int64(abs), s.limit)
+			woken = c.pullLocked(s.allows(), woken)
+		}
+		wait := !s.offAir && c.pos <= abs
+		if wait {
+			s.waiting = true
+			c.waiters++
+		}
+		c.unlock(woken)
+		if wait {
+			<-s.passed // the clock passed abs (the waker set through), or the air is off
+		}
+		return s.replayAt(abs)
+	}
+	s.want.Store(int64(abs))
 	if s.hasPending {
 		p := s.pending
 		switch {
@@ -732,15 +815,23 @@ func (s *Sub) At(abs int) (packet.Packet, bool) {
 }
 
 // Ready reports whether At(abs) would return without waiting for the
-// station: the transmission at abs (or a later one, proving abs was missed)
-// is already buffered, or the station has left the air. It never blocks and
-// does not move the want, so the station cannot tell it was asked; buffered
-// transmissions below abs — which At(abs) would discard as slept over — are
-// discarded here, which is why a non-empty buffer alone answers nothing.
-// Like At, it belongs to the subscriber's goroutine and takes non-decreasing
-// positions. A wire pump asks it before each At: a pump holding unsent
-// frames writes them out rather than wait for the air (wire.Broadcaster).
+// station: on a virtual clock, the clock has passed abs or no other
+// subscription holds it below; on a paced one, the transmission at abs (or
+// a later one, proving abs was missed) is already buffered; and always once
+// the station has left the air. It never blocks and does not move the
+// want, so the station cannot tell it was asked; buffered transmissions
+// below abs — which At(abs) would discard as slept over — are discarded
+// here. Like At, it belongs to the subscriber's goroutine and takes
+// non-decreasing positions. A wire pump asks it before each At: a pump
+// holding unsent frames writes them out rather than wait for the air
+// (wire.Broadcaster).
 func (s *Sub) Ready(abs int) bool {
+	if s.ch == nil {
+		c := s.st.clk
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return s.offAir || abs < c.pos || int64(abs) < c.byAllow.minBut(s)
+	}
 	if s.hasPending {
 		if s.pending.Pos >= abs {
 			return true
@@ -764,9 +855,45 @@ func (s *Sub) Ready(abs int) bool {
 	return true
 }
 
+// deliver pushes position pos to a paced subscription, applying its
+// private loss pattern. A sleeping subscriber (its tuner slept past pos)
+// receives nothing: its radio is off. A full buffer drops the packet, which
+// the subscriber's feed later reports as lost.
+func (s *Sub) deliver(pos int, ep *epoch) {
+	if int64(pos) < s.want.Load() {
+		return
+	}
+	t := Transmission{Pos: pos, OK: !broadcast.Lost(s.seed, pos, s.loss)}
+	p := ep.cycle.Packets[pos%ep.cycle.Len()]
+	if t.OK {
+		t.Pkt = p
+	} else {
+		t.Pkt = packet.Packet{Kind: p.Kind}
+	}
+	if pos&0xff == 0 {
+		obsBufDepth.Observe(float64(len(s.ch)))
+	}
+	select {
+	case s.ch <- t:
+	default:
+		// Real time does not wait: the packet is gone. Count the drop event
+		// and announce the first overrun per subscriber — a persistent one
+		// means the buffer or the client is undersized. Sub.missed is NOT
+		// bumped here: the tuner may sleep over this position and never ask
+		// for it, and Missed() promises the listened-for subset (missedAt),
+		// so the drop only becomes a miss if the feed has to serve it as a
+		// corrupted reception.
+		obsDropped.Inc()
+		if s.overruns.Add(1) == 1 {
+			log.Printf("station: subscriber buffer full at pos %d (depth %d); dropping (backpressure)",
+				pos, cap(s.ch))
+		}
+	}
+}
+
 // missedAt serves a packet the subscriber was tuned in for but never got
-// buffered (the station dropped it under backpressure): on the air it is
-// indistinguishable from a corrupted packet, and it is counted as a miss
+// buffered (a paced station dropped it under backpressure): on the air it
+// is indistinguishable from a corrupted packet, and it is counted as a miss
 // here — not at the drop — so Missed() tallies exactly the drops the
 // listener experienced as losses. The epoch chain keeps the kind correct
 // even when the miss straddles a cycle swap.
@@ -776,9 +903,11 @@ func (s *Sub) missedAt(abs int) (packet.Packet, bool) {
 	return packet.Packet{Kind: ep.cycle.Packets[abs%ep.cycle.Len()].Kind}, false
 }
 
-// replayAt serves positions after the station left the air: a deterministic
-// replay identical to a broadcast.Channel with this subscription's loss
-// pattern, version-faithful across any swaps the station performed.
+// replayAt computes the transmission at abs from the epoch chain: the
+// version on the air there, under this subscription's loss pattern —
+// identical to a broadcast.Channel with the same seed. It serves every
+// reception on a virtual clock, and a paced one's after the station left
+// the air.
 func (s *Sub) replayAt(abs int) (packet.Packet, bool) {
 	ep := s.st.cur.Load().find(abs)
 	p := ep.cycle.Packets[abs%ep.cycle.Len()]
@@ -788,67 +917,59 @@ func (s *Sub) replayAt(abs int) (packet.Packet, bool) {
 	return p, true
 }
 
-// setWant moves the listener's want and, for exact subscriptions, wakes a
-// delivery hold waiting on it.
-//
-// A want only ever rises, except when a parked subscription is re-armed —
-// and that is the one change a fast-forward scan must not straddle. A
-// hopping radio re-arms the channel it hops to before parking the one it
-// leaves; a scan that read the first while it was still parked and the
-// second once it already was would find the radio holding the clock
-// nowhere and could jump past the tick it hops to. Bumping the generation
-// between the two stores makes every such scan see the counter move and
-// discard itself. A rising want needs no bump: a scan that read the stale
-// value merely jumped less far.
-func (s *Sub) setWant(abs int64) {
-	if old := s.want.Swap(abs); abs < old {
-		s.st.wantGen.Add(1)
+// declare publishes the listener's want and window end. On a virtual clock
+// both change under the clock's mutex, with the move that may follow: a
+// risen want can free the clock for a waiting listener.
+func (s *Sub) declare(want, limit int64) {
+	c := s.st.clk
+	if s.ch != nil {
+		s.want.Store(want)
+		return
 	}
-	if s.exact {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
+	woken := make([]*Sub, 0, 4)
+	c.mu.Lock()
+	if !s.offAir {
+		c.setWantLocked(s, want, limit)
+		woken = c.pullLocked(0, woken)
 	}
+	c.unlock(woken)
 }
 
 // Prefetch declares that the listener will receive the n positions
 // [from, from+n) back to back, and so nothing before from: its want rises
-// to from (the station neither delivers nor ticks through the doze that
-// ends there) and an exact subscription's clock hold relaxes to from+n, so
-// the station can deliver the whole span into the buffer in one go. What
-// the listener receives is unchanged, making this purely a batching hint
-// (broadcast.Prefetcher). A parked subscription stays parked: only WakeAt
-// or At re-arm it.
+// to from, and an exact subscription on a virtual clock lets the clock run
+// to from+n. What the listener receives is unchanged, making this purely a
+// batching hint (broadcast.Prefetcher). A parked subscription stays parked:
+// only WakeAt or At re-arm it.
 func (s *Sub) Prefetch(from, n int) {
-	s.limit.Store(int64(from + n))
-	s.setWant(max(int64(from), s.want.Load()))
+	s.declare(max(int64(from), s.want.Load()), int64(from+n))
 }
 
 // WakeAt declares the next absolute position the listener needs without
 // receiving anything: positions below it are skipped (the radio sleeps),
-// and an exact subscription's clock hold moves to it. A multi-channel radio
-// calls this on the channel it is hopping to before parking the channel it
-// is leaving, so the shared clock is never unheld.
-func (s *Sub) WakeAt(abs int) { s.setWant(int64(abs)) }
+// and an exact subscription holds a virtual clock there. A multi-channel
+// radio calls this on the channel it is hopping to before parking the
+// channel it is leaving, so the shared clock is never unheld.
+func (s *Sub) WakeAt(abs int) { s.declare(int64(abs), s.limit) }
 
-// Park puts the subscription to sleep indefinitely: the station delivers
-// nothing and an exact clock hold is released. WakeAt (or At) re-arms it.
-func (s *Sub) Park() { s.setWant(parked) }
+// Park puts the subscription to sleep indefinitely: nothing is delivered
+// to it and it no longer holds the clock. WakeAt (or At) re-arms it.
+func (s *Sub) Park() { s.declare(parked, s.limit) }
 
 // Close tunes the listener out: the station stops delivering to it and
 // releases it. Safe to call more than once; never blocks on the station.
 func (s *Sub) Close() {
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		s.st.mu.Lock()
-		// The gauge decrements only when the map entry is still ours:
-		// closeSubs may already have drained it on station shutdown.
-		if _, ok := s.st.subs[s]; ok {
-			delete(s.st.subs, s)
-			obsSubscribers.Dec()
+	c := s.st.clk
+	woken := make([]*Sub, 0, 4)
+	c.mu.Lock()
+	// Gone already if the station left the air (halt).
+	if i := slices.Index(s.st.subs, s); i >= 0 {
+		s.st.subs = append(s.st.subs[:i:i], s.st.subs[i+1:]...)
+		obsSubscribers.Dec()
+		if s.ch == nil {
+			c.setWantLocked(s, parked, 0)
+			woken = c.pullLocked(0, woken)
 		}
-		s.st.updateSubList()
-		s.st.mu.Unlock()
-	})
+	}
+	c.unlock(woken)
 }

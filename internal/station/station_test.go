@@ -346,7 +346,6 @@ func TestReadyAnswersForAt(t *testing.T) {
 		}
 		defer sub.Close()
 		start := sub.Start()
-		buffered(sub, 8) // the clock now waits on the full buffer
 		if !sub.Ready(start) || !sub.Ready(start+3) {
 			t.Fatal("Ready false for a buffered position")
 		}

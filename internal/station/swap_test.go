@@ -319,12 +319,13 @@ func TestGroupSwapAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The exact subscriptions hold the shared clock, so receiving tick by
-	// tick on both shards observes every tick on both. The swap applies
-	// between ticks: both shards must flip at the same tick.
+	// One goroutine receives tick by tick on both shards, so each declares
+	// the whole span it will walk: an exact subscription's want alone would
+	// hold the shared clock below the next tick its sibling needs. The swap
+	// applies between ticks: both shards must flip at the same tick.
 	start := max(subA.Start(), subB.Start()) + 2
-	subA.WakeAt(start)
-	subB.WakeAt(start)
+	subA.Prefetch(start, 120)
+	subB.Prefetch(start, 120)
 	swapTick := -1
 	for i := 0; i < 120; i++ {
 		tick := start + i

@@ -3,11 +3,13 @@ package station
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/broadcast"
+	"repro/internal/packet"
 )
 
 // awaitSwap returns the swap position, failing the test if the swap takes
@@ -267,5 +269,284 @@ func TestHopNeverMissesUnderJump(t *testing.T) {
 		// An exact subscription whose want the clock has passed holds the
 		// clock for good: a skipped want shows as a hang, not as a loss.
 		t.Fatal("radios still waiting after 30s: the clock passed a tick somebody wanted")
+	}
+}
+
+// TestVirtualStartAddsNoGoroutine: a virtual station or group is a clock,
+// not a transmitter — starting one leaves the goroutine count alone — while
+// a paced one still starts its transmit loop.
+func TestVirtualStartAddsNoGoroutine(t *testing.T) {
+	startStop := func(cfg Config, group bool) int {
+		members := make([]*Station, 1, 3)
+		members[0], _ = New(testCycle(20), cfg)
+		start, stop := members[0].Start, members[0].Stop
+		if group {
+			for len(members) < cap(members) {
+				st, _ := New(testCycle(30), cfg)
+				members = append(members, st)
+			}
+			g, err := NewGroup(members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start, stop = g.Start, g.Stop
+		}
+		before := runtime.NumGoroutine()
+		if err := start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		added := runtime.NumGoroutine() - before
+		stop()
+		return added
+	}
+	for _, group := range []bool{false, true} {
+		if n := startStop(Config{}, group); n > 0 {
+			t.Errorf("group=%v: a virtual Start added %d goroutines", group, n)
+		}
+		// Other tests' goroutines may exit meanwhile: one attempt in a few
+		// must see the transmitter.
+		paced := 0
+		for try := 0; try < 5 && paced < 1; try++ {
+			paced = startStop(Config{BitsPerSecond: 1_024_000}, group)
+		}
+		if paced < 1 {
+			t.Errorf("group=%v: a paced Start added no transmit goroutine", group)
+		}
+	}
+}
+
+// TestIdleClockStandsStill: with nobody pulling, a virtual clock does not
+// move, and a new subscription tunes in where it stands.
+func TestIdleClockStandsStill(t *testing.T) {
+	st := startStation(t, testCycle(40), Config{Start: 7})
+	sub, err := st.SubscribeExact(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.At(sub.Start() + 25)
+	sub.Close()
+	pos := st.Pos()
+	time.Sleep(10 * time.Millisecond)
+	if got := st.Pos(); got != pos {
+		t.Fatalf("idle clock moved %d -> %d", pos, got)
+	}
+	next, err := st.Subscribe(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	if next.Start() != pos {
+		t.Fatalf("tuned in at %d, the clock stands at %d", next.Start(), pos)
+	}
+}
+
+// TestVirtualReceptionAllocatesNothing: on a virtual clock an exact
+// subscriber's reception is a computation, with nothing allocated, and a
+// subscription carries no transmission buffer.
+func TestVirtualReceptionAllocatesNothing(t *testing.T) {
+	st := startStation(t, testCycle(50), Config{})
+	sub, err := st.SubscribeExact(0.1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if sub.ch != nil {
+		t.Fatal("a virtual-clock subscription has a transmission channel")
+	}
+	pos := sub.Start()
+	allocs := testing.AllocsPerRun(200, func() {
+		if pos%7 == 0 {
+			sub.Prefetch(pos, 5)
+		}
+		sub.At(pos)
+		pos += 1 + pos%3
+	})
+	if allocs != 0 {
+		t.Fatalf("exact virtual-clock At allocates %v times per reception", allocs)
+	}
+}
+
+// TestConcurrentListenersMatchReplay runs every kind of listener on one
+// virtual group clock at once, under -race: exact sessions that sleep and
+// prefetch on member 0, a plain subscription streaming member 1 through a
+// 4-slot allowance, and a radio hopping across all four members, with a
+// group swap midway (made by the streaming listener halfway through its
+// stream). Every reception must equal an offline replay of the version on
+// the air at its tick, under the listener's own loss pattern.
+func TestConcurrentListenersMatchReplay(t *testing.T) {
+	const k, loss = 4, 0.1
+	cycles := [3][]*broadcast.Cycle{} // by version
+	members := make([]*Station, k)
+	for c := range members {
+		cycles[1] = append(cycles[1], versionedCycle(61+6*c, 1))
+		cycles[2] = append(cycles[2], versionedCycle(64+5*c, 2))
+		st, err := New(cycles[1][c], Config{Buffer: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[c] = st
+	}
+	g, err := NewGroup(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+
+	type reception struct {
+		member, tick int
+		seed         int64
+		p            packet.Packet
+		ok           bool
+	}
+	var (
+		mu    sync.Mutex
+		heard []reception
+		wg    sync.WaitGroup
+	)
+	listen := func(sub *Sub, member, tick int, seed int64) {
+		p, ok := sub.At(tick)
+		mu.Lock()
+		heard = append(heard, reception{member, tick, seed, p, ok})
+		mu.Unlock()
+	}
+	subscribe := func(member int, exact bool, seed int64) *Sub {
+		sub, err := members[member].subscribe(loss, seed, exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	for id := int64(1); id <= 3; id++ { // sleeping, prefetching sessions
+		sub := subscribe(0, true, id)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer sub.Close()
+			rng := rand.New(rand.NewSource(id))
+			tick := sub.Start()
+			for q := 0; q < 60; q++ {
+				tick += rng.Intn(3 * 61)
+				n := 1 + rng.Intn(20)
+				sub.Prefetch(tick, n)
+				for i := 0; i < n; i++ {
+					listen(sub, 0, tick, id)
+					tick++
+				}
+			}
+		}()
+	}
+	stream := subscribe(1, false, 10) // a plain streaming subscription
+	swapped := make(chan (<-chan int), 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stream.Close()
+		for i := 0; i < 3000; i++ {
+			if i == 1500 {
+				ch, err := g.Swap(cycles[2])
+				if err != nil {
+					t.Error(err)
+				}
+				swapped <- ch
+			}
+			listen(stream, 1, stream.Start()+i, 10)
+		}
+	}()
+	wg.Add(1)
+	go func() { // a K=4 hopping radio
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(20))
+		subs := make([]*Sub, k)
+		tick := 0
+		for c := range subs {
+			subs[c] = subscribe(c, true, int64(20+c))
+			defer subs[c].Close()
+			tick = max(tick, subs[c].Start())
+		}
+		tick += 2
+		cur := 0
+		for c := 1; c < k; c++ {
+			subs[c].Park()
+		}
+		for h := 0; h < 1500; h++ {
+			tick += rng.Intn(4)
+			if to := rng.Intn(k); to != cur {
+				tick += 2
+				subs[to].WakeAt(tick)
+				subs[cur].Park()
+				cur = to
+			}
+			listen(subs[cur], cur, tick, int64(20+cur))
+			tick++
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("listeners still waiting after 60s")
+	}
+	swapTick := awaitSwap(t, <-swapped, time.Second)
+
+	heardVersion := [3]int{}
+	for _, r := range heard {
+		v := 1
+		if r.tick >= swapTick {
+			v = 2
+		}
+		heardVersion[v]++
+		c := cycles[v][r.member]
+		want := c.Packets[r.tick%c.Len()]
+		if lost := broadcast.Lost(uint64(r.seed), r.tick, loss); r.ok == lost {
+			t.Fatalf("member %d tick %d seed %d: ok=%v, the replay's loss pattern says lost=%v", r.member, r.tick, r.seed, r.ok, lost)
+		}
+		if r.p.Kind != want.Kind || r.ok && (r.p.Version != c.Version || string(r.p.Payload) != string(want.Payload)) {
+			t.Fatalf("member %d tick %d (swap at %d): got version %d %v/%v, replay version %d %v/%v",
+				r.member, r.tick, swapTick, r.p.Version, r.p.Kind, r.p.Payload, c.Version, want.Kind, want.Payload)
+		}
+	}
+	if heardVersion[1] < 1000 || heardVersion[2] < 1000 {
+		t.Fatalf("receptions by version %v: the swap did not land midway", heardVersion[1:])
+	}
+}
+
+// TestAllowancesBoundTheClock pins what each kind of subscription lets a
+// virtual clock pass, asked through Ready (which moves nothing): an exact
+// subscription its want and its declared window, a plain one Buffer
+// positions past its want, a parked one everything.
+func TestAllowancesBoundTheClock(t *testing.T) {
+	st := startStation(t, testCycle(90), Config{Buffer: 8})
+	exact, err := st.SubscribeExact(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exact.Close()
+	plain, err := st.Subscribe(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	s := exact.Start()
+	check := func(sub *Sub, abs int, want bool, what string) {
+		t.Helper()
+		if got := sub.Ready(abs); got != want {
+			t.Errorf("%s: Ready(start+%d) = %v, want %v", what, abs-s, got, want)
+		}
+	}
+	check(plain, s, true, "exact at its want")
+	check(plain, s+1, false, "exact at its want")
+	exact.Prefetch(s, 5)
+	check(plain, s+4, true, "exact with a 5-position window")
+	check(plain, s+5, false, "exact with a 5-position window")
+	exact.Park()
+	check(plain, s+1000, true, "parked")
+	check(exact, s+7, true, "plain, Buffer 8")
+	check(exact, s+8, false, "plain, Buffer 8")
+	if st.Pos() != s {
+		t.Fatalf("Ready moved the clock %d -> %d", s, st.Pos())
 	}
 }

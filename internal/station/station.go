@@ -226,10 +226,11 @@ func (c *clock) halt(done chan struct{}) {
 			if sub.ch != nil {
 				close(sub.ch) // the transmit loop has exited: no send races this
 			} else {
+				sub.offAir, sub.slots = true, noSlots
 				if sub.waiting {
-					sub.passed <- struct{}{}
+					sub.waiting = false
+					sub.passed <- struct{}{} // cap 1, one wait at a time: never blocks
 				}
-				sub.offAir, sub.slots, sub.waiting = true, noSlots, false
 			}
 		}
 		obsSubscribers.Add(-int64(len(st.subs)))
@@ -247,20 +248,24 @@ func (c *clock) halt(done chan struct{}) {
 
 // swap schedules one cycle per station (see Station.Swap, Group.Swap). On a
 // virtual clock a group swap goes on the air at once, and a lone station's
-// clock moves to the boundary as far as its subscriptions allow.
+// at once if every want lies beyond the boundary.
 func (c *clock) swap(cycles []*broadcast.Cycle, aligned bool) (<-chan int, error) {
 	c.mu.Lock()
-	if !c.running || c.pending != nil {
-		err := fmt.Errorf("station: not on the air")
-		if c.running {
-			err = fmt.Errorf("station: swap already pending")
-		}
+	var err error
+	switch {
+	case !c.running:
+		err = fmt.Errorf("station: not on the air")
+	case c.pending != nil:
+		err = fmt.Errorf("station: swap already pending")
+	}
+	if err != nil {
 		c.mu.Unlock()
 		return nil, err
 	}
 	swapped := make(chan int, 1)
 	c.pending, c.aligned, c.swapped = cycles, aligned, swapped
-	woken := make([]*Sub, 0, 4)
+	var buf [4]*Sub // the waiters a pull wakes, usually none
+	woken := buf[:0]
 	if c.interval == 0 && !aligned {
 		c.swapLocked(c.pos)
 	} else if c.interval == 0 {
@@ -759,13 +764,16 @@ func (s *Sub) Missed() int { return int(s.missed.Load()) }
 // station leaves the air mid-query the feed degrades to deterministic
 // replay of the cycle under the same loss pattern, so the query still
 // terminates with the same answer.
+//
+//air:noalloc
 func (s *Sub) At(abs int) (packet.Packet, bool) {
 	if s.ch == nil {
 		c := s.st.clk
 		if int64(abs) < c.reached.Load() {
 			return s.replayAt(abs) // passed already: abs is fixed
 		}
-		woken := make([]*Sub, 0, 4)
+		var buf [4]*Sub
+		woken := buf[:0]
 		c.mu.Lock()
 		if !s.offAir {
 			c.setWantLocked(s, int64(abs), s.limit)
@@ -926,7 +934,8 @@ func (s *Sub) declare(want, limit int64) {
 		s.want.Store(want)
 		return
 	}
-	woken := make([]*Sub, 0, 4)
+	var buf [4]*Sub
+	woken := buf[:0]
 	c.mu.Lock()
 	if !s.offAir {
 		c.setWantLocked(s, want, limit)
@@ -941,6 +950,8 @@ func (s *Sub) declare(want, limit int64) {
 // to from+n. What the listener receives is unchanged, making this purely a
 // batching hint (broadcast.Prefetcher). A parked subscription stays parked:
 // only WakeAt or At re-arm it.
+//
+//air:noalloc
 func (s *Sub) Prefetch(from, n int) {
 	s.declare(max(int64(from), s.want.Load()), int64(from+n))
 }
@@ -960,7 +971,8 @@ func (s *Sub) Park() { s.declare(parked, s.limit) }
 // releases it. Safe to call more than once; never blocks on the station.
 func (s *Sub) Close() {
 	c := s.st.clk
-	woken := make([]*Sub, 0, 4)
+	var buf [4]*Sub
+	woken := buf[:0]
 	c.mu.Lock()
 	// Gone already if the station left the air (halt).
 	if i := slices.Index(s.st.subs, s); i >= 0 {

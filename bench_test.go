@@ -285,31 +285,3 @@ func BenchmarkPrecomputeEBNR(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkOnAirKNN measures the Section 8 extension: network kNN over
-// broadcast POIs.
-func BenchmarkOnAirKNN(b *testing.B) {
-	g, err := repro.GeneratePreset("germany", 0.1, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	poi := make([]bool, g.NumNodes())
-	for i := range poi {
-		poi[i] = i%17 == 0
-	}
-	d, err := repro.Deploy(g, repro.WithPOI(poi), repro.WithParams(repro.Params{Regions: 16}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	sess, err := d.Session(ctx, repro.SessionOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sess.KNN(ctx, repro.NodeID(g.NumNodes()/3), 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

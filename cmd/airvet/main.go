@@ -1,19 +1,14 @@
 // Command airvet runs the repo's static-analysis suite (internal/analysis):
 // determinism, noalloc, obsdiscipline and frameconst.
 //
-// Two modes share one binary:
+//	airvet [flags] ./...
 //
-//	airvet [flags] ./...            standalone: resolve patterns, typecheck
-//	                                from source, run every analyzer
-//	go vet -vettool=$(which airvet) ./...
-//	                                unitchecker: cmd/go typechecks and hands
-//	                                the tool a *.cfg per package
-//
-// Flags:
+// resolves the package patterns, typechecks them from source and runs every
+// analyzer. Flags:
 //
 //	-run a,b     run only the named analyzers
 //	-json        print diagnostics as a JSON array on stdout
-//	-fix         apply suggested fixes in place (standalone mode only)
+//	-fix         apply suggested fixes in place
 //	-list        list the analyzers and exit
 //
 // Exit code 0 means no findings, 1 means findings, 2 means the tool itself
@@ -21,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,30 +29,17 @@ import (
 var (
 	flagRun  = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	flagJSON = flag.Bool("json", false, "emit diagnostics as JSON on stdout")
-	flagFix  = flag.Bool("fix", false, "apply suggested fixes (standalone mode only)")
+	flagFix  = flag.Bool("fix", false, "apply suggested fixes")
 	flagList = flag.Bool("list", false, "list analyzers and exit")
-	flagV    = flag.String("V", "", "print version and exit (go vet protocol)")
 )
 
 func main() {
-	// `go vet` probes the tool with -flags before any real run: respond with
-	// the JSON flag description it expects and exit.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		describeFlags()
-		return
-	}
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: airvet [flags] packages...\n       airvet [flags] file.cfg   (go vet -vettool protocol)\n")
+		fmt.Fprintf(os.Stderr, "usage: airvet [flags] packages...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	if *flagV != "" {
-		// cmd/go hashes this line into its action cache key; the third field
-		// must not be "devel" unless a buildID is appended.
-		fmt.Printf("airvet version 1\n")
-		return
-	}
 	analyzers := selected()
 	if *flagList {
 		for _, a := range analyzers {
@@ -68,9 +49,6 @@ func main() {
 	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheckerMain(args[0], analyzers))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -114,25 +92,4 @@ func selectAnalyzers(runFlag string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("unknown analyzer(s) in -run: %s", strings.Join(unknown, ", "))
 	}
 	return out, nil
-}
-
-// describeFlags answers `airvet -flags` with the JSON schema go vet uses to
-// mirror tool flags onto its own command line.
-func describeFlags() {
-	type flagDesc struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	descs := []flagDesc{
-		{Name: "run", Bool: false, Usage: "comma-separated analyzer names to run"},
-		{Name: "json", Bool: true, Usage: "emit diagnostics as JSON"},
-	}
-	out, err := json.Marshal(descs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "airvet:", err)
-		os.Exit(2)
-	}
-	os.Stdout.Write(out)
-	fmt.Println()
 }

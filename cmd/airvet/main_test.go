@@ -1,9 +1,6 @@
 package main
 
 import (
-	"os"
-	"os/exec"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis/suite"
@@ -37,24 +34,5 @@ func TestUnknownAnalyzerRejected(t *testing.T) {
 	}
 	if len(as) != 2 {
 		t.Fatalf("selectAnalyzers: got %d analyzers, want 2", len(as))
-	}
-}
-
-// TestVettoolIntegration builds the airvet binary and drives it through
-// `go vet -vettool`, the unitchecker path: the packet codec must come back
-// clean through the real cmd/go protocol (vet.cfg, export data, -V=full).
-func TestVettoolIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skipping go vet -vettool integration build")
-	}
-	bin := filepath.Join(t.TempDir(), "airvet")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building airvet: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "../../internal/packet")
-	vet.Env = os.Environ()
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool over internal/packet: %v\n%s", err, out)
 	}
 }

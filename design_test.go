@@ -1,8 +1,11 @@
 package repro_test
 
 import (
+	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,6 +17,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/analysis/load"
 )
 
 // pkgDir is one directory of the module holding non-test Go code: its
@@ -76,11 +80,6 @@ func modulePackages(t *testing.T) map[string]pkgDir {
 // listed below with its reason; an entry that is reachable, or names no
 // package, fails too, so the list cannot outlive its reasons.
 func TestEveryInternalPackageIsReachable(t *testing.T) {
-	testSupport := map[string]string{
-		"internal/conformance":           "shared correctness harness; imported from _test.go files only",
-		"internal/analysis/analysistest": "analyzer fixture runner; imported from _test.go files only",
-	}
-
 	pkgs := modulePackages(t)
 	reached := map[string]bool{}
 	var queue []string
@@ -119,6 +118,165 @@ func TestEveryInternalPackageIsReachable(t *testing.T) {
 			t.Errorf("exception %s (%s) is stale: non-test code reaches it", dir, reason)
 		}
 	}
+}
+
+// testSupport names the internal/ packages that only tests import, with the
+// reason each is kept.
+var testSupport = map[string]string{
+	"internal/conformance":           "shared correctness harness; imported from _test.go files only",
+	"internal/analysis/analysistest": "analyzer fixture runner; imported from _test.go files only",
+}
+
+// TestEveryDeclarationHasANonTestUse is TestEveryInternalPackageIsReachable
+// one level down: every package-level func, type, var and const declared in
+// non-test code under internal/ is used by non-test code somewhere in the
+// tree (bench/ included; its own package counts). Methods and struct fields
+// are not checked, nor the members of an iota const block (their values are
+// a format), package main, or the test-support packages. A declaration only
+// tests use is listed below with its reason; an entry that is used, or names
+// nothing, fails too.
+func TestEveryDeclarationHasANonTestUse(t *testing.T) {
+	exceptions := map[string]string{
+		"core.NewEB":                "test constructor: builds the EB server from a bare graph for ten packages' tests and bench/'s",
+		"core.NewNR":                "test constructor: builds the NR server from a bare graph for ten packages' tests and bench/'s",
+		"metrics.SameBucket":        "fleet's merge tests compare folded histogram tails bucket by bucket",
+		"servercache.DisableDisk":   "test hook: tears down the disk tier a test enabled",
+		"servercache.Len":           "test hook: counts the in-memory entries",
+		"update.NewReplay":          "the offline oracle the update conformance fuzzers compare the live manager against",
+		"baseline/djair.WriteCycle": "the streamed DJ build CI's scale job (internal/scale's TestContinentScale) writes to disk",
+	}
+
+	unused, declared := unusedDeclarations(t)
+	for _, msg := range checkDeclarations(unused, declared, exceptions) {
+		t.Error(msg)
+	}
+
+	t.Run("stale exception", func(t *testing.T) {
+		stale := map[string]string{"core.Options": "used by every build"}
+		for name, reason := range exceptions {
+			stale[name] = reason
+		}
+		if msgs := checkDeclarations(unused, declared, stale); len(msgs) == 0 {
+			t.Error("an exception for a used declaration passed")
+		}
+	})
+}
+
+// checkDeclarations reports the unused declarations that have no exception,
+// and the exceptions that name a used declaration or none at all.
+func checkDeclarations(unused []string, declared map[string]bool, exceptions map[string]string) []string {
+	var msgs []string
+	var missing []string
+	for _, name := range unused {
+		if exceptions[name] == "" {
+			missing = append(missing, name)
+		}
+	}
+	if len(missing) > 0 {
+		msgs = append(msgs, fmt.Sprintf("%d declarations under internal/ have no non-test use (delete them, or give them a caller):\n  %s",
+			len(missing), strings.Join(missing, "\n  ")))
+	}
+	for name, reason := range exceptions {
+		if !declared[name] {
+			msgs = append(msgs, fmt.Sprintf("exception %s (%s) names no package-level declaration", name, reason))
+		} else if !slices.Contains(unused, name) {
+			msgs = append(msgs, fmt.Sprintf("exception %s (%s) is stale: non-test code uses it", name, reason))
+		}
+	}
+	sort.Strings(msgs)
+	return msgs
+}
+
+// unusedDeclarations loads and typechecks every package of the tree without
+// its tests and returns the checked declarations no non-test code uses, as
+// sorted "pkg.Name" strings (pkg is the directory under internal/), and the
+// set of every checked declaration.
+func unusedDeclarations(t *testing.T) (unused []string, declared map[string]bool) {
+	t.Helper()
+	l, err := load.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := load.Expand(".", []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[types.Object]bool{}
+	var pkgs []*load.Package
+	for _, dir := range dirs {
+		pkg, err := l.Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkg.TypeErrors) > 0 {
+			t.Fatalf("%s: %v", pkg.Path, pkg.TypeErrors[0])
+		}
+		for _, obj := range pkg.Info.Uses {
+			used[obj] = true
+		}
+		pkgs = append(pkgs, pkg)
+	}
+
+	declared = map[string]bool{}
+	for _, pkg := range pkgs {
+		dir, ok := strings.CutPrefix(pkg.Path, "repro/internal/")
+		if !ok || pkg.Types.Name() == "main" || testSupport["internal/"+dir] != "" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				for _, id := range checkedNames(decl) {
+					if id.Name == "_" || id.Name == "init" {
+						continue
+					}
+					name := dir + "." + id.Name
+					declared[name] = true
+					if !used[pkg.Info.Defs[id]] {
+						unused = append(unused, name)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(unused)
+	return unused, declared
+}
+
+// checkedNames returns the names a top-level declaration declares, less
+// methods and the members of a const block that uses iota.
+func checkedNames(decl ast.Decl) []*ast.Ident {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			return []*ast.Ident{d.Name}
+		}
+	case *ast.GenDecl:
+		if d.Tok == token.CONST && usesIota(d) {
+			return nil
+		}
+		var ids []*ast.Ident
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				ids = append(ids, s.Name)
+			case *ast.ValueSpec:
+				ids = append(ids, s.Names...)
+			}
+		}
+		return ids
+	}
+	return nil
+}
+
+func usesIota(d *ast.GenDecl) bool {
+	found := false
+	ast.Inspect(d, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == "iota" {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // TestDesignLayeringIsThePackageList holds DESIGN.md §1's layering block to
@@ -161,6 +319,48 @@ func TestDesignLayeringIsThePackageList(t *testing.T) {
 	missing := slices.DeleteFunc(internal, func(pkg string) bool { return covered[pkg] })
 	if len(missing) > 0 {
 		t.Errorf("%d internal/ packages have no row in DESIGN.md §1:\n  %s", len(missing), strings.Join(missing, "\n  "))
+	}
+}
+
+// TestReadmeCommandsAreTheBinaries holds README's Commands table to cmd/:
+// every directory under cmd/ has exactly one row, and every row names one.
+func TestReadmeCommandsAreTheBinaries(t *testing.T) {
+	doc, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "\n## Commands\n\n| command | purpose |\n|---|---|\n")
+	if !ok {
+		t.Fatal("README.md has no Commands table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+
+	rows := map[string]int{}
+	cell := regexp.MustCompile("^\\| `(cmd/[^`]*)` *\\|")
+	for _, line := range strings.Split(table, "\n") {
+		m := cell.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("Commands row does not name a cmd/ directory: %q", line)
+			continue
+		}
+		rows[m[1]]++
+	}
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		dir := "cmd/" + e.Name()
+		if rows[dir] != 1 {
+			t.Errorf("%s has %d rows in README's Commands table, want 1", dir, rows[dir])
+		}
+		delete(rows, dir)
+	}
+	for dir := range rows {
+		t.Errorf("README's Commands table names %s, which is not a directory under cmd/", dir)
 	}
 }
 

@@ -261,43 +261,6 @@ func ExampleDeployment_RunFleet_channels() {
 	// answered 64 of 64 over 4 channels, 0 errors
 }
 
-// ExampleSession_Range is the spatial shape: the cycle carries
-// POI-flagged nodes and a session asks for every point of interest within
-// a network-distance radius, without any uplink.
-func ExampleSession_Range() {
-	g, err := repro.Generate(400, 520, 12)
-	if err != nil {
-		log.Fatal(err)
-	}
-	poi := make([]bool, g.NumNodes())
-	for i := 0; i < len(poi); i += 9 { // every ninth node is a point of interest
-		poi[i] = true
-	}
-	d, err := repro.Deploy(g, repro.WithPOI(poi), repro.WithParams(repro.Params{Regions: 8}))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer d.Close()
-
-	ctx := context.Background()
-	s, err := d.Session(ctx, repro.SessionOptions{TuneIn: 42})
-	if err != nil {
-		log.Fatal(err)
-	}
-	within, _, err := s.Range(ctx, 200, 2000)
-	if err != nil {
-		log.Fatal(err)
-	}
-	nearest, _, err := s.KNN(ctx, 200, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%d POIs within 2000, nearest 3 at %.0f/%.0f/%.0f\n",
-		len(within), nearest[0].Dist, nearest[1].Dist, nearest[2].Dist)
-	// Output:
-	// 4 POIs within 2000, nearest 3 at 1371/1546/1773
-}
-
 // ExampleDeployment_RunFleet_churn is the dynamic shape: a synthetic
 // traffic feed mutates arc weights during the run, the station swaps to
 // each rebuilt cycle version on the air, and clients that straddle a swap

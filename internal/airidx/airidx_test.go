@@ -21,7 +21,7 @@ func TestPackIndexMetaInEveryPacket(t *testing.T) {
 		if p.Kind != packet.KindIndex {
 			t.Fatalf("packet %d kind %v", seq, p.Kind)
 		}
-		first, ok := packet.First(p.Payload)
+		first, ok := firstRecord(p.Payload)
 		if !ok || first.Tag != packet.TagMeta {
 			t.Fatalf("packet %d does not start with meta", seq)
 		}
@@ -37,7 +37,7 @@ func TestPackIndexMetaInEveryPacket(t *testing.T) {
 
 func TestPackIndexLocalRegion(t *testing.T) {
 	pkts := PackIndex(nil, 10, 4, 3)
-	first, _ := packet.First(pkts[0].Payload)
+	first, _ := firstRecord(pkts[0].Payload)
 	m, ok := DecodeMeta(first.Data)
 	if !ok || m.Region != 3 {
 		t.Fatalf("meta %+v", m)
@@ -228,4 +228,13 @@ func TestNRRowsLostCellsAreMinusOne(t *testing.T) {
 	if acc.Cell(3, 4) != -1 {
 		t.Fatal("unknown cell should be -1")
 	}
+}
+
+// firstRecord returns the first record of a packet payload, and whether
+// the payload holds any record at all.
+func firstRecord(payload []byte) (packet.Record, bool) {
+	for r := range packet.All(payload) {
+		return r, true
+	}
+	return packet.Record{}, false
 }

@@ -7,8 +7,7 @@
 // shape closely enough that the analyzers in passes/* would compile against
 // the upstream types with only an import swap. The drivers live next door:
 // load.go resolves and typechecks packages with the standard library's
-// source importer, and cmd/airvet runs the suite standalone or under
-// `go vet -vettool` (the unitchecker .cfg protocol).
+// source importer, and cmd/airvet runs the suite over them.
 package analysis
 
 import (

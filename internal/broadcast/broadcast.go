@@ -135,29 +135,49 @@ func (a *Assembler) Finish() *Cycle {
 	if n == 0 {
 		return c
 	}
-	// Starts of index sections (copy boundaries).
+	if starts := indexStarts(c.Sections); len(starts) > 0 {
+		ptr := pointers{starts: starts, n: n}
+		for i := range c.Packets {
+			c.Packets[i].NextIndex = ptr.at(i)
+		}
+	}
+	return c
+}
+
+// indexStarts returns the start positions of the KindIndex sections (the
+// index copy boundaries), in section order.
+func indexStarts(secs []Section) []int {
 	var starts []int
-	for _, s := range c.Sections {
+	for _, s := range secs {
 		if s.Kind == packet.KindIndex {
 			starts = append(starts, s.Start)
 		}
 	}
-	if len(starts) > 0 {
-		j := 0 // first section start > current scan point
-		for i := range c.Packets {
-			for j < len(starts) && starts[j] <= i {
-				j++
-			}
-			var next int
-			if j < len(starts) {
-				next = starts[j]
-			} else {
-				next = starts[0] + n // wrap to the first copy of the next cycle
-			}
-			c.Packets[i].NextIndex = uint32(next - i)
-		}
+	return starts
+}
+
+// pointers derives next-index pointers for the positions of a cycle of n
+// packets whose index sections start at starts (ascending), visited in
+// ascending order: the distance to the first start strictly after the
+// position, wrapping to the first copy of the next cycle; zero when the
+// cycle has no index sections.
+type pointers struct {
+	starts []int
+	n      int
+	j      int // starts at or before the last position visited
+}
+
+func (p *pointers) at(i int) uint32 {
+	if len(p.starts) == 0 {
+		return 0
 	}
-	return c
+	for p.j < len(p.starts) && p.starts[p.j] <= i {
+		p.j++
+	}
+	if p.j < len(p.starts) {
+		return uint32(p.starts[p.j] - i)
+	}
+	return uint32(p.starts[0] + p.n - i)
 }
 
 // OptimalM computes the (1,m) replication factor of [6]:

@@ -56,6 +56,7 @@ type CycleWriter struct {
 	w       *countingWriter
 	total   int
 	starts  []int // declared index starts, ascending
+	ptr     pointers
 	version uint32
 
 	pos      int // packets written
@@ -101,6 +102,7 @@ func NewCycleWriter(w io.Writer, total int, indexStarts []int, version uint32) (
 		starts:  append([]int(nil), indexStarts...),
 		version: version,
 	}
+	cw.ptr = pointers{starts: cw.starts, n: total}
 	var hdr [cycleHeaderLen]byte
 	copy(hdr[0:4], cycleMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], cycleVersion1)
@@ -117,20 +119,6 @@ func NewCycleWriter(w io.Writer, total int, indexStarts []int, version uint32) (
 		cw.w.write(make([]byte, 4)) // realign to 8
 	}
 	return cw, cw.w.err
-}
-
-// nextIndexAt computes the next-index pointer for the packet at position i,
-// identical to Assembler.Finish over the declared layout.
-func (cw *CycleWriter) nextIndexAt(i int) uint32 {
-	if len(cw.starts) == 0 {
-		return 0
-	}
-	for _, s := range cw.starts {
-		if s > i {
-			return uint32(s - i)
-		}
-	}
-	return uint32(cw.starts[0] + cw.total - i)
 }
 
 // Append streams pkts as one complete section and returns its start
@@ -180,7 +168,7 @@ func (cw *CycleWriter) Emit(pkts []packet.Packet) error {
 		}
 		rec[0] = byte(p.Kind)
 		rec[1] = byte(len(p.Payload))
-		binary.LittleEndian.PutUint32(rec[4:8], cw.nextIndexAt(cw.pos))
+		binary.LittleEndian.PutUint32(rec[4:8], cw.ptr.at(cw.pos)) // as Assembler.Finish derives it
 		binary.LittleEndian.PutUint32(rec[8:12], cw.version)
 		copy(rec[packetRecFixed:], p.Payload)
 		cw.w.write(rec[:])
@@ -240,13 +228,7 @@ func (cw *CycleWriter) Close() error {
 // EncodeCycle writes an in-memory cycle in the streamed format: the
 // round-trip DecodeCycle(EncodeCycle(c)) reproduces c exactly.
 func EncodeCycle(w io.Writer, c *Cycle) error {
-	var starts []int
-	for _, s := range c.Sections {
-		if s.Kind == packet.KindIndex {
-			starts = append(starts, s.Start)
-		}
-	}
-	cw, err := NewCycleWriter(w, c.Len(), starts, c.Version)
+	cw, err := NewCycleWriter(w, c.Len(), indexStarts(c.Sections), c.Version)
 	if err != nil {
 		return err
 	}
@@ -262,8 +244,10 @@ func EncodeCycle(w io.Writer, c *Cycle) error {
 // payloads alias data — the caller keeps data alive and unmodified for the
 // cycle's lifetime (an mmap'd diskcache payload does both), and in
 // exchange a multi-gigabyte cycle decodes without copying its payload
-// bytes. Sections whose packets were appended out of start order are
-// rejected, as are truncated buffers and layout contradictions.
+// bytes. It accepts only what a CycleWriter can write: truncated buffers,
+// sections that do not tile the cycle in start order, declared index starts
+// other than the KindIndex sections' own, and packet headers whose version
+// or next-index pointer differ from what the writer derives are rejected.
 func DecodeCycle(data []byte) (*Cycle, error) {
 	if len(data) < cycleHeaderLen+cycleFooterLen {
 		return nil, fmt.Errorf("broadcast: cycle buffer shorter than header")
@@ -292,21 +276,7 @@ func DecodeCycle(data []byte) (*Cycle, error) {
 	}
 	nSections := int(binary.LittleEndian.Uint32(foot[0:4]))
 
-	c := &Cycle{Version: version, Packets: make([]packet.Packet, total)}
-	for i := 0; i < total; i++ {
-		rec := data[packetsAt+int64(i)*packetRecLen:]
-		payLen := int(rec[1])
-		if payLen > packet.PayloadSize {
-			return nil, fmt.Errorf("broadcast: packet %d payload length %d", i, payLen)
-		}
-		c.Packets[i] = packet.Packet{
-			Kind:      packet.Kind(rec[0]),
-			NextIndex: binary.LittleEndian.Uint32(rec[4:8]),
-			Version:   binary.LittleEndian.Uint32(rec[8:12]),
-			Payload:   rec[packetRecFixed : packetRecFixed+payLen : packetRecFixed+payLen],
-		}
-	}
-
+	c := &Cycle{Version: version}
 	at := sectionsAt
 	limit := int64(len(data)) - cycleFooterLen
 	pos := 0
@@ -338,6 +308,37 @@ func DecodeCycle(data []byte) (*Cycle, error) {
 	}
 	if pos != total {
 		return nil, fmt.Errorf("broadcast: sections cover %d of %d packets", pos, total)
+	}
+
+	starts := indexStarts(c.Sections)
+	if len(starts) != nIdx {
+		return nil, fmt.Errorf("broadcast: %d index sections, %d declared", len(starts), nIdx)
+	}
+	for k, st := range starts {
+		declared := int(binary.LittleEndian.Uint32(data[cycleHeaderLen+4*k:]))
+		if declared != st || st >= total || k > 0 && st <= starts[k-1] {
+			return nil, fmt.Errorf("broadcast: index section %d starts at %d, declared %d in a cycle of %d", k, st, declared, total)
+		}
+	}
+
+	ptr := pointers{starts: starts, n: total}
+	c.Packets = make([]packet.Packet, total)
+	for i := 0; i < total; i++ {
+		rec := data[packetsAt+int64(i)*packetRecLen:]
+		payLen := int(rec[1])
+		if payLen > packet.PayloadSize {
+			return nil, fmt.Errorf("broadcast: packet %d payload length %d", i, payLen)
+		}
+		p := packet.Packet{
+			Kind:      packet.Kind(rec[0]),
+			NextIndex: binary.LittleEndian.Uint32(rec[4:8]),
+			Version:   binary.LittleEndian.Uint32(rec[8:12]),
+			Payload:   rec[packetRecFixed : packetRecFixed+payLen : packetRecFixed+payLen],
+		}
+		if p.Version != version || p.NextIndex != ptr.at(i) {
+			return nil, fmt.Errorf("broadcast: packet %d header (version %d, next index %d) contradicts the cycle layout", i, p.Version, p.NextIndex)
+		}
+		c.Packets[i] = p
 	}
 	return c, nil
 }

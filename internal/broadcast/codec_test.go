@@ -10,7 +10,7 @@ import (
 
 // variedCycle assembles a cycle with index/data/aux sections whose payloads
 // carry distinct pseudo-random bytes, so byte-level round-trip bugs show.
-func variedCycle(t *testing.T, seed int64, sections ...int) *Cycle {
+func variedCycle(t testing.TB, seed int64, sections ...int) *Cycle {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	asm := NewAssembler()
@@ -207,12 +207,51 @@ func TestDecodeCycleRejectsCorruption(t *testing.T) {
 		d[cycleHeaderLen+8+1] = packet.PayloadSize + 1 // first record's payLen (one index start → 8 bytes padding)
 	})
 	damage("inflated packet count", func(d []byte) { d[12] = 0xFF; d[13] = 0xFF })
+	first := cycleHeaderLen + 8 // first packet record
+	damage("packet version off the header's", func(d []byte) { d[first+8] ^= 1 })
+	damage("next-index pointer off the layout", func(d []byte) { d[first+4] ^= 1 })
+	damage("declared index start off the section's", func(d []byte) { d[cycleHeaderLen] = 1 })
 	if _, err := DecodeCycle(base[:len(base)/2]); err == nil {
 		t.Error("truncated buffer accepted")
 	}
 	if _, err := DecodeCycle(base[:8]); err == nil {
 		t.Error("sub-header buffer accepted")
 	}
+}
+
+// FuzzDecodeCycle feeds DecodeCycle bytes it did not write: it never
+// panics, and a cycle it accepts re-encodes to bytes that decode to an
+// equal cycle — the decoder accepts only what the writer can produce.
+func FuzzDecodeCycle(f *testing.F) {
+	var buf bytes.Buffer
+	if err := EncodeCycle(&buf, variedCycle(f, 3, 2, 3, 1, 2, 3)); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:cycleHeaderLen+cycleFooterLen])
+	for _, field := range []int{8, 12, 16, len(valid) - cycleFooterLen} { // version, total, index starts, sections
+		flipped := append([]byte(nil), valid...)
+		flipped[field] ^= 0x01
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCycle(data)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := EncodeCycle(&again, c); err != nil {
+			t.Fatalf("re-encoding an accepted cycle: %v", err)
+		}
+		c2, err := DecodeCycle(again.Bytes())
+		if err != nil {
+			t.Fatalf("re-decoding an accepted cycle: %v", err)
+		}
+		equalCycles(t, c, c2)
+	})
 }
 
 // TestDecodeCycleAliasesBuffer documents the zero-copy contract: decoded

@@ -69,8 +69,6 @@ type Request struct {
 	Graph  *graph.Graph
 	Method Method
 	Params Params
-	// POI flags points of interest per node (EB's on-air spatial queries).
-	POI []bool
 	// Key, when non-nil, identifies the build in the shared servercache and
 	// on its disk tier (see Key). Nil builds cold and caches nothing.
 	Key *servercache.Key
@@ -81,8 +79,8 @@ type Request struct {
 	// partition and regions when Graph only re-weighs its arcs.
 	Prev scheme.Server
 
-	// opts, set by Reweigh, overrides Params and POI: a rebuild keeps the
-	// options of the server it rebuilds.
+	// opts, set by Reweigh, overrides Params: a rebuild keeps the options
+	// of the server it rebuilds.
 	opts *core.Options
 }
 
@@ -96,28 +94,14 @@ func (r *Request) coreOptions() core.Options {
 		Segments:    !r.Params.DisableSegments,
 		SquareCells: true,
 		MemoryBound: r.Params.MemoryBound,
-		POI:         r.POI,
 	}
 }
 
-// Key canonically names, for Request.Key, the build of (method, params, POI
-// mask) on the network called network (e.g. "germany/0.05/42"); whoever
-// chooses the name vouches that it identifies the graph.
-func Key(network string, m Method, p Params, poi []bool) *servercache.Key {
+// Key canonically names, for Request.Key, the build of (method, params) on
+// the network called network (e.g. "germany/0.05/42"); whoever chooses the
+// name vouches that it identifies the graph.
+func Key(network string, m Method, p Params) *servercache.Key {
 	params := fmt.Sprintf("%+v", p) // every field, also ones added later
-	if poi != nil {
-		// FNV-1a over the bits: two builds caching under one network name
-		// but different POI sets must not share a server.
-		h := uint64(1469598103934665603)
-		for _, b := range poi {
-			bit := uint64(0)
-			if b {
-				bit = 1
-			}
-			h = (h ^ bit) * 1099511628211
-		}
-		params += fmt.Sprintf(" poi=%016x", h)
-	}
 	return &servercache.Key{Network: network, Scheme: string(m), Params: params}
 }
 
@@ -210,7 +194,7 @@ func (r *Request) sharedParts(cycle *broadcast.Cycle) (scheme.Server, error) {
 // parts is the pre-computation EB and NR share (Table 3: "EB and NR have
 // the same cost as they need to pre-compute the exact same shortest
 // paths"). It depends on the network and the region count only — not on the
-// method, the segmentation, MemoryBound or the POI mask — so it is a cached
+// method, the segmentation or MemoryBound — so it is a cached
 // artifact of its own.
 type parts struct {
 	kd      *partition.KDTree

@@ -33,7 +33,7 @@ func TestConcurrentKeyedBuildsShareOneStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			m := []Method{EB, NR}[i%2]
-			srv, err := Server(Request{Graph: g, Method: m, Params: p, Key: Key("race/300/21", m, p, nil)})
+			srv, err := Server(Request{Graph: g, Method: m, Params: p, Key: Key("race/300/21", m, p)})
 			if err != nil {
 				t.Error(err)
 			}

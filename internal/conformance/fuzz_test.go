@@ -31,7 +31,7 @@ var errDisconnected = errors.New("generator produced a disconnected network")
 // the base build.
 func fuzzKey(m build.Method, nodes, edges int, genSeed int64, regionsPow int) (*servercache.Key, build.Params) {
 	p := build.Params{Regions: 4 << (uint(regionsPow) % 3), HiTiDepth: 2} // 4, 8, 16 regions
-	return build.Key(fmt.Sprintf("fuzz-n%d-e%d-s%d", nodes, edges, genSeed), m, p, nil), p
+	return build.Key(fmt.Sprintf("fuzz-n%d-e%d-s%d", nodes, edges, genSeed), m, p), p
 }
 
 // fuzzServer builds through the one production build path (internal/build),

@@ -33,10 +33,6 @@ type Options struct {
 	// min/max matrix, falling back to row-major runs; exists for the
 	// loss-resilience ablation.
 	SquareCells bool
-	// POI marks points of interest (per node) for the on-air spatial query
-	// extension (range and kNN over the road network, the paper's stated
-	// future work). Nil when the cycle serves shortest-path queries only.
-	POI []bool
 }
 
 // DefaultOptions mirror the paper's defaults for the Germany network.
@@ -80,64 +76,43 @@ func newEB(b base) *EB {
 // Regions encode independently, so the work fans across GOMAXPROCS workers;
 // the per-region outputs (and therefore the assembled cycle) are
 // byte-identical to a serial encode.
-func regionSegments(g *graph.Graph, regions *precompute.Regions, border *precompute.BorderData, segments bool, poi []bool) (cross, local [][]packet.Packet) {
+func regionSegments(g *graph.Graph, regions *precompute.Regions, border *precompute.BorderData, segments bool) (cross, local [][]packet.Packet) {
 	n := regions.N
 	cross = make([][]packet.Packet, n)
 	local = make([][]packet.Packet, n)
 	precompute.ParallelFor(n, func(r int) {
 		if segments {
 			ordered, nCross := precompute.SplitSegments(regions.Nodes[r], border.CrossBorder)
-			cross[r] = netdata.EncodeNodes(g, ordered[:nCross], regions.IsBorder, poi)
-			local[r] = netdata.EncodeNodes(g, ordered[nCross:], regions.IsBorder, poi)
+			cross[r] = netdata.EncodeNodes(g, ordered[:nCross], regions.IsBorder, nil)
+			local[r] = netdata.EncodeNodes(g, ordered[nCross:], regions.IsBorder, nil)
 		} else {
 			// Without segmentation everything is "cross": clients always
 			// listen to the whole region.
-			cross[r] = netdata.EncodeNodes(g, regions.Nodes[r], regions.IsBorder, poi)
+			cross[r] = netdata.EncodeNodes(g, regions.Nodes[r], regions.IsBorder, nil)
 		}
 	})
 	return cross, local
 }
 
-// ebItem is one entry of an EB cycle layout: an index copy or a region's
-// data (cross segment, then local segment).
-type ebItem struct {
-	index  bool
-	region int
-}
-
-// ebPlan is the fully determined layout of an EB cycle, computed from
-// per-region packet counts alone: emitters walk it in order, so packets
-// never need to exist before their turn. Both the in-memory assemble and
-// the streamed out-of-core build run the same plan, which is what makes
-// them bit-identical.
-type ebPlan struct {
-	layout    []ebItem
-	idx       []packet.Packet // one materialized index copy (always small)
-	offs      []airidx.RegionOffset
-	idxStarts []int // cycle positions of the index copies, ascending
-	total     int   // total cycle length in packets
-}
-
-// planEB computes the EB cycle layout for per-region cross/local packet
-// counts: the (1,m)-interleaving, the final region offsets, and the index
-// copy itself.
-func planEB(g *graph.Graph, kd *partition.KDTree, border *precompute.BorderData, opts Options, crossN, localN []int) *ebPlan {
-	n := len(crossN)
+// assemble lays out the EB cycle: the (1,m)-interleaving of index copies
+// between region data segments, and the index carrying the final offsets.
+func (e *EB) assemble() *broadcast.Cycle {
+	n := e.regions.N
+	cross, local := regionSegments(e.g, e.regions, e.border, e.opts.Segments)
 	totalData := 0
 	for r := 0; r < n; r++ {
-		totalData += crossN[r] + localN[r]
+		totalData += len(cross[r]) + len(local[r])
 	}
-
 	cellW := 3
-	if !opts.SquareCells {
+	if !e.opts.SquareCells {
 		cellW = 1 // degenerate blocks: row-major runs of single cells
 	}
 	buildIndex := func(offs []airidx.RegionOffset) []packet.Packet {
 		var recs []airidx.Rec
-		recs = append(recs, airidx.KDSplitRecords(kd.Splits())...)
-		recs = append(recs, airidx.EBCellRecords(border.MinDist, border.MaxDist, cellW)...)
+		recs = append(recs, airidx.KDSplitRecords(e.kd.Splits())...)
+		recs = append(recs, airidx.EBCellRecords(e.border.MinDist, e.border.MaxDist, cellW)...)
 		recs = append(recs, airidx.OffsetRecords(offs, false)...)
-		return airidx.PackIndex(recs, g.NumNodes(), n, airidx.GlobalRegion)
+		return airidx.PackIndex(recs, e.g.NumNodes(), n, airidx.GlobalRegion)
 	}
 
 	// Pass 1: index size with placeholder offsets (fixed-width fields, so
@@ -146,68 +121,49 @@ func planEB(g *graph.Graph, kd *partition.KDTree, border *precompute.BorderData,
 	m := broadcast.OptimalM(totalData, nIdx)
 
 	// Layout: m index copies forced between regions (never cutting a
-	// region's data), at approximately even data intervals.
-	var layout []ebItem
+	// region's data), at approximately even data intervals; -1 is an index
+	// copy, anything else a region.
+	var layout []int
 	emitted := 0
 	copies := 0
 	for r := 0; r < n; r++ {
 		if copies < m && emitted*m >= copies*totalData {
-			layout = append(layout, ebItem{index: true})
+			layout = append(layout, -1)
 			copies++
 		}
-		layout = append(layout, ebItem{region: r})
-		emitted += crossN[r] + localN[r]
+		layout = append(layout, r)
+		emitted += len(cross[r]) + len(local[r])
 	}
 	for copies < m {
-		layout = append(layout, ebItem{index: true})
+		layout = append(layout, -1)
 		copies++
 	}
 
 	// Compute final positions.
 	offs := make([]airidx.RegionOffset, n)
-	var idxStarts []int
 	pos := 0
-	for _, it := range layout {
-		if it.index {
-			idxStarts = append(idxStarts, pos)
+	for _, r := range layout {
+		if r < 0 {
 			pos += nIdx
 			continue
 		}
-		r := it.region
-		offs[r] = airidx.RegionOffset{
-			DataStart: pos,
-			NCross:    crossN[r],
-			NLocal:    localN[r],
-		}
-		pos += crossN[r] + localN[r]
+		offs[r] = airidx.RegionOffset{DataStart: pos, NCross: len(cross[r]), NLocal: len(local[r])}
+		pos += len(cross[r]) + len(local[r])
 	}
-
 	idx := buildIndex(offs)
 	if len(idx) != nIdx {
 		panic("core: EB index size changed between passes")
 	}
-	return &ebPlan{layout: layout, idx: idx, offs: offs, idxStarts: idxStarts, total: pos}
-}
-
-func (e *EB) assemble() *broadcast.Cycle {
-	n := e.regions.N
-	cross, local := regionSegments(e.g, e.regions, e.border, e.opts.Segments, e.opts.POI)
-	crossN := make([]int, n)
-	localN := make([]int, n)
-	for r := 0; r < n; r++ {
-		crossN[r], localN[r] = len(cross[r]), len(local[r])
-	}
-	plan := planEB(e.g, e.kd, e.border, e.opts, crossN, localN)
 
 	asm := broadcast.NewAssembler()
-	for _, it := range plan.layout {
-		if it.index {
-			asm.Append(packet.KindIndex, -1, "EB index", plan.idx)
+	for _, r := range layout {
+		if r < 0 {
+			asm.Append(packet.KindIndex, -1, "EB index", idx)
 			continue
 		}
-		asm.Append(packet.KindData, it.region, fmt.Sprintf("R%d cross", it.region), cross[it.region])
-		if len(local[it.region]) > 0 {
-			asm.Append(packet.KindData, it.region, fmt.Sprintf("R%d local", it.region), local[it.region])
+		asm.Append(packet.KindData, r, fmt.Sprintf("R%d cross", r), cross[r])
+		if len(local[r]) > 0 {
+			asm.Append(packet.KindData, r, fmt.Sprintf("R%d local", r), local[r])
 		}
 	}
 	return asm.Finish()

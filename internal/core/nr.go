@@ -78,7 +78,7 @@ func nextNeeded(need precompute.RegionSet, m, n int) int {
 
 func (s *NR) assemble() *broadcast.Cycle {
 	n := s.regions.N
-	cross, local := regionSegments(s.g, s.regions, s.border, s.opts.Segments, s.opts.POI)
+	cross, local := regionSegments(s.g, s.regions, s.border, s.opts.Segments)
 	need := s.needSets()
 
 	buildLocalIndex := func(m int, offs []airidx.RegionOffset) []packet.Packet {

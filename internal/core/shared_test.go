@@ -38,47 +38,6 @@ func sameCycle(t *testing.T, want, got *broadcast.Cycle) {
 	}
 }
 
-// TestStreamEBCycleBitIdentical pins the out-of-core build's contract: the
-// streamed cycle file decodes to exactly the cycle the in-memory assembler
-// produces from the same pre-computed parts, across the segmentation and
-// square-cell options.
-func TestStreamEBCycleBitIdentical(t *testing.T) {
-	g, err := netgen.Generate(600, 700, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"default", Options{Regions: 8, Segments: true, SquareCells: true}},
-		{"no-segments", Options{Regions: 8, Segments: false, SquareCells: true}},
-		{"row-major-cells", Options{Regions: 4, Segments: true, SquareCells: false}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			kd, err := partition.NewKDTree(g, tc.opts.Regions)
-			if err != nil {
-				t.Fatal(err)
-			}
-			regions := precompute.BuildRegions(g, kd)
-			border := precompute.Compute(g, regions)
-
-			want := NewEBShared(g, kd, regions, border, tc.opts).Cycle()
-			want.SetVersion(3)
-
-			var buf bytes.Buffer
-			if err := StreamEBCycle(&buf, g, kd, regions, border, tc.opts, 3); err != nil {
-				t.Fatal(err)
-			}
-			got, err := broadcast.DecodeCycle(buf.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameCycle(t, want, got)
-		})
-	}
-}
-
 // TestNewSharedWrapsCycle: a server rebuilt around a decoded cycle answers
 // queries exactly like the server that assembled it.
 func TestNewSharedWrapsCycle(t *testing.T) {
@@ -96,7 +55,7 @@ func TestNewSharedWrapsCycle(t *testing.T) {
 	cold := NewEBShared(g, kd, regions, border, opts)
 
 	var buf bytes.Buffer
-	if err := StreamEBCycle(&buf, g, kd, regions, border, opts, 0); err != nil {
+	if err := broadcast.EncodeCycle(&buf, cold.Cycle()); err != nil {
 		t.Fatal(err)
 	}
 	cyc, err := broadcast.DecodeCycle(buf.Bytes())

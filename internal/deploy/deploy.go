@@ -2,15 +2,14 @@
 // Deployment/Session API: two nouns over every deployment shape.
 //
 //   - A Deployment is built once from a graph via functional options
-//     (method, channels, live station, loss, updates, POI, remote) and
+//     (method, channels, live station, loss, updates, remote) and
 //     composes the server build, the shared servercache, the update manager
 //     and exactly one transport (internal/transport) — the shape is chosen
 //     once, in Deploy, and everything after is a method call on it.
 //   - A Session is a client handle and the only owner of query semantics —
 //     budgets, context binding, swap re-entry, fresh-feed retry, degraded
 //     and refused classification — over whatever feed the transport hands
-//     it: Query, plus Range/KNN when POI-enabled, always returning the same
-//     Result and Metrics.
+//     it: Query, always returning the same Result and Metrics.
 //
 // Deployment.RunFleet points the one fleet runner (internal/fleet) at the
 // deployment: every worker drives a Session, so a fleet query is a session
@@ -25,7 +24,6 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/build"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/multichannel"
@@ -60,7 +58,6 @@ type Option func(*config)
 // config collects the options before validation.
 type config struct {
 	method    Method
-	methodSet bool
 	params    Params
 	channels  int
 	live      bool
@@ -68,7 +65,6 @@ type config struct {
 	loss      float64
 	lossSeed  int64
 	upd       *UpdateConfig
-	poi       []bool
 	cacheNet  string
 	diskDir   string
 	diskBytes int64
@@ -76,7 +72,7 @@ type config struct {
 }
 
 // WithMethod picks the air-index scheme (default NR).
-func WithMethod(m Method) Option { return func(c *config) { c.method = m; c.methodSet = true } }
+func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 
 // WithParams tunes the scheme server's build parameters.
 func WithParams(p Params) Option { return func(c *config) { c.params = p } }
@@ -116,11 +112,6 @@ func WithUpdates(cfg UpdateConfig) Option { return func(c *config) { c.upd = &cf
 // and WithChannels (the wire carries one static channel).
 func WithRemote(addr string) Option { return func(c *config) { c.remote = addr } }
 
-// WithPOI flags points of interest per node and equips sessions with
-// on-air spatial queries (Range, KNN) in network distance. The deployment
-// uses EB, whose inter-region distance bounds drive the spatial pruning.
-func WithPOI(poi []bool) Option { return func(c *config) { c.poi = poi } }
-
 // WithCache keys the server build in the shared servercache under the
 // given canonical network name (e.g. "germany/0.05/42"): deployments,
 // tests and fuzzers naming the same (network, method, params) share one
@@ -148,7 +139,6 @@ type Deployment struct {
 	g      *graph.Graph
 	method Method
 	srv    scheme.Server
-	eb     *core.EB // non-nil when POI-enabled (spatial sessions)
 
 	channels int
 	loss     float64
@@ -183,24 +173,12 @@ func Deploy(g *graph.Graph, opts ...Option) (*Deployment, error) {
 	if c.loss < 0 || c.loss >= 1 {
 		return nil, fmt.Errorf("repro: loss rate %v outside [0,1)", c.loss)
 	}
-	if c.poi != nil {
-		if c.methodSet && c.method != EB {
-			return nil, fmt.Errorf("repro: spatial queries (WithPOI) run on EB, not %s", c.method)
-		}
-		c.method = EB
-		if len(c.poi) != g.NumNodes() {
-			return nil, fmt.Errorf("repro: POI flags for %d nodes on a %d-node network", len(c.poi), g.NumNodes())
-		}
-	}
 	if c.upd != nil {
 		if !c.live {
 			return nil, fmt.Errorf("repro: WithUpdates needs a live deployment (WithLive): versions swap on the air")
 		}
 		if c.channels > 1 {
 			return nil, fmt.Errorf("repro: WithUpdates currently drives the single-channel station; drop WithChannels")
-		}
-		if c.poi != nil {
-			return nil, fmt.Errorf("repro: WithUpdates and WithPOI cannot combine yet (rebuilds drop the POI flags)")
 		}
 	}
 	if c.diskDir != "" {
@@ -230,16 +208,13 @@ func Deploy(g *graph.Graph, opts ...Option) (*Deployment, error) {
 		g: g, method: c.method, channels: c.channels, loss: c.loss, lossSeed: c.lossSeed,
 		live: c.live, remote: c.remote, cacheNet: c.cacheNet, upd: c.upd,
 	}
-	req := build.Request{Graph: g, Method: c.method, Params: c.params, POI: c.poi}
+	req := build.Request{Graph: g, Method: c.method, Params: c.params}
 	if c.cacheNet != "" {
-		req.Key = build.Key(c.cacheNet, c.method, c.params, c.poi)
+		req.Key = build.Key(c.cacheNet, c.method, c.params)
 	}
 	var err error
 	if d.srv, err = build.Server(req); err != nil {
 		return nil, err
-	}
-	if eb, ok := d.srv.(*core.EB); ok && c.poi != nil {
-		d.eb = eb
 	}
 	cycle := d.srv.Cycle()
 	if c.upd != nil {

@@ -262,51 +262,11 @@ func TestSessionQueryHonorsContext(t *testing.T) {
 	wantDist(t, g, 17, 342, res.Dist)
 }
 
-func TestSpatialSession(t *testing.T) {
-	g := testGraph(t, 400, 520, 12)
-	poi := make([]bool, g.NumNodes())
-	for i := 0; i < len(poi); i += 9 {
-		poi[i] = true
-	}
-	d, err := deploy.Deploy(g, deploy.WithPOI(poi), deploy.WithParams(deploy.Params{Regions: 8}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := d.Session(context.Background(), deploy.SessionOptions{TuneIn: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	within, m, err := sess.Range(context.Background(), 200, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TuningPackets <= 0 {
-		t.Errorf("range tuned %d packets", m.TuningPackets)
-	}
-	for _, r := range within {
-		if !poi[r.Node] {
-			t.Errorf("node %d in range result is not a POI", r.Node)
-		}
-		if r.Dist > 900 {
-			t.Errorf("node %d at %v outside radius", r.Node, r.Dist)
-		}
-	}
-	nearest, _, err := sess.KNN(context.Background(), 200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nearest) != 3 {
-		t.Fatalf("kNN returned %d POIs, want 3", len(nearest))
-	}
-}
-
 func TestDeployValidation(t *testing.T) {
 	g := testGraph(t, 250, 330, 2)
 	for name, opts := range map[string][]deploy.Option{
 		"updates offline":   {deploy.WithUpdates(deploy.UpdateConfig{})},
 		"updates sharded":   {deploy.WithUpdates(deploy.UpdateConfig{}), deploy.WithLive(station.Config{}), deploy.WithChannels(2)},
-		"poi non-EB":        {deploy.WithPOI(make([]bool, 250)), deploy.WithMethod(deploy.NR)},
-		"poi length":        {deploy.WithPOI(make([]bool, 3))},
 		"loss out of range": {deploy.WithLoss(1.5, 1)},
 		"channels negative": {deploy.WithChannels(-2)},
 		"unknown method":    {deploy.WithMethod("XX")},

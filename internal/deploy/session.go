@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"repro/internal/broadcast"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/station"
@@ -107,11 +105,11 @@ type SessionOptions struct {
 
 // Session is one client's handle on a deployment: a simulated mobile
 // device that keeps its scheme client (and its position, offline) across
-// queries. Query — and Range/KNN on a POI-enabled deployment — is the one
-// query path for every deployment shape: the session attaches through the
-// deployment's transport and owns everything above the feed — budgets,
-// context binding, swap re-entry, fresh-feed retry, outcome classification —
-// so it always returns the same Result and Metrics. A Session is not safe
+// queries. Query is the one query path for every deployment shape: the
+// session attaches through the deployment's transport and owns everything
+// above the feed — budgets, context binding, swap re-entry, fresh-feed
+// retry, outcome classification — so it always returns the same Result and
+// Metrics. A Session is not safe
 // for concurrent use; open one per goroutine (Sessions of one Deployment
 // share the air safely).
 type Session struct {
@@ -328,45 +326,3 @@ func (s *Session) queryOnce(ctx context.Context, q scheme.Query, spent int) (res
 // cycle swaps (always zero on a static deployment): the per-session view
 // of the churn accounting RunFleet aggregates.
 func (s *Session) Reentries() int { return s.reent }
-
-// Range returns every point of interest within network distance radius of
-// node from, sorted by distance — the on-air spatial path of a
-// POI-enabled deployment (WithPOI).
-func (s *Session) Range(ctx context.Context, from graph.NodeID, radius float64) (out []core.POIResult, m metrics.Query, err error) {
-	sc, err := s.spatial()
-	if err != nil {
-		return nil, m, err
-	}
-	t, att, err := s.attach(ctx)
-	if err != nil {
-		return nil, m, err
-	}
-	defer s.release(t, att)
-	defer broadcast.RecoverCancel(&err)
-	return sc.RangeOnAir(t, scheme.QueryFor(s.d.g, from, from), radius)
-}
-
-// KNN returns the k points of interest nearest to node from in network
-// distance.
-func (s *Session) KNN(ctx context.Context, from graph.NodeID, k int) (out []core.POIResult, m metrics.Query, err error) {
-	sc, err := s.spatial()
-	if err != nil {
-		return nil, m, err
-	}
-	t, att, err := s.attach(ctx)
-	if err != nil {
-		return nil, m, err
-	}
-	defer s.release(t, att)
-	defer broadcast.RecoverCancel(&err)
-	return sc.KNNOnAir(t, scheme.QueryFor(s.d.g, from, from), k)
-}
-
-// spatial returns a fresh spatial client (they are cheap and carry no
-// cross-query state, like the scheme clients' contract).
-func (s *Session) spatial() (*core.SpatialClient, error) {
-	if s.d.eb == nil {
-		return nil, fmt.Errorf("repro: deployment has no points of interest (WithPOI) — spatial queries need an EB cycle carrying POI flags")
-	}
-	return s.d.eb.NewSpatialClient(), nil
-}

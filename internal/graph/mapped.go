@@ -56,17 +56,6 @@ const nodeRecBytes = 24
 // pad8 rounds n up to a multiple of 8.
 func pad8(n int64) int64 { return (n + 7) &^ 7 }
 
-// MappedBytes returns the exact size WriteMapped produces for g: callers
-// sizing a cache budget or preallocating a buffer.
-func MappedBytes(g *Graph) int64 {
-	n, m := int64(g.NumNodes()), int64(g.NumArcs())
-	return mappedHeader +
-		n*nodeRecBytes +
-		2*pad8((n+1)*4) + // off, roff
-		2*pad8(m*4) + // dst, rdst
-		2*m*8 // wgt, rwgt
-}
-
 // WriteMapped writes g in the mapped CSR format. The output streams — peak
 // extra memory is one bufio buffer regardless of graph size.
 func WriteMapped(w io.Writer, g *Graph) error {

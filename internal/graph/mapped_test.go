@@ -71,8 +71,8 @@ func TestMappedRoundTrip(t *testing.T) {
 			if err := WriteMapped(&buf, g); err != nil {
 				t.Fatal(err)
 			}
-			if int64(buf.Len()) != MappedBytes(g) {
-				t.Fatalf("MappedBytes = %d, wrote %d", MappedBytes(g), buf.Len())
+			if int64(buf.Len()) != mappedBytes(g) {
+				t.Fatalf("layout size %d, wrote %d", mappedBytes(g), buf.Len())
 			}
 
 			// Aligned buffer: may alias.
@@ -227,4 +227,15 @@ func TestMappedReadZeroAlloc(t *testing.T) {
 		t.Errorf("mapped read path allocates %v per run, want 0", n)
 	}
 	_ = sink
+}
+
+// mappedBytes is the size WriteMapped must produce for g, from the format's
+// layout.
+func mappedBytes(g *Graph) int64 {
+	n, m := int64(g.NumNodes()), int64(g.NumArcs())
+	return mappedHeader +
+		n*nodeRecBytes +
+		2*pad8((n+1)*4) + // off, roff
+		2*pad8(m*4) + // dst, rdst
+		2*m*8 // wgt, rwgt
 }

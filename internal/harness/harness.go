@@ -105,7 +105,7 @@ func (c Config) heapBudget() float64 {
 func (c Config) server(g *graph.Graph, preset string, m build.Method, p build.Params, prev scheme.Server) (scheme.Server, error) {
 	r := build.Request{Graph: g, Method: m, Params: p, Prev: prev}
 	if !c.NoCache {
-		r.Key = build.Key(c.netKey(preset), m, p, nil)
+		r.Key = build.Key(c.netKey(preset), m, p)
 	}
 	return build.Server(r)
 }

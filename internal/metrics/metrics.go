@@ -75,12 +75,6 @@ const (
 	VecEntryBytes  = 4  // per-landmark float in a distance vector
 )
 
-// GraphBytes estimates the footprint of holding nodes and arcs of network
-// data in client memory.
-func GraphBytes(nodes, arcs int) int {
-	return nodes*NodeRecBytes + arcs*ArcRecBytes
-}
-
 // Query aggregates the per-query performance factors of Section 3.1.
 type Query struct {
 	TuningPackets  int           // packets received (energy proxy)

@@ -162,12 +162,6 @@ func TestSeriesMerge(t *testing.T) {
 	}
 }
 
-func TestGraphBytes(t *testing.T) {
-	if GraphBytes(10, 20) != 10*NodeRecBytes+20*ArcRecBytes {
-		t.Error("GraphBytes formula drifted")
-	}
-}
-
 // TestSeriesEmpty pins the zero-sample contract every fleet summary relies
 // on when a run completes no queries: means, percentiles and quantiles are
 // all zero — never NaN, never a panic.

@@ -76,63 +76,6 @@ func TestPlanShardsVerbatim(t *testing.T) {
 	}
 }
 
-// TestAssignmentModes builds plans under every assignment mode: the
-// verbatim logical->physical mapping and on-air answers must hold
-// regardless of how regions map to channels (the modes trade latency, not
-// correctness).
-func TestAssignmentModes(t *testing.T) {
-	g := network(t, 240, 330, 9)
-	nr, err := core.NewNR(g, core.Options{Regions: 8, Segments: true, SquareCells: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cents := Centroids(g, nr.Regions().Assign, nr.Regions().N)
-	if len(cents) != 8 {
-		t.Fatalf("centroids for %d regions, want 8", len(cents))
-	}
-	for _, mode := range []AssignMode{AssignContiguous, AssignHilbert, AssignInterleaved} {
-		p, err := Build(nr.Cycle(), 4, PlanOptions{Mode: mode, Centroids: cents})
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		for pos := 0; pos < p.LogicalLen(); pos++ {
-			c, slot := p.Dir.Lookup(pos)
-			if !reflect.DeepEqual(p.Channels[c].Packets[slot], nr.Cycle().Packets[pos]) {
-				t.Fatalf("mode %d: logical %d mismapped", mode, pos)
-			}
-		}
-		air, err := NewAir(p, 0.05, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client := nr.NewClient()
-		rng := rand.New(rand.NewSource(int64(mode)))
-		for i := 0; i < 3; i++ {
-			s := graph.NodeID(rng.Intn(g.NumNodes()))
-			d := graph.NodeID(rng.Intn(g.NumNodes()))
-			tuner, _, err := air.Tuner(rng.Intn(p.LogicalLen()), RxOptions{Channel: i % 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := client.Query(tuner, scheme.QueryFor(g, s, d))
-			if err != nil {
-				t.Fatalf("mode %d: %v", mode, err)
-			}
-			want, _, _ := spath.PointToPoint(g, s, d)
-			if math.Abs(res.Dist-want) > 1e-3*(1+want) {
-				t.Errorf("mode %d: dist %v, want %v", mode, res.Dist, want)
-			}
-		}
-	}
-	// Missing or short centroids error cleanly rather than panicking.
-	if _, err := Build(nr.Cycle(), 4, PlanOptions{Mode: AssignHilbert}); err == nil {
-		t.Error("AssignHilbert without centroids did not error")
-	}
-	if _, err := Build(nr.Cycle(), 4, PlanOptions{Mode: AssignHilbert, Centroids: cents[:2]}); err == nil {
-		t.Error("AssignHilbert with short centroids did not error")
-	}
-}
-
 // TestDirectoryRoundTrip encodes each channel's directory copy and decodes
 // it through the client accumulator: the reassembled table must match.
 func TestDirectoryRoundTrip(t *testing.T) {

@@ -5,45 +5,13 @@ import (
 	"sort"
 
 	"repro/internal/broadcast"
-	"repro/internal/graph"
-	"repro/internal/hilbert"
 	"repro/internal/packet"
 )
 
-// AssignMode selects how regions map to channels.
-type AssignMode int
-
-const (
-	// AssignContiguous shards regions in id order (kd-tree leaf order,
-	// which is already spatially coherent) into K balanced contiguous runs.
-	// NR's next-region chase walks regions cyclically by id, so contiguous
-	// runs minimize channel crossings.
-	AssignContiguous AssignMode = iota
-	// AssignHilbert orders regions along a Hilbert curve over their
-	// centroids before cutting the K runs, clustering spatially adjacent
-	// regions — the ellipse of regions an EB query prunes to — onto the
-	// same channel. Requires PlanOptions.Centroids.
-	AssignHilbert
-	// AssignInterleaved deals regions round-robin: region order position i
-	// goes to channel i mod K. Kept for comparison; measured clearly worse
-	// than AssignContiguous (DESIGN.md §4): dealing keeps every channel
-	// phase-aligned over the region id space, so the next region in id
-	// order has always just passed and each step of a sequential chase
-	// waits nearly a full channel cycle.
-	AssignInterleaved
-)
-
-// PlanOptions tune Build. The zero value is contiguous assignment with an
-// auto-sized directory replication.
-type PlanOptions struct {
-	Mode AssignMode
-	// Centroids holds one (x, y) per region id (indexed by the Section
-	// Region field); required for AssignHilbert.
-	Centroids [][2]float64
-	// DirCopies is the directory copies per channel (0 = auto, capped at
-	// maxDirCopies). More copies shorten a cold radio's bootstrap scan.
-	DirCopies int
-}
+// PlanOptions is Build's option set. It has no fields: regions always
+// shard into contiguous runs and the directory replication is sized from
+// the channel load. It is kept because callers pass its zero value.
+type PlanOptions struct{}
 
 // Plan is one logical cycle sharded across K channel cycles, plus the
 // directory that lets a radio translate between the two. Channel packets
@@ -74,7 +42,7 @@ func chanSeed(seed int64, c int) uint64 {
 // copies round-robin across channels, and unregioned sections go to the
 // least-loaded channel. Each channel cycle carries its own directory
 // copies; everything else is the logical packets verbatim.
-func Build(c *broadcast.Cycle, k int, opts PlanOptions) (*Plan, error) {
+func Build(c *broadcast.Cycle, k int, _ PlanOptions) (*Plan, error) {
 	if c.Len() == 0 {
 		return nil, fmt.Errorf("multichannel: empty cycle")
 	}
@@ -119,11 +87,6 @@ func Build(c *broadcast.Cycle, k int, opts PlanOptions) (*Plan, error) {
 		regions = append(regions, r)
 	}
 	sort.Ints(regions)
-	if opts.Mode == AssignHilbert {
-		if err := hilbertOrder(regions, opts.Centroids); err != nil {
-			return nil, err
-		}
-	}
 	weight := func(r int) int {
 		w := 0
 		for _, i := range regionSecs[r] {
@@ -132,19 +95,13 @@ func Build(c *broadcast.Cycle, k int, opts PlanOptions) (*Plan, error) {
 		return w
 	}
 
-	// Assign: regions to channels per the mode, then floaters to the
-	// least-loaded channel, then index copies round-robin.
+	// Assign: regions to channels as K balanced runs in id order (kd-tree
+	// leaf order, already spatially coherent; NR's next-region chase walks
+	// regions cyclically by id, so contiguous runs minimize channel
+	// crossings), then floaters to the least-loaded channel, then index
+	// copies round-robin.
 	load := make([]int, k)
-	var runs [][]int
-	if opts.Mode == AssignInterleaved {
-		runs = make([][]int, k)
-		for i, r := range regions {
-			runs[i%k] = append(runs[i%k], r)
-		}
-	} else {
-		runs = splitBalanced(regions, weight, k)
-	}
-	for ch, run := range runs {
+	for ch, run := range splitBalanced(regions, weight, k) {
 		for _, r := range run {
 			for _, i := range regionSecs[r] {
 				chanOf[i] = ch
@@ -172,15 +129,12 @@ func Build(c *broadcast.Cycle, k int, opts PlanOptions) (*Plan, error) {
 	// packet count. Fixed-width fields make the size a function of the
 	// entry count alone, so iterate: lay out with a guess, re-derive, and
 	// repeat until stable (two rounds in practice).
-	copies := opts.DirCopies
-	if copies <= 0 {
-		maxLoad := 0
-		for _, l := range load {
-			maxLoad = max(maxLoad, l)
-		}
-		copies = min(1+maxLoad/1500, maxDirCopies)
+	// More directory copies shorten a cold radio's bootstrap scan.
+	maxLoad := 0
+	for _, l := range load {
+		maxLoad = max(maxLoad, l)
 	}
-	copies = min(max(copies, 1), maxDirCopies)
+	copies := min(1+maxLoad/1500, maxDirCopies)
 
 	dirPackets := 1
 	var d *Directory
@@ -332,60 +286,4 @@ func splitBalanced(ids []int, weight func(int) int, k int) [][]int {
 		total -= acc
 	}
 	return runs
-}
-
-// Centroids computes per-region node-coordinate centroids from a region
-// assignment (partition.Assign's output): the input AssignHilbert needs.
-func Centroids(g *graph.Graph, assign []int, regions int) [][2]float64 {
-	sum := make([][2]float64, regions)
-	cnt := make([]int, regions)
-	for i, nd := range g.Nodes() {
-		r := assign[i]
-		sum[r][0] += nd.X
-		sum[r][1] += nd.Y
-		cnt[r]++
-	}
-	for r := range sum {
-		if cnt[r] > 0 {
-			sum[r][0] /= float64(cnt[r])
-			sum[r][1] /= float64(cnt[r])
-		}
-	}
-	return sum
-}
-
-// hilbertOrder sorts region ids by the Hilbert curve position of their
-// centroids (quantized to a 1024x1024 grid over the bounding box).
-func hilbertOrder(regions []int, centroids [][2]float64) error {
-	if len(regions) == 0 {
-		return nil
-	}
-	for _, r := range regions {
-		if r >= len(centroids) {
-			return fmt.Errorf("multichannel: AssignHilbert requires PlanOptions.Centroids covering region %d (have %d)", r, len(centroids))
-		}
-	}
-	const order = 10
-	minX, minY := centroids[regions[0]][0], centroids[regions[0]][1]
-	maxX, maxY := minX, minY
-	for _, r := range regions {
-		c := centroids[r]
-		minX, maxX = min(minX, c[0]), max(maxX, c[0])
-		minY, maxY = min(minY, c[1]), max(maxY, c[1])
-	}
-	spanX, spanY := maxX-minX, maxY-minY
-	if spanX == 0 {
-		spanX = 1
-	}
-	if spanY == 0 {
-		spanY = 1
-	}
-	key := func(r int) uint64 {
-		c := centroids[r]
-		x := uint32((c[0] - minX) / spanX * (1<<order - 1))
-		y := uint32((c[1] - minY) / spanY * (1<<order - 1))
-		return hilbert.Encode(order, x, y)
-	}
-	sort.Slice(regions, func(i, j int) bool { return key(regions[i]) < key(regions[j]) })
-	return nil
 }

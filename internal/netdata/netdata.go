@@ -38,10 +38,10 @@ const (
 
 // AppendNode writes node v of g as one or more TagNode records. border
 // marks v as a region border node (clients need the distinction for the
-// super-edge contraction of Section 6.1); poi marks v as a point of
-// interest for the on-air spatial query extension. The sink is a
-// packet.Writer when encoding for real and a packet.Counter during the
-// layout pass of a streamed build.
+// super-edge contraction of Section 6.1); poi sets the record's
+// point-of-interest flag, a bit of the format no client in this tree
+// reads. The sink is a packet.Writer when encoding for real and a
+// packet.Counter during the layout pass of a streamed build.
 func AppendNode(w packet.Sink, g *graph.Graph, v graph.NodeID, border, poi bool) {
 	nd := g.Node(v)
 	dst, wgt := g.Out(v)
@@ -123,39 +123,6 @@ func StreamNodes(g *graph.Graph, nodes []graph.NodeID, isBorder, isPOI []bool, b
 	return nil
 }
 
-// NodeRecord is a decoded TagNode record (possibly a continuation chunk of
-// a larger adjacency list).
-type NodeRecord struct {
-	ID     graph.NodeID
-	X, Y   float64
-	Border bool
-	POI    bool
-	Arcs   []graph.Arc
-}
-
-// DecodeNode parses a TagNode record payload. The boolean reports whether
-// the record was well-formed.
-func DecodeNode(data []byte) (NodeRecord, bool) {
-	d := packet.NewDec(data)
-	var r NodeRecord
-	r.ID = graph.NodeID(d.U32())
-	r.X = d.F32()
-	r.Y = d.F32()
-	flags := d.U8()
-	r.Border = flags&flagBorder != 0
-	r.POI = flags&flagPOI != 0
-	cnt := int(d.U8())
-	for i := 0; i < cnt; i++ {
-		to := graph.NodeID(d.U32())
-		w := d.F32()
-		r.Arcs = append(r.Arcs, graph.Arc{To: to, Weight: w})
-	}
-	if d.Err() {
-		return NodeRecord{}, false
-	}
-	return r, true
-}
-
 // Collector accumulates decoded node records into a client-side partial
 // network with duplicate suppression at packet granularity: re-processing
 // a packet at the same cycle position (e.g. when a region is received again
@@ -175,7 +142,6 @@ type Collector struct {
 	Trace *obs.Trace
 
 	border flagSet // by node ID
-	poi    flagSet // by node ID
 	seen   flagSet // by cycle position
 
 	arcScratch [maxArcsPerRecord]graph.Arc // batch decode buffer
@@ -197,7 +163,6 @@ func (c *Collector) Reset(n int, mem *metrics.Mem) {
 	c.Net.Reset(n)
 	c.Mem = mem
 	c.border.reset()
-	c.poi.reset()
 	c.seen.reset()
 }
 
@@ -207,9 +172,6 @@ func (c *Collector) Processed(cyclePos int) bool { return c.seen.has(cyclePos) }
 
 // IsBorder reports whether v arrived flagged as a region border node.
 func (c *Collector) IsBorder(v graph.NodeID) bool { return c.border.has(int(v)) }
-
-// IsPOI reports whether v arrived flagged as a point of interest.
-func (c *Collector) IsPOI(v graph.NodeID) bool { return c.poi.has(int(v)) }
 
 // flagSet is a set of small non-negative integers that remembers which it
 // holds, so a reset costs what one query set, not the table's size.
@@ -257,9 +219,9 @@ func (c *Collector) Process(cyclePos int, p packet.Packet) {
 		if tag != packet.TagNode {
 			return true
 		}
-		// Streaming decode: reject short records up front (the DecodeNode
-		// well-formedness check), then read fields straight out of the
-		// payload — no arcs slice, no decoder state.
+		// Streaming decode: reject short records up front, then read
+		// fields straight out of the payload — no arcs slice, no decoder
+		// state.
 		if len(data) < nodeRecHeader {
 			return true
 		}
@@ -279,9 +241,6 @@ func (c *Collector) Process(cyclePos int, p packet.Packet) {
 		}
 		if flags&flagBorder != 0 {
 			c.border.add(int(id))
-		}
-		if flags&flagPOI != 0 {
-			c.poi.add(int(id))
 		}
 		for i := 0; i < cnt; i++ {
 			b := data[nodeRecHeader+8*i:]

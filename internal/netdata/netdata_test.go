@@ -77,9 +77,26 @@ func TestCollectorRelease(t *testing.T) {
 	coll.Release(5) // double release is a no-op
 }
 
-func TestDecodeNodeRejectsTruncated(t *testing.T) {
-	if _, ok := DecodeNode([]byte{1, 2, 3}); ok {
-		t.Fatal("truncated record decoded")
+// TestCollectorRejectsTruncated: a node record shorter than its header, or
+// than the arcs its header counts, adds nothing to the partial network.
+func TestCollectorRejectsTruncated(t *testing.T) {
+	w := packet.NewWriter(packet.KindData)
+	w.Add(packet.TagNode, []byte{1, 2, 3})
+	var e packet.Enc
+	e.U32(7)
+	e.F32(1)
+	e.F32(2)
+	e.U8(0)
+	e.U8(2) // two arcs counted, one present
+	e.U32(3)
+	e.F32(1)
+	w.Add(packet.TagNode, e.Bytes())
+	coll := NewCollector(10, nil)
+	for i, p := range w.Packets() {
+		coll.Process(i, p)
+	}
+	if n := coll.Net.NumPresent(); n != 0 {
+		t.Fatalf("truncated records added %d nodes", n)
 	}
 }
 

@@ -178,15 +178,12 @@ type Registry struct {
 	list []*metric
 }
 
-// NewRegistry returns an empty registry. Most code uses the package
-// Default registry; tests wanting golden exposition build their own.
+// NewRegistry returns an empty registry. Most code uses the process-wide
+// registry every package-level instrument registers on; tests wanting
+// golden exposition build their own.
 func NewRegistry() *Registry { return &Registry{by: map[string]*metric{}} }
 
 var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry every package-level instrument
-// registers on — what airserve's /metrics exports.
-func Default() *Registry { return defaultRegistry }
 
 // renderLabels turns ("channel", "3", "method", "NR") into
 // `channel="3",method="NR"`. Pairs keep their given order (cardinality is

@@ -281,15 +281,3 @@ func All(payload []byte) func(yield func(Record) bool) {
 		})
 	}
 }
-
-// First returns the first record of a packet payload without allocating,
-// and whether the payload holds any record at all.
-func First(payload []byte) (Record, bool) {
-	var out Record
-	found := false
-	ForEachRecord(payload, func(tag uint8, data []byte) bool {
-		out, found = Record{Tag: tag, Data: data}, true
-		return false
-	})
-	return out, found
-}

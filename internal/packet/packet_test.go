@@ -196,9 +196,6 @@ func TestForEachRecordMatchesRecords(t *testing.T) {
 			t.Errorf("range record %d = %+v, want %+v", i, ranged[i], want[i])
 		}
 	}
-	if first, ok := First(payload); !ok || first.Tag != want[0].Tag || !bytes.Equal(first.Data, want[0].Data) {
-		t.Errorf("First = %+v/%v, want %+v", first, ok, want[0])
-	}
 }
 
 func TestForEachRecordEarlyStop(t *testing.T) {

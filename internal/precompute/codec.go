@@ -30,17 +30,6 @@ const (
 	borderHeaderLen = 32
 )
 
-// BorderBytes returns the exact encoded size of b for n regions.
-func BorderBytes(b *BorderData, n int) int64 {
-	words := regionWords(b, n)
-	size := int64(borderHeaderLen)
-	size += 2 * int64(n) * int64(n) * 8
-	size += int64(n) * int64(n) * int64(words) * 8
-	size += pad8b(int64(len(b.CrossBorder)))
-	size += 8
-	return size
-}
-
 func regionWords(b *BorderData, n int) int {
 	if len(b.Traverse) > 0 {
 		return len(b.Traverse[0])

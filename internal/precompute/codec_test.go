@@ -17,8 +17,8 @@ func TestBorderCodecRoundTrip(t *testing.T) {
 	if err := EncodeBorder(&buf, bd, r.N); err != nil {
 		t.Fatal(err)
 	}
-	if int64(buf.Len()) != BorderBytes(bd, r.N) {
-		t.Fatalf("BorderBytes = %d, wrote %d", BorderBytes(bd, r.N), buf.Len())
+	if int64(buf.Len()) != borderBytes(bd, r.N) {
+		t.Fatalf("layout size %d, wrote %d", borderBytes(bd, r.N), buf.Len())
 	}
 	got, n, err := DecodeBorder(buf.Bytes())
 	if err != nil {
@@ -79,4 +79,16 @@ func TestBorderCodecShapeValidation(t *testing.T) {
 	if err := EncodeBorder(&buf, &trunc, r.N); err == nil {
 		t.Error("short traversal array accepted")
 	}
+}
+
+// borderBytes is the size EncodeBorder must produce for b over n regions,
+// from the format's layout.
+func borderBytes(b *BorderData, n int) int64 {
+	words := regionWords(b, n)
+	size := int64(borderHeaderLen)
+	size += 2 * int64(n) * int64(n) * 8
+	size += int64(n) * int64(n) * int64(words) * 8
+	size += pad8b(int64(len(b.CrossBorder)))
+	size += 8
+	return size
 }

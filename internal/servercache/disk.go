@@ -53,10 +53,12 @@ func EnableDisk(dir string, maxBytes int64) error {
 
 // DisableDisk detaches the disk tier and releases every mapping handed out
 // through CachedCycle, from whichever directory. Cycles CachedCycle returned
-// become invalid — only tests tear down the tier mid-process.
+// become invalid — only tests tear down the tier mid-process. Any in-memory
+// entry may alias one of those mappings, so every entry is dropped first.
 func DisableDisk() {
 	diskMu.Lock()
 	defer diskMu.Unlock()
+	Flush()
 	for _, m := range pinned {
 		m.Close()
 	}

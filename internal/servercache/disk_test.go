@@ -210,3 +210,36 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 		t.Error("restarted tier decoded a different cycle")
 	}
 }
+
+// TestDisableDiskDropsMappedEntries: DisableDisk unmaps every cycle
+// CachedCycle handed out, so the in-memory cache must not keep serving
+// them — a Get after DisableDisk builds again instead of returning a cycle
+// whose payloads fault when read.
+func TestDisableDiskDropsMappedEntries(t *testing.T) {
+	Flush()
+	if err := EnableDisk(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { Flush(); DisableDisk() }()
+
+	key := Key{Network: "disk/unmap", Scheme: "EB", Params: "r=4"}
+	want := testCycle(t, 5)
+	PutCycle(key, want)
+	mapped, err := Get(key, func() (*broadcast.Cycle, error) { return CachedCycle(key), nil })
+	if err != nil || mapped == nil {
+		t.Fatalf("warm Get = %v, %v", mapped, err)
+	}
+	DisableDisk()
+
+	builds := 0
+	got, err := Get(key, func() (*broadcast.Cycle, error) { builds++; return want, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == mapped || builds != 1 {
+		t.Fatalf("Get after DisableDisk returned the unmapped cycle (%d builds)", builds)
+	}
+	if !equalCyclePackets(want, got) {
+		t.Error("rebuilt cycle differs")
+	}
+}

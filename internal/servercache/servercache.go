@@ -74,10 +74,9 @@ var cache sync.Map // Key -> *entry
 // Get returns the value cached under key, invoking build at most once
 // across all concurrent callers. A deterministic build error is cached too —
 // the same key produces the same error, so there is no point retrying. A
-// transient error (see IsTransient: I/O failures, or anything the build
-// wrapped with Transient) drops the entry instead, so the next Get for the
-// key retries the build; callers already waiting on the failed build still
-// observe the error. This matters once builds touch disk (the diskcache
+// transient error (see IsTransient: OS-level I/O failures) drops the entry
+// instead, so the next Get for the key retries the build; callers already
+// waiting on the failed build still observe the error. This matters once builds touch disk (the diskcache
 // layer): ENOSPC or a failed mmap must not poison the key forever.
 func Get[T any](key Key, build func() (T, error)) (T, error) {
 	e, loaded := cache.LoadOrStore(key, &entry{})
@@ -112,37 +111,18 @@ func Get[T any](key Key, build func() (T, error)) (T, error) {
 	return ent.val.(T), nil
 }
 
-// transientError marks a build failure as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so Get treats it as retryable: the failed entry is
-// dropped and the next Get for the key builds again. Build functions wrap
-// environmental failures (disk full, flaky NFS, mmap limits) and leave
-// deterministic ones (bad parameters, a graph that fails validation) bare.
-// Returns nil for nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is a retryable build failure: anything
-// wrapped by Transient, plus unwrapped OS-level I/O errors (path, syscall
-// and link errors) — with disk in the build path those depend on the
-// machine's state at build time, not on the key.
+// IsTransient reports whether err is a retryable build failure: an
+// OS-level I/O error (path, syscall or link error), wrapped or not — with
+// disk in the build path those depend on the machine's state at build
+// time, not on the key.
 func IsTransient(err error) bool {
 	if err == nil {
 		return false
 	}
-	var t *transientError
 	var pe *os.PathError
 	var se *os.SyscallError
 	var le *os.LinkError
-	return errors.As(err, &t) || errors.As(err, &pe) || errors.As(err, &se) || errors.As(err, &le)
+	return errors.As(err, &pe) || errors.As(err, &se) || errors.As(err, &le)
 }
 
 // Len returns the number of cached entries (tests and diagnostics).

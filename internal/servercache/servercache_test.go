@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 )
 
@@ -89,12 +90,13 @@ func TestGetCachesErrors(t *testing.T) {
 // was never poisoned.
 func TestGetRetriesTransientErrors(t *testing.T) {
 	Flush()
+	diskFull := &os.PathError{Op: "write", Path: "cycle.airc", Err: syscall.ENOSPC}
 	key := Key{Network: "n1", Scheme: "NR", Params: "disk"}
 	builds := 0
 	got, err := Get(key, func() (int, error) {
 		builds++
 		if builds <= 2 {
-			return 0, Transient(errors.New("disk full"))
+			return 0, diskFull
 		}
 		return 7, nil
 	})
@@ -102,13 +104,13 @@ func TestGetRetriesTransientErrors(t *testing.T) {
 		t.Fatal("first Get of a failing build succeeded")
 	}
 	if !IsTransient(err) {
-		t.Fatalf("Transient error not recognized: %v", err)
+		t.Fatalf("transient error not recognized: %v", err)
 	}
 	for i := 0; i < 2; i++ {
 		got, err = Get(key, func() (int, error) {
 			builds++
 			if builds <= 2 {
-				return 0, Transient(errors.New("disk full"))
+				return 0, diskFull
 			}
 			return 7, nil
 		})

@@ -41,15 +41,12 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/build"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/multichannel"
 	"repro/internal/netgen"
 	"repro/internal/obs"
-	"repro/internal/precompute"
 	"repro/internal/scheme"
 	"repro/internal/spath"
 	"repro/internal/station"
@@ -121,7 +118,7 @@ type (
 	// live station(s), versioned update manager). Build one with Deploy.
 	Deployment = deploy.Deployment
 	// Session is one client's handle on a Deployment: the uniform query
-	// path (Query, and Range/KNN when POI-enabled) over every shape.
+	// path (Query) over every shape.
 	Session = deploy.Session
 	// SessionOptions tune a client handle (tune-in position, loss-pattern
 	// seed, start channel).
@@ -230,8 +227,7 @@ const (
 // server (WithMethod/WithParams, through the shared build cache when
 // WithCache names the network), sharding (WithChannels), the live
 // station(s) (WithLive), deterministic packet loss (WithLoss), dynamic
-// updates (WithUpdates), on-air spatial queries (WithPOI) and remote
-// tuning over UDP (WithRemote). A live deployment goes on the air on
+// updates (WithUpdates) and remote tuning over UDP (WithRemote). A live deployment goes on the air on
 // Start (or lazily on first Session or RunFleet); Close takes it off.
 func Deploy(g *Graph, opts ...DeployOption) (*Deployment, error) { return deploy.Deploy(g, opts...) }
 
@@ -263,11 +259,6 @@ func WithLoss(rate float64, seed int64) DeployOption { return deploy.WithLoss(ra
 // and sessions transparently re-enter queries that straddle a cycle swap.
 // Requires WithLive on a single channel.
 func WithUpdates(cfg UpdateConfig) DeployOption { return deploy.WithUpdates(cfg) }
-
-// WithPOI flags points of interest per node and equips sessions with
-// on-air spatial queries (Range, KNN) in network distance over an EB
-// cycle — the paper's Section 8 future work.
-func WithPOI(poi []bool) DeployOption { return deploy.WithPOI(poi) }
 
 // WithCache keys the server build in the shared immutable build cache
 // under the given canonical network name (e.g. "germany/0.05/42"):
@@ -378,19 +369,6 @@ func ShortestPath(g *Graph, s, t NodeID) (float64, []NodeID, int) {
 // and their coordinates).
 func QueryFor(g *Graph, s, t NodeID) Query { return scheme.QueryFor(g, s, t) }
 
-// RegionCentroids returns per-region centroids for a server built on a
-// region partitioning (EB/NR), or nil for methods without regions: the
-// input multichannel's Hilbert assignment mode needs.
-func RegionCentroids(srv Server, g *Graph) [][2]float64 {
-	type regioned interface{ Regions() *precompute.Regions }
-	r, ok := srv.(regioned)
-	if !ok {
-		return nil
-	}
-	regs := r.Regions()
-	return multichannel.Centroids(g, regs.Assign, regs.N)
-}
-
 // EnergyJoules estimates a query's client-side energy at the given channel
 // bit rate using the paper's WaveLAN/ARM power model (Section 3.1).
 func EnergyJoules(m Metrics, bitsPerSecond int) float64 {
@@ -406,9 +384,3 @@ const (
 	Rate2Mbps   = metrics.RateFast
 	Rate384Kbps = metrics.RateSlow
 )
-
-// POIResult is a point of interest with its network distance: what
-// Session.Range and Session.KNN return on a POI-enabled deployment
-// (WithPOI) — on-air spatial queries over the road network, the paper's
-// Section 8 future work.
-type POIResult = core.POIResult

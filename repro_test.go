@@ -88,28 +88,12 @@ func TestFacadeGraphIO(t *testing.T) {
 }
 
 // TestFacadeMultiStation exercises the multi-channel facade end to end: a
-// live 4-channel station, a channel-hopping fleet with verified answers,
-// and the centroid helper for Hilbert-mode sharding.
+// live 4-channel station and a channel-hopping fleet with verified answers.
 func TestFacadeMultiStation(t *testing.T) {
 	g, err := repro.Generate(400, 550, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := repro.NewServer(repro.NR, g, repro.Params{Regions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cents := repro.RegionCentroids(srv, g); len(cents) != 8 {
-		t.Errorf("RegionCentroids returned %d entries, want 8", len(cents))
-	}
-	dj, err := repro.NewServer(repro.DJ, g, repro.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cents := repro.RegionCentroids(dj, g); cents != nil {
-		t.Errorf("RegionCentroids for a region-less method: %v, want nil", cents)
-	}
-
 	d, err := repro.Deploy(g, repro.WithParams(repro.Params{Regions: 8}),
 		repro.WithChannels(4), repro.WithLive(repro.StationConfig{}))
 	if err != nil {

@@ -8,13 +8,10 @@
 # to the exported surface must land together with its refreshed snapshot.
 #
 # Two sections: the exported facade of the root package, then the
-# user-facing surface of cmd/airvet — its analyzer roster and the flags it
-# mirrors into `go vet` — so renaming an analyzer or changing the vet
-# contract is a reviewed, deliberate act too.
+# user-facing surface of cmd/airvet — its analyzer roster — so renaming an
+# analyzer is a reviewed, deliberate act too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 go run ./internal/tools/apisnapshot .
 echo "# cmd/airvet: analyzer suite"
 go run ./cmd/airvet -list
-echo "# cmd/airvet: flags mirrored into go vet"
-go run ./cmd/airvet -flags

@@ -107,12 +107,22 @@ func TestSmokeChurn(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out.String())
 		}
 	}
-	// -updates is single-channel only for now.
-	if _, err := run(context.Background(), config{
-		method: "NR", preset: "germany", scale: 0.02, clients: 2, queries: 4,
-		channels: 2, updates: 1, updateEvery: time.Millisecond,
-	}, &out); err == nil {
-		t.Fatal("churn over -channels did not error")
+	// -updates composes with -channels: the whole group swaps per version.
+	out.Reset()
+	res, err = run(context.Background(), config{
+		method: "NR", preset: "germany", scale: 0.02, clients: 4, queries: 40,
+		channels: 3, updates: 2, updateEvery: time.Millisecond,
+	}, &out)
+	if err != nil {
+		t.Fatalf("churn over -channels: %v\n%s", err, out.String())
+	}
+	if res.Queries != 40 || res.Errors != 0 {
+		t.Errorf("churn over -channels: queries %d errors %d\n%s", res.Queries, res.Errors, out.String())
+	}
+	for _, want := range []string{"over 3 channels", "versions on the air"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("sharded churn report missing %q:\n%s", want, out.String())
+		}
 	}
 }
 

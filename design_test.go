@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro"
@@ -130,11 +131,11 @@ var testSupport = map[string]string{
 // TestEveryDeclarationHasANonTestUse is TestEveryInternalPackageIsReachable
 // one level down: every package-level func, type, var and const declared in
 // non-test code under internal/ is used by non-test code somewhere in the
-// tree (bench/ included; its own package counts). Methods and struct fields
-// are not checked, nor the members of an iota const block (their values are
-// a format), package main, or the test-support packages. A declaration only
-// tests use is listed below with its reason; an entry that is used, or names
-// nothing, fails too.
+// tree (bench/ included; its own package counts). Struct fields are not
+// checked, nor the members of an iota const block (their values are a
+// format), package main, or the test-support packages; methods have their
+// own check below. A declaration only tests use is listed below with its
+// reason; an entry that is used, or names nothing, fails too.
 func TestEveryDeclarationHasANonTestUse(t *testing.T) {
 	exceptions := map[string]string{
 		"core.NewEB":                "test constructor: builds the EB server from a bare graph for ten packages' tests and bench/'s",
@@ -146,8 +147,8 @@ func TestEveryDeclarationHasANonTestUse(t *testing.T) {
 		"baseline/djair.WriteCycle": "the streamed DJ build CI's scale job (internal/scale's TestContinentScale) writes to disk",
 	}
 
-	unused, declared := unusedDeclarations(t)
-	for _, msg := range checkDeclarations(unused, declared, exceptions) {
+	unused, declared := unusedDeclarations(loadTree(t))
+	for _, msg := range checkExceptions("declarations", unused, declared, exceptions) {
 		t.Error(msg)
 	}
 
@@ -156,15 +157,54 @@ func TestEveryDeclarationHasANonTestUse(t *testing.T) {
 		for name, reason := range exceptions {
 			stale[name] = reason
 		}
-		if msgs := checkDeclarations(unused, declared, stale); len(msgs) == 0 {
+		if msgs := checkExceptions("declarations", unused, declared, stale); len(msgs) == 0 {
 			t.Error("an exception for a used declaration passed")
 		}
 	})
 }
 
-// checkDeclarations reports the unused declarations that have no exception,
-// and the exceptions that name a used declaration or none at all.
-func checkDeclarations(unused []string, declared map[string]bool, exceptions map[string]string) []string {
+// TestEveryMethodHasANonTestUse is the declaration check for methods: every
+// exported method of a type declared in non-test code under internal/ (less
+// package main and the test-support packages) is reached from non-test code
+// somewhere in the tree. A method is reached when
+//
+//   - non-test code selects it, promoted selections included (a call
+//     through an embedding struct resolves to the embedded method);
+//   - it completes an interface that non-test code names, or that types a
+//     parameter of a function the tree calls (sort.Sort's sort.Interface),
+//     for its type, the pointer to it, or a type that embeds it; or
+//   - fmt, errors or encoding/json call it by name (String, Error, Unwrap,
+//     Is, As, Format, Marshal*, Unmarshal*).
+//
+// Methods of the types the facade (repro.go) aliases are public API and
+// exempt. A method only tests reach is listed below with its reason; an
+// entry that is reached, or names nothing, fails too.
+func TestEveryMethodHasANonTestUse(t *testing.T) {
+	exceptions := map[string]string{
+		"update.Replay.SwapAt":    "the offline oracle's swap, like update.NewReplay: the update conformance fuzzers drive mid-swap scenarios through it",
+		"chaos.Injector.WireHook": "ROADMAP item 1's seeded whole-stack simulation composes the injector with wire.Broadcaster through it",
+		"chaos.Schedule.At":       "ROADMAP item 1's seeded whole-stack simulation reads a fault schedule position by position through it",
+	}
+
+	unused, declared := unusedMethods(loadTree(t))
+	for _, msg := range checkExceptions("methods", unused, declared, exceptions) {
+		t.Error(msg)
+	}
+
+	t.Run("stale exception", func(t *testing.T) {
+		stale := map[string]string{"update.Manager.Apply": "every dynamic deployment applies its updates through it"}
+		for name, reason := range exceptions {
+			stale[name] = reason
+		}
+		if msgs := checkExceptions("methods", unused, declared, stale); len(msgs) == 0 {
+			t.Error("an exception for a reached method passed")
+		}
+	})
+}
+
+// checkExceptions reports the unused names of one kind that have no
+// exception, and the exceptions that name a used one or none at all.
+func checkExceptions(kind string, unused []string, declared map[string]bool, exceptions map[string]string) []string {
 	var msgs []string
 	var missing []string
 	for _, name := range unused {
@@ -173,12 +213,12 @@ func checkDeclarations(unused []string, declared map[string]bool, exceptions map
 		}
 	}
 	if len(missing) > 0 {
-		msgs = append(msgs, fmt.Sprintf("%d declarations under internal/ have no non-test use (delete them, or give them a caller):\n  %s",
-			len(missing), strings.Join(missing, "\n  ")))
+		msgs = append(msgs, fmt.Sprintf("%d %s under internal/ have no non-test use (delete them, or give them a caller):\n  %s",
+			len(missing), kind, strings.Join(missing, "\n  ")))
 	}
 	for name, reason := range exceptions {
 		if !declared[name] {
-			msgs = append(msgs, fmt.Sprintf("exception %s (%s) names no package-level declaration", name, reason))
+			msgs = append(msgs, fmt.Sprintf("exception %s (%s) names none of the checked %s", name, reason, kind))
 		} else if !slices.Contains(unused, name) {
 			msgs = append(msgs, fmt.Sprintf("exception %s (%s) is stale: non-test code uses it", name, reason))
 		}
@@ -187,42 +227,67 @@ func checkDeclarations(unused []string, declared map[string]bool, exceptions map
 	return msgs
 }
 
-// unusedDeclarations loads and typechecks every package of the tree without
-// its tests and returns the checked declarations no non-test code uses, as
-// sorted "pkg.Name" strings (pkg is the directory under internal/), and the
-// set of every checked declaration.
-func unusedDeclarations(t *testing.T) (unused []string, declared map[string]bool) {
-	t.Helper()
+// tree is the whole tree's non-test code, loaded and typechecked once for
+// both use checks, and every object that code uses.
+type tree struct {
+	pkgs []*load.Package
+	used map[types.Object]bool
+}
+
+var loadTreeOnce = sync.OnceValues(func() (*tree, error) {
 	l, err := load.NewLoader(".")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	dirs, err := load.Expand(".", []string{"./..."})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	used := map[types.Object]bool{}
-	var pkgs []*load.Package
+	tr := &tree{used: map[types.Object]bool{}}
 	for _, dir := range dirs {
 		pkg, err := l.Load(dir)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		if len(pkg.TypeErrors) > 0 {
-			t.Fatalf("%s: %v", pkg.Path, pkg.TypeErrors[0])
+			return nil, fmt.Errorf("%s: %v", pkg.Path, pkg.TypeErrors[0])
 		}
 		for _, obj := range pkg.Info.Uses {
-			used[obj] = true
+			tr.used[obj] = true
 		}
-		pkgs = append(pkgs, pkg)
+		tr.pkgs = append(tr.pkgs, pkg)
 	}
+	return tr, nil
+})
 
-	declared = map[string]bool{}
-	for _, pkg := range pkgs {
+// loadTree loads and typechecks every package of the tree without its
+// tests (bench/ included), once per test process.
+func loadTree(t *testing.T) *tree {
+	t.Helper()
+	tr, err := loadTreeOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// checkedPackages calls fn with every checked package and its directory
+// under internal/: not package main, not a test-support package.
+func (tr *tree) checkedPackages(fn func(dir string, pkg *load.Package)) {
+	for _, pkg := range tr.pkgs {
 		dir, ok := strings.CutPrefix(pkg.Path, "repro/internal/")
-		if !ok || pkg.Types.Name() == "main" || testSupport["internal/"+dir] != "" {
-			continue
+		if ok && pkg.Types.Name() != "main" && testSupport["internal/"+dir] == "" {
+			fn(dir, pkg)
 		}
+	}
+}
+
+// unusedDeclarations returns the checked package-level declarations no
+// non-test code uses, as sorted "pkg.Name" strings (pkg is the directory
+// under internal/), and the set of every checked declaration.
+func unusedDeclarations(tr *tree) (unused []string, declared map[string]bool) {
+	declared = map[string]bool{}
+	tr.checkedPackages(func(dir string, pkg *load.Package) {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				for _, id := range checkedNames(decl) {
@@ -231,15 +296,141 @@ func unusedDeclarations(t *testing.T) (unused []string, declared map[string]bool
 					}
 					name := dir + "." + id.Name
 					declared[name] = true
-					if !used[pkg.Info.Defs[id]] {
+					if !tr.used[pkg.Info.Defs[id]] {
 						unused = append(unused, name)
 					}
 				}
 			}
 		}
-	}
+	})
 	sort.Strings(unused)
 	return unused, declared
+}
+
+// unusedMethods returns the checked exported methods non-test code does
+// not reach, as sorted "pkg.Type.Method" strings, and the set of every
+// checked method.
+func unusedMethods(tr *tree) (unused []string, declared map[string]bool) {
+	reached, public := tr.reachedMethods(), facadeAliased(tr)
+	declared = map[string]bool{}
+	tr.checkedPackages(func(dir string, pkg *load.Package) {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || d.Recv == nil || !d.Name.IsExported() {
+					continue
+				}
+				fn := pkg.Info.Defs[d.Name].(*types.Func)
+				recv := receiverType(fn)
+				if public[recv] {
+					continue
+				}
+				name := dir + "." + recv.Name() + "." + fn.Name()
+				declared[name] = true
+				if !reached[fn] && !byConvention(fn.Name()) {
+					unused = append(unused, name)
+				}
+			}
+		}
+	})
+	sort.Strings(unused)
+	return unused, declared
+}
+
+// reachedMethods returns the methods non-test code selects, and those that
+// complete an interface it needs (see TestEveryMethodHasANonTestUse).
+func (tr *tree) reachedMethods() map[*types.Func]bool {
+	reached := map[*types.Func]bool{}
+	var ifaces []*types.Interface
+	needs := func(typ types.Type) {
+		if iface, ok := typ.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+			ifaces = append(ifaces, iface)
+		}
+	}
+	for obj := range tr.used {
+		switch obj := obj.(type) {
+		case *types.Func:
+			reached[obj.Origin()] = true
+			params := obj.Signature().Params()
+			for i := 0; i < params.Len(); i++ {
+				typ := params.At(i).Type()
+				if s, ok := typ.(*types.Slice); ok && obj.Signature().Variadic() && i == params.Len()-1 {
+					typ = s.Elem()
+				}
+				needs(typ)
+			}
+		case *types.TypeName, *types.Var:
+			needs(obj.Type())
+		}
+	}
+	var named []*types.Named
+	for _, pkg := range tr.pkgs {
+		for expr, tv := range pkg.Info.Types {
+			if _, ok := expr.(*ast.InterfaceType); ok {
+				needs(tv.Type)
+			}
+		}
+		for _, obj := range pkg.Info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	for _, n := range named {
+		for _, iface := range ifaces {
+			var recv types.Type = types.NewPointer(n)
+			if !types.Implements(recv, iface) {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				if obj, _, _ := types.LookupFieldOrMethod(recv, false, m.Pkg(), m.Name()); obj != nil {
+					reached[obj.(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+	return reached
+}
+
+// byConvention reports whether fmt, errors or encoding/json call a method
+// of this name without the code naming it.
+func byConvention(name string) bool {
+	switch name {
+	case "String", "Error", "Unwrap", "Is", "As", "Format":
+		return true
+	}
+	return strings.HasPrefix(name, "Marshal") || strings.HasPrefix(name, "Unmarshal")
+}
+
+// receiverType returns the named type a method is declared on.
+func receiverType(fn *types.Func) *types.TypeName {
+	typ := fn.Signature().Recv().Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	return typ.(*types.Named).Obj()
+}
+
+// facadeAliased returns the types package repro aliases: its public API.
+func facadeAliased(tr *tree) map[*types.TypeName]bool {
+	aliased := map[*types.TypeName]bool{}
+	for _, pkg := range tr.pkgs {
+		if pkg.Path != "repro" {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+				if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+					aliased[n.Obj()] = true
+				}
+			}
+		}
+	}
+	return aliased
 }
 
 // checkedNames returns the names a top-level declaration declares, less

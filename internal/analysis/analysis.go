@@ -11,7 +11,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -58,16 +57,6 @@ type Pass struct {
 
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
-}
-
-// Reportf reports a diagnostic at pos with a formatted message.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportRangef reports a diagnostic spanning n with a formatted message.
-func (p *Pass) ReportRangef(n ast.Node, format string, args ...any) {
-	p.Report(Diagnostic{Pos: n.Pos(), End: n.End(), Message: fmt.Sprintf(format, args...)})
 }
 
 // A Diagnostic is one finding: a position, a message, and optionally a

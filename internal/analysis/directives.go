@@ -77,9 +77,6 @@ func parseDirective(c *ast.Comment) (Directive, bool) {
 	return dir, true
 }
 
-// All returns every directive in the file.
-func (d *Directives) All() []Directive { return d.all }
-
 // Has reports whether the file carries a directive with the given name
 // anywhere (used for file/package-level markers like //air:deterministic).
 func (d *Directives) Has(name string) bool {

@@ -64,7 +64,6 @@ type Server struct {
 	cuts   []cutArc
 	cycle  *broadcast.Cycle
 	pre    time.Duration
-	nIdx   int
 }
 
 // New builds the HiTi hierarchy over g and assembles the cycle.
@@ -406,7 +405,6 @@ func (s *Server) assemble() {
 	if len(idx) != nIdx {
 		panic("hiti: index size changed between passes")
 	}
-	s.nIdx = nIdx
 
 	asm := broadcast.NewAssembler()
 	asm.Append(packet.KindIndex, -1, "HiTi index", idx)
@@ -424,9 +422,6 @@ func (s *Server) Cycle() *broadcast.Cycle { return s.cycle }
 
 // PrecomputeTime implements scheme.Server.
 func (s *Server) PrecomputeTime() time.Duration { return s.pre }
-
-// IndexPackets reports the index section length (Table 1 commentary).
-func (s *Server) IndexPackets() int { return s.nIdx }
 
 // NewClient implements scheme.Server.
 func (s *Server) NewClient() scheme.Client { return &Client{} }

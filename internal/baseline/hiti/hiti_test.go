@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/conformance"
+	"repro/internal/packet"
 )
 
 func TestHiTiCorrectness(t *testing.T) {
@@ -30,12 +31,13 @@ func TestHiTiIndexDominatesCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.IndexPackets() == 0 {
-		t.Fatal("empty HiTi index")
+	idx := srv.Cycle().Sections[0] // the index leads the cycle
+	if idx.Kind != packet.KindIndex || idx.N == 0 {
+		t.Fatalf("cycle leads with %+v, want the HiTi index", idx)
 	}
 	// The paper's Table 1: HiTi's extra information is several times the
 	// network itself. At minimum the index must be a large fraction.
-	frac := float64(srv.IndexPackets()) / float64(srv.Cycle().Len())
+	frac := float64(idx.N) / float64(srv.Cycle().Len())
 	if frac < 0.3 {
 		t.Errorf("HiTi index is only %.0f%% of the cycle; expected it to dominate", frac*100)
 	}

@@ -81,27 +81,6 @@ func WithTrailer(c *Cycle, kind packet.Kind, region int, label string, pkts []pa
 	return out, nil
 }
 
-// SectionsOf returns all sections of the given kind.
-func (c *Cycle) SectionsOf(kind packet.Kind) []Section {
-	var out []Section
-	for _, s := range c.Sections {
-		if s.Kind == kind {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// RegionSection returns the first section with the given kind and region.
-func (c *Cycle) RegionSection(kind packet.Kind, region int) (Section, bool) {
-	for _, s := range c.Sections {
-		if s.Kind == kind && s.Region == region {
-			return s, true
-		}
-	}
-	return Section{}, false
-}
-
 // Assembler builds a Cycle section by section.
 type Assembler struct {
 	c Cycle
@@ -119,9 +98,6 @@ func (a *Assembler) Append(kind packet.Kind, region int, label string, pkts []pa
 	})
 	return start
 }
-
-// Len returns the packets appended so far.
-func (a *Assembler) Len() int { return len(a.c.Packets) }
 
 // Finish fixes up every packet's next-index pointer (the paper requires the
 // pointer on all packets) and returns the cycle. The pointer names the start

@@ -34,11 +34,8 @@ func TestAssemblerSections(t *testing.T) {
 	if c.Sections[1].Start != 3 || c.Sections[1].N != 5 {
 		t.Fatalf("section 1 = %+v", c.Sections[1])
 	}
-	if got := c.SectionsOf(packet.KindIndex); len(got) != 2 {
-		t.Fatalf("%d index sections", len(got))
-	}
-	if s, ok := c.RegionSection(packet.KindData, 1); !ok || s.Start != 3 {
-		t.Fatalf("region section lookup: %+v %v", s, ok)
+	if s := c.Sections[1]; s.Kind != packet.KindData || s.Region != 1 {
+		t.Fatalf("section 1 is %v of region %d, want region 1's data", s.Kind, s.Region)
 	}
 }
 
@@ -129,8 +126,8 @@ func TestTunerAccounting(t *testing.T) {
 	if tn.Latency() != 6 { // 3..8 inclusive
 		t.Errorf("latency %d, want 6", tn.Latency())
 	}
-	if tn.CyclePos() != 9 {
-		t.Errorf("cycle pos %d, want 9", tn.CyclePos())
+	if tn.Pos() != 9 {
+		t.Errorf("pos %d, want 9", tn.Pos())
 	}
 }
 

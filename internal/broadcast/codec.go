@@ -178,9 +178,6 @@ func (cw *CycleWriter) Emit(pkts []packet.Packet) error {
 	return cw.w.err
 }
 
-// Len returns the packets appended so far.
-func (cw *CycleWriter) Len() int { return cw.pos }
-
 // Close writes the section table and footer, and verifies the appends
 // matched the declared layout: exactly total packets, and the KindIndex
 // sections beginning exactly at the declared starts.

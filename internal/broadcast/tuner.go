@@ -195,9 +195,6 @@ func (t *Tuner) WillListen(n int) {
 	}
 }
 
-// Feed returns the underlying packet feed.
-func (t *Tuner) Feed() Feed { return t.feed }
-
 // CycleLen returns the cycle length in packets. The sample joins the
 // version window: a reception plan built on one length is invalid on a
 // swapped cycle of another, even if no packet of the old version was
@@ -210,13 +207,6 @@ func (t *Tuner) CycleLen() int {
 
 // Pos returns the absolute position of the next packet.
 func (t *Tuner) Pos() int { return t.pos }
-
-// CyclePos returns Pos modulo the cycle length.
-func (t *Tuner) CyclePos() int {
-	l := t.feed.Len()
-	t.noteLen(l)
-	return t.pos % l
-}
 
 // Listen receives the packet at the current position and advances. The
 // boolean reports whether the packet arrived intact; a lost packet still
@@ -278,8 +268,7 @@ func (t *Tuner) Version() (uint32, bool) { return t.verHi, t.verKnown }
 // packets were all lost still shifts the structure a reception plan was
 // built on). The answer a client is assembling may be stale; it re-enters
 // (resets its per-query state and runs the query again on the same tuner —
-// by then the swap is behind it) or patches its partial state from the
-// KindDelta records of the new cycle.
+// by then the swap is behind it).
 func (t *Tuner) VersionMixed() bool {
 	return (t.verKnown && t.verLo != t.verHi) || t.verDrift
 }
@@ -328,9 +317,6 @@ func (t *Tuner) SetTrace(tr *obs.Trace) {
 	t.trace = tr
 	tr.Record(obs.EvTuneIn, int64(t.start), 0)
 }
-
-// Trace returns the attached flight recorder (nil when tracing is off).
-func (t *Tuner) Trace() *obs.Trace { return t.trace }
 
 // Tuning returns the packets listened to so far, including any the feed
 // itself received on the client's behalf (a hopping radio's directory

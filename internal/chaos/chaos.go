@@ -292,16 +292,6 @@ func (in *Injector) Apply(b []byte) [][]byte {
 	return deliver
 }
 
-// Flush drains a datagram still held back by a reorder at stream end.
-func (in *Injector) Flush() [][]byte {
-	if in.held == nil {
-		return nil
-	}
-	h := in.held
-	in.held = nil
-	return [][]byte{h}
-}
-
 // WireHook adapts the injector to wire.BroadcasterOptions.Corrupt — the
 // in-process fault hook, for chaos tests that want bursty loss and
 // corruption without a UDP proxy in the path. The hook's signature can

@@ -75,21 +75,6 @@ func (b *base) Lend(g2 *graph.Graph) (*partition.KDTree, *precompute.Regions, *p
 	return b.kd, b.regions, nil, nil
 }
 
-// Rebuild builds a new server of the same method and options over g2, the
-// same road network with mutated arc weights: what Lend vouches for is
-// reused, the border pre-computation reruns across all cores, and the cycle
-// is assembled as a fresh build would — byte-identical to NewEB/NewNR(g2).
-func (b *base) Rebuild(g2 *graph.Graph) (scheme.Server, error) {
-	kd, regions, border, err := b.Lend(g2)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", b.name, err)
-	}
-	if border == nil {
-		border = precompute.Compute(g2, regions)
-	}
-	return NewShared(b.name, g2, kd, regions, border, b.opts, nil)
-}
-
 // Name implements scheme.Server.
 func (b *base) Name() string { return b.name }
 
@@ -102,6 +87,3 @@ func (b *base) PrecomputeTime() time.Duration { return b.border.Elapsed }
 
 // Options returns the options the server was built with.
 func (b *base) Options() Options { return b.opts }
-
-// Regions exposes the region structure.
-func (b *base) Regions() *precompute.Regions { return b.regions }

@@ -73,9 +73,9 @@ func TestSameRegionQueries(t *testing.T) {
 		var assign []int
 		switch s := srv.(type) {
 		case *EB:
-			assign = s.Regions().Assign
+			assign = s.regions.Assign
 		case *NR:
-			assign = s.Regions().Assign
+			assign = s.regions.Assign
 		}
 		rng := rand.New(rand.NewSource(6))
 		checked := 0
@@ -132,7 +132,7 @@ func TestNRNeverExceedsEBRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	bd := eb.border
-	reg := eb.Regions()
+	reg := eb.regions
 	n := reg.N
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

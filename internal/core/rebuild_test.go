@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/broadcast"
 	"repro/internal/graph"
+	"repro/internal/precompute"
+	"repro/internal/scheme"
 )
 
 // mutateWeights scales n random arc weights of g by factors in [0.5, 2).
@@ -23,6 +26,22 @@ func mutateWeights(t *testing.T, g *graph.Graph, n int, seed int64) *graph.Graph
 		t.Fatal(err)
 	}
 	return g2
+}
+
+// Rebuild builds a new server of the same method and options over g2, the
+// same road network with mutated arc weights — the walk build.Reweigh
+// takes, without its caches: what Lend vouches for is reused, the border
+// pre-computation reruns across all cores, and the cycle is assembled as a
+// fresh build would — byte-identical to NewEB/NewNR(g2).
+func (b *base) Rebuild(g2 *graph.Graph) (scheme.Server, error) {
+	kd, regions, border, err := b.Lend(g2)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", b.name, err)
+	}
+	if border == nil {
+		border = precompute.Compute(g2, regions)
+	}
+	return NewShared(b.name, g2, kd, regions, border, b.opts, nil)
 }
 
 // assertCyclesEqual compares two cycles packet by packet, byte for byte.

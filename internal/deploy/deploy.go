@@ -98,7 +98,8 @@ func WithLoss(rate float64, seed int64) Option {
 // WithUpdates makes the broadcast dynamic: a versioned update manager owns
 // the cycle, RunFleet churns arc weights per cfg while the fleet answers,
 // and sessions transparently re-enter queries that straddle a cycle swap.
-// Requires WithLive on a single channel.
+// Requires WithLive; with WithChannels every version is re-sharded and the
+// whole channel group swaps to it at one global tick.
 func WithUpdates(cfg UpdateConfig) Option { return func(c *config) { c.upd = &cfg } }
 
 // WithRemote tunes the deployment's sessions to a remote wire broadcaster
@@ -173,13 +174,8 @@ func Deploy(g *graph.Graph, opts ...Option) (*Deployment, error) {
 	if c.loss < 0 || c.loss >= 1 {
 		return nil, fmt.Errorf("repro: loss rate %v outside [0,1)", c.loss)
 	}
-	if c.upd != nil {
-		if !c.live {
-			return nil, fmt.Errorf("repro: WithUpdates needs a live deployment (WithLive): versions swap on the air")
-		}
-		if c.channels > 1 {
-			return nil, fmt.Errorf("repro: WithUpdates currently drives the single-channel station; drop WithChannels")
-		}
+	if c.upd != nil && !c.live {
+		return nil, fmt.Errorf("repro: WithUpdates needs a live deployment (WithLive): versions swap on the air")
 	}
 	if c.diskDir != "" {
 		if c.cacheNet == "" {
@@ -409,7 +405,11 @@ func (d *Deployment) RunFleet(ctx context.Context, opts fleet.Options) (RunRepor
 		res, err := fleet.Run(ctx, target, w, opts)
 		return RunReport{Result: res}, err
 	}
-	cres, err := fleet.RunChurn(ctx, target, d.Station(), d.mgr, w, fleet.ChurnOptions{
+	var air fleet.Swapper = d.Station()
+	if d.channels > 1 {
+		air = groupSwapper{d.MultiStation()}
+	}
+	cres, err := fleet.RunChurn(ctx, target, air, d.mgr, w, fleet.ChurnOptions{
 		Fleet:      opts,
 		Batches:    d.upd.Batches,
 		BatchSize:  d.upd.BatchSize,
@@ -422,6 +422,21 @@ func (d *Deployment) RunFleet(ctx context.Context, opts fleet.Options) (RunRepor
 	}
 	return RunReport{Result: cres.Result, Churn: &cres}, nil
 }
+
+// groupSwapper rolls a live K-channel group to each new cycle version: it
+// shards the version the way Deploy sharded version 0, and the group swaps
+// to the new plan at one global tick.
+type groupSwapper struct{ st *multichannel.Station }
+
+func (g groupSwapper) Swap(c *broadcast.Cycle) (<-chan int, error) {
+	plan, err := multichannel.Build(c, g.st.K(), multichannel.PlanOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return g.st.Swap(plan)
+}
+
+func (g groupSwapper) Version() uint32 { return g.st.Version() }
 
 // ServeWire puts the deployment's live broadcast on a real UDP socket at
 // addr (e.g. ":9040", "127.0.0.1:0"): remote processes then deploy with

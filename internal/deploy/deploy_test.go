@@ -171,6 +171,8 @@ func TestRunFleetDispatch(t *testing.T) {
 		{"multi", []deploy.Option{deploy.WithLive(station.Config{}), deploy.WithChannels(3)}, false, 3},
 		{"churn", []deploy.Option{deploy.WithLive(station.Config{}),
 			deploy.WithUpdates(deploy.UpdateConfig{Batches: 2, Interval: time.Millisecond})}, true, 0},
+		{"churn multi", []deploy.Option{deploy.WithLive(station.Config{}), deploy.WithChannels(3),
+			deploy.WithUpdates(deploy.UpdateConfig{Batches: 2, Interval: time.Millisecond})}, true, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,7 +268,6 @@ func TestDeployValidation(t *testing.T) {
 	g := testGraph(t, 250, 330, 2)
 	for name, opts := range map[string][]deploy.Option{
 		"updates offline":   {deploy.WithUpdates(deploy.UpdateConfig{})},
-		"updates sharded":   {deploy.WithUpdates(deploy.UpdateConfig{}), deploy.WithLive(station.Config{}), deploy.WithChannels(2)},
 		"loss out of range": {deploy.WithLoss(1.5, 1)},
 		"channels negative": {deploy.WithChannels(-2)},
 		"unknown method":    {deploy.WithMethod("XX")},
@@ -277,6 +278,9 @@ func TestDeployValidation(t *testing.T) {
 	}
 	if _, err := deploy.Deploy(g); err != nil {
 		t.Errorf("default Deploy: %v", err)
+	}
+	if _, err := deploy.Deploy(g, deploy.WithLive(station.Config{}), deploy.WithUpdates(deploy.UpdateConfig{}), deploy.WithChannels(3)); err != nil {
+		t.Errorf("live sharded dynamic Deploy: %v", err)
 	}
 }
 

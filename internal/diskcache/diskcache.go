@@ -151,20 +151,6 @@ func (c *Cache) Close() error {
 // Dir returns the cache directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// Len returns the number of indexed entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Bytes returns the indexed on-disk footprint.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}
-
 // fileName is the content address of a key: a truncated SHA-256, so keys
 // of any length and character set become fixed-width portable file names.
 // The full key is stored inside the entry and verified on load.
@@ -494,13 +480,6 @@ func (c *Cache) Map(key string) (*Mapping, bool) {
 	c.mu.Unlock()
 	obsHits.Inc()
 	return m, true
-}
-
-// Remove deletes the entry for key, if any (tests and manual invalidation;
-// normal operation never removes — new versions key differently).
-func (c *Cache) Remove(key string) {
-	c.drop(fileName(key), false)
-	os.Remove(filepath.Join(c.dir, fileName(key)))
 }
 
 // Mapping is a validated read-only view of one entry's payload. Payload

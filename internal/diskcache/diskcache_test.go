@@ -409,3 +409,17 @@ func TestOpenCleansTempFiles(t *testing.T) {
 		t.Fatal("non-entry file removed")
 	}
 }
+
+// Len returns the number of indexed entries.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// Bytes returns the indexed on-disk footprint.
+func (c *Cache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.size
+}

@@ -88,10 +88,11 @@ func referenceDistances(g *graph.Graph, w *workload.Workload) []float64 {
 	return out
 }
 
-// Swapper is the live station a churn run rolls cycle versions on
-// (station.Station): Swap schedules a cycle and reports when it reached the
-// air — closing the channel without a value if the station stopped first —
-// and Version is the cycle version on the air.
+// Swapper is the live air a churn run rolls cycle versions on (a
+// station.Station, or a K-channel group that re-shards each version): Swap
+// schedules a cycle and reports when it reached the air — closing the
+// channel without a value if the station stopped first — and Version is
+// the cycle version on the air.
 type Swapper interface {
 	Swap(*broadcast.Cycle) (<-chan int, error)
 	Version() uint32

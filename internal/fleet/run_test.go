@@ -6,6 +6,7 @@ package fleet_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -180,41 +181,45 @@ func TestFleetDurationCutoff(t *testing.T) {
 // pipeline — rebuild, delta trailer, boundary swap, staleness re-entry —
 // produced only correct answers.
 func TestRunChurn(t *testing.T) {
-	d := liveDeployment(t, conformance.Network(t, 400, 600, 21), deploy.WithUpdates(deploy.UpdateConfig{
-		Batches: 4, BatchSize: 20, Interval: 2 * time.Millisecond, Mode: update.ModeMixed,
-	}))
-	rep, err := d.RunFleet(context.Background(), fleet.Options{
-		Clients: 16, Queries: 400, PoolSize: 40, Loss: 0.05, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := rep.Churn
-	if res.Errors > 0 {
-		t.Fatalf("%d of %d churn queries failed verification", res.Errors, res.Queries)
-	}
-	if res.UpdateErr != nil {
-		t.Fatalf("updater: %v", res.UpdateErr)
-	}
-	if res.Queries != 400 || res.Agg.N != 400 {
-		t.Fatalf("answered %d/%d queries, want 400", res.Agg.N, res.Queries)
-	}
-	if res.Swaps == 0 || res.Versions == 0 {
-		t.Fatalf("no swaps reached the air (swaps=%d versions=%d) — the scenario did not churn", res.Swaps, res.Versions)
-	}
-	if res.Versions < res.Swaps {
-		t.Fatalf("versions=%d < swaps=%d", res.Versions, res.Swaps)
-	}
-	// Consistency of the staleness split: stale queries are a subset of the
-	// answered ones, and re-entries only come from stale queries.
-	if res.StaleQueries > res.Agg.N {
-		t.Fatalf("stale %d > answered %d", res.StaleQueries, res.Agg.N)
-	}
-	if res.Reentries < res.StaleQueries {
-		t.Fatalf("reentries %d < stale queries %d", res.Reentries, res.StaleQueries)
-	}
-	if res.QPS <= 0 {
-		t.Fatalf("QPS = %v", res.QPS)
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			d := liveDeployment(t, conformance.Network(t, 400, 600, 21), deploy.WithChannels(k), deploy.WithUpdates(deploy.UpdateConfig{
+				Batches: 4, BatchSize: 20, Interval: 2 * time.Millisecond, Mode: update.ModeMixed,
+			}))
+			rep, err := d.RunFleet(context.Background(), fleet.Options{
+				Clients: 16, Queries: 400, PoolSize: 40, Loss: 0.05, Seed: 21,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := rep.Churn
+			if res.Errors > 0 {
+				t.Fatalf("%d of %d churn queries failed verification", res.Errors, res.Queries)
+			}
+			if res.UpdateErr != nil {
+				t.Fatalf("updater: %v", res.UpdateErr)
+			}
+			if res.Queries != 400 || res.Agg.N != 400 {
+				t.Fatalf("answered %d/%d queries, want 400", res.Agg.N, res.Queries)
+			}
+			if res.Swaps == 0 || res.Versions == 0 {
+				t.Fatalf("no swaps reached the air (swaps=%d versions=%d) — the scenario did not churn", res.Swaps, res.Versions)
+			}
+			if res.Versions < res.Swaps {
+				t.Fatalf("versions=%d < swaps=%d", res.Versions, res.Swaps)
+			}
+			// Consistency of the staleness split: stale queries are a subset of
+			// the answered ones, and re-entries only come from stale queries.
+			if res.StaleQueries > res.Agg.N {
+				t.Fatalf("stale %d > answered %d", res.StaleQueries, res.Agg.N)
+			}
+			if res.Reentries < res.StaleQueries {
+				t.Fatalf("reentries %d < stale queries %d", res.Reentries, res.StaleQueries)
+			}
+			if res.QPS <= 0 {
+				t.Fatalf("QPS = %v", res.QPS)
+			}
+		})
 	}
 }
 

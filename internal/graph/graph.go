@@ -160,9 +160,6 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) {
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return len(b.nodes) }
 
-// NumArcs returns the number of arcs added so far.
-func (b *Builder) NumArcs() int { return len(b.tails) }
-
 // Build validates the accumulated data and returns the immutable Graph.
 // It fails on out-of-range endpoints, negative or non-finite weights, and
 // self-loops (road networks have none, and shortest-path pre-computation
@@ -186,16 +183,6 @@ func (b *Builder) Build() (*Graph, error) {
 	g.roff, g.rdst, g.rwgt = buildCSR(n, b.heads, b.tails, b.wgts)
 	g.computeBounds()
 	return g, nil
-}
-
-// MustBuild is Build that panics on error; intended for tests and
-// generators whose inputs are correct by construction.
-func (b *Builder) MustBuild() *Graph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 func buildCSR(n int, tails, heads []NodeID, wgts []float64) ([]int32, []NodeID, []float64) {

@@ -101,7 +101,10 @@ func TestStronglyConnected(t *testing.T) {
 	b.AddArc(0, 1, 1)
 	b.AddArc(1, 0, 1)
 	// node 2 isolated
-	g2 := b.MustBuild()
+	g2, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := g2.CheckStronglyConnected(); err == nil {
 		t.Error("expected disconnection error")
 	}
@@ -201,7 +204,11 @@ func FuzzGraphDecode(f *testing.F) {
 	b.AddEdge(2, 3, 0)
 	b.AddArc(3, 0, 7)
 	var valid bytes.Buffer
-	if err := Encode(&valid, b.MustBuild()); err != nil {
+	g, err := b.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := Encode(&valid, g); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())

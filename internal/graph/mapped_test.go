@@ -179,7 +179,10 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 
 // TestMappedEmptyGraph round-trips the degenerate empty graph.
 func TestMappedEmptyGraph(t *testing.T) {
-	g := NewBuilder(0, 0).MustBuild()
+	g, err := NewBuilder(0, 0).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := WriteMapped(&buf, g); err != nil {
 		t.Fatal(err)

@@ -58,9 +58,6 @@ func (m *Mem) Free(n int) {
 	}
 }
 
-// Cur returns the currently retained bytes.
-func (m *Mem) Cur() int { return m.cur }
-
 // Peak returns the maximum retained bytes observed.
 func (m *Mem) Peak() int { return m.peak }
 

@@ -24,8 +24,8 @@ func TestMemTracker(t *testing.T) {
 	m.Alloc(50)
 	m.Free(120)
 	m.Alloc(10)
-	if m.Cur() != 40 {
-		t.Errorf("cur %d", m.Cur())
+	if m.cur != 40 {
+		t.Errorf("cur %d", m.cur)
 	}
 	if m.Peak() != 150 {
 		t.Errorf("peak %d", m.Peak())

@@ -1,8 +1,8 @@
 // Package multichannel shards one broadcast cycle across K parallel
 // channels on a shared global clock. The cycle's sections are distributed
-// by region (contiguous kd order or Hilbert order over region centroids),
-// every channel carries a small directory mapping logical packet ranges to
-// (channel, slot), and a channel-hopping radio (Rx) serves the original
+// by region in contiguous kd order, every channel carries a small
+// directory mapping logical packet ranges to (channel, slot), and a
+// channel-hopping radio (Rx) serves the original
 // single-cycle address space to an unchanged broadcast.Tuner — scheme
 // clients run verbatim while access latency runs on the global clock, so
 // waits shrink with the per-channel cycle length (~K times).

@@ -95,9 +95,6 @@ func (m *Station) currentPlan() *Plan {
 	return m.plan
 }
 
-// Plan returns the sharding plan on the air.
-func (m *Station) Plan() *Plan { return m.currentPlan() }
-
 // K returns the channel count.
 func (m *Station) K() int { return len(m.stations) }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/broadcast"
+	"repro/internal/build"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/packet"
@@ -53,7 +54,7 @@ func versionedPlans(t testing.TB, k, n int) []*Plan {
 			if g, err = g.WithWeights(ups); err != nil {
 				t.Fatal(err)
 			}
-			next, err := srv.Rebuild(g)
+			next, err := build.Reweigh(srv, g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +243,7 @@ func TestSwapValidation(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("swap never applied")
 	}
-	if mst.Version() != 2 || mst.Plan() != plans[1] {
+	if mst.Version() != 2 || mst.currentPlan() != plans[1] {
 		t.Fatalf("plan not reconciled after swap: version %d", mst.Version())
 	}
 }

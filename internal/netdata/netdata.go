@@ -11,15 +11,9 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/spath"
 )
-
-// obsPatchedArcs counts delta-protocol arc patches applied to client-side
-// partial networks (DESIGN.md §10).
-var obsPatchedArcs = obs.GetCounter("air_client_patched_arcs_total",
-	"arcs patched into client partial networks by the versioned-cycle delta protocol")
 
 // maxArcsPerRecord keeps a node record within packet.MaxRecord:
 // header (id u32 + x f32 + y f32 + flags u8 + count u8) is 14 bytes, each
@@ -137,10 +131,6 @@ type Collector struct {
 	Net *spath.SubNetwork
 	Mem *metrics.Mem
 
-	// Trace, when set, records delta patch applications on the owning
-	// query's flight recorder (obs.EvPatchApply). Nil costs one branch.
-	Trace *obs.Trace
-
 	border flagSet // by node ID
 	seen   flagSet // by cycle position
 
@@ -255,31 +245,6 @@ func (c *Collector) Process(cyclePos int, p packet.Packet) {
 		}
 		return true
 	})
-}
-
-// PatchArc updates the weight of every collected From->To arc to w and
-// reports whether any arc changed: the client half of the versioned-cycle
-// delta protocol (internal/update). A client whose query straddled a cycle
-// swap replays the new cycle's KindDelta patch list through here; arcs it
-// never collected return false and cost nothing — the regions they belong
-// to will arrive from the new cycle anyway.
-func (c *Collector) PatchArc(from, to graph.NodeID, w float64) bool {
-	if !c.Net.Has(from) {
-		return false
-	}
-	patched := false
-	arcs := c.Net.Arcs(from)
-	for i := range arcs {
-		if arcs[i].To == to && arcs[i].Weight != w {
-			arcs[i].Weight = w
-			patched = true
-		}
-	}
-	if patched {
-		obsPatchedArcs.Inc()
-		c.Trace.Record(obs.EvPatchApply, 0, 1)
-	}
-	return patched
 }
 
 // Release discharges the collector's retained bytes from the tracker

@@ -127,24 +127,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Snapshot returns the distribution observed so far. Under concurrent
-// Observes the counts and the sum are each exact but may be a few samples
-// apart.
-func (h *Histogram) Snapshot() metrics.Hist {
-	out := metrics.Hist{Zero: h.counts[0].Load(), Sum: h.Sum()}
-	var dense [metrics.NumBuckets]int64
-	lo, hi := len(dense), 0 // the populated window [lo, hi)
-	for i := range dense {
-		if dense[i] = h.counts[1+i].Load(); dense[i] != 0 {
-			lo, hi = min(lo, i), i+1
-		}
-	}
-	if lo < hi {
-		out.Low, out.Counts = lo, append(out.Counts, dense[lo:hi]...)
-	}
-	return out
-}
-
 // The le view: /metrics renders every leStep-th bucket edge of the layout
 // from leFirst on — leEdges bounds a factor 1.08^18 ≈ 4 apart, from 6.0e-5
 // to 2.5e5, wide enough for every unit a histogram here is fed (seconds,

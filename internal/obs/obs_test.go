@@ -433,11 +433,29 @@ func TestTraceRing(t *testing.T) {
 func TestEventKindStrings(t *testing.T) {
 	want := map[EventKind]string{
 		EvTuneIn: "tune-in", EvDirRead: "dir-read", EvHop: "hop",
-		EvRetry: "retry", EvReentry: "reentry", EvPatchApply: "patch-apply",
+		EvRetry: "retry", EvReentry: "reentry",
 	}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)
 		}
 	}
+}
+
+// Snapshot returns the distribution observed so far. Under concurrent
+// Observes the counts and the sum are each exact but may be a few samples
+// apart.
+func (h *Histogram) Snapshot() metrics.Hist {
+	out := metrics.Hist{Zero: h.counts[0].Load(), Sum: h.Sum()}
+	var dense [metrics.NumBuckets]int64
+	lo, hi := len(dense), 0 // the populated window [lo, hi)
+	for i := range dense {
+		if dense[i] = h.counts[1+i].Load(); dense[i] != 0 {
+			lo, hi = min(lo, i), i+1
+		}
+	}
+	if lo < hi {
+		out.Low, out.Counts = lo, append(out.Counts, dense[lo:hi]...)
+	}
+	return out
 }

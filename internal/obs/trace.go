@@ -36,10 +36,6 @@ const (
 	// re-entered. Pos is the position the re-entry started from; Arg is
 	// the attempt number being discarded.
 	EvReentry
-	// EvPatchApply: a delta patch was applied to the client's partial
-	// network instead of a full re-entry. Pos is unused; Arg is the
-	// number of arcs patched.
-	EvPatchApply
 )
 
 // String names the kind for rendering.
@@ -55,8 +51,6 @@ func (k EventKind) String() string {
 		return "retry"
 	case EvReentry:
 		return "reentry"
-	case EvPatchApply:
-		return "patch-apply"
 	}
 	return "unknown"
 }

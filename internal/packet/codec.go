@@ -32,9 +32,6 @@ func (e *Enc) Bytes() []byte { return e.B }
 // Len returns the number of bytes accumulated.
 func (e *Enc) Len() int { return len(e.B) }
 
-// Reset clears the buffer, retaining capacity.
-func (e *Enc) Reset() { e.B = e.B[:0] }
-
 // Dec decodes a record payload written by Enc. It is error-sticky: after the
 // first short read every getter returns zero and Err reports failure, so
 // callers can decode a whole record and check once.

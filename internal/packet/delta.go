@@ -1,18 +1,15 @@
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Delta wire format.
 //
 // A versioned broadcast rebuilds its cycle when the underlying network's
 // arc weights change (internal/update). The patch from one version to the
-// next travels as a run of KindDelta packets so a client caught mid-query
-// by a cycle swap can learn exactly which arcs changed and either patch the
-// partial network it already collected or decide to re-enter. Every packet
+// next can travel as a run of KindDelta packets trailing the new cycle
+// (broadcast.WithTrailer). No client decodes them — clients caught by a
+// swap re-enter (update.Query) — so the manager appends none; the encoder
+// stays as the measured cost of the patch a client would need. Every packet
 // leads with a TagDeltaMeta record, so any single intact packet identifies
 // the patch shape — the same per-packet self-description rule the air index
 // (airidx) and the channel directory (multichannel) follow:
@@ -20,8 +17,7 @@ import (
 //	deltameta = version u32, fromVersion u32, arcs u32, packets u16, seq u16
 //	deltaarcs = repeated (from u32, to u32, weight f32)
 //
-// Records never span packets, so each delta packet decodes independently
-// and a lost one is recovered from a later cycle like any other record.
+// Records never span packets, so each delta packet decodes independently.
 
 // DeltaArc is one changed arc: the directed arc From->To now has weight
 // Weight. It is the on-air mirror of graph.WeightUpdate.
@@ -40,30 +36,19 @@ const deltaMetaBytes = 16
 // the payload minus the framed meta record, in whole arc triples.
 const DeltaArcsPerPacket = (PayloadSize - (recordHeader + deltaMetaBytes) - recordHeader) / deltaArcBytes
 
-// MaxDeltaArcs is the largest patch one delta copy can carry: the packet
-// count travels as a u16 in every meta record. Batches beyond it must be
-// split by the producer (internal/update rejects them).
-const MaxDeltaArcs = DeltaArcsPerPacket * 0xFFFF
-
-// DeltaMeta is a decoded TagDeltaMeta record.
-type DeltaMeta struct {
-	Version     uint32 // cycle version this patch produces
-	FromVersion uint32 // cycle version this patch applies to
-	Arcs        int    // total changed arcs in the patch
-	Packets     int    // packets per patch copy
-	Seq         int    // this packet's position within the copy
-}
+// maxDeltaArcs is the largest patch one delta copy can carry: the packet
+// count travels as a u16 in every meta record.
+const maxDeltaArcs = DeltaArcsPerPacket * 0xFFFF
 
 // EncodeDelta renders the patch from fromVersion to version as KindDelta
 // packets, every one stamped with the new version and self-described by a
 // leading TagDeltaMeta record. An empty patch (a rebuild that changed no
 // arc, or a pure version bump) still produces one packet: the meta alone
 // announces the transition. Like Writer.Add, it panics on input the wire
-// format cannot carry — more than MaxDeltaArcs arcs; producers split such
-// batches at a higher level.
+// format cannot carry — more than maxDeltaArcs arcs.
 func EncodeDelta(version, fromVersion uint32, arcs []DeltaArc) []Packet {
-	if len(arcs) > MaxDeltaArcs {
-		panic(fmt.Sprintf("packet: delta of %d arcs exceeds MaxDeltaArcs=%d", len(arcs), MaxDeltaArcs))
+	if len(arcs) > maxDeltaArcs {
+		panic(fmt.Sprintf("packet: delta of %d arcs exceeds %d", len(arcs), maxDeltaArcs))
 	}
 	nPkts := (len(arcs) + DeltaArcsPerPacket - 1) / DeltaArcsPerPacket
 	if nPkts == 0 {
@@ -96,44 +81,4 @@ func EncodeDelta(version, fromVersion uint32, arcs []DeltaArc) []Packet {
 		pkts[seq] = Packet{Kind: KindDelta, Version: version, Payload: full}
 	}
 	return pkts
-}
-
-// DecodeDeltaMeta parses a TagDeltaMeta record.
-func DecodeDeltaMeta(data []byte) (DeltaMeta, bool) {
-	d := NewDec(data)
-	m := DeltaMeta{
-		Version:     d.U32(),
-		FromVersion: d.U32(),
-		Arcs:        int(d.U32()),
-		Packets:     int(d.U16()),
-		Seq:         int(d.U16()),
-	}
-	if d.Err() || m.Packets < 1 || m.Seq >= m.Packets {
-		return DeltaMeta{}, false
-	}
-	return m, true
-}
-
-// ForEachDeltaArc decodes a TagDeltaArcs record in place, calling fn for
-// every changed arc until it returns false. Like ForEachRecord it is a view
-// decode: no copies, no allocation (TestForEachDeltaArcZeroAlloc pins it),
-// and a truncated record yields its valid prefix.
-//
-//air:noalloc
-func ForEachDeltaArc(data []byte, fn func(a DeltaArc) bool) {
-	for off := 0; off+deltaArcBytes <= len(data); off += deltaArcBytes {
-		a := DeltaArc{
-			From:   binary.LittleEndian.Uint32(data[off:]),
-			To:     binary.LittleEndian.Uint32(data[off+4:]),
-			Weight: f32at(data[off+8:]),
-		}
-		if !fn(a) {
-			return
-		}
-	}
-}
-
-// f32at reads a little-endian float32 widened to float64.
-func f32at(b []byte) float64 {
-	return float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))
 }

@@ -122,9 +122,6 @@ func medianSplit(nodes []graph.Node, part []int32, byY bool) (split float64, lef
 // NumRegions implements Partitioning.
 func (t *KDTree) NumRegions() int { return len(t.splits) + 1 }
 
-// Levels returns the tree depth (log2 of the region count).
-func (t *KDTree) Levels() int { return t.levels }
-
 // quant rounds to float32 precision: the precision of everything on air.
 func quant(v float64) float64 { return float64(float32(v)) }
 
@@ -218,12 +215,6 @@ func (gr *Grid) Bounds() (minX, minY, maxX, maxY float64) {
 
 // NumRegions implements Partitioning.
 func (gr *Grid) NumRegions() int { return gr.cols * gr.rows }
-
-// Cols returns the number of grid columns.
-func (gr *Grid) Cols() int { return gr.cols }
-
-// Rows returns the number of grid rows.
-func (gr *Grid) Rows() int { return gr.rows }
 
 // RegionOf implements Partitioning. Coordinates outside the box clamp to the
 // nearest cell. Inputs are quantized to float32 first (see KDTree.RegionOf).

@@ -18,7 +18,11 @@ func randomNetwork(t testing.TB, n int, seed int64) *graph.Graph {
 	for i := 1; i < n; i++ {
 		b.AddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)), 1+rng.Float64())
 	}
-	return b.MustBuild()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestKDTreeRegionCountValidation(t *testing.T) {
@@ -162,7 +166,10 @@ func TestBorders(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(1, 2, 1)
 	b.AddEdge(2, 3, 1)
-	g := b.MustBuild()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	assign := []int{0, 0, 1, 1}
 	perRegion, isBorder := Borders(g, assign, 2)
 	if len(perRegion[0]) != 1 || perRegion[0][0] != 1 {

@@ -2,7 +2,7 @@
 //
 // Items are small non-negative integers (node IDs); the heap supports
 // decrease-key in O(log n), which Dijkstra and A* rely on. A position index
-// makes Contains and DecreaseKey O(1) lookups.
+// makes finding a contained item's slot an O(1) lookup.
 package pq
 
 // Min is an indexed min-heap. The zero value is not usable; call New.
@@ -24,14 +24,8 @@ func New(n int) *Min {
 // Len returns the number of items currently in the heap.
 func (h *Min) Len() int { return len(h.items) }
 
-// Contains reports whether item is in the heap.
-func (h *Min) Contains(item int32) bool { return h.pos[item] >= 0 }
-
-// Key returns the current key of item; item must be contained.
-func (h *Min) Key(item int32) float64 { return h.keys[h.pos[item]] }
-
 // Push inserts item with the given key. It panics if the item is already
-// contained (use DecreaseKey or PushOrDecrease instead).
+// contained (use PushOrDecrease instead).
 func (h *Min) Push(item int32, key float64) {
 	if h.pos[item] >= 0 {
 		panic("pq: Push of item already in heap")
@@ -39,19 +33,6 @@ func (h *Min) Push(item int32, key float64) {
 	h.items = append(h.items, item)
 	h.keys = append(h.keys, key)
 	h.up(len(h.items)-1, item, key)
-}
-
-// DecreaseKey lowers the key of a contained item. It panics if the item is
-// absent; keys may only decrease (a larger key is ignored).
-func (h *Min) DecreaseKey(item int32, key float64) {
-	i := h.pos[item]
-	if i < 0 {
-		panic("pq: DecreaseKey of item not in heap")
-	}
-	if key >= h.keys[i] {
-		return
-	}
-	h.up(int(i), item, key)
 }
 
 // PushOrDecrease inserts the item or lowers its key, whichever applies.

@@ -30,13 +30,13 @@ func TestDecreaseKey(t *testing.T) {
 	h.Push(0, 10)
 	h.Push(1, 20)
 	h.Push(2, 30)
-	h.DecreaseKey(2, 5)
+	h.PushOrDecrease(2, 5)
 	if item, k := h.Pop(); item != 2 || k != 5 {
 		t.Errorf("got (%d, %v), want (2, 5)", item, k)
 	}
-	// Increasing via DecreaseKey is a no-op.
-	h.DecreaseKey(1, 100)
-	if k := h.Key(1); k != 20 {
+	// Increasing a contained item's key is a no-op.
+	h.PushOrDecrease(1, 100)
+	if k := h.keys[h.pos[1]]; k != 20 {
 		t.Errorf("key rose to %v", k)
 	}
 }
@@ -60,11 +60,11 @@ func TestPushOrDecrease(t *testing.T) {
 func TestContains(t *testing.T) {
 	h := New(3)
 	h.Push(1, 1)
-	if !h.Contains(1) || h.Contains(0) {
+	if h.pos[1] < 0 || h.pos[0] >= 0 {
 		t.Error("containment wrong after push")
 	}
 	h.Pop()
-	if h.Contains(1) {
+	if h.pos[1] >= 0 {
 		t.Error("containment wrong after pop")
 	}
 }
@@ -79,7 +79,7 @@ func TestReset(t *testing.T) {
 		t.Fatalf("len %d after reset", h.Len())
 	}
 	for i := int32(0); i < 5; i++ {
-		if h.Contains(i) {
+		if h.pos[i] >= 0 {
 			t.Fatalf("item %d still contained after reset", i)
 		}
 	}
@@ -102,7 +102,6 @@ func TestPanicsOnMisuse(t *testing.T) {
 		h.Push(0, 1)
 		h.Push(0, 2)
 	})
-	expectPanic("decrease absent", func() { New(1).DecreaseKey(0, 1) })
 }
 
 // TestHeapSortProperty: popping all items yields the keys in sorted order,
@@ -150,9 +149,9 @@ func TestDecreaseKeyProperty(t *testing.T) {
 		}
 		for ops := 0; ops < n; ops++ {
 			it := int32(rng.Intn(n))
-			if h.Contains(it) {
-				nk := h.Key(it) * rng.Float64()
-				h.DecreaseKey(it, nk)
+			if i := h.pos[it]; i >= 0 {
+				nk := h.keys[i] * rng.Float64()
+				h.PushOrDecrease(it, nk)
 				final[it] = nk
 			}
 		}

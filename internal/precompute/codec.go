@@ -124,21 +124,29 @@ func DecodeBorder(data []byte) (*BorderData, int, error) {
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != borderVersion1 {
 		return nil, 0, fmt.Errorf("precompute: unsupported border format %d", v)
 	}
-	n := int(binary.LittleEndian.Uint32(data[8:12]))
-	words := int(binary.LittleEndian.Uint32(data[12:16]))
+	size := int64(len(data))
+	n64 := int64(binary.LittleEndian.Uint32(data[8:12]))
+	words64 := int64(binary.LittleEndian.Uint32(data[12:16]))
 	nodes := int64(binary.LittleEndian.Uint64(data[16:24]))
 	elapsed := time.Duration(binary.LittleEndian.Uint64(data[24:32]))
-	if n < 0 || words < 0 || nodes < 0 {
-		return nil, 0, fmt.Errorf("precompute: border header out of range (n=%d words=%d nodes=%d)", n, words, nodes)
+	// Bound every count by the buffer before forming a product: the two
+	// distance matrices take 16 bytes a cell, a traversal set 8 bytes a
+	// word, a node one byte. A header naming more than the buffer holds is
+	// refused here, so no product below can wrap (n = 2^31 would wrap the
+	// matrix bytes to 0 and pass the size check on a 40-byte file).
+	if nodes < 0 || nodes > size || words64 > size ||
+		n64 > 0 && n64 > size/(16*n64) || n64 > 0 && words64 > size/(8*n64*n64) {
+		return nil, 0, fmt.Errorf("precompute: border header out of range for %d bytes (n=%d words=%d nodes=%d)", size, n64, words64, nodes)
 	}
-	want := int64(borderHeaderLen) + 2*int64(n)*int64(n)*8 + int64(n)*int64(n)*int64(words)*8 + pad8b(nodes) + 8
-	if int64(len(data)) != want {
+	want := int64(borderHeaderLen) + 16*n64*n64 + 8*n64*n64*words64 + pad8b(nodes) + 8
+	if size != want {
 		return nil, 0, fmt.Errorf("precompute: border buffer is %d bytes, header implies %d", len(data), want)
 	}
 	if string(data[len(data)-8:]) != borderEndMagic {
 		return nil, 0, fmt.Errorf("precompute: bad border footer %q", data[len(data)-8:])
 	}
 
+	n, words := int(n64), int(words64)
 	b := &BorderData{Elapsed: elapsed}
 	at := int64(borderHeaderLen)
 	readMatrix := func() [][]float64 {

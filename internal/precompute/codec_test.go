@@ -2,6 +2,7 @@ package precompute
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -64,6 +65,52 @@ func TestBorderCodecRejectsCorruption(t *testing.T) {
 	if _, _, err := DecodeBorder(base[:8]); err == nil {
 		t.Error("sub-header buffer accepted")
 	}
+}
+
+// hugeHeader is a 40-byte AIRB file whose header claims 2^31 regions: the
+// matrix sizes 2·n²·8 and n²·words·8 wrap to 0 in int64, so a size check
+// formed from the products alone accepts the bare header and footer.
+func hugeHeader() []byte {
+	data := make([]byte, borderHeaderLen, borderHeaderLen+8)
+	copy(data, borderMagic)
+	binary.LittleEndian.PutUint32(data[4:8], borderVersion1)
+	binary.LittleEndian.PutUint32(data[8:12], 1<<31)
+	return append(data, borderEndMagic...)
+}
+
+// TestBorderCodecRejectsWrappingHeader: the 40-byte file errors instead of
+// reaching make([]float64, n*n).
+func TestBorderCodecRejectsWrappingHeader(t *testing.T) {
+	if _, _, err := DecodeBorder(hugeHeader()); err == nil {
+		t.Fatal("a header claiming 2^31 regions in 40 bytes decoded")
+	}
+}
+
+// FuzzDecodeBorder: the disk tier hands DecodeBorder whatever a file holds,
+// so any bytes must decode or error — never panic — and what decodes may
+// not have allocated more than the buffer carried: 16 bytes a matrix
+// cell, 8 a traversal word, 1 a node.
+func FuzzDecodeBorder(f *testing.F) {
+	_, r, bd := setup(f, 60, 70, 4, 3)
+	var buf bytes.Buffer
+	if err := EncodeBorder(&buf, bd, r.N); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(hugeHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, n, err := DecodeBorder(data)
+		if err != nil {
+			return
+		}
+		words := 0
+		if len(got.Traverse) > 0 {
+			words = len(got.Traverse[0])
+		}
+		if held := 16*n*n + 8*n*n*words + len(got.CrossBorder); held > len(data) {
+			t.Fatalf("%d-byte buffer decoded into %d bytes (n=%d words=%d nodes=%d)", len(data), held, n, words, len(got.CrossBorder))
+		}
+	})
 }
 
 // TestBorderCodecShapeValidation: encoding data whose shape contradicts the

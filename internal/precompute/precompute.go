@@ -38,17 +38,6 @@ func (s RegionSet) Or(other RegionSet) {
 	}
 }
 
-// Count returns the number of regions in the set.
-func (s RegionSet) Count() int {
-	c := 0
-	for _, w := range s {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
-	}
-	return c
-}
-
 // Regions bundles a partitioning with its node assignment and border
 // structure for one graph.
 type Regions struct {
@@ -74,15 +63,6 @@ func BuildRegions(g *graph.Graph, part partition.Partitioning) *Regions {
 		Borders:  borders,
 		IsBorder: isBorder,
 	}
-}
-
-// BorderCount returns the total number of border nodes.
-func (r *Regions) BorderCount() int {
-	total := 0
-	for _, b := range r.Borders {
-		total += len(b)
-	}
-	return total
 }
 
 // BorderData is the result of the EB/NR pre-computation. The paper notes

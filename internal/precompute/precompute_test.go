@@ -2,6 +2,7 @@ package precompute
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 	"repro/internal/spath"
 )
 
-func setup(t *testing.T, nodes, edges, regions int, seed int64) (*graph.Graph, *Regions, *BorderData) {
+func setup(t testing.TB, nodes, edges, regions int, seed int64) (*graph.Graph, *Regions, *BorderData) {
 	t.Helper()
 	g, err := netgen.Generate(nodes, edges, seed)
 	if err != nil {
@@ -148,13 +149,19 @@ func TestRegionSetOps(t *testing.T) {
 	if !s.Has(0) || !s.Has(64) || !s.Has(129) || s.Has(1) {
 		t.Fatal("set/has wrong")
 	}
-	if s.Count() != 3 {
-		t.Fatalf("count %d", s.Count())
+	count := func() (n int) {
+		for _, w := range s {
+			n += bits.OnesCount64(w)
+		}
+		return n
+	}
+	if count() != 3 {
+		t.Fatalf("count %d", count())
 	}
 	o := NewRegionSet(130)
 	o.Set(5)
 	s.Or(o)
-	if !s.Has(5) || s.Count() != 4 {
+	if !s.Has(5) || count() != 4 {
 		t.Fatal("or wrong")
 	}
 }
@@ -191,9 +198,6 @@ func TestBorderCount(t *testing.T) {
 	total := 0
 	for _, bs := range r.Borders {
 		total += len(bs)
-	}
-	if r.BorderCount() != total {
-		t.Fatalf("BorderCount %d != %d", r.BorderCount(), total)
 	}
 	if total == 0 {
 		t.Fatal("no border nodes on a connected partitioned network")

@@ -11,7 +11,10 @@ func TestQueryFor(t *testing.T) {
 	b.AddNode(1.5, 2.5)
 	b.AddNode(3.5, 4.5)
 	b.AddEdge(0, 1, 1)
-	g := b.MustBuild()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := QueryFor(g, 0, 1)
 	if q.S != 0 || q.T != 1 {
 		t.Fatalf("ids %d %d", q.S, q.T)

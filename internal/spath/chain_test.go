@@ -27,7 +27,11 @@ func buildRoads(n int, edges []edge) *graph.Graph {
 			b.AddEdge(e.u, e.v, e.w)
 		}
 	}
-	return b.MustBuild()
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // matchesDijkstra runs the kernel from every node of g and requires Dist
@@ -130,7 +134,11 @@ func TestChainSearchParallelArcsAreJunctions(t *testing.T) {
 	b.AddEdge(1, 2, 0.75)
 	b.AddEdge(2, 3, 4.25)
 	b.AddEdge(2, 3, 0.125)
-	matchesDijkstra(t, b.MustBuild())
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesDijkstra(t, g)
 }
 
 func TestChainSearchRunDoesNotAllocate(t *testing.T) {
@@ -177,7 +185,11 @@ func randomRoads(junctions int, seed int64) *graph.Graph {
 			road(graph.NodeID(i), b.AddNode(rng.Float64()*100, rng.Float64()*100))
 		}
 	}
-	return b.MustBuild()
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 func TestChainSearchMatchesDijkstraOnRandomRoads(t *testing.T) {
@@ -232,6 +244,10 @@ func FuzzBorderKernel(f *testing.F) {
 				b.AddEdge(u, v, weight())
 			}
 		}
-		matchesDijkstra(t, b.MustBuild())
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchesDijkstra(t, g)
 	})
 }

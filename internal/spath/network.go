@@ -281,20 +281,6 @@ func (s *SubNetwork) ForEach(fn func(v graph.NodeID)) {
 	}
 }
 
-// ApproxBytes estimates the client-side memory footprint of the partial
-// network: per-node record plus per-arc record, mirroring the memory model
-// in internal/metrics.
-func (s *SubNetwork) ApproxBytes() int {
-	const nodeBytes, arcBytes = 24, 12
-	total := 0
-	for v, p := range s.present {
-		if p {
-			total += nodeBytes + arcBytes*len(s.adj[v])
-		}
-	}
-	return total
-}
-
 // SortAllArcs sorts every present node's arc list by (target, weight): the
 // canonical CSR order. Clients that pair per-arc auxiliary data (ArcFlag's
 // bit vectors) with adjacency lists by ordinal call this after reception,

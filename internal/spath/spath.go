@@ -89,22 +89,6 @@ func dijkstraCSR(g *graph.Graph, src graph.NodeID, reverse bool) *Tree {
 	return t
 }
 
-// PathTo reconstructs the node sequence from the tree source to dst by
-// walking parents backwards. It returns nil if dst is unreachable.
-func (t *Tree) PathTo(dst graph.NodeID) []graph.NodeID {
-	if math.IsInf(t.Dist[dst], 1) {
-		return nil
-	}
-	var rev []graph.NodeID
-	for v := dst; v != graph.Invalid; v = t.Parent[v] {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // PointToPoint runs Dijkstra from s, stopping as soon as t is settled.
 // It returns the distance, the path, and the number of settled nodes.
 // The distance is Inf and the path nil when t is unreachable.

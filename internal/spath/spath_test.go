@@ -25,7 +25,11 @@ func randomGraph(n int, seed int64) *graph.Graph {
 			b.AddArc(graph.NodeID(u), graph.NodeID(v), 1+rng.Float64()*9)
 		}
 	}
-	return b.MustBuild()
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // floydWarshall is the brute-force reference.
@@ -91,7 +95,7 @@ func TestPathReconstruction(t *testing.T) {
 	g := randomGraph(40, 5)
 	tree := Dijkstra(g, 0)
 	for v := 1; v < g.NumNodes(); v += 7 {
-		path := tree.PathTo(graph.NodeID(v))
+		_, path, _ := PointToPoint(g, 0, graph.NodeID(v))
 		if path[0] != 0 || path[len(path)-1] != graph.NodeID(v) {
 			t.Fatalf("path endpoints %v", path)
 		}
@@ -188,7 +192,10 @@ func TestAStarWithEuclideanBound(t *testing.T) {
 		j := (i + 1) % n
 		b.AddArc(graph.NodeID(i), graph.NodeID(j), 1)
 	}
-	g := b.MustBuild()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// With weight-1 ring arcs Euclidean bounds are NOT admissible; use the
 	// zero bound (Dijkstra) versus a trivially admissible bound of 0.
 	d1, _, _ := AStar(g, 0, 30, nil)
@@ -273,14 +280,6 @@ func TestSubNetworkGrowAndRemove(t *testing.T) {
 	sn.Remove(5)
 	if sn.Has(5) || len(sn.Arcs(5)) != 0 {
 		t.Fatal("remove failed")
-	}
-}
-
-func TestSubNetworkApproxBytes(t *testing.T) {
-	sn := NewSubNetwork(10)
-	sn.AddNode(1, 0, 0, []graph.Arc{{To: 2, Weight: 1}})
-	if b := sn.ApproxBytes(); b != 24+12 {
-		t.Fatalf("ApproxBytes %d, want 36", b)
 	}
 }
 

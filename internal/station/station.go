@@ -743,8 +743,8 @@ func (s *Sub) allows() int64 {
 func (s *Sub) Start() int { return s.start }
 
 // Len returns the current cycle length in packets (broadcast.Feed). It
-// changes when a swap installs a cycle of a different length (e.g. one
-// carrying a delta trailer); clients always read it live through the tuner,
+// changes when a swap installs a cycle of a different length (a rebuilt
+// version of another shape); clients always read it live through the tuner,
 // so their cyclic arithmetic follows the air.
 func (s *Sub) Len() int { return s.st.cur.Load().cycle.Len() }
 

@@ -6,34 +6,31 @@
 // The paper's air-index schemes broadcast a static network. This package
 // adds the server half a dynamic deployment needs on top of them:
 //
-//   - A Manager accepts a stream of edge-weight updates, rebuilds the
+//   - A Manager accepts a stream of edge-weight updates and rebuilds the
 //     scheme's EB/NR/DJ structures into a new cycle version (the one build
 //     path's Reweigh: the previous version lends its partition, the
-//     parallel border pre-computation reruns), and renders the changed-arc
-//     patch list as KindDelta packets trailing the new cycle.
+//     parallel border pre-computation reruns), stamped with its version.
 //   - The live station (internal/station, internal/multichannel) swaps to
 //     the new cycle atomically — at a cycle boundary on one channel, at one
 //     global tick across a channel group — announcing the version in every
 //     packet header and in the directory meta records.
 //   - Clients detect mid-query that the air swapped (the broadcast.Tuner's
-//     version window, a hopping radio's Rx.Stale) and either re-enter
-//     (Query) or patch their partial network from the delta trailer
-//     (DeltaAccum + netdata's Collector.PatchArc).
+//     version window, a hopping radio's Rx.Stale) and re-enter (Query).
 //
 // Versions are immutable once built: a (network, scheme, update-sequence)
 // triple keys its build in the shared servercache, so a fuzzer or a fleet
 // revisiting a version reuses it.
 //
 // With an empty update stream nothing happens at all: the Manager serves
-// the scheme server's own cycle object, unstamped and untrailered, so the
-// static path stays bit-identical to the paper's model — the committed
-// deterministic baselines (harness.TestLatencyVsKGolden, TestK1BitForBit)
-// pin this.
+// the scheme server's own cycle object, unstamped, so the static path
+// stays bit-identical to the paper's model — the committed deterministic
+// baselines (harness.TestLatencyVsKGolden, TestK1BitForBit) pin this.
 package update
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,7 +38,6 @@ import (
 	"repro/internal/build"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/packet"
 	"repro/internal/scheme"
 	"repro/internal/servercache"
 )
@@ -51,9 +47,7 @@ var (
 	obsRebuilds = obs.GetCounter("air_update_rebuilds_total",
 		"cycle rebuilds committed (Apply calls that produced a new version)")
 	obsRebuildSecs = obs.GetHistogram("air_update_rebuild_seconds",
-		"wall time of one Apply (rebuild + delta encode + trailer)")
-	obsDeltaArcs = obs.GetHistogram("air_update_delta_arcs",
-		"arcs patched per committed delta")
+		"wall time of one Apply (rebuild + version stamp)")
 	obsVersion = obs.GetGauge("air_update_version",
 		"cycle version most recently committed by any manager")
 )
@@ -71,18 +65,13 @@ type Config struct {
 }
 
 // Build is one immutable cycle version: the mutated network, the rebuilt
-// server, and the versioned on-air cycle (the server's cycle plus the
-// KindDelta trailer, every packet stamped with Version).
+// server, and the versioned on-air cycle (the server's cycle with every
+// packet stamped with Version).
 type Build struct {
 	Version uint32
 	Graph   *graph.Graph
 	Server  scheme.Server
 	Cycle   *broadcast.Cycle
-	// Delta is the patch producing this version from its predecessor, as
-	// broadcast packets (also present as the Cycle's trailing section).
-	Delta []packet.Packet
-	// Updates is the applied patch in server-side form.
-	Updates []graph.WeightUpdate
 }
 
 // Manager owns the server side of a versioned broadcast: the current
@@ -98,7 +87,6 @@ type Manager struct {
 	srv     scheme.Server
 	version uint32
 	cycle   *broadcast.Cycle
-	delta   []packet.Packet
 	sig     uint64 // FNV-1a over the applied update history
 }
 
@@ -126,45 +114,28 @@ func (m *Manager) Graph() *graph.Graph {
 	return m.g
 }
 
-// Server returns the scheme server of the current version.
-func (m *Manager) Server() scheme.Server {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.srv
-}
-
 // Cycle returns the on-air cycle of the current version: at version 0 the
 // scheme server's own cycle object (bit-identical static path), afterwards
-// the stamped, delta-trailered rebuild.
+// the stamped rebuild.
 func (m *Manager) Cycle() *broadcast.Cycle {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.cycle
 }
 
-// Delta returns the latest patch as packets (nil at version 0).
-func (m *Manager) Delta() []packet.Packet {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.delta
-}
-
 // Apply folds one batch of weight updates into the network and builds the
 // next cycle version: mutate the graph (weight-only, validated), rebuild
-// the scheme structures, encode the patch as a KindDelta trailer, stamp
-// everything with the new version. The current version is untouched until
-// the whole build succeeds; on any error the manager keeps serving it.
+// the scheme structures, stamp the rebuilt cycle with the new version. The
+// current version is untouched until the whole build succeeds; on any
+// error the manager keeps serving it.
 //
 // An empty batch is a pure version bump: the network is unchanged but the
-// cycle re-stamps and carries an empty patch — useful for forcing clients
-// through the swap path, and the identity the no-op fuzz corpus pins.
+// cycle re-stamps — useful for forcing clients through the swap path, and
+// the identity the no-op fuzz corpus pins.
 func (m *Manager) Apply(ups []graph.WeightUpdate) (*Build, error) {
 	started := time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(ups) > packet.MaxDeltaArcs {
-		return nil, fmt.Errorf("update: batch of %d updates exceeds one delta copy (%d); split it", len(ups), packet.MaxDeltaArcs)
-	}
 	g2, err := m.g.WithWeights(ups)
 	if err != nil {
 		return nil, err
@@ -181,24 +152,20 @@ func (m *Manager) Apply(ups []graph.WeightUpdate) (*Build, error) {
 	if err != nil {
 		return nil, fmt.Errorf("update: rebuild v%d: %w", v2, err)
 	}
-	delta := packet.EncodeDelta(v2, m.version, toDeltaArcs(ups))
-	cyc, err := broadcast.WithTrailer(srv2.Cycle(), packet.KindDelta, -1, fmt.Sprintf("delta v%d", v2), delta)
-	if err != nil {
-		return nil, fmt.Errorf("update: trailer v%d: %w", v2, err)
-	}
+	// The stamp goes on a copy the manager owns: the server's own cycle may
+	// be shared through the servercache or mapped from its disk tier.
+	built := srv2.Cycle()
+	cyc := &broadcast.Cycle{Packets: slices.Clone(built.Packets), Sections: slices.Clone(built.Sections)}
 	cyc.SetVersion(v2)
-	m.g, m.srv, m.version, m.cycle, m.delta, m.sig = g2, srv2, v2, cyc, delta, sig2
+	m.g, m.srv, m.version, m.cycle, m.sig = g2, srv2, v2, cyc, sig2
 	obsRebuilds.Inc()
 	obsRebuildSecs.Observe(time.Since(started).Seconds()) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-	obsDeltaArcs.Observe(float64(len(ups)))
 	obsVersion.Set(int64(v2))
 	return &Build{
 		Version: v2,
 		Graph:   g2,
 		Server:  srv2,
 		Cycle:   cyc,
-		Delta:   delta,
-		Updates: append([]graph.WeightUpdate(nil), ups...),
 	}, nil
 }
 
@@ -223,13 +190,4 @@ func foldSig(sig uint64, ups []graph.WeightUpdate) uint64 {
 	}
 	step(uint64(len(ups)) | 1<<63) // batch boundary: {a}{b} != {a,b}
 	return sig
-}
-
-// toDeltaArcs converts server-side updates to their on-air form.
-func toDeltaArcs(ups []graph.WeightUpdate) []packet.DeltaArc {
-	arcs := make([]packet.DeltaArc, len(ups))
-	for i, u := range ups {
-		arcs[i] = packet.DeltaArc{From: uint32(u.From), To: uint32(u.To), Weight: u.Weight}
-	}
-	return arcs
 }

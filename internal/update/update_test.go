@@ -3,6 +3,7 @@ package update
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/baseline/djair"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/multichannel"
-	"repro/internal/netdata"
 	"repro/internal/netgen"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -81,6 +81,19 @@ func TestEmptyUpdateStreamBitIdentical(t *testing.T) {
 	}
 }
 
+// Delta returns the KindDelta packets on the manager's current cycle. Apply
+// appends no patch trailer (nothing on the air decodes one), so it is nil
+// at every version.
+func (m *Manager) Delta() []packet.Packet {
+	var out []packet.Packet
+	for _, p := range m.Cycle().Packets {
+		if p.Kind == packet.KindDelta {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // queryOnAir answers one query over a lossy single-channel air of c.
 func queryOnAir(t *testing.T, c *broadcast.Cycle, client scheme.Client, g *graph.Graph, s, d graph.NodeID, at int, loss float64, seed int64) float64 {
 	t.Helper()
@@ -101,9 +114,10 @@ func queryOnAir(t *testing.T, c *broadcast.Cycle, client scheme.Client, g *graph
 
 // TestApplyVersionsAnswerMutatedNetwork drives managers for NR, EB and DJ
 // through update batches and checks, at every version, that on-air answers
-// (over the delta-trailered cycle, with loss) equal a fresh Dijkstra on
-// the mutated network — the acceptance criterion of the versioned-cycle
-// subsystem.
+// (over the stamped cycle, with loss) equal a fresh Dijkstra on the mutated
+// network — the acceptance criterion of the versioned-cycle subsystem —
+// and that the stamp went on the manager's copy: no trailer on the air,
+// the rebuilt server's own cycle (which the servercache shares) unstamped.
 func TestApplyVersionsAnswerMutatedNetwork(t *testing.T) {
 	g := testNetwork(t, 400, 600, 2)
 	servers := []scheme.Server{newNR(t, g), mustEB(t, g), djair.New(g)}
@@ -122,6 +136,12 @@ func TestApplyVersionsAnswerMutatedNetwork(t *testing.T) {
 				}
 				if b.Version != uint32(batch+1) || b.Cycle.Version != b.Version {
 					t.Fatalf("batch %d: version %d/%d", batch, b.Version, b.Cycle.Version)
+				}
+				if m.Delta() != nil || b.Cycle.Len() != b.Server.Cycle().Len() {
+					t.Fatalf("batch %d: %d-packet cycle carries a trailer", batch, b.Cycle.Len())
+				}
+				if own := b.Server.Cycle(); own.Version != 0 || own.Packets[0].Version != 0 {
+					t.Fatalf("batch %d: the rebuilt server's own cycle was stamped", batch)
 				}
 				client := b.Server.NewClient()
 				for q := 0; q < 8; q++ {
@@ -147,9 +167,8 @@ func mustEB(t testing.TB, g *graph.Graph) *core.EB {
 	return srv
 }
 
-// TestVersionedCycleOverMultichannel shards a delta-trailered versioned
-// cycle across 3 channels and answers queries on the hopping radio: the
-// trailer is just another section to the planner, and answers must match
+// TestVersionedCycleOverMultichannel shards a versioned cycle across 3
+// channels and answers queries on the hopping radio: answers must match
 // the mutated network.
 func TestVersionedCycleOverMultichannel(t *testing.T) {
 	g := testNetwork(t, 300, 450, 4)
@@ -193,58 +212,6 @@ func TestVersionedCycleOverMultichannel(t *testing.T) {
 		want, _, _ := spath.PointToPoint(b.Graph, s, d)
 		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
 			t.Fatalf("multichannel v%d (%d->%d): got %v, want %v", b.Version, s, d, res.Dist, want)
-		}
-	}
-}
-
-// TestDeltaAccumFromLossyAir reassembles the patch from the trailer of a
-// lossy broadcast and checks it equals the applied updates (weights at
-// float32 wire precision).
-func TestDeltaAccumFromLossyAir(t *testing.T) {
-	g := testNetwork(t, 300, 450, 7)
-	m, err := NewManager(g, djair.New(g), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	ups := RandomUpdates(g, rng, 50, ModeMixed)
-	b, err := m.Apply(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := broadcast.NewChannel(b.Cycle, 0.3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The trailer is the final section; listen to it across cycles until
-	// the patch assembles, like a client recovering any lossy structure.
-	sec := b.Cycle.Sections[len(b.Cycle.Sections)-1]
-	if sec.Kind != packet.KindDelta || sec.N != len(b.Delta) {
-		t.Fatalf("trailer section %+v, want %d delta packets", sec, len(b.Delta))
-	}
-	var acc DeltaAccum
-	for pass := 0; !acc.Complete() && pass < 64; pass++ {
-		for i := 0; i < sec.N; i++ {
-			acc.Process(ch.At(pass*b.Cycle.Len() + sec.Start + i))
-		}
-	}
-	if !acc.Complete() {
-		t.Fatal("patch never assembled under 30% loss")
-	}
-	if acc.Meta.Version != b.Version || acc.Meta.FromVersion != b.Version-1 {
-		t.Fatalf("patch meta versions %d<-%d", acc.Meta.Version, acc.Meta.FromVersion)
-	}
-	got, err := acc.Updates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ups) {
-		t.Fatalf("%d updates, want %d", len(got), len(ups))
-	}
-	for i := range got {
-		if got[i].From != ups[i].From || got[i].To != ups[i].To ||
-			got[i].Weight != float64(float32(ups[i].Weight)) {
-			t.Fatalf("update %d = %+v, want %+v", i, got[i], ups[i])
 		}
 	}
 }
@@ -295,54 +262,6 @@ func TestQueryReentersAcrossSwap(t *testing.T) {
 		want, _, _ := spath.PointToPoint(b.Graph, s, d)
 		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
 			t.Fatalf("query %d (%d->%d): got %v, want post-update %v", q, s, d, res.Dist, want)
-		}
-	}
-}
-
-// TestCollectorPatchFromDelta pins the other staleness strategy: a client
-// that already collected the whole v0 network patches its partial state
-// with the v1 delta instead of re-receiving, and its local search then
-// answers with v1 distances.
-func TestCollectorPatchFromDelta(t *testing.T) {
-	g := testNetwork(t, 300, 450, 12)
-	m, err := NewManager(g, djair.New(g), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v0 := m.Cycle()
-	coll := netdata.NewCollector(g.NumNodes(), nil)
-	for pos, p := range v0.Packets {
-		coll.Process(pos, p)
-	}
-	rng := rand.New(rand.NewSource(13))
-	b, err := m.Apply(RandomUpdates(g, rng, 40, ModeMixed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc DeltaAccum
-	for _, p := range b.Delta {
-		acc.Process(p, true)
-	}
-	ups, err := acc.Updates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := 0
-	for _, u := range ups {
-		if coll.PatchArc(u.From, u.To, u.Weight) {
-			patched++
-		}
-	}
-	if patched == 0 {
-		t.Fatal("patch touched no collected arc")
-	}
-	for q := 0; q < 15; q++ {
-		s := graph.NodeID(rng.Intn(g.NumNodes()))
-		d := graph.NodeID(rng.Intn(g.NumNodes()))
-		got := spath.DijkstraNetwork(coll.Net, s, d).Dist
-		want, _, _ := spath.PointToPoint(b.Graph, s, d)
-		if math.Abs(got-want) > 1e-3*(1+want) {
-			t.Fatalf("patched state (%d->%d): got %v, want %v", s, d, got, want)
 		}
 	}
 }
@@ -424,6 +343,16 @@ func TestReplaySwapValidation(t *testing.T) {
 	}
 }
 
+// entries counts the disk tier's entry files in dir.
+func entries(t *testing.T, dir string) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.aird"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(files)
+}
+
 // TestManagerWarmRestartFromDisk: a manager replaying an update history
 // after a process restart (in-memory cache flushed, disk tier re-attached
 // on the same directory) warm-loads every version's cycle and border data
@@ -463,7 +392,7 @@ func TestManagerWarmRestartFromDisk(t *testing.T) {
 	// A rebuild that runs persists its border data and its cycle; a version
 	// warm-loaded from disk reads those two entries and writes nothing.
 	b1 := apply(mk())
-	if n := servercache.Disk().Len(); n != 4 {
+	if n := entries(t, dir); n != 4 {
 		t.Fatalf("two versions persisted %d entries, want 4 (border + cycle each)", n)
 	}
 	hits0, misses0, put0 := diskCounters()

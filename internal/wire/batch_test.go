@@ -343,8 +343,8 @@ func TestCorruptionInsideBatch(t *testing.T) {
 					t.Fatalf("lost %v, want exactly %v of datagram %v", lost, want, hit)
 				}
 			}
-			if got := rx.Corrupted(); got < 1 || (!dmg.strands && got != 1) {
-				t.Fatalf("Corrupted() = %d after one damaged frame", got)
+			if got := rx.corrupted; got < 1 || (!dmg.strands && got != 1) {
+				t.Fatalf("corrupted = %d after one damaged frame", got)
 			}
 		})
 	}
@@ -473,8 +473,8 @@ seeds:
 	if longest < 2 {
 		t.Fatal("every dropped datagram held a single frame: nothing was batched, the test is vacuous")
 	}
-	if rx.Corrupted() != 0 {
-		t.Fatalf("Corrupted %d on drops, want 0", rx.Corrupted())
+	if rx.corrupted != 0 {
+		t.Fatalf("Corrupted %d on drops, want 0", rx.corrupted)
 	}
 
 	// WireLost ⊆ Lost, under injected loss too, and the answer holds.
@@ -560,10 +560,10 @@ func TestLostCreditTailServedAsGaps(t *testing.T) {
 		return nil
 	}
 	if err := read(); err != nil {
-		t.Fatalf("lost credit tail: %v (redials %d)", err, rx.Redials())
+		t.Fatalf("lost credit tail: %v (redials %d)", err, rx.redials)
 	}
-	if rx.Redials() != 0 {
-		t.Fatalf("a lost credit tail cost %d redials", rx.Redials())
+	if rx.redials != 0 {
+		t.Fatalf("a lost credit tail cost %d redials", rx.redials)
 	}
 	if got, want := rx.WireLost(), int(hi.Load()-lo.Load()); got < want {
 		t.Fatalf("WireLost %d, want at least the %d dropped positions", got, want)

@@ -320,7 +320,7 @@ func TestRedialResumesAfterRestart(t *testing.T) {
 	if err := read(2 * cyc.Len()); err != nil {
 		t.Fatalf("across restart: %v", err)
 	}
-	if rx.Redials() == 0 {
+	if rx.redials == 0 {
 		t.Fatal("stream survived the restart without a single redial — outage never happened?")
 	}
 	if rx.Stale() {
@@ -414,7 +414,7 @@ func TestRedialExhaustionDies(t *testing.T) {
 	if !errors.Is(err, ErrDead) {
 		t.Fatalf("read against a gone broadcaster: err %v, want ErrDead", err)
 	}
-	if rx.Redials() == 0 {
+	if rx.redials == 0 {
 		t.Fatal("feed died without spending its redial budget")
 	}
 }

@@ -88,9 +88,9 @@ type Receiver struct {
 	pendingPos int
 	hasPending bool
 
-	corrupted    int
+	corrupted    int // integrity failures dropped over: a bad CRC, or a lost frame boundary however many frames it stranded
 	wireLost     int
-	redials      int
+	redials      int // mid-stream reconnection attempts
 	unproductive int // redials since the last data frame actually arrived
 	stale        bool
 
@@ -298,16 +298,6 @@ func (r *Receiver) TuneIn() int { return r.start }
 // restarted broadcaster no longer matches what this receiver was built on,
 // so it must not be re-entered — the session re-attaches a fresh one.
 func (r *Receiver) Stale() bool { return r.stale }
-
-// Corrupted returns how many integrity failures this receiver dropped
-// frames over: a frame whose CRC did not match, or a datagram cut short at
-// a frame boundary that could not be found (bad magic, truncation) — one
-// count, however many frames were stranded behind it.
-func (r *Receiver) Corrupted() int { return r.corrupted }
-
-// Redials returns how many mid-stream reconnection attempts this receiver
-// has made.
-func (r *Receiver) Redials() int { return r.redials }
 
 // WireLost returns how many positions this receiver served as lost
 // because the wire skipped past them — dropped, corrupted or reordered

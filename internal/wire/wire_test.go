@@ -91,7 +91,7 @@ func TestLoopbackMatchesOffline(t *testing.T) {
 						wt := broadcast.NewFeedTuner(rx, rx.Start())
 						res, err := client.Query(wt, q)
 						start := rx.Start()
-						wireLost, corrupted := rx.WireLost(), rx.Corrupted()
+						wireLost, corrupted := rx.WireLost(), rx.corrupted
 						rx.Close()
 						if err != nil {
 							t.Fatalf("%s wire query %d: %v", srv.Name(), i, err)
@@ -177,8 +177,8 @@ func TestCorruptionAccountedAsLost(t *testing.T) {
 	if rx.WireLost() != wantLost {
 		t.Fatalf("WireLost %d, want %d", rx.WireLost(), wantLost)
 	}
-	if rx.Corrupted() != wantLost {
-		t.Fatalf("Corrupted %d, want %d (every rejected datagram counted)", rx.Corrupted(), wantLost)
+	if rx.corrupted != wantLost {
+		t.Fatalf("Corrupted %d, want %d (every rejected datagram counted)", rx.corrupted, wantLost)
 	}
 	rx.Close()
 
@@ -258,8 +258,8 @@ func TestDroppedDatagramsAreGaps(t *testing.T) {
 	if rx.WireLost() != lost {
 		t.Fatalf("WireLost %d, want %d", rx.WireLost(), lost)
 	}
-	if rx.Corrupted() != 0 {
-		t.Fatalf("Corrupted %d on drops, want 0", rx.Corrupted())
+	if rx.corrupted != 0 {
+		t.Fatalf("Corrupted %d on drops, want 0", rx.corrupted)
 	}
 }
 

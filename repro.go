@@ -257,7 +257,8 @@ func WithLoss(rate float64, seed int64) DeployOption { return deploy.WithLoss(ra
 // WithUpdates makes the broadcast dynamic: a versioned update manager owns
 // the cycle, RunFleet churns arc weights per cfg while the fleet answers,
 // and sessions transparently re-enter queries that straddle a cycle swap.
-// Requires WithLive on a single channel.
+// Requires WithLive; with WithChannels the whole channel group swaps to
+// each new version at one global tick.
 func WithUpdates(cfg UpdateConfig) DeployOption { return deploy.WithUpdates(cfg) }
 
 // WithCache keys the server build in the shared immutable build cache

@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	ref, refPath, settled := repro.ShortestPath(g, s, t)
+	ref, refPath, labelled := repro.ShortestPath(g, s, t)
 
 	fmt.Printf("\nquery %d -> %d (tune-in at packet %d, loss %.1f%%)\n", s, t, *tuneIn, *loss*100)
 	fmt.Printf("  distance:       %.3f (reference %.3f, %s)\n", res.Dist, ref, verdict(res.Dist, ref))
@@ -87,7 +87,7 @@ func main() {
 	fmt.Printf("  access latency: %d packets (%.2f cycles)\n",
 		res.Metrics.LatencyPackets, float64(res.Metrics.LatencyPackets)/float64(cy.Len()))
 	fmt.Printf("  peak memory:    %.1f KB\n", float64(res.Metrics.PeakMemBytes)/1024)
-	fmt.Printf("  client CPU:     %s (reference Dijkstra settled %d nodes)\n", res.Metrics.CPU, settled)
+	fmt.Printf("  client CPU:     %s (reference search labelled %d nodes)\n", res.Metrics.CPU, labelled)
 	fmt.Printf("  energy @2Mbps:  %.3f J\n", repro.EnergyJoules(res.Metrics, repro.Rate2Mbps))
 	fmt.Printf("  energy @384K:   %.3f J\n", repro.EnergyJoules(res.Metrics, repro.Rate384Kbps))
 }

@@ -30,12 +30,33 @@ type pkgDir struct {
 }
 
 // modulePackages reads the package clause and import specs of every
-// non-test Go file in the tree. bench/ is a nested module, but it imports
-// this one by path, so it is walked like any other directory; testdata
-// and dot directories are not code.
+// non-test Go file in the tree.
 func modulePackages(t *testing.T) map[string]pkgDir {
 	t.Helper()
 	pkgs := map[string]pkgDir{}
+	walkNonTestImports(t, func(file string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(file))
+		p := pkgs[dir]
+		p.name = f.Name.Name
+		for _, spec := range f.Imports {
+			imp, _ := strconv.Unquote(spec.Path.Value)
+			if imp == "repro" {
+				p.imports = append(p.imports, ".")
+			} else if rest, ok := strings.CutPrefix(imp, "repro/"); ok {
+				p.imports = append(p.imports, rest)
+			}
+		}
+		pkgs[dir] = p
+	})
+	return pkgs
+}
+
+// walkNonTestImports parses the package clause and imports of every
+// non-test Go file in the tree and hands each to fn. bench/ is a nested
+// module, but it imports this one by path, so it is walked like any other
+// directory; testdata and dot directories are not code.
+func walkNonTestImports(t *testing.T, fn func(file string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -54,24 +75,30 @@ func modulePackages(t *testing.T) map[string]pkgDir {
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(file))
-		p := pkgs[dir]
-		p.name = f.Name.Name
-		for _, spec := range f.Imports {
-			imp, _ := strconv.Unquote(spec.Path.Value)
-			if imp == "repro" {
-				p.imports = append(p.imports, ".")
-			} else if rest, ok := strings.CutPrefix(imp, "repro/"); ok {
-				p.imports = append(p.imports, rest)
-			}
-		}
-		pkgs[dir] = p
+		fn(file, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkgs
+}
+
+// TestOneRelaxLoop keeps the label-setting loop in one place: outside
+// internal/spath and the heap package itself, no non-test file imports
+// internal/pq or container/heap. A search that needs a heap runs on
+// spath's kernel (DESIGN.md §5) instead of growing a loop of its own.
+func TestOneRelaxLoop(t *testing.T) {
+	walkNonTestImports(t, func(file string, f *ast.File) {
+		switch filepath.ToSlash(filepath.Dir(file)) {
+		case "internal/spath", "internal/pq":
+			return
+		}
+		for _, spec := range f.Imports {
+			if imp, _ := strconv.Unquote(spec.Path.Value); imp == "repro/internal/pq" || imp == "container/heap" {
+				t.Errorf("%s imports %s; run the search on spath's kernel instead", filepath.ToSlash(file), imp)
+			}
+		}
+	})
 }
 
 // TestEveryInternalPackageIsReachable keeps code that nothing runs out of

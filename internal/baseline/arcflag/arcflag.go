@@ -81,11 +81,12 @@ func (s *Server) computeFlags() {
 		}
 	}
 	// Shortest-path bits via backward search from each border node.
+	var search spath.Search
 	for r := 0; r < n; r++ {
 		for _, b := range regions.Borders[r] {
-			tree := spath.DijkstraReverse(s.g, b)
+			search.Run(s.g, spath.In, b, graph.Invalid)
 			for u := graph.NodeID(0); int(u) < s.g.NumNodes(); u++ {
-				p := tree.Parent[u]
+				p := search.Parent[u]
 				if p == graph.Invalid {
 					continue
 				}
@@ -230,19 +231,25 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 
 	start := time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 	// Recovery can deliver arc chunks out of order; restore the canonical
-	// order so flag ordinals line up with adjacency ordinals.
+	// order so the search breaks ties the same whatever the loss pattern.
 	coll.Net.SortAllArcs()
 	rt := kd.RegionOf(q.TX, q.TY)
 	net := coll.Net
-	mem.Alloc(metrics.DistEntryBytes * net.NumPresent())
-	res := dijkstraFlagged(net, q.S, q.T, func(u graph.NodeID, i int) bool {
-		fv, ok := flags[[2]graph.NodeID{u, net.Arcs(u)[i].To}]
-		if !ok || rt/8 >= len(fv) {
-			// Lost flag vector: assume all bits set (Section 6.2).
-			return true
+	// Prune: drop every received arc whose flag for the target's region is
+	// clear. A lost flag vector counts as all bits set (Section 6.2).
+	net.ForEach(func(u graph.NodeID) {
+		arcs := net.Arcs(u)
+		kept := arcs[:0]
+		for _, a := range arcs {
+			if fv, ok := flags[[2]graph.NodeID{u, a.To}]; !ok || rt/8 >= len(fv) || fv[rt/8]&(1<<(rt%8)) != 0 {
+				kept = append(kept, a)
+			}
 		}
-		return fv[rt/8]&(1<<(rt%8)) != 0
+		x, y, _ := net.Pos(u)
+		net.AddNode(u, x, y, kept)
 	})
+	mem.Alloc(metrics.DistEntryBytes * net.NumPresent())
+	res := spath.DijkstraNetwork(net, q.S, q.T)
 	cpu := time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 
 	return scheme.Result{
@@ -281,9 +288,3 @@ func (s *splitsCollect) add(data []byte) {
 }
 
 func (s *splitsCollect) complete(regions int) bool { return s.n >= regions-1 }
-
-// dijkstraFlagged is DijkstraNetwork with a per-arc filter, where the filter
-// receives the tail node and the ordinal of the arc in its adjacency list.
-func dijkstraFlagged(net *spath.SubNetwork, s, t graph.NodeID, allow func(u graph.NodeID, ordinal int) bool) spath.Result {
-	return spath.DijkstraNetworkFiltered(net, s, t, allow)
-}

@@ -133,29 +133,25 @@ func (s *Server) precompute() {
 	for v := 0; v < g.NumNodes(); v++ {
 		cellNodes[s.cellOf[v]] = append(cellNodes[s.cellOf[v]], graph.NodeID(v))
 	}
+	var search spath.Search
+	var cell spath.SubNetwork
 	prev := make(map[int]*spath.SubNetwork) // keyed by level-(l-1) subgraph id
 	for c := 0; c < side*side; c++ {
-		inCell := make(map[graph.NodeID]bool, len(cellNodes[c]))
-		for _, v := range cellNodes[c] {
-			inCell[v] = true
-		}
+		// The cell's raw sub-network: every arc with both ends in the cell.
+		cell.Reset(g.NumNodes())
 		var borders []graph.NodeID
 		for _, v := range cellNodes[c] {
+			dst, wgt := g.Out(v)
+			for i, d := range dst {
+				if s.cellOf[d] == c {
+					cell.AddArc(v, d, wgt[i])
+				}
+			}
 			if borderAt[0][v] {
 				borders = append(borders, v)
 			}
 		}
-		arcs := func(v graph.NodeID) []graph.Arc {
-			dst, wgt := g.Out(v)
-			var out []graph.Arc
-			for i, d := range dst {
-				if inCell[d] {
-					out = append(out, graph.Arc{To: d, Weight: wgt[i]})
-				}
-			}
-			return out
-		}
-		prev[c] = s.contract(0, uint16(c), borders, arcs)
+		prev[c] = s.contract(&search, 0, uint16(c), borders, &cell)
 	}
 
 	// Levels 1..Depth-1 (the root level needs no super-edges: no query
@@ -203,29 +199,25 @@ func (s *Server) precompute() {
 					}
 				}
 				sort.Slice(borders, func(i, j int) bool { return borders[i] < borders[j] })
-				next[si] = s.contract(uint8(l), uint16(si), borders, h.Arcs)
+				next[si] = s.contract(&search, uint8(l), uint16(si), borders, h)
 			}
 		}
 		prev = next
 	}
 }
 
-// contract runs Dijkstra from every border node over the given adjacency,
-// records super-edges between border pairs and returns the subgraph's
-// super-edge network.
-func (s *Server) contract(level uint8, sub uint16, borders []graph.NodeID, arcs func(graph.NodeID) []graph.Arc) *spath.SubNetwork {
+// contract runs the search with no target from every border node over the
+// subgraph net, records super-edges between border pairs and returns the
+// subgraph's super-edge network.
+func (s *Server) contract(search *spath.Search, level uint8, sub uint16, borders []graph.NodeID, net *spath.SubNetwork) *spath.SubNetwork {
 	out := spath.NewSubNetwork(s.g.NumNodes())
-	isBorder := make(map[graph.NodeID]bool, len(borders))
 	for _, b := range borders {
-		isBorder[b] = true
-	}
-	for _, b := range borders {
-		dist := lazyDijkstra(arcs, b)
+		search.RunNetwork(net, b, graph.Invalid, nil)
 		for _, b2 := range borders {
 			if b2 == b {
 				continue
 			}
-			if d, ok := dist[b2]; ok {
+			if d := search.Dist[b2]; !math.IsInf(d, 1) {
 				s.supers = append(s.supers, superEdge{level, sub, b, b2, d})
 				out.AddArc(b, b2, d)
 			}
@@ -234,79 +226,10 @@ func (s *Server) contract(level uint8, sub uint16, borders []graph.NodeID, arcs 
 	// Ensure isolated borders still appear as nodes.
 	for _, b := range borders {
 		if !out.Has(b) {
-			out.AddArc(b, b, 0) // placeholder self-loop, removed below
-		}
-	}
-	for _, b := range borders {
-		arcsB := out.Arcs(b)
-		if len(arcsB) == 1 && arcsB[0].To == b {
-			out.Remove(b)
 			out.AddNode(b, 0, 0, nil)
 		}
 	}
 	return out
-}
-
-// lazyDijkstra runs Dijkstra from src over a callback adjacency using a
-// lazy-deletion heap, sized by nodes actually reached.
-func lazyDijkstra(arcs func(graph.NodeID) []graph.Arc, src graph.NodeID) map[graph.NodeID]float64 {
-	type entry struct {
-		d float64
-		v graph.NodeID
-	}
-	heap := []entry{{0, src}}
-	push := func(e entry) {
-		heap = append(heap, e)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if heap[p].d <= heap[i].d {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() entry {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(heap) && heap[l].d < heap[m].d {
-				m = l
-			}
-			if r < len(heap) && heap[r].d < heap[m].d {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-		return top
-	}
-	dist := map[graph.NodeID]float64{src: 0}
-	done := map[graph.NodeID]bool{}
-	for len(heap) > 0 {
-		e := pop()
-		if done[e.v] {
-			continue
-		}
-		done[e.v] = true
-		for _, a := range arcs(e.v) {
-			nd := e.d + a.Weight
-			if old, ok := dist[a.To]; !ok || nd < old {
-				dist[a.To] = nd
-				push(entry{nd, a.To})
-			}
-		}
-	}
-	return dist
 }
 
 // assemble lays out the cycle: one index section (hierarchy meta +

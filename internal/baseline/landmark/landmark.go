@@ -10,6 +10,7 @@ package landmark
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/baseline/fullcycle"
@@ -58,7 +59,12 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 // is the node farthest from node 0; each next landmark maximizes the
 // minimum distance to those already chosen.
 func (s *Server) selectAndCompute() {
-	d0 := spath.Dijkstra(s.g, 0).Dist
+	var search spath.Search
+	distances := func(src graph.NodeID) []float64 {
+		search.Run(s.g, spath.Out, src, graph.Invalid)
+		return slices.Clone(search.Dist[:s.g.NumNodes()])
+	}
+	d0 := distances(0)
 	first := graph.NodeID(0)
 	for v, d := range d0 {
 		if !math.IsInf(d, 1) && d > d0[first] {
@@ -66,7 +72,7 @@ func (s *Server) selectAndCompute() {
 		}
 	}
 	s.marks = []graph.NodeID{first}
-	s.vecs = [][]float64{spath.Dijkstra(s.g, first).Dist}
+	s.vecs = [][]float64{distances(first)}
 	for len(s.marks) < s.opts.Landmarks {
 		best, bestMin := graph.NodeID(0), -1.0
 		for v := 0; v < s.g.NumNodes(); v++ {
@@ -79,7 +85,7 @@ func (s *Server) selectAndCompute() {
 			}
 		}
 		s.marks = append(s.marks, best)
-		s.vecs = append(s.vecs, spath.Dijkstra(s.g, best).Dist)
+		s.vecs = append(s.vecs, distances(best))
 	}
 }
 
@@ -125,8 +131,11 @@ func (s *Server) PrecomputeTime() time.Duration { return s.pre }
 // NewClient implements scheme.Server.
 func (s *Server) NewClient() scheme.Client { return &Client{} }
 
-// Client receives the whole cycle and runs landmark-guided A*.
-type Client struct{}
+// Client receives the whole cycle and runs landmark-guided A*. Its search
+// state is reused across queries, so it is not safe for concurrent use.
+type Client struct {
+	search spath.Search
+}
 
 // Name implements scheme.Client.
 func (c *Client) Name() string { return "LD" }
@@ -170,7 +179,10 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		return best
 	}
 	mem.Alloc(metrics.DistEntryBytes * coll.Net.NumPresent())
-	res := astarNetwork(coll.Net, q.S, q.T, lb)
+	// A* over the network kernel stays exact under this bound even where
+	// lost vectors make it inconsistent.
+	c.search.RunNetwork(coll.Net, q.S, q.T, lb)
+	res := c.search.To(q.S, q.T)
 	cpu := time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 
 	return scheme.Result{
@@ -183,11 +195,4 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 			CPU:            cpu,
 		},
 	}, nil
-}
-
-// astarNetwork is A* over a client sub-network with re-opening, exact for
-// admissible (not necessarily consistent) bounds; see spath.AStarFiltered
-// for the rationale.
-func astarNetwork(net *spath.SubNetwork, s, t graph.NodeID, lb func(graph.NodeID) float64) spath.Result {
-	return spath.AStarSubNetwork(net, s, t, lb)
 }

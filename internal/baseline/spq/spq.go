@@ -13,6 +13,7 @@ package spq
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/baseline/fullcycle"
@@ -46,7 +47,7 @@ type Server struct {
 }
 
 // New computes all shortest-path quadtrees for g and assembles the cycle.
-// This is O(n) full Dijkstra runs plus n quadtree constructions — the
+// This is n full single-source searches plus n quadtree constructions — the
 // heaviest pre-computation of any scheme here, as in the paper.
 func New(g *graph.Graph) (*Server, error) {
 	if g.NumNodes() == 0 {
@@ -73,29 +74,33 @@ func (s *Server) computeTrees() {
 		xs[i] = float64(float32(nd.X))
 		ys[i] = float64(float32(nd.Y))
 	}
+	var search spath.Search
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		tree := spath.Dijkstra(g, v)
-		// Color every node by the first-arc ordinal: walk the shortest-path
-		// tree in pop order, inheriting the first hop from the parent.
+		search.Run(g, spath.Out, v, graph.Invalid)
+		parent := search.Parent
+		// Color every node by the first-arc ordinal: climb the shortest-path
+		// tree from u to its nearest colored ancestor, or to the child of v
+		// the path leaves by, and color the climbed run with that hop.
 		dst, _ := g.Out(v)
 		for i := range colors {
 			colors[i] = -1
 		}
-		for _, u := range tree.PopOrder {
-			if u == v {
+		for u := graph.NodeID(0); int(u) < n; u++ {
+			if u == v || colors[u] >= 0 || parent[u] == graph.Invalid {
 				continue
 			}
-			p := tree.Parent[u]
-			if p == v {
-				for i, d := range dst {
-					if d == u {
-						colors[u] = int16(i)
-						break
-					}
-				}
-			} else {
-				colors[u] = colors[p]
+			top := u
+			for colors[top] < 0 && parent[top] != v {
+				top = parent[top]
 			}
+			c := colors[top]
+			if c < 0 {
+				c = int16(slices.Index(dst, top))
+			}
+			for w := u; w != top; w = parent[w] {
+				colors[w] = c
+			}
+			colors[top] = c
 		}
 		pts := make([]int32, 0, n-1)
 		for u := 0; u < n; u++ {

@@ -191,6 +191,7 @@ type EBClient struct {
 	needed []int
 	recv   recvScratch
 	search spath.Search
+	skel   skeleton
 }
 
 // Name implements scheme.Client.
@@ -325,7 +326,7 @@ func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	coll := c.coll
 	var onComplete func(region int)
 	if c.opts.MemoryBound {
-		onComplete = newContractor(kd, coll, q, rs, rt, &mem, &cpu).contract
+		onComplete = newContractor(kd, coll, q, rs, rt, &cpu, &c.skel, &c.search).contract
 	}
 	receiveRegions(t, coll, idx.offs.Offs, needed, rs, rt, c.opts.Segments, onComplete, &c.recv)
 
@@ -349,7 +350,8 @@ func finishSearch(coll *netdata.Collector, q scheme.Query, mem *metrics.Mem, cpu
 	start := time.Now()                          //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 	defer func() { *cpu += time.Since(start) }() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 	mem.Alloc(metrics.DistEntryBytes * coll.Net.NumPresent())
-	r := search.Dijkstra(coll.Net, q.S, q.T)
+	search.RunNetwork(coll.Net, q.S, q.T, nil)
+	r := search.To(q.S, q.T)
 	return scheme.Result{Dist: r.Dist, Path: r.Path}
 }
 

@@ -159,6 +159,7 @@ type NRClient struct {
 	pending  []int
 	lost     []lostPos
 	search   spath.Search
+	skel     skeleton
 }
 
 // lostPos is one lost data packet awaiting recovery.
@@ -317,7 +318,7 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	coll := c.coll
 	var ctr *contractor
 	if c.opts.MemoryBound {
-		ctr = newContractor(kd, coll, q, rs, rt, &mem, &cpu)
+		ctr = newContractor(kd, coll, q, rs, rt, &cpu, &c.skel, &c.search)
 	}
 
 	// Step 2: follow the next-region pointers (lines 8-19).

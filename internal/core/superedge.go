@@ -2,14 +2,11 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/netdata"
 	"repro/internal/partition"
-	"repro/internal/pq"
 	"repro/internal/scheme"
 	"repro/internal/spath"
 )
@@ -31,17 +28,32 @@ import (
 // Border nodes adjacent only to irrelevant regions still contribute their
 // skeleton, which subsumes the paper's white-region border optimization.
 type contractor struct {
-	kd   *partition.KDTree
-	coll *netdata.Collector
-	q    scheme.Query
-	rs   int
-	rt   int
-	mem  *metrics.Mem
-	cpu  *time.Duration
+	kd     *partition.KDTree
+	coll   *netdata.Collector
+	q      scheme.Query
+	rs     int
+	rt     int
+	cpu    *time.Duration
+	sk     *skeleton
+	search *spath.Search
 }
 
-func newContractor(kd *partition.KDTree, coll *netdata.Collector, q scheme.Query, rs, rt int, mem *metrics.Mem, cpu *time.Duration) *contractor {
-	return &contractor{kd: kd, coll: coll, q: q, rs: rs, rt: rt, mem: mem, cpu: cpu}
+// skeleton is the contraction's scratch, held by the client and reused
+// from region to region and query to query.
+type skeleton struct {
+	net       spath.SubNetwork // the region's received nodes and in-region arcs
+	nodes     []graph.NodeID   // the region's received nodes
+	terminals []graph.NodeID
+	// mark[v] is the epoch of the last walk through v. Each contraction
+	// starts a new epoch for its terminals and one per source, so a walk
+	// stops where an earlier walk from the same source joined the tree, and
+	// the contraction keeps every node marked since it began.
+	mark  []uint32
+	epoch uint32
+}
+
+func newContractor(kd *partition.KDTree, coll *netdata.Collector, q scheme.Query, rs, rt int, cpu *time.Duration, sk *skeleton, search *spath.Search) *contractor {
+	return &contractor{kd: kd, coll: coll, q: q, rs: rs, rt: rt, cpu: cpu, sk: sk, search: search}
 }
 
 // contract reduces the received region to its shortest-path skeleton and
@@ -50,110 +62,65 @@ func (c *contractor) contract(region int) {
 	start := time.Now()                            //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 	defer func() { *c.cpu += time.Since(start) }() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 
-	inRegion := make(map[graph.NodeID]bool)
-	var terminals []graph.NodeID
-	c.coll.Net.ForEach(func(v graph.NodeID) {
-		x, y, _ := c.coll.Net.Pos(v)
+	sk, full := c.sk, c.coll.Net
+	n := full.NumNodes()
+	sk.net.Reset(n)
+	sk.nodes, sk.terminals = sk.nodes[:0], sk.terminals[:0]
+	full.ForEach(func(v graph.NodeID) {
+		x, y, _ := full.Pos(v)
 		if c.kd.RegionOf(x, y) != region {
 			return
 		}
-		inRegion[v] = true
+		sk.net.AddNode(v, x, y, nil)
+		sk.nodes = append(sk.nodes, v)
 		if c.coll.IsBorder(v) {
-			terminals = append(terminals, v)
+			sk.terminals = append(sk.terminals, v)
 		}
 	})
-	if region == c.rs && inRegion[c.q.S] && !c.coll.IsBorder(c.q.S) {
-		terminals = append(terminals, c.q.S)
-	}
-	if region == c.rt && inRegion[c.q.T] && !c.coll.IsBorder(c.q.T) && c.q.T != c.q.S {
-		terminals = append(terminals, c.q.T)
-	}
-	sort.Slice(terminals, func(i, j int) bool { return terminals[i] < terminals[j] })
-
-	// keep accumulates the skeleton: every node on a shortest path between
-	// two terminals inside the region.
-	keep := make(map[graph.NodeID]bool, len(terminals))
-	isTerminal := make(map[graph.NodeID]bool, len(terminals))
-	for _, t := range terminals {
-		keep[t] = true
-		isTerminal[t] = true
-	}
-	for _, src := range terminals {
-		parent, order := regionDijkstra(c.coll.Net, inRegion, src)
-		// Mark ancestors of terminal targets, walking the settle order
-		// backwards (parents settle before children).
-		onPath := make(map[graph.NodeID]bool, len(order))
-		for i := len(order) - 1; i >= 0; i-- {
-			v := order[i]
-			if isTerminal[v] && v != src {
-				onPath[v] = true
+	for _, v := range sk.nodes {
+		for _, a := range full.Arcs(v) {
+			if sk.net.Has(a.To) {
+				sk.net.AddArc(v, a.To, a.Weight)
 			}
-			if onPath[v] {
-				keep[v] = true
-				if p := parent[v]; p != graph.Invalid {
-					onPath[p] = true
-				}
+		}
+	}
+	if region == c.rs && sk.net.Has(c.q.S) && !c.coll.IsBorder(c.q.S) {
+		sk.terminals = append(sk.terminals, c.q.S)
+	}
+	if region == c.rt && sk.net.Has(c.q.T) && !c.coll.IsBorder(c.q.T) && c.q.T != c.q.S {
+		sk.terminals = append(sk.terminals, c.q.T)
+	}
+
+	// The skeleton is every terminal and every node on a shortest path
+	// between two terminals inside the region: from each terminal's tree,
+	// the parent walks up from the other terminals.
+	if len(sk.mark) < n {
+		sk.mark = make([]uint32, n)
+		sk.epoch = 0
+	}
+	if sk.epoch > math.MaxUint32-uint32(len(sk.terminals))-1 {
+		clear(sk.mark)
+		sk.epoch = 0
+	}
+	sk.epoch++
+	base := sk.epoch
+	for _, t := range sk.terminals {
+		sk.mark[t] = base
+	}
+	for _, src := range sk.terminals {
+		c.search.RunNetwork(&sk.net, src, graph.Invalid, nil)
+		sk.epoch++
+		for _, t := range sk.terminals {
+			for v := t; v != graph.Invalid && sk.mark[v] != sk.epoch; v = c.search.Parent[v] {
+				sk.mark[v] = sk.epoch
 			}
 		}
 	}
 
 	// Release everything off the skeleton.
-	for v := range inRegion { //air:nondeterministic "Release drops nodes one by one; the final collector state is order-independent"
-		if !keep[v] {
+	for _, v := range sk.nodes {
+		if sk.mark[v] < base {
 			c.coll.Release(v)
 		}
 	}
-}
-
-// regionDijkstra runs Dijkstra from src over the received sub-network,
-// restricted to nodes of one region. It allocates proportionally to the
-// region size, not the network size — the device is memory-bound. It
-// returns the parent map and the settle order.
-func regionDijkstra(net *spath.SubNetwork, inRegion map[graph.NodeID]bool, src graph.NodeID) (map[graph.NodeID]graph.NodeID, []graph.NodeID) {
-	// Assign local indices in sorted node order, not map order: the index
-	// breaks priority-queue ties, so map iteration here would let the
-	// process-random map seed pick between equal-length paths.
-	nodes := make([]graph.NodeID, 0, len(inRegion))
-	for v := range inRegion {
-		nodes = append(nodes, v)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	local := make(map[graph.NodeID]int32, len(inRegion))
-	for i, v := range nodes {
-		local[v] = int32(i)
-	}
-	dist := make([]float64, len(nodes))
-	parent := make([]graph.NodeID, len(nodes))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = graph.Invalid
-	}
-	h := pq.New(len(nodes))
-	dist[local[src]] = 0
-	h.Push(local[src], 0)
-	order := make([]graph.NodeID, 0, len(nodes))
-	for h.Len() > 0 {
-		li, d := h.Pop()
-		v := nodes[li]
-		order = append(order, v)
-		for _, a := range net.Arcs(v) {
-			lu, ok := local[a.To]
-			if !ok {
-				continue
-			}
-			nd := d + a.Weight
-			if nd < dist[lu] {
-				dist[lu] = nd
-				parent[lu] = v
-				h.PushOrDecrease(lu, nd)
-			}
-		}
-	}
-	parentOut := make(map[graph.NodeID]graph.NodeID, len(order))
-	for i, v := range nodes {
-		if parent[i] != graph.Invalid || v == src {
-			parentOut[v] = parent[i]
-		}
-	}
-	return parentOut, order
 }

@@ -182,7 +182,7 @@ func header(key string, payloadLen int64, payloadCRC uint32) []byte {
 
 // parseHeader validates the fixed header + key of raw (at least
 // headerFixed bytes) against the requested key and returns the payload
-// offset, length and CRC.
+// offset, length and CRC. The payload it describes lies within raw.
 func parseHeader(raw []byte, key string) (payOff, payLen int64, payCRC uint32, err error) {
 	if len(raw) < headerFixed {
 		return 0, 0, 0, fmt.Errorf("diskcache: entry shorter than header")
@@ -205,9 +205,13 @@ func parseHeader(raw []byte, key string) (payOff, payLen int64, payCRC uint32, e
 	if stored != key {
 		return 0, 0, 0, fmt.Errorf("diskcache: entry holds key %q, want %q (hash collision?)", stored, key)
 	}
+	payOff = payloadOffset(int(keyLen))
 	payCRC = binary.LittleEndian.Uint32(raw[12:16])
 	payLen = int64(binary.LittleEndian.Uint64(raw[16:24]))
-	return payloadOffset(int(keyLen)), payLen, payCRC, nil
+	if payLen < 0 || payLen > int64(len(raw))-payOff {
+		return 0, 0, 0, fmt.Errorf("diskcache: payload length %d overruns a %d-byte entry", payLen, len(raw))
+	}
+	return payOff, payLen, payCRC, nil
 }
 
 // Writer streams one entry's payload to disk. Write as much as needed,
@@ -410,7 +414,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	payOff, payLen, payCRC, err := parseHeader(raw, key)
-	if err != nil || int64(len(raw)) < payOff+payLen {
+	if err != nil {
 		c.drop(name, true)
 		obsMisses.Inc()
 		return nil, false
@@ -461,7 +465,7 @@ func (c *Cache) Map(key string) (*Mapping, bool) {
 	m := &Mapping{data: data}
 	raw := data.Bytes()
 	payOff, payLen, payCRC, err := parseHeader(raw, key)
-	if err != nil || int64(len(raw)) < payOff+payLen {
+	if err != nil {
 		m.Close()
 		c.drop(name, true)
 		obsMisses.Inc()

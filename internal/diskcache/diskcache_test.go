@@ -2,7 +2,9 @@ package diskcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,55 +68,127 @@ func TestMapAlignmentAndAliasing(t *testing.T) {
 
 // TestCorruptEntriesRejected flips bytes across the whole entry file —
 // header, key, payload — and requires every corruption to be detected,
-// counted, deleted, and served as a miss, never as data.
+// counted, deleted, and served as a miss, never as data. The last row is
+// no flip: a payload length with its top bit set under a resealed header
+// CRC, which must be refused by the length check rather than slice past
+// the entry.
 func TestCorruptEntriesRejected(t *testing.T) {
 	dir := t.TempDir()
 	key := "net|EB|r=16|v3"
 	payload := []byte("precompute tables, 40 bytes of them, yes")
+	type corruption struct {
+		name  string
+		apply func(raw []byte)
+	}
+	var rows []corruption
 	for _, flip := range []int{0, 5, 9, 13, 20, 40, 70, 100} {
+		rows = append(rows, corruption{fmt.Sprintf("flip at %d", flip), func(raw []byte) {
+			if flip >= len(raw) {
+				t.Fatalf("flip offset %d beyond entry size %d", flip, len(raw))
+			}
+			raw[flip] ^= 0x40
+		}})
+	}
+	rows = append(rows, corruption{"negative payload length", func(raw []byte) {
+		binary.LittleEndian.PutUint64(raw[16:24], ^uint64(0))
+		reseal(raw, key)
+	}})
+	for _, row := range rows {
 		c, err := Open(dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Put(key, payload); err != nil {
-			t.Fatal(err)
-		}
 		path := filepath.Join(dir, fileName(key))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		corrupt := func() {
+			if err := c.Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.apply(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if flip >= len(raw) {
-			t.Fatalf("flip offset %d beyond entry size %d", flip, len(raw))
-		}
-		raw[flip] ^= 0x40
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		corrupt()
 		before := obsCorrupt.Value()
 		if got, ok := c.Get(key); ok {
-			t.Fatalf("corrupt entry (flip at %d) served: %q", flip, got)
+			t.Fatalf("corrupt entry (%s) served: %q", row.name, got)
 		}
 		if obsCorrupt.Value() != before+1 {
-			t.Fatalf("flip at %d not counted corrupt", flip)
+			t.Fatalf("%s not counted corrupt", row.name)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("corrupt entry (flip at %d) not deleted", flip)
+			t.Fatalf("corrupt entry (%s) not deleted", row.name)
 		}
 		// Map must reject identically.
-		if err := c.Put(key, payload); err != nil {
-			t.Fatal(err)
-		}
-		raw, _ = os.ReadFile(path)
-		raw[flip] ^= 0x40
-		os.WriteFile(path, raw, 0o644)
+		corrupt()
 		if m, ok := c.Map(key); ok {
 			m.Close()
-			t.Fatalf("corrupt entry (flip at %d) mapped", flip)
+			t.Fatalf("corrupt entry (%s) mapped", row.name)
 		}
 		os.Remove(path)
 		c.Close()
 	}
+}
+
+// reseal recomputes the header CRC of an entry for key after its fixed
+// header was edited, so the edit reaches the checks behind the CRC.
+func reseal(raw []byte, key string) {
+	crc := crc32.Update(crc32.Checksum(raw[:24], castagnoli), castagnoli, []byte(key))
+	binary.LittleEndian.PutUint32(raw[24:28], crc)
+}
+
+// FuzzDiskcacheEntry writes the input as the entry file of a fixed key and
+// reads it back through Get and Map: neither may panic, both must agree on
+// hit or miss, and a hit must serve the same payload. The seeds are a real
+// Put output, which must round-trip, and the same entry with a negative
+// payload length under a resealed header CRC.
+func FuzzDiskcacheEntry(f *testing.F) {
+	const key = "net|NR|r=8|v0"
+	payload := []byte("the quick brown cycle")
+	dir := f.TempDir()
+	c, err := Open(dir, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := c.Put(key, payload); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(dir, fileName(key)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	negative := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(negative[16:24], ^uint64(0))
+	reseal(negative, key)
+	f.Add(negative)
+	path := filepath.Join(dir, fileName(key))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.Get(key)
+		if err := os.WriteFile(path, raw, 0o644); err != nil { // a miss deleted it
+			t.Fatal(err)
+		}
+		m, mok := c.Map(key)
+		if ok != mok {
+			t.Fatalf("Get hit %v, Map hit %v", ok, mok)
+		}
+		if mok {
+			defer m.Close()
+			if !bytes.Equal(got, m.Payload()) {
+				t.Fatalf("Get served %q, Map %q", got, m.Payload())
+			}
+		}
+		if bytes.Equal(raw, valid) && (!ok || !bytes.Equal(got, payload)) {
+			t.Fatalf("the valid entry did not round-trip: %q, %v", got, ok)
+		}
+	})
 }
 
 // TestTruncatedEntryRejected: a crash can leave a shorter file only via a

@@ -93,6 +93,17 @@ func (g *Graph) In(v NodeID) ([]NodeID, []float64) {
 	return g.rdst[lo:hi], g.rwgt[lo:hi]
 }
 
+// CSR returns the forward adjacency arrays, or the reverse ones: the arcs
+// of v (incoming when reverse) are dst[off[v]:off[v+1]] with weights
+// wgt[off[v]:off[v+1]]. The slices alias internal storage and must not be
+// modified.
+func (g *Graph) CSR(reverse bool) (off []int32, dst []NodeID, wgt []float64) {
+	if reverse {
+		return g.roff, g.rdst, g.rwgt
+	}
+	return g.off, g.dst, g.wgt
+}
+
 // OutDegree returns the number of outgoing arcs of v.
 func (g *Graph) OutDegree(v NodeID) int { return int(g.off[v+1] - g.off[v]) }
 

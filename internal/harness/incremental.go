@@ -67,14 +67,13 @@ func Incremental(cfg Config) ([]IncrementalRow, error) {
 		}
 
 		type tally struct {
-			old, new             *spath.ChainSearch
+			old, new             spath.Search
 			seen                 []graph.NodeID // seen[v] == source: v's path is already compared
 			untouched, unchanged int
 		}
 		tallies := make([]tally, min(runtime.GOMAXPROCS(0), len(sources)))
 		for w := range tallies {
 			tallies[w] = tally{
-				old: spath.NewChainSearch(g), new: spath.NewChainSearch(after),
 				seen: make([]graph.NodeID, g.NumNodes()),
 			}
 			for v := range tallies[w].seen {
@@ -83,8 +82,8 @@ func Incremental(cfg Config) ([]IncrementalRow, error) {
 		}
 		precompute.ParallelWorkers(len(sources), len(tallies), func(w, i int) {
 			t, src := &tallies[w], sources[i]
-			t.old.Run(src)
-			t.new.Run(src)
+			t.old.Run(g, spath.Out, src, graph.Invalid)
+			t.new.Run(after, spath.Out, src, graph.Invalid)
 			touched, moved := false, false
 			for _, bt := range sources {
 				if math.IsInf(t.old.Dist[bt], 1) {

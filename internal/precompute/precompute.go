@@ -92,7 +92,7 @@ type BorderData struct {
 func (b *BorderData) Traversal(i, j, n int) RegionSet { return b.Traverse[i*n+j] }
 
 // Compute runs the full border-pair pre-computation: one single-source
-// search per border node (spath.ChainSearch), followed by parent walks from
+// search per border node (spath's graph kernel), followed by parent walks from
 // the border targets that aggregate, for every target, the set of regions
 // on its shortest path and, for every node on such a path, the cross-border
 // classification.
@@ -122,7 +122,8 @@ type borderAccum struct {
 	// and heap, and the tree walks' memo. Nothing is cleared between
 	// sources — a stamp equal to the current epoch marks an entry as
 	// belonging to this source's tree.
-	search  *spath.ChainSearch
+	g       *graph.Graph
+	search  spath.Search
 	epoch   uint32
 	masked  []uint32       // masked[v] == epoch: ros holds v's regions-on-path mask
 	marked  []uint32       // marked[v] == epoch: v and its ancestors are marked cross-border
@@ -138,7 +139,7 @@ func newBorderAccum(g *graph.Graph, n int) *borderAccum {
 		maxDist:     newMatrix(n, 0),
 		traverse:    make([]RegionSet, n*n),
 		crossBorder: make([]bool, nn),
-		search:      spath.NewChainSearch(g),
+		g:           g,
 		masked:      make([]uint32, nn),
 		marked:      make([]uint32, nn),
 		pending:     make([]graph.NodeID, 0, nn),
@@ -160,7 +161,7 @@ func newBorderAccum(g *graph.Graph, n int) *borderAccum {
 func (a *borderAccum) processBorder(r *Regions, j borderJob) {
 	n := r.N
 	words := a.words
-	a.search.Run(j.b)
+	a.search.Run(a.g, spath.Out, j.b, graph.Invalid)
 	dist, parent := a.search.Dist, a.search.Parent
 	a.epoch++
 

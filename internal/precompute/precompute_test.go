@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/netgen"
 	"repro/internal/partition"
+	"repro/internal/pq"
 	"repro/internal/spath"
 )
 
@@ -37,7 +38,7 @@ func TestMinMaxAgainstBruteForce(t *testing.T) {
 			}
 			mn, mx := math.Inf(1), 0.0
 			for _, b := range r.Borders[i] {
-				tree := spath.Dijkstra(g, b)
+				tree := dijkstra(g, b)
 				for _, b2 := range r.Borders[j] {
 					if b2 == b {
 						continue
@@ -300,16 +301,16 @@ type harnessCase struct {
 }
 
 // TestChainSearchMatchesDijkstraOnBorderSources: from every border source
-// of every harness network the kernel's Dist is bit-equal and its Parent
-// equal to spath.Dijkstra's — these networks have unique shortest paths, so
-// the tie rule (DESIGN.md §5) never comes into play.
+// of every harness network the graph kernel's Dist is bit-equal and its
+// Parent equal to the heap loop's — these networks have unique shortest
+// paths, so the tie rule (DESIGN.md §5) never comes into play.
 func TestChainSearchMatchesDijkstraOnBorderSources(t *testing.T) {
 	for _, c := range harnessCases(t) {
-		s := spath.NewChainSearch(c.g)
+		var s spath.Search
 		for _, bs := range c.r.Borders {
 			for _, b := range bs {
-				want := spath.Dijkstra(c.g, b)
-				s.Run(b)
+				want := dijkstra(c.g, b)
+				s.Run(c.g, spath.Out, b, graph.Invalid)
 				for v := range want.Dist {
 					if s.Dist[v] != want.Dist[v] || s.Parent[v] != want.Parent[v] {
 						t.Fatalf("%s: source %d node %d: dist/parent %v/%d, Dijkstra %v/%d",
@@ -321,8 +322,44 @@ func TestChainSearchMatchesDijkstraOnBorderSources(t *testing.T) {
 	}
 }
 
-// referenceCompute is the border pre-computation as it ran before
-// spath.ChainSearch — one spath.Dijkstra per border node and two passes
+// dijkstraTree is a shortest-path tree from the textbook heap loop, with
+// the order nodes popped in (parents before children).
+type dijkstraTree struct {
+	Dist     []float64
+	Parent   []graph.NodeID
+	PopOrder []graph.NodeID
+}
+
+// dijkstra is the textbook heap loop from src: every node a relaxation
+// improves goes through the heap, and a node is final when it pops. It is
+// the oracle the graph kernel and the production pre-computation are held
+// to.
+func dijkstra(g *graph.Graph, src graph.NodeID) *dijkstraTree {
+	n := g.NumNodes()
+	t := &dijkstraTree{Dist: make([]float64, n), Parent: make([]graph.NodeID, n)}
+	for i := range t.Dist {
+		t.Dist[i], t.Parent[i] = math.Inf(1), graph.Invalid
+	}
+	h := pq.New(n)
+	t.Dist[src] = 0
+	h.Push(int32(src), 0)
+	for h.Len() > 0 {
+		item, d := h.Pop()
+		v := graph.NodeID(item)
+		t.PopOrder = append(t.PopOrder, v)
+		dst, wgt := g.Out(v)
+		for i, u := range dst {
+			if nd := d + wgt[i]; nd < t.Dist[u] {
+				t.Dist[u], t.Parent[u] = nd, v
+				h.PushOrDecrease(int32(u), nd)
+			}
+		}
+	}
+	return t
+}
+
+// referenceCompute is the border pre-computation as it ran before the
+// chain-rule kernel — one heap-loop search per border node and two passes
 // over its pop order — kept as the oracle for the production path.
 func referenceCompute(g *graph.Graph, r *Regions) *BorderData {
 	n, nn := r.N, g.NumNodes()
@@ -340,7 +377,7 @@ func referenceCompute(g *graph.Graph, r *Regions) *BorderData {
 	hasTarget := make([]bool, nn)
 	for ri := 0; ri < n; ri++ {
 		for _, b := range r.Borders[ri] {
-			tree := spath.Dijkstra(g, b)
+			tree := dijkstra(g, b)
 
 			// Pass 1 (pop order): regions on the path from b to v.
 			for _, v := range tree.PopOrder {

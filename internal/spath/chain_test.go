@@ -3,6 +3,7 @@ package spath
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -34,19 +35,31 @@ func buildRoads(n int, edges []edge) *graph.Graph {
 	return g
 }
 
-// matchesDijkstra runs the kernel from every node of g and requires Dist
-// bit-equal and Parent equal to Dijkstra's. Callers pass graphs whose
+// matchesDijkstra runs the graph kernel from every node of g, along arcs
+// and against them, and requires Dist bit-equal and Parent equal to the
+// heap loop's; then, with every node as the target, the stopped search's
+// distance and path equal to the heap loop's. Callers pass graphs whose
 // shortest paths are unique, so Parent has one right answer.
 func matchesDijkstra(t *testing.T, g *graph.Graph) {
 	t.Helper()
-	s := NewChainSearch(g)
-	for src := 0; src < g.NumNodes(); src++ {
-		want := Dijkstra(g, graph.NodeID(src))
-		s.Run(graph.NodeID(src))
-		for v := range want.Dist {
-			if s.Dist[v] != want.Dist[v] || s.Parent[v] != want.Parent[v] {
-				t.Fatalf("source %d node %d: dist/parent %v/%d, Dijkstra %v/%d",
-					src, v, s.Dist[v], s.Parent[v], want.Dist[v], want.Parent[v])
+	var s Search
+	for _, dir := range []Direction{Out, In} {
+		for src := graph.NodeID(0); int(src) < g.NumNodes(); src++ {
+			want := dijkstraCSR(g, src, dir == In)
+			s.Run(g, dir, src, graph.Invalid)
+			for v := range want.Dist {
+				if s.Dist[v] != want.Dist[v] || s.Parent[v] != want.Parent[v] {
+					t.Fatalf("direction %v source %d node %d: dist/parent %v/%d, Dijkstra %v/%d",
+						dir, src, v, s.Dist[v], s.Parent[v], want.Dist[v], want.Parent[v])
+				}
+			}
+			for tgt := graph.NodeID(0); int(tgt) < g.NumNodes(); tgt++ {
+				s.Run(g, dir, src, tgt)
+				got := s.To(src, tgt)
+				if got.Dist != want.Dist[tgt] || !slices.Equal(got.Path, want.PathTo(tgt)) {
+					t.Fatalf("direction %v %d->%d: dist %v path %v, Dijkstra %v path %v",
+						dir, src, tgt, got.Dist, got.Path, want.Dist[tgt], want.PathTo(tgt))
+				}
 			}
 		}
 	}
@@ -143,13 +156,15 @@ func TestChainSearchParallelArcsAreJunctions(t *testing.T) {
 
 func TestChainSearchRunDoesNotAllocate(t *testing.T) {
 	g := randomRoads(400, 1)
-	s := NewChainSearch(g)
-	for src := 0; src < g.NumNodes(); src++ {
-		s.Run(graph.NodeID(src)) // warm-up: the heap grows to its high-water mark
+	var s Search
+	n := g.NumNodes()
+	for src := 0; src < n; src++ {
+		s.Run(g, Out, graph.NodeID(src), graph.Invalid) // warm-up: the heap grows to its high-water mark
 	}
-	src, n := 0, g.NumNodes()
+	src := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		s.Run(graph.NodeID(src % n))
+		s.Run(g, Out, graph.NodeID(src%n), graph.Invalid)
+		s.Run(g, In, graph.NodeID(src%n), graph.NodeID(src*7%n))
 		src++
 	}); allocs != 0 {
 		t.Fatalf("Run allocates %v times per source", allocs)
@@ -201,7 +216,8 @@ func TestChainSearchMatchesDijkstraOnRandomRoads(t *testing.T) {
 // FuzzBorderKernel builds a small directed graph from the input — up to 16
 // nodes and 52 arcs; each byte pair is a road that is two-way, one-way, or
 // two-way with a different weight per direction, parallel roads allowed —
-// and requires the kernel to agree with Dijkstra from every source. Arc
+// and requires the graph kernel to agree with Dijkstra from every source,
+// in both directions, with no target and with every target. Arc
 // weights are distinct powers of two below 2^53: every simple path then has
 // a distinct, exactly representable length, so shortest paths are unique
 // and Parent must match node for node, not merely describe some

@@ -4,10 +4,9 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/pq"
 )
 
-// Result is the outcome of a point-to-point search over a SubNetwork.
+// Result is the outcome of a point-to-point search.
 type Result struct {
 	Dist float64        // Inf when unreachable in the network
 	Path []graph.NodeID // nil when unreachable
@@ -17,36 +16,33 @@ type Result struct {
 // "search in the union of received regions" step every client scheme ends
 // with (paper Sections 4.2, 5.2).
 func DijkstraNetwork(net *SubNetwork, s, t graph.NodeID) Result {
-	return new(Search).Dijkstra(net, s, t)
+	var sc Search
+	sc.RunNetwork(net, s, t, nil)
+	return sc.To(s, t)
 }
 
-// Dijkstra is DijkstraNetwork over this Search's reusable state. It computes
-// what the textbook heap loop computes — Dist bit for bit, Path whenever the
-// shortest path is unique — but only junctions go through the heap, under
-// the chain rule it shares with ChainSearch (DESIGN.md §5): a node u reached
-// from p whose arcs lead nowhere but back to p and to at most one other node
-// relaxes that onward arc at once, adding one arc weight to its own label
-// exactly as Dijkstra would, and the walk carries on until a label stops
-// improving or reaches a node with a real choice, which is pushed.
+// RunNetwork is the network kernel: Run's chain rule and stop rule over a
+// SubNetwork, where a node that was not received is labelled but has no
+// arcs to relax. With a target t it stops once t's label is final; with
+// t == graph.Invalid it labels every node s reaches (HiTi's super-edges,
+// the memory-bound client's region skeletons).
 //
-// The invariant that keeps the stop rule sound: every labelled node either
-// has relaxed its arcs with its current label, or is on the heap keyed by
-// it. (The arc back to p needs no relaxing: a non-negative weight cannot
-// improve p through u.) So once the heap minimum reaches dist[t], no
-// unfinished node can lead to t more cheaply, and the search stops without
-// ever popping t, which a walk may have labelled in passing.
-//
-// On an exact tie between two shortest paths the parent is decided by walk
-// order where the heap loop decides it by pop order; both are valid
-// shortest-path trees and both are deterministic functions of the network.
-func (sc *Search) Dijkstra(net *SubNetwork, s, t graph.NodeID) Result {
+// lb, when not nil, is a lower bound on every node's remaining distance to
+// t, added to a junction's heap key when it is pushed: A* (Section 2.1),
+// which Landmark's client runs. Walked nodes never consult it. The search
+// re-opens a node whose label improves after it was popped and stops only
+// when the minimum key reaches Dist[t], so it stays exact when lb is
+// admissible but not consistent — which arises on lossy channels, where
+// Landmark treats a node whose distance vector was lost as bound 0.
+func (sc *Search) RunNetwork(net *SubNetwork, s, t graph.NodeID, lb func(graph.NodeID) float64) {
 	sc.prepare(net.NumNodes())
-	dist, parent, adj, present := sc.dist, sc.parent, net.adj, net.present
+	dist, parent, adj, present := sc.Dist, sc.Parent, net.adj, net.present
 	dist[s] = 0
 	sc.touched = append(sc.touched, s)
 	// The source relaxes every arc, whatever its degree: it has no arc it
 	// came in on.
-	for v, d := s, 0.0; d < dist[t]; {
+	for v, key := s, 0.0; t == graph.Invalid || key < dist[t]; {
+		d := dist[v]
 		for _, a := range net.Arcs(v) {
 			p, u, nd := v, a.To, d+a.Weight
 			for nd < dist[u] {
@@ -59,7 +55,11 @@ func (sc *Search) Dijkstra(net *SubNetwork, s, t graph.NodeID) Result {
 				}
 				arcs := adj[u]
 				if len(arcs) > 2 || len(arcs) == 2 && arcs[0].To != p && arcs[1].To != p {
-					sc.heap.PushOrDecrease(int32(u), nd)
+					k := nd
+					if lb != nil {
+						k += lb(u)
+					}
+					sc.heap.PushOrDecrease(int32(u), k)
 					break
 				}
 				if len(arcs) == 0 {
@@ -76,13 +76,9 @@ func (sc *Search) Dijkstra(net *SubNetwork, s, t graph.NodeID) Result {
 		if sc.heap.Len() == 0 {
 			break
 		}
-		item, key := sc.heap.Pop()
-		v, d = graph.NodeID(item), key
+		item, k := sc.heap.Pop()
+		v, key = graph.NodeID(item), k
 	}
-	if dist[t] == Inf {
-		return Result{Dist: Inf}
-	}
-	return Result{Dist: dist[t], Path: treePath(parent, s, t)}
 }
 
 // SubNetwork is a partial road network keyed by global node IDs: exactly the
@@ -297,90 +293,4 @@ func (s *SubNetwork) SortAllArcs() {
 			return arcs[i].Weight < arcs[j].Weight
 		})
 	}
-}
-
-// DijkstraNetworkFiltered is DijkstraNetwork restricted to arcs accepted by
-// allow, which receives the tail node and the arc's ordinal within the
-// tail's adjacency list.
-func DijkstraNetworkFiltered(net *SubNetwork, s, t graph.NodeID, allow func(tail graph.NodeID, ordinal int) bool) Result {
-	n := net.NumNodes()
-	dist := make([]float64, n)
-	parent := make([]graph.NodeID, n)
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = graph.Invalid
-	}
-	h := pq.New(n)
-	dist[s] = 0
-	h.Push(int32(s), 0)
-	for h.Len() > 0 {
-		item, d := h.Pop()
-		v := graph.NodeID(item)
-		if v == t {
-			return Result{Dist: d, Path: treePath(parent, s, t)}
-		}
-		for i, a := range net.Arcs(v) {
-			if !allow(v, i) {
-				continue
-			}
-			nd := d + a.Weight
-			if nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = v
-				h.PushOrDecrease(int32(a.To), nd)
-			}
-		}
-	}
-	return Result{Dist: Inf}
-}
-
-// AStarSubNetwork runs A* from s to t over a client sub-network using the
-// admissible lower bound lb (nil degrades to Dijkstra). Like
-// AStarFiltered, it re-opens improved nodes and stops only when the minimum
-// f-key reaches the best known distance, so it stays exact when the bound
-// is admissible but not consistent (Landmark under packet loss).
-func AStarSubNetwork(net *SubNetwork, s, t graph.NodeID, lb func(graph.NodeID) float64) Result {
-	n := net.NumNodes()
-	dist := make([]float64, n)
-	parent := make([]graph.NodeID, n)
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = graph.Invalid
-	}
-	h := pq.New(n)
-	dist[s] = 0
-	key := 0.0
-	if lb != nil {
-		key = lb(s)
-	}
-	h.Push(int32(s), key)
-	best := Inf
-	for h.Len() > 0 {
-		item, fkey := h.Pop()
-		v := graph.NodeID(item)
-		if fkey >= best {
-			break
-		}
-		d := dist[v]
-		if v == t {
-			best = d
-			continue
-		}
-		for _, a := range net.Arcs(v) {
-			nd := d + a.Weight
-			if nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = v
-				k := nd
-				if lb != nil {
-					k += lb(a.To)
-				}
-				h.PushOrDecrease(int32(a.To), k)
-			}
-		}
-	}
-	if best == Inf {
-		return Result{Dist: Inf}
-	}
-	return Result{Dist: best, Path: treePath(parent, s, t)}
 }

@@ -2,6 +2,7 @@ package spath
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -27,7 +28,12 @@ func referenceSearch(net *SubNetwork, s, t graph.NodeID) Result {
 		item, d := h.Pop()
 		v := graph.NodeID(item)
 		if v == t {
-			return Result{Dist: d, Path: treePath(parent, s, t)}
+			var path []graph.NodeID
+			for ; v != graph.Invalid; v = parent[v] {
+				path = append(path, v)
+			}
+			slices.Reverse(path)
+			return Result{Dist: d, Path: path}
 		}
 		for _, a := range net.Arcs(v) {
 			if nd := d + a.Weight; nd < dist[a.To] {
@@ -63,7 +69,8 @@ func pathCost(net *SubNetwork, path []graph.NodeID) (cost float64, ok bool) {
 // nodes, some never received, and up to 52 arcs that are two-way, one-way
 // or two-way with a weight per direction, with parallel arcs and self-loops
 // wherever a pair repeats — and runs one reused Search over every (s, t)
-// pair against the heap-loop oracle. Dist must be bit-equal and Path a real
+// pair against the heap-loop oracle, with no bound, with a random admissible
+// bound, and with no target. Dist must be bit-equal and Path a real
 // s–t path over received arcs that sums to Dist. Weights are small integers
 // (zero included: ties abound), or, when the first byte's top bit is set,
 // distinct powers of two, which make every shortest path unique, so Path
@@ -140,29 +147,62 @@ func FuzzSubNetworkSearch(f *testing.F) {
 			t.Fatalf("%d nodes present after Reset, fresh build %d", net.NumPresent(), fresh.NumPresent())
 		}
 
+		// Three arms per pair over one reused Search: the point-to-point
+		// search; A* under a random admissible, inconsistent bound (half the
+		// nodes bound 0, as if their landmark vector were lost, the rest a
+		// random fraction of the true remaining distance, floored, so every
+		// key is an exact sum); and, per source, the search with no target,
+		// whose labels must all be final.
+		rng := rand.New(rand.NewSource(int64(len(data))*131 + int64(data[1])))
+		rem := make([][]float64, n) // rem[tt][v]: the oracle's distance v -> tt
+		for tt := range rem {
+			rem[tt] = make([]float64, n)
+			for v := range rem[tt] {
+				rem[tt][v] = referenceSearch(net, graph.NodeID(v), graph.NodeID(tt)).Dist
+			}
+		}
+		bound := make([]float64, n)
+		lb := func(v graph.NodeID) float64 { return bound[v] }
 		var sc Search
+		check := func(arm string, s, tt graph.NodeID, got, want Result) {
+			t.Helper()
+			if got.Dist != want.Dist {
+				t.Fatalf("%s %d->%d: Dist %v, oracle %v", arm, s, tt, got.Dist, want.Dist)
+			}
+			if got.Dist == Inf {
+				if got.Path != nil {
+					t.Fatalf("%s %d->%d: unreachable, yet path %v", arm, s, tt, got.Path)
+				}
+				return
+			}
+			if len(got.Path) == 0 || got.Path[0] != s || got.Path[len(got.Path)-1] != tt {
+				t.Fatalf("%s %d->%d: path %v does not join the endpoints", arm, s, tt, got.Path)
+			}
+			if cost, ok := pathCost(net, got.Path); !ok || cost != got.Dist {
+				t.Fatalf("%s %d->%d: path %v costs %v (real %v), Dist %v", arm, s, tt, got.Path, cost, ok, got.Dist)
+			}
+			if distinct && !slices.Equal(got.Path, want.Path) {
+				t.Fatalf("%s %d->%d: path %v, oracle %v", arm, s, tt, got.Path, want.Path)
+			}
+		}
 		for s := graph.NodeID(0); int(s) < n; s++ {
 			for tt := graph.NodeID(0); int(tt) < n; tt++ {
 				want := referenceSearch(net, s, tt)
-				got := sc.Dijkstra(net, s, tt)
-				if got.Dist != want.Dist {
-					t.Fatalf("%d->%d: Dist %v, oracle %v", s, tt, got.Dist, want.Dist)
-				}
-				if got.Dist == Inf {
-					if got.Path != nil {
-						t.Fatalf("%d->%d: unreachable, yet path %v", s, tt, got.Path)
+				sc.RunNetwork(net, s, tt, nil)
+				check("search", s, tt, sc.To(s, tt), want)
+
+				for v := range bound {
+					bound[v] = 0
+					if r := rem[tt][v]; r != Inf && rng.Intn(2) == 0 {
+						bound[v] = math.Floor(r * rng.Float64())
 					}
-					continue
 				}
-				if len(got.Path) == 0 || got.Path[0] != s || got.Path[len(got.Path)-1] != tt {
-					t.Fatalf("%d->%d: path %v does not join the endpoints", s, tt, got.Path)
-				}
-				if cost, ok := pathCost(net, got.Path); !ok || cost != got.Dist {
-					t.Fatalf("%d->%d: path %v costs %v (real %v), Dist %v", s, tt, got.Path, cost, ok, got.Dist)
-				}
-				if distinct && !slices.Equal(got.Path, want.Path) {
-					t.Fatalf("%d->%d: path %v, oracle %v", s, tt, got.Path, want.Path)
-				}
+				sc.RunNetwork(net, s, tt, lb)
+				check("A*", s, tt, sc.To(s, tt), want)
+			}
+			sc.RunNetwork(net, s, graph.Invalid, nil)
+			for tt := graph.NodeID(0); int(tt) < n; tt++ {
+				check("no target", s, tt, sc.To(s, tt), referenceSearch(net, s, tt))
 			}
 		}
 	})

@@ -69,11 +69,13 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomGraph(20+int(seed)*5, seed)
 		want := floydWarshall(g)
+		var sc Search
 		for s := 0; s < g.NumNodes(); s += 3 {
 			tree := Dijkstra(g, graph.NodeID(s))
+			sc.Run(g, Out, graph.NodeID(s), graph.Invalid)
 			for v := 0; v < g.NumNodes(); v++ {
-				if math.Abs(tree.Dist[v]-want[s][v]) > 1e-9 {
-					t.Fatalf("seed %d: d(%d,%d) = %v, want %v", seed, s, v, tree.Dist[v], want[s][v])
+				if math.Abs(tree.Dist[v]-want[s][v]) > 1e-9 || math.Abs(sc.Dist[v]-want[s][v]) > 1e-9 {
+					t.Fatalf("seed %d: d(%d,%d) = %v (kernel %v), want %v", seed, s, v, tree.Dist[v], sc.Dist[v], want[s][v])
 				}
 			}
 		}
@@ -84,9 +86,11 @@ func TestDijkstraReverse(t *testing.T) {
 	g := randomGraph(30, 99)
 	want := floydWarshall(g)
 	tree := DijkstraReverse(g, 7)
+	var sc Search
+	sc.Run(g, In, 7, graph.Invalid)
 	for v := 0; v < g.NumNodes(); v++ {
-		if math.Abs(tree.Dist[v]-want[v][7]) > 1e-9 {
-			t.Fatalf("reverse d(%d->7) = %v, want %v", v, tree.Dist[v], want[v][7])
+		if math.Abs(tree.Dist[v]-want[v][7]) > 1e-9 || math.Abs(sc.Dist[v]-want[v][7]) > 1e-9 {
+			t.Fatalf("reverse d(%d->7) = %v (kernel %v), want %v", v, tree.Dist[v], sc.Dist[v], want[v][7])
 		}
 	}
 }
@@ -159,61 +163,98 @@ func TestPointToPointPooledScratch(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	sc := acquireScratch(graphs[0].NumNodes())
-	defer sc.release()
+	sc := p2pPool.Get().(*Search)
+	defer p2pPool.Put(sc)
+	sc.prepare(graphs[0].NumNodes())
 	if sc.heap.Len() != 0 || len(sc.touched) != 0 {
 		t.Fatalf("pooled scratch not empty: %d heap entries, %d touched", sc.heap.Len(), len(sc.touched))
 	}
-	for v := range sc.dist {
-		if !math.IsInf(sc.dist[v], 1) || sc.parent[v] != graph.Invalid {
-			t.Fatalf("pooled scratch node %d: dist/parent %v/%d, want +Inf/%d", v, sc.dist[v], sc.parent[v], graph.Invalid)
+	for v := range sc.Dist {
+		if !math.IsInf(sc.Dist[v], 1) || sc.Parent[v] != graph.Invalid {
+			t.Fatalf("pooled scratch node %d: dist/parent %v/%d, want +Inf/%d", v, sc.Dist[v], sc.Parent[v], graph.Invalid)
 		}
 	}
 }
 
-func TestAStarWithEuclideanBound(t *testing.T) {
-	// Euclidean distance underestimates when weights >= distance: scale
-	// weights so the bound is admissible.
-	rng := rand.New(rand.NewSource(8))
-	n := 60
-	b := graph.NewBuilder(n, 4*n)
-	for i := 0; i < n; i++ {
-		b.AddNode(rng.Float64()*100, rng.Float64()*100)
-	}
-	add := func(u, v int) {
-		if u == v {
-			return
+// subNetworkOf copies all of g into a SubNetwork, as a client that
+// received every region holds it.
+func subNetworkOf(g *graph.Graph) *SubNetwork {
+	sn := NewSubNetwork(g.NumNodes())
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		nd := g.Node(v)
+		dst, wgt := g.Out(v)
+		arcs := make([]graph.Arc, len(dst))
+		for i := range dst {
+			arcs[i] = graph.Arc{To: dst[i], Weight: wgt[i]}
 		}
-		dx := math.Hypot(0, 0)
-		_ = dx
+		sn.AddNode(v, nd.X, nd.Y, arcs)
 	}
-	_ = add
+	return sn
+}
+
+// TestAStarWithEuclideanBound: on a network whose arcs are at least as long
+// as the straight line between their ends, the Euclidean distance to t is
+// an admissible, consistent bound. A* over the network kernel must find
+// Dijkstra's distance while labelling no more nodes than the unbounded
+// search.
+func TestAStarWithEuclideanBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 300
+	b := graph.NewBuilder(n, 8*n)
+	var xs, ys [n]float64
 	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		b.AddArc(graph.NodeID(i), graph.NodeID(j), 1)
+		xs[i], ys[i] = rng.Float64()*100, rng.Float64()*100
+		b.AddNode(xs[i], ys[i])
+	}
+	road := func(u, v graph.NodeID) {
+		if u != v {
+			b.AddEdge(u, v, math.Hypot(xs[u]-xs[v], ys[u]-ys[v])*(1+rng.Float64()))
+		}
+	}
+	for i := 0; i < n; i++ {
+		road(graph.NodeID(i), graph.NodeID((i+1)%n))
+		road(graph.NodeID(i), graph.NodeID(rng.Intn(n)))
 	}
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With weight-1 ring arcs Euclidean bounds are NOT admissible; use the
-	// zero bound (Dijkstra) versus a trivially admissible bound of 0.
-	d1, _, _ := AStar(g, 0, 30, nil)
-	d2, _, settled := AStar(g, 0, 30, func(graph.NodeID) float64 { return 0 })
-	if d1 != d2 {
-		t.Fatalf("zero-bound A* %v != Dijkstra %v", d2, d1)
+	net := subNetworkOf(g)
+	var sc Search
+	labelled, bounded := 0, 0
+	for q := 0; q < 40; q++ {
+		s, tgt := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		tx, ty, _ := net.Pos(tgt)
+		lb := func(v graph.NodeID) float64 {
+			x, y, _ := net.Pos(v)
+			return math.Hypot(x-tx, y-ty) * (1 - 1e-6) // float32 positions: leave room
+		}
+		want := Dijkstra(g, s).Dist[tgt]
+		sc.RunNetwork(net, s, tgt, nil)
+		labelled += len(sc.touched)
+		sc.RunNetwork(net, s, tgt, lb)
+		bounded += len(sc.touched)
+		got := sc.To(s, tgt)
+		if math.Abs(got.Dist-want) > 1e-9 {
+			t.Fatalf("A* d(%d,%d) = %v, Dijkstra %v", s, tgt, got.Dist, want)
+		}
+		if c := PathCost(g, got.Path); math.Abs(c-got.Dist) > 1e-9 {
+			t.Fatalf("A* path %v costs %v, dist %v", got.Path, c, got.Dist)
+		}
 	}
-	if settled == 0 {
-		t.Fatal("no work done")
+	if bounded > labelled {
+		t.Fatalf("A* labelled %d nodes, the unbounded search %d", bounded, labelled)
 	}
 }
 
 // TestAStarAdmissibleInconsistentBound: random bounds clamped below the
-// true remaining distance are admissible but inconsistent; A* must stay
-// exact (this is the Landmark-under-loss scenario).
+// true remaining distance are admissible but inconsistent; A* over the
+// network kernel must stay exact (this is the Landmark-under-loss
+// scenario).
 func TestAStarAdmissibleInconsistentBound(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomGraph(40, 100+seed)
+		net := subNetworkOf(g)
 		rng := rand.New(rand.NewSource(seed))
 		tgt := graph.NodeID(rng.Intn(g.NumNodes()))
 		toT := DijkstraReverse(g, tgt)
@@ -223,15 +264,17 @@ func TestAStarAdmissibleInconsistentBound(t *testing.T) {
 			}
 			return toT.Dist[v] * rng.Float64() // random admissible fraction
 		}
+		var sc Search
 		for s := 0; s < g.NumNodes(); s += 5 {
 			want, _, _ := PointToPoint(g, graph.NodeID(s), tgt)
-			got, path, _ := AStar(g, graph.NodeID(s), tgt, lb)
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("seed %d s=%d: got %v, want %v", seed, s, got, want)
+			sc.RunNetwork(net, graph.NodeID(s), tgt, lb)
+			got := sc.To(graph.NodeID(s), tgt)
+			if math.Abs(got.Dist-want) > 1e-9 {
+				t.Fatalf("seed %d s=%d: got %v, want %v", seed, s, got.Dist, want)
 			}
-			if got < math.Inf(1) && graph.NodeID(s) != tgt {
-				if c := PathCost(g, path); math.Abs(c-got) > 1e-9 {
-					t.Fatalf("path cost %v != %v", c, got)
+			if got.Dist < math.Inf(1) && graph.NodeID(s) != tgt {
+				if c := PathCost(g, got.Path); math.Abs(c-got.Dist) > 1e-9 {
+					t.Fatalf("path cost %v != %v", c, got.Dist)
 				}
 			}
 		}
@@ -249,16 +292,7 @@ func TestPathCostRejectsFakePaths(t *testing.T) {
 func TestSubNetworkDijkstra(t *testing.T) {
 	g := randomGraph(50, 11)
 	// Full copy into a SubNetwork must reproduce distances.
-	sn := NewSubNetwork(g.NumNodes())
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		nd := g.Node(v)
-		dst, wgt := g.Out(v)
-		arcs := make([]graph.Arc, len(dst))
-		for i := range dst {
-			arcs[i] = graph.Arc{To: dst[i], Weight: wgt[i]}
-		}
-		sn.AddNode(v, nd.X, nd.Y, arcs)
-	}
+	sn := subNetworkOf(g)
 	for s := 0; s < 10; s++ {
 		want, _, _ := PointToPoint(g, graph.NodeID(s), graph.NodeID(49))
 		got := DijkstraNetwork(sn, graph.NodeID(s), 49)

@@ -361,7 +361,8 @@ func ReadGraphText(r io.Reader) (*Graph, error) { return graph.DecodeText(r) }
 func WriteGraphText(w io.Writer, g *Graph) error { return graph.EncodeText(w, g) }
 
 // ShortestPath computes the reference answer on the full network (no
-// broadcasting): distance, path and settled-node count.
+// broadcasting): distance, path and the number of nodes the search
+// labelled.
 func ShortestPath(g *Graph, s, t NodeID) (float64, []NodeID, int) {
 	return spath.PointToPoint(g, s, t)
 }

@@ -17,6 +17,7 @@ package hiti
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -378,7 +379,9 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 	// First pass: listen packets while they are index packets (the index is
 	// one section; the first non-index packet ends it). That boundary
 	// packet is data — stash it so the data phase does not wait a whole
-	// cycle to see it again.
+	// cycle to see it again. A payload is only valid until the next
+	// reception (broadcast.Feed), and the retries below listen again, so
+	// the stash keeps a copy.
 	var lost []int
 	type stashed struct {
 		cp  int
@@ -390,6 +393,7 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		p, ok := t.Listen()
 		if p.Kind != packet.KindIndex {
 			if ok {
+				p.Payload = slices.Clone(p.Payload)
 				preData = append(preData, stashed{abs % t.CycleLen(), p})
 			}
 			break

@@ -174,6 +174,11 @@ func OptimalM(dataPackets, indexPackets int) int {
 // transmitted at absolute position abs and whether it arrived intact; Len is
 // the cycle length in packets. At is only ever called with non-decreasing
 // positions — clients cannot rewind a broadcast.
+//
+// A packet's payload is valid until the next At on the same feed: a wire
+// receiver serves it as a view of its datagram buffer. A client that keeps
+// a payload across receptions copies it. The in-process feeds serve
+// immutable cycle slices, so they meet a stronger rule.
 type Feed interface {
 	Len() int
 	At(abs int) (packet.Packet, bool)

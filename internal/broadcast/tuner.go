@@ -210,7 +210,8 @@ func (t *Tuner) Pos() int { return t.pos }
 
 // Listen receives the packet at the current position and advances. The
 // boolean reports whether the packet arrived intact; a lost packet still
-// counts toward tuning time.
+// counts toward tuning time. The payload is valid until the next Listen
+// (Feed): keep a copy, not the slice.
 //
 //air:noalloc
 func (t *Tuner) Listen() (packet.Packet, bool) {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/fleet"
 	"repro/internal/graph"
+	"repro/internal/scheme"
 	"repro/internal/station"
 	"repro/internal/update"
 )
@@ -312,7 +314,10 @@ func TestRunChurnHonoursBudgets(t *testing.T) {
 // TestRunChurnClassifiesRefusals: a station whose admission cap is below the
 // client count sheds some queries; a churn run must book them as refused,
 // not as errors. (The churn runner this replaced booked station.ErrFull as
-// Errors.)
+// Errors.) The test holds the station's one slot until the first query is
+// refused, so a refusal does not depend on two clients' queries happening
+// to overlap; once the slot is free the fleet answers the rest. The run is
+// RunFleet's churn run, with sessions that release the slot on a refusal.
 func TestRunChurnClassifiesRefusals(t *testing.T) {
 	g := conformance.Network(t, 300, 450, 26)
 	d, err := deploy.Deploy(g, deploy.WithParams(deploy.Params{Regions: 8}),
@@ -322,9 +327,30 @@ func TestRunChurnClassifiesRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	rep, err := d.RunFleet(context.Background(), fleet.Options{
-		Clients: 8, Queries: 240, PoolSize: 10, Seed: 26,
-	})
+	ctx := context.Background()
+	if err := d.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hold, err := d.Station().SubscribeExact(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release := func() { once.Do(hold.Close) }
+	defer release()
+	opts := fleet.Options{Clients: 8, Queries: 240, PoolSize: 10, Seed: 26}
+	target := fleet.Target{
+		Method: d.Server().Name(), Rate: d.Rate(), Version: d.Station().Version(),
+		Open: func(id int, seed int64) (fleet.Session, error) {
+			s, err := d.Session(ctx, deploy.SessionOptions{Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			return releasingSession{s, release}, nil
+		},
+	}
+	rep, err := fleet.RunChurn(ctx, target, d.Station(), d.Manager(), d.Workload(opts),
+		fleet.ChurnOptions{Fleet: opts, Batches: 1, Interval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +358,26 @@ func TestRunChurnClassifiesRefusals(t *testing.T) {
 		t.Fatalf("refused %d, errors %d of %d queries: a full station must refuse, never error",
 			rep.Refused, rep.Errors, rep.Queries)
 	}
+	if rep.Agg.N == 0 {
+		t.Fatalf("no query of %d answered once the held slot was released", rep.Queries)
+	}
 	accounted(t, rep.Result)
+}
+
+// releasingSession is a deployment session that calls release once one of
+// its queries is refused.
+type releasingSession struct {
+	s       *deploy.Session
+	release func()
+}
+
+func (r releasingSession) Ask(ctx context.Context, q scheme.Query) (scheme.Result, fleet.Air) {
+	res, _ := r.s.Query(ctx, q.S, q.T)
+	air := r.s.Air()
+	if air.Outcome == fleet.Refused {
+		r.release()
+	}
+	return res, air
 }
 
 // TestRunRemote drives a whole fleet over UDP loopback: every query dials

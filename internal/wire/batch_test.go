@@ -578,11 +578,11 @@ func TestWelcomeMustFitADatagram(t *testing.T) {
 	for i := range kinds {
 		kinds[i] = []packet.Kind{packet.KindIndex, packet.KindData}[i%2]
 	}
-	if _, err := appendWelcome(nil, welcome{CycleLen: uint32(len(kinds)), Kinds: kinds}); err == nil {
+	if _, err := appendWelcomeBody(nil, welcome{CycleLen: uint32(len(kinds)), Kinds: scheduleOf(kinds)}); err == nil {
 		t.Fatalf("a %d-run kind schedule was framed into a welcome no receiver can read", len(kinds))
 	}
-	w, err := appendWelcome(nil, welcome{CycleLen: 200, Kinds: kinds[:200]})
-	if err != nil || len(w) > maxDatagram {
+	body, err := appendWelcomeBody(nil, welcome{CycleLen: 200, Kinds: scheduleOf(kinds[:200])})
+	if w := packet.AppendEnvelope(nil, frameWelcome, body); err != nil || len(w) > maxDatagram {
 		t.Fatalf("a 200-run schedule: %d bytes, err %v", len(w), err)
 	}
 }

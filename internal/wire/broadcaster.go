@@ -2,13 +2,16 @@ package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/broadcast"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/station"
@@ -77,13 +80,21 @@ type Broadcaster struct {
 	started time.Time
 
 	mu      sync.Mutex
-	remotes map[string]*remote
+	remotes map[netip.AddrPort]*remote
 	closed  bool
+
+	// Owned by readLoop (and NewBroadcaster before it starts): the welcome
+	// body of the cycle on the air, encoded once per *Cycle — a swap airs a
+	// new pointer — with only Start patched per hello, and the buffer every
+	// control reply is framed in.
+	wcCycle *broadcast.Cycle
+	wcBody  []byte
+	ctl     []byte
 }
 
 // remote is one receiver's server-side state.
 type remote struct {
-	addr *net.UDPAddr
+	addr netip.AddrPort
 	sub  *station.Sub
 	// want is the lowest position the receiver still needs; limit the
 	// exclusive credit bound it granted. Both only ever advance.
@@ -109,9 +120,14 @@ func NewBroadcaster(addr string, st *station.Station, opts BroadcasterOptions) (
 	if opts.IdleTimeout <= 0 {
 		opts.IdleTimeout = 30 * time.Second
 	}
+	b := &Broadcaster{
+		st:      st,
+		opts:    opts,
+		remotes: make(map[netip.AddrPort]*remote),
+	}
 	// Refuse up front a cycle whose kind schedule cannot be welcomed,
 	// rather than silently ignoring every hello later.
-	if _, err := welcomeFor(st, 0); err != nil {
+	if _, err := b.welcome(0); err != nil {
 		return nil, err
 	}
 	uaddr, err := net.ResolveUDPAddr("udp", addr)
@@ -126,13 +142,7 @@ func NewBroadcaster(addr string, st *station.Station, opts BroadcasterOptions) (
 	// socket; ask for room so a want burst is not dropped (best effort —
 	// a lost want is re-sent by the receiver's silence timeout anyway).
 	conn.SetReadBuffer(1 << 20)
-	b := &Broadcaster{
-		st:      st,
-		opts:    opts,
-		conn:    conn,
-		remotes: make(map[string]*remote),
-		started: time.Now(),
-	}
+	b.conn, b.started = conn, time.Now()
 	b.ctx, b.cancel = context.WithCancel(context.Background())
 	b.wg.Add(2)
 	go b.readLoop()
@@ -140,22 +150,29 @@ func NewBroadcaster(addr string, st *station.Station, opts BroadcasterOptions) (
 	return b, nil
 }
 
-// welcomeFor assembles the handshake reply for a subscription starting at
-// start: the cycle geometry and the RLE kind schedule the receiver serves
-// wire losses from.
-func welcomeFor(st *station.Station, start int) ([]byte, error) {
-	cyc := st.Cycle()
-	kinds := make([]packet.Kind, cyc.Len())
-	for i := range kinds {
-		kinds[i] = cyc.Packets[i].Kind
+// welcome frames the handshake reply for a subscription starting at start:
+// the cycle geometry and the RLE kind schedule the receiver serves wire
+// losses from. The frame is valid until the next control reply.
+func (b *Broadcaster) welcome(start int) ([]byte, error) {
+	if cyc := b.st.Cycle(); cyc != b.wcCycle {
+		var kinds schedule
+		for i := range cyc.Packets {
+			kinds = kinds.add(cyc.Packets[i].Kind)
+		}
+		body, err := appendWelcomeBody(nil, welcome{
+			CycleLen: uint32(cyc.Len()),
+			Version:  cyc.Version,
+			Rate:     uint32(b.st.Rate()),
+			Kinds:    kinds,
+		})
+		if err != nil {
+			return nil, err
+		}
+		b.wcCycle, b.wcBody = cyc, body
 	}
-	return appendWelcome(nil, welcome{
-		Start:    uint64(start),
-		CycleLen: uint32(cyc.Len()),
-		Version:  cyc.Version,
-		Rate:     uint32(st.Rate()),
-		Kinds:    kinds,
-	})
+	binary.LittleEndian.PutUint64(b.wcBody, uint64(start))
+	b.ctl = packet.AppendEnvelope(b.ctl[:0], frameWelcome, b.wcBody)
+	return b.ctl, nil
 }
 
 // Addr returns the bound socket address (useful with ":0").
@@ -186,7 +203,7 @@ func (b *Broadcaster) Close() {
 
 	bye := appendBye(nil)
 	for _, r := range remotes {
-		b.conn.WriteToUDP(bye, r.addr)
+		b.conn.WriteToUDPAddrPort(bye, r.addr)
 		r.shut()
 	}
 	b.cancel()
@@ -202,7 +219,7 @@ func (b *Broadcaster) readLoop() {
 	defer b.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
-		n, raddr, err := b.conn.ReadFromUDP(buf)
+		n, raddr, err := b.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if b.ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
 				return
@@ -214,21 +231,20 @@ func (b *Broadcaster) readLoop() {
 			obsCorrupt.Inc()
 			continue
 		}
-		key := raddr.String()
 		switch ftype {
 		case frameHello:
 			window, err := parseHello(body)
 			if err != nil {
 				continue
 			}
-			b.hello(key, raddr, int64(window))
+			b.hello(raddr, int64(window))
 		case frameWant:
 			pos, limit, err := parseWant(body)
 			if err != nil {
 				continue
 			}
 			b.mu.Lock()
-			r := b.remotes[key]
+			r := b.remotes[raddr]
 			b.mu.Unlock()
 			if r != nil {
 				r.touch(b.started)
@@ -236,7 +252,7 @@ func (b *Broadcaster) readLoop() {
 			}
 		case frameBye:
 			b.mu.Lock()
-			r := b.remotes[key]
+			r := b.remotes[raddr]
 			b.mu.Unlock()
 			if r != nil {
 				r.shut()
@@ -247,17 +263,17 @@ func (b *Broadcaster) readLoop() {
 
 // hello subscribes a new remote (or re-welcomes a known one whose welcome
 // datagram was lost) and answers with the stream geometry.
-func (b *Broadcaster) hello(key string, raddr *net.UDPAddr, window int64) {
+func (b *Broadcaster) hello(raddr netip.AddrPort, window int64) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
-	if r := b.remotes[key]; r != nil {
+	if r := b.remotes[raddr]; r != nil {
 		b.mu.Unlock()
 		r.touch(b.started)
-		if w, err := welcomeFor(b.st, r.sub.Start()); err == nil {
-			b.conn.WriteToUDP(w, raddr)
+		if w, err := b.welcome(r.sub.Start()); err == nil {
+			b.conn.WriteToUDPAddrPort(w, raddr)
 		}
 		return
 	}
@@ -280,7 +296,7 @@ func (b *Broadcaster) hello(key string, raddr *net.UDPAddr, window int64) {
 		}
 		return
 	}
-	w, err := welcomeFor(b.st, sub.Start())
+	w, err := b.welcome(sub.Start())
 	if err != nil {
 		sub.Close()
 		return
@@ -296,7 +312,7 @@ func (b *Broadcaster) hello(key string, raddr *net.UDPAddr, window int64) {
 	r.touch(b.started)
 
 	b.mu.Lock()
-	if b.closed || b.remotes[key] != nil {
+	if b.closed || b.remotes[raddr] != nil {
 		b.mu.Unlock()
 		sub.Close()
 		return
@@ -309,7 +325,7 @@ func (b *Broadcaster) hello(key string, raddr *net.UDPAddr, window int64) {
 		b.refuse(raddr, n)
 		return
 	}
-	b.remotes[key] = r
+	b.remotes[raddr] = r
 	b.mu.Unlock()
 	obsHellos.Inc()
 	obsRemotes.Inc()
@@ -318,17 +334,18 @@ func (b *Broadcaster) hello(key string, raddr *net.UDPAddr, window int64) {
 	// receiver then always completes its handshake before the stream
 	// starts (a reordering network can still overtake it, in which case
 	// the overtaken positions surface as ordinary wire gaps).
-	b.conn.WriteToUDP(w, raddr)
+	b.conn.WriteToUDPAddrPort(w, raddr)
 	b.wg.Add(1)
-	go b.pump(key, r)
+	go b.pump(r)
 }
 
 // refuse sheds a hello with a typed busy frame: the client learns it was
 // refused (and fails fast with ErrRefused) instead of burning its whole
 // dial deadline on silence.
-func (b *Broadcaster) refuse(raddr *net.UDPAddr, remotes int) {
+func (b *Broadcaster) refuse(raddr netip.AddrPort, remotes int) {
 	obsBusy.Inc()
-	b.conn.WriteToUDP(appendBusy(nil, uint32(remotes), uint32(b.opts.MaxRemotes)), raddr)
+	b.ctl = appendBusy(b.ctl[:0], uint32(remotes), uint32(b.opts.MaxRemotes))
+	b.conn.WriteToUDPAddrPort(b.ctl, raddr)
 }
 
 // touch stamps the remote's liveness clock.
@@ -371,9 +388,9 @@ func (r *remote) shut() { r.closeOnce.Do(func() { close(r.done) }) }
 // subscription buffer while the pump is inside the send, so datagrams fill;
 // on a paced clock a packet arrives once per airtime, so each is sent alone
 // the moment it airs.
-func (b *Broadcaster) pump(key string, r *remote) {
+func (b *Broadcaster) pump(r *remote) {
 	defer b.wg.Done()
-	defer b.forget(key, r)
+	defer b.forget(r)
 	defer r.sub.Close()
 
 	cycleLen := uint32(b.st.Len())
@@ -383,7 +400,7 @@ func (b *Broadcaster) pump(key string, r *remote) {
 		if frames == 0 {
 			return
 		}
-		if _, err := b.conn.WriteToUDP(batch, r.addr); err == nil {
+		if _, err := b.conn.WriteToUDPAddrPort(batch, r.addr); err == nil {
 			obsSent.Inc()
 			obsFrames.Add(int64(frames))
 		}
@@ -450,11 +467,11 @@ func (b *Broadcaster) pump(key string, r *remote) {
 }
 
 // forget removes the remote from the table once its pump has exited.
-func (b *Broadcaster) forget(key string, r *remote) {
+func (b *Broadcaster) forget(r *remote) {
 	r.shut()
 	b.mu.Lock()
-	if b.remotes[key] == r {
-		delete(b.remotes, key)
+	if b.remotes[r.addr] == r {
+		delete(b.remotes, r.addr)
 	}
 	b.mu.Unlock()
 	obsRemotes.Dec()

@@ -42,6 +42,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/packet"
 )
@@ -51,7 +52,7 @@ import (
 // and UDP headers and a tunnel's, it holds nine full data frames
 // (packet.MaxFrameSize each). The pump fills a datagram up to it; a welcome
 // whose kind schedule would not fit is refused when the broadcaster is set
-// up (appendWelcome).
+// up (appendWelcomeBody).
 const maxDatagram = 1400
 
 // Control frame types, in the envelope range reserved for transports.
@@ -72,9 +73,51 @@ var errProto = errors.New("wire: malformed control frame")
 type welcome struct {
 	Start    uint64 // absolute position of the remote's first packet
 	CycleLen uint32
-	Version  uint32 // cycle version on the air at subscribe time
-	Rate     uint32 // bit rate queries are costed at
-	Kinds    []packet.Kind
+	Version  uint32   // cycle version on the air at subscribe time
+	Rate     uint32   // bit rate queries are costed at
+	Kinds    schedule // covers exactly CycleLen positions
+}
+
+// kindRun is one run of a kind schedule: the positions from the previous
+// run's End up to End (exclusive) carry Kind.
+type kindRun struct {
+	End  uint32
+	Kind packet.Kind
+}
+
+// schedule is a cycle's kind schedule kept as its runs, the form it travels
+// in: cycles are built section by section, so runs are O(sections), not
+// O(packets), and at most 273 fit a welcome datagram.
+type schedule []kindRun
+
+// welcomeHeader is the fixed part of a welcome body (start, cycleLen,
+// version, rate) and runSize one encoded run (kind, count).
+const (
+	welcomeHeader = 20
+	runSize       = 5
+)
+
+// add extends the schedule by one position of kind k.
+func (s schedule) add(k packet.Kind) schedule {
+	if n := len(s); n > 0 && s[n-1].Kind == k {
+		s[n-1].End++
+		return s
+	}
+	return append(s, kindRun{End: s.len() + 1, Kind: k})
+}
+
+// len returns how many positions the schedule covers.
+func (s schedule) len() uint32 {
+	if len(s) == 0 {
+		return 0
+	}
+	return s[len(s)-1].End
+}
+
+// at returns the kind of cycle slot i (0 <= i < s.len()): the first run
+// ending past i, by binary search.
+func (s schedule) at(i int) packet.Kind {
+	return s[sort.Search(len(s), func(m int) bool { return int(s[m].End) > i })].Kind
 }
 
 // appendHello frames a hello with the receiver's requested initial credit
@@ -93,47 +136,37 @@ func parseHello(body []byte) (window uint32, err error) {
 	return binary.LittleEndian.Uint32(body), nil
 }
 
-// appendWelcome frames the handshake reply. The kind schedule is run-length
-// encoded; cycles are built section by section, so runs are O(sections),
-// not O(packets).
-func appendWelcome(dst []byte, w welcome) ([]byte, error) {
-	if w.CycleLen == 0 || int(w.CycleLen) != len(w.Kinds) {
-		return nil, fmt.Errorf("wire: welcome kind schedule of %d entries for a %d-packet cycle", len(w.Kinds), w.CycleLen)
+// appendWelcomeBody encodes a welcome body onto dst, the kind schedule as
+// its runs. It refuses a schedule that does not cover the cycle, and a
+// welcome that would not fit a datagram: no receiver reads one that large,
+// and a cycle alternating kinds every few packets could need it, so that is
+// a broadcaster setup error. The body is framed with packet.AppendEnvelope.
+func appendWelcomeBody(dst []byte, w welcome) ([]byte, error) {
+	if w.CycleLen == 0 || w.Kinds.len() != w.CycleLen {
+		return nil, fmt.Errorf("wire: welcome kind schedule of %d positions for a %d-packet cycle", w.Kinds.len(), w.CycleLen)
 	}
-	body := make([]byte, 0, 64)
-	body = binary.LittleEndian.AppendUint64(body, w.Start)
-	body = binary.LittleEndian.AppendUint32(body, w.CycleLen)
-	body = binary.LittleEndian.AppendUint32(body, w.Version)
-	body = binary.LittleEndian.AppendUint32(body, w.Rate)
-	runs := 0
-	for i := 0; i < len(w.Kinds); {
-		j := i
-		for j < len(w.Kinds) && w.Kinds[j] == w.Kinds[i] {
-			j++
-		}
-		body = append(body, byte(w.Kinds[i]))
-		body = binary.LittleEndian.AppendUint32(body, uint32(j-i))
-		runs++
-		i = j
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, w.Start)
+	dst = binary.LittleEndian.AppendUint32(dst, w.CycleLen)
+	dst = binary.LittleEndian.AppendUint32(dst, w.Version)
+	dst = binary.LittleEndian.AppendUint32(dst, w.Rate)
+	prev := uint32(0)
+	for _, r := range w.Kinds {
+		dst = append(dst, byte(r.Kind))
+		dst = binary.LittleEndian.AppendUint32(dst, r.End-prev)
+		prev = r.End
 	}
-	if packet.EnvelopeOverhead+len(body) > maxDatagram {
-		// No receiver reads a datagram this large; a cycle alternating kinds
-		// every few packets could get here, so refuse it as a broadcaster
-		// setup error instead.
-		return nil, fmt.Errorf("wire: kind schedule of %d runs does not fit a %d-byte welcome datagram", runs, maxDatagram)
+	if packet.EnvelopeOverhead+len(dst)-start > maxDatagram {
+		return nil, fmt.Errorf("wire: kind schedule of %d runs does not fit a %d-byte welcome datagram", len(w.Kinds), maxDatagram)
 	}
-	return packet.AppendEnvelope(dst, frameWelcome, body), nil
+	return dst, nil
 }
 
-// maxCycleLen bounds the cycle length a receiver accepts from a welcome: a
-// hostile or corrupted (yet CRC-valid) schedule must not allocate
-// unboundedly.
-const maxCycleLen = 1 << 26
-
-// parseWelcome decodes and validates a welcome body, expanding the kind
-// schedule to one entry per cycle position.
+// parseWelcome decodes and validates a welcome body. The kind schedule stays
+// in runs, so what it allocates is bounded by the body's length, never by
+// the cycle length a hostile (yet CRC-valid) welcome may claim.
 func parseWelcome(body []byte) (welcome, error) {
-	if len(body) < 20 {
+	if len(body) < welcomeHeader || packet.EnvelopeOverhead+len(body) > maxDatagram {
 		return welcome{}, fmt.Errorf("%w: welcome body of %d bytes", errProto, len(body))
 	}
 	w := welcome{
@@ -142,26 +175,25 @@ func parseWelcome(body []byte) (welcome, error) {
 		Version:  binary.LittleEndian.Uint32(body[12:]),
 		Rate:     binary.LittleEndian.Uint32(body[16:]),
 	}
-	if w.CycleLen == 0 || w.CycleLen > maxCycleLen || w.Start > 1<<62 {
+	if w.CycleLen == 0 || w.Start > 1<<62 {
 		return welcome{}, fmt.Errorf("%w: welcome cycleLen %d start %d", errProto, w.CycleLen, w.Start)
 	}
-	w.Kinds = make([]packet.Kind, 0, w.CycleLen)
-	for rest := body[20:]; len(rest) > 0; {
-		if len(rest) < 5 {
-			return welcome{}, fmt.Errorf("%w: truncated kind run", errProto)
-		}
-		kind := packet.Kind(rest[0])
+	rest := body[welcomeHeader:]
+	if len(rest)%runSize != 0 {
+		return welcome{}, fmt.Errorf("%w: truncated kind run", errProto)
+	}
+	w.Kinds = make(schedule, 0, len(rest)/runSize)
+	end := uint64(0)
+	for ; len(rest) > 0; rest = rest[runSize:] {
 		n := binary.LittleEndian.Uint32(rest[1:])
-		if n == 0 || uint64(len(w.Kinds))+uint64(n) > uint64(w.CycleLen) {
+		end += uint64(n)
+		if n == 0 || end > uint64(w.CycleLen) {
 			return welcome{}, fmt.Errorf("%w: kind schedule overruns the cycle", errProto)
 		}
-		for i := uint32(0); i < n; i++ {
-			w.Kinds = append(w.Kinds, kind)
-		}
-		rest = rest[5:]
+		w.Kinds = append(w.Kinds, kindRun{End: uint32(end), Kind: packet.Kind(rest[0])})
 	}
-	if len(w.Kinds) != int(w.CycleLen) {
-		return welcome{}, fmt.Errorf("%w: kind schedule covers %d of %d positions", errProto, len(w.Kinds), w.CycleLen)
+	if end != uint64(w.CycleLen) {
+		return welcome{}, fmt.Errorf("%w: kind schedule covers %d of %d positions", errProto, end, w.CycleLen)
 	}
 	return w, nil
 }

@@ -39,6 +39,8 @@ var (
 	// partial answer the client holds was built on air that no longer
 	// exists. The receiver is stale; the session must re-attach fresh.
 	ErrRestarted = errors.New("wire: broadcaster restarted with a different cycle")
+	// errClosed aborts a query that reads a receiver after Close.
+	errClosed = errors.New("wire: receiver used after Close")
 )
 
 // ReceiverOptions tune one wire subscription: the dial options of the
@@ -78,7 +80,7 @@ type Receiver struct {
 	cycleLen int
 	version  uint32
 	rate     int
-	kinds    []packet.Kind
+	kinds    schedule
 
 	limit  int // exclusive credit bound granted so far (client coords)
 	clock  int // next global tick: everything below is served or slept over
@@ -332,9 +334,14 @@ func (r *Receiver) Prefetch(abs, n int) {
 // stream re-anchored); past that the feed aborts the query via
 // broadcast.AbortFeed with ErrDead — a dead wire, unlike a stopped
 // in-process station, has no cycle to degrade to.
+//
+// The served payload is a view of the receive buffer, valid until the next
+// At (broadcast.Feed): the receiver copies nothing per position.
+//
+//air:noalloc
 func (r *Receiver) At(abs int) (packet.Packet, bool) {
 	if r.closed {
-		broadcast.AbortFeed(fmt.Errorf("wire: receiver used after Close"))
+		broadcast.AbortFeed(errClosed)
 	}
 	// Extend credit before any blocking read: the broadcaster streams only
 	// what we have asked for, and asking early (half a window before the
@@ -370,8 +377,7 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 						continue
 					}
 				}
-				r.redial(abs, fmt.Errorf("wire: broadcast from %v went silent at position %d: %w",
-					r.raddr, abs, err))
+				r.redial(abs, err)
 				timeouts = 0
 				continue
 			}
@@ -399,8 +405,7 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 		case frameWelcome:
 			continue // duplicate handshake reply
 		case frameBye:
-			r.redial(abs, fmt.Errorf("wire: broadcaster %v closed the stream at position %d",
-				r.raddr, abs))
+			r.redial(abs, nil)
 			timeouts = 0
 			continue
 		default:
@@ -418,9 +423,11 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 		case pos < abs:
 			// Slept over, or a duplicate; the radio was off for it.
 		case pos == abs:
-			return r.serve(abs, clonePacket(f.Pkt))
+			return r.serve(abs, f.Pkt)
 		default:
-			r.pending, r.pendingPos, r.hasPending = clonePacket(f.Pkt), pos, true
+			// Held as a view of readBuf: no socket read happens before it
+			// is served or dropped.
+			r.pending, r.pendingPos, r.hasPending = f.Pkt, pos, true
 			return r.gap(abs)
 		}
 	}
@@ -437,17 +444,22 @@ func (r *Receiver) abandon() {
 }
 
 // redial tears the dead socket down and reconnects, up to opts.Redial
-// attempts; cause is what killed the stream. On success the subscription
-// is re-anchored at client position abs and At's read loop resumes; on
-// exhaustion (or a changed broadcast) the feed aborts, so redial only
-// returns after a successful reconnect.
+// attempts; readErr is the read error that killed the stream, nil when the
+// broadcaster said bye. On success the subscription is re-anchored at
+// client position abs and At's read loop resumes; on exhaustion (or a
+// changed broadcast) the feed aborts, so redial only returns after a
+// successful reconnect.
 //
 // The budget is charged per stretch of silence, not per call: redials since
 // the last received data frame accumulate in r.unproductive (reset by At on
 // real data), so a broadcaster that answers handshakes but never streams —
 // a wedged station behind a live socket — cannot string a receiver along
 // with an endless welcome-timeout-welcome loop.
-func (r *Receiver) redial(abs int, cause error) {
+func (r *Receiver) redial(abs int, readErr error) {
+	cause := fmt.Errorf("wire: broadcaster %v closed the stream at position %d", r.raddr, abs)
+	if readErr != nil {
+		cause = fmt.Errorf("wire: broadcast from %v went silent at position %d: %w", r.raddr, abs, readErr)
+	}
 	r.abandon()
 	r.rest = nil // the handshake reuses readBuf; the old stream's tail is void
 	if r.opts.Redial <= 0 {
@@ -531,16 +543,7 @@ func (r *Receiver) gap(abs int) (packet.Packet, bool) {
 	r.clock = abs + 1
 	r.wireLost++
 	obsGaps.Inc()
-	return packet.Packet{Kind: r.kinds[abs%r.cycleLen]}, false
-}
-
-// clonePacket copies a decoded frame's packet out of the read buffer: the
-// client may hold payload views across receptions (the in-process feeds
-// hand out immutable cycle slices), so a served payload must not alias a
-// buffer the next datagram overwrites.
-func clonePacket(p packet.Packet) packet.Packet {
-	p.Payload = append([]byte(nil), p.Payload...)
-	return p
+	return packet.Packet{Kind: r.kinds.at(abs % r.cycleLen)}, false
 }
 
 // sendWant grants the broadcaster credit to stream client positions

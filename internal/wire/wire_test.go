@@ -377,12 +377,12 @@ func TestWelcomeRoundTrip(t *testing.T) {
 			kinds = append(kinds, run.k)
 		}
 	}
-	in := welcome{Start: 987654, CycleLen: 10, Version: 3, Rate: 384000, Kinds: kinds}
-	frame, err := appendWelcome(nil, in)
+	in := welcome{Start: 987654, CycleLen: 10, Version: 3, Rate: 384000, Kinds: scheduleOf(kinds)}
+	body, err := appendWelcomeBody(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ftype, body, err := packet.OpenEnvelope(frame)
+	ftype, body, err := packet.OpenEnvelope(packet.AppendEnvelope(nil, frameWelcome, body))
 	if err != nil || ftype != frameWelcome {
 		t.Fatalf("envelope: type %d err %v", ftype, err)
 	}
@@ -394,8 +394,8 @@ func TestWelcomeRoundTrip(t *testing.T) {
 		t.Fatalf("welcome header round-trip: %+v", out)
 	}
 	for i := range kinds {
-		if out.Kinds[i] != kinds[i] {
-			t.Fatalf("kind schedule position %d: %v, want %v", i, out.Kinds[i], kinds[i])
+		if got := out.Kinds.at(i); got != kinds[i] {
+			t.Fatalf("kind schedule position %d: %v, want %v", i, got, kinds[i])
 		}
 	}
 	// Malformed bodies must be rejected, never panic or over-allocate.
@@ -409,5 +409,42 @@ func TestWelcomeRoundTrip(t *testing.T) {
 	bad[9] = 0xff
 	if _, err := parseWelcome(bad); err == nil {
 		t.Fatal("welcome with mismatched cycle length parsed")
+	}
+}
+
+// scheduleOf run-length encodes a kind per position.
+func scheduleOf(kinds []packet.Kind) schedule {
+	var s schedule
+	for _, k := range kinds {
+		s = s.add(k)
+	}
+	return s
+}
+
+// TestReceiverAtDoesNotAllocate pins the wire receive path at zero
+// allocations per position: over a steady-state loopback stream every
+// payload is served as a view of the datagram buffer, and the credit
+// refreshes, socket reads and frame walks along the way allocate nothing —
+// on either end, since the count covers the broadcaster's pump as well.
+func TestReceiverAtDoesNotAllocate(t *testing.T) {
+	srv := testServers(t, conformance.Network(t, 200, 320, 7))[1]
+	b := serve(t, startStation(t, srv), BroadcasterOptions{})
+	rx, err := Dial(b.Addr().String(), ReceiverOptions{Loss: 0.05, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	pos := rx.Start()
+	for ; pos < rx.Start()+2*rx.Len(); pos++ { // reach steady state
+		rx.At(pos)
+	}
+	if n := testing.AllocsPerRun(2000, func() {
+		rx.At(pos)
+		pos++
+	}); n != 0 {
+		t.Fatalf("Receiver.At allocates %v times per position", n)
+	}
+	if rx.WireLost() != 0 {
+		t.Fatalf("loopback lost %d positions", rx.WireLost())
 	}
 }

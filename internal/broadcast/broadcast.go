@@ -200,16 +200,25 @@ type Clocked interface {
 	TuneIn() int
 }
 
-// Hopping is a Feed that can estimate, without receiving anything, how long
-// the radio would wait for a logical position to next cross the air —
-// packets at different logical positions live on different channels with
-// different cycle lengths, so logical distance is not arrival order.
-// Schemes that choose a reception order (EB's region spans) ask the tuner,
-// which delegates here, and fall back to logical distance on plain feeds.
+// Hopping is a Clocked feed that can estimate, without receiving anything,
+// how long the radio would wait for a logical position to next cross the
+// air — packets at different logical positions live on different channels
+// with different cycle lengths, so logical distance is not arrival order.
+// Schemes that choose a reception order (EB's region spans, the loss
+// retries) ask the tuner (Tuner.Arrival), which delegates here, and fall
+// back to logical distance on plain feeds.
 type Hopping interface {
-	Feed
+	Clocked
 	// WaitFor returns the global ticks from now until the packet at logical
 	// position abs next crosses the air (0 = it is on the air now).
+	//
+	// Contract: for a fixed position, Clock()+WaitFor(abs) never decreases
+	// as the radio moves forward (receives or sleeps), abs advancing with
+	// the tuner to the position's next occurrence. ArrivalQueue keeps
+	// outstanding positions keyed by an arrival computed earlier and relies
+	// on it being a lower bound. multichannel.Rx meets it: its tick only
+	// grows, a hop's extra tick applies only to channels the radio is not
+	// on, and after a hop the tick is past the old base.
 	WaitFor(abs int) int
 	// Overhead returns packets the feed itself received on the listener's
 	// behalf (directory bootstrap); the Tuner adds it to tuning time.

@@ -297,14 +297,19 @@ func (t *Tuner) SleepTo(abs int) {
 // NextOccurrence returns the smallest absolute position >= Pos whose cycle
 // position equals cyclePos.
 func (t *Tuner) NextOccurrence(cyclePos int) int {
+	abs, _ := t.next(cyclePos)
+	return abs
+}
+
+// next is NextOccurrence plus the cycle length it was computed at.
+func (t *Tuner) next(cyclePos int) (abs, cycleLen int) {
 	l := t.feed.Len()
 	t.noteLen(l)
-	cur := t.pos % l
-	delta := cyclePos - cur
+	delta := cyclePos - t.pos%l
 	if delta < 0 {
 		delta += l
 	}
-	return t.pos + delta
+	return t.pos + delta, l
 }
 
 // Lost returns how many listened-to packets arrived corrupted so far:
@@ -346,30 +351,20 @@ func (t *Tuner) Latency() int {
 	return t.last - t.start + 1
 }
 
-// WaitFor returns how many ticks the radio would wait before the packet at
-// absolute logical position abs (>= Pos) crosses the air: the feed's own
-// estimate on a hopping feed, the logical distance otherwise. Schemes use
-// it to order receptions by actual arrival rather than logical position.
-func (t *Tuner) WaitFor(abs int) int {
+// Arrival returns the global tick at which cycle position cyclePos next
+// crosses the air — its next occurrence on a plain feed, where ticks are
+// logical positions, and the radio's own estimate on a Hopping feed, where
+// they are not — and the cycle length it was computed at. While the radio
+// moves forward a position's arrival never moves earlier
+// (Hopping.WaitFor), so an arrival computed earlier is a lower bound on
+// the current one as long as the cycle length holds: the property
+// ArrivalQueue is built on.
+func (t *Tuner) Arrival(cyclePos int) (tick, cycleLen int) {
+	abs, l := t.next(cyclePos)
 	if t.hopping != nil {
-		return t.hopping.WaitFor(abs)
+		return t.hopping.Clock() + t.hopping.WaitFor(abs), l
 	}
-	return abs - t.pos
-}
-
-// NearestOf returns the index in [0, n) whose cycle position (as reported
-// by cyclePos) next crosses the air — the greedy pick the loss-recovery
-// and span-fetch loops repeat until nothing is outstanding. On a plain
-// single-channel feed this is exactly cyclic broadcast order.
-func (t *Tuner) NearestOf(n int, cyclePos func(int) int) int {
-	best, bestWait := -1, 0
-	for i := 0; i < n; i++ {
-		w := t.WaitFor(t.NextOccurrence(cyclePos(i)))
-		if best < 0 || w < bestWait {
-			best, bestWait = i, w
-		}
-	}
-	return best
+	return abs, l
 }
 
 // ElapsedCycles returns how many full cycle lengths the tuner has advanced

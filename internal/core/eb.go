@@ -189,7 +189,8 @@ type EBClient struct {
 	idx    ebIndex
 	coll   *netdata.Collector
 	needed []int
-	recv   recvScratch
+	spans  []span
+	retry  retry
 	search spath.Search
 	skel   skeleton
 }
@@ -328,7 +329,7 @@ func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	if c.opts.MemoryBound {
 		onComplete = newContractor(kd, coll, q, rs, rt, &cpu, &c.skel, &c.search).contract
 	}
-	receiveRegions(t, coll, idx.offs.Offs, needed, rs, rt, c.opts.Segments, onComplete, &c.recv)
+	receiveRegions(t, coll, idx.offs.Offs, needed, rs, rt, c.opts.Segments, onComplete, &c.spans, &c.retry)
 
 	// Step 4: Dijkstra over the union (line 16).
 	res := finishSearch(coll, q, &mem, &cpu, &c.search)
@@ -450,96 +451,55 @@ func receiveIndexCopyAt(t *broadcast.Tuner, idx *ebIndex, copyStart int) int {
 	return nextPtr
 }
 
-// receiveRegions wakes for each needed region and listens to its
-// cross-border segment (and the local segment for the terminal regions rs
-// and rt). Reception order is greedy by actual arrival (Tuner.WaitFor): on
-// a single channel that is exactly the cyclic broadcast order the paper
-// prescribes, and on a multi-channel feed it interleaves channels so the
-// radio always turns to whichever needed span crosses the air next. Data
-// packets lost on air are re-fetched in subsequent cycles — again nearest
-// arrival first — until every needed position has been received intact.
-// onComplete, when non-nil, fires once per region as soon as all its
-// packets have been received (the hook for Section 6.1's incremental
-// super-edge contraction).
 // span is one contiguous packet range awaiting reception.
 type span struct{ region, start, n int }
 
-// recvScratch holds receiveRegions' work queues so a client can reuse them
-// across queries; a nil scratch allocates per call.
-type recvScratch struct {
-	spans   []span
-	lost    []lostPos
-	pending []int
-}
-
-func receiveRegions(t *broadcast.Tuner, coll *netdata.Collector, offs []airidx.RegionOffset, needed []int, rs, rt int, segments bool, onComplete func(region int), scr *recvScratch) {
-	if scr == nil {
-		scr = &recvScratch{}
-	}
+// receiveRegions wakes for each needed region and listens to its
+// cross-border segment (and the local segment for the terminal regions rs
+// and rt). Reception order is by actual arrival (broadcast.ArrivalQueue):
+// on a single channel that is exactly the cyclic broadcast order the paper
+// prescribes, and on a multi-channel feed it interleaves channels so the
+// radio always turns to whichever needed span crosses the air next. Data
+// packets lost on air are re-fetched in subsequent cycles (retry.recoverLost).
+// onComplete, when non-nil, fires once per region as soon as all its
+// packets have been received (the hook for Section 6.1's incremental
+// super-edge contraction). spans and r are the client's reusable scratch.
+func receiveRegions(t *broadcast.Tuner, coll *netdata.Collector, offs []airidx.RegionOffset, needed []int, rs, rt int, segments bool, onComplete func(region int), spans *[]span, r *retry) {
 	l := t.CycleLen()
-	spans := scr.spans[:0]
-	for _, r := range needed {
-		o := offs[r]
+	r.reset(len(offs))
+	live := (*spans)[:0]
+	for _, reg := range needed {
+		o := offs[reg]
 		n := o.NCross
-		if !segments || r == rs || r == rt {
+		if !segments || reg == rs || reg == rt {
 			n += o.NLocal
 		}
-		spans = append(spans, span{r, o.DataStart, n})
-	}
-	lost := scr.lost[:0]
-	// pending[region] counts lost packets outstanding for that region.
-	pending := resizeCleared(scr.pending, len(offs))
-	scr.pending = pending
-	done := func(r int) {
-		if onComplete != nil {
-			onComplete(r)
+		if n > 0 {
+			live = append(live, span{reg, o.DataStart, n})
+		} else if onComplete != nil {
+			onComplete(reg)
 		}
 	}
-	live := spans[:0]
-	for _, sp := range spans {
-		if sp.n == 0 {
-			done(sp.region)
-		} else {
-			live = append(live, sp)
-		}
+	*spans = live
+	r.q.Reset()
+	for i, sp := range live {
+		r.q.Push(t, i, sp.start)
 	}
-	spans = live
-	for len(spans) > 0 {
-		best := t.NearestOf(len(spans), func(i int) int { return spans[i].start })
-		sp := spans[best]
-		spans = append(spans[:best], spans[best+1:]...)
-		t.SleepTo(t.NextOccurrence(sp.start))
+	nearestFirst(t, &r.q, func(i int) int { return live[i].start }, func(i int) {
+		sp := live[i]
 		t.WillListen(sp.n)
 		for k := 0; k < sp.n; k++ {
 			abs := t.Pos()
 			p, ok := t.Listen()
 			if !ok {
-				lost = append(lost, lostPos{sp.region, abs % l})
-				pending[sp.region]++
+				r.lose(sp.region, abs%l)
 				continue
 			}
 			coll.Process(abs%l, p)
 		}
-		if pending[sp.region] == 0 {
-			done(sp.region)
+		if r.pending[sp.region] == 0 && onComplete != nil {
+			onComplete(sp.region)
 		}
-	}
-	for len(lost) > 0 {
-		best := t.NearestOf(len(lost), func(i int) int { return lost[i].cyclePos })
-		it := lost[best]
-		lost = append(lost[:best], lost[best+1:]...)
-		t.SleepTo(t.NextOccurrence(it.cyclePos))
-		p, ok := t.Listen()
-		if !ok {
-			lost = append(lost, it)
-			continue
-		}
-		coll.Process(it.cyclePos, p)
-		pending[it.region]--
-		if pending[it.region] == 0 {
-			done(it.region)
-		}
-	}
-	scr.spans = spans[:0]
-	scr.lost = lost[:0]
+	})
+	r.recoverLost(t, coll, onComplete)
 }

@@ -147,7 +147,7 @@ func (s *NR) NewClient() scheme.Client {
 //
 // A client models one device answering a stream of queries, so its work
 // buffers — index accumulators, the partial-network collector, the
-// received/pending tables and the loss-retry queue — persist across Query
+// received table and the loss-retry state — persist across Query
 // calls and are reset, not reallocated, per query. Clients are not safe for
 // concurrent use; a fleet gives each worker its own.
 type NRClient struct {
@@ -156,14 +156,10 @@ type NRClient struct {
 	st       nrIndexState
 	coll     *netdata.Collector
 	received []bool
-	pending  []int
-	lost     []lostPos
+	retry    retry
 	search   spath.Search
 	skel     skeleton
 }
-
-// lostPos is one lost data packet awaiting recovery.
-type lostPos struct{ region, cyclePos int }
 
 // Name implements scheme.Client.
 func (c *NRClient) Name() string { return "NR" }
@@ -324,7 +320,8 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	// Step 2: follow the next-region pointers (lines 8-19).
 	received := resizeCleared(c.received, n)
 	c.received = received
-	lost := c.lost[:0]
+	r := &c.retry
+	r.reset(n)
 	for hops := 0; ; hops++ {
 		if hops > 4*n+8 {
 			return scheme.Result{}, fmt.Errorf("core: NR client: pointer chase did not terminate")
@@ -356,19 +353,17 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 			}
 			t.SleepTo(t.NextOccurrence(o.DataStart))
 			t.WillListen(span)
-			nLost := 0
 			for k := 0; k < span; k++ {
 				abs := t.Pos()
 				p, ok := t.Listen()
 				if !ok {
-					lost = append(lost, lostPos{next, abs % t.CycleLen()})
-					nLost++
+					r.lose(next, abs%t.CycleLen())
 					continue
 				}
 				coll.Process(abs%t.CycleLen(), p)
 			}
 			received[next] = true
-			if ctr != nil && nLost == 0 {
+			if ctr != nil && r.pending[next] == 0 {
 				ctr.contract(next)
 			}
 		}
@@ -381,32 +376,12 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 		}
 	}
 
-	// Step 3: recover lost data packets in subsequent cycles, always waking
-	// for whichever outstanding position crosses the air next (on a
-	// multi-channel feed the channels' shorter cycles make each retry up to
-	// K times cheaper; on a single channel this is plain cyclic order).
-	pendingByRegion := resizeCleared(c.pending, n)
-	c.pending = pendingByRegion
-	for _, lp := range lost {
-		pendingByRegion[lp.region]++
+	// Step 3: recover lost data packets in subsequent cycles.
+	var done func(region int)
+	if ctr != nil {
+		done = ctr.contract
 	}
-	for len(lost) > 0 {
-		best := t.NearestOf(len(lost), func(i int) int { return lost[i].cyclePos })
-		lp := lost[best]
-		lost = append(lost[:best], lost[best+1:]...)
-		t.SleepTo(t.NextOccurrence(lp.cyclePos))
-		p, ok := t.Listen()
-		if !ok {
-			lost = append(lost, lp)
-			continue
-		}
-		coll.Process(lp.cyclePos, p)
-		pendingByRegion[lp.region]--
-		if ctr != nil && pendingByRegion[lp.region] == 0 {
-			ctr.contract(lp.region)
-		}
-	}
-	c.lost = lost[:0]
+	r.recoverLost(t, coll, done)
 
 	// Step 4: Dijkstra over the collected regions (line 20).
 	res := finishSearch(coll, q, &mem, &cpu, &c.search)

@@ -317,3 +317,70 @@ func TestDirKindString(t *testing.T) {
 		t.Fatalf("KindDir prints %q", packet.KindDir.String())
 	}
 }
+
+// TestArrivalNeverMovesEarlier holds multichannel.Rx to the contract the
+// client's arrival queue is built on (broadcast.Hopping.WaitFor): while the
+// radio moves forward, an outstanding position's arrival tick never moves
+// earlier. Over an offline K=4 air with loss, radios tuned in on every
+// channel recover a spread of positions nearest-arrival-first, listening a
+// short span at each and keeping re-lost positions, and every outstanding
+// position's arrival is checked after every listen.
+func TestArrivalNeverMovesEarlier(t *testing.T) {
+	g := network(t, 260, 360, 13)
+	srv := servers(t, g)[2] // EB
+	plan, err := Build(srv.Cycle(), 4, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	air, err := NewAir(plan, 0.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := plan.LogicalLen()
+	hops, checks := 0, 0
+	for trial := 0; trial < 8; trial++ {
+		tuner, rx, err := air.Tuner(trial*97, RxOptions{Channel: trial % 4, Cold: trial%2 == 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, last []int // outstanding cycle positions, their last arrival
+		for cp := trial; cp < l; cp += 11 {
+			out = append(out, cp)
+			at, _ := tuner.Arrival(cp)
+			last = append(last, at)
+		}
+		listen := func() bool {
+			_, ok := tuner.Listen()
+			for i, cp := range out {
+				at, _ := tuner.Arrival(cp)
+				if at < last[i] {
+					t.Fatalf("trial %d: position %d's arrival moved from tick %d to %d at clock %d", trial, cp, last[i], at, rx.Clock())
+				}
+				last[i] = at
+				checks++
+			}
+			return ok
+		}
+		for step := 0; len(out) > 0; step++ {
+			best := 0
+			for i := range last {
+				if last[i] < last[best] {
+					best = i
+				}
+			}
+			tuner.SleepTo(tuner.NextOccurrence(out[best]))
+			ok := listen()
+			if ok {
+				out = append(out[:best], out[best+1:]...)
+				last = append(last[:best], last[best+1:]...)
+			}
+			for range step % 3 {
+				listen()
+			}
+		}
+		hops += rx.Hops()
+	}
+	if hops == 0 || checks == 0 {
+		t.Fatalf("%d hops, %d checks: the radios never changed channel", hops, checks)
+	}
+}

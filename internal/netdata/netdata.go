@@ -133,8 +133,6 @@ type Collector struct {
 
 	border flagSet // by node ID
 	seen   flagSet // by cycle position
-
-	arcScratch [maxArcsPerRecord]graph.Arc // batch decode buffer
 }
 
 // NewCollector returns a collector over an ID space of n nodes, charging
@@ -149,6 +147,8 @@ func NewCollector(n int, mem *metrics.Mem) *Collector {
 // nodes, retaining every backing array. Clients that live across queries
 // (one device answering a stream of queries) reset one collector instead of
 // allocating a new partial network per query.
+//
+//air:noalloc
 func (c *Collector) Reset(n int, mem *metrics.Mem) {
 	c.Net.Reset(n)
 	c.Mem = mem
@@ -199,21 +199,22 @@ func (f *flagSet) reset() {
 
 // Process decodes the TagNode records of a data packet received at the
 // given cycle position and merges them into the partial network. Non-node
-// records are ignored. Duplicate positions are skipped.
+// records are ignored. Duplicate positions are skipped. Each arc is decoded
+// straight into the slot SubNetwork.ReserveArcs hands out: one copy per
+// arc, and one ID-space growth per record, to its largest target.
+//
+//air:noalloc
 func (c *Collector) Process(cyclePos int, p packet.Packet) {
 	if c.Processed(cyclePos) {
 		return
 	}
 	c.seen.add(cyclePos)
-	packet.ForEachRecord(p.Payload, func(tag uint8, data []byte) bool {
-		if tag != packet.TagNode {
-			return true
-		}
+	for rec := range packet.All(p.Payload) {
+		data := rec.Data
 		// Streaming decode: reject short records up front, then read
-		// fields straight out of the payload — no arcs slice, no decoder
-		// state.
-		if len(data) < nodeRecHeader {
-			return true
+		// fields straight out of the payload — no decoder state.
+		if rec.Tag != packet.TagNode || len(data) < nodeRecHeader {
+			continue
 		}
 		id := graph.NodeID(binary.LittleEndian.Uint32(data))
 		x := float64(math.Float32frombits(binary.LittleEndian.Uint32(data[4:])))
@@ -221,30 +222,27 @@ func (c *Collector) Process(cyclePos int, p packet.Packet) {
 		flags := data[12]
 		cnt := int(data[13])
 		if len(data) < nodeRecHeader+8*cnt {
-			return true
+			continue
 		}
-		if !c.Net.Has(id) {
-			c.Net.AddNode(id, x, y, nil)
-			if c.Mem != nil {
-				c.Mem.Alloc(metrics.NodeRecBytes)
-			}
+		arcs, added := c.Net.ReserveArcs(id, x, y, cnt)
+		top := id
+		for i := range arcs {
+			b := data[nodeRecHeader+8*i:]
+			to := graph.NodeID(binary.LittleEndian.Uint32(b))
+			arcs[i] = graph.Arc{To: to, Weight: float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4:])))}
+			top = max(top, to)
 		}
+		c.Net.Grow(top)
 		if flags&flagBorder != 0 {
 			c.border.add(int(id))
 		}
-		for i := 0; i < cnt; i++ {
-			b := data[nodeRecHeader+8*i:]
-			c.arcScratch[i] = graph.Arc{
-				To:     graph.NodeID(binary.LittleEndian.Uint32(b)),
-				Weight: float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))),
-			}
-		}
-		c.Net.AddArcs(id, c.arcScratch[:cnt])
 		if c.Mem != nil {
+			if added {
+				c.Mem.Alloc(metrics.NodeRecBytes)
+			}
 			c.Mem.Alloc(metrics.ArcRecBytes * cnt)
 		}
-		return true
-	})
+	}
 }
 
 // Release discharges the collector's retained bytes from the tracker

@@ -42,6 +42,46 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCollectorProcessZeroAlloc pins reception into a reused, warmed-up
+// collector at zero allocations: a query's Reset and a network's packets,
+// decoded straight into the adjacency the previous query left behind. The arcs must still be the
+// graph's, at float32 precision.
+func TestCollectorProcessZeroAlloc(t *testing.T) {
+	g, err := netgen.Generate(300, 360, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]graph.NodeID, g.NumNodes())
+	isBorder := make([]bool, g.NumNodes())
+	for i := range nodes {
+		nodes[i] = graph.NodeID(i)
+		isBorder[i] = i%5 == 0
+	}
+	pkts := EncodeNodes(g, nodes, isBorder, nil)
+	var mem metrics.Mem
+	coll := NewCollector(g.NumNodes(), &mem)
+	if n := testing.AllocsPerRun(20, func() {
+		coll.Reset(g.NumNodes(), &mem)
+		for i, p := range pkts {
+			coll.Process(i, p)
+		}
+	}); n != 0 {
+		t.Errorf("a reused collector allocates %v per query, want 0", n)
+	}
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		dst, wgt := g.Out(v)
+		arcs := coll.Net.Arcs(v)
+		if len(arcs) != len(dst) {
+			t.Fatalf("node %d: %d arcs, want %d", v, len(arcs), len(dst))
+		}
+		for i, a := range arcs {
+			if a.To != dst[i] || a.Weight != float64(float32(wgt[i])) {
+				t.Fatalf("node %d arc %d: %+v, want to %d weight %v", v, i, a, dst[i], float32(wgt[i]))
+			}
+		}
+	}
+}
+
 func TestCollectorDeduplicates(t *testing.T) {
 	g, _ := netgen.Generate(100, 120, 2)
 	nodes := []graph.NodeID{0, 1, 2}

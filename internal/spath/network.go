@@ -99,8 +99,9 @@ type SubNetwork struct {
 	pos      [][2]float32 // stale unless present[v]
 	nPresent int
 
-	// arena backs the per-node arc slices built by AddArcs: fresh adjacency
-	// is carved out of one chunk instead of one heap allocation per node.
+	// arena backs the per-node arc slices ReserveArcs hands out: fresh
+	// adjacency is carved out of one chunk instead of one heap allocation
+	// per node.
 	// Windows handed out are capacity-capped (three-index slices), so
 	// appends past a window reallocate on the heap and never bleed into a
 	// neighbour's arcs.
@@ -172,7 +173,9 @@ func (s *SubNetwork) ensure(n int) {
 	s.pos = pos
 }
 
-func (s *SubNetwork) grow(v graph.NodeID) {
+// Grow extends the ID space to cover v. Every node an arc names must be
+// covered before a search runs (ReserveArcs leaves that to its caller).
+func (s *SubNetwork) Grow(v graph.NodeID) {
 	if int(v) >= s.n {
 		s.n = int(v) + 1
 	}
@@ -191,9 +194,9 @@ func (s *SubNetwork) Has(v graph.NodeID) bool {
 // outgoing arcs. Re-adding a node replaces its adjacency, which makes
 // replaying a region received twice (packet-loss recovery) idempotent.
 func (s *SubNetwork) AddNode(v graph.NodeID, x, y float64, arcs []graph.Arc) {
-	s.grow(v)
+	s.Grow(v)
 	for _, a := range arcs {
-		s.grow(a.To)
+		s.Grow(a.To)
 	}
 	s.markPresent(v)
 	s.pos[v] = [2]float32{float32(x), float32(y)}
@@ -206,30 +209,32 @@ func (s *SubNetwork) AddNode(v graph.NodeID, x, y float64, arcs []graph.Arc) {
 
 // AddArc appends a single outgoing arc to v (used by super-edge graphs).
 func (s *SubNetwork) AddArc(v, to graph.NodeID, w float64) {
-	s.grow(v)
-	s.grow(to)
+	s.Grow(v)
+	s.Grow(to)
 	s.markPresent(v)
 	s.adj[v] = append(s.adj[v], graph.Arc{To: to, Weight: w})
 }
 
-// AddArcs appends a batch of outgoing arcs to v — the reception path's
-// bulk variant of AddArc: one arena carve per node record instead of
-// doubling-growth heap allocations arc by arc.
-func (s *SubNetwork) AddArcs(v graph.NodeID, arcs []graph.Arc) {
-	if len(arcs) == 0 {
-		return
-	}
-	s.grow(v)
-	for _, a := range arcs {
-		s.grow(a.To)
-	}
+// ReserveArcs makes v present — taking (x, y) as its coordinates when v is
+// new, which added reports — and appends n arc slots to its adjacency,
+// returning them for the caller to fill in place: the reception path
+// decodes a record's arcs straight into the network, one copy per arc. A
+// slot holds whatever an earlier query left there until written. The
+// caller must Grow the ID space over every target it writes.
+func (s *SubNetwork) ReserveArcs(v graph.NodeID, x, y float64, n int) (slots []graph.Arc, added bool) {
+	s.Grow(v)
+	added = !s.present[v]
 	s.markPresent(v)
-	cur := s.adj[v]
-	if len(cur)+len(arcs) > cap(cur) {
-		grown := s.allocArcs(len(cur) + len(arcs))
-		cur = append(grown, cur...)
+	if added {
+		s.pos[v] = [2]float32{float32(x), float32(y)}
 	}
-	s.adj[v] = append(cur, arcs...)
+	cur := s.adj[v]
+	k := len(cur)
+	if k+n > cap(cur) {
+		cur = append(s.allocArcs(k+n), cur...)
+	}
+	s.adj[v] = cur[:k+n]
+	return s.adj[v][k:], added
 }
 
 // markPresent makes v present, dropping what an earlier query left in its

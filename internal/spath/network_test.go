@@ -117,8 +117,9 @@ func FuzzSubNetworkSearch(f *testing.F) {
 		}
 		// Build into a network that held something else first, so a Reset
 		// that left a node, an arc or a position behind shows as a
-		// difference from a fresh build. Odd nodes with arcs arrive through
-		// AddArcs alone, as super-edge graphs build them.
+		// difference from a fresh build. Arcs arrive through ReserveArcs, as
+		// the reception path writes them; odd nodes with arcs arrive through
+		// it alone, taking its coordinates.
 		net, fresh := NewSubNetwork(n+3), NewSubNetwork(n)
 		for v := graph.NodeID(0); int(v) < n+3; v++ {
 			net.AddNode(v, 1, 2, []graph.Arc{{To: (v + 1) % graph.NodeID(n+3), Weight: 1}})
@@ -132,7 +133,11 @@ func FuzzSubNetworkSearch(f *testing.F) {
 				if v%2 == 0 || len(vArcs) == 0 {
 					sn.AddNode(graph.NodeID(v), float64(v), 0, nil)
 				}
-				sn.AddArcs(graph.NodeID(v), vArcs)
+				slots, _ := sn.ReserveArcs(graph.NodeID(v), float64(v), 1, len(vArcs))
+				copy(slots, vArcs)
+				for _, a := range vArcs {
+					sn.Grow(a.To)
+				}
 			}
 		}
 		for v := graph.NodeID(0); int(v) < n+3; v++ {

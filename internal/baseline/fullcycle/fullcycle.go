@@ -18,16 +18,13 @@ import (
 func ReceiveAll(t *broadcast.Tuner, handle func(cyclePos int, p packet.Packet)) {
 	l := t.CycleLen()
 	var lost []int
-	t.WillListen(l)
-	for k := 0; k < l; k++ {
-		abs := t.Pos()
-		p, ok := t.Listen()
+	t.ListenSpan(l, func(abs int, p packet.Packet, ok bool) {
 		if !ok {
 			lost = append(lost, abs%l)
-			continue
+			return
 		}
 		handle(abs%l, p)
-	}
+	})
 	for len(lost) > 0 {
 		var still []int
 		for _, cp := range lost {

@@ -175,8 +175,8 @@ func OptimalM(dataPackets, indexPackets int) int {
 // the cycle length in packets. At is only ever called with non-decreasing
 // positions — clients cannot rewind a broadcast.
 //
-// A packet's payload is valid until the next At on the same feed: a wire
-// receiver serves it as a view of its datagram buffer. A client that keeps
+// A packet's payload is valid until the next At (or Span) on the same
+// feed: a wire receiver serves it as a view of its datagram buffer. A client that keeps
 // a payload across receptions copies it. The in-process feeds serve
 // immutable cycle slices, so they meet a stronger rule.
 type Feed interface {
@@ -243,12 +243,35 @@ type Refreshable interface {
 // listen: a live subscription uses it to let the station run ahead into the
 // subscriber's buffer instead of handing the clock back and forth once per
 // packet. Purely an optimization hint — the packets received, their loss
-// pattern and all metrics are identical with and without it.
+// pattern and all metrics are identical with and without it. A feed that is
+// also a Spanner gets no hint from the tuner: the span is the call.
 type Prefetcher interface {
 	Feed
 	// Prefetch declares that the listener will receive the n packets at
 	// absolute logical positions [abs, abs+n) back to back.
 	Prefetch(abs, n int)
+}
+
+// MaxSpan bounds the positions one Span serves: a view's loss pattern
+// travels as one 64-bit mask.
+const MaxSpan = 64
+
+// Spanner is a Feed that serves a run of consecutive positions in one call
+// (Tuner.ListenSpan): what n At calls would return, for the cost of one.
+// Span(abs, n) receives positions [abs, abs+k) for some 1 <= k <=
+// min(n, MaxSpan) — the feed cuts the run where serving more would cost a
+// wait, a retune or a change of cycle — and returns them as a view: pkts[i]
+// is the packet at abs+i, and bit i of lost marks it lost, in which case
+// only pkts[i].Kind is meaningful (At would serve Packet{Kind} alone). The
+// view, payloads included, is valid until the next Span or At on the feed,
+// like an At payload; Len is constant across the positions of one view; and
+// on a Clocked feed the view covers consecutive ticks, so Clock after a
+// Span is the tick after its last position. A Span changes the feed's state
+// (clock, counters, staleness) exactly as the k At calls would, and never
+// receives a position past abs+k-1.
+type Spanner interface {
+	Feed
+	Span(abs, n int) (pkts []packet.Packet, lost uint64)
 }
 
 // Channel is a broadcast channel repeating a cycle forever, with optional
@@ -290,6 +313,17 @@ func (ch *Channel) At(abs int) (packet.Packet, bool) {
 	return p, true
 }
 
+// Span implements Spanner: a slice of the cycle from abs up to the cycle's
+// end, with the loss pattern drawn per position.
+//
+//air:noalloc
+func (ch *Channel) Span(abs, n int) ([]packet.Packet, uint64) {
+	l := ch.cycle.Len()
+	i := abs % l
+	k := min(n, MaxSpan, l-i)
+	return ch.cycle.Packets[i : i+k], LostMask(ch.seed, abs, k, ch.loss)
+}
+
 // SplitMix64 is the finalizer the whole repo draws determinism from: loss
 // patterns here, fleet client seeds, wire dial jitter, chaos fault streams.
 // A caller mixes its words into z (seed + n*0x9E3779B97F4A7C15 by
@@ -311,4 +345,19 @@ func Lost(seed uint64, abs int, loss float64) bool {
 	}
 	z := SplitMix64(seed + uint64(abs)*0x9E3779B97F4A7C15)
 	return float64(z>>11)/float64(1<<53) < loss
+}
+
+// LostMask draws Lost for the k <= MaxSpan positions from abs at once: bit
+// i is set when abs+i is lost. It is the loss pattern of a Span view.
+func LostMask(seed uint64, abs, k int, loss float64) uint64 {
+	if loss <= 0 {
+		return 0
+	}
+	var m uint64
+	for i := 0; i < k; i++ {
+		if Lost(seed, abs+i, loss) {
+			m |= 1 << i
+		}
+	}
+	return m
 }

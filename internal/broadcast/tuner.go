@@ -34,10 +34,11 @@ type Tuner struct {
 	trace *obs.Trace
 
 	// Multi-channel accounting (nil/zero on plain feeds): latency runs on
-	// the feed's global clock, not on logical positions.
+	// the feed's global clock, not on logical positions. span is the feed's
+	// run reception (ListenSpan), nil on a feed that serves only At.
 	clocked   Clocked
 	hopping   Hopping
-	prefetch  Prefetcher
+	span      Spanner
 	refresh   Refreshable
 	startTick int
 	lastTick  int // clock after the last packet listened to, or -1
@@ -75,7 +76,7 @@ type Tuner struct {
 	ctxCount int
 }
 
-// ctxStride is how many Listens pass between context polls: cheap enough
+// ctxStride is how many listens pass between context polls: cheap enough
 // to keep Listen's hot path unmeasurable, tight enough that even a paced
 // 384 Kbps channel notices cancellation within ~0.2s of air time.
 const ctxStride = 64
@@ -100,8 +101,8 @@ func NewFeedTuner(f Feed, start int) *Tuner {
 	if hf, ok := f.(Hopping); ok {
 		t.hopping = hf
 	}
-	if pf, ok := f.(Prefetcher); ok {
-		t.prefetch = pf
+	if sf, ok := f.(Spanner); ok {
+		t.span = sf
 	}
 	if rf, ok := f.(Refreshable); ok {
 		t.refresh = rf
@@ -185,16 +186,6 @@ func (t *Tuner) FeedStale() bool {
 	return t.refresh != nil && t.refresh.Stale()
 }
 
-// WillListen hints that the client is about to Listen to the next n packets
-// back to back (a region span, an index copy). On a prefetching feed the
-// hint lets the infrastructure batch delivery; everywhere else it is free.
-// Purely a performance hint: metrics and received packets are unchanged.
-func (t *Tuner) WillListen(n int) {
-	if t.prefetch != nil && n > 1 {
-		t.prefetch.Prefetch(t.pos, n)
-	}
-}
-
 // CycleLen returns the cycle length in packets. The sample joins the
 // version window: a reception plan built on one length is invalid on a
 // swapped cycle of another, even if no packet of the old version was
@@ -215,36 +206,114 @@ func (t *Tuner) Pos() int { return t.pos }
 //
 //air:noalloc
 func (t *Tuner) Listen() (packet.Packet, bool) {
+	t.admit(1)
+	p, ok := t.feed.At(t.pos)
+	tick := 0
+	if t.clocked != nil {
+		tick = t.clocked.Clock()
+	}
+	t.take(p, ok, tick, t.feed.Len())
+	return p, ok
+}
+
+// ListenSpan receives the next n packets back to back — a region's
+// segment, an index copy, a whole cycle — calling fn with each one's
+// absolute position, packet and intact flag: exactly what n Listens would
+// return, accounted exactly as they would be (tuning, loss, the version
+// window, latency, trace events), and aborted on the same packet by a
+// budget or a cancelled context. On a Spanner feed a run costs one Span
+// call per view instead of three feed calls per packet, and the run is a
+// Prefetch hint only where the tuner must ask for less than all of it; any
+// other feed is given the run as a Prefetch hint and served by At. fn must
+// not move the tuner; p is valid until fn returns (keep a copy, not the
+// slice).
+//
+//air:noalloc
+func (t *Tuner) ListenSpan(n int, fn func(abs int, p packet.Packet, ok bool)) {
+	if t.span == nil {
+		if pf, ok := t.feed.(Prefetcher); ok && n > 1 {
+			pf.Prefetch(t.pos, n)
+		}
+		for ; n > 0; n-- {
+			abs := t.pos
+			p, ok := t.Listen()
+			fn(abs, p, ok)
+		}
+		return
+	}
+	for first := true; n > 0; first = false {
+		k := t.admit(n)
+		if first && k < n {
+			// The first view must stop short of the run (a context poll or
+			// the budget falls inside it): declare the whole run, so that
+			// the feed prepares it as one and not view by view.
+			if pf, ok := t.feed.(Prefetcher); ok {
+				pf.Prefetch(t.pos, n)
+			}
+		}
+		pkts, lost := t.span.Span(t.pos, k)
+		if t.ctx != nil {
+			t.ctxCount += len(pkts) - 1 // admit counted the first
+		}
+		l := t.feed.Len()
+		tick := 0
+		if t.clocked != nil {
+			tick = t.clocked.Clock() - len(pkts)
+		}
+		for i, p := range pkts {
+			ok := lost&(1<<i) == 0
+			if !ok {
+				p = packet.Packet{Kind: p.Kind}
+			}
+			tick++
+			fn(t.take(p, ok, tick, l), p, ok)
+		}
+		n -= len(pkts)
+	}
+}
+
+// admit makes the checks that precede a reception — the context poll every
+// ctxStride listens, the tuning budget — and returns how many of the next n
+// listens may follow without either firing: a span cut there aborts on the
+// same packet a run of Listens would.
+func (t *Tuner) admit(n int) int {
 	if t.ctx != nil {
 		t.checkCtx()
+		n = min(n, ctxStride-t.ctxCount)
 	}
-	if t.budget > 0 && t.tuning >= t.budget {
-		panic(cancelAbort{fmt.Errorf("%w after %d packets", ErrTuningBudget, t.tuning)})
+	if t.budget > 0 {
+		if t.tuning >= t.budget {
+			panic(cancelAbort{fmt.Errorf("%w after %d packets", ErrTuningBudget, t.tuning)})
+		}
+		n = min(n, t.budget-t.tuning)
 	}
-	p, ok := t.feed.At(t.pos)
+	return n
+}
+
+// take accounts the reception of p at the current position, made when the
+// feed's clock read tick (Clocked feeds only) and its cycle length l, and
+// advances; it returns the position received.
+func (t *Tuner) take(p packet.Packet, ok bool, tick, l int) int {
 	t.last = t.pos
 	t.pos++
 	t.tuning++
 	if t.clocked != nil {
-		t.lastTick = t.clocked.Clock()
+		t.lastTick = tick
 	}
 	if !ok {
 		t.lost++
 		t.trace.Record(obs.EvRetry, int64(t.last), 0)
-	}
-	if ok {
+	} else if !t.verKnown {
 		// Only intact packets widen the version window: a lost packet
 		// carries no trustworthy header.
-		if !t.verKnown {
-			t.verKnown = true
-			t.verLo, t.verHi = p.Version, p.Version
-		} else {
-			t.verLo = min(t.verLo, p.Version)
-			t.verHi = max(t.verHi, p.Version)
-		}
+		t.verKnown = true
+		t.verLo, t.verHi = p.Version, p.Version
+	} else {
+		t.verLo = min(t.verLo, p.Version)
+		t.verHi = max(t.verHi, p.Version)
 	}
-	t.noteLen(t.feed.Len())
-	return p, ok
+	t.noteLen(l)
+	return t.last
 }
 
 // noteLen folds one cycle-length observation into the version window.

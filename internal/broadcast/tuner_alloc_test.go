@@ -51,27 +51,71 @@ func TestTunerReceiveZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkTunerReceive measures the raw per-packet receive cost: one
-// Listen plus record iteration on a lossy offline channel (`-benchmem`
-// shows 0 B/op).
+// TestListenSpanZeroAlloc pins the run reception — ListenSpan over the
+// channel's Span views, the callback included — at zero allocations,
+// lossy air included.
+func TestListenSpanZeroAlloc(t *testing.T) {
+	for _, loss := range []float64{0, 0.1} {
+		ch, err := NewChannel(allocCycle(t), loss, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuner := NewTuner(ch, 0)
+		sum, span := 0, 1
+		if n := testing.AllocsPerRun(200, func() {
+			tuner.ListenSpan(span, func(_ int, p packet.Packet, ok bool) {
+				if ok {
+					sum += len(p.Payload)
+				}
+			})
+			span = 1 + (span*7)%150
+		}); n != 0 {
+			t.Errorf("loss %v: ListenSpan allocates %v per span, want 0", loss, n)
+		}
+		pos := 0
+		if n := testing.AllocsPerRun(200, func() {
+			ch.Span(pos, 64)
+			pos += 13
+		}); n != 0 {
+			t.Errorf("loss %v: Channel.Span allocates %v per view, want 0", loss, n)
+		}
+		_ = sum
+	}
+}
+
+// BenchmarkTunerReceive measures the raw per-packet receive cost on a lossy
+// offline channel, packet by packet (listen: one Listen plus record
+// iteration) and as one run (span: ListenSpan over the cycle); `-benchmem`
+// shows 0 B/op for both.
 func BenchmarkTunerReceive(b *testing.B) {
 	ch, err := NewChannel(allocCycle(b), 0.05, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tuner := NewTuner(ch, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
 	sum := 0
-	for i := 0; i < b.N; i++ {
-		p, ok := tuner.Listen()
-		if !ok {
-			continue
-		}
-		packet.ForEachRecord(p.Payload, func(tag uint8, data []byte) bool {
-			sum += len(data)
-			return true
-		})
+	records := func(tag uint8, data []byte) bool {
+		sum += len(data)
+		return true
 	}
+	b.Run("listen", func(b *testing.B) {
+		tuner := NewTuner(ch, 0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, ok := tuner.Listen()
+			if !ok {
+				continue
+			}
+			packet.ForEachRecord(p.Payload, records)
+		}
+	})
+	b.Run("span", func(b *testing.B) {
+		tuner := NewTuner(ch, 0)
+		b.ReportAllocs()
+		tuner.ListenSpan(b.N, func(_ int, p packet.Packet, ok bool) {
+			if ok {
+				packet.ForEachRecord(p.Payload, records)
+			}
+		})
+	})
 	_ = sum
 }

@@ -204,6 +204,7 @@ type ebIndex struct {
 	haveLen bool
 	gotSeq  []bool
 	nGot    int
+	missing []int // missingSeqs' scratch
 
 	splits *airidx.SplitsAccum
 	cells  *airidx.CellsAccum
@@ -267,18 +268,19 @@ func (x *ebIndex) complete() bool {
 	return x.haveLen && x.splits.Complete() && x.cells.Complete() && x.offs.Complete()
 }
 
-// missingSeqs returns the copy-relative packet positions still needed.
+// missingSeqs returns the copy-relative packet positions still needed, in
+// ascending order, in the index's scratch: valid until the next call.
 func (x *ebIndex) missingSeqs() []int {
+	x.missing = x.missing[:0]
 	if !x.haveLen {
-		return nil
+		return x.missing
 	}
-	var out []int
 	for s, got := range x.gotSeq {
 		if !got {
-			out = append(out, s)
+			x.missing = append(x.missing, s)
 		}
 	}
-	return out
+	return x.missing
 }
 
 // Query implements scheme.Client.
@@ -424,15 +426,20 @@ func receiveIndexCopyAt(t *broadcast.Tuner, idx *ebIndex, copyStart int) int {
 		}
 	}
 	if idx.haveLen {
-		// Fetch only the missing copy-relative positions.
-		for _, s := range idx.missingSeqs() {
-			abs := copyStart + s
-			if abs < t.Pos() {
-				continue
+		// Fetch only the missing copy-relative positions still ahead, each
+		// run of consecutive ones as one span.
+		seqs := idx.missingSeqs()
+		for i := 0; i < len(seqs); {
+			j := i + 1
+			for j < len(seqs) && seqs[j] == seqs[j-1]+1 {
+				j++
 			}
-			t.SleepTo(abs)
-			p, ok := t.Listen()
-			note(abs, p, ok)
+			from, to := max(copyStart+seqs[i], t.Pos()), copyStart+seqs[j-1]+1
+			if from < to {
+				t.SleepTo(from)
+				t.ListenSpan(to-from, note)
+			}
+			i = j
 		}
 		return nextPtr
 	}
@@ -487,16 +494,13 @@ func receiveRegions(t *broadcast.Tuner, coll *netdata.Collector, offs []airidx.R
 	}
 	nearestFirst(t, &r.q, func(i int) int { return live[i].start }, func(i int) {
 		sp := live[i]
-		t.WillListen(sp.n)
-		for k := 0; k < sp.n; k++ {
-			abs := t.Pos()
-			p, ok := t.Listen()
+		t.ListenSpan(sp.n, func(abs int, p packet.Packet, ok bool) {
 			if !ok {
 				r.lose(sp.region, abs%l)
-				continue
+				return
 			}
 			coll.Process(abs%l, p)
-		}
+		})
 		if r.pending[sp.region] == 0 && onComplete != nil {
 			onComplete(sp.region)
 		}

@@ -231,11 +231,9 @@ func (x *nrIndexState) globalsComplete() bool {
 func (x *nrIndexState) receiveLocalIndex(t *broadcast.Tuner) {
 	x.startCopy()
 	if x.haveLen {
-		t.WillListen(x.meta.Packets)
-		for k := 0; k < x.meta.Packets; k++ {
-			p, ok := t.Listen()
+		t.ListenSpan(x.meta.Packets, func(_ int, p packet.Packet, ok bool) {
 			x.process(p, ok)
-		}
+		})
 		return
 	}
 	// Length unknown yet: listen while the headers say index.
@@ -352,16 +350,13 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 				span += o.NLocal
 			}
 			t.SleepTo(t.NextOccurrence(o.DataStart))
-			t.WillListen(span)
-			for k := 0; k < span; k++ {
-				abs := t.Pos()
-				p, ok := t.Listen()
+			t.ListenSpan(span, func(abs int, p packet.Packet, ok bool) {
 				if !ok {
 					r.lose(next, abs%t.CycleLen())
-					continue
+					return
 				}
 				coll.Process(abs%t.CycleLen(), p)
-			}
+			})
 			received[next] = true
 			if ctr != nil && r.pending[next] == 0 {
 				ctr.contract(next)

@@ -81,6 +81,18 @@ func (s *airSource) Receive(channel, tick int) (packet.Packet, bool) {
 	return p, true
 }
 
+// Span serves a slice of the channel's cycle from tick up to the cycle's
+// end, with the channel's loss pattern drawn per tick.
+//
+//air:noalloc
+func (s *airSource) Span(channel, tick, n int) ([]packet.Packet, uint64) {
+	cyc := s.air.plan.Channels[channel]
+	l := cyc.Len()
+	i := tick % l
+	k := min(n, broadcast.MaxSpan, l-i)
+	return cyc.Packets[i : i+k], broadcast.LostMask(chanSeed(s.air.seed, channel), tick, k, s.air.loss)
+}
+
 func (s *airSource) Hop(from, to, tick int) {}
 
 func (s *airSource) Prefetch(channel, fromTick, n int) {}

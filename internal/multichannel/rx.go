@@ -3,6 +3,7 @@ package multichannel
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -19,6 +20,24 @@ var (
 		"packets spent scanning for and assembling channel directories")
 )
 
+// obsChanPackets holds each channel's air_channel_packets_total series,
+// resolved on its first flush (channelPackets): a series appears only once
+// a radio has received on its channel, and a flush costs no registry
+// lookup.
+var obsChanPackets [MaxChannels]atomic.Pointer[obs.Counter]
+
+// channelPackets returns channel c's packet counter.
+func channelPackets(c int) *obs.Counter {
+	if p := obsChanPackets[c].Load(); p != nil {
+		return p
+	}
+	p := obs.GetCounter("air_channel_packets_total",
+		"packets received per shard channel (bootstrap included)",
+		"channel", strconv.Itoa(c))
+	obsChanPackets[c].Store(p)
+	return p
+}
+
 // Source is the physical layer under an Rx: K channels advancing on one
 // global clock. Receive blocks (live) or computes (replay) the transmission
 // on `channel` at global tick `tick`; ticks passed to Receive are strictly
@@ -27,10 +46,14 @@ var (
 // subscription so the shared clock is never held by a channel nobody
 // listens to). Prefetch declares an upcoming contiguous reception of n
 // ticks from fromTick on one channel — live sources let the station run
-// ahead into the subscription buffer; replay sources ignore it.
+// ahead into the subscription buffer; replay sources ignore it. Span is
+// Receive for a run of consecutive ticks on one channel, served as a view
+// under broadcast.Spanner's contract (1 to min(n, broadcast.MaxSpan)
+// ticks, valid until the next Span or Receive).
 type Source interface {
 	K() int
 	Receive(channel, tick int) (packet.Packet, bool)
+	Span(channel, tick, n int) ([]packet.Packet, uint64)
 	Hop(from, to, tick int)
 	Prefetch(channel, fromTick, n int)
 	Close()
@@ -188,6 +211,44 @@ func (r *Rx) Len() int {
 // hopping to its channel and waiting for its next slot on the global clock.
 func (r *Rx) At(abs int) (packet.Packet, bool) {
 	r.ensureDir()
+	c, t := r.tune(abs)
+	p, ok := r.src.Receive(c, t)
+	r.perChannel[c]++
+	r.tick = t + 1
+	if ok && p.Version != r.dir.Version {
+		r.stale = true
+	}
+	return p, ok
+}
+
+// Span implements broadcast.Spanner: receive logical positions from abs on
+// as one run, clamped to the stretch one channel carries contiguously
+// (Directory.Extent) — one lookup and at most one hop for the run, then
+// the source's view of its consecutive ticks. The clock, the per-channel
+// counts and the staleness flag move exactly as that many At calls would
+// move them.
+//
+//air:noalloc
+func (r *Rx) Span(abs, n int) ([]packet.Packet, uint64) {
+	r.ensureDir()
+	if !r.dir.Identity() {
+		n = min(n, r.dir.Extent(abs%r.dir.LogicalLen))
+	}
+	c, t := r.tune(abs)
+	pkts, lost := r.src.Span(c, t, n)
+	r.perChannel[c] += len(pkts)
+	r.tick = t + len(pkts)
+	for i := range pkts {
+		if lost&(1<<i) == 0 && pkts[i].Version != r.dir.Version {
+			r.stale = true
+		}
+	}
+	return pkts, lost
+}
+
+// tune returns the channel carrying logical position abs and its arrival
+// tick, hopping there first if the radio is on another channel.
+func (r *Rx) tune(abs int) (channel, tick int) {
 	c, t := r.arrival(abs)
 	if c != r.cur {
 		r.src.Hop(r.cur, c, t)
@@ -196,13 +257,7 @@ func (r *Rx) At(abs int) (packet.Packet, bool) {
 		obsHops.Inc()
 		r.trace.Record(obs.EvHop, int64(abs), int64(c))
 	}
-	p, ok := r.src.Receive(c, t)
-	r.perChannel[c]++
-	r.tick = t + 1
-	if ok && p.Version != r.dir.Version {
-		r.stale = true
-	}
-	return p, ok
+	return c, t
 }
 
 // Stale implements broadcast.Refreshable: the air swapped to a cycle
@@ -291,17 +346,23 @@ func (r *Rx) Missed() int {
 
 // Close releases the radio's source (live subscriptions) and flushes its
 // per-channel airtime into the shared counters. Flushing here — not per
-// packet — keeps At() free of labeled-counter lookups; the channel label is
-// the shard index, bounded by the deployment's K.
+// packet — keeps At() free of counter updates; the channel label is the
+// shard index, bounded by the deployment's K.
 func (r *Rx) Close() {
+	r.flush()
+	r.src.Close()
+}
+
+// flush adds the radio's per-channel packet counts to the channel
+// counters.
+//
+//air:noalloc
+func (r *Rx) flush() {
 	for c, n := range r.perChannel {
 		if n > 0 {
-			obs.GetCounter("air_channel_packets_total",
-				"packets received per shard channel (bootstrap included)",
-				"channel", strconv.Itoa(c)).Add(int64(n))
+			channelPackets(c).Add(int64(n))
 		}
 	}
-	r.src.Close()
 }
 
 // mod returns a in [0, m).

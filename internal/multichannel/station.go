@@ -220,6 +220,13 @@ func (s *liveSource) Receive(channel, tick int) (packet.Packet, bool) {
 	return s.subs[channel].At(tick)
 }
 
+// Span receives a run of consecutive ticks on one channel's subscription.
+//
+//air:noalloc
+func (s *liveSource) Span(channel, tick, n int) ([]packet.Packet, uint64) {
+	return s.subs[channel].Span(tick, n)
+}
+
 // Hop re-arms the destination channel at the target tick before parking
 // the origin, so at every instant at least one subscription holds the
 // shared clock — the air can never race past a tick the radio still needs.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -148,11 +149,7 @@ func TestSkippedPacketsCounted(t *testing.T) {
 	listened := 0
 	for doze := 0; doze < 6; doze++ {
 		tuner.SleepTo(tuner.Pos() + cycle.Len()/3)
-		tuner.WillListen(20)
-		for i := 0; i < 20; i++ {
-			tuner.Listen()
-			listened++
-		}
+		tuner.ListenSpan(20, func(int, packet.Packet, bool) { listened++ })
 	}
 	sub.Close()
 	st.Stop()
@@ -363,6 +360,153 @@ func TestVirtualReceptionAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("exact virtual-clock At allocates %v times per reception", allocs)
+	}
+}
+
+// TestVirtualSpanAllocatesNothing: a run reception on a virtual clock is
+// one clock move and a view of the epoch's cycle, with nothing allocated.
+func TestVirtualSpanAllocatesNothing(t *testing.T) {
+	st := startStation(t, testCycle(50), Config{})
+	sub, err := st.SubscribeExact(0.1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	pos := sub.Start()
+	allocs := testing.AllocsPerRun(200, func() {
+		pkts, _ := sub.Span(pos, 1+pos%70)
+		pos += len(pkts) + pos%3
+	})
+	if allocs != 0 {
+		t.Fatalf("exact virtual-clock Span allocates %v times per run", allocs)
+	}
+}
+
+// TestConcurrentSpansMatchReplay runs span listeners on one virtual group
+// clock under -race: exact sessions on two members receive random runs by
+// Span, waiting on each other and on a plain subscription that streams a
+// third member and makes a group swap midway, so views are cut where
+// another listener holds the clock and at the swap. Every position of
+// every view must equal an offline replay of the version on the air at its
+// tick, under the listener's own loss pattern.
+func TestConcurrentSpansMatchReplay(t *testing.T) {
+	const k, loss = 3, 0.1
+	cycles := [3][]*broadcast.Cycle{} // by version
+	members := make([]*Station, k)
+	for c := range members {
+		cycles[1] = append(cycles[1], versionedCycle(57+6*c, 1))
+		cycles[2] = append(cycles[2], versionedCycle(66+5*c, 2))
+		st, err := New(cycles[1][c], Config{Buffer: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[c] = st
+	}
+	g, err := NewGroup(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+
+	type view struct {
+		member, tick int
+		seed         int64
+		pkts         []packet.Packet
+		lost         uint64
+	}
+	var (
+		mu    sync.Mutex
+		views []view
+		wg    sync.WaitGroup
+	)
+	for id := int64(1); id <= 4; id++ {
+		member := int(id) % 2
+		sub, err := members[member].SubscribeExact(loss, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer sub.Close()
+			rng := rand.New(rand.NewSource(id))
+			tick := sub.Start()
+			for q := 0; q < 80; q++ {
+				tick += rng.Intn(2 * 57)
+				for n := 1 + rng.Intn(150); n > 0; {
+					pkts, lost := sub.Span(tick, n)
+					mu.Lock()
+					views = append(views, view{member, tick, id, slices.Clone(pkts), lost})
+					mu.Unlock()
+					tick += len(pkts)
+					n -= len(pkts)
+				}
+			}
+		}()
+	}
+	stream, err := members[2].Subscribe(loss, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := make(chan (<-chan int), 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stream.Close()
+		for i := 0; i < 4000; i++ {
+			if i == 2000 {
+				ch, err := g.Swap(cycles[2])
+				if err != nil {
+					t.Error(err)
+				}
+				swapped <- ch
+			}
+			stream.At(stream.Start() + i)
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("listeners still waiting after 60s")
+	}
+	swapTick := awaitSwap(t, <-swapped, time.Second)
+
+	heardVersion := [3]int{}
+	version := func(tick int) int {
+		if tick >= swapTick {
+			return 2
+		}
+		return 1
+	}
+	for _, v := range views {
+		if len(v.pkts) == 0 || len(v.pkts) > broadcast.MaxSpan {
+			t.Fatalf("member %d tick %d: a view of %d positions", v.member, v.tick, len(v.pkts))
+		}
+		if version(v.tick) != version(v.tick+len(v.pkts)-1) {
+			t.Fatalf("member %d: view [%d, %d) crosses the swap at %d", v.member, v.tick, v.tick+len(v.pkts), swapTick)
+		}
+		for i, p := range v.pkts {
+			tick := v.tick + i
+			ver := version(tick)
+			heardVersion[ver]++
+			c := cycles[ver][v.member]
+			want := c.Packets[tick%c.Len()]
+			if lost := v.lost&(1<<i) != 0; lost != broadcast.Lost(uint64(v.seed), tick, loss) {
+				t.Fatalf("member %d tick %d seed %d: lost=%v, the replay's loss pattern says %v", v.member, tick, v.seed, lost, !lost)
+			}
+			if p.Kind != want.Kind || p.Version != c.Version || string(p.Payload) != string(want.Payload) {
+				t.Fatalf("member %d tick %d (swap at %d): got version %d %v/%v, replay version %d %v/%v",
+					v.member, tick, swapTick, p.Version, p.Kind, p.Payload, c.Version, want.Kind, want.Payload)
+			}
+		}
+	}
+	if heardVersion[1] < 1000 || heardVersion[2] < 1000 {
+		t.Fatalf("receptions by version %v: the swap did not land midway", heardVersion[1:])
 	}
 }
 

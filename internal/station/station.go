@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -115,10 +116,20 @@ type epoch struct {
 // find returns the epoch whose tenure covers absolute position abs (or the
 // oldest retained one for positions older than the pruned history).
 func (e *epoch) find(abs int) *epoch {
+	e, _ = e.tenure(abs)
+	return e
+}
+
+// tenure returns the epoch whose tenure covers abs, as find does, and the
+// origin of the epoch that followed it on the air (MaxInt for the epoch on
+// the air now): a view of abs's cycle ends there.
+func (e *epoch) tenure(abs int) (*epoch, int) {
+	end := math.MaxInt
 	for e.prev != nil && abs < e.origin {
+		end = e.origin
 		e = e.prev
 	}
-	return e
+	return e, end
 }
 
 // newEpoch returns the epoch for cycle c taking over at origin, chaining
@@ -820,6 +831,55 @@ func (s *Sub) At(abs int) (packet.Packet, bool) {
 		}
 	}
 	return s.replayAt(abs)
+}
+
+// Span receives the positions from abs on as one view (broadcast.Spanner).
+// On a virtual clock it declares want abs and window end abs+n in one move
+// of the clock, waits only while another listener holds the clock at or
+// below abs, and serves every position the clock has passed, cut at the end
+// of abs's epoch and of its cycle, so one view never spans a swap. On a
+// paced clock it serves the one position At does.
+//
+//air:noalloc
+func (s *Sub) Span(abs, n int) ([]packet.Packet, uint64) {
+	if s.ch != nil {
+		var lost uint64
+		if _, ok := s.At(abs); !ok {
+			lost = 1
+		}
+		ep := s.st.cur.Load().find(abs)
+		i := abs % ep.cycle.Len()
+		return ep.cycle.Packets[i : i+1], lost
+	}
+	c := s.st.clk
+	end := int(c.reached.Load()) // positions below it are fixed
+	if abs >= end {
+		var buf [4]*Sub
+		woken := buf[:0]
+		c.mu.Lock()
+		end = math.MaxInt // off the air: the replay serves anything
+		if !s.offAir {
+			c.setWantLocked(s, int64(abs), int64(abs+n))
+			woken = c.pullLocked(s.allows(), woken)
+			end = c.pos
+		}
+		wait := end <= abs
+		if wait {
+			s.waiting = true
+			c.waiters++
+		}
+		c.unlock(woken)
+		if wait {
+			<-s.passed // the clock passed abs, or the air is off
+			end = max(int(c.reached.Load()), abs+1)
+		}
+	}
+	// Up to n replayAt calls in one.
+	ep, next := s.st.cur.Load().tenure(abs)
+	l := ep.cycle.Len()
+	i := abs % l
+	k := min(n, broadcast.MaxSpan, l-i, next-abs, end-abs)
+	return ep.cycle.Packets[i : i+k], broadcast.LostMask(s.seed, abs, k, s.loss)
 }
 
 // Ready reports whether At(abs) would return without waiting for the

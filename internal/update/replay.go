@@ -91,6 +91,21 @@ func (r *Replay) At(abs int) (packet.Packet, bool) {
 	return p, true
 }
 
+// Span implements broadcast.Spanner: a slice of the cycle on the air at
+// abs, up to its end. Every swap completes the outgoing cycle (SwapAt), so
+// the cut at the cycle's end is also the cut at the next swap: Len holds
+// across the view.
+//
+//air:noalloc
+func (r *Replay) Span(abs, n int) ([]packet.Packet, uint64) {
+	e := r.epochOf(abs)
+	l := e.cycle.Len()
+	i := abs % l
+	k := min(n, broadcast.MaxSpan, l-i)
+	r.cursor = max(r.cursor, abs+k-1)
+	return e.cycle.Packets[i : i+k], broadcast.LostMask(r.seed, abs, k, r.loss)
+}
+
 // Mode selects the weight-change profile of RandomUpdates.
 type Mode int
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/broadcast"
@@ -89,6 +90,7 @@ type Receiver struct {
 	pending    packet.Packet
 	pendingPos int
 	hasPending bool
+	view       *spanView // Span's, from viewPool until Close
 
 	corrupted    int // integrity failures dropped over: a bad CRC, or a lost frame boundary however many frames it stranded
 	wireLost     int
@@ -321,6 +323,51 @@ func (r *Receiver) Prefetch(abs, n int) {
 	}
 }
 
+// maxFrames is the most data frames one datagram carries, and so the
+// positions one Span serves without a socket read.
+const maxFrames = maxDatagram / packet.MaxFrameSize
+
+// spanView holds the packets of one Span, views of readBuf like pending.
+type spanView [maxFrames]packet.Packet
+
+// viewPool recycles span views across receivers: a session dials one
+// receiver per query, and a pooled view keeps that dial at the allocation
+// a receiver cost before it served spans.
+var viewPool = sync.Pool{New: func() any { return new(spanView) }}
+
+// Span serves the positions from abs on as one view (broadcast.Spanner).
+// It first credits the n positions asked for, as Prefetch does. Then it
+// serves the first position as At does, blocking on the socket if it must,
+// and after it every position it can serve without another read: the
+// in-order frames left in the current datagram, a held frame, the gaps
+// before it. It stops at a frame it would have to act on (a bye) and at
+// the datagram's end, leaving it to the next Span or At. Each position's
+// credit, clock and loss bookkeeping is At's.
+//
+//air:noalloc
+func (r *Receiver) Span(abs, n int) ([]packet.Packet, uint64) {
+	if r.view == nil {
+		r.view = viewPool.Get().(*spanView)
+	}
+	// Credit the run before reading it: a want from abs also tells the
+	// broadcaster to skip what the radio slept over.
+	r.Prefetch(abs, n)
+	var lost uint64
+	k := 0
+	for k < min(n, maxFrames) {
+		p, ok, got := r.next(abs+k, k == 0)
+		if !got {
+			break
+		}
+		r.view[k] = p
+		if !ok {
+			lost |= 1 << k
+		}
+		k++
+	}
+	return r.view[:k], lost
+}
+
 // At blocks until the wire has moved past absolute position abs and
 // returns its packet (broadcast.Feed). A datagram carries one or more
 // frames back to back; At walks them in order and reads the socket only
@@ -340,6 +387,14 @@ func (r *Receiver) Prefetch(abs, n int) {
 //
 //air:noalloc
 func (r *Receiver) At(abs int) (packet.Packet, bool) {
+	p, ok, _ := r.next(abs, true)
+	return p, ok
+}
+
+// next is At, and with block false At's non-blocking prefix: it reports
+// got false, having consumed nothing it would have to act on, where At
+// would read the socket or redial.
+func (r *Receiver) next(abs int, block bool) (p packet.Packet, ok, got bool) {
 	if r.closed {
 		broadcast.AbortFeed(errClosed)
 	}
@@ -353,9 +408,11 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 		switch {
 		case r.pendingPos == abs:
 			r.hasPending = false
-			return r.serve(abs, r.pending)
+			p, ok = r.serve(abs, r.pending)
+			return p, ok, true
 		case r.pendingPos > abs:
-			return r.gap(abs)
+			p, ok = r.gap(abs)
+			return p, ok, true
 		default:
 			r.hasPending = false
 		}
@@ -363,6 +420,9 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 	timeouts := 0
 	for {
 		if len(r.rest) == 0 {
+			if !block {
+				return p, false, false
+			}
 			r.conn.SetReadDeadline(time.Now().Add(r.opts.Timeout))
 			n, err := r.conn.Read(r.readBuf)
 			if err != nil {
@@ -384,6 +444,7 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 			obsRecv.Inc()
 			r.rest = r.readBuf[:n]
 		}
+		datagram := r.rest
 		env, rest, err := packet.SplitEnvelope(r.rest)
 		if err != nil {
 			// No boundary to go by: whatever else the datagram carried cannot
@@ -405,6 +466,10 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 		case frameWelcome:
 			continue // duplicate handshake reply
 		case frameBye:
+			if !block {
+				r.rest = datagram // left for the read that acts on it
+				return p, false, false
+			}
 			r.redial(abs, nil)
 			timeouts = 0
 			continue
@@ -423,12 +488,14 @@ func (r *Receiver) At(abs int) (packet.Packet, bool) {
 		case pos < abs:
 			// Slept over, or a duplicate; the radio was off for it.
 		case pos == abs:
-			return r.serve(abs, f.Pkt)
+			p, ok = r.serve(abs, f.Pkt)
+			return p, ok, true
 		default:
 			// Held as a view of readBuf: no socket read happens before it
 			// is served or dropped.
 			r.pending, r.pendingPos, r.hasPending = f.Pkt, pos, true
-			return r.gap(abs)
+			p, ok = r.gap(abs)
+			return p, ok, true
 		}
 	}
 }
@@ -568,4 +635,9 @@ func (r *Receiver) Close() {
 	r.sendBuf = appendBye(r.sendBuf[:0])
 	r.conn.Write(r.sendBuf)
 	r.conn.Close()
+	if r.view != nil {
+		*r.view = spanView{} // the pool must not pin this receiver's buffer
+		viewPool.Put(r.view)
+		r.view = nil
+	}
 }

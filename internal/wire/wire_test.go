@@ -448,3 +448,32 @@ func TestReceiverAtDoesNotAllocate(t *testing.T) {
 		t.Fatalf("loopback lost %d positions", rx.WireLost())
 	}
 }
+
+// TestReceiverSpanDoesNotAllocate pins the run reception at zero
+// allocations per view: the frames of a datagram are served as views of
+// the datagram buffer in the receiver's own view array.
+func TestReceiverSpanDoesNotAllocate(t *testing.T) {
+	srv := testServers(t, conformance.Network(t, 200, 320, 7))[1]
+	b := serve(t, startStation(t, srv), BroadcasterOptions{})
+	rx, err := Dial(b.Addr().String(), ReceiverOptions{Loss: 0.05, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	pos := rx.Start()
+	for pos < rx.Start()+2*rx.Len() { // reach steady state
+		pkts, _ := rx.Span(pos, 64)
+		pos += len(pkts)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		pkts, _ := rx.Span(pos, 64)
+		for range pkts {
+			pos++
+		}
+	}); n != 0 {
+		t.Fatalf("Receiver.Span allocates %v times per view", n)
+	}
+	if rx.WireLost() != 0 {
+		t.Fatalf("loopback lost %d positions", rx.WireLost())
+	}
+}

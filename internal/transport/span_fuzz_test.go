@@ -370,7 +370,9 @@ func FuzzSpanEqualsListens(f *testing.F) {
 	f.Add(uint8(0x13), int64(5), uint16(3), []byte{0x81, 0, 0, 7, 1, 150, 0x40, 1, 1, 63})
 	f.Add(uint8(0x83), int64(6), uint16(60), []byte{1, 250, 1, 250, 0x13, 40, 1, 250})
 	f.Add(uint8(4), int64(7), uint16(0), []byte{1, 200, 2, 0, 1, 17, 0x40, 3, 0x81, 0})
-	f.Add(uint8(0x84), int64(8), uint16(0), []byte{0x81, 0, 1, 100, 3, 1, 255})
+	f.Add(uint8(0x82), int64(8), uint16(0), []byte{0x81, 0, 1, 100, 3, 1, 255})
+	f.Add(uint8(0x9d), int64(11), uint16(77), []byte{1, 120, 0x40, 9, 0x81, 0, 3, 2, 1, 90})
+	f.Add(uint8(9), int64(12), uint16(5), []byte{0x81, 0, 0, 30, 1, 200, 0x13, 70, 0x81, 0})
 	f.Add(uint8(5), int64(9), uint16(400), []byte{0x81, 0, 0x81, 0, 0x81, 0, 1, 255})
 	f.Add(uint8(0x1d), int64(10), uint16(100), []byte{0x40, 30, 0x81, 0, 0x13, 50, 0x81, 0})
 	f.Fuzz(func(t *testing.T, sel uint8, seed int64, start uint16, ops []byte) {

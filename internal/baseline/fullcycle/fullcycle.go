@@ -13,29 +13,13 @@ import (
 
 // ReceiveAll listens to one full cycle starting at the tuner's current
 // position, invoking handle for every intact packet with its cycle
-// position. Lost positions are retried in later cycles until none remain,
-// so handle eventually sees every position exactly once.
+// position. Lost positions are retried in later cycles, in arrival order,
+// until none remain, so handle eventually sees every position exactly once.
 func ReceiveAll(t *broadcast.Tuner, handle func(cyclePos int, p packet.Packet)) {
 	l := t.CycleLen()
-	var lost []int
-	t.ListenSpan(l, func(abs int, p packet.Packet, ok bool) {
-		if !ok {
-			lost = append(lost, abs%l)
-			return
-		}
-		handle(abs%l, p)
-	})
-	for len(lost) > 0 {
-		var still []int
-		for _, cp := range lost {
-			t.SleepTo(t.NextOccurrence(cp))
-			p, ok := t.Listen()
-			if !ok {
-				still = append(still, cp)
-				continue
-			}
-			handle(cp, p)
-		}
-		lost = still
-	}
+	var plan broadcast.Plan
+	plan.Want(0, t.Pos()%l, l)
+	fn := func(_, cyclePos int, p packet.Packet) { handle(cyclePos, p) }
+	t.Fetch(&plan, fn)
+	t.Recover(&plan, fn)
 }

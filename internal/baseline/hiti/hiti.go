@@ -361,62 +361,50 @@ func (c *Client) Name() string { return "HiTi" }
 func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
 	var mem metrics.Mem
 
-	// The single index section starts the cycle; find it via the
-	// per-packet pointer, then receive it fully (retrying losses in later
-	// cycles). Its length comes from the meta record.
-	ptr := -1
-	for tries := 0; ptr < 0; tries++ {
-		if tries > 10*t.CycleLen() {
+	// The single index section starts the cycle. Bootstrap: listen until an
+	// intact packet's next-index pointer names it, sleep there, and listen
+	// while the headers say index (its length is in the meta record, which
+	// may be lost). The first non-index packet ends the section. It is data:
+	// stash it so the data phase does not wait a whole cycle to see it
+	// again. A payload is only valid until the next reception
+	// (broadcast.Feed), so the stash keeps a copy. Lost index packets are
+	// fetched again in later cycles.
+	st := &clientState{}
+	var plan broadcast.Plan
+	var stash packet.Packet
+	stashPos := -1
+	for ptr, tries := -1, 0; ; tries++ {
+		abs := t.Pos()
+		if ptr < 0 && tries > 10*t.CycleLen() {
 			return scheme.Result{}, fmt.Errorf("hiti: no intact packet on channel")
 		}
-		p, ok := t.Listen()
-		if ok {
-			ptr = t.Pos() - 1 + int(p.NextIndex)
+		if ptr >= 0 && abs > ptr+t.CycleLen() {
+			break
 		}
-	}
-	t.SleepTo(ptr)
-	st := &clientState{}
-	// First pass: listen packets while they are index packets (the index is
-	// one section; the first non-index packet ends it). That boundary
-	// packet is data — stash it so the data phase does not wait a whole
-	// cycle to see it again. A payload is only valid until the next
-	// reception (broadcast.Feed), and the retries below listen again, so
-	// the stash keeps a copy.
-	var lost []int
-	type stashed struct {
-		cp  int
-		pkt packet.Packet
-	}
-	var preData []stashed
-	for guard := 0; guard <= t.CycleLen(); guard++ {
-		abs := t.Pos()
 		p, ok := t.Listen()
+		if ptr < 0 {
+			if ok {
+				ptr = abs + int(p.NextIndex)
+				t.SleepTo(ptr)
+			}
+			continue
+		}
 		if p.Kind != packet.KindIndex {
 			if ok {
-				p.Payload = slices.Clone(p.Payload)
-				preData = append(preData, stashed{abs % t.CycleLen(), p})
+				stash = packet.Packet{Kind: p.Kind, Payload: slices.Clone(p.Payload)}
+				stashPos = abs % t.CycleLen()
 			}
 			break
 		}
 		if !ok {
-			lost = append(lost, abs%t.CycleLen())
+			plan.Want(0, abs%t.CycleLen(), 1)
 			continue
 		}
 		st.process(p)
 	}
-	for len(lost) > 0 {
-		var still []int
-		for _, cp := range lost {
-			t.SleepTo(t.NextOccurrence(cp))
-			p, ok := t.Listen()
-			if !ok {
-				still = append(still, cp)
-				continue
-			}
-			st.process(p)
-		}
-		lost = still
-	}
+	index := func(_, _ int, p packet.Packet) { st.process(p) }
+	t.Fetch(&plan, index)
+	t.Recover(&plan, index)
 	if !st.haveMeta || !st.complete() {
 		return scheme.Result{}, fmt.Errorf("hiti: index incomplete")
 	}
@@ -434,52 +422,25 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 	members := memberSet(cellS, cellT, side, st.depth)
 	cpu := time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 
-	// Receive the two terminal cells' data.
+	// Receive the two terminal cells' data, less the stashed packet.
 	coll := netdata.NewCollector(st.numNodes, &mem)
-	for _, sd := range preData {
-		coll.Process(sd.cp, sd.pkt)
+	if stashPos >= 0 {
+		coll.Process(stashPos, stash)
 	}
-	cells := []int{cellS}
-	if cellT != cellS {
-		cells = append(cells, cellT)
-		// Receive in cyclic order from the current position to avoid an
-		// avoidable wrap-around.
-		l := t.CycleLen()
-		cur := t.Pos() % l
-		if (st.dir[cellT].start-cur+l)%l < (st.dir[cellS].start-cur+l)%l {
-			cells[0], cells[1] = cells[1], cells[0]
-		}
+	cells := []int{cellS, cellT}
+	if cellT == cellS {
+		cells = cells[:1]
 	}
-	var lostData []int
 	for _, cell := range cells {
-		st0, n := st.dir[cell].start, st.dir[cell].n
-		for k := 0; k < n; k++ {
-			cp := (st0 + k) % t.CycleLen()
-			if coll.Processed(cp) {
-				continue
-			}
-			t.SleepTo(t.NextOccurrence(cp))
-			p, ok := t.Listen()
-			if !ok {
-				lostData = append(lostData, cp)
-				continue
-			}
-			coll.Process(cp, p)
+		start, n := st.dir[cell].start, st.dir[cell].n
+		if n > 0 && start == stashPos {
+			start, n = start+1, n-1
 		}
+		plan.Want(cell, start, n)
 	}
-	for len(lostData) > 0 {
-		var still []int
-		for _, cp := range lostData {
-			t.SleepTo(t.NextOccurrence(cp))
-			p, ok := t.Listen()
-			if !ok {
-				still = append(still, cp)
-				continue
-			}
-			coll.Process(cp, p)
-		}
-		lostData = still
-	}
+	data := func(_, cyclePos int, p packet.Packet) { coll.Process(cyclePos, p) }
+	t.Fetch(&plan, data)
+	t.Recover(&plan, data)
 
 	start = time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 	// Build the query graph: raw terminal cells + member super-edges +

@@ -1,24 +1,24 @@
 package broadcast
 
-// ArrivalQueue orders outstanding cycle positions by when they next cross
-// the air: the reception order of a client's span fetches and loss
-// retries. Pop returns the entry with the smallest (arrival, push
-// sequence) in O(log n): the nearest outstanding position, the earliest
-// pushed on a tie, with a re-pushed entry counting as pushed last.
+// arrivalQueue orders outstanding cycle positions by when they next cross
+// the air: the reception order of Tuner.Fetch and Tuner.Recover. pop
+// returns the entry with the smallest (arrival, push sequence) in
+// O(log n): the nearest outstanding position, the earliest pushed on a
+// tie, with a re-pushed entry counting as pushed last.
 //
 // Keys are arrivals computed at push time. They go stale as the radio
 // moves, but only later (Tuner.Arrival, Hopping.WaitFor), so a stale key is
-// a lower bound: Pop recomputes the minimum's arrival and, when it moved,
+// a lower bound: pop recomputes the minimum's arrival and, when it moved,
 // sifts the entry down and looks again. A cycle-length change (a swap)
-// breaks the lower bound, so Pop re-keys every entry first when the feed's
+// breaks the lower bound, so pop re-keys every entry first when the feed's
 // length differs from the one the keys were computed at.
 //
 // An entry is an ID the caller chooses (an index into its own list of
-// outstanding items); Pop asks the caller for an ID's cycle position
-// instead of storing a copy. The zero value is an empty queue; Reset keeps
-// the backing array, so a client reusing one queue across queries stops
-// allocating once it has seen its largest loss set.
-type ArrivalQueue struct {
+// outstanding items); pop asks the caller for an ID's cycle position
+// instead of storing a copy. The zero value is an empty queue; reset keeps
+// the backing array, so a Plan reused across queries stops allocating once
+// it has seen its largest loss set.
+type arrivalQueue struct {
 	h   []arrivalEntry
 	seq uint32 // next push sequence
 	// cycleLen is the cycle length every key was computed at, or -1 when
@@ -37,17 +37,17 @@ func (e arrivalEntry) less(o arrivalEntry) bool {
 	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
-// Reset empties the queue, keeping its backing array.
-func (q *ArrivalQueue) Reset() {
+// reset empties the queue, keeping its backing array.
+func (q *arrivalQueue) reset() {
 	q.h = q.h[:0]
 	q.seq = 0
 }
 
-// Push adds id, whose packet sits at cycle position cyclePos, behind every
+// push adds id, whose packet sits at cycle position cyclePos, behind every
 // entry already pushed with the same arrival.
 //
 //air:noalloc
-func (q *ArrivalQueue) Push(t *Tuner, id, cyclePos int) {
+func (q *arrivalQueue) push(t *Tuner, id, cyclePos int) {
 	at, l := t.Arrival(cyclePos)
 	h := q.h
 	if len(h) == 0 {
@@ -68,12 +68,12 @@ func (q *ArrivalQueue) Push(t *Tuner, id, cyclePos int) {
 	q.h = h
 }
 
-// Pop removes and returns the ID that crosses the air next, cyclePos
+// pop removes and returns the ID that crosses the air next, cyclePos
 // mapping an ID back to its cycle position; ok is false when the queue is
 // empty.
 //
 //air:noalloc
-func (q *ArrivalQueue) Pop(t *Tuner, cyclePos func(id int) int) (id int, ok bool) {
+func (q *arrivalQueue) pop(t *Tuner, cyclePos func(id int) int) (id int, ok bool) {
 	h := q.h
 	if len(h) == 0 {
 		return 0, false

@@ -5,7 +5,7 @@ import "testing"
 // WaitFor returns how many ticks the radio would wait before the packet at
 // absolute logical position abs (>= Pos) crosses the air: the feed's own
 // estimate on a hopping feed, the logical distance otherwise. It is the
-// probe of NearestOf, the oracle ArrivalQueue replaced.
+// probe of NearestOf, the oracle arrivalQueue replaced.
 func (t *Tuner) WaitFor(abs int) int {
 	if t.hopping != nil {
 		return t.hopping.WaitFor(abs)
@@ -16,8 +16,8 @@ func (t *Tuner) WaitFor(abs int) int {
 // NearestOf returns the index in [0, n) whose cycle position (as reported
 // by cyclePos) next crosses the air, the lowest index on a tie: the greedy
 // pick the span-fetch and loss-recovery loops once repeated by rescanning
-// every outstanding position. ArrivalQueue must pick exactly what it picks
-// (FuzzRecoveryOrder).
+// every outstanding position. Fetch and Recover must pick exactly what it
+// picks (FuzzRecoveryOrder).
 func (t *Tuner) NearestOf(n int, cyclePos func(int) int) int {
 	best, bestWait := -1, 0
 	for i := 0; i < n; i++ {
@@ -29,7 +29,7 @@ func (t *Tuner) NearestOf(n int, cyclePos func(int) int) int {
 	return best
 }
 
-// TestArrivalQueueZeroAlloc pins Push and Pop at zero allocations on a
+// TestArrivalQueueZeroAlloc pins push and pop at zero allocations on a
 // warmed-up, reused queue, over a lossy channel with the radio moving
 // between the pushes and the pops, so the pops take the stale-key path too.
 func TestArrivalQueueZeroAlloc(t *testing.T) {
@@ -43,20 +43,20 @@ func TestArrivalQueueZeroAlloc(t *testing.T) {
 		cps[i] = (i * 37) % ch.Len()
 	}
 	cp := func(id int) int { return cps[id] }
-	var q ArrivalQueue // AllocsPerRun's warm-up run grows it
+	var q arrivalQueue // AllocsPerRun's warm-up run grows it
 	if n := testing.AllocsPerRun(100, func() {
 		for i, c := range cps {
-			q.Push(tuner, i, c)
+			q.push(tuner, i, c)
 		}
 		tuner.Listen()
 		tuner.Listen()
 		for range cps {
-			q.Pop(tuner, cp)
+			q.pop(tuner, cp)
 		}
 	}); n != 0 {
-		t.Errorf("ArrivalQueue push/pop allocates %v per round, want 0", n)
+		t.Errorf("arrivalQueue push/pop allocates %v per round, want 0", n)
 	}
-	if _, ok := q.Pop(tuner, cp); ok {
+	if _, ok := q.pop(tuner, cp); ok {
 		t.Error("queue not empty after popping every push")
 	}
 }

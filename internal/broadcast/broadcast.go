@@ -204,9 +204,9 @@ type Clocked interface {
 // how long the radio would wait for a logical position to next cross the
 // air — packets at different logical positions live on different channels
 // with different cycle lengths, so logical distance is not arrival order.
-// Schemes that choose a reception order (EB's region spans, the loss
-// retries) ask the tuner (Tuner.Arrival), which delegates here, and fall
-// back to logical distance on plain feeds.
+// Tuner.Fetch and Tuner.Recover order their receptions by the tuner's
+// Arrival, which delegates here and falls back to logical distance on
+// plain feeds.
 type Hopping interface {
 	Clocked
 	// WaitFor returns the global ticks from now until the packet at logical
@@ -214,8 +214,8 @@ type Hopping interface {
 	//
 	// Contract: for a fixed position, Clock()+WaitFor(abs) never decreases
 	// as the radio moves forward (receives or sleeps), abs advancing with
-	// the tuner to the position's next occurrence. ArrivalQueue keeps
-	// outstanding positions keyed by an arrival computed earlier and relies
+	// the tuner to the position's next occurrence. Fetch and Recover keep
+	// outstanding positions keyed by an arrival computed earlier and rely
 	// on it being a lower bound. multichannel.Rx meets it: its tick only
 	// grows, a hop's extra tick applies only to channels the radio is not
 	// on, and after a hop the tick is past the old base.

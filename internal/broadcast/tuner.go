@@ -426,8 +426,8 @@ func (t *Tuner) Latency() int {
 // they are not — and the cycle length it was computed at. While the radio
 // moves forward a position's arrival never moves earlier
 // (Hopping.WaitFor), so an arrival computed earlier is a lower bound on
-// the current one as long as the cycle length holds: the property
-// ArrivalQueue is built on.
+// the current one as long as the cycle length holds: the property Fetch
+// and Recover order their receptions on.
 func (t *Tuner) Arrival(cyclePos int) (tick, cycleLen int) {
 	abs, l := t.next(cyclePos)
 	if t.hopping != nil {

@@ -83,10 +83,45 @@ func TestListenSpanZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFetchRecoverZeroAlloc pins a reused plan at zero allocations on a
+// lossy channel: Want plus Fetch over runs of a region's length and past
+// one Span view, and the same with the Recover of what they lost.
+func TestFetchRecoverZeroAlloc(t *testing.T) {
+	ch, err := NewChannel(allocCycle(t), 0.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuner := NewTuner(ch, 3)
+	sum := 0
+	fn := func(id, cyclePos int, p packet.Packet) { sum += id + cyclePos + len(p.Payload) }
+	var plan Plan // AllocsPerRun's warm-up runs grow it
+	runs := [][3]int{{0, 40, 90}, {1, 7, 12}, {2, 150, 30}}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, r := range runs {
+			plan.Want(r[0], r[1], r[2])
+		}
+		tuner.Fetch(&plan, fn)
+		plan.Reset()
+	}); n != 0 {
+		t.Errorf("Fetch allocates %v per plan, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, r := range runs {
+			plan.Want(r[0], r[1], r[2])
+		}
+		tuner.Fetch(&plan, fn)
+		tuner.Recover(&plan, fn)
+	}); n != 0 {
+		t.Errorf("Fetch+Recover allocates %v per plan, want 0", n)
+	}
+	_ = sum
+}
+
 // BenchmarkTunerReceive measures the raw per-packet receive cost on a lossy
 // offline channel, packet by packet (listen: one Listen plus record
-// iteration) and as one run (span: ListenSpan over the cycle); `-benchmem`
-// shows 0 B/op for both.
+// iteration), as one run (span: ListenSpan over the cycle) and as a
+// reception plan (fetch: Fetch of one region-sized run plus the Recover of
+// its losses, per op); `-benchmem` shows 0 B/op for all three.
 func BenchmarkTunerReceive(b *testing.B) {
 	ch, err := NewChannel(allocCycle(b), 0.05, 7)
 	if err != nil {
@@ -116,6 +151,17 @@ func BenchmarkTunerReceive(b *testing.B) {
 				packet.ForEachRecord(p.Payload, records)
 			}
 		})
+	})
+	b.Run("fetch", func(b *testing.B) {
+		tuner := NewTuner(ch, 0)
+		var plan Plan
+		fn := func(_, _ int, p packet.Packet) { packet.ForEachRecord(p.Payload, records) }
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			plan.Want(0, (i*97)%ch.Len(), 40)
+			tuner.Fetch(&plan, fn)
+			tuner.Recover(&plan, fn)
+		}
 	})
 	_ = sum
 }

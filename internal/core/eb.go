@@ -189,8 +189,8 @@ type EBClient struct {
 	idx    ebIndex
 	coll   *netdata.Collector
 	needed []int
-	spans  []span
-	retry  retry
+	remain []int // remain[region]: the region's packets not yet received intact
+	plan   broadcast.Plan
 	search spath.Search
 	skel   skeleton
 }
@@ -218,7 +218,7 @@ func (x *ebIndex) reset() {
 	x.nGot = 0
 }
 
-func (x *ebIndex) process(abs int, copyStart int, p packet.Packet, ok bool) {
+func (x *ebIndex) process(p packet.Packet, ok bool) {
 	if !ok {
 		return
 	}
@@ -291,11 +291,9 @@ func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	// Step 1: find and receive an index copy (Algorithm 1, lines 1-7).
 	idx := &c.idx
 	idx.reset()
-	copyStart, err := receiveFullIndex(t, idx)
-	if err != nil {
+	if err := receiveFullIndex(t, idx); err != nil {
 		return scheme.Result{}, err
 	}
-	_ = copyStart
 	n := idx.meta.NumRegions
 	// Client retains splits, the n×n min/max matrix and the directory.
 	mem.Alloc(4*(n-1) + 8*n*n + 8*n)
@@ -319,19 +317,44 @@ func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	c.needed = needed
 	cpu += time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
 
-	// Step 3: receive the needed regions (lines 11-15), contracting each
-	// into super-edges on arrival when memory-bound processing is on.
+	// Step 3: receive the needed regions (lines 11-15): each one's
+	// cross-border segment, and the local one too for the terminal regions
+	// rs and rt, then the packets lost on air in later cycles (Section
+	// 6.2). With memory-bound processing on, a region is contracted into
+	// super-edges as its last packet arrives.
 	if c.coll == nil {
 		c.coll = netdata.NewCollector(idx.meta.NumNodes, &mem)
 	} else {
 		c.coll.Reset(idx.meta.NumNodes, &mem)
 	}
 	coll := c.coll
-	var onComplete func(region int)
+	var ctr *contractor
 	if c.opts.MemoryBound {
-		onComplete = newContractor(kd, coll, q, rs, rt, &cpu, &c.skel, &c.search).contract
+		ctr = newContractor(kd, coll, q, rs, rt, &cpu, &c.skel, &c.search)
 	}
-	receiveRegions(t, coll, idx.offs.Offs, needed, rs, rt, c.opts.Segments, onComplete, &c.spans, &c.retry)
+	remain := resizeCleared(c.remain, n)
+	c.remain = remain
+	plan := &c.plan
+	plan.Reset()
+	for _, r := range needed {
+		o := idx.offs.Offs[r]
+		remain[r] = o.NCross
+		if !c.opts.Segments || r == rs || r == rt {
+			remain[r] += o.NLocal
+		}
+		if remain[r] == 0 && ctr != nil {
+			ctr.contract(r)
+		}
+		plan.Want(r, o.DataStart, remain[r])
+	}
+	data := func(r, cyclePos int, p packet.Packet) {
+		coll.Process(cyclePos, p)
+		if remain[r]--; remain[r] == 0 && ctr != nil {
+			ctr.contract(r)
+		}
+	}
+	t.Fetch(plan, data)
+	t.Recover(plan, data)
 
 	// Step 4: Dijkstra over the union (line 16).
 	res := finishSearch(coll, q, &mem, &cpu, &c.search)
@@ -360,14 +383,13 @@ func finishSearch(coll *netdata.Collector, q scheme.Query, mem *metrics.Mem, cpu
 
 // receiveFullIndex positions the tuner on the next index copy (using the
 // per-packet next-index pointer) and receives it completely, patching
-// packets lost in one copy from subsequent copies (Section 6.2). It returns
-// the absolute position where the first visited copy started.
-func receiveFullIndex(t *broadcast.Tuner, idx *ebIndex) (int, error) {
+// packets lost in one copy from subsequent copies (Section 6.2).
+func receiveFullIndex(t *broadcast.Tuner, idx *ebIndex) error {
 	// Initial packet: every packet carries the pointer to the next index.
 	ptr := -1
 	for tries := 0; ptr < 0; tries++ {
 		if tries > 10*t.CycleLen() {
-			return 0, fmt.Errorf("core: no intact packet found on channel")
+			return fmt.Errorf("core: no intact packet found on channel")
 		}
 		p, ok := t.Listen()
 		if ok {
@@ -375,12 +397,11 @@ func receiveFullIndex(t *broadcast.Tuner, idx *ebIndex) (int, error) {
 		}
 	}
 	t.SleepTo(ptr)
-	first := ptr
 
 	copyStart := ptr
 	for rounds := 0; !idx.complete(); rounds++ {
 		if rounds > 64 {
-			return 0, fmt.Errorf("core: index not received after %d copies", rounds)
+			return fmt.Errorf("core: index not received after %d copies", rounds)
 		}
 		nextPtr := receiveIndexCopyAt(t, idx, copyStart)
 		if idx.complete() {
@@ -391,7 +412,7 @@ func receiveFullIndex(t *broadcast.Tuner, idx *ebIndex) (int, error) {
 			// packet points at the next index copy.
 			for tries := 0; ; tries++ {
 				if tries > 10*t.CycleLen() {
-					return 0, fmt.Errorf("core: broken next-index pointer chain")
+					return fmt.Errorf("core: broken next-index pointer chain")
 				}
 				p, ok := t.Listen()
 				if ok {
@@ -403,7 +424,7 @@ func receiveFullIndex(t *broadcast.Tuner, idx *ebIndex) (int, error) {
 		copyStart = nextPtr
 		t.SleepTo(copyStart)
 	}
-	return first, nil
+	return nil
 }
 
 // receiveIndexCopyAt receives the (still missing parts of the) index copy
@@ -413,7 +434,7 @@ func receiveFullIndex(t *broadcast.Tuner, idx *ebIndex) (int, error) {
 func receiveIndexCopyAt(t *broadcast.Tuner, idx *ebIndex, copyStart int) int {
 	nextPtr := -1
 	note := func(abs int, p packet.Packet, ok bool) {
-		idx.process(abs, copyStart, p, ok)
+		idx.process(p, ok)
 		// Within a copy each packet's pointer names the next index packet,
 		// i.e. usually its own successor; only pointers landing beyond this
 		// copy locate the *next* copy. Meta arrives with any intact packet,
@@ -456,54 +477,4 @@ func receiveIndexCopyAt(t *broadcast.Tuner, idx *ebIndex, copyStart int) int {
 		}
 	}
 	return nextPtr
-}
-
-// span is one contiguous packet range awaiting reception.
-type span struct{ region, start, n int }
-
-// receiveRegions wakes for each needed region and listens to its
-// cross-border segment (and the local segment for the terminal regions rs
-// and rt). Reception order is by actual arrival (broadcast.ArrivalQueue):
-// on a single channel that is exactly the cyclic broadcast order the paper
-// prescribes, and on a multi-channel feed it interleaves channels so the
-// radio always turns to whichever needed span crosses the air next. Data
-// packets lost on air are re-fetched in subsequent cycles (retry.recoverLost).
-// onComplete, when non-nil, fires once per region as soon as all its
-// packets have been received (the hook for Section 6.1's incremental
-// super-edge contraction). spans and r are the client's reusable scratch.
-func receiveRegions(t *broadcast.Tuner, coll *netdata.Collector, offs []airidx.RegionOffset, needed []int, rs, rt int, segments bool, onComplete func(region int), spans *[]span, r *retry) {
-	l := t.CycleLen()
-	r.reset(len(offs))
-	live := (*spans)[:0]
-	for _, reg := range needed {
-		o := offs[reg]
-		n := o.NCross
-		if !segments || reg == rs || reg == rt {
-			n += o.NLocal
-		}
-		if n > 0 {
-			live = append(live, span{reg, o.DataStart, n})
-		} else if onComplete != nil {
-			onComplete(reg)
-		}
-	}
-	*spans = live
-	r.q.Reset()
-	for i, sp := range live {
-		r.q.Push(t, i, sp.start)
-	}
-	nearestFirst(t, &r.q, func(i int) int { return live[i].start }, func(i int) {
-		sp := live[i]
-		t.ListenSpan(sp.n, func(abs int, p packet.Packet, ok bool) {
-			if !ok {
-				r.lose(sp.region, abs%l)
-				return
-			}
-			coll.Process(abs%l, p)
-		})
-		if r.pending[sp.region] == 0 && onComplete != nil {
-			onComplete(sp.region)
-		}
-	})
-	r.recoverLost(t, coll, onComplete)
 }

@@ -147,7 +147,7 @@ func (s *NR) NewClient() scheme.Client {
 //
 // A client models one device answering a stream of queries, so its work
 // buffers — index accumulators, the partial-network collector, the
-// received table and the loss-retry state — persist across Query
+// received table and the reception plan — persist across Query
 // calls and are reset, not reallocated, per query. Clients are not safe for
 // concurrent use; a fleet gives each worker its own.
 type NRClient struct {
@@ -156,7 +156,8 @@ type NRClient struct {
 	st       nrIndexState
 	coll     *netdata.Collector
 	received []bool
-	retry    retry
+	remain   []int // remain[region]: the region's packets not yet received intact
+	plan     broadcast.Plan
 	search   spath.Search
 	skel     skeleton
 }
@@ -315,11 +316,21 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 		ctr = newContractor(kd, coll, q, rs, rt, &cpu, &c.skel, &c.search)
 	}
 
-	// Step 2: follow the next-region pointers (lines 8-19).
+	// Step 2: follow the next-region pointers (lines 8-19), receiving
+	// each region as the chase reaches it; a region is contracted as its
+	// last packet arrives when memory-bound processing is on.
 	received := resizeCleared(c.received, n)
 	c.received = received
-	r := &c.retry
-	r.reset(n)
+	remain := resizeCleared(c.remain, n)
+	c.remain = remain
+	plan := &c.plan
+	plan.Reset()
+	data := func(r, cyclePos int, p packet.Packet) {
+		coll.Process(cyclePos, p)
+		if remain[r]--; remain[r] == 0 && ctr != nil {
+			ctr.contract(r)
+		}
+	}
 	for hops := 0; ; hops++ {
 		if hops > 4*n+8 {
 			return scheme.Result{}, fmt.Errorf("core: NR client: pointer chase did not terminate")
@@ -344,23 +355,17 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 			break
 		}
 		if !received[next] {
-			o := st.offs.Offs[next]
-			span := o.NCross
-			if !c.opts.Segments || next == rs || next == rt {
-				span += o.NLocal
-			}
-			t.SleepTo(t.NextOccurrence(o.DataStart))
-			t.ListenSpan(span, func(abs int, p packet.Packet, ok bool) {
-				if !ok {
-					r.lose(next, abs%t.CycleLen())
-					return
-				}
-				coll.Process(abs%t.CycleLen(), p)
-			})
 			received[next] = true
-			if ctr != nil && r.pending[next] == 0 {
+			o := st.offs.Offs[next]
+			remain[next] = o.NCross
+			if !c.opts.Segments || next == rs || next == rt {
+				remain[next] += o.NLocal
+			}
+			if remain[next] == 0 && ctr != nil {
 				ctr.contract(next)
 			}
+			plan.Want(next, o.DataStart, remain[next])
+			t.Fetch(plan, data)
 		}
 		// Receive the local index immediately after region `next`.
 		after := (next + 1) % n
@@ -371,12 +376,9 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 		}
 	}
 
-	// Step 3: recover lost data packets in subsequent cycles.
-	var done func(region int)
-	if ctr != nil {
-		done = ctr.contract
-	}
-	r.recoverLost(t, coll, done)
+	// Step 3: recover lost data packets in subsequent cycles (Section 6.2:
+	// every region first, then the retries).
+	t.Recover(plan, data)
 
 	// Step 4: Dijkstra over the collected regions (line 20).
 	res := finishSearch(coll, q, &mem, &cpu, &c.search)

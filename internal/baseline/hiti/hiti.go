@@ -391,8 +391,8 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		}
 		if p.Kind != packet.KindIndex {
 			if ok {
-				stash = packet.Packet{Kind: p.Kind, Payload: slices.Clone(p.Payload)}
-				stashPos = abs % t.CycleLen()
+				stash, stashPos = p, abs%t.CycleLen()
+				stash.Payload = slices.Clone(p.Payload)
 			}
 			break
 		}

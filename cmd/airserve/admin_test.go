@@ -194,9 +194,9 @@ func TestAdminShutdownNoLeak(t *testing.T) {
 	}
 }
 
-// TestSoak runs a churning fleet against a live paced station while a
-// background scraper hits /metrics, and fails on goroutine leaks or stalled
-// counters. Locally it runs ~2 s; CI sets SOAK_SECONDS=60 for the full
+// TestSoak runs a churning fleet against a live virtual-clock station while
+// a background scraper hits /metrics, and fails on goroutine leaks or
+// stalled counters. Locally it runs ~2 s; CI sets SOAK_SECONDS=60 for the full
 // soak. Skipped under -short.
 func TestSoak(t *testing.T) {
 	if testing.Short() {

@@ -137,9 +137,9 @@ type Partial struct {
 
 	// LostPackets counts receptions that arrived corrupted across every
 	// query's tuner — injected simulator loss plus live backpressure drops.
-	// MissedPackets is the backpressure subset: packets a paced station
-	// dropped (subscriber buffer full) that the tuner then listened for and
-	// received as corrupted. Drops the tuner slept over are not counted, so
+	// MissedPackets is the backpressure subset: positions the tuner asked a
+	// paced station for more than its Buffer behind the air, received as
+	// corrupted. Positions the tuner slept over are not counted, so
 	// MissedPackets <= LostPackets always holds and
 	// LostPackets - MissedPackets is pure simulator loss.
 	LostPackets   int64

@@ -335,8 +335,8 @@ func (r *Rx) PerChannel() []int {
 	return out
 }
 
-// Missed returns how many packets a live source dropped on this radio's
-// subscriptions under backpressure (zero on replay sources).
+// Missed returns how many positions a live source served this radio as
+// lost because it fell behind a paced air (zero on replay sources).
 func (r *Rx) Missed() int {
 	if m, ok := r.src.(interface{ Missed() int }); ok {
 		return m.Missed()

@@ -241,8 +241,8 @@ func (s *liveSource) Prefetch(channel, fromTick, n int) {
 	s.subs[channel].Prefetch(fromTick, n)
 }
 
-// Missed sums the backpressure drops the radio's shard subscriptions
-// served to it as corrupted receptions (paced clock only; zero on a
+// Missed sums the positions the radio's shard subscriptions served to it
+// as lost because it fell more than Buffer behind a paced air (zero on a
 // virtual clock) — a subset of the tuner's lost count.
 func (s *liveSource) Missed() int {
 	n := 0

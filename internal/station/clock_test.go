@@ -170,9 +170,9 @@ func TestSkippedPacketsCounted(t *testing.T) {
 // between the members of a virtual-clock group (WakeAt on the destination,
 // then Park on the origin) after dozes of every length while the group
 // fast-forwards. A jump that passed a tick some radio was hopping to would
-// leave that radio waiting for good (or, had something later been buffered,
-// surface as a missedAt reception, which a virtual clock must never
-// produce); received content is checked as well.
+// leave that radio waiting for good (a skipped want shows as a hang, never
+// as a miss, which a virtual clock must not produce); received content is
+// checked as well.
 // Run it in a -count loop to widen the interleavings.
 func TestHopNeverMissesUnderJump(t *testing.T) {
 	const k, radios, hops = 4, 8, 1500
@@ -269,9 +269,9 @@ func TestHopNeverMissesUnderJump(t *testing.T) {
 	}
 }
 
-// TestVirtualStartAddsNoGoroutine: a virtual station or group is a clock,
-// not a transmitter — starting one leaves the goroutine count alone — while
-// a paced one still starts its transmit loop.
+// TestVirtualStartAddsNoGoroutine: a station or group is a clock, not a
+// transmitter — starting one, virtual or paced, leaves the goroutine count
+// alone.
 func TestVirtualStartAddsNoGoroutine(t *testing.T) {
 	startStop := func(cfg Config, group bool) int {
 		members := make([]*Station, 1, 3)
@@ -300,14 +300,8 @@ func TestVirtualStartAddsNoGoroutine(t *testing.T) {
 		if n := startStop(Config{}, group); n > 0 {
 			t.Errorf("group=%v: a virtual Start added %d goroutines", group, n)
 		}
-		// Other tests' goroutines may exit meanwhile: one attempt in a few
-		// must see the transmitter.
-		paced := 0
-		for try := 0; try < 5 && paced < 1; try++ {
-			paced = startStop(Config{BitsPerSecond: 1_024_000}, group)
-		}
-		if paced < 1 {
-			t.Errorf("group=%v: a paced Start added no transmit goroutine", group)
+		if n := startStop(Config{BitsPerSecond: 1_024_000}, group); n > 0 {
+			t.Errorf("group=%v: a paced Start added %d goroutines", group, n)
 		}
 	}
 }
@@ -337,48 +331,155 @@ func TestIdleClockStandsStill(t *testing.T) {
 	}
 }
 
-// TestVirtualReceptionAllocatesNothing: on a virtual clock an exact
-// subscriber's reception is a computation, with nothing allocated, and a
-// subscription carries no transmission buffer.
+// allocClocks are the clocks the reception pins run on: virtual, and paced
+// at 20 µs a packet with a Buffer no scheduling hiccup outruns, so a
+// reception ahead of the air sleeps until it has aired, and none misses.
+var allocClocks = []Config{{}, {BitsPerSecond: 51_200_000, Buffer: 1 << 16}}
+
+// TestVirtualReceptionAllocatesNothing: an exact subscriber's reception is
+// a computation, with nothing allocated: on a virtual clock, and on a paced
+// one, where the listener runs ahead of the air and sleeps until each
+// position has aired.
 func TestVirtualReceptionAllocatesNothing(t *testing.T) {
-	st := startStation(t, testCycle(50), Config{})
-	sub, err := st.SubscribeExact(0.1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	if sub.ch != nil {
-		t.Fatal("a virtual-clock subscription has a transmission channel")
-	}
-	pos := sub.Start()
-	allocs := testing.AllocsPerRun(200, func() {
-		if pos%7 == 0 {
-			sub.Prefetch(pos, 5)
+	for _, cfg := range allocClocks {
+		st := startStation(t, testCycle(50), cfg)
+		sub, err := st.SubscribeExact(0.1, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sub.At(pos)
-		pos += 1 + pos%3
-	})
-	if allocs != 0 {
-		t.Fatalf("exact virtual-clock At allocates %v times per reception", allocs)
+		defer sub.Close()
+		pos := sub.Start()
+		allocs := testing.AllocsPerRun(200, func() {
+			if pos%7 == 0 {
+				sub.Prefetch(pos, 5)
+			}
+			sub.At(pos)
+			pos += 1 + pos%3
+		})
+		if allocs != 0 {
+			t.Fatalf("exact At at %d bit/s allocates %v times per reception", cfg.BitsPerSecond, allocs)
+		}
+		if sub.Missed() != 0 {
+			t.Fatalf("%d bit/s: the listener missed %d positions", cfg.BitsPerSecond, sub.Missed())
+		}
 	}
 }
 
-// TestVirtualSpanAllocatesNothing: a run reception on a virtual clock is
-// one clock move and a view of the epoch's cycle, with nothing allocated.
+// TestVirtualSpanAllocatesNothing: a run reception is one clock move, or
+// one sleep until the run has aired, and a view of the epoch's cycle, with
+// nothing allocated.
 func TestVirtualSpanAllocatesNothing(t *testing.T) {
-	st := startStation(t, testCycle(50), Config{})
-	sub, err := st.SubscribeExact(0.1, 3)
+	for _, cfg := range allocClocks {
+		st := startStation(t, testCycle(50), cfg)
+		sub, err := st.SubscribeExact(0.1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		pos := sub.Start()
+		allocs := testing.AllocsPerRun(200, func() {
+			pkts, _ := sub.Span(pos, 1+pos%70)
+			pos += len(pkts) + pos%3
+		})
+		if allocs != 0 {
+			t.Fatalf("exact Span at %d bit/s allocates %v times per run", cfg.BitsPerSecond, allocs)
+		}
+		if sub.Missed() != 0 {
+			t.Fatalf("%d bit/s: the listener missed %d positions", cfg.BitsPerSecond, sub.Missed())
+		}
+	}
+}
+
+// TestPacedSpanMatchesAt pins a paced Span to At: once positions have aired
+// one view serves them all, and every view's packets and loss mask equal At
+// over the same positions on a twin subscription (same loss pattern). Views
+// taken at the air's edge while a swap is pending never cross the swap, and
+// the receptions that reach it make it.
+func TestPacedSpanMatchesAt(t *testing.T) {
+	c1, c2 := versionedCycle(400, 1), versionedCycle(300, 2)
+	// 50 µs a packet, and a Buffer of several cycles: nothing is missed.
+	st := startStation(t, c1, Config{BitsPerSecond: 20_480_000, Buffer: 4096})
+	const loss, seed = 0.2, 5
+	span, err := st.Subscribe(loss, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
-	pos := sub.Start()
-	allocs := testing.AllocsPerRun(200, func() {
-		pkts, _ := sub.Span(pos, 1+pos%70)
-		pos += len(pkts) + pos%3
-	})
-	if allocs != 0 {
-		t.Fatalf("exact virtual-clock Span allocates %v times per run", allocs)
+	defer span.Close()
+	at, err := st.Subscribe(loss, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer at.Close()
+	late, err := st.Subscribe(0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	type view struct{ abs, n int }
+	var views []view
+	receive := func(abs, n int) int {
+		t.Helper()
+		pkts, lost := span.Span(abs, n)
+		for i, p := range pkts {
+			q, ok := at.At(abs + i)
+			if ok == (lost&(1<<i) != 0) || p.Kind != q.Kind || ok && (p.Version != q.Version || string(p.Payload) != string(q.Payload)) {
+				t.Fatalf("position %d: Span gave version %d %v lost=%v, At version %d %v ok=%v",
+					abs+i, p.Version, p.Payload, lost&(1<<i) != 0, q.Version, q.Payload, ok)
+			}
+		}
+		views = append(views, view{abs, len(pkts)})
+		return len(pkts)
+	}
+
+	abs := span.Start()
+	if l := c1.Len(); abs%l > l-40 {
+		abs += l - abs%l
+	}
+	for st.Pos() < abs+40 {
+		time.Sleep(time.Millisecond)
+	}
+	if k := receive(abs, 40); k < 2 {
+		t.Fatalf("a view of 40 aired positions served %d", k)
+	}
+
+	swapped, err := st.Swap(c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the swap's timer off: the receptions that reach the boundary
+	// must make the swap themselves.
+	st.clk.mu.Lock()
+	st.clk.swapTimer.Stop()
+	st.clk.mu.Unlock()
+	abs = st.Pos()
+	for end := abs + 3*c1.Len(); abs < end; {
+		abs += receive(abs, broadcast.MaxSpan)
+	}
+	swapPos := awaitSwap(t, swapped, time.Second)
+	for _, v := range views {
+		if v.abs < swapPos && swapPos < v.abs+v.n {
+			t.Fatalf("view [%d, %d) crosses the swap at %d", v.abs, v.abs+v.n, swapPos)
+		}
+	}
+	// A listener behind the air asks across the swap after it has aired:
+	// the view ends at the swap, and the next one is all new version.
+	for st.Pos() < swapPos+40 {
+		time.Sleep(time.Millisecond)
+	}
+	rest := min(40, c2.Len()-swapPos%c2.Len()) // the new cycle's phase at the swap
+	for _, want := range []struct{ abs, n, version int }{{swapPos - 5, 5, 1}, {swapPos, rest, 2}} {
+		pkts, _ := late.Span(want.abs, 40)
+		if len(pkts) != want.n {
+			t.Fatalf("a view of 40 from %d (swap at %d) served %d", want.abs, swapPos, len(pkts))
+		}
+		for i, p := range pkts {
+			if int(p.Version) != want.version {
+				t.Fatalf("position %d (swap at %d): version %d, want %d", want.abs+i, swapPos, p.Version, want.version)
+			}
+		}
+	}
+	if missed := span.Missed() + at.Missed(); missed != 0 {
+		t.Fatalf("%d positions missed", missed)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 //
 // It is how a multi-channel broadcast's K shard stations stay in lockstep:
 // a radio hopping between members never finds that a sibling raced past the
-// tick it will hop to. A paced group has one transmit goroutine for all its
-// members; a virtual one has none.
+// tick it will hop to. A group, like a lone station, runs no goroutine.
 //
 // Member stations must not be Started or Swapped individually; the group
 // adopts them.
@@ -61,9 +60,8 @@ func (g *Group) Start(ctx context.Context) error {
 // position (before any member transmits it), so at no instant do two
 // channels of a multi-channel broadcast carry different versions. Unlike a
 // single station's boundary-aligned Swap, members with different cycle
-// lengths have no common boundary, so the group cuts at a tick — the
-// current one on a virtual clock, at once; the next one a paced clock
-// transmits — and the incoming cycles enter the rotation at that tick's
+// lengths have no common boundary, so the group cuts at once, at the next
+// tick to pass, and the incoming cycles enter the rotation at that tick's
 // phase. The returned channel delivers the swap tick once applied; if the
 // group stops first the swap is abandoned and the channel closes without a
 // value. One swap may be pending at a time.

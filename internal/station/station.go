@@ -1,6 +1,5 @@
 // Package station runs a live broadcast station: a clock that streams a
-// server's cycle and fans every transmission out to any number of
-// concurrently subscribed listeners.
+// server's cycle to any number of concurrently subscribed listeners.
 //
 // The offline substrate (internal/broadcast) replays the cycle pull-style:
 // one tuner asks for position p and receives cycle[p mod L]. The station is
@@ -12,17 +11,18 @@
 // and seed observe bit-identical air — the invariant internal/fleet's tests
 // pin.
 //
-// Clock model (DESIGN.md §3): with BitsPerSecond == 0 the clock is virtual
-// and moves when its listeners pull. A reception computes its own
-// transmission from the epoch chain once the clock has passed its position,
-// and the clock passes a position only if every subscription allows it, so
-// tune-in and swap positions are those of a station that transmitted as
-// fast as its listeners accepted. No goroutine and no buffer is involved.
-// With BitsPerSecond > 0 a transmit goroutine paces the station to the
-// channel rate (PacketBits per packet, the paper's 128-byte packets) and
-// pushes packets into per-subscriber buffers; a subscriber that falls behind
-// the air misses packets, which its feed reports as lost — a radio cannot
-// pause the broadcast.
+// Clock model (DESIGN.md §3): a reception computes its own transmission
+// from the epoch chain once the clock has passed its position; the two
+// clocks differ only in what moves them, and neither runs a goroutine or
+// keeps a buffer. With BitsPerSecond == 0 the clock is virtual and moves
+// when its listeners pull: it passes a position only if every subscription
+// allows it, so tune-in and swap positions are those of a station that
+// transmitted as fast as its listeners accepted. With BitsPerSecond > 0 the
+// clock is paced: its position is a function of wall time, one position per
+// packet airtime (PacketBits, the paper's 128-byte packets). A listener
+// sleeps until the positions it asks for have aired, and one that asks for
+// a position more than Buffer positions behind the air has missed it, which
+// its feed reports as lost — a radio cannot pause the broadcast.
 package station
 
 import (
@@ -51,13 +51,11 @@ var (
 	obsSkipped = obs.GetCounter("air_station_skipped_packets_total",
 		"positions a virtual clock passed below every listener's want")
 	obsDropped = obs.GetCounter("air_station_dropped_packets_total",
-		"packets dropped by a paced station because a subscriber buffer was full (backpressure)")
+		"positions a paced station served as lost because the listener asked more than Buffer positions behind the air")
 	obsSubscribers = obs.GetGauge("air_station_subscribers",
 		"currently open subscriptions across all stations")
 	obsSwaps = obs.GetCounter("air_station_swaps_total",
 		"cycle swaps that reached the air")
-	obsBufDepth = obs.GetHistogram("air_station_sub_buffer_depth",
-		"sampled per-subscriber buffer occupancy in packets on paced clocks (every 256th delivery)")
 	obsRefused = obs.GetCounter("air_station_refused_subscribers_total",
 		"subscriptions refused by the MaxSubscribers admission cap")
 )
@@ -76,9 +74,10 @@ type Config struct {
 	BitsPerSecond int
 	// PacketBits is the airtime of one packet; default metrics.PacketBits.
 	PacketBits int
-	// Buffer is the per-subscriber depth in packets, default 1024: a paced
-	// subscription's channel, and on a virtual clock how far a plain
-	// subscription lets the clock run past its want.
+	// Buffer is how far behind the air a listener may fall, in packets,
+	// default 1024: a paced subscription still hears a position until Buffer
+	// more have aired, and on a virtual clock a plain subscription lets the
+	// clock run Buffer positions past its want.
 	Buffer int
 	// Start is the absolute position the station begins transmitting at.
 	Start int
@@ -86,15 +85,6 @@ type Config struct {
 	// fails with ErrFull (admission control — a refused client costs one
 	// frame, an admitted one an indefinite broadcast feed). 0 = unlimited.
 	MaxSubscribers int
-}
-
-// Transmission is one packet as it crossed a paced air for one subscriber:
-// absolute position, payload, and whether it survived that subscriber's
-// loss pattern.
-type Transmission struct {
-	Pos int
-	Pkt packet.Packet
-	OK  bool
 }
 
 // epoch is one cycle's tenure on the air. A static station has exactly one;
@@ -164,6 +154,9 @@ type clock struct {
 	running bool
 	cancel  context.CancelFunc
 	done    chan struct{} // closed once the air is off (halt)
+	// A paced clock's run: position base began to air at t0.
+	t0   time.Time
+	base int
 
 	// A virtual clock's unparked subscriptions: byAllow orders them all by
 	// how far they let the clock go (Sub.allows), ahead orders by want
@@ -172,12 +165,17 @@ type clock struct {
 	byAllow, ahead  subHeap
 	served, waiters int
 
-	// pending holds one cycle per station awaiting a swap: at the first
-	// cycle boundary for a lone station (aligned), at the next position for
-	// a group; swapped reports the position once the swap is on the air.
-	pending []*broadcast.Cycle
-	aligned bool
-	swapped chan int
+	// pending holds one cycle per station awaiting a swap at the first
+	// cycle boundary of a lone station (a group swaps at once); swapped
+	// reports the position once the swap is on the air. On a paced clock
+	// swapTimer fires at the boundary's airtime, so an idle station swaps.
+	pending   []*broadcast.Cycle
+	swapped   chan int
+	swapTimer *time.Timer
+	// swapAt is the position of the last swap a paced lone station
+	// scheduled (0 = none), read without mu: a view asleep before it ends
+	// there.
+	swapAt atomic.Int64
 }
 
 // noSlots marks a subscription as in none of the clock's heaps.
@@ -194,8 +192,8 @@ func newClock(stations []*Station) *clock {
 	}
 }
 
-// start puts the clock on the air. A paced clock runs its transmit loop; a
-// virtual one only arranges for ctx's cancellation to take it off again.
+// start puts the clock on the air and arranges for ctx's cancellation to
+// take it off again. A paced clock's position starts counting airtime now.
 func (c *clock) start(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -205,11 +203,8 @@ func (c *clock) start(ctx context.Context) error {
 	ctx, c.cancel = context.WithCancel(ctx)
 	done := make(chan struct{})
 	c.done, c.running = done, true
-	if c.interval == 0 {
-		context.AfterFunc(ctx, func() { c.halt(done) })
-	} else {
-		go c.run(ctx, done)
-	}
+	c.t0, c.base = time.Now(), c.pos
+	context.AfterFunc(ctx, func() { c.halt(done) })
 	return nil
 }
 
@@ -232,16 +227,13 @@ func (c *clock) stop() {
 // is abandoned: its channel closes without a value, so waiters unblock.
 func (c *clock) halt(done chan struct{}) {
 	c.mu.Lock()
+	c.catchUpLocked()
 	for _, st := range c.stations {
 		for _, sub := range st.subs {
-			if sub.ch != nil {
-				close(sub.ch) // the transmit loop has exited: no send races this
-			} else {
-				sub.offAir, sub.slots = true, noSlots
-				if sub.waiting {
-					sub.waiting = false
-					sub.passed <- struct{}{} // cap 1, one wait at a time: never blocks
-				}
+			sub.offAir, sub.slots = true, noSlots
+			if sub.waiting {
+				sub.waiting = false
+				sub.passed <- struct{}{} // cap 1, one wait at a time: never blocks
 			}
 		}
 		obsSubscribers.Add(-int64(len(st.subs)))
@@ -249,6 +241,10 @@ func (c *clock) halt(done chan struct{}) {
 	}
 	c.byAllow.at, c.ahead.at, c.served, c.waiters = nil, nil, 0, 0
 	if c.pending != nil {
+		if c.swapTimer != nil {
+			c.swapTimer.Stop()
+			c.swapAt.Store(0)
+		}
 		close(c.swapped)
 		c.pending, c.swapped = nil, nil
 	}
@@ -257,9 +253,10 @@ func (c *clock) halt(done chan struct{}) {
 	close(done)
 }
 
-// swap schedules one cycle per station (see Station.Swap, Group.Swap). On a
-// virtual clock a group swap goes on the air at once, and a lone station's
-// at once if every want lies beyond the boundary.
+// swap schedules one cycle per station (see Station.Swap, Group.Swap). A
+// group swap goes on the air at once. A lone station's goes on the air at
+// the first boundary the clock reaches: on a virtual clock at once if every
+// want lies beyond it, on a paced one at the boundary's airtime.
 func (c *clock) swap(cycles []*broadcast.Cycle, aligned bool) (<-chan int, error) {
 	c.mu.Lock()
 	var err error
@@ -273,20 +270,26 @@ func (c *clock) swap(cycles []*broadcast.Cycle, aligned bool) (<-chan int, error
 		c.mu.Unlock()
 		return nil, err
 	}
+	c.catchUpLocked()
 	swapped := make(chan int, 1)
-	c.pending, c.aligned, c.swapped = cycles, aligned, swapped
+	c.pending, c.swapped = cycles, swapped
 	var buf [4]*Sub // the waiters a pull wakes, usually none
 	woken := buf[:0]
-	if c.interval == 0 && !aligned {
+	b := c.nextBoundaryLocked()
+	switch {
+	case !aligned:
 		c.swapLocked(c.pos)
-	} else if c.interval == 0 {
+	case c.interval > 0:
+		// The first reading of the clock at or past the boundary makes the
+		// swap, and at the latest the boundary's airtime does.
+		aired := c.t0.Add(time.Duration(b+1-c.base) * c.interval)
+		c.swapTimer = time.AfterFunc(time.Until(aired), c.catchUp)
+		c.swapAt.Store(int64(b))
+	case c.served == 0 && c.ahead.min() > int64(b):
 		// Every want lies beyond the boundary: jump there at once, as a
 		// clock ticking on its own would have skipped to it. Otherwise the
 		// first pull that reaches the boundary makes the swap.
-		b := c.nextBoundaryLocked()
-		if c.served == 0 && c.ahead.min() > int64(b) {
-			woken = c.pullLocked(int64(b), woken)
-		}
+		woken = c.pullLocked(int64(b), woken)
 	}
 	c.unlock(woken)
 	return swapped, nil
@@ -314,10 +317,8 @@ func (c *clock) swapLocked(at int) {
 
 // pullLocked moves a virtual clock toward target — as far as it may go
 // while a listener waits — as far as every subscription allows
-// (Sub.allows). A lone station's pending swap goes on the air at the first
-// boundary the clock reaches, and every waiter whose want the clock passed
-// is woken, only those: pullLocked appends them to woken for unlock. The
-// caller holds mu.
+// (Sub.allows). Every waiter whose want the clock passed is woken, only
+// those: pullLocked appends them to woken for unlock. The caller holds mu.
 func (c *clock) pullLocked(target int64, woken []*Sub) []*Sub {
 	if c.waiters > 0 {
 		target = parked
@@ -327,13 +328,7 @@ func (c *clock) pullLocked(target int64, woken []*Sub) []*Sub {
 	if c.served > 0 {
 		low = int64(c.pos)
 	}
-	if c.pending != nil && c.aligned {
-		if b := c.nextBoundaryLocked(); b <= to {
-			c.passLocked(b, low)
-			c.swapLocked(b)
-		}
-	}
-	c.passLocked(to, low)
+	c.moveLocked(to, low)
 	for c.ahead.min() < int64(c.pos) {
 		sub := c.ahead.at[0].sub
 		c.ahead.set(sub, parked)
@@ -345,6 +340,35 @@ func (c *clock) pullLocked(target int64, woken []*Sub) []*Sub {
 		}
 	}
 	return woken
+}
+
+// catchUpLocked moves a paced clock on the air to the position wall time
+// has reached; a virtual clock stays where its listeners pulled it. The
+// caller holds mu.
+func (c *clock) catchUpLocked() {
+	if c.interval > 0 && c.running {
+		c.moveLocked(c.base+int(time.Since(c.t0)/c.interval), int64(c.pos))
+	}
+}
+
+// catchUp is catchUpLocked for a caller that does not hold mu.
+func (c *clock) catchUp() {
+	c.mu.Lock()
+	c.catchUpLocked()
+	c.mu.Unlock()
+}
+
+// moveLocked moves the clock to position to, putting a lone station's
+// pending swap on the air at the first boundary it reaches; positions below
+// low are tallied as skipped. The caller holds mu.
+func (c *clock) moveLocked(to int, low int64) {
+	if c.pending != nil {
+		if b := c.nextBoundaryLocked(); b <= to {
+			c.passLocked(b, low)
+			c.swapLocked(b)
+		}
+	}
+	c.passLocked(to, low)
 }
 
 // unlock releases mu, and only then wakes the waiters a pull passed, so a
@@ -461,50 +485,6 @@ func (c *clock) passLocked(to int, low int64) {
 	c.reached.Store(int64(to))
 }
 
-// run is a paced clock's transmit loop: one position per packet airtime,
-// fanned out to the current subscribers of every station in member order,
-// so position T crosses every member before T+1 crosses any.
-func (c *clock) run(ctx context.Context, done chan struct{}) {
-	defer c.halt(done)
-	started := time.Now()
-	subs := make([][]*Sub, len(c.stations)) // each member's listeners at this tick
-	for transmitted := 0; ; transmitted++ {
-		// Pace to the channel rate: sleep until the next packet is due.
-		// Short oversleeps are repaid by transmitting every due packet
-		// before sleeping again, so long cycles keep the configured rate.
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		due := started.Add(time.Duration(transmitted) * c.interval)
-		if wait := time.Until(due); wait > 0 {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(wait):
-			}
-		}
-		c.mu.Lock()
-		pos := c.pos
-		c.pos++
-		if c.pending != nil && (!c.aligned || pos%c.stations[0].Len() == 0) {
-			c.swapLocked(pos)
-		}
-		for i, st := range c.stations {
-			subs[i] = st.subs
-		}
-		c.mu.Unlock()
-		obsPackets.Add(int64(len(c.stations)))
-		for i, st := range c.stations {
-			ep := st.cur.Load()
-			for _, sub := range subs[i] {
-				sub.deliver(pos, ep)
-			}
-		}
-	}
-}
-
 // interval returns the per-packet airtime of a paced clock (0 = virtual).
 func (cfg Config) interval() time.Duration {
 	if cfg.BitsPerSecond <= 0 {
@@ -521,9 +501,7 @@ type Station struct {
 	// cur is the epoch on the air: swapped under the clock's mutex, loaded
 	// lock-free by subscriber-goroutine reads (Len, receptions).
 	cur atomic.Pointer[epoch]
-	// subs is the open subscriptions, guarded by the clock's mutex. It is
-	// copy-on-write — replaced on every subscribe and close, never mutated
-	// — so a paced transmit loop delivers to a snapshot outside the lock.
+	// subs is the open subscriptions, guarded by the clock's mutex.
 	subs []*Sub
 }
 
@@ -569,6 +547,7 @@ func (s *Station) Rate() int {
 func (s *Station) Pos() int {
 	s.clk.mu.Lock()
 	defer s.clk.mu.Unlock()
+	s.clk.catchUpLocked()
 	return s.clk.pos
 }
 
@@ -627,6 +606,7 @@ const parked = int64(1) << 62
 func (s *Station) SwapPending() bool {
 	s.clk.mu.Lock()
 	defer s.clk.mu.Unlock()
+	s.clk.catchUpLocked()
 	return s.clk.pending != nil
 }
 
@@ -669,9 +649,7 @@ func (s *Station) subscribe(lossRate float64, seed int64, exact bool) (*Sub, err
 	c := s.clk
 	sub := &Sub{st: s, loss: lossRate, seed: uint64(seed), exact: exact, slots: noSlots}
 	sub.want.Store(parked)
-	if c.interval > 0 {
-		sub.ch = make(chan Transmission, s.cfg.Buffer)
-	} else {
+	if c.interval == 0 {
 		sub.passed = make(chan struct{}, 1)
 	}
 	c.mu.Lock()
@@ -683,13 +661,15 @@ func (s *Station) subscribe(lossRate float64, seed int64, exact bool) (*Sub, err
 		obsRefused.Inc()
 		return nil, fmt.Errorf("%w (%d subscribers)", ErrFull, len(s.subs))
 	}
+	c.catchUpLocked()
 	sub.start = c.pos
+	sub.t0, sub.base, sub.off = c.t0, c.base, c.done
 	if c.interval == 0 {
 		c.setWantLocked(sub, int64(sub.start), 0)
 	} else {
 		sub.want.Store(int64(sub.start))
 	}
-	s.subs = append(slices.Clip(s.subs), sub)
+	s.subs = append(s.subs, sub)
 	obsSubscribers.Inc()
 	return sub, nil
 }
@@ -698,7 +678,7 @@ func (s *Station) subscribe(lossRate float64, seed int64, exact bool) (*Sub, err
 // position onward. It implements broadcast.Feed, so the ordinary Tuner — and
 // therefore every scheme client — runs unchanged on top of it.
 //
-// At, Ready, Start and Close must be called from the subscriber's own
+// At, Span, Ready, Start and Close must be called from the subscriber's own
 // goroutine; the station side is concurrency-safe.
 type Sub struct {
 	st    *Station
@@ -706,37 +686,32 @@ type Sub struct {
 	seed  uint64
 	start int
 	exact bool
-	ch    chan Transmission // a paced clock's pushes; nil on a virtual clock
 
 	// want is the lowest absolute position the listener still needs (parked
-	// while it needs none): nothing below it is delivered, modelling a
-	// sleeping radio. limit is the end (exclusive) of a declared contiguous
-	// listen window (Prefetch), guarded by the clock's mutex.
+	// while it needs none): on a virtual clock nothing below it is passed
+	// for it, modelling a sleeping radio; on both clocks it bounds the epoch
+	// history. limit is the end (exclusive) of a declared contiguous listen
+	// window (Prefetch), guarded by the clock's mutex.
 	want  atomic.Int64
 	limit int64
 	// slots is the subscription's index in each of the clock's heaps (-1
 	// outside it), and waiting marks an At blocked until the clock passes
 	// its want, guarded by the clock's mutex; passed wakes it then, or when
-	// the station leaves the air (virtual clock only).
+	// the station leaves the air (virtual clock only). offAir reports, under
+	// the clock's mutex, that the station left the air.
 	slots   [2]int
 	waiting bool
 	passed  chan struct{}
-	// overruns counts station-side drop events (paced clock, buffer full)
-	// whether or not the listener ever asks for the dropped position; it
-	// gates the once-per-subscriber backpressure log line. missed counts the
-	// listened-for subset: positions missedAt had to serve as corrupted
-	// receptions, so Missed() is by construction a subset of the tuner's
-	// Lost() count.
-	overruns atomic.Int64
-	missed   atomic.Int64
-
-	// pending is a paced transmission read ahead of the position the tuner
-	// asked for. offAir reports that the station left the air: set by the
-	// subscriber's goroutine on a paced clock, under the clock's mutex on a
-	// virtual one.
-	pending    Transmission
-	hasPending bool
-	offAir     bool
+	offAir  bool
+	// A paced subscription's copy of its run of the clock, read without the
+	// mutex: position base began to air at t0, and off closes when the run
+	// ends.
+	t0   time.Time
+	base int
+	off  <-chan struct{}
+	// missed counts the positions a paced clock served as lost because the
+	// listener asked for them more than Buffer positions behind the air.
+	missed atomic.Int64
 }
 
 // allows returns the position below which this unparked subscription lets
@@ -759,18 +734,18 @@ func (s *Sub) Start() int { return s.start }
 // so their cyclic arithmetic follows the air.
 func (s *Sub) Len() int { return s.st.cur.Load().cycle.Len() }
 
-// Missed returns how many backpressure-dropped packets (paced clock,
-// buffer full) this subscription actually served to its listener as
-// corrupted receptions. Dropped positions the tuner slept over are not
-// counted, so Missed is always a subset of what the listener's tuner
-// reports as Lost — subtracting the two isolates injected simulator loss.
+// Missed returns how many positions this subscription served to its
+// listener as lost because it asked for them more than Buffer positions
+// behind a paced air. Positions the tuner slept over are never asked for,
+// so Missed is always a subset of what the listener's tuner reports as
+// Lost — subtracting the two isolates injected simulator loss.
 func (s *Sub) Missed() int { return int(s.missed.Load()) }
 
 // At blocks until the transmission at absolute position abs has crossed the
 // air and returns it (broadcast.Feed). On a virtual clock it pulls the clock
 // past abs itself, waiting only while another subscription holds it. On a
-// paced clock positions the tuner slept over are discarded, and a packet
-// missed through buffer overrun is reported as lost, exactly like a
+// paced clock it sleeps until abs has aired, and a position asked for more
+// than Buffer positions behind the air is reported as lost, exactly like a
 // corrupted packet, and recovered by the client in a later cycle. If the
 // station leaves the air mid-query the feed degrades to deterministic
 // replay of the cycle under the same loss pattern, so the query still
@@ -778,57 +753,32 @@ func (s *Sub) Missed() int { return int(s.missed.Load()) }
 //
 //air:noalloc
 func (s *Sub) At(abs int) (packet.Packet, bool) {
-	if s.ch == nil {
-		c := s.st.clk
-		if int64(abs) < c.reached.Load() {
-			return s.replayAt(abs) // passed already: abs is fixed
+	c := s.st.clk
+	if c.interval > 0 {
+		pkts, lost := s.pacedSpan(abs, 1)
+		if lost != 0 {
+			return packet.Packet{Kind: pkts[0].Kind}, false
 		}
-		var buf [4]*Sub
-		woken := buf[:0]
-		c.mu.Lock()
-		if !s.offAir {
-			c.setWantLocked(s, int64(abs), s.limit)
-			woken = c.pullLocked(s.allows(), woken)
-		}
-		wait := !s.offAir && c.pos <= abs
-		if wait {
-			s.waiting = true
-			c.waiters++
-		}
-		c.unlock(woken)
-		if wait {
-			<-s.passed // the clock passed abs (the waker set through), or the air is off
-		}
-		return s.replayAt(abs)
+		return pkts[0], true
 	}
-	s.want.Store(int64(abs))
-	if s.hasPending {
-		p := s.pending
-		switch {
-		case p.Pos == abs:
-			s.hasPending = false
-			return p.Pkt, p.OK
-		case p.Pos > abs:
-			return s.missedAt(abs)
-		default:
-			s.hasPending = false
-		}
+	if int64(abs) < c.reached.Load() {
+		return s.replayAt(abs) // passed already: abs is fixed
 	}
-	for !s.offAir {
-		t, ok := <-s.ch
-		if !ok {
-			s.offAir = true
-			break
-		}
-		switch {
-		case t.Pos < abs:
-			// Slept over it.
-		case t.Pos == abs:
-			return t.Pkt, t.OK
-		default:
-			s.pending, s.hasPending = t, true
-			return s.missedAt(abs)
-		}
+	var buf [4]*Sub
+	woken := buf[:0]
+	c.mu.Lock()
+	if !s.offAir {
+		c.setWantLocked(s, int64(abs), s.limit)
+		woken = c.pullLocked(s.allows(), woken)
+	}
+	wait := !s.offAir && c.pos <= abs
+	if wait {
+		s.waiting = true
+		c.waiters++
+	}
+	c.unlock(woken)
+	if wait {
+		<-s.passed // the clock passed abs (the waker set through), or the air is off
 	}
 	return s.replayAt(abs)
 }
@@ -837,21 +787,15 @@ func (s *Sub) At(abs int) (packet.Packet, bool) {
 // On a virtual clock it declares want abs and window end abs+n in one move
 // of the clock, waits only while another listener holds the clock at or
 // below abs, and serves every position the clock has passed, cut at the end
-// of abs's epoch and of its cycle, so one view never spans a swap. On a
-// paced clock it serves the one position At does.
+// of abs's epoch and of its cycle, so one view never spans a swap. A paced
+// clock serves what has aired, as pacedSpan says.
 //
 //air:noalloc
 func (s *Sub) Span(abs, n int) ([]packet.Packet, uint64) {
-	if s.ch != nil {
-		var lost uint64
-		if _, ok := s.At(abs); !ok {
-			lost = 1
-		}
-		ep := s.st.cur.Load().find(abs)
-		i := abs % ep.cycle.Len()
-		return ep.cycle.Packets[i : i+1], lost
-	}
 	c := s.st.clk
+	if c.interval > 0 {
+		return s.pacedSpan(abs, n)
+	}
 	end := int(c.reached.Load()) // positions below it are fixed
 	if abs >= end {
 		var buf [4]*Sub
@@ -882,100 +826,106 @@ func (s *Sub) Span(abs, n int) ([]packet.Packet, uint64) {
 	return ep.cycle.Packets[i : i+k], broadcast.LostMask(s.seed, abs, k, s.loss)
 }
 
+// nap is the longest a paced listener sleeps at a time: how soon one
+// asleep for a far position notices that the station left the air.
+const nap = 100 * time.Millisecond
+
+// pacedSpan is Span on a paced clock. It serves the positions from abs on
+// that have aired, cut at MaxSpan, at Buffer, and at the end of abs's epoch
+// and of its cycle. If abs has not aired it sleeps, once (a nap at a
+// time), until the last position the view will serve has — cut as well
+// before a pending swap. A run asked for more than Buffer positions behind
+// the air is served as lost and counted as missed; off the air the replay
+// serves anything.
+func (s *Sub) pacedSpan(abs, n int) ([]packet.Packet, uint64) {
+	c := s.st.clk
+	s.want.Store(int64(abs))
+	n = min(n, broadcast.MaxSpan, s.st.cfg.Buffer)
+	el, end, on := s.aired()
+	for on && end <= abs {
+		ep, next := s.st.cur.Load().tenure(abs)
+		l := ep.cycle.Len()
+		last := min(abs+n, abs-abs%l+l, next, c.swapAfter(abs)) - 1
+		time.Sleep(min(time.Duration(last+1-s.base)*c.interval-el, nap))
+		el, end, on = s.aired()
+	}
+	if !on {
+		end = math.MaxInt
+	}
+	ep, next := s.st.cur.Load().tenure(abs)
+	l := ep.cycle.Len()
+	i := abs % l
+	k := min(n, l-i, next-abs, end-abs)
+	if behind := end - s.st.cfg.Buffer - abs; on && behind > 0 {
+		k = min(k, behind)
+		s.miss(abs, k)
+		return ep.cycle.Packets[i : i+k], ^uint64(0) >> (64 - k)
+	}
+	return ep.cycle.Packets[i : i+k], broadcast.LostMask(s.seed, abs, k, s.loss)
+}
+
+// aired reads a paced clock: how long the subscription's run has been on
+// the air, the first position not yet aired, and whether the subscription
+// is still on the air. A reading ahead of the clock moves the clock there,
+// so a swap it passes is on the air before any position from it is served.
+func (s *Sub) aired() (el time.Duration, end int, on bool) {
+	c := s.st.clk
+	el = time.Since(s.t0)
+	end = s.base + int(el/c.interval)
+	select {
+	case <-s.off:
+		return el, end, false
+	default:
+	}
+	if int64(end) > c.reached.Load() {
+		c.catchUp()
+	}
+	return el, end, true
+}
+
+// swapAfter returns the position of a paced lone station's swap after abs,
+// or MaxInt.
+func (c *clock) swapAfter(abs int) int {
+	if b := int(c.swapAt.Load()); b > abs {
+		return b
+	}
+	return math.MaxInt
+}
+
+// miss counts k positions from abs served as lost because the listener
+// asked for them more than Buffer positions behind the air, and logs a
+// subscription's first miss: a persistent one means Buffer or the client
+// is undersized.
+func (s *Sub) miss(abs, k int) {
+	obsDropped.Add(int64(k))
+	if s.missed.Add(int64(k)) == int64(k) {
+		log.Printf("station: subscriber more than %d positions behind the air at pos %d; serving as lost",
+			s.st.cfg.Buffer, abs)
+	}
+}
+
 // Ready reports whether At(abs) would return without waiting for the
 // station: on a virtual clock, the clock has passed abs or no other
-// subscription holds it below; on a paced one, the transmission at abs (or
-// a later one, proving abs was missed) is already buffered; and always once
-// the station has left the air. It never blocks and does not move the
-// want, so the station cannot tell it was asked; buffered transmissions
-// below abs — which At(abs) would discard as slept over — are discarded
-// here. Like At, it belongs to the subscriber's goroutine and takes
-// non-decreasing positions. A wire pump asks it before each At: a pump
-// holding unsent frames writes them out rather than wait for the air
-// (wire.Broadcaster).
+// subscription holds it below; on a paced one, abs has aired; and always
+// once the station has left the air. It never blocks and does not move the
+// want, so the station cannot tell it was asked. A wire pump asks it
+// before each At: a pump holding unsent frames writes them out rather than
+// wait for the air (wire.Broadcaster).
 func (s *Sub) Ready(abs int) bool {
-	if s.ch == nil {
-		c := s.st.clk
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return s.offAir || abs < c.pos || int64(abs) < c.byAllow.minBut(s)
+	c := s.st.clk
+	if c.interval > 0 {
+		_, end, on := s.aired()
+		return !on || abs < end
 	}
-	if s.hasPending {
-		if s.pending.Pos >= abs {
-			return true
-		}
-		s.hasPending = false
-	}
-	for !s.offAir {
-		select {
-		case t, ok := <-s.ch:
-			switch {
-			case !ok:
-				s.offAir = true
-			case t.Pos >= abs:
-				s.pending, s.hasPending = t, true
-				return true
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// deliver pushes position pos to a paced subscription, applying its
-// private loss pattern. A sleeping subscriber (its tuner slept past pos)
-// receives nothing: its radio is off. A full buffer drops the packet, which
-// the subscriber's feed later reports as lost.
-func (s *Sub) deliver(pos int, ep *epoch) {
-	if int64(pos) < s.want.Load() {
-		return
-	}
-	t := Transmission{Pos: pos, OK: !broadcast.Lost(s.seed, pos, s.loss)}
-	p := ep.cycle.Packets[pos%ep.cycle.Len()]
-	if t.OK {
-		t.Pkt = p
-	} else {
-		t.Pkt = packet.Packet{Kind: p.Kind}
-	}
-	if pos&0xff == 0 {
-		obsBufDepth.Observe(float64(len(s.ch)))
-	}
-	select {
-	case s.ch <- t:
-	default:
-		// Real time does not wait: the packet is gone. Count the drop event
-		// and announce the first overrun per subscriber — a persistent one
-		// means the buffer or the client is undersized. Sub.missed is NOT
-		// bumped here: the tuner may sleep over this position and never ask
-		// for it, and Missed() promises the listened-for subset (missedAt),
-		// so the drop only becomes a miss if the feed has to serve it as a
-		// corrupted reception.
-		obsDropped.Inc()
-		if s.overruns.Add(1) == 1 {
-			log.Printf("station: subscriber buffer full at pos %d (depth %d); dropping (backpressure)",
-				pos, cap(s.ch))
-		}
-	}
-}
-
-// missedAt serves a packet the subscriber was tuned in for but never got
-// buffered (a paced station dropped it under backpressure): on the air it
-// is indistinguishable from a corrupted packet, and it is counted as a miss
-// here — not at the drop — so Missed() tallies exactly the drops the
-// listener experienced as losses. The epoch chain keeps the kind correct
-// even when the miss straddles a cycle swap.
-func (s *Sub) missedAt(abs int) (packet.Packet, bool) {
-	s.missed.Add(1)
-	ep := s.st.cur.Load().find(abs)
-	return packet.Packet{Kind: ep.cycle.Packets[abs%ep.cycle.Len()].Kind}, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return s.offAir || abs < c.pos || int64(abs) < c.byAllow.minBut(s)
 }
 
 // replayAt computes the transmission at abs from the epoch chain: the
 // version on the air there, under this subscription's loss pattern —
 // identical to a broadcast.Channel with the same seed. It serves every
-// reception on a virtual clock, and a paced one's after the station left
-// the air.
+// reception on a virtual clock.
 func (s *Sub) replayAt(abs int) (packet.Packet, bool) {
 	ep := s.st.cur.Load().find(abs)
 	p := ep.cycle.Packets[abs%ep.cycle.Len()]
@@ -987,10 +937,11 @@ func (s *Sub) replayAt(abs int) (packet.Packet, bool) {
 
 // declare publishes the listener's want and window end. On a virtual clock
 // both change under the clock's mutex, with the move that may follow: a
-// risen want can free the clock for a waiting listener.
+// risen want can free the clock for a waiting listener. Nothing holds a
+// paced clock, so there the want only bounds the epoch history.
 func (s *Sub) declare(want, limit int64) {
 	c := s.st.clk
-	if s.ch != nil {
+	if c.interval > 0 {
 		s.want.Store(want)
 		return
 	}
@@ -1036,9 +987,9 @@ func (s *Sub) Close() {
 	c.mu.Lock()
 	// Gone already if the station left the air (halt).
 	if i := slices.Index(s.st.subs, s); i >= 0 {
-		s.st.subs = append(s.st.subs[:i:i], s.st.subs[i+1:]...)
+		s.st.subs = slices.Delete(s.st.subs, i, i+1)
 		obsSubscribers.Dec()
-		if s.ch == nil {
+		if c.interval == 0 {
 			c.setWantLocked(s, parked, 0)
 			woken = c.pullLocked(0, woken)
 		}

@@ -314,10 +314,10 @@ func TestPacedClockRate(t *testing.T) {
 }
 
 // TestReadyAnswersForAt pins Sub.Ready, the question a wire pump asks before
-// every At: true exactly when At would not wait for the station. A buffer
-// holding only slept-over transmissions is not an answer — At would discard
-// all of it and then block — so Ready must look at positions, not at the
-// buffer's depth; and an off-air subscription replays, so it is always ready.
+// every At: true exactly when At would not wait for the station. Positions
+// the air has passed are not an answer for a later one — At(far) still
+// waits for far — so Ready must look at positions, not at how much has
+// aired; and an off-air subscription replays, so it is always ready.
 func TestReadyAnswersForAt(t *testing.T) {
 	cycle := testCycle(63)
 	check := func(sub *Sub, abs int) {
@@ -328,11 +328,11 @@ func TestReadyAnswersForAt(t *testing.T) {
 			t.Fatalf("position %d after Ready: got %v ok=%v, want %v", abs, got.Payload, ok, want.Payload)
 		}
 	}
-	buffered := func(sub *Sub, n int) {
+	aired := func(t *testing.T, st *Station, pos int) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); len(sub.ch) < n; {
+		for deadline := time.Now().Add(5 * time.Second); st.Pos() < pos; {
 			if time.Now().After(deadline) {
-				t.Fatalf("station buffered %d transmissions, want %d", len(sub.ch), n)
+				t.Fatalf("station at %d, want it past %d", st.Pos(), pos)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -366,15 +366,15 @@ func TestReadyAnswersForAt(t *testing.T) {
 		}
 		defer sub.Close()
 		far := sub.Start() + 300
-		buffered(sub, 3)
+		aired(t, st, sub.Start()+3)
 		begin := time.Now()
 		if sub.Ready(far) {
-			t.Fatal("Ready true with nothing but slept-over transmissions buffered")
+			t.Fatal("Ready true with nothing but earlier positions aired")
 		}
 		if took := time.Since(begin); took > 100*time.Millisecond {
 			t.Fatalf("Ready took %v: it waited for the air", took)
 		}
-		check(sub, far) // what Ready discarded At would have slept over too
+		check(sub, far) // At, unlike Ready, waits for far to air
 	})
 }
 

@@ -137,7 +137,7 @@ type Link interface {
 	// session tunes in at next. Call it exactly once, on every exit path.
 	Release(pos int) (next int)
 	// Missed counts packets the air dropped on this feed before the radio
-	// could have them — a paced station's backpressure drops, a wire's gaps —
+	// could have them — a paced station's misses, a wire's gaps —
 	// that the tuner then received as corrupted: a subset of Tuner.Lost.
 	Missed() int
 	// PerChannel is packets received per channel and Hops the channel

@@ -67,7 +67,7 @@ type BroadcasterOptions struct {
 // subscribe position — every frame that is ready, up to maxDatagram, per
 // datagram — paced by the receiver's want/limit credit. One Broadcaster
 // serves any number of remotes; the station's own clock (and its lossless
-// virtual-clock backpressure or paced-clock drop semantics) stays the
+// virtual-clock backpressure or paced-clock miss semantics) stays the
 // single source of air truth.
 type Broadcaster struct {
 	st   *station.Station
@@ -383,11 +383,11 @@ func (r *remote) shut() { r.closeOnce.Do(func() { close(r.done) }) }
 // datagram, not per byte — under one rule: the pump never waits, for credit
 // or for the station, while it holds an unsent frame. A datagram therefore
 // leaves when (a) another full frame would not fit maxDatagram, (b) the
-// next position is not yet buffered on the subscription, or (c) credit is
-// exhausted. No timer is involved: on a virtual clock the station fills the
-// subscription buffer while the pump is inside the send, so datagrams fill;
-// on a paced clock a packet arrives once per airtime, so each is sent alone
-// the moment it airs.
+// subscription cannot serve the next position without waiting
+// (station.Sub.Ready), or (c) credit is exhausted. No timer is involved: on
+// a virtual clock the plain subscription lets the clock run ahead of the
+// pump while it is inside the send, so datagrams fill; on a paced clock a
+// position airs once per airtime, so each is sent alone the moment it airs.
 func (b *Broadcaster) pump(r *remote) {
 	defer b.wg.Done()
 	defer b.forget(r)
@@ -420,10 +420,11 @@ func (b *Broadcaster) pump(r *remote) {
 		// Credit gate: stream only positions the receiver asked for
 		// (want <= pos < limit). While the pump waits for credit the
 		// subscription stays live, exactly like an in-process subscriber
-		// between At calls: its buffer fills and the virtual clock's
-		// lossless backpressure holds the station, so the remote misses
-		// nothing (on a paced clock real time does not wait and the
-		// overrun surfaces as losses, like any slow radio). A remote that
+		// between At calls: the virtual clock's lossless backpressure holds
+		// the station Buffer positions past it, so the remote misses
+		// nothing (on a paced clock real time does not wait, and positions
+		// more than Buffer behind the air surface as losses, like any slow
+		// radio). A remote that
 		// stops granting credit without a bye is expired by the janitor,
 		// which bounds how long it can hold the air.
 		for {
@@ -459,9 +460,9 @@ func (b *Broadcaster) pump(r *remote) {
 				flush() // rule (a)
 			}
 		}
-		// A position the subscription itself lost (paced-clock backpressure
-		// drop) is not sent: the receiver sees the wire skip past it and
-		// serves it as a lost reception, same as any dropped frame.
+		// A position the subscription itself lost (a paced-clock miss) is
+		// not sent: the receiver sees the wire skip past it and serves it
+		// as a lost reception, same as any dropped frame.
 		pos++
 	}
 }

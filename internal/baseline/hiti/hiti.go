@@ -373,22 +373,16 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 	var plan broadcast.Plan
 	var stash packet.Packet
 	stashPos := -1
-	for ptr, tries := -1, 0; ; tries++ {
+	ptr, err := t.SeekIndex()
+	if err != nil {
+		return scheme.Result{}, fmt.Errorf("hiti: %w", err)
+	}
+	for {
 		abs := t.Pos()
-		if ptr < 0 && tries > 10*t.CycleLen() {
-			return scheme.Result{}, fmt.Errorf("hiti: no intact packet on channel")
-		}
-		if ptr >= 0 && abs > ptr+t.CycleLen() {
+		if abs > ptr+t.CycleLen() {
 			break
 		}
 		p, ok := t.Listen()
-		if ptr < 0 {
-			if ok {
-				ptr = abs + int(p.NextIndex)
-				t.SleepTo(ptr)
-			}
-			continue
-		}
 		if p.Kind != packet.KindIndex {
 			if ok {
 				stash, stashPos = p, abs%t.CycleLen()

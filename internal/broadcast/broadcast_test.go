@@ -143,6 +143,27 @@ func TestTunerNextOccurrence(t *testing.T) {
 	}
 }
 
+// TestTunerSeekIndex: SeekIndex listens once on a clean channel and sleeps
+// to the index its packet names, and on a channel that loses everything it
+// gives up after ten cycles of listening instead of spinning forever.
+func TestTunerSeekIndex(t *testing.T) {
+	c := cycleWith(t, 2, 4, 3) // index [0,2), data [2,6), index [6,9)
+	ch, _ := NewChannel(c, 0, 1)
+	for start, want := range map[int]int{3: 6, 6: 9, 10: 15} {
+		tn := NewTuner(ch, start)
+		got, err := tn.SeekIndex()
+		if err != nil || got != want || tn.Pos() != want || tn.Tuning() != 1 {
+			t.Errorf("from %d: SeekIndex = %d, %v (pos %d, tuning %d), want %d after one listen",
+				start, got, err, tn.Pos(), tn.Tuning(), want)
+		}
+	}
+	lossy, _ := NewChannel(c, 0.999999, 1)
+	tn := NewTuner(lossy, 0)
+	if _, err := tn.SeekIndex(); err == nil || tn.Tuning() != 10*c.Len()+1 {
+		t.Errorf("all lost: SeekIndex err %v after %d listens, want an error after %d", err, tn.Tuning(), 10*c.Len()+1)
+	}
+}
+
 func TestTunerSleepBackwardPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

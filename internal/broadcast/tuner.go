@@ -363,6 +363,23 @@ func (t *Tuner) SleepTo(abs int) {
 	t.pos = abs
 }
 
+// SeekIndex listens until a packet arrives intact, then sleeps to the index
+// packet its next-index pointer names (packet.Packet.NextIndex), and returns
+// that position: how a client that tuned in anywhere, or lost a whole index
+// copy, finds the next index. It fails once ten cycles of listening bring no
+// intact packet.
+func (t *Tuner) SeekIndex() (int, error) {
+	for tries := 0; ; tries++ {
+		if tries > 10*t.CycleLen() {
+			return 0, fmt.Errorf("broadcast: no intact packet in %d listens", tries)
+		}
+		if p, ok := t.Listen(); ok {
+			t.SleepTo(max(t.pos-1+int(p.NextIndex), t.pos))
+			return t.pos, nil
+		}
+	}
+}
+
 // NextOccurrence returns the smallest absolute position >= Pos whose cycle
 // position equals cyclePos.
 func (t *Tuner) NextOccurrence(cyclePos int) int {

@@ -386,19 +386,10 @@ func finishSearch(coll *netdata.Collector, q scheme.Query, mem *metrics.Mem, cpu
 // packets lost in one copy from subsequent copies (Section 6.2).
 func receiveFullIndex(t *broadcast.Tuner, idx *ebIndex) error {
 	// Initial packet: every packet carries the pointer to the next index.
-	ptr := -1
-	for tries := 0; ptr < 0; tries++ {
-		if tries > 10*t.CycleLen() {
-			return fmt.Errorf("core: no intact packet found on channel")
-		}
-		p, ok := t.Listen()
-		if ok {
-			ptr = t.Pos() - 1 + int(p.NextIndex)
-		}
+	copyStart, err := t.SeekIndex()
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	t.SleepTo(ptr)
-
-	copyStart := ptr
 	for rounds := 0; !idx.complete(); rounds++ {
 		if rounds > 64 {
 			return fmt.Errorf("core: index not received after %d copies", rounds)
@@ -410,15 +401,8 @@ func receiveFullIndex(t *broadcast.Tuner, idx *ebIndex) error {
 		if nextPtr <= copyStart {
 			// Every packet of the copy was lost: listen on until an intact
 			// packet points at the next index copy.
-			for tries := 0; ; tries++ {
-				if tries > 10*t.CycleLen() {
-					return fmt.Errorf("core: broken next-index pointer chain")
-				}
-				p, ok := t.Listen()
-				if ok {
-					nextPtr = t.Pos() - 1 + int(p.NextIndex)
-					break
-				}
+			if nextPtr, err = t.SeekIndex(); err != nil {
+				return fmt.Errorf("core: next index copy: %w", err)
 			}
 		}
 		copyStart = nextPtr

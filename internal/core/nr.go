@@ -261,17 +261,9 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	// Step 1: find the subsequent local index (Algorithm 2, lines 1-7) and
 	// keep receiving local indexes until the replicated global components
 	// (splits + directory) are assembled. With no loss this is one index.
-	ptr := -1
-	for tries := 0; ptr < 0; tries++ {
-		if tries > 10*t.CycleLen() {
-			return scheme.Result{}, fmt.Errorf("core: NR: no intact packet found on channel")
-		}
-		p, ok := t.Listen()
-		if ok {
-			ptr = t.Pos() - 1 + int(p.NextIndex)
-		}
+	if _, err := t.SeekIndex(); err != nil {
+		return scheme.Result{}, fmt.Errorf("core: NR: %w", err)
 	}
-	t.SleepTo(ptr)
 	for rounds := 0; ; rounds++ {
 		if rounds > 4*256 {
 			return scheme.Result{}, fmt.Errorf("core: NR: could not assemble index globals")
@@ -282,15 +274,8 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 		}
 		// Skip to the next local index using the pointer of the last
 		// position: listen for an intact packet, then sleep.
-		ptr := -1
-		for ptr < 0 {
-			p, ok := t.Listen()
-			if ok {
-				ptr = t.Pos() - 1 + int(p.NextIndex)
-			}
-		}
-		if ptr > t.Pos() {
-			t.SleepTo(ptr)
+		if _, err := t.SeekIndex(); err != nil {
+			return scheme.Result{}, fmt.Errorf("core: NR: next local index: %w", err)
 		}
 	}
 	n := st.meta.NumRegions

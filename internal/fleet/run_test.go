@@ -331,7 +331,7 @@ func TestRunChurnClassifiesRefusals(t *testing.T) {
 	if err := d.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	hold, err := d.Station().SubscribeExact(0, 0)
+	hold, err := d.Station().Subscribe(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func (m *Station) Subscribe(lossRate float64, seed int64, opts RxOptions) (*Rx, 
 	src := &liveSource{subs: make([]*station.Sub, m.K())}
 	t0 := 0
 	for c, st := range m.stations {
-		sub, err := st.SubscribeExact(lossRate, int64(chanSeed(seed, c)))
+		sub, err := st.Subscribe(lossRate, int64(chanSeed(seed, c)))
 		if err != nil {
 			src.Close()
 			return nil, err

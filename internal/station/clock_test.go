@@ -93,7 +93,7 @@ func TestIdleGroupSwap(t *testing.T) {
 func TestJumpStopsAtPendingSwapBoundary(t *testing.T) {
 	c1, c2 := versionedCycle(40, 1), versionedCycle(52, 2)
 	st := startStation(t, c1, Config{Start: 3})
-	sub, err := st.SubscribeExact(0, 1)
+	sub, err := st.Subscribe(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSkippedPacketsCounted(t *testing.T) {
 	if err := st.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := st.SubscribeExact(0.05, 9)
+	sub, err := st.Subscribe(0.05, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestHopNeverMissesUnderJump(t *testing.T) {
 			subs := make([]*Sub, k)
 			tick := 0
 			for c, st := range members {
-				sub, err := st.SubscribeExact(0, int64(id))
+				sub, err := st.Subscribe(0, int64(id))
 				if err != nil {
 					t.Error(err)
 					return
@@ -310,7 +310,7 @@ func TestVirtualStartAddsNoGoroutine(t *testing.T) {
 // move, and a new subscription tunes in where it stands.
 func TestIdleClockStandsStill(t *testing.T) {
 	st := startStation(t, testCycle(40), Config{Start: 7})
-	sub, err := st.SubscribeExact(0, 1)
+	sub, err := st.Subscribe(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ var allocClocks = []Config{{}, {BitsPerSecond: 51_200_000, Buffer: 1 << 16}}
 func TestVirtualReceptionAllocatesNothing(t *testing.T) {
 	for _, cfg := range allocClocks {
 		st := startStation(t, testCycle(50), cfg)
-		sub, err := st.SubscribeExact(0.1, 3)
+		sub, err := st.Subscribe(0.1, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestVirtualReceptionAllocatesNothing(t *testing.T) {
 func TestVirtualSpanAllocatesNothing(t *testing.T) {
 	for _, cfg := range allocClocks {
 		st := startStation(t, testCycle(50), cfg)
-		sub, err := st.SubscribeExact(0.1, 3)
+		sub, err := st.Subscribe(0.1, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,12 +484,12 @@ func TestPacedSpanMatchesAt(t *testing.T) {
 }
 
 // TestConcurrentSpansMatchReplay runs span listeners on one virtual group
-// clock under -race: exact sessions on two members receive random runs by
-// Span, waiting on each other and on a plain subscription that streams a
-// third member and makes a group swap midway, so views are cut where
-// another listener holds the clock and at the swap. Every position of
-// every view must equal an offline replay of the version on the air at its
-// tick, under the listener's own loss pattern.
+// clock under -race: sessions on two members receive random runs by Span,
+// waiting on each other and on a subscription that streams a third member
+// without declaring a window and makes a group swap midway, so views are
+// cut where another listener holds the clock and at the swap. Every
+// position of every view must equal an offline replay of the version on
+// the air at its tick, under the listener's own loss pattern.
 func TestConcurrentSpansMatchReplay(t *testing.T) {
 	const k, loss = 3, 0.1
 	cycles := [3][]*broadcast.Cycle{} // by version
@@ -497,7 +497,7 @@ func TestConcurrentSpansMatchReplay(t *testing.T) {
 	for c := range members {
 		cycles[1] = append(cycles[1], versionedCycle(57+6*c, 1))
 		cycles[2] = append(cycles[2], versionedCycle(66+5*c, 2))
-		st, err := New(cycles[1][c], Config{Buffer: 4})
+		st, err := New(cycles[1][c], Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,7 +525,7 @@ func TestConcurrentSpansMatchReplay(t *testing.T) {
 	)
 	for id := int64(1); id <= 4; id++ {
 		member := int(id) % 2
-		sub, err := members[member].SubscribeExact(loss, id)
+		sub, err := members[member].Subscribe(loss, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -612,12 +612,12 @@ func TestConcurrentSpansMatchReplay(t *testing.T) {
 }
 
 // TestConcurrentListenersMatchReplay runs every kind of listener on one
-// virtual group clock at once, under -race: exact sessions that sleep and
-// prefetch on member 0, a plain subscription streaming member 1 through a
-// 4-slot allowance, and a radio hopping across all four members, with a
-// group swap midway (made by the streaming listener halfway through its
-// stream). Every reception must equal an offline replay of the version on
-// the air at its tick, under the listener's own loss pattern.
+// virtual group clock at once, under -race: sessions that sleep and
+// prefetch on member 0, a subscription streaming member 1 one position at
+// a time without declaring a window, and a radio hopping across all four
+// members, with a group swap midway (made by the streaming listener halfway
+// through its stream). Every reception must equal an offline replay of the
+// version on the air at its tick, under the listener's own loss pattern.
 func TestConcurrentListenersMatchReplay(t *testing.T) {
 	const k, loss = 4, 0.1
 	cycles := [3][]*broadcast.Cycle{} // by version
@@ -625,7 +625,7 @@ func TestConcurrentListenersMatchReplay(t *testing.T) {
 	for c := range members {
 		cycles[1] = append(cycles[1], versionedCycle(61+6*c, 1))
 		cycles[2] = append(cycles[2], versionedCycle(64+5*c, 2))
-		st, err := New(cycles[1][c], Config{Buffer: 4})
+		st, err := New(cycles[1][c], Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -657,15 +657,15 @@ func TestConcurrentListenersMatchReplay(t *testing.T) {
 		heard = append(heard, reception{member, tick, seed, p, ok})
 		mu.Unlock()
 	}
-	subscribe := func(member int, exact bool, seed int64) *Sub {
-		sub, err := members[member].subscribe(loss, seed, exact)
+	subscribe := func(member int, seed int64) *Sub {
+		sub, err := members[member].Subscribe(loss, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sub
 	}
 	for id := int64(1); id <= 3; id++ { // sleeping, prefetching sessions
-		sub := subscribe(0, true, id)
+		sub := subscribe(0, id)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -683,7 +683,7 @@ func TestConcurrentListenersMatchReplay(t *testing.T) {
 			}
 		}()
 	}
-	stream := subscribe(1, false, 10) // a plain streaming subscription
+	stream := subscribe(1, 10) // a streaming subscription that declares nothing
 	swapped := make(chan (<-chan int), 1)
 	wg.Add(1)
 	go func() {
@@ -707,7 +707,7 @@ func TestConcurrentListenersMatchReplay(t *testing.T) {
 		subs := make([]*Sub, k)
 		tick := 0
 		for c := range subs {
-			subs[c] = subscribe(c, true, int64(20+c))
+			subs[c] = subscribe(c, int64(20+c))
 			defer subs[c].Close()
 			tick = max(tick, subs[c].Start())
 		}
@@ -759,38 +759,47 @@ func TestConcurrentListenersMatchReplay(t *testing.T) {
 	}
 }
 
-// TestAllowancesBoundTheClock pins what each kind of subscription lets a
-// virtual clock pass, asked through Ready (which moves nothing): an exact
-// subscription its want and its declared window, a plain one Buffer
-// positions past its want, a parked one everything.
+// TestAllowancesBoundTheClock pins what a subscription lets a virtual clock
+// pass, asked through Ready (which moves nothing): its want and its declared
+// window, or everything once parked. A wire pump's declared window is its
+// remote's credit window: granted credit to limit, it lets the clock pass
+// limit-1 and no further, however far its want lags.
 func TestAllowancesBoundTheClock(t *testing.T) {
-	st := startStation(t, testCycle(90), Config{Buffer: 8})
-	exact, err := st.SubscribeExact(0, 1)
+	st := startStation(t, testCycle(90), Config{})
+	session, err := st.Subscribe(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exact.Close()
-	plain, err := st.Subscribe(0, 2)
+	defer session.Close()
+	other, err := st.Subscribe(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
-	s := exact.Start()
+	defer other.Close()
+	s := session.Start()
 	check := func(sub *Sub, abs int, want bool, what string) {
 		t.Helper()
 		if got := sub.Ready(abs); got != want {
 			t.Errorf("%s: Ready(start+%d) = %v, want %v", what, abs-s, got, want)
 		}
 	}
-	check(plain, s, true, "exact at its want")
-	check(plain, s+1, false, "exact at its want")
-	exact.Prefetch(s, 5)
-	check(plain, s+4, true, "exact with a 5-position window")
-	check(plain, s+5, false, "exact with a 5-position window")
-	exact.Park()
-	check(plain, s+1000, true, "parked")
-	check(exact, s+7, true, "plain, Buffer 8")
-	check(exact, s+8, false, "plain, Buffer 8")
+	check(other, s, true, "at its want")
+	check(other, s+1, false, "at its want")
+	session.Prefetch(s, 5)
+	check(other, s+4, true, "with a 5-position window")
+	check(other, s+5, false, "with a 5-position window")
+	session.Park()
+	check(other, s+1000, true, "parked")
+	// A pump granted credit [s, s+40) declares it; its want stays at s.
+	pump, err := st.Subscribe(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pump.Close()
+	check(other, s+1, false, "a pump at its tune-in")
+	pump.Prefetch(s, 40)
+	check(other, s+39, true, "a pump's credit window")
+	check(other, s+40, false, "a pump's credit window")
 	if st.Pos() != s {
 		t.Fatalf("Ready moved the clock %d -> %d", s, st.Pos())
 	}

@@ -16,12 +16,14 @@
 // clocks differ only in what moves them, and neither runs a goroutine or
 // keeps a buffer. With BitsPerSecond == 0 the clock is virtual and moves
 // when its listeners pull: it passes a position only if every subscription
-// allows it, so tune-in and swap positions are those of a station that
-// transmitted as fast as its listeners accepted. With BitsPerSecond > 0 the
-// clock is paced: its position is a function of wall time, one position per
-// packet airtime (PacketBits, the paper's 128-byte packets). A listener
-// sleeps until the positions it asks for have aired, and one that asks for
-// a position more than Buffer positions behind the air has missed it, which
+// allows it — a parked one everything, any other its want and the window
+// its listener declared (a session's run, a wire pump's credit window) — so
+// tune-in and swap positions are those of a station that transmitted as
+// fast as its listeners accepted. With BitsPerSecond > 0 the clock is
+// paced: its position is a function of wall time, one position per packet
+// airtime (PacketBits, the paper's 128-byte packets). A listener sleeps
+// until the positions it asks for have aired, and one that asks for a
+// position more than Buffer positions behind the air has missed it, which
 // its feed reports as lost — a radio cannot pause the broadcast.
 package station
 
@@ -74,10 +76,10 @@ type Config struct {
 	BitsPerSecond int
 	// PacketBits is the airtime of one packet; default metrics.PacketBits.
 	PacketBits int
-	// Buffer is how far behind the air a listener may fall, in packets,
-	// default 1024: a paced subscription still hears a position until Buffer
-	// more have aired, and on a virtual clock a plain subscription lets the
-	// clock run Buffer positions past its want.
+	// Buffer is how far behind a paced air a listener may fall, in packets,
+	// default 1024: a subscription still hears a position until Buffer more
+	// have aired, and one it asks for later is served as missed. A virtual
+	// clock waits for its listeners, so none falls behind it.
 	Buffer int
 	// Start is the absolute position the station begins transmitting at.
 	Start int
@@ -625,29 +627,18 @@ func (s *Station) Subscribers() int {
 // a private deterministic loss pattern (rate in [0,1), seeded like
 // broadcast.NewChannel). The subscription is a broadcast.Feed; wrap it in a
 // tuner with broadcast.NewFeedTuner(sub, sub.Start()). Close it when the
-// query is done. On a virtual clock it lets the clock run up to Buffer
-// positions past its want, so a listener that streams the air without
-// declaring anything (a wire pump) rarely waits.
+// query is done. On a virtual clock it lets the clock pass only its want and
+// the window it declares (Prefetch), so a dozing listener costs the station
+// nothing and tune-in positions are those of an air that waited for it. A
+// listener that streams the air declares its run the same way: a wire pump
+// declares its remote's credit window. Park the subscription whenever the
+// radio tunes to a sibling channel.
 func (s *Station) Subscribe(lossRate float64, seed int64) (*Sub, error) {
-	return s.subscribe(lossRate, seed, false)
-}
-
-// SubscribeExact is Subscribe for a listener that says what it wants — a
-// live session's tuner, one shard of a multi-channel radio: on a virtual
-// clock it lets the clock pass only its want and the windows it declares
-// (Prefetch), so a dozing listener costs the station nothing and tune-in
-// positions are those of an air that waited for it. Park the subscription
-// whenever the radio tunes to a sibling channel.
-func (s *Station) SubscribeExact(lossRate float64, seed int64) (*Sub, error) {
-	return s.subscribe(lossRate, seed, true)
-}
-
-func (s *Station) subscribe(lossRate float64, seed int64, exact bool) (*Sub, error) {
 	if lossRate < 0 || lossRate >= 1 {
 		return nil, fmt.Errorf("station: loss rate %v outside [0,1)", lossRate)
 	}
 	c := s.clk
-	sub := &Sub{st: s, loss: lossRate, seed: uint64(seed), exact: exact, slots: noSlots}
+	sub := &Sub{st: s, loss: lossRate, seed: uint64(seed), slots: noSlots}
 	sub.want.Store(parked)
 	if c.interval == 0 {
 		sub.passed = make(chan struct{}, 1)
@@ -685,7 +676,6 @@ type Sub struct {
 	loss  float64
 	seed  uint64
 	start int
-	exact bool
 
 	// want is the lowest absolute position the listener still needs (parked
 	// while it needs none): on a virtual clock nothing below it is passed
@@ -715,14 +705,9 @@ type Sub struct {
 }
 
 // allows returns the position below which this unparked subscription lets
-// the clock pass: its want and declared window if exact, Buffer positions
-// past its want otherwise. The caller holds the clock's mutex.
-func (s *Sub) allows() int64 {
-	if s.exact {
-		return max(s.want.Load()+1, s.limit)
-	}
-	return s.want.Load() + int64(s.st.cfg.Buffer)
-}
+// the clock pass: its want and its declared window. The caller holds the
+// clock's mutex.
+func (s *Sub) allows() int64 { return max(s.want.Load()+1, s.limit) }
 
 // Start returns the tune-in position: the first absolute position this
 // subscription is guaranteed to receive.
@@ -957,8 +942,9 @@ func (s *Sub) declare(want, limit int64) {
 
 // Prefetch declares that the listener will receive the n positions
 // [from, from+n) back to back, and so nothing before from: its want rises
-// to from, and an exact subscription on a virtual clock lets the clock run
-// to from+n. What the listener receives is unchanged, making this purely a
+// to from, and on a virtual clock the subscription lets the clock run to
+// from+n — a session's run, or the credit window a wire pump's remote
+// granted. What the listener receives is unchanged, making this purely a
 // batching hint (broadcast.Prefetcher). A parked subscription stays parked:
 // only WakeAt or At re-arm it.
 //
@@ -969,7 +955,7 @@ func (s *Sub) Prefetch(from, n int) {
 
 // WakeAt declares the next absolute position the listener needs without
 // receiving anything: positions below it are skipped (the radio sleeps),
-// and an exact subscription holds a virtual clock there. A multi-channel
+// and the subscription holds a virtual clock there. A multi-channel
 // radio calls this on the channel it is hopping to before parking the
 // channel it is leaving, so the shared clock is never unheld.
 func (s *Sub) WakeAt(abs int) { s.declare(int64(abs), s.limit) }

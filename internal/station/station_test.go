@@ -94,7 +94,7 @@ func TestMidCycleTuneIn(t *testing.T) {
 // slept-to position in one jump.
 func TestSleepSkipsDelivery(t *testing.T) {
 	cycle := testCycle(50)
-	st := startStation(t, cycle, Config{Buffer: 4})
+	st := startStation(t, cycle, Config{})
 	sub, err := st.Subscribe(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestSleepSkipsDelivery(t *testing.T) {
 	tuner := broadcast.NewFeedTuner(sub, sub.Start())
 	tuner.Listen()
 	skipped := obsSkipped.Value()
-	// Sleep three cycles ahead — far beyond the 4-packet buffer. With the
-	// sleeping radio modelled (want position), this must not deadlock.
+	// Sleep three cycles ahead. With the sleeping radio modelled (want
+	// position), this must not deadlock.
 	target := tuner.Pos() + 3*cycle.Len()
 	tuner.SleepTo(target)
 	p, ok := tuner.Listen()
@@ -115,14 +115,12 @@ func TestSleepSkipsDelivery(t *testing.T) {
 	if p.Kind != want.Kind || string(p.Payload) != string(want.Payload) {
 		t.Fatalf("after sleep got %v/%v, want %v/%v", p.Kind, p.Payload, want.Kind, want.Payload)
 	}
-	// Before the sleep the station ran at most the buffer (plus the packet
-	// in its hand) ahead of the listener, and it does so again after
-	// delivering the target; everything in between it passed without a step.
-	const ahead = 4 + 2
-	if pos := st.Pos(); pos <= target || pos > target+1+ahead {
+	// The clock stops just past each position the listener receives, so it
+	// passed everything in between without a step.
+	if pos := st.Pos(); pos != target+1 {
 		t.Errorf("station at %d after the listener slept to %d, want just past it", pos, target)
 	}
-	if got := obsSkipped.Value() - skipped; got < int64(3*cycle.Len()-ahead) {
+	if got := obsSkipped.Value() - skipped; got < int64(3*cycle.Len()-1) {
 		t.Errorf("station skipped %d positions of a %d-position sleep, stepped through the rest", got, 3*cycle.Len())
 	}
 }
@@ -179,6 +177,10 @@ func TestTwoSubscribersIndependentLoss(t *testing.T) {
 	}
 	defer b.Close()
 	start := max(a.Start(), b.Start())
+	// One goroutine reads both: each declares its run first, as an exact
+	// client does, so neither waits for the other to pull the clock.
+	a.Prefetch(start, 3*cycle.Len())
+	b.Prefetch(start, 3*cycle.Len())
 	differ := false
 	for i := 0; i < 3*cycle.Len(); i++ {
 		_, okA := a.At(start + i)
@@ -193,10 +195,10 @@ func TestTwoSubscribersIndependentLoss(t *testing.T) {
 }
 
 // TestUnsubscribeUnderBackpressure checks that closing a subscription that
-// stopped draining unblocks the station for the remaining listeners.
+// stopped listening unblocks the station for the remaining listeners.
 func TestUnsubscribeUnderBackpressure(t *testing.T) {
 	cycle := testCycle(20)
-	st := startStation(t, cycle, Config{Buffer: 2})
+	st := startStation(t, cycle, Config{})
 	stall, err := st.Subscribe(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +208,8 @@ func TestUnsubscribeUnderBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	// Fill the stalled subscriber's buffer so the station blocks on it, then
-	// close it from here: the live subscriber must keep receiving.
+	// The stalled subscriber holds the clock at its want; close it from
+	// here: the live subscriber must keep receiving.
 	time.Sleep(10 * time.Millisecond)
 	stall.Close()
 	done := make(chan struct{})
@@ -339,7 +341,7 @@ func TestReadyAnswersForAt(t *testing.T) {
 	}
 
 	t.Run("virtual", func(t *testing.T) {
-		st := startStation(t, cycle, Config{Buffer: 8})
+		st := startStation(t, cycle, Config{})
 		sub, err := st.Subscribe(0, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +349,7 @@ func TestReadyAnswersForAt(t *testing.T) {
 		defer sub.Close()
 		start := sub.Start()
 		if !sub.Ready(start) || !sub.Ready(start+3) {
-			t.Fatal("Ready false for a buffered position")
+			t.Fatal("Ready false with no other subscription holding the clock")
 		}
 		check(sub, start+3) // Ready slept over start..start+2, like At would
 		st.Stop()
@@ -443,7 +445,7 @@ func TestMissedSubsetOfLost(t *testing.T) {
 // offline channel with the same seed.
 func TestManyConcurrentSubscribers(t *testing.T) {
 	cycle := testCycle(64)
-	st := startStation(t, cycle, Config{Buffer: 256})
+	st := startStation(t, cycle, Config{})
 	const listeners = 120
 	var wg sync.WaitGroup
 	errs := make(chan error, listeners)

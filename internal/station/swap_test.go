@@ -217,7 +217,7 @@ func TestSwapAbandonedOnStop(t *testing.T) {
 			// clock within a tick or two of its tune-in, so the boundary-aligned
 			// swap (almost) never gets to apply before Stop; the waiter below
 			// accepts either outcome, and Stop must resolve it either way.
-			sub, err := st.SubscribeExact(0, 1)
+			sub, err := st.Subscribe(0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,12 +266,12 @@ func TestSwapAbandonedOnStop(t *testing.T) {
 			if err := g.Start(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			subA, err := ga.SubscribeExact(0, 2)
+			subA, err := ga.Subscribe(0, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			subA.Park()
-			subB, err := gb.SubscribeExact(0, 3)
+			subB, err := gb.Subscribe(0, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,12 +365,12 @@ func TestGroupSwapAtomic(t *testing.T) {
 			}
 			defer g.Stop()
 
-			subA, err := stA.SubscribeExact(0, 1)
+			subA, err := stA.Subscribe(0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer subA.Close()
-			subB, err := stB.SubscribeExact(0, 2)
+			subB, err := stB.Subscribe(0, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -227,7 +227,7 @@ type Live struct{ *station.Station }
 func (l Live) Start(ctx context.Context) error { return started(l.Station.Start(ctx)) }
 
 func (l Live) Attach(t Tune) (Attachment, error) {
-	sub, err := l.SubscribeExact(t.Loss, t.Seed)
+	sub, err := l.Subscribe(t.Loss, t.Seed)
 	if err != nil {
 		return Attachment{}, err
 	}

@@ -132,6 +132,69 @@ func TestCreditExhaustionFlushes(t *testing.T) {
 	waitRemotes(t, b, 0)
 }
 
+// TestPumpHoldsClockAtCredit: a remote's pump declares its credit window on
+// an exact subscription, so a remote that stops granting credit holds a
+// virtual station at exactly its granted limit, as an in-process session
+// holds it at its declared window: the station stands at the limit, and an
+// in-process listener tuned in there waits until the remote's bye releases
+// the clock.
+func TestPumpHoldsClockAtCredit(t *testing.T) {
+	g := conformance.Network(t, 200, 300, 11)
+	srv := testServers(t, g)[1]
+	st := startStation(t, srv)
+	b := serve(t, st, BroadcasterOptions{})
+
+	c := rawDial(t, b)
+	const window = 40
+	w := rawHello(t, c, window)
+	limit := int(w.Start) + window
+	for next := int(w.Start); next < limit; {
+		ftype, body, ok := c.read(2 * time.Second)
+		if !ok {
+			t.Fatalf("stream stopped at %d with credit to %d", next, limit)
+		}
+		if ftype != packet.FrameData {
+			continue
+		}
+		if pos := dataPos(t, body); pos != next {
+			t.Fatalf("got position %d, want %d", pos, next)
+		}
+		next++
+	}
+	if _, _, ok := c.read(100 * time.Millisecond); ok {
+		t.Fatal("a frame past the credit limit")
+	}
+	if pos := st.Pos(); pos != limit {
+		t.Fatalf("station at %d, want it held at the credit limit %d", pos, limit)
+	}
+
+	sub, err := st.Subscribe(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if sub.Ready(limit) || sub.Ready(limit+1000) {
+		t.Fatalf("an in-process listener is ready past the credit limit %d", limit)
+	}
+	heard := make(chan struct{})
+	go func() {
+		defer close(heard)
+		sub.At(limit + 5)
+	}()
+	select {
+	case <-heard:
+		t.Fatalf("At(%d) returned while the remote held the clock at %d", limit+5, limit)
+	case <-time.After(50 * time.Millisecond):
+	}
+	c.send(appendBye(nil))
+	select {
+	case <-heard:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the remote's bye did not release the clock")
+	}
+	waitRemotes(t, b, 0)
+}
+
 // TestReleaseMidStream releases a remote every way there is while its pump
 // is streaming flat out (so, more often than not, holding a part-built
 // datagram): the pump exits, the station subscription is returned, Close

@@ -384,10 +384,12 @@ func (r *remote) shut() { r.closeOnce.Do(func() { close(r.done) }) }
 // or for the station, while it holds an unsent frame. A datagram therefore
 // leaves when (a) another full frame would not fit maxDatagram, (b) the
 // subscription cannot serve the next position without waiting
-// (station.Sub.Ready), or (c) credit is exhausted. No timer is involved: on
-// a virtual clock the plain subscription lets the clock run ahead of the
-// pump while it is inside the send, so datagrams fill; on a paced clock a
-// position airs once per airtime, so each is sent alone the moment it airs.
+// (station.Sub.Ready), or (c) credit is exhausted. No timer is involved: the
+// pump declares the remote's credit window on its subscription
+// (station.Sub.Prefetch) whenever the granted limit moves, so on a virtual
+// clock its first At pulls the clock to the limit and the rest of the window
+// is ready, so datagrams fill; on a paced clock a position airs once per
+// airtime, so each is sent alone the moment it airs.
 func (b *Broadcaster) pump(r *remote) {
 	defer b.wg.Done()
 	defer b.forget(r)
@@ -407,6 +409,7 @@ func (b *Broadcaster) pump(r *remote) {
 		batch, frames = batch[:0], 0
 	}
 	pos := r.sub.Start()
+	var declared int64 // the limit the subscription's window ends at
 	for {
 		// A remote released with frames still batched loses them with the
 		// rest of its stream: nothing is written for a receiver that is gone.
@@ -420,18 +423,21 @@ func (b *Broadcaster) pump(r *remote) {
 		// Credit gate: stream only positions the receiver asked for
 		// (want <= pos < limit). While the pump waits for credit the
 		// subscription stays live, exactly like an in-process subscriber
-		// between At calls: the virtual clock's lossless backpressure holds
-		// the station Buffer positions past it, so the remote misses
-		// nothing (on a paced clock real time does not wait, and positions
-		// more than Buffer behind the air surface as losses, like any slow
-		// radio). A remote that
-		// stops granting credit without a bye is expired by the janitor,
-		// which bounds how long it can hold the air.
+		// between At calls: it holds a virtual clock at the limit it
+		// declared, so the remote misses nothing (on a paced clock real
+		// time does not wait, and positions more than Buffer behind the air
+		// surface as losses, like any slow radio). A remote that stops
+		// granting credit without a bye is expired by the janitor, which
+		// bounds how long it can hold the air.
 		for {
 			if w := r.want.Load(); int64(pos) < w {
 				pos = int(w)
 			}
-			if int64(pos) < r.limit.Load() {
+			if l := r.limit.Load(); int64(pos) < l {
+				if l != declared {
+					r.sub.Prefetch(pos, int(l)-pos)
+					declared = l
+				}
 				break
 			}
 			flush() // rule (c): everything below limit is out before parking

@@ -14,10 +14,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"repro"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -105,7 +105,7 @@ func loadNetwork(netFile, preset string, scale float64, seed int64) (*repro.Grap
 }
 
 func verdict(got, want float64) string {
-	if math.Abs(got-want) <= 1e-3*(1+want) {
+	if workload.SameDist(got, want) {
 		return "exact"
 	}
 	return "MISMATCH"

@@ -158,10 +158,11 @@ var testSupport = map[string]string{
 // TestEveryDeclarationHasANonTestUse is TestEveryInternalPackageIsReachable
 // one level down: every package-level func, type, var and const declared in
 // non-test code under internal/ is used by non-test code somewhere in the
-// tree (bench/ included; its own package counts). Struct fields are not
-// checked, nor the members of an iota const block (their values are a
-// format), package main, or the test-support packages; methods have their
-// own check below. A declaration only tests use is listed below with its
+// tree. bench/ is a measurement of the product, not a use of it: a name only
+// bench/ reaches needs an exception like a name only tests reach. Struct
+// fields are not checked, nor the members of an iota const block (their
+// values are a format), package main, or the test-support packages; methods
+// have their own check below. A declaration only tests use is listed below with its
 // reason; an entry that is used, or names nothing, fails too.
 func TestEveryDeclarationHasANonTestUse(t *testing.T) {
 	exceptions := map[string]string{
@@ -172,6 +173,17 @@ func TestEveryDeclarationHasANonTestUse(t *testing.T) {
 		"servercache.Len":           "test hook: counts the in-memory entries",
 		"update.NewReplay":          "the offline oracle the update conformance fuzzers compare the live manager against",
 		"baseline/djair.WriteCycle": "the streamed DJ build CI's scale job (internal/scale's TestContinentScale) writes to disk",
+
+		// Reached only from bench/, which is not product code: each is kept
+		// for the measurement named.
+		"broadcast.NewChannel":  "the plain replayed channel: TestK1BitForBit pins the offline air against it, TestPayloadLifetime scribbles on it, and bench/'s offline_replay trace and listen probes drive it",
+		"broadcast.NewTuner":    "bench/'s broadcast.listen_ns_per_packet and baseline.dj_lossy_query_ms probes tune straight onto a plain channel",
+		"broadcast.WithTrailer": "bench/'s update.delta_encode_us probe prices a delta trailer; ROADMAP item 11 deletes it with the delta encoder",
+		"core.DefaultOptions":   "bench/'s build probes read the paper's default region count from it",
+		"graph.MapFile":         "the AIRM mapped graph: bench/'s graph.mapfile_open_ms probe and internal/scale's SCALE=1 test; ROADMAP item 11 decides it",
+		"graph.WriteMapped":     "writes the AIRM file graph.MapFile opens, for the same probe and test",
+		"packet.DecodeFrame":    "bench/'s packet.frame_decode_ns probe; the receiver opens envelopes itself (ROADMAP item 11)",
+		"packet.EncodeDelta":    "bench/'s update.delta_encode_us probe; ROADMAP item 11 deletes it with the delta encoder",
 	}
 
 	unused, declared := unusedDeclarations(loadTree(t))
@@ -211,6 +223,10 @@ func TestEveryMethodHasANonTestUse(t *testing.T) {
 		"update.Replay.SwapAt":    "the offline oracle's swap, like update.NewReplay: the update conformance fuzzers drive mid-swap scenarios through it",
 		"chaos.Injector.WireHook": "ROADMAP item 1's seeded whole-stack simulation composes the injector with wire.Broadcaster through it",
 		"chaos.Schedule.At":       "ROADMAP item 1's seeded whole-stack simulation reads a fault schedule position by position through it",
+
+		// Reached only from bench/, which is not product code.
+		"diskcache.Cache.Put":     "bench/'s diskcache.put_mb_s probe writes whole entries through it; the build path streams its writes",
+		"graph.MappedGraph.Close": "unmaps the AIRM graph bench/'s graph.mapfile_open_ms probe opens (see graph.MapFile)",
 	}
 
 	unused, declared := unusedMethods(loadTree(t))
@@ -254,8 +270,8 @@ func checkExceptions(kind string, unused []string, declared map[string]bool, exc
 	return msgs
 }
 
-// tree is the whole tree's non-test code, loaded and typechecked once for
-// both use checks, and every object that code uses.
+// tree is the module's non-test code (bench/ left out), loaded and
+// typechecked once for both use checks, and every object that code uses.
 type tree struct {
 	pkgs []*load.Package
 	used map[types.Object]bool
@@ -270,6 +286,9 @@ var loadTreeOnce = sync.OnceValues(func() (*tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	dirs = slices.DeleteFunc(dirs, func(dir string) bool {
+		return dir == "bench" || strings.HasPrefix(dir, "bench"+string(filepath.Separator))
+	})
 	tr := &tree{used: map[types.Object]bool{}}
 	for _, dir := range dirs {
 		pkg, err := l.Load(dir)
@@ -287,8 +306,8 @@ var loadTreeOnce = sync.OnceValues(func() (*tree, error) {
 	return tr, nil
 })
 
-// loadTree loads and typechecks every package of the tree without its
-// tests (bench/ included), once per test process.
+// loadTree loads and typechecks every package of the module without its
+// tests (bench/, a module of its own, left out), once per test process.
 func loadTree(t *testing.T) *tree {
 	t.Helper()
 	tr, err := loadTreeOnce()
@@ -647,5 +666,70 @@ func TestDesignMetricTableIsTheRegisteredSet(t *testing.T) {
 	if len(unregistered) > 0 {
 		t.Errorf("%d series in the DESIGN.md §10 table that nothing registers:\n  %s",
 			len(unregistered), strings.Join(unregistered, "\n  "))
+	}
+}
+
+// TestDesignTransportTableIsTheImplementations holds DESIGN.md §2's
+// transport table to the code: its rows are exactly the types of the
+// module's non-test code that implement transport.Transport, one row each.
+func TestDesignTransportTableIsTheImplementations(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## 2. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §2")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	_, table, ok := strings.Cut(section, "| transport | feed | shape |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("§2 has no transport table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+
+	rows := map[string]int{}
+	cell := regexp.MustCompile("^\\| `([a-z]+\\.[A-Za-z]+)` \\|")
+	for _, line := range strings.Split(table, "\n") {
+		m := cell.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("§2 transport row does not name a type: %q", line)
+			continue
+		}
+		rows[m[1]]++
+	}
+
+	tr := loadTree(t)
+	var iface *types.Interface
+	impl := map[string]bool{}
+	for _, pkg := range tr.pkgs {
+		if pkg.Path == "repro/internal/transport" {
+			iface = pkg.Types.Scope().Lookup("Transport").Type().Underlying().(*types.Interface)
+		}
+	}
+	if iface == nil {
+		t.Fatal("no transport.Transport in the tree")
+	}
+	for _, pkg := range tr.pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			if types.Implements(types.NewPointer(tn.Type()), iface) {
+				impl[pkg.Types.Name()+"."+name] = true
+			}
+		}
+	}
+	for name := range impl {
+		if rows[name] != 1 {
+			t.Errorf("%s implements transport.Transport and has %d rows in DESIGN.md §2's table, want 1", name, rows[name])
+		}
+	}
+	for name := range rows {
+		if !impl[name] {
+			t.Errorf("DESIGN.md §2's transport table names %s, which does not implement transport.Transport", name)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/workload"
 )
 
 // Example builds the simplest deployment — one offline broadcast channel,
@@ -72,7 +73,7 @@ func ExampleDeployment_Session() {
 		log.Fatal(err)
 	}
 	ref, _, _ := repro.ShortestPath(g, 5, 211)
-	fmt.Printf("exact despite loss: %v\n", res.Dist == ref || res.Dist-ref < 1e-3*(1+ref) && ref-res.Dist < 1e-3*(1+ref))
+	fmt.Printf("exact despite loss: %v\n", workload.SameDist(res.Dist, ref))
 	// Output:
 	// exact despite loss: true
 }
@@ -109,7 +110,7 @@ func ExampleWithLoss() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if res.Dist-ref > 1e-3*(1+ref) || ref-res.Dist > 1e-3*(1+ref) {
+			if !workload.SameDist(res.Dist, ref) {
 				log.Fatalf("%s at %.0f%% loss: distance %.1f, reference %.1f", m, rate*100, res.Dist, ref)
 			}
 			fmt.Printf("  %2.0f%% loss: tuned %3d, waited %4d", rate*100, res.Metrics.TuningPackets, res.Metrics.LatencyPackets)

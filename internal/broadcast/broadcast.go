@@ -278,6 +278,11 @@ type Spanner interface {
 // deterministic Bernoulli packet loss. Whether the transmission at absolute
 // position p is lost depends only on (seed, p): every listener experiences
 // the same air, and experiments are reproducible.
+//
+// No deployment serves a Channel: every replayed air, K=1 included, is a
+// multichannel.Air. It stays as the reference that air is pinned against
+// (multichannel's TestK1BitForBit) and as the plain feed the benchmark's
+// probes and traced replay drive.
 type Channel struct {
 	cycle *Cycle
 	loss  float64

@@ -1,15 +1,17 @@
 // Package conformance provides the shared correctness harness every scheme's
 // tests run: queries answered on the air must match a reference Dijkstra on
-// the full network, reported paths must be real paths of the reported cost,
-// and lossless access latency must stay within the expected cycle bounds.
+// the full network, reported paths must be the reference path (or tie it
+// exactly) at the reported cost, and lossless access latency must stay
+// within the expected cycle bounds.
 package conformance
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/multichannel"
 	"repro/internal/netgen"
 	"repro/internal/scheme"
 	"repro/internal/spath"
@@ -33,10 +35,11 @@ type Config struct {
 	Queries   int
 	Seed      int64
 	MaxCycles float64 // 0 disables the latency check
-	// PathOptional allows Dist-only results (HiTi does not expand paths).
+	// PathOptional allows Dist-only results (HiTi answers distances only).
 	PathOptional bool
-	// Channels > 1 runs queries over a multi-channel air (the cycle
-	// sharded, clients hopping); 0 or 1 selects the plain single channel.
+	// Channels is the offline air's channel count: 0 or 1 replays the
+	// paper's single channel (the air at K=1), more shard the cycle across
+	// channels and clients hop.
 	Channels int
 	// Cold makes every multi-channel radio bootstrap the directory from
 	// the air instead of using a pre-cached copy.
@@ -47,17 +50,7 @@ type Config struct {
 // multi-channel) air and verifies them against the full-network reference.
 func Check(t *testing.T, g *graph.Graph, srv scheme.Server, cfg Config) {
 	t.Helper()
-	var air transport.Transport
-	var err error
-	if cfg.Channels > 1 {
-		plan, perr := multichannel.Build(srv.Cycle(), cfg.Channels, multichannel.PlanOptions{})
-		if perr != nil {
-			t.Fatalf("plan: %v", perr)
-		}
-		air, err = transport.NewOfflineAir(plan, cfg.Loss, cfg.Seed)
-	} else {
-		air, err = transport.NewOffline(srv.Cycle(), cfg.Loss, cfg.Seed)
-	}
+	air, err := transport.NewOfflineAir(srv.Cycle(), max(cfg.Channels, 1), cfg.Loss, cfg.Seed)
 	if err != nil {
 		t.Fatalf("air: %v", err)
 	}
@@ -85,22 +78,9 @@ func Check(t *testing.T, g *graph.Graph, srv scheme.Server, cfg Config) {
 		if err != nil {
 			t.Fatalf("%s query %d (%d->%d): %v", srv.Name(), i, s, d, err)
 		}
-		want, _, _ := spath.PointToPoint(g, s, d)
-		if !workload.SameDist(res.Dist, want) {
-			t.Errorf("%s query %d (%d->%d): got dist %v, want %v", srv.Name(), i, s, d, res.Dist, want)
-		}
-		if res.Path == nil && !cfg.PathOptional && s != d {
-			t.Errorf("%s query %d: missing path", srv.Name(), i)
-		}
-		if res.Path != nil && len(res.Path) > 0 {
-			if res.Path[0] != s || res.Path[len(res.Path)-1] != d {
-				t.Errorf("%s query %d: path endpoints %v..%v, want %v..%v",
-					srv.Name(), i, res.Path[0], res.Path[len(res.Path)-1], s, d)
-			}
-			cost := spath.PathCost(g, res.Path)
-			if !workload.SameDist(cost, res.Dist) {
-				t.Errorf("%s query %d: path cost %v != reported dist %v", srv.Name(), i, cost, res.Dist)
-			}
+		want, wantPath, _ := spath.PointToPoint(g, s, d)
+		if msg := wrongAnswer(g, s, d, res, want, wantPath, cfg.PathOptional); msg != "" {
+			t.Errorf("%s query %d (%d->%d): %s", srv.Name(), i, s, d, msg)
 		}
 		if cfg.Loss == 0 && cfg.MaxCycles > 0 && cfg.Channels <= 1 && tuner.ElapsedCycles() > cfg.MaxCycles {
 			t.Errorf("%s query %d: lossless latency %.2f cycles exceeds %.2f",
@@ -110,4 +90,31 @@ func Check(t *testing.T, g *graph.Graph, srv scheme.Server, cfg Config) {
 			t.Errorf("%s query %d: implausible metrics %+v", srv.Name(), i, res.Metrics)
 		}
 	}
+}
+
+// wrongAnswer says what is wrong with res as the answer from s to d, or ""
+// if nothing is: the distance must be the reference's, and a returned path
+// must run from s to d at that distance and be the reference path, or tie
+// it exactly in float64 cost (DESIGN.md §7). pathOptional admits no path.
+func wrongAnswer(g *graph.Graph, s, d graph.NodeID, res scheme.Result, want float64, wantPath []graph.NodeID, pathOptional bool) string {
+	if !workload.SameDist(res.Dist, want) {
+		return fmt.Sprintf("got dist %v, want %v", res.Dist, want)
+	}
+	if len(res.Path) == 0 {
+		if !pathOptional && s != d {
+			return "missing path"
+		}
+		return ""
+	}
+	if res.Path[0] != s || res.Path[len(res.Path)-1] != d {
+		return fmt.Sprintf("path endpoints %v..%v, want %v..%v", res.Path[0], res.Path[len(res.Path)-1], s, d)
+	}
+	cost := spath.PathCost(g, res.Path)
+	if !workload.SameDist(cost, res.Dist) {
+		return fmt.Sprintf("path cost %v != reported dist %v", cost, res.Dist)
+	}
+	if refCost := spath.PathCost(g, wantPath); !slices.Equal(res.Path, wantPath) && cost != refCost {
+		return fmt.Sprintf("path %v costs %v, reference path %v costs %v", res.Path, cost, wantPath, refCost)
+	}
+	return ""
 }

@@ -1,13 +1,13 @@
 package conformance
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/broadcast"
 	"repro/internal/build"
 	"repro/internal/scheme"
 	"repro/internal/spath"
+	"repro/internal/workload"
 )
 
 // TestEBBoundsKeepNeededRegion is the FuzzUpdateConformance find that EB
@@ -32,7 +32,7 @@ func TestEBBoundsKeepNeededRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+		if !workload.SameDist(res.Dist, want) {
 			t.Fatalf("tune-in %d: EB answered 54->37 with %v, Dijkstra %v", tuneIn, res.Dist, want)
 		}
 	}

@@ -3,7 +3,6 @@ package conformance
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -15,6 +14,7 @@ import (
 	"repro/internal/scheme"
 	"repro/internal/servercache"
 	"repro/internal/spath"
+	"repro/internal/workload"
 )
 
 // fuzzSchemes enumerates every scheme kind the fuzzer drives; the index is
@@ -123,7 +123,7 @@ func FuzzConformance(f *testing.F) {
 			t.Fatalf("%s k=%d loss=%v: %v", name, k, loss, err)
 		}
 		want, _, _ := spath.PointToPoint(g, s, d)
-		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+		if !workload.SameDist(res.Dist, want) {
 			t.Fatalf("%s k=%d loss=%v (%d->%d): got %v, want %v", name, k, loss, s, d, res.Dist, want)
 		}
 		if res.Metrics.TuningPackets <= 0 || res.Metrics.LatencyPackets < 0 {

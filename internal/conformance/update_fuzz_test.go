@@ -3,7 +3,6 @@ package conformance
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -14,6 +13,7 @@ import (
 	"repro/internal/scheme"
 	"repro/internal/spath"
 	"repro/internal/update"
+	"repro/internal/workload"
 )
 
 // fuzzUpdateSchemes are the rebuild-capable schemes the update fuzzer
@@ -82,7 +82,7 @@ func FuzzUpdateConformance(f *testing.F) {
 				t.Fatalf("%s %s: %v", name, what, err)
 			}
 			want, _, _ := spath.PointToPoint(gv, s, d)
-			if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+			if !workload.SameDist(res.Dist, want) {
 				t.Fatalf("%s %s (%d->%d): got %v, want %v", name, what, s, d, res.Dist, want)
 			}
 		}
@@ -128,7 +128,7 @@ func FuzzUpdateConformance(f *testing.F) {
 				t.Fatalf("%s k=%d: static versioned air reported stale", name, k)
 			}
 			want, _, _ := spath.PointToPoint(last.Graph, s, d)
-			if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+			if !workload.SameDist(res.Dist, want) {
 				t.Fatalf("%s k=%d (%d->%d): got %v, want %v", name, k, s, d, res.Dist, want)
 			}
 		}
@@ -158,7 +158,7 @@ func FuzzUpdateConformance(f *testing.F) {
 			gv = prevG
 		}
 		want, _, _ := spath.PointToPoint(gv, s, d)
-		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+		if !workload.SameDist(res.Dist, want) {
 			t.Fatalf("%s replay (%d->%d): got %v, want %v", name, s, d, res.Dist, want)
 		}
 	})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -10,6 +9,7 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/scheme"
 	"repro/internal/spath"
+	"repro/internal/workload"
 )
 
 func testNetwork(t testing.TB, nodes, edges int, seed int64) *graph.Graph {
@@ -39,7 +39,7 @@ func checkQueries(t *testing.T, g *graph.Graph, srv scheme.Server, loss float64,
 			t.Fatalf("query %d (%d->%d): %v", i, s, d, err)
 		}
 		want, _, _ := spath.PointToPoint(g, s, d)
-		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+		if !workload.SameDist(res.Dist, want) {
 			t.Errorf("query %d (%d->%d): got dist %v, want %v", i, s, d, res.Dist, want)
 		}
 		// The reported path must be a real path of the reported cost.
@@ -49,7 +49,7 @@ func checkQueries(t *testing.T, g *graph.Graph, srv scheme.Server, loss float64,
 					i, res.Path[0], res.Path[len(res.Path)-1], s, d)
 			}
 			cost := spath.PathCost(g, res.Path)
-			if math.Abs(cost-res.Dist) > 1e-3*(1+res.Dist) {
+			if !workload.SameDist(cost, res.Dist) {
 				t.Errorf("query %d: path cost %v != reported dist %v", i, cost, res.Dist)
 			}
 		}

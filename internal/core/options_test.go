@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/scheme"
 	"repro/internal/spath"
+	"repro/internal/workload"
 )
 
 // TestSegmentationSavesTuning verifies the Section 4.1 claim that skipping
@@ -38,7 +38,7 @@ func TestSegmentationSavesTuning(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _, _ := spath.PointToPoint(g, s, d)
-			if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+			if !workload.SameDist(res.Dist, want) {
 				t.Fatalf("dist %v, want %v", res.Dist, want)
 			}
 			total += res.Metrics.TuningPackets
@@ -92,7 +92,7 @@ func TestSameRegionQueries(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _, _ := spath.PointToPoint(g, s, d)
-			if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+			if !workload.SameDist(res.Dist, want) {
 				t.Errorf("%s same-region %d->%d: got %v, want %v", srv.Name(), s, d, res.Dist, want)
 			}
 		}
@@ -178,7 +178,7 @@ func TestHeavyLossStillExact(t *testing.T) {
 				t.Fatalf("%s: %v", srv.Name(), err)
 			}
 			want, _, _ := spath.PointToPoint(g, s, d)
-			if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+			if !workload.SameDist(res.Dist, want) {
 				t.Errorf("%s at 20%% loss: got %v, want %v", srv.Name(), res.Dist, want)
 			}
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/scheme"
 	"repro/internal/spath"
+	"repro/internal/workload"
 )
 
 // TestRandomizedParameterSweep quick-checks EB and NR over randomized
@@ -57,7 +57,7 @@ func TestRandomizedParameterSweep(t *testing.T) {
 						trial, srv.Name(), opts, loss, s, d, err)
 				}
 				want, _, _ := spath.PointToPoint(g, s, d)
-				if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+				if !workload.SameDist(res.Dist, want) {
 					t.Fatalf("trial %d %s (%+v, loss %.2f) query %d->%d: got %v, want %v",
 						trial, srv.Name(), opts, loss, s, d, res.Dist, want)
 				}

@@ -231,19 +231,6 @@ func Deploy(g *graph.Graph, opts ...Option) (*Deployment, error) {
 // place the shape is switched on.
 func newTransport(c *config, cycle *broadcast.Cycle) (transport.Transport, error) {
 	switch {
-	case c.channels > 1:
-		plan, err := multichannel.Build(cycle, c.channels, multichannel.PlanOptions{})
-		if err != nil {
-			return nil, err
-		}
-		if !c.live {
-			return transport.NewOfflineAir(plan, c.loss, c.lossSeed)
-		}
-		mst, err := multichannel.NewStation(plan, c.stCfg)
-		return transport.LiveGroup{Station: mst}, err
-	case c.live:
-		st, err := station.New(cycle, c.stCfg)
-		return transport.Live{Station: st}, err
 	case c.remote != "":
 		// The probe fails fast when nobody is listening, and catches a build
 		// mismatch (different graph or parameters) before any session
@@ -257,8 +244,18 @@ func newTransport(c *config, cycle *broadcast.Cycle) (transport.Transport, error
 				r.Len(), r.Version(), c.method, cycle.Len(), cycle.Version)
 		}
 		return r, nil
+	case !c.live:
+		return transport.NewOfflineAir(cycle, c.channels, c.loss, c.lossSeed)
+	case c.channels == 1:
+		st, err := station.New(cycle, c.stCfg)
+		return transport.Live{Station: st}, err
 	default:
-		return transport.NewOffline(cycle, c.loss, c.lossSeed)
+		plan, err := multichannel.Build(cycle, c.channels, multichannel.PlanOptions{})
+		if err != nil {
+			return nil, err
+		}
+		mst, err := multichannel.NewStation(plan, c.stCfg)
+		return transport.LiveGroup{Station: mst}, err
 	}
 }
 

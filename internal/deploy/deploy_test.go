@@ -3,7 +3,6 @@ package deploy_test
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -15,6 +14,7 @@ import (
 	"repro/internal/scheme"
 	"repro/internal/spath"
 	"repro/internal/station"
+	"repro/internal/workload"
 )
 
 func testGraph(t *testing.T, nodes, edges int, seed int64) *graph.Graph {
@@ -29,7 +29,7 @@ func testGraph(t *testing.T, nodes, edges int, seed int64) *graph.Graph {
 func wantDist(t *testing.T, g *graph.Graph, s, to graph.NodeID, got float64) {
 	t.Helper()
 	want, _, _ := spath.PointToPoint(g, s, to)
-	if math.Abs(got-want) > 1e-3*(1+want) {
+	if !workload.SameDist(got, want) {
 		t.Fatalf("dist %v, want %v", got, want)
 	}
 }

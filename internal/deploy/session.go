@@ -70,9 +70,9 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded
 
 // SessionOptions tune one client handle.
 type SessionOptions struct {
-	// TuneIn is where an offline session enters the broadcast: the
-	// absolute packet position on a single channel, the global clock tick
-	// on a sharded one. Live sessions tune in at whatever the station is
+	// TuneIn is where an offline session enters the broadcast: the global
+	// clock tick, which on a single channel is the absolute packet
+	// position. Live sessions tune in at whatever the station is
 	// transmitting when each query is posed, so TuneIn is ignored there.
 	TuneIn int
 	// Seed derives the session's private loss pattern on live
@@ -116,7 +116,7 @@ type Session struct {
 	d      *Deployment
 	opts   SessionOptions
 	client scheme.Client
-	cursor int // next offline tune-in: packet position (K=1) or global tick (K>1)
+	cursor int // next offline tune-in: the global tick (the packet position at K=1)
 	rng    *rand.Rand
 	reent  int
 	// loss and dial are what a live or remote attach is made with: the

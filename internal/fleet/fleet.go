@@ -228,7 +228,8 @@ type Air struct {
 	// the air itself dropped (backpressure, wire gaps) — see Result.
 	Lost, Missed int
 	// PerChannel is packets received per channel and Hops the channel
-	// retunes of a hopping radio; nil and zero on a single channel.
+	// retunes of a hopping radio; nil and zero on a live or remote single
+	// channel (transport.Link).
 	PerChannel []int
 	Hops       int
 	// Attempts is how many times the client ran: 1 plus the attempts

@@ -294,7 +294,11 @@ func Figure14(cfg Config) (*Figure, error) {
 	for _, name := range ComparableOrder {
 		var aggs []metrics.Agg
 		for _, rate := range rates {
-			mr, err := runWorkload(servers[name], w, rate, cfg.Seed+int64(rate*10000))
+			// One loss seed for every rate: broadcast.Lost thresholds one
+			// draw per position, so each rate's lost set contains the lower
+			// rates' (common random numbers), and the rows compare the
+			// rates, not five independent loss patterns.
+			mr, err := runWorkload(servers[name], w, rate, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}

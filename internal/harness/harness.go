@@ -122,7 +122,7 @@ type MethodResult struct {
 // the given loss rate.
 func runWorkload(srv scheme.Server, w *workload.Workload, loss float64, seed int64) (MethodResult, error) {
 	res := MethodResult{Name: srv.Name()}
-	air, err := transport.NewOffline(srv.Cycle(), loss, seed)
+	air, err := transport.NewOfflineAir(srv.Cycle(), 1, loss, seed)
 	if err != nil {
 		return res, err
 	}

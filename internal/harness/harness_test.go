@@ -149,6 +149,17 @@ func TestFigure14Shape(t *testing.T) {
 	if !(dj.Tuning[len(dj.Tuning)-1] > dj.Tuning[0]) {
 		t.Errorf("DJ tuning should grow with loss: %v", dj.Tuning)
 	}
+	// Every rate shares one loss seed, so a higher rate loses a superset of
+	// the positions a lower one does: no method's tuning or latency may
+	// fall as loss rises.
+	for _, s := range fig.Series {
+		for i := 1; i < len(s.Tuning); i++ {
+			if s.Tuning[i] < s.Tuning[i-1] || s.Latency[i] < s.Latency[i-1] {
+				t.Errorf("%s at %s loss: tuning/latency %.0f/%.0f below %.0f/%.0f at %s",
+					s.Method, fig.X[i], s.Tuning[i], s.Latency[i], s.Tuning[i-1], s.Latency[i-1], fig.X[i-1])
+			}
+		}
+	}
 }
 
 // TestTables2and3Run exercises the remaining table generators end to end.

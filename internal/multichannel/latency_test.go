@@ -55,7 +55,7 @@ func TestLatencyScalesWithChannels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("K=%d query %d: %v", k, qi, err)
 			}
-			if d := res.Dist - q.RefDist; d > 1e-3*(1+q.RefDist) || d < -1e-3*(1+q.RefDist) {
+			if !workload.SameDist(res.Dist, q.RefDist) {
 				t.Fatalf("K=%d query %d: dist %v, want %v", k, qi, res.Dist, q.RefDist)
 			}
 			sum += float64(res.Metrics.LatencyPackets)

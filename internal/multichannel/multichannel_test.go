@@ -16,6 +16,7 @@ import (
 	"repro/internal/scheme"
 	"repro/internal/spath"
 	"repro/internal/station"
+	"repro/internal/workload"
 )
 
 func network(t testing.TB, nodes, edges int, seed int64) *graph.Graph {
@@ -193,7 +194,7 @@ func TestMultiChannelAnswers(t *testing.T) {
 						t.Fatalf("%s k=%d loss=%v cold=%v: %v", srv.Name(), k, loss, cold, err)
 					}
 					want, _, _ := spath.PointToPoint(g, s, d)
-					if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+					if !workload.SameDist(res.Dist, want) {
 						t.Errorf("%s k=%d loss=%v: dist %v, want %v", srv.Name(), k, loss, res.Dist, want)
 					}
 					if cold && rx.Overhead() == 0 {

@@ -26,6 +26,7 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/scheme"
 	"repro/internal/spath"
+	"repro/internal/workload"
 )
 
 // peakRSSBytes reads the process high-water resident set (VmHWM) from
@@ -208,7 +209,7 @@ func TestContinentScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := res.Dist - wantDist; diff > 1e-3*(1+wantDist) || diff < -1e-3*(1+wantDist) {
+	if !workload.SameDist(res.Dist, wantDist) {
 		t.Fatalf("on-air distance %v, Dijkstra reference %v", res.Dist, wantDist)
 	}
 	t.Logf("query %d->%d: dist %.1f (tuning %d, latency %d packets)",

@@ -16,9 +16,9 @@ import (
 // TestConcurrentSessionsMatchOffline runs eight K=1 sessions at once on one
 // virtual-clock station, each with its own loss pattern and each holding,
 // releasing and fast-forwarding the shared clock as its client dozes. Every
-// query must equal its transport.Offline replay at the tune-in position the
-// live attachment reported — distance, tuning, latency and lost packets —
-// whatever the other seven did to the clock in the meantime.
+// query must equal its replay on the offline air at K=1, at the tune-in
+// position the live attachment reported — distance, tuning, latency and
+// lost packets — whatever the other seven did to the clock in the meantime.
 func TestConcurrentSessionsMatchOffline(t *testing.T) {
 	g, err := netgen.Generate(300, 420, 11)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestConcurrentSessionsMatchOffline(t *testing.T) {
 				if m := att.Missed(); m != 0 {
 					t.Errorf("session %d query %d: virtual clock missed %d packets", id, i, m)
 				}
-				offline, err := transport.NewOffline(srv.Cycle(), loss, seed)
+				offline, err := transport.NewOfflineAir(srv.Cycle(), 1, loss, seed)
 				if err != nil {
 					t.Error(err)
 					return

@@ -135,30 +135,19 @@ func spanAirFor(t *testing.T, sel uint8, seed int64, start int) (string, spanAir
 	const loss = 0.15
 	k := 1 + int(sel>>3)%4 // K=1..4
 	cold := sel&0x80 != 0
-	plan := func() *multichannel.Plan {
-		p, err := multichannel.Build(c, k, multichannel.PlanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	tune := transport.Tune{Cursor: start % (3 * c.Len()), Loss: loss, Seed: seed, Channel: start % k, Cold: cold}
 	switch sel % 6 {
 	case 0:
 		return "channel", func(t *testing.T, tr *obs.Trace) (transport.Attachment, func()) {
-			air, err := transport.NewOffline(c, loss, seed)
+			ch, err := broadcast.NewChannel(c, loss, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			att, err := air.Attach(tune)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return att, func() {}
+			return transport.Attachment{Feed: ch, Start: tune.Cursor, Link: wireLink{}}, func() {}
 		}
 	case 1:
 		return fmt.Sprintf("air K=%d cold=%v", k, cold), func(t *testing.T, tr *obs.Trace) (transport.Attachment, func()) {
-			air, err := transport.NewOfflineAir(plan(), loss, seed)
+			air, err := transport.NewOfflineAir(c, k, loss, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +240,8 @@ func spanAirFor(t *testing.T, sel uint8, seed int64, start int) (string, spanAir
 }
 
 // wireLink reads a receiver's gaps as its missed packets (wire.Remote's
-// link, which a direct Dial does not come with).
+// link, which a direct Dial does not come with); with no receiver it is the
+// link of a feed built directly, which misses nothing.
 type wireLink struct{ rx *wire.Receiver }
 
 func (l wireLink) Release(int) int { return 0 }

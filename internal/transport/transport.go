@@ -1,12 +1,12 @@
 // Package transport is the one seam between a client and the air. In the
 // paper's model (§3.1) a client does the same thing whatever the channel
 // looks like — tune in, listen, compute locally — so everything above this
-// package (deploy.Session, and through it the fleet, the harness and the
-// conformance suite) attaches through one interface, and everything that
-// differs per deployment shape lives in one implementation each:
+// package attaches through one interface (deploy.Session, and through it
+// the fleet, on every shape; the harness and the conformance suite on
+// OfflineAir), and everything that differs per deployment shape lives in
+// one implementation each:
 //
-//	Offline      broadcast.Channel       the paper's replayed single channel
-//	OfflineAir   multichannel.Air        the replayed K-channel air
+//	OfflineAir   multichannel.Air        the replayed air, K=1 (the paper's channel) or K>1
 //	Live         station.Station         a live station subscription
 //	LiveGroup    multichannel.Station    a hopping radio on a live station group
 //	wire.Remote  wire.Receiver           a UDP subscription to another process
@@ -55,9 +55,9 @@ type Transport interface {
 // Tune says where and how one radio enters the air. Each transport reads the
 // fields its shape has a use for.
 type Tune struct {
-	// Cursor is the offline tune-in: the absolute packet position on a
-	// single channel, the global clock tick on a sharded one. A live air is
-	// entered at whatever it is transmitting.
+	// Cursor is the offline tune-in: the global clock tick, which at K=1 is
+	// the absolute packet position. A live air is entered at whatever it is
+	// transmitting.
 	Cursor int
 	// Loss and Seed are a live subscription's private loss pattern (over the
 	// wire: loss injected receiver-side). An offline air has its own pattern,
@@ -141,7 +141,8 @@ type Link interface {
 	// that the tuner then received as corrupted: a subset of Tuner.Lost.
 	Missed() int
 	// PerChannel is packets received per channel and Hops the channel
-	// retunes of a hopping radio; nil and zero on a single channel.
+	// retunes of a hopping radio; nil and zero on a live or remote single
+	// channel. A replayed air reports its one channel at K=1.
 	PerChannel() []int
 	Hops() int
 }
@@ -154,43 +155,22 @@ func (Unmanaged) Subscribers() int            { return 0 }
 func (Unmanaged) Start(context.Context) error { return nil }
 func (Unmanaged) Stop()                       {}
 
-// Offline is the paper's model: one channel replaying the cycle, the same
-// loss pattern for every listener.
-type Offline struct {
-	*broadcast.Channel
-	Unmanaged
-}
-
-// NewOffline returns the offline single-channel air for the cycle.
-func NewOffline(c *broadcast.Cycle, loss float64, seed int64) (Offline, error) {
-	ch, err := broadcast.NewChannel(c, loss, seed)
-	return Offline{Channel: ch}, err
-}
-
-func (o Offline) Rate() int       { return 0 }
-func (o Offline) Version() uint32 { return o.Cycle().Version }
-
-func (o Offline) Attach(t Tune) (Attachment, error) {
-	return Attachment{Feed: o.Channel, Start: t.Cursor, Link: offlineLink{}}, nil
-}
-
-// offlineLink: nothing to close, and the next query tunes in where this one
-// left the channel.
-type offlineLink struct{}
-
-func (offlineLink) Release(pos int) int { return pos }
-func (offlineLink) Missed() int         { return 0 }
-func (offlineLink) PerChannel() []int   { return nil }
-func (offlineLink) Hops() int           { return 0 }
-
-// OfflineAir is the replayed K-channel air: Cursor is a global clock tick.
+// OfflineAir is the replayed air: every channel replays its shard of the
+// cycle with the same loss pattern for every listener, and Cursor is a
+// global clock tick. At K=1 it is the paper's model (§3.1), one channel
+// replaying the cycle, and the tick is the packet position.
 type OfflineAir struct {
 	*multichannel.Air
 	Unmanaged
 }
 
-// NewOfflineAir returns the offline K-channel air for the plan.
-func NewOfflineAir(p *multichannel.Plan, loss float64, seed int64) (OfflineAir, error) {
+// NewOfflineAir returns the offline air of cycle c sharded across k
+// channels (k=1: the paper's single channel).
+func NewOfflineAir(c *broadcast.Cycle, k int, loss float64, seed int64) (OfflineAir, error) {
+	p, err := multichannel.Build(c, k, multichannel.PlanOptions{})
+	if err != nil {
+		return OfflineAir{}, err
+	}
 	air, err := multichannel.NewAir(p, loss, seed)
 	return OfflineAir{Air: air}, err
 }

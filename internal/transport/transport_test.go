@@ -34,15 +34,15 @@ func ask(t *testing.T, air transport.Transport, tune transport.Tune, client sche
 	return res, att
 }
 
-// TestFiveTransportsAgree attaches through each of the five transports on
-// the same small NR cycle. A live air picks its own tune-in, so each live
-// attachment is replayed on the offline transport of the same width at the
+// TestTransportsAgree attaches through each of the four transports on the
+// same small NR cycle. A live air picks its own tune-in, so each live
+// attachment is replayed on the offline air of the same width at the
 // position (and seed) the live one reported: distance, tuning and latency
 // must then be bit-identical — live station and wire loopback against the
-// offline channel, the live station group against the offline K-channel air
-// (which must also agree on hops and per-channel packets). Across all five,
-// every query must report the same distance.
-func TestFiveTransportsAgree(t *testing.T) {
+// offline air at K=1, the live station group against the offline air at
+// K=3 (which must also agree on hops and per-channel packets). Across all
+// of them, every query must report the same distance.
+func TestTransportsAgree(t *testing.T) {
 	g, err := netgen.Generate(300, 420, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +111,8 @@ func TestFiveTransportsAgree(t *testing.T) {
 			tune := transport.Tune{Loss: loss, Seed: seed, Channel: i % k}
 
 			// K = 1: live station and wire loopback, each against the
-			// offline channel at the same tune-in and loss pattern.
-			offline, err := transport.NewOffline(srv.Cycle(), loss, seed)
+			// offline air at the same tune-in and loss pattern.
+			offline, err := transport.NewOfflineAir(srv.Cycle(), 1, loss, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestFiveTransportsAgree(t *testing.T) {
 
 			// K = 3: the live group against the offline air at its tick.
 			got, att := ask(t, group, tune, client, q)
-			air, err := transport.NewOfflineAir(plan, loss, seed)
+			air, err := transport.NewOfflineAir(srv.Cycle(), k, loss, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package update
 
 import (
-	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/scheme"
 	"repro/internal/servercache"
 	"repro/internal/spath"
+	"repro/internal/workload"
 )
 
 func testNetwork(t testing.TB, nodes, edges int, seed int64) *graph.Graph {
@@ -149,7 +149,7 @@ func TestApplyVersionsAnswerMutatedNetwork(t *testing.T) {
 					d := graph.NodeID(rng.Intn(g.NumNodes()))
 					got := queryOnAir(t, b.Cycle, client, b.Graph, s, d, rng.Intn(b.Cycle.Len()), 0.1, int64(q))
 					want, _, _ := spath.PointToPoint(b.Graph, s, d)
-					if math.Abs(got-want) > 1e-3*(1+want) {
+					if !workload.SameDist(got, want) {
 						t.Fatalf("%s v%d (%d->%d): got %v, want %v", srv.Name(), b.Version, s, d, got, want)
 					}
 				}
@@ -210,7 +210,7 @@ func TestVersionedCycleOverMultichannel(t *testing.T) {
 			t.Fatal("static versioned air reported stale")
 		}
 		want, _, _ := spath.PointToPoint(b.Graph, s, d)
-		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+		if !workload.SameDist(res.Dist, want) {
 			t.Fatalf("multichannel v%d (%d->%d): got %v, want %v", b.Version, s, d, res.Dist, want)
 		}
 	}
@@ -260,7 +260,7 @@ func TestQueryReentersAcrossSwap(t *testing.T) {
 			t.Fatalf("query %d: clean pass on version %d/%v, want %d", q, ver, known, b.Version)
 		}
 		want, _, _ := spath.PointToPoint(b.Graph, s, d)
-		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+		if !workload.SameDist(res.Dist, want) {
 			t.Fatalf("query %d (%d->%d): got %v, want post-update %v", q, s, d, res.Dist, want)
 		}
 	}

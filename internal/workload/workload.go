@@ -25,13 +25,12 @@ type Query struct {
 	TuneIn int
 }
 
-// SameDist reports whether an answered distance matches its reference within
-// the verification tolerance every harness uses: 1e-3 relative to 1+want
-// (wire distances are float32-quantized). Written so that anything that is
-// not a number fails: NaN compares false, and infinities match only exactly
+// SameDist reports whether an answered distance is its reference: equal, or
+// within 2⁻²³ relative, twice the float32 rounding of the on-air weights
+// (DESIGN.md §7). NaN never matches, and infinities match only exactly
 // (both sides found the pair unreachable).
 func SameDist(got, want float64) bool {
-	return got == want || math.Abs(got-want)/(1+want) <= 1e-3
+	return got == want || !math.IsInf(want, 0) && math.Abs(got-want) <= 0x1p-23*want
 }
 
 // Buckets is the number of path-length classes (Figure 10 uses four).

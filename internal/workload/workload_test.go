@@ -51,9 +51,10 @@ func TestBucketLabelsSpanDiameter(t *testing.T) {
 	}
 }
 
-// TestSameDist pins the one answer check every harness shares: within 1e-3
-// of 1+want passes, and nothing that is not a number ever verifies — the
-// pasted `rel > 1e-3 || rel < -1e-3` forms it replaced accepted NaN.
+// TestSameDist pins the one answer check every harness shares: within 2⁻²³
+// of want, relative, passes, a zero reference needs an exact zero, and
+// nothing that is not a number ever verifies — the pasted
+// `rel > 1e-3 || rel < -1e-3` forms it replaced accepted NaN.
 func TestSameDist(t *testing.T) {
 	inf := math.Inf(1)
 	for _, c := range []struct {
@@ -63,10 +64,13 @@ func TestSameDist(t *testing.T) {
 	}{
 		{"exact", 1234.5, 1234.5, true},
 		{"zero", 0, 0, true},
-		{"just inside above", 1000 + 1e-3*1001*0.999, 1000, true},
-		{"just inside below", 1000 - 1e-3*1001*0.999, 1000, true},
-		{"just outside above", 1000 + 1e-3*1001*1.001, 1000, false},
-		{"just outside below", 1000 - 1e-3*1001*1.001, 1000, false},
+		{"just inside above", 1000 + 0x1p-23*1000*0.999, 1000, true},
+		{"just inside below", 1000 - 0x1p-23*1000*0.999, 1000, true},
+		{"just outside above", 1000 + 0x1p-23*1000*1.001, 1000, false},
+		{"just outside below", 1000 - 0x1p-23*1000*1.001, 1000, false},
+		{"float32 rounding", float64(float32(1234.567)), 1234.567, true},
+		{"old tolerance", 1000.5, 1000, false},
+		{"zero reference", 1e-300, 0, false},
 		{"NaN answer", math.NaN(), 1000, false},
 		{"NaN reference", 1000, math.NaN(), false},
 		{"+Inf answer", inf, 1000, false},

@@ -3,11 +3,11 @@ package repro_test
 import (
 	"bytes"
 	"context"
-	"math"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/workload"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -30,7 +30,7 @@ func TestFacadeQuickstart(t *testing.T) {
 			t.Fatalf("%s: %v", m, err)
 		}
 		want, _, _ := repro.ShortestPath(g, 17, 342)
-		if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+		if !workload.SameDist(res.Dist, want) {
 			t.Errorf("%s: dist %v, want %v", m, res.Dist, want)
 		}
 		if repro.EnergyJoules(res.Metrics, repro.Rate2Mbps) <= 0 {
@@ -158,7 +158,7 @@ func TestFacadeUpdateChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _, _ := repro.ShortestPath(b.Graph, 3, 77)
-	if math.Abs(res.Dist-want) > 1e-3*(1+want) {
+	if !workload.SameDist(res.Dist, want) {
 		t.Fatalf("post-swap answer %v, want %v", res.Dist, want)
 	}
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/baseline/fullcycle"
 	"repro/internal/broadcast"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -181,8 +180,10 @@ func (s *Server) PrecomputeTime() time.Duration { return s.pre }
 // NewClient implements scheme.Server.
 func (s *Server) NewClient() scheme.Client { return &Client{regions: s.opts.Regions} }
 
-// Client receives the whole cycle and runs a flag-pruned Dijkstra.
+// Client receives the whole cycle and runs a flag-pruned Dijkstra. Its
+// collector and search are reused across queries (scheme.Local).
 type Client struct {
+	scheme.Local
 	regions int
 }
 
@@ -191,13 +192,11 @@ func (c *Client) Name() string { return "AF" }
 
 // Query implements scheme.Client.
 func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
-	var mem metrics.Mem
-	coll := netdata.NewCollector(0, &mem)
+	c.Begin()
 	var splits splitsCollect
 	flags := make(map[[2]graph.NodeID][]byte)
 	numRegions := 0
-	fullcycle.ReceiveAll(t, func(cp int, p packet.Packet) {
-		coll.Process(cp, p)
+	c.ReceiveCycle(t, func(_ int, p packet.Packet) {
 		for rec := range packet.All(p.Payload) {
 			switch rec.Tag {
 			case packet.TagMeta:
@@ -216,7 +215,7 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 				}
 				if !d.Err() {
 					flags[[2]graph.NodeID{u, v}] = buf
-					mem.Alloc(len(buf) + metrics.FlagEntryBytes)
+					c.Mem.Alloc(len(buf) + metrics.FlagEntryBytes)
 				}
 			}
 		}
@@ -229,12 +228,12 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		return scheme.Result{}, fmt.Errorf("arcflag: %w", err)
 	}
 
-	start := time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	c.StartCPU()
 	// Recovery can deliver arc chunks out of order; restore the canonical
 	// order so the search breaks ties the same whatever the loss pattern.
-	coll.Net.SortAllArcs()
+	net := c.Net()
+	net.SortAllArcs()
 	rt := kd.RegionOf(q.TX, q.TY)
-	net := coll.Net
 	// Prune: drop every received arc whose flag for the target's region is
 	// clear. A lost flag vector counts as all bits set (Section 6.2).
 	net.ForEach(func(u graph.NodeID) {
@@ -248,20 +247,9 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		x, y, _ := net.Pos(u)
 		net.AddNode(u, x, y, kept)
 	})
-	mem.Alloc(metrics.DistEntryBytes * net.NumPresent())
-	res := spath.DijkstraNetwork(net, q.S, q.T)
-	cpu := time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-
-	return scheme.Result{
-		Dist: res.Dist,
-		Path: res.Path,
-		Metrics: metrics.Query{
-			TuningPackets:  t.Tuning(),
-			LatencyPackets: t.Latency(),
-			PeakMemBytes:   mem.Peak(),
-			CPU:            cpu,
-		},
-	}, nil
+	res := c.Dijkstra(net, q.S, q.T, nil)
+	c.StopCPU()
+	return c.Result(t, res.Dist, res.Path), nil
 }
 
 type splitsCollect struct {

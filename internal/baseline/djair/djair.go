@@ -9,14 +9,11 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/baseline/fullcycle"
 	"repro/internal/broadcast"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/netdata"
 	"repro/internal/packet"
 	"repro/internal/scheme"
-	"repro/internal/spath"
 )
 
 // Server is the Dijkstra method's broadcast side.
@@ -81,31 +78,19 @@ func (s *Server) PrecomputeTime() time.Duration { return 0 }
 // NewClient implements scheme.Server.
 func (s *Server) NewClient() scheme.Client { return &Client{} }
 
-// Client receives the entire cycle and searches the full network.
-type Client struct{}
+// Client receives the entire cycle and searches the full network. Its
+// collector and search are reused across queries (scheme.Local).
+type Client struct{ scheme.Local }
 
 // Name implements scheme.Client.
 func (c *Client) Name() string { return "DJ" }
 
 // Query implements scheme.Client.
 func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
-	var mem metrics.Mem
-	coll := netdata.NewCollector(0, &mem)
-	fullcycle.ReceiveAll(t, coll.Process)
-
-	start := time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-	mem.Alloc(metrics.DistEntryBytes * coll.Net.NumPresent())
-	r := spath.DijkstraNetwork(coll.Net, q.S, q.T)
-	cpu := time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-
-	return scheme.Result{
-		Dist: r.Dist,
-		Path: r.Path,
-		Metrics: metrics.Query{
-			TuningPackets:  t.Tuning(),
-			LatencyPackets: t.Latency(),
-			PeakMemBytes:   mem.Peak(),
-			CPU:            cpu,
-		},
-	}, nil
+	c.Begin()
+	c.ReceiveCycle(t, nil)
+	c.StartCPU()
+	r := c.Dijkstra(c.Net(), q.S, q.T, nil)
+	c.StopCPU()
+	return c.Result(t, r.Dist, r.Path), nil
 }

@@ -17,13 +17,11 @@ package hiti
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/netdata"
 	"repro/internal/packet"
 	"repro/internal/partition"
@@ -351,15 +349,22 @@ func (s *Server) PrecomputeTime() time.Duration { return s.pre }
 func (s *Server) NewClient() scheme.Client { return &Client{} }
 
 // Client receives the whole index, then selectively tunes to the two
-// terminal cells' data, builds the HiTi query graph and runs Dijkstra.
-type Client struct{}
+// terminal cells' data, builds the HiTi query graph and runs Dijkstra. Its
+// index decoding, reception plan, collector and search are reused across
+// queries (scheme.Local).
+type Client struct {
+	scheme.Local
+	st    clientState
+	plan  broadcast.Plan
+	stash []byte // the stashed packet's payload copy
+}
 
 // Name implements scheme.Client.
 func (c *Client) Name() string { return "HiTi" }
 
 // Query implements scheme.Client.
 func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
-	var mem metrics.Mem
+	c.Begin()
 
 	// The single index section starts the cycle. Bootstrap: listen until an
 	// intact packet's next-index pointer names it, sleep there, and listen
@@ -369,8 +374,9 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 	// again. A payload is only valid until the next reception
 	// (broadcast.Feed), so the stash keeps a copy. Lost index packets are
 	// fetched again in later cycles.
-	st := &clientState{}
-	var plan broadcast.Plan
+	st, plan := &c.st, &c.plan
+	st.reset()
+	plan.Reset()
 	var stash packet.Packet
 	stashPos := -1
 	ptr, err := t.SeekIndex()
@@ -386,7 +392,8 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		if p.Kind != packet.KindIndex {
 			if ok {
 				stash, stashPos = p, abs%t.CycleLen()
-				stash.Payload = slices.Clone(p.Payload)
+				c.stash = append(c.stash[:0], p.Payload...)
+				stash.Payload = c.stash
 			}
 			break
 		}
@@ -397,15 +404,15 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		st.process(p)
 	}
 	index := func(_, _ int, p packet.Packet) { st.process(p) }
-	t.Fetch(&plan, index)
-	t.Recover(&plan, index)
+	t.Fetch(plan, index)
+	t.Recover(plan, index)
 	if !st.haveMeta || !st.complete() {
 		return scheme.Result{}, fmt.Errorf("hiti: index incomplete")
 	}
 	// The paper's HiTi client holds the entire index in memory.
-	mem.Alloc(st.indexBytes())
+	c.Mem.Alloc(st.indexBytes())
 
-	start := time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	c.StartCPU()
 	side := 1 << st.depth
 	grid, err := partition.NewGridFromBounds(side, side, st.minX, st.minY, st.maxX, st.maxY)
 	if err != nil {
@@ -414,10 +421,10 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 	cellS := grid.RegionOf(q.SX, q.SY)
 	cellT := grid.RegionOf(q.TX, q.TY)
 	members := memberSet(cellS, cellT, side, st.depth)
-	cpu := time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	c.StopCPU()
 
 	// Receive the two terminal cells' data, less the stashed packet.
-	coll := netdata.NewCollector(st.numNodes, &mem)
+	coll := c.Collector(st.numNodes)
 	if stashPos >= 0 {
 		coll.Process(stashPos, stash)
 	}
@@ -433,10 +440,10 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		plan.Want(cell, start, n)
 	}
 	data := func(_, cyclePos int, p packet.Packet) { coll.Process(cyclePos, p) }
-	t.Fetch(&plan, data)
-	t.Recover(&plan, data)
+	t.Fetch(plan, data)
+	t.Recover(plan, data)
 
-	start = time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	c.StartCPU()
 	// Build the query graph: raw terminal cells + member super-edges +
 	// cut arcs between different members.
 	g2 := coll.Net
@@ -459,23 +466,14 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 			g2.AddArc(ca.u, ca.v, ca.w)
 		}
 	}
-	mem.Alloc(metrics.DistEntryBytes * g2.NumPresent())
-	r := spath.DijkstraNetwork(g2, q.S, q.T)
-	cpu += time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	r := c.Dijkstra(g2, q.S, q.T, nil)
+	c.StopCPU()
 
 	dist := r.Dist
 	if math.IsInf(dist, 1) && q.S == q.T {
 		dist = 0
 	}
-	return scheme.Result{
-		Dist: dist,
-		Metrics: metrics.Query{
-			TuningPackets:  t.Tuning(),
-			LatencyPackets: t.Latency(),
-			PeakMemBytes:   mem.Peak(),
-			CPU:            cpu,
-		},
-	}, nil
+	return c.Result(t, dist, nil), nil
 }
 
 // subKey packs (level, subgraph id) into one int.
@@ -524,6 +522,13 @@ type clientState struct {
 	dir    map[int]struct{ start, n int }
 	supers []superEdge
 	cuts   []cutArc
+}
+
+// reset forgets the last query's index, keeping its backing arrays.
+func (st *clientState) reset() {
+	dir, supers, cuts := st.dir, st.supers[:0], st.cuts[:0]
+	clear(dir)
+	*st = clientState{dir: dir, supers: supers, cuts: cuts}
 }
 
 func (st *clientState) process(p packet.Packet) {

@@ -13,7 +13,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/baseline/fullcycle"
 	"repro/internal/broadcast"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -131,22 +130,18 @@ func (s *Server) PrecomputeTime() time.Duration { return s.pre }
 // NewClient implements scheme.Server.
 func (s *Server) NewClient() scheme.Client { return &Client{} }
 
-// Client receives the whole cycle and runs landmark-guided A*. Its search
-// state is reused across queries, so it is not safe for concurrent use.
-type Client struct {
-	search spath.Search
-}
+// Client receives the whole cycle and runs landmark-guided A*. Its
+// collector and search are reused across queries (scheme.Local).
+type Client struct{ scheme.Local }
 
 // Name implements scheme.Client.
 func (c *Client) Name() string { return "LD" }
 
 // Query implements scheme.Client.
 func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
-	var mem metrics.Mem
-	coll := netdata.NewCollector(0, &mem)
+	c.Begin()
 	vecs := make(map[graph.NodeID][]float64)
-	fullcycle.ReceiveAll(t, func(cp int, p packet.Packet) {
-		coll.Process(cp, p)
+	c.ReceiveCycle(t, func(_ int, p packet.Packet) {
 		for rec := range packet.All(p.Payload) {
 			if rec.Tag != packet.TagLandmarkVec {
 				continue
@@ -160,13 +155,13 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 			}
 			if !d.Err() {
 				vecs[v] = vec
-				mem.Alloc(metrics.VecEntryBytes * k)
+				c.Mem.Alloc(metrics.VecEntryBytes * k)
 			}
 		}
 	})
 
-	start := time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-	tv := vecs[q.T]     // nil when lost: every bound degrades to 0
+	c.StartCPU()
+	tv := vecs[q.T] // nil when lost: every bound degrades to 0
 	lb := func(v graph.NodeID) float64 {
 		vv := vecs[v]
 		best := 0.0
@@ -178,21 +173,9 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		}
 		return best
 	}
-	mem.Alloc(metrics.DistEntryBytes * coll.Net.NumPresent())
 	// A* over the network kernel stays exact under this bound even where
 	// lost vectors make it inconsistent.
-	c.search.RunNetwork(coll.Net, q.S, q.T, lb)
-	res := c.search.To(q.S, q.T)
-	cpu := time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-
-	return scheme.Result{
-		Dist: res.Dist,
-		Path: res.Path,
-		Metrics: metrics.Query{
-			TuningPackets:  t.Tuning(),
-			LatencyPackets: t.Latency(),
-			PeakMemBytes:   mem.Peak(),
-			CPU:            cpu,
-		},
-	}, nil
+	res := c.Dijkstra(c.Net(), q.S, q.T, lb)
+	c.StopCPU()
+	return c.Result(t, res.Dist, res.Path), nil
 }

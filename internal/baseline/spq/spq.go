@@ -16,7 +16,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/baseline/fullcycle"
 	"repro/internal/broadcast"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -254,24 +253,23 @@ func (s *Server) PrecomputeTime() time.Duration { return s.pre }
 // NewClient implements scheme.Server.
 func (s *Server) NewClient() scheme.Client { return &Client{} }
 
-// Client receives the whole cycle and chases first-arc colors.
-type Client struct{}
+// Client receives the whole cycle and chases first-arc colors. Its
+// collector and search are reused across queries (scheme.Local).
+type Client struct{ scheme.Local }
 
 // Name implements scheme.Client.
 func (c *Client) Name() string { return "SPQ" }
 
 // Query implements scheme.Client.
 func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
-	var mem metrics.Mem
-	coll := netdata.NewCollector(0, &mem)
+	c.Begin()
 	type partial struct {
 		parts [][]byte
 		got   int
 	}
 	trees := map[graph.NodeID][]byte{}
 	partials := map[graph.NodeID]*partial{}
-	fullcycle.ReceiveAll(t, func(cp int, p packet.Packet) {
-		coll.Process(cp, p)
+	c.ReceiveCycle(t, func(_ int, p packet.Packet) {
 		for rec := range packet.All(p.Payload) {
 			if rec.Tag != packet.TagSPQTree {
 				continue
@@ -295,7 +293,7 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 			if part < len(pa.parts) && pa.parts[part] == nil {
 				pa.parts[part] = body
 				pa.got++
-				mem.Alloc(len(body))
+				c.Mem.Alloc(len(body))
 			}
 			if pa.got == len(pa.parts) {
 				var full []byte
@@ -308,33 +306,26 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		}
 	})
 
-	start := time.Now()                   //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-	coll.Net.SortAllArcs()                // color ordinals refer to CSR arc order
-	mem.Alloc(metrics.DistEntryBytes * 2) // chase state
-	res := c.chase(coll.Net, trees, q, &mem)
-	cpu := time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-
-	res.Metrics = metrics.Query{
-		TuningPackets:  t.Tuning(),
-		LatencyPackets: t.Latency(),
-		PeakMemBytes:   mem.Peak(),
-		CPU:            cpu,
-	}
-	return res, nil
+	c.StartCPU()
+	net := c.Net()
+	net.SortAllArcs()                       // color ordinals refer to CSR arc order
+	c.Mem.Alloc(metrics.DistEntryBytes * 2) // chase state
+	dist, path := c.chase(net, trees, q)
+	c.StopCPU()
+	return c.Result(t, dist, path), nil
 }
 
 // chase follows first-arc colors from s to t. Nodes whose quadtree is
 // missing (loss) or inconclusive (depth cap) fall back to a local Dijkstra
 // for the rest of the route, per Section 6.2 ("all adjacent edges of the
 // specific node have to be considered by the search").
-func (c *Client) chase(net *spath.SubNetwork, trees map[graph.NodeID][]byte, q scheme.Query, mem *metrics.Mem) scheme.Result {
+func (c *Client) chase(net *spath.SubNetwork, trees map[graph.NodeID][]byte, q scheme.Query) (dist float64, path []graph.NodeID) {
 	minX, minY, maxX, maxY := netBounds(net)
-	path := []graph.NodeID{q.S}
-	dist := 0.0
+	path = []graph.NodeID{q.S}
 	cur := q.S
 	for steps := 0; cur != q.T; steps++ {
 		if steps > net.NumNodes()+1 {
-			return scheme.Result{Dist: spath.Inf}
+			return spath.Inf, nil
 		}
 		tree, ok := trees[cur]
 		color := uint8(markMixedCap)
@@ -344,20 +335,17 @@ func (c *Client) chase(net *spath.SubNetwork, trees map[graph.NodeID][]byte, q s
 		arcs := net.Arcs(cur)
 		if int(color) >= len(arcs) {
 			// Lost or inconclusive tree: finish with a plain search.
-			mem.Alloc(metrics.DistEntryBytes * net.NumPresent())
-			r := spath.DijkstraNetwork(net, cur, q.T)
+			r := c.Dijkstra(net, cur, q.T, nil)
 			if r.Path == nil {
-				return scheme.Result{Dist: spath.Inf}
+				return spath.Inf, nil
 			}
-			dist += r.Dist
-			path = append(path, r.Path[1:]...)
-			return scheme.Result{Dist: dist, Path: path}
+			return dist + r.Dist, append(path, r.Path[1:]...)
 		}
 		dist += arcs[color].Weight
 		cur = arcs[color].To
 		path = append(path, cur)
 	}
-	return scheme.Result{Dist: dist, Path: path}
+	return dist, path
 }
 
 // netBounds computes the received network's bounding box; it matches the

@@ -56,9 +56,6 @@ type Params struct {
 	Landmarks int
 	// HiTiDepth is HiTi's hierarchy depth (leaf grid 2^d x 2^d; default 3).
 	HiTiDepth int
-	// Segments toggles EB/NR's cross-border/local data segmentation
-	// (Section 4.1). Defaults to on.
-	DisableSegments bool
 	// MemoryBound enables EB/NR's client-side super-edge pre-computation
 	// (Section 6.1).
 	MemoryBound bool
@@ -91,7 +88,7 @@ func (r *Request) coreOptions() core.Options {
 	}
 	return core.Options{
 		Regions:     cmp.Or(r.Params.Regions, 32),
-		Segments:    !r.Params.DisableSegments,
+		Segments:    true,
 		SquareCells: true,
 		MemoryBound: r.Params.MemoryBound,
 	}

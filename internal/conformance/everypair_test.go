@@ -3,7 +3,6 @@ package conformance
 import (
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/build"
@@ -26,11 +25,6 @@ func TestEveryPairExact(t *testing.T) {
 	if testing.Short() {
 		presets = presets[:1]
 	}
-	// The sweep is 3·10⁵ queries, most of them a whole-network decode into
-	// freshly allocated client state: collecting less often cuts its time by
-	// about a quarter, at a peak of ≈ 160 MB.
-	gc := debug.SetGCPercent(400)
-	t.Cleanup(func() { debug.SetGCPercent(gc) })
 	for _, p := range presets {
 		p := p.Scaled(1e-6)
 		g, err := p.Generate(1)

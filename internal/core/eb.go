@@ -2,18 +2,15 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/airidx"
 	"repro/internal/broadcast"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/netdata"
 	"repro/internal/packet"
 	"repro/internal/partition"
 	"repro/internal/precompute"
 	"repro/internal/scheme"
-	"repro/internal/spath"
 )
 
 // Options configure the EB and NR methods.
@@ -180,18 +177,17 @@ func (e *EB) NewClient() scheme.Client {
 // Dijkstra over their union.
 //
 // Like NRClient, an EBClient models one device answering a stream of
-// queries: index accumulators, the collector and the receive queues persist
-// across Query calls and are reset rather than reallocated. Not safe for
-// concurrent use.
+// queries: index accumulators, the receive queues and the frame's collector
+// and search (scheme.Local) persist across Query calls and are reset rather
+// than reallocated. Not safe for concurrent use.
 type EBClient struct {
+	scheme.Local
 	opts Options
 
 	idx    ebIndex
-	coll   *netdata.Collector
 	needed []int
 	remain []int // remain[region]: the region's packets not yet received intact
 	plan   broadcast.Plan
-	search spath.Search
 	skel   skeleton
 }
 
@@ -285,8 +281,7 @@ func (x *ebIndex) missingSeqs() []int {
 
 // Query implements scheme.Client.
 func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
-	var mem metrics.Mem
-	var cpu time.Duration
+	c.Begin()
 
 	// Step 1: find and receive an index copy (Algorithm 1, lines 1-7).
 	idx := &c.idx
@@ -296,9 +291,9 @@ func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	}
 	n := idx.meta.NumRegions
 	// Client retains splits, the n×n min/max matrix and the directory.
-	mem.Alloc(4*(n-1) + 8*n*n + 8*n)
+	c.Mem.Alloc(4*(n-1) + 8*n*n + 8*n)
 
-	start := time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	c.StartCPU()
 	kd, err := partition.KDTreeFromSplits(idx.splits.Vals)
 	if err != nil {
 		return scheme.Result{}, fmt.Errorf("core: EB client: %w", err)
@@ -315,22 +310,17 @@ func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 		}
 	}
 	c.needed = needed
-	cpu += time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	c.StopCPU()
 
 	// Step 3: receive the needed regions (lines 11-15): each one's
 	// cross-border segment, and the local one too for the terminal regions
 	// rs and rt, then the packets lost on air in later cycles (Section
 	// 6.2). With memory-bound processing on, a region is contracted into
 	// super-edges as its last packet arrives.
-	if c.coll == nil {
-		c.coll = netdata.NewCollector(idx.meta.NumNodes, &mem)
-	} else {
-		c.coll.Reset(idx.meta.NumNodes, &mem)
-	}
-	coll := c.coll
+	coll := c.Collector(idx.meta.NumNodes)
 	var ctr *contractor
 	if c.opts.MemoryBound {
-		ctr = newContractor(kd, coll, q, rs, rt, &cpu, &c.skel, &c.search)
+		ctr = newContractor(kd, coll, q, rs, rt, &c.Local, &c.skel)
 	}
 	remain := resizeCleared(c.remain, n)
 	c.remain = remain
@@ -356,29 +346,14 @@ func (c *EBClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	t.Fetch(plan, data)
 	t.Recover(plan, data)
 
-	// Step 4: Dijkstra over the union (line 16).
-	res := finishSearch(coll, q, &mem, &cpu, &c.search)
-	res.Metrics = metrics.Query{
-		TuningPackets:  t.Tuning(),
-		LatencyPackets: t.Latency(),
-		PeakMemBytes:   mem.Peak(),
-		CPU:            cpu,
-	}
-	return res, nil
-}
-
-// finishSearch runs the final shortest-path computation over what the
-// collector retains: the union of received regions, or — when memory-bound
-// processing contracted them — the union of their skeletons, which contains
-// a true shortest path by the Section 6.1 argument, so the result is exact
-// and needs no expansion. search is the client's reusable Dijkstra state.
-func finishSearch(coll *netdata.Collector, q scheme.Query, mem *metrics.Mem, cpu *time.Duration, search *spath.Search) scheme.Result {
-	start := time.Now()                          //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-	defer func() { *cpu += time.Since(start) }() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-	mem.Alloc(metrics.DistEntryBytes * coll.Net.NumPresent())
-	search.RunNetwork(coll.Net, q.S, q.T, nil)
-	r := search.To(q.S, q.T)
-	return scheme.Result{Dist: r.Dist, Path: r.Path}
+	// Step 4: Dijkstra over the union (line 16). With memory-bound
+	// processing the collector holds the union of the regions' skeletons,
+	// which contains a true shortest path by the Section 6.1 argument, so
+	// the result is exact and needs no expansion.
+	c.StartCPU()
+	r := c.Dijkstra(coll.Net, q.S, q.T, nil)
+	c.StopCPU()
+	return c.Result(t, r.Dist, r.Path), nil
 }
 
 // receiveFullIndex positions the tuner on the next index copy (using the

@@ -2,18 +2,14 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/airidx"
 	"repro/internal/broadcast"
 	"repro/internal/graph"
-	"repro/internal/metrics"
-	"repro/internal/netdata"
 	"repro/internal/packet"
 	"repro/internal/partition"
 	"repro/internal/precompute"
 	"repro/internal/scheme"
-	"repro/internal/spath"
 )
 
 // NR is the Next Region method's server side (Section 5). Pre-computation
@@ -146,19 +142,18 @@ func (s *NR) NewClient() scheme.Client {
 // repeat until the pointer names a region already received.
 //
 // A client models one device answering a stream of queries, so its work
-// buffers — index accumulators, the partial-network collector, the
-// received table and the reception plan — persist across Query
+// buffers — index accumulators, the received table, the reception plan and
+// the frame's collector and search (scheme.Local) — persist across Query
 // calls and are reset, not reallocated, per query. Clients are not safe for
 // concurrent use; a fleet gives each worker its own.
 type NRClient struct {
+	scheme.Local
 	opts Options
 
 	st       nrIndexState
-	coll     *netdata.Collector
 	received []bool
 	remain   []int // remain[region]: the region's packets not yet received intact
 	plan     broadcast.Plan
-	search   spath.Search
 	skel     skeleton
 }
 
@@ -252,8 +247,7 @@ func (x *nrIndexState) receiveLocalIndex(t *broadcast.Tuner) {
 
 // Query implements scheme.Client.
 func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
-	var mem metrics.Mem
-	var cpu time.Duration
+	c.Begin()
 
 	st := &c.st
 	st.reset()
@@ -279,26 +273,21 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 		}
 	}
 	n := st.meta.NumRegions
-	mem.Alloc(4*(n-1) + 12*n) // retained splits + directory
+	c.Mem.Alloc(4*(n-1) + 12*n) // retained splits + directory
 
-	start := time.Now() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	c.StartCPU()
 	kd, err := partition.KDTreeFromSplits(st.splits.Vals)
 	if err != nil {
 		return scheme.Result{}, fmt.Errorf("core: NR client: %w", err)
 	}
 	rs := kd.RegionOf(q.SX, q.SY)
 	rt := kd.RegionOf(q.TX, q.TY)
-	cpu += time.Since(start) //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	c.StopCPU()
 
-	if c.coll == nil {
-		c.coll = netdata.NewCollector(st.meta.NumNodes, &mem)
-	} else {
-		c.coll.Reset(st.meta.NumNodes, &mem)
-	}
-	coll := c.coll
+	coll := c.Collector(st.meta.NumNodes)
 	var ctr *contractor
 	if c.opts.MemoryBound {
-		ctr = newContractor(kd, coll, q, rs, rt, &cpu, &c.skel, &c.search)
+		ctr = newContractor(kd, coll, q, rs, rt, &c.Local, &c.skel)
 	}
 
 	// Step 2: follow the next-region pointers (lines 8-19), receiving
@@ -365,15 +354,12 @@ func (c *NRClient) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, err
 	// every region first, then the retries).
 	t.Recover(plan, data)
 
-	// Step 4: Dijkstra over the collected regions (line 20).
-	res := finishSearch(coll, q, &mem, &cpu, &c.search)
-	res.Metrics = metrics.Query{
-		TuningPackets:  t.Tuning(),
-		LatencyPackets: t.Latency(),
-		PeakMemBytes:   mem.Peak(),
-		CPU:            cpu,
-	}
-	return res, nil
+	// Step 4: Dijkstra over the collected regions (line 20), exact over
+	// their skeletons too (EBClient.Query).
+	c.StartCPU()
+	r := c.Dijkstra(coll.Net, q.S, q.T, nil)
+	c.StopCPU()
+	return c.Result(t, r.Dist, r.Path), nil
 }
 
 // resizeCleared returns a zeroed slice of length n, reusing buf's backing

@@ -78,9 +78,9 @@ func TestClientSearchMatchesOracle(t *testing.T) {
 				var net *spath.SubNetwork
 				switch c := client.(type) {
 				case *EBClient:
-					net = c.coll.Net
+					net = c.Net()
 				case *NRClient:
-					net = c.coll.Net
+					net = c.Net()
 				}
 				want := heapLoop(net, q.S, q.T)
 				if res.Dist != want.Dist || !slices.Equal(res.Path, want.Path) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/netdata"
@@ -28,14 +27,13 @@ import (
 // Border nodes adjacent only to irrelevant regions still contribute their
 // skeleton, which subsumes the paper's white-region border optimization.
 type contractor struct {
-	kd     *partition.KDTree
-	coll   *netdata.Collector
-	q      scheme.Query
-	rs     int
-	rt     int
-	cpu    *time.Duration
-	sk     *skeleton
-	search *spath.Search
+	kd    *partition.KDTree
+	coll  *netdata.Collector
+	q     scheme.Query
+	rs    int
+	rt    int
+	frame *scheme.Local // its stopwatch takes the contraction's time
+	sk    *skeleton
 }
 
 // skeleton is the contraction's scratch, held by the client and reused
@@ -48,19 +46,20 @@ type skeleton struct {
 	// starts a new epoch for its terminals and one per source, so a walk
 	// stops where an earlier walk from the same source joined the tree, and
 	// the contraction keeps every node marked since it began.
-	mark  []uint32
-	epoch uint32
+	mark   []uint32
+	epoch  uint32
+	search spath.Search // each terminal's tree inside the region
 }
 
-func newContractor(kd *partition.KDTree, coll *netdata.Collector, q scheme.Query, rs, rt int, cpu *time.Duration, sk *skeleton, search *spath.Search) *contractor {
-	return &contractor{kd: kd, coll: coll, q: q, rs: rs, rt: rt, cpu: cpu, sk: sk, search: search}
+func newContractor(kd *partition.KDTree, coll *netdata.Collector, q scheme.Query, rs, rt int, frame *scheme.Local, sk *skeleton) *contractor {
+	return &contractor{kd: kd, coll: coll, q: q, rs: rs, rt: rt, frame: frame, sk: sk}
 }
 
 // contract reduces the received region to its shortest-path skeleton and
 // releases every other node of the region.
 func (c *contractor) contract(region int) {
-	start := time.Now()                            //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
-	defer func() { *c.cpu += time.Since(start) }() //air:nondeterministic "stats timing only; measured wall time is reported, never encoded or steering"
+	c.frame.StartCPU()
+	defer c.frame.StopCPU()
 
 	sk, full := c.sk, c.coll.Net
 	n := full.NumNodes()
@@ -108,10 +107,10 @@ func (c *contractor) contract(region int) {
 		sk.mark[t] = base
 	}
 	for _, src := range sk.terminals {
-		c.search.RunNetwork(&sk.net, src, graph.Invalid, nil)
+		sk.search.RunNetwork(&sk.net, src, graph.Invalid, nil)
 		sk.epoch++
 		for _, t := range sk.terminals {
-			for v := t; v != graph.Invalid && sk.mark[v] != sk.epoch; v = c.search.Parent[v] {
+			for v := t; v != graph.Invalid && sk.mark[v] != sk.epoch; v = sk.search.Parent[v] {
 				sk.mark[v] = sk.epoch
 			}
 		}

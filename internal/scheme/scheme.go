@@ -48,8 +48,10 @@ type Server interface {
 	// (Table 3); cycle serialization is excluded, matching the paper's
 	// focus on shortest-path pre-calculation.
 	PrecomputeTime() time.Duration
-	// NewClient returns a client for this method. Clients carry no
-	// query state and may be reused across queries.
+	// NewClient returns a client for this method. A client answers a
+	// stream of queries and keeps its scratch state (Local and its own
+	// decode buffers) from one query to the next, so it is not safe for
+	// concurrent use: give each goroutine its own.
 	NewClient() Client
 }
 

@@ -12,15 +12,6 @@ type Result struct {
 	Path []graph.NodeID // nil when unreachable
 }
 
-// DijkstraNetwork runs the point-to-point search from s to t over net: the
-// "search in the union of received regions" step every client scheme ends
-// with (paper Sections 4.2, 5.2).
-func DijkstraNetwork(net *SubNetwork, s, t graph.NodeID) Result {
-	var sc Search
-	sc.RunNetwork(net, s, t, nil)
-	return sc.To(s, t)
-}
-
 // RunNetwork is the network kernel: Run's chain rule and stop rule over a
 // SubNetwork, where a node that was not received is labelled but has no
 // arcs to relax. With a target t it stops once t's label is final; with

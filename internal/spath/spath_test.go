@@ -293,9 +293,11 @@ func TestSubNetworkDijkstra(t *testing.T) {
 	g := randomGraph(50, 11)
 	// Full copy into a SubNetwork must reproduce distances.
 	sn := subNetworkOf(g)
+	var sc Search
 	for s := 0; s < 10; s++ {
 		want, _, _ := PointToPoint(g, graph.NodeID(s), graph.NodeID(49))
-		got := DijkstraNetwork(sn, graph.NodeID(s), 49)
+		sc.RunNetwork(sn, graph.NodeID(s), 49, nil)
+		got := sc.To(graph.NodeID(s), 49)
 		if math.Abs(got.Dist-want) > 1e-9 {
 			t.Fatalf("subnetwork d(%d,49) = %v, want %v", s, got.Dist, want)
 		}

@@ -131,8 +131,18 @@ func (s *Server) PrecomputeTime() time.Duration { return s.pre }
 func (s *Server) NewClient() scheme.Client { return &Client{} }
 
 // Client receives the whole cycle and runs landmark-guided A*. Its
-// collector and search are reused across queries (scheme.Local).
-type Client struct{ scheme.Local }
+// collector and search are reused across queries (scheme.Local), and so is
+// the table it decodes the distance vectors into.
+type Client struct {
+	scheme.Local
+
+	// vecs[v*k:(v+1)*k] is node v's distance vector while has[v]; k is the
+	// length of the query's first vector record, -1 before it arrives.
+	vecs []float64
+	has  []bool
+	k    int
+	tv   []float64 // the target's vector; nil when lost
+}
 
 // Name implements scheme.Client.
 func (c *Client) Name() string { return "LD" }
@@ -140,42 +150,70 @@ func (c *Client) Name() string { return "LD" }
 // Query implements scheme.Client.
 func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
 	c.Begin()
-	vecs := make(map[graph.NodeID][]float64)
+	clear(c.has)
+	c.k = -1
 	c.ReceiveCycle(t, func(_ int, p packet.Packet) {
 		for rec := range packet.All(p.Payload) {
-			if rec.Tag != packet.TagLandmarkVec {
-				continue
-			}
-			d := packet.NewDec(rec.Data)
-			v := graph.NodeID(d.U32())
-			k := int(d.U8())
-			vec := make([]float64, k)
-			for i := range vec {
-				vec[i] = d.F32()
-			}
-			if !d.Err() {
-				vecs[v] = vec
-				c.Mem.Alloc(metrics.VecEntryBytes * k)
+			if rec.Tag == packet.TagLandmarkVec {
+				c.decode(rec.Data)
 			}
 		}
 	})
 
 	c.StartCPU()
-	tv := vecs[q.T] // nil when lost: every bound degrades to 0
-	lb := func(v graph.NodeID) float64 {
-		vv := vecs[v]
-		best := 0.0
-		for l := 0; l < len(vv) && l < len(tv); l++ {
-			// Symmetric networks: |d(L,v) - d(L,t)| <= d(v,t).
-			if b := math.Abs(vv[l] - tv[l]); b > best {
-				best = b
-			}
-		}
-		return best
-	}
+	c.tv = c.vector(q.T) // nil when lost: every bound degrades to 0
 	// A* over the network kernel stays exact under this bound even where
 	// lost vectors make it inconsistent.
-	res := c.Dijkstra(c.Net(), q.S, q.T, lb)
+	res := c.Dijkstra(c.Net(), q.S, q.T, c.bound)
 	c.StopCPU()
 	return c.Result(t, res.Dist, res.Path), nil
+}
+
+// decode stores one vector record. A record whose length differs from the
+// query's first is dropped like a lost one.
+func (c *Client) decode(data []byte) {
+	d := packet.NewDec(data)
+	v := int(d.U32())
+	k := int(d.U8())
+	if d.Err() || c.k >= 0 && k != c.k {
+		return
+	}
+	c.k = k
+	if v >= len(c.has) {
+		n := max(v+1, 2*len(c.has))
+		c.has = append(c.has, make([]bool, n-len(c.has))...)
+	}
+	if need := len(c.has) * k; len(c.vecs) < need {
+		c.vecs = append(c.vecs, make([]float64, need-len(c.vecs))...)
+	}
+	vec := c.vecs[v*k : (v+1)*k]
+	for i := range vec {
+		vec[i] = d.F32()
+	}
+	if !d.Err() {
+		c.has[v] = true
+		c.Mem.Alloc(metrics.VecEntryBytes * k)
+	}
+}
+
+// vector returns node v's distance vector, nil when it was not received.
+func (c *Client) vector(v graph.NodeID) []float64 {
+	if int(v) >= len(c.has) || !c.has[v] {
+		return nil
+	}
+	i := int(v) * c.k
+	return c.vecs[i : i+c.k]
+}
+
+// bound is the A* lower bound toward the query's target: over the landmarks
+// L, |d(L,v) - d(L,t)| <= d(v,t) on symmetric networks.
+func (c *Client) bound(v graph.NodeID) float64 {
+	vv := c.vector(v)
+	best := 0.0
+	for l := 0; l < len(vv) && l < len(c.tv); l++ {
+		if b := math.Abs(vv[l] - c.tv[l]); b > best {
+			best = b
+		}
+	}
+	return best
 }

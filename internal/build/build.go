@@ -202,7 +202,10 @@ type parts struct {
 // parts walks to the shared pre-computation for n regions: memory, what
 // Prev lends, the disk tier, then the Dijkstra storm, which is persisted.
 // Only the border data is stored: partition and regions are pure functions
-// of coordinates and topology, cheap to rederive.
+// of coordinates and topology, rederived on every load. On germany@1.0 at
+// 32 regions a warm NR deploy takes ≈ 4 ms: the kd-tree ≈ 1.5 ms (linear-
+// time medians), the regions ≈ 1 ms, and mapping and checking the cycle
+// and border artifacts the rest.
 func (r *Request) parts(n int) (*parts, error) {
 	build := func(key *servercache.Key) (*parts, error) {
 		var p parts

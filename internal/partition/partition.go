@@ -10,9 +10,11 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -45,7 +47,14 @@ type KDTree struct {
 
 // NewKDTree builds a kd-tree over the nodes of g with the given number of
 // regions, which must be a power of two and at least 2. Split values are
-// median coordinates of the nodes in the region being split.
+// median coordinates of the nodes in the region being split: the ⌊m/2⌋-th
+// smallest of a region's m float32-quantised coordinates (0 for an empty
+// region), with the nodes strictly below it going left.
+//
+// The build permutes one array of quantised points in place, level by
+// level: every region is a contiguous run of it, and its median comes from
+// a linear-time selection (selectKth), so a build costs O(n) per level
+// instead of a sort per region.
 func NewKDTree(g *graph.Graph, regions int) (*KDTree, error) {
 	if regions < 2 || regions&(regions-1) != 0 {
 		return nil, fmt.Errorf("partition: regions must be a power of two >= 2, got %d", regions)
@@ -53,70 +62,146 @@ func NewKDTree(g *graph.Graph, regions int) (*KDTree, error) {
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("partition: cannot partition an empty graph")
 	}
-	levels := 0
-	for 1<<levels < regions {
-		levels++
-	}
+	levels := bits.Len(uint(regions)) - 1
 	t := &KDTree{splits: make([]float64, regions-1), levels: levels}
 
-	// Work on index slices into the node array, splitting by median.
-	idx := make([]int32, g.NumNodes())
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	nodes := make([]graph.Node, g.NumNodes())
 	// Quantize coordinates to float32 up front: split values travel on air
 	// as float32, and server-side assignment must agree bit-for-bit with
 	// the client's reconstruction (see RegionOf).
+	pts := make([]point, g.NumNodes())
+	hasNaN := false
 	for i, nd := range g.Nodes() {
-		nodes[i] = graph.Node{ID: nd.ID, X: quant(nd.X), Y: quant(nd.Y)}
+		pts[i] = point{float32(nd.X), float32(nd.Y)}
+		hasNaN = hasNaN || nd.X != nd.X || nd.Y != nd.Y
 	}
-	// groups[k] holds the node indexes currently in implicit tree node k
-	// (1-based heap numbering: children of k are 2k and 2k+1).
-	groups := map[int][]int32{1: idx}
+	// At level l, tree node k = 2^l+j (1-based heap numbering: children of
+	// k are 2k and 2k+1) holds pts[bounds[j]:bounds[j+1]]. Walking a level
+	// right to left lets the children's bounds overwrite their parents'.
+	bounds := make([]int, regions+1)
+	bounds[1] = len(pts)
 	for level := 0; level < levels; level++ {
-		byY := level%2 == 0 // level 0 splits on y, per the paper's Figure 2
+		axis := axisY // level 0 splits on y, per the paper's Figure 2
+		if level%2 == 1 {
+			axis = axisX
+		}
 		first := 1 << level
-		for k := first; k < first*2; k++ {
-			part := groups[k]
-			delete(groups, k)
-			split, left, right := medianSplit(nodes, part, byY)
-			t.splits[k-1] = split
-			groups[2*k] = left
-			groups[2*k+1] = right
+		for j := first - 1; j >= 0; j-- {
+			lo, hi := bounds[j], bounds[j+1]
+			split, mid := medianSplit(pts[lo:hi], axis, hasNaN)
+			t.splits[first-1+j] = split
+			bounds[2*j], bounds[2*j+1], bounds[2*j+2] = lo, lo+mid, hi
 		}
 	}
 	return t, nil
 }
 
-// medianSplit partitions part by the median of the chosen coordinate.
-// Nodes with coordinate strictly below the median go left; the rest right.
-// The returned halves differ in size by at most the number of ties at the
-// median value.
-func medianSplit(nodes []graph.Node, part []int32, byY bool) (split float64, left, right []int32) {
-	coord := func(i int32) float64 {
-		if byY {
-			return nodes[i].Y
-		}
-		return nodes[i].X
-	}
+// point is a node's quantised coordinates, indexed by axisX or axisY.
+type point [2]float32
+
+const (
+	axisX = 0
+	axisY = 1
+)
+
+// medianSplit reorders part so that the nodes whose coordinate on axis is
+// strictly below the median come first, and returns the median and the
+// number of those nodes. hasNaN says whether any coordinate may be NaN.
+//
+// The order is sort.Float64s': NaNs first, then the numbers ascending. The
+// median is the ⌊m/2⌋-th smallest; no NaN is below any value, so NaNs go
+// right.
+func medianSplit(part []point, axis int, hasNaN bool) (split float64, mid int) {
 	if len(part) == 0 {
-		return 0, nil, nil
+		return 0, 0
 	}
-	vals := make([]float64, len(part))
-	for i, id := range part {
-		vals[i] = coord(id)
-	}
-	sort.Float64s(vals)
-	split = quant(vals[len(vals)/2])
-	for _, id := range part {
-		if coord(id) < split {
-			left = append(left, id)
-		} else {
-			right = append(right, id)
+	k := len(part) / 2
+	nans := 0
+	if hasNaN {
+		for i, p := range part {
+			if p[axis] != p[axis] {
+				part[i], part[nans] = part[nans], part[i]
+				nans++
+			}
 		}
 	}
-	return split, left, right
+	if k < nans {
+		// A NaN median: nothing is below it.
+		return float64(part[k][axis]), 0
+	}
+	rest := part[nans:]
+	selectKth(rest, k-nans, axis, bits.Len(uint(len(rest))))
+	s := part[k][axis]
+	// Everything below the median is in part[:k] now.
+	for i := range part[:k] {
+		if part[i][axis] < s {
+			part[i], part[mid] = part[mid], part[i]
+			mid++
+		}
+	}
+	return float64(s), mid
+}
+
+// selectKth reorders a, which holds no NaN on axis, so that a[k] is its
+// k-th smallest coordinate on axis, nothing before a[k] is larger and
+// nothing after it is smaller.
+//
+// It is quickselect with a median-of-three pivot and Hoare's partition,
+// which splits runs of equal values evenly. A round that keeps more than
+// 7/8 of its range is unbalanced; once budget of those have run it sorts
+// the range left instead. medianSplit's budget of log2(len(a)) keeps the
+// worst case at O(m log m) with no randomness.
+func selectKth(a []point, k, axis, budget int) {
+	lo, hi := 0, len(a)-1 // k is in a[lo:hi+1]
+	for hi-lo >= 16 {
+		if budget == 0 {
+			slices.SortFunc(a[lo:hi+1], func(p, q point) int { return cmp.Compare(p[axis], q[axis]) })
+			return
+		}
+		// Order a[lo], a[m], a[hi]: their median is the pivot, and the two
+		// ends bound both scans below.
+		m := lo + (hi-lo)/2
+		if a[m][axis] < a[lo][axis] {
+			a[m], a[lo] = a[lo], a[m]
+		}
+		if a[hi][axis] < a[m][axis] {
+			a[hi], a[m] = a[m], a[hi]
+			if a[m][axis] < a[lo][axis] {
+				a[m], a[lo] = a[lo], a[m]
+			}
+		}
+		pivot := a[m][axis]
+		i, j := lo, hi
+		for {
+			i++
+			for a[i][axis] < pivot {
+				i++
+			}
+			j--
+			for pivot < a[j][axis] {
+				j--
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		// a[lo:j+1] <= pivot <= a[j+1:hi+1], both non-empty.
+		n := hi - lo + 1
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+		if 8*(hi-lo+1) > 7*n {
+			budget--
+		}
+	}
+	// Insertion sort of the last few.
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && a[j][axis] < a[j-1][axis]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
 }
 
 // NumRegions implements Partitioning.

@@ -181,10 +181,27 @@ func (s *Server) PrecomputeTime() time.Duration { return s.pre }
 func (s *Server) NewClient() scheme.Client { return &Client{regions: s.opts.Regions} }
 
 // Client receives the whole cycle and runs a flag-pruned Dijkstra. Its
-// collector and search are reused across queries (scheme.Local).
+// collector and search are reused across queries (scheme.Local), and so is
+// the table it decodes the flag vectors into.
 type Client struct {
 	scheme.Local
 	regions int
+
+	// The query's flag vectors: head[u] is 1 + the index in arcs of the
+	// last vector received for an arc out of u (0: none), each entry links
+	// to the one received before it, and the vectors' bytes are in vecs.
+	head   []int32
+	arcs   []flagArc
+	vecs   []byte
+	splits splitsCollect
+}
+
+// flagArc places one received flag vector: arc (u, to)'s bits are
+// vecs[off:off+n].
+type flagArc struct {
+	to     graph.NodeID
+	off, n int32
+	next   int32
 }
 
 // Name implements scheme.Client.
@@ -193,8 +210,9 @@ func (c *Client) Name() string { return "AF" }
 // Query implements scheme.Client.
 func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
 	c.Begin()
-	var splits splitsCollect
-	flags := make(map[[2]graph.NodeID][]byte)
+	c.splits.reset()
+	clear(c.head)
+	c.arcs, c.vecs = c.arcs[:0], c.vecs[:0]
 	numRegions := 0
 	c.ReceiveCycle(t, func(_ int, p packet.Packet) {
 		for rec := range packet.All(p.Payload) {
@@ -204,26 +222,16 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 				d.U32()
 				numRegions = int(d.U16())
 			case packet.TagKDSplits:
-				splits.add(rec.Data)
+				c.splits.add(rec.Data)
 			case packet.TagArcFlags:
-				d := packet.NewDec(rec.Data)
-				u := graph.NodeID(d.U32())
-				v := graph.NodeID(d.U32())
-				buf := make([]byte, d.Remaining())
-				for i := range buf {
-					buf[i] = d.U8()
-				}
-				if !d.Err() {
-					flags[[2]graph.NodeID{u, v}] = buf
-					c.Mem.Alloc(len(buf) + metrics.FlagEntryBytes)
-				}
+				c.decode(rec.Data)
 			}
 		}
 	})
-	if numRegions == 0 || !splits.complete(numRegions) {
+	if numRegions == 0 || !c.splits.complete(numRegions) {
 		return scheme.Result{}, fmt.Errorf("arcflag: index incomplete after full cycle")
 	}
-	kd, err := partition.KDTreeFromSplits(splits.vals[:numRegions-1])
+	kd, err := partition.KDTreeFromSplits(c.splits.vals[:numRegions-1])
 	if err != nil {
 		return scheme.Result{}, fmt.Errorf("arcflag: %w", err)
 	}
@@ -240,7 +248,7 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 		arcs := net.Arcs(u)
 		kept := arcs[:0]
 		for _, a := range arcs {
-			if fv, ok := flags[[2]graph.NodeID{u, a.To}]; !ok || rt/8 >= len(fv) || fv[rt/8]&(1<<(rt%8)) != 0 {
+			if fv, ok := c.flags(u, a.To); !ok || rt/8 >= len(fv) || fv[rt/8]&(1<<(rt%8)) != 0 {
 				kept = append(kept, a)
 			}
 		}
@@ -250,6 +258,39 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 	res := c.Dijkstra(net, q.S, q.T, nil)
 	c.StopCPU()
 	return c.Result(t, res.Dist, res.Path), nil
+}
+
+// decode stores one flag vector record. A later vector for the same arc
+// replaces an earlier one.
+func (c *Client) decode(data []byte) {
+	d := packet.NewDec(data)
+	u := int(d.U32())
+	to := graph.NodeID(d.U32())
+	if d.Err() {
+		return
+	}
+	vec := data[len(data)-d.Remaining():]
+	if u >= len(c.head) {
+		c.head = append(c.head, make([]int32, max(u+1, 2*len(c.head))-len(c.head))...)
+	}
+	c.arcs = append(c.arcs, flagArc{to: to, off: int32(len(c.vecs)), n: int32(len(vec)), next: c.head[u]})
+	c.head[u] = int32(len(c.arcs))
+	c.vecs = append(c.vecs, vec...)
+	c.Mem.Alloc(len(vec) + metrics.FlagEntryBytes)
+}
+
+// flags returns the flag vector of arc (u, to), false when it was not
+// received.
+func (c *Client) flags(u, to graph.NodeID) ([]byte, bool) {
+	if int(u) >= len(c.head) {
+		return nil, false
+	}
+	for i := c.head[u]; i != 0; i = c.arcs[i-1].next {
+		if a := c.arcs[i-1]; a.to == to {
+			return c.vecs[a.off : a.off+a.n], true
+		}
+	}
+	return nil, false
 }
 
 type splitsCollect struct {
@@ -276,3 +317,9 @@ func (s *splitsCollect) add(data []byte) {
 }
 
 func (s *splitsCollect) complete(regions int) bool { return s.n >= regions-1 }
+
+// reset forgets the received splits; vals is only read where got is set.
+func (s *splitsCollect) reset() {
+	clear(s.got[:])
+	s.n = 0
+}

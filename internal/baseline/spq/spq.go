@@ -254,8 +254,33 @@ func (s *Server) PrecomputeTime() time.Duration { return s.pre }
 func (s *Server) NewClient() scheme.Client { return &Client{} }
 
 // Client receives the whole cycle and chases first-arc colors. Its
-// collector and search are reused across queries (scheme.Local).
-type Client struct{ scheme.Local }
+// collector and search are reused across queries (scheme.Local), and so are
+// the slabs it decodes the quadtrees into.
+type Client struct {
+	scheme.Local
+
+	// The query's quadtrees. A tree arrives in parts: the first part heard
+	// of node v reserves nodes[v].slots entries in parts, each part's bytes
+	// go to partBytes, and once all are in they are joined into trees and
+	// the entries are let go (a later part of v starts a new set).
+	nodes     []spqNode
+	parts     []span
+	partBytes []byte
+	trees     []byte
+}
+
+// spqNode is one node's quadtree state for the current query.
+type spqNode struct {
+	tree  span // in trees, once whole
+	whole bool
+	base  int32 // 1 + the node's first slot in parts, 0 when none reserved
+	slots int32 // parts the node's tree declared
+	got   int32 // of them received
+}
+
+// span is a run of bytes in a slab; a part slot's n < 0 means the part has
+// not arrived.
+type span struct{ off, n int32 }
 
 // Name implements scheme.Client.
 func (c *Client) Name() string { return "SPQ" }
@@ -263,45 +288,12 @@ func (c *Client) Name() string { return "SPQ" }
 // Query implements scheme.Client.
 func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error) {
 	c.Begin()
-	type partial struct {
-		parts [][]byte
-		got   int
-	}
-	trees := map[graph.NodeID][]byte{}
-	partials := map[graph.NodeID]*partial{}
+	clear(c.nodes)
+	c.parts, c.partBytes, c.trees = c.parts[:0], c.partBytes[:0], c.trees[:0]
 	c.ReceiveCycle(t, func(_ int, p packet.Packet) {
 		for rec := range packet.All(p.Payload) {
-			if rec.Tag != packet.TagSPQTree {
-				continue
-			}
-			d := packet.NewDec(rec.Data)
-			v := graph.NodeID(d.U32())
-			part := int(d.U16())
-			parts := int(d.U16())
-			if d.Err() || parts == 0 || part >= parts {
-				continue
-			}
-			body := make([]byte, d.Remaining())
-			for i := range body {
-				body[i] = d.U8()
-			}
-			pa := partials[v]
-			if pa == nil {
-				pa = &partial{parts: make([][]byte, parts)}
-				partials[v] = pa
-			}
-			if part < len(pa.parts) && pa.parts[part] == nil {
-				pa.parts[part] = body
-				pa.got++
-				c.Mem.Alloc(len(body))
-			}
-			if pa.got == len(pa.parts) {
-				var full []byte
-				for _, b := range pa.parts {
-					full = append(full, b...)
-				}
-				trees[v] = full
-				delete(partials, v)
+			if rec.Tag == packet.TagSPQTree {
+				c.decode(rec.Data)
 			}
 		}
 	})
@@ -310,16 +302,64 @@ func (c *Client) Query(t *broadcast.Tuner, q scheme.Query) (scheme.Result, error
 	net := c.Net()
 	net.SortAllArcs()                       // color ordinals refer to CSR arc order
 	c.Mem.Alloc(metrics.DistEntryBytes * 2) // chase state
-	dist, path := c.chase(net, trees, q)
+	dist, path := c.chase(net, q)
 	c.StopCPU()
 	return c.Result(t, dist, path), nil
+}
+
+// decode stores one quadtree part record, and joins the node's tree once
+// its last part is in.
+func (c *Client) decode(data []byte) {
+	d := packet.NewDec(data)
+	v := int(d.U32())
+	part := int(d.U16())
+	parts := int(d.U16())
+	if d.Err() || parts == 0 || part >= parts {
+		return
+	}
+	body := data[len(data)-d.Remaining():]
+	if v >= len(c.nodes) {
+		n := max(v+1, 2*len(c.nodes))
+		c.nodes = append(c.nodes, make([]spqNode, n-len(c.nodes))...)
+	}
+	nd := &c.nodes[v]
+	if nd.base == 0 {
+		nd.base, nd.slots, nd.got = int32(len(c.parts))+1, int32(parts), 0
+		for range parts {
+			c.parts = append(c.parts, span{n: -1})
+		}
+	}
+	slots := c.parts[nd.base-1 : nd.base-1+nd.slots]
+	if part < len(slots) && slots[part].n < 0 {
+		slots[part] = span{int32(len(c.partBytes)), int32(len(body))}
+		c.partBytes = append(c.partBytes, body...)
+		nd.got++
+		c.Mem.Alloc(len(body))
+	}
+	if nd.got == nd.slots {
+		off := len(c.trees)
+		for _, sp := range slots {
+			c.trees = append(c.trees, c.partBytes[sp.off:sp.off+sp.n]...)
+		}
+		nd.tree, nd.whole = span{int32(off), int32(len(c.trees) - off)}, true
+		nd.base = 0
+	}
+}
+
+// tree returns node v's quadtree, false when it did not arrive whole.
+func (c *Client) tree(v graph.NodeID) ([]byte, bool) {
+	if int(v) >= len(c.nodes) || !c.nodes[v].whole {
+		return nil, false
+	}
+	t := c.nodes[v].tree
+	return c.trees[t.off : t.off+t.n], true
 }
 
 // chase follows first-arc colors from s to t. Nodes whose quadtree is
 // missing (loss) or inconclusive (depth cap) fall back to a local Dijkstra
 // for the rest of the route, per Section 6.2 ("all adjacent edges of the
 // specific node have to be considered by the search").
-func (c *Client) chase(net *spath.SubNetwork, trees map[graph.NodeID][]byte, q scheme.Query) (dist float64, path []graph.NodeID) {
+func (c *Client) chase(net *spath.SubNetwork, q scheme.Query) (dist float64, path []graph.NodeID) {
 	minX, minY, maxX, maxY := netBounds(net)
 	path = []graph.NodeID{q.S}
 	cur := q.S
@@ -327,7 +367,7 @@ func (c *Client) chase(net *spath.SubNetwork, trees map[graph.NodeID][]byte, q s
 		if steps > net.NumNodes()+1 {
 			return spath.Inf, nil
 		}
-		tree, ok := trees[cur]
+		tree, ok := c.tree(cur)
 		color := uint8(markMixedCap)
 		if ok {
 			color = lookupQuad(tree, q.TX, q.TY, minX, minY, maxX+1, maxY+1)

@@ -1,7 +1,8 @@
 package spath
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -273,6 +274,15 @@ func (s *SubNetwork) ForEach(fn func(v graph.NodeID)) {
 	}
 }
 
+// compareArcs orders arcs by (target, weight). Arcs equal in both are
+// identical values, so the sort needs no stability.
+func compareArcs(a, b graph.Arc) int {
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Weight, b.Weight)
+}
+
 // SortAllArcs sorts every present node's arc list by (target, weight): the
 // canonical CSR order. Clients that pair per-arc auxiliary data (ArcFlag's
 // bit vectors) with adjacency lists by ordinal call this after reception,
@@ -282,11 +292,6 @@ func (s *SubNetwork) SortAllArcs() {
 		if len(arcs) < 2 || !s.present[v] {
 			continue
 		}
-		sort.Slice(arcs, func(i, j int) bool {
-			if arcs[i].To != arcs[j].To {
-				return arcs[i].To < arcs[j].To
-			}
-			return arcs[i].Weight < arcs[j].Weight
-		})
+		slices.SortFunc(arcs, compareArcs)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -647,5 +648,146 @@ func TestWelcomeMustFitADatagram(t *testing.T) {
 	body, err := appendWelcomeBody(nil, welcome{CycleLen: 200, Kinds: scheduleOf(kinds[:200])})
 	if w := packet.AppendEnvelope(nil, frameWelcome, body); err != nil || len(w) > maxDatagram {
 		t.Fatalf("a 200-run schedule: %d bytes, err %v", len(w), err)
+	}
+}
+
+// rawStream hellos a bare socket (no GRO: the kernel hands it one datagram
+// per read) for window positions and returns, datagram by datagram, the
+// positions it received, counted from the subscription's start. Every
+// datagram must be at most maxDatagram bytes of whole frames.
+func rawStream(t *testing.T, b *Broadcaster, window int) (datagrams [][]int) {
+	t.Helper()
+	c := rawDial(t, b)
+	w := rawHello(t, c, uint32(window))
+	buf := make([]byte, 1<<16)
+	for got := 0; got < window; {
+		c.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := c.conn.Read(buf)
+		if err != nil {
+			t.Fatalf("stream stopped after %d of %d positions: %v", got, window, err)
+		}
+		if n > maxDatagram {
+			t.Fatalf("a %d-byte datagram on the wire, more than maxDatagram %d", n, maxDatagram)
+		}
+		var poss []int
+		for d := buf[:n]; len(d) > 0; {
+			env, rest, err := packet.SplitEnvelope(d)
+			if err != nil {
+				t.Fatalf("datagram of %d bytes is not whole frames: %v", n, err)
+			}
+			ftype, body, err := packet.OpenEnvelope(env)
+			if err != nil || ftype != packet.FrameData {
+				t.Fatalf("frame of type %#x in a data datagram: %v", ftype, err)
+			}
+			poss = append(poss, dataPos(t, body)-int(w.Start))
+			d = rest
+		}
+		got += len(poss)
+		datagrams = append(datagrams, poss)
+	}
+	c.send(appendBye(nil))
+	return datagrams
+}
+
+// TestPumpGSOKeepsWireBytes: a segmented write puts on the wire exactly the
+// datagrams the per-datagram path writes. A receiver without GRO reads
+// datagrams of at most maxDatagram bytes made of whole frames, and the same
+// positions in the same datagrams whether the broadcaster segments or not;
+// with segmentation a write carries several datagrams, without it one.
+func TestPumpGSOKeepsWireBytes(t *testing.T) {
+	g := conformance.Network(t, 200, 300, 7)
+	srv := testServers(t, g)[1]
+	const window = 200 // 22 full datagrams and a part
+	var layouts [2][][]int
+	for i, gso := range []bool{true, false} {
+		b := serve(t, startStation(t, srv), BroadcasterOptions{})
+		if gso && !b.gso.Load() {
+			t.Skip("the kernel does not segment UDP writes here")
+		}
+		b.gso.Store(gso)
+		sent, writes := obsSent.Value(), obsWrites.Value()
+		layouts[i] = rawStream(t, b, window)
+		waitRemotes(t, b, 0)
+		sent, writes = obsSent.Value()-sent, obsWrites.Value()-writes
+		if sent != int64(len(layouts[i])) {
+			t.Errorf("gso %v: %d datagrams counted sent, %d received", gso, sent, len(layouts[i]))
+		}
+		if gso && writes >= sent || !gso && writes != sent {
+			t.Errorf("gso %v: %d writes for %d datagrams", gso, writes, sent)
+		}
+	}
+	next := 0
+	for _, d := range layouts[0] {
+		for _, pos := range d {
+			if pos != next {
+				t.Fatalf("position %d where %d was due", pos, next)
+			}
+			next++
+		}
+	}
+	if fmt.Sprint(layouts[0]) != fmt.Sprint(layouts[1]) {
+		t.Fatalf("datagrams differ with and without segmentation:\n%v\n%v", layouts[0], layouts[1])
+	}
+}
+
+// TestCorruptionInsideGROSegment is TestCorruptionInsideBatch on a read the
+// kernel coalesced: the Corrupt hook damages frame k of the third datagram
+// of the first segmented write, which a GRO receiver reads in one buffer
+// with the datagrams around it. A payload bit costs that position; a
+// length or magic bit costs it and the rest of its datagram, not the rest
+// of the read.
+func TestCorruptionInsideGROSegment(t *testing.T) {
+	g := conformance.Network(t, 250, 380, 13)
+	srv := testServers(t, g)[1]
+	cyc := srv.Cycle()
+	const k, datagram = 3, 2
+	for _, dmg := range damages {
+		t.Run(dmg.name, func(t *testing.T) {
+			var first atomic.Int64
+			first.Store(-1)
+			b := serve(t, startStation(t, srv), BroadcasterOptions{
+				Corrupt: func(pos uint64, frame []byte) []byte {
+					first.CompareAndSwap(-1, int64(pos))
+					if int64(pos) == first.Load()+datagram*maxFrames+k {
+						frame[dmg.at] ^= 0x04
+					}
+					return frame
+				},
+			})
+			if !b.gso.Load() {
+				t.Skip("the kernel does not segment UDP writes here")
+			}
+			rx, err := Dial(b.Addr().String(), ReceiverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rx.Close()
+			hit := rx.Start() + datagram*maxFrames + k
+			want := map[int]bool{hit: true}
+			if dmg.strands {
+				for pos := hit; pos < rx.Start()+(datagram+1)*maxFrames; pos++ {
+					want[pos] = true
+				}
+			}
+			lost := map[int]bool{}
+			for abs := rx.Start(); abs < rx.Start()+200; abs++ {
+				p, ok := rx.At(abs)
+				if !ok {
+					lost[abs] = true
+				}
+				if want := cyc.Packets[abs%cyc.Len()].Kind; p.Kind != want {
+					t.Fatalf("position %d: kind %v, want %v", abs, p.Kind, want)
+				}
+				if abs == hit && len(rx.more) == 0 {
+					t.Fatal("the damaged datagram was the last of its read: the receiver did not read a coalesced run")
+				}
+			}
+			if fmt.Sprint(lost) != fmt.Sprint(want) || rx.WireLost() != len(want) {
+				t.Fatalf("lost %v (WireLost %d), want exactly %v", lost, rx.WireLost(), want)
+			}
+			if got := rx.corrupted; got < 1 || (!dmg.strands && got != 1) {
+				t.Fatalf("corrupted = %d after one damaged frame", got)
+			}
+		})
 	}
 }

@@ -23,6 +23,8 @@ var (
 		"data datagrams written to the socket, each carrying one or more framed broadcast packets")
 	obsFrames = obs.GetCounter("air_wire_frames_sent_total",
 		"framed broadcast packets written to the socket (frames per datagram = this over air_wire_datagrams_sent_total)")
+	obsWrites = obs.GetCounter("air_wire_writes_total",
+		"data writes to the socket, one per send call (datagrams per write = air_wire_datagrams_sent_total over this)")
 	obsHellos = obs.GetCounter("air_wire_hellos_total",
 		"handshakes accepted by wire broadcasters")
 	obsRemotes = obs.GetGauge("air_wire_remotes",
@@ -30,7 +32,7 @@ var (
 	obsExpired = obs.GetCounter("air_wire_expired_remotes_total",
 		"remote receivers dropped for idling past the timeout")
 	obsRecv = obs.GetCounter("air_wire_datagrams_received_total",
-		"datagrams received by wire receivers")
+		"datagrams received by wire receivers (a coalesced read counts each datagram in it)")
 	obsCorrupt = obs.GetCounter("air_wire_corrupt_frames_total",
 		"received datagrams rejected by the frame integrity check")
 	obsGaps = obs.GetCounter("air_wire_gap_packets_total",
@@ -50,9 +52,10 @@ type BroadcasterOptions struct {
 	// joins its datagram: tests use it to flip bits (the receiver must reject
 	// the frame by CRC and account the position as lost) or return nil to
 	// drop the frame outright. The callback may mutate and return frame in
-	// place. It must be safe for concurrent use — one pump goroutine per
-	// remote calls it. chaos.Injector.WireHook is the standard deterministic
-	// implementation.
+	// place, or return a shorter frame, never a longer one: a segmented
+	// write is cut into datagrams on full-frame boundaries. It must be safe
+	// for concurrent use — one pump goroutine per remote calls it.
+	// chaos.Injector.WireHook is the standard deterministic implementation.
 	Corrupt func(pos uint64, frame []byte) []byte
 	// MaxRemotes caps concurrently subscribed remotes: a hello past the cap
 	// is answered with a busy frame (a typed refusal the receiver surfaces
@@ -65,7 +68,8 @@ type BroadcasterOptions struct {
 // receiver that completes the hello/welcome handshake gets its own station
 // subscription and a pump goroutine streaming framed packets from its
 // subscribe position — every frame that is ready, up to maxDatagram, per
-// datagram — paced by the receiver's want/limit credit. One Broadcaster
+// datagram, and a run of full datagrams per write — paced by the
+// receiver's want/limit credit. One Broadcaster
 // serves any number of remotes; the station's own clock (and its lossless
 // virtual-clock backpressure or paced-clock miss semantics) stays the
 // single source of air truth.
@@ -82,6 +86,11 @@ type Broadcaster struct {
 	mu      sync.Mutex
 	remotes map[netip.AddrPort]*remote
 	closed  bool
+
+	// gso is whether a pump may hand the kernel a run of datagrams in one
+	// segmented write: probed once when the socket opens, turned off for
+	// good by the first write the path refuses.
+	gso atomic.Bool
 
 	// Owned by readLoop (and NewBroadcaster before it starts): the welcome
 	// body of the cycle on the air, encoded once per *Cycle — a swap airs a
@@ -104,8 +113,12 @@ type remote struct {
 	credit chan struct{}
 	// lastSeen is the monotonic time (ns since broadcaster start) of the
 	// remote's last control frame; the janitor expires silent remotes.
-	lastSeen  atomic.Int64
+	lastSeen atomic.Int64
+	// done is closed, and gone set just before, when the remote is
+	// released: a parked pump waits on done, a streaming one polls gone
+	// once per position (a select there costs more than the frame).
 	done      chan struct{}
+	gone      atomic.Bool
 	closeOnce sync.Once
 }
 
@@ -143,6 +156,7 @@ func NewBroadcaster(addr string, st *station.Station, opts BroadcasterOptions) (
 	// a lost want is re-sent by the receiver's silence timeout anyway).
 	conn.SetReadBuffer(1 << 20)
 	b.conn, b.started = conn, time.Now()
+	b.gso.Store(gsoSupported(conn))
 	b.ctx, b.cancel = context.WithCancel(context.Background())
 	b.wg.Add(2)
 	go b.readLoop()
@@ -371,54 +385,80 @@ func (r *remote) advance(pos, limit int64) {
 	}
 }
 
-// shut releases the remote; the pump notices via done and unsubscribes.
-func (r *remote) shut() { r.closeOnce.Do(func() { close(r.done) }) }
+// shut releases the remote; the pump notices via gone or done and
+// unsubscribes.
+func (r *remote) shut() {
+	r.closeOnce.Do(func() {
+		r.gone.Store(true)
+		close(r.done)
+	})
+}
+
+// gsoSegments is the most full datagrams one data write carries: the pump
+// hands the kernel a run of them in one segmented write (UDP GSO), which
+// cuts it into datagrams on segSize boundaries. Eight is the middle of the
+// flat part of the sweep in EXPERIMENTS.md "One write per run of
+// datagrams": a run much longer than that holds a whole credit window back
+// while the receiver idles.
+const gsoSegments = 8
+
+// segSize is the length of a full data datagram, maxFrames frames: the one
+// segment size of every segmented write.
+const segSize = maxFrames * packet.MaxFrameSize
+
+// batchPool recycles pump batches across remotes: a session dials one
+// remote per query.
+var batchPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, gsoSegments*segSize)
+	return &b
+}}
 
 // pump streams the remote's subscription onto the socket: one frame per
 // position, sequential from the subscribe position, skipping ahead when the
 // receiver's want jumps (the remote radio slept) and pausing whenever credit
 // runs out.
 //
-// Frames travel back to back in one datagram — the cost of a send is per
-// datagram, not per byte — under one rule: the pump never waits, for credit
-// or for the station, while it holds an unsent frame. A datagram therefore
-// leaves when (a) another full frame would not fit maxDatagram, (b) the
-// subscription cannot serve the next position without waiting
-// (station.Sub.Ready), or (c) credit is exhausted. No timer is involved: the
+// Frames travel back to back in one datagram, and full datagrams back to
+// back in one write — the cost of a send is per write, not per byte — under
+// one rule: the pump never waits, for credit or for the station, while it
+// holds an unsent frame. A batch therefore leaves when (a) it holds
+// gsoSegments full datagrams, or its last datagram is closed short of full,
+// (b) the subscription cannot serve the next position without waiting
+// (station.Sub.Ready), or (c) credit is exhausted. A datagram is closed when
+// another full frame would not fit segSize. No timer is involved: the
 // pump declares the remote's credit window on its subscription
 // (station.Sub.Prefetch) whenever the granted limit moves, so on a virtual
 // clock its first At pulls the clock to the limit and the rest of the window
-// is ready, so datagrams fill; on a paced clock a position airs once per
-// airtime, so each is sent alone the moment it airs.
+// is ready, so datagrams and batches fill; on a paced clock a position airs
+// once per airtime, so each is sent alone the moment it airs.
 func (b *Broadcaster) pump(r *remote) {
 	defer b.wg.Done()
 	defer b.forget(r)
 	defer r.sub.Close()
 
 	cycleLen := uint32(b.st.Len())
-	batch := make([]byte, 0, maxDatagram)
+	pooled := batchPool.Get().(*[]byte)
+	batch := (*pooled)[:0]
+	defer func() {
+		*pooled = batch[:0]
+		batchPool.Put(pooled)
+	}()
 	frames := 0 // frames in batch
+	open := 0   // where the datagram being filled starts in batch
 	flush := func() {
-		if frames == 0 {
-			return
+		if frames > 0 {
+			b.send(batch, frames, r.addr)
 		}
-		if _, err := b.conn.WriteToUDPAddrPort(batch, r.addr); err == nil {
-			obsSent.Inc()
-			obsFrames.Add(int64(frames))
-		}
-		batch, frames = batch[:0], 0
+		batch, frames, open = batch[:0], 0, 0
 	}
 	pos := r.sub.Start()
 	var declared int64 // the limit the subscription's window ends at
 	for {
 		// A remote released with frames still batched loses them with the
 		// rest of its stream: nothing is written for a receiver that is gone.
-		select {
-		case <-r.done:
+		// (Close shuts every remote before it cancels b.ctx.)
+		if r.gone.Load() {
 			return
-		case <-b.ctx.Done():
-			return
-		default:
 		}
 		// Credit gate: stream only positions the receiver asked for
 		// (want <= pos < limit). While the pump waits for credit the
@@ -462,8 +502,11 @@ func (b *Broadcaster) pump(r *remote) {
 			if len(batch) > n {
 				frames++
 			}
-			if len(batch)+packet.MaxFrameSize > maxDatagram {
-				flush() // rule (a)
+			if d := len(batch) - open; d+packet.MaxFrameSize > segSize {
+				open = len(batch)
+				if d < segSize || open == gsoSegments*segSize {
+					flush() // rule (a)
+				}
 			}
 		}
 		// A position the subscription itself lost (a paced-clock miss) is
@@ -471,6 +514,37 @@ func (b *Broadcaster) pump(r *remote) {
 		// as a lost reception, same as any dropped frame.
 		pos++
 	}
+}
+
+// send writes one batch of frames to addr: full segSize datagrams back to
+// back, the last one possibly shorter. Where the kernel segments, that is
+// one write; elsewhere, or once the path refuses a segmented write, one
+// write per datagram. The datagrams on the wire are the same either way.
+// A write that fails for any other reason (the socket closed under the
+// pump) loses the batch uncounted.
+func (b *Broadcaster) send(batch []byte, frames int, addr netip.AddrPort) {
+	datagrams := (len(batch) + segSize - 1) / segSize
+	if datagrams > 1 && b.gso.Load() {
+		_, _, err := b.conn.WriteMsgUDPAddrPort(batch, segmentOOB, addr)
+		if err == nil {
+			obsWrites.Inc()
+			obsSent.Add(int64(datagrams))
+			obsFrames.Add(int64(frames))
+			return
+		}
+		if !gsoRefused(err) {
+			return
+		}
+		b.gso.Store(false)
+	}
+	for off := 0; off < len(batch); off += segSize {
+		if _, err := b.conn.WriteToUDPAddrPort(batch[off:min(off+segSize, len(batch))], addr); err != nil {
+			return
+		}
+		obsWrites.Inc()
+		obsSent.Inc()
+	}
+	obsFrames.Add(int64(frames))
 }
 
 // forget removes the remote from the table once its pump has exited.

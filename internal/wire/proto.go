@@ -2,8 +2,9 @@
 // carrying the fixed-size packet encoding of internal/packet behind the
 // feed interfaces of internal/broadcast. A Broadcaster drains a live
 // station.Station onto a socket — one CRC frame per packet, as many frames
-// per datagram as are ready to go (maxDatagram), one per-remote subscription
-// with receiver-driven credit — and a Receiver presents the received frames
+// per datagram as are ready to go (maxDatagram), a run of full datagrams
+// per write where the kernel segments UDP writes, one per-remote
+// subscription with receiver-driven credit — and a Receiver presents the received frames
 // as a broadcast.Feed, so the ordinary Tuner (and therefore every scheme
 // client, and deploy.Session unchanged) runs on top of a remote broadcast
 // exactly as it does in process.
@@ -48,11 +49,13 @@ import (
 )
 
 // maxDatagram is the most either end writes into one UDP datagram, and so
-// the size of every read buffer: under a 1500-byte MTU with room for the IP
-// and UDP headers and a tunnel's, it holds nine full data frames
-// (packet.MaxFrameSize each). The pump fills a datagram up to it; a welcome
-// whose kind schedule would not fit is refused when the broadcaster is set
-// up (appendWelcomeBody).
+// the size of the broadcaster's control read buffer: under a 1500-byte MTU
+// with room for the IP and UDP headers and a tunnel's, it holds nine full
+// data frames (packet.MaxFrameSize each). The pump fills a datagram up to
+// nine (segSize); a welcome whose kind schedule would not fit is refused
+// when the broadcaster is set up (appendWelcomeBody). A receiver reads
+// into a larger buffer, since one read may return a run of datagrams
+// (rxBufs).
 const maxDatagram = 1400
 
 // Control frame types, in the envelope range reserved for transports.

@@ -98,12 +98,27 @@ type Receiver struct {
 	unproductive int // redials since the last data frame actually arrived
 	stale        bool
 
-	dialDraw uint64 // monotonic draw index for backoff jitter
-	readBuf  []byte
-	rest     []byte // frames of the current datagram not yet walked (aliases readBuf)
+	dialDraw uint64  // monotonic draw index for backoff jitter
+	bufs     *rxBufs // from rxPool until Close
+	rest     []byte  // frames of the current datagram not yet walked (aliases bufs)
+	more     []byte  // the datagrams of the last read after the current one (aliases bufs)
+	seg      int     // the length of each datagram in more, the last one excepted
 	sendBuf  []byte
 	closed   bool
 }
+
+// rxBufs is what a receiver reads the socket into: a data buffer that
+// holds the largest run of datagrams the kernel coalesces into one read
+// (UDP GRO), and room for the control message that says where they split.
+type rxBufs struct {
+	data [1 << 16]byte
+	oob  [64]byte
+}
+
+// rxPool recycles read buffers across receivers: a session dials one
+// receiver per query, and 64 KiB per dial would be most of what a query
+// allocates.
+var rxPool = sync.Pool{New: func() any { return new(rxBufs) }}
 
 // Dial subscribes to the wire broadcaster at addr (host:port) and performs
 // the hello/welcome handshake. The returned receiver tunes in at Start(),
@@ -135,11 +150,12 @@ func Dial(addr string, opts ReceiverOptions) (*Receiver, error) {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	r := &Receiver{
-		raddr:   raddr,
-		opts:    opts,
-		readBuf: make([]byte, maxDatagram),
+		raddr: raddr,
+		opts:  opts,
+		bufs:  rxPool.Get().(*rxBufs),
 	}
 	if err := r.connect(); err != nil {
+		r.release()
 		return nil, err
 	}
 	w, err := r.exchangeHello(time.Now().Add(opts.DialTimeout))
@@ -148,6 +164,7 @@ func Dial(addr string, opts ReceiverOptions) (*Receiver, error) {
 		// back; a bye releases the half-made subscription instead of
 		// leaving a zombie remote parked on the broadcaster.
 		r.abandon()
+		r.release()
 		return nil, err
 	}
 	r.start = int(w.Start)
@@ -171,8 +188,37 @@ func (r *Receiver) connect() error {
 	// the request to rmem_max, and any remaining shortfall surfaces honestly
 	// as wire loss, never as a wrong answer.
 	conn.SetReadBuffer(readBufferFor(r.opts.Window))
+	// Let one read return a run of datagrams (best effort too: without it
+	// a read returns one).
+	enableGRO(conn)
 	r.conn = conn
 	return nil
+}
+
+// read reads the socket once: one datagram, or a run of them the kernel
+// coalesced, split at the datagram length it reports. The first datagram
+// is left in rest, the others in more; it returns how many there are.
+func (r *Receiver) read() (int, error) {
+	n, oobn, _, _, err := r.conn.ReadMsgUDPAddrPort(r.bufs.data[:], r.bufs.oob[:])
+	if err != nil {
+		return 0, err
+	}
+	seg := groSegment(r.bufs.oob[:oobn])
+	if seg <= 0 || seg > n {
+		seg = n
+	}
+	r.seg = seg
+	r.rest, r.more = r.bufs.data[:seg], r.bufs.data[seg:n]
+	if seg == 0 {
+		return 1, nil
+	}
+	return (n + seg - 1) / seg, nil
+}
+
+// nextDatagram moves rest on to the next datagram of the last read.
+func (r *Receiver) nextDatagram() {
+	k := min(r.seg, len(r.more))
+	r.rest, r.more = r.more[:k], r.more[k:]
 }
 
 // readBufferFor sizes the socket receive buffer for a credit window of w
@@ -181,9 +227,12 @@ func (r *Receiver) connect() error {
 // maxDatagram one. A 256-position window is ~29 full datagrams (~66KB) when
 // the pump finds every frame ready, and 256 single-frame ones (~213KB — by
 // itself the whole default rcvbuf) when it finds none, and a refill burst
-// arrives while up to half the previous window is still queued. Sizing for
-// 2x the window at a conservative 4KB per position covers both ends and
-// everything between, with a 1MB floor.
+// arrives while up to half the previous window is still queued. A run of
+// datagrams that arrives coalesced (UDP GRO; on loopback a segmented write
+// is delivered whole) is one buffer in the queue, not one per datagram, so
+// it only moves a stream toward the cheap end. Sizing for 2x the window at
+// a conservative 4KB per position covers both ends and everything between,
+// with a 1MB floor.
 func readBufferFor(w int) int {
 	n := 2 * w * 4096
 	if n < 1<<20 {
@@ -229,15 +278,15 @@ func (r *Receiver) exchangeHello(deadline time.Time) (welcome, error) {
 		}
 		for {
 			r.conn.SetReadDeadline(wait)
-			n, err := r.conn.Read(r.readBuf)
-			if err != nil {
+			if _, err := r.read(); err != nil {
 				break // window over (or ICMP refusal): re-hello
 			}
 			// Control frames travel alone; anything after the first envelope
 			// is a data datagram's tail, discarded with its head below.
 			var ftype uint8
 			var body []byte
-			env, _, err := packet.SplitEnvelope(r.readBuf[:n])
+			env, _, err := packet.SplitEnvelope(r.rest)
+			r.rest = nil
 			if err == nil {
 				ftype, body, err = packet.OpenEnvelope(env)
 			}
@@ -252,6 +301,8 @@ func (r *Receiver) exchangeHello(deadline time.Time) (welcome, error) {
 				if err != nil {
 					continue
 				}
+				// Datagrams read together with the welcome are the start of
+				// the stream: they stay in more for At.
 				return w, nil
 			case frameBusy:
 				remotes, max, err := parseBusy(body)
@@ -323,11 +374,11 @@ func (r *Receiver) Prefetch(abs, n int) {
 	}
 }
 
-// maxFrames is the most data frames one datagram carries, and so the
-// positions one Span serves without a socket read.
+// maxFrames is the most data frames one datagram carries, and the most
+// positions one Span serves.
 const maxFrames = maxDatagram / packet.MaxFrameSize
 
-// spanView holds the packets of one Span, views of readBuf like pending.
+// spanView holds the packets of one Span, views of bufs like pending.
 type spanView [maxFrames]packet.Packet
 
 // viewPool recycles span views across receivers: a session dials one
@@ -338,10 +389,10 @@ var viewPool = sync.Pool{New: func() any { return new(spanView) }}
 // Span serves the positions from abs on as one view (broadcast.Spanner).
 // It first credits the n positions asked for, as Prefetch does. Then it
 // serves the first position as At does, blocking on the socket if it must,
-// and after it every position it can serve without another read: the
-// in-order frames left in the current datagram, a held frame, the gaps
-// before it. It stops at a frame it would have to act on (a bye) and at
-// the datagram's end, leaving it to the next Span or At. Each position's
+// and after it every position it can serve without another read, up to
+// maxFrames: the in-order frames left in the current read, a held frame,
+// the gaps before it. It stops at a frame it would have to act on (a bye)
+// and at the read's end, leaving it to the next Span or At. Each position's
 // credit, clock and loss bookkeeping is At's.
 //
 //air:noalloc
@@ -370,12 +421,14 @@ func (r *Receiver) Span(abs, n int) ([]packet.Packet, uint64) {
 
 // At blocks until the wire has moved past absolute position abs and
 // returns its packet (broadcast.Feed). A datagram carries one or more
-// frames back to back; At walks them in order and reads the socket only
-// when the current datagram is used up. Frames below abs were slept over
+// frames back to back, and one read may return a run of datagrams; At walks
+// them in order and reads the socket only when the run is used up. Frames
+// below abs were slept over
 // and are discarded; a frame beyond abs means the wire lost abs, which is
 // served as a corrupted reception with the correct kind. A frame failing
 // its CRC is dropped alone; a frame boundary that cannot be found takes the
-// rest of its datagram with it — either way the positions surface as gaps.
+// rest of its datagram (not of the read) with it — either way the positions
+// surface as gaps.
 // If the broadcaster says bye or falls silent past the retry budget, the
 // receiver re-dials up to Redial times (fresh socket, fresh handshake,
 // stream re-anchored); past that the feed aborts the query via
@@ -383,7 +436,7 @@ func (r *Receiver) Span(abs, n int) ([]packet.Packet, uint64) {
 // in-process station, has no cycle to degrade to.
 //
 // The served payload is a view of the receive buffer, valid until the next
-// At (broadcast.Feed): the receiver copies nothing per position.
+// At (broadcast.Feed) or Close: the receiver copies nothing per position.
 //
 //air:noalloc
 func (r *Receiver) At(abs int) (packet.Packet, bool) {
@@ -419,12 +472,15 @@ func (r *Receiver) next(abs int, block bool) (p packet.Packet, ok, got bool) {
 	}
 	timeouts := 0
 	for {
+		if len(r.rest) == 0 && len(r.more) > 0 {
+			r.nextDatagram()
+		}
 		if len(r.rest) == 0 {
 			if !block {
 				return p, false, false
 			}
 			r.conn.SetReadDeadline(time.Now().Add(r.opts.Timeout))
-			n, err := r.conn.Read(r.readBuf)
+			datagrams, err := r.read()
 			if err != nil {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					timeouts++
@@ -441,14 +497,14 @@ func (r *Receiver) next(abs int, block bool) (p packet.Packet, ok, got bool) {
 				timeouts = 0
 				continue
 			}
-			obsRecv.Inc()
-			r.rest = r.readBuf[:n]
+			obsRecv.Add(int64(datagrams))
 		}
 		datagram := r.rest
 		env, rest, err := packet.SplitEnvelope(r.rest)
 		if err != nil {
 			// No boundary to go by: whatever else the datagram carried cannot
-			// be located, and those positions surface as gaps.
+			// be located, and those positions surface as gaps. The datagrams
+			// read with it keep their own boundaries.
 			r.rest = nil
 			r.corrupted++
 			obsCorrupt.Inc()
@@ -491,7 +547,7 @@ func (r *Receiver) next(abs int, block bool) (p packet.Packet, ok, got bool) {
 			p, ok = r.serve(abs, f.Pkt)
 			return p, ok, true
 		default:
-			// Held as a view of readBuf: no socket read happens before it
+			// Held as a view of bufs: no socket read happens before it
 			// is served or dropped.
 			r.pending, r.pendingPos, r.hasPending = f.Pkt, pos, true
 			p, ok = r.gap(abs)
@@ -528,7 +584,7 @@ func (r *Receiver) redial(abs int, readErr error) {
 		cause = fmt.Errorf("wire: broadcast from %v went silent at position %d: %w", r.raddr, abs, readErr)
 	}
 	r.abandon()
-	r.rest = nil // the handshake reuses readBuf; the old stream's tail is void
+	r.rest, r.more = nil, nil // the handshake reuses bufs; the old stream's tail is void
 	if r.opts.Redial <= 0 {
 		obsDead.Inc()
 		broadcast.AbortFeed(fmt.Errorf("%w: %v", ErrDead, cause))
@@ -624,6 +680,12 @@ func (r *Receiver) sendWant(pos, limit int) {
 	}
 }
 
+// release returns the read buffers to the pool; nothing may view them after.
+func (r *Receiver) release() {
+	rxPool.Put(r.bufs)
+	r.bufs, r.rest, r.more = nil, nil, nil
+}
+
 // Close tunes out: a best-effort bye releases the broadcaster's
 // subscription immediately (the idle timeout would reclaim it anyway) and
 // the socket closes. Safe to call more than once.
@@ -635,6 +697,7 @@ func (r *Receiver) Close() {
 	r.sendBuf = appendBye(r.sendBuf[:0])
 	r.conn.Write(r.sendBuf)
 	r.conn.Close()
+	r.release()
 	if r.view != nil {
 		*r.view = spanView{} // the pool must not pin this receiver's buffer
 		viewPool.Put(r.view)
